@@ -16,19 +16,35 @@ delta terms:
     kdot(phi) = <k, psi * R_{-n} phi>
 
 for any radial cutoff psi(m) = eta(|m|) with logarithmic mass
-integral_0^inf eta(t) dt/t = 1.  An equivalent extension integrates
-k * R_{-n} phi over the unit sphere; the two differ by a multiple of
-phi(0) only.
+integral_0^inf eta(t) dt/t = 1.  Two cutoffs give extensions that differ
+by a multiple of phi(0) only.
+
+extend_kdot evaluates this on fixed rules.  On each ray omega of the
+sphere rule, a composite Gauss-Legendre rule on the cutoff annulus
+[a, b] carries the outer integral, and every outer node t gets its own
+inner integral
+
+    R_{-n} phi(t omega) = -integral_0^cut log(tau) d/dtau phi(tau t omega) dtau
+
+on one composite Gauss-Legendre rule in u = sqrt(tau), shared by all
+outer nodes and evaluated as a (nodes x inner nodes) array in row
+blocks.  The scaling law R_{-n} phi(t omega) = A(omega) - log(t) phi(0)
+is not used, so the cutoff-ambiguity check compares genuinely different
+integrals.  A rule with twice the panels must agree with it, and at one
+outer node per ray the adaptive tplus_profile must agree as well; either
+disagreement beyond tol raises AccuracyError.  direct_pair, the other
+side of the restriction check, stays on adaptive quadrature.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import quad, special, testfn, zeta
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .report import CheckReport
 
 
@@ -133,47 +149,27 @@ def tplus_pair(s, phi, tol=1e-11):
     return tplus_profile(s, _as_profile(phi), tol=tol)
 
 
-def tplus_functional(s):
-    """t_+^s packaged as a HomogFunctional on the line."""
-    return HomogFunctional(
-        degree=complex(s),
-        density=None,
-        n=1,
-        domain="line",
-        label=f"tplus:s={s}",
-        pairing=lambda phi, tol=1e-11: tplus_pair(s, phi, tol=tol),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Homogeneous functionals and radial cutoffs
 
 
 class HomogFunctional:
-    """A distribution homogeneous of a stated degree.
+    """A distribution on R^n minus the origin, homogeneous of a stated
+    degree and given by a pointwise density, paired by quadrature away
+    from 0.  The density takes points of shape (..., n) to values of
+    shape (...); for n = 1 a trailing axis of length 1 in the values is
+    accepted."""
 
-    On the line it may be given purely by a pairing rule (t_+^s); on the
-    punctured n-space it is a pointwise density on R^n minus the origin,
-    paired by quadrature away from 0.
-    """
-
-    def __init__(self, degree, density, n=1, domain=None, label="k", pairing=None):
+    def __init__(self, degree, density, n=1, label="k"):
         self.degree = complex(degree)
         self.density = density
         self.n = int(n)
-        self.domain = domain or ("line" if n == 1 else f"punctured-n-space({n})")
         self.label = label
-        self._pairing = pairing
 
     def __call__(self, m):
         if self.density is None:
             raise DomainError(f"{self.label} has no pointwise density")
         return self.density(np.asarray(m, dtype=float))
-
-    def pair(self, phi, tol=1e-11):
-        if self._pairing is not None:
-            return self._pairing(phi, tol=tol)
-        return self.direct_pair(phi, tol=tol)
 
     def direct_pair(self, phi, inner=None, outer=None, tol=1e-11, sphere_order=16):
         """Direct integral of density * phi over an annulus containing the
@@ -237,9 +233,10 @@ class RadialCutoff:
         return self.norm * out
 
     def __call__(self, m):
+        """psi(m): a scalar or a 1-D array holds points on the line, an
+        array of shape (..., n) with two or more axes points in R^n."""
         m = np.asarray(m, dtype=float)
-        r = np.abs(m) if m.ndim == 0 or m.shape[-1:] == () else np.linalg.norm(np.atleast_1d(m), axis=-1)
-        return self.eta(r)
+        return self.eta(np.abs(m) if m.ndim <= 1 else np.linalg.norm(m, axis=-1))
 
     def log_mass(self, tol=1e-12):
         res = quad.integrate_1d(lambda t: self.eta(t) / t, self.a, self.b, tol=tol)
@@ -267,64 +264,116 @@ def rs_transform(phi, s, m, tol=1e-11):
     return tplus_profile(complex(s) + phi.n - 1.0, phi.ray(m), tol=tol)
 
 
+# Panel counts of the fixed rules in extend_kdot, each panel of _ORDER
+# Gauss-Legendre nodes: the coarse outer rule on the cutoff annulus and
+# the successive coarse inner rules in u = sqrt(tau); every fine rule
+# doubles both counts of its coarse rule.
+_ORDER = 16
+_OUTER_PANELS = 16
+_INNER_PANELS = (64, 128, 256)
+# points of phi' evaluated at once, which bounds the temporaries
+_BLOCK_POINTS = 1 << 13
+
+
+@dataclass(frozen=True)
+class Extension:
+    """kdot(phi) from the fine rules of extend_kdot, with the
+    disagreement of the coarse and the fine rule and the fine node counts
+    (outer nodes on each ray, inner nodes for each outer node)."""
+
+    value: complex
+    gap: float
+    outer_nodes: int
+    inner_nodes: int
+
+    def __complex__(self):
+        return complex(self.value)
+
+
+def _rs_rows(dprof, t, cut, npanel):
+    """R_{-n} phi(t omega) = -integral_0^cut log(tau) d/dtau phi(tau t omega) dtau
+    for every outer node t of one ray, with dprof the derivative of the
+    ray profile of omega.  One composite Gauss-Legendre rule in
+    u = sqrt(tau) (the softening map of tplus_profile) serves all nodes;
+    node t evaluates dprof at its own points t tau, in row blocks."""
+    u, w = quad.panel_rule(0.0, math.sqrt(cut), npanel, _ORDER)
+    tau = u * u
+    # -log(tau) dtau = -4 u log(u) du
+    c = -4.0 * w * u * np.log(u)
+    block = max(1, _BLOCK_POINTS // len(tau))
+    rows = []
+    for i in range(0, len(t), block):
+        tb = t[i : i + block]
+        # d/dtau phi(tau t omega) = t g'(t tau) for the profile g of omega
+        rows.append(tb * (np.asarray(dprof(tb[:, None] * tau)) @ c))
+    return np.concatenate(rows)
+
+
+def _kdot_rule(k, psi, rays, p_out, p_in):
+    """One composite rule for kdot(phi): value, the L1 mass of its terms,
+    the outer nodes and the R_{-n} phi values of each ray at them."""
+    t, wt = quad.panel_rule(psi.a, psi.b, p_out, _ORDER)
+    outer = wt * psi.eta(t) * t ** (k.n - 1)
+    total, mass, rows = 0.0 + 0.0j, 0.0, []
+    for om, w, dprof, cut in rays:
+        r = _rs_rows(dprof, t, cut, p_in)
+        terms = w * outer * np.asarray(k(t[:, None] * om), dtype=complex).reshape(len(t)) * r
+        total += complex(np.sum(terms))
+        mass += float(np.sum(np.abs(terms)))
+        rows.append(r)
+    return total, mass, t, rows
+
+
 def extend_kdot(k, psi, phi, tol=1e-10, sphere_order=16):
     """kdot(phi) = <k, psi * R_{-n} phi>: the extension of a degree -n
-    homogeneous density across the origin, evaluated pointwise on the
-    support annulus of the cutoff."""
+    homogeneous density across the origin.  Returns an Extension.
+
+    On each ray of the sphere rule, the cutoff annulus carries a composite
+    Gauss-Legendre outer rule and every outer node t its own inner
+    integral R_{-n} phi(t omega), all on one shared inner rule.  The
+    density is evaluated on (N, n) arrays of points.  The coarse rule is
+    checked against the fine rule with twice the panels; while they differ
+    by more than tol of the L1 mass of the sum, the inner panel count is
+    doubled, and past the last count AccuracyError is raised.  At one outer
+    node of each ray the fine inner value must also match the adaptive
+    rs_transform within tol of the largest |R_{-n} phi|, or AccuracyError
+    is raised."""
     n = k.n
     if phi.n != n:
         raise DomainError("test function dimension does not match the density")
     if k.density is None:
         raise DomainError("extension needs a pointwise density")
-    s_crit = -float(n)
-
-    def rphi(m):
-        return complex(rs_transform(phi, s_crit, m, tol=tol))
-
-    if n == 1:
-        total = 0.0 + 0.0j
-        for sgn in (1.0, -1.0):
-            r = quad.integrate_1d(
-                lambda t, sgn=sgn: complex(np.asarray(k(np.array([sgn * t]))).item())
-                * float(psi.eta(t))
-                * rphi(np.array([sgn * t])),
-                psi.a,
-                psi.b,
-                tol=tol,
-            )
-            total += complex(r.value)
+    pts, wts = quad.sphere_quadrature(n, order=sphere_order)
+    rays = []
+    for om, w in zip(pts, wts):
+        # the inner range serves every outer node of the ray
+        cut = max(phi.ray(psi.a * om).cutoff(1e-18), phi.ray(psi.b * om).cutoff(1e-18))
+        if not (np.isfinite(cut) and cut > 0.0):
+            raise DomainError("fixed-rule extension needs a finite cutoff of the ray profile")
+        rays.append((om, w, phi.ray(om).derivative(1), cut))
+    for p_in in _INNER_PANELS:
+        coarse = _kdot_rule(k, psi, rays, _OUTER_PANELS, p_in)[0]
+        value, mass, t, rows = _kdot_rule(k, psi, rays, 2 * _OUTER_PANELS, 2 * p_in)
+        gap = abs(value - coarse)
+        if gap <= tol * mass:
+            break
     else:
-        pts, wts = quad.sphere_quadrature(n, order=sphere_order)
-        total = 0.0 + 0.0j
-        for om, w in zip(pts, wts):
-            r = quad.integrate_1d(
-                lambda t, om=om: complex(k(t * om)) * float(psi.eta(t)) * rphi(t * om) * t ** (n - 1),
-                psi.a,
-                psi.b,
-                tol=tol,
+        raise AccuracyError(
+            f"fixed-rule extension unresolved: {2 * p_in} and {p_in} inner panels "
+            f"differ by {gap:.2e} on an L1 mass of {mass:.2e}"
+        )
+    mid = len(t) // 2
+    scale = max(float(np.max(np.abs(r))) for r in rows)
+    for (om, _, _, _), r in zip(rays, rows):
+        m = t[mid] * om
+        ref = complex(rs_transform(phi, -float(n), m, tol=tol))
+        if abs(ref - r[mid]) > tol * scale:
+            raise AccuracyError(
+                f"fixed-rule R_{{-n}} phi at m = {m.tolist()} is {complex(r[mid]):.15g}, "
+                f"adaptive gives {ref:.15g}"
             )
-            total += w * complex(r.value)
-    return total.real if total.imag == 0.0 else total
-
-
-def extend_sphere(k, phi, tol=1e-10, sphere_order=16):
-    """The sphere-integral extension: integral over |omega| = 1 of
-    k(omega) R_{-n} phi(omega)."""
-    n = k.n
-    if phi.n != n:
-        raise DomainError("test function dimension does not match the density")
-    s_crit = -float(n)
-    if n == 1:
-        total = 0.0 + 0.0j
-        for sgn in (1.0, -1.0):
-            om = np.array([sgn])
-            total += complex(k(om)) * complex(rs_transform(phi, s_crit, om, tol=tol))
-    else:
-        pts, wts = quad.sphere_quadrature(n, order=sphere_order)
-        total = 0.0 + 0.0j
-        for om, w in zip(pts, wts):
-            total += w * complex(k(om)) * complex(rs_transform(phi, s_crit, om, tol=tol))
-    return total.real if total.imag == 0.0 else total
+    value = value.real if value.imag == 0.0 else value
+    return Extension(value, gap, len(t), 2 * p_in * _ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -362,30 +411,42 @@ def check_tplus_int(tol=1e-8):
 
 def check_extension_restricts(k, psi, phi, tol=1e-8):
     """For phi supported away from 0 the extension must equal the direct
-    pairing of the density against phi."""
-    lhs = extend_kdot(k, psi, phi)
+    pairing of the density against phi.  The extension runs on fixed
+    rules, the direct pairing on adaptive quadrature."""
+    ext = extend_kdot(k, psi, phi)
     rhs = k.direct_pair(phi)
     return CheckReport(
         check="homog-extension-restricts",
         params={"density": k.label, "cutoff": [psi.a, psi.b], "testfn": phi.label},
-        lhs=complex(lhs),
+        lhs=complex(ext),
         rhs=complex(rhs),
         tolerance=tol,
         anchor="Eq13",
+        extra={"rule": _rule_diag([ext])},
     )
+
+
+def _rule_diag(exts):
+    """Worst coarse/fine gap and largest fine node counts of extensions."""
+    return {
+        "coarse_fine_gap": max(e.gap for e in exts),
+        "outer_nodes": max(e.outer_nodes for e in exts),
+        "inner_nodes": max(e.inner_nodes for e in exts),
+    }
 
 
 def check_ambiguity(k, psi1, psi2, phis, tol=1e-6):
     """The difference of two extensions is a delta at 0: the ratio
     (kdot_1 - kdot_2)(phi) / phi(0) must be the same constant for every
     phi with phi(0) != 0."""
-    consts = []
+    consts, exts = [], []
     for phi in phis:
         p0 = complex(phi(np.zeros(k.n) if k.n > 1 else 0.0))
         if abs(p0) < 1e-12:
             raise DomainError("ambiguity check needs phi(0) != 0")
-        d = complex(extend_kdot(k, psi1, phi)) - complex(extend_kdot(k, psi2, phi))
-        consts.append(d / p0)
+        pair = (extend_kdot(k, psi1, phi), extend_kdot(k, psi2, phi))
+        exts.extend(pair)
+        consts.append((complex(pair[0]) - complex(pair[1])) / p0)
     spread = max(abs(c - consts[0]) for c in consts)
     scale = max(abs(consts[0]), 1e-300)
     rep = CheckReport(
@@ -395,7 +456,11 @@ def check_ambiguity(k, psi1, psi2, phis, tol=1e-6):
         rhs=complex(consts[-1]),
         tolerance=tol,
         anchor="Eq13",
-        extra={"constants": [complex(c) for c in consts], "relative_spread": spread / scale},
+        extra={
+            "constants": [complex(c) for c in consts],
+            "relative_spread": spread / scale,
+            "rule": _rule_diag(exts),
+        },
     )
     rep.rel_residual = spread / scale
     rep.status = "pass" if rep.rel_residual < tol else "fail"

@@ -126,6 +126,16 @@ def gauss_hermite(order):
     return _GH_CACHE[order]
 
 
+def panel_rule(a, b, npanel, order=16):
+    """Nodes and weights of composite Gauss-Legendre on npanel equal
+    panels of the finite interval [a, b]."""
+    x, w = gauss_legendre(order)
+    edges = np.linspace(a, b, npanel + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
+
+
 def panel_integral(f, a, b, panel_width=0.5, order=16, refine=True):
     """Composite Gauss-Legendre integration on fixed panels.
 
@@ -135,14 +145,9 @@ def panel_integral(f, a, b, panel_width=0.5, order=16, refine=True):
     False)."""
     if not (np.isfinite(a) and np.isfinite(b)):
         raise DomainError("panel integration needs finite endpoints")
-    x, w = gauss_legendre(order)
 
     def run(npanel):
-        edges = np.linspace(a, b, npanel + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        wts = (half[:, None] * w[None, :]).ravel()
+        nodes, wts = panel_rule(a, b, npanel, order)
         return complex(np.sum(wts * np.asarray(f(nodes), dtype=complex)))
 
     npanel = max(4, int(math.ceil((b - a) / panel_width)))

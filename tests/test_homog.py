@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pvzeta import homog, special, testfn
-from pvzeta.errors import DomainError, PoleError
+from pvzeta.errors import AccuracyError, DomainError, PoleError
 
 
 def test_tplus_euler_gamma():
@@ -81,10 +81,12 @@ def test_extension_ambiguity_is_delta():
     phis = [testfn.gaussian(a) for a in (0.5, 1.0, 2.0, math.pi, 4.0)]
     rep = homog.check_ambiguity(k, psi1, psi2, phis)
     assert rep.passed, rep.extra["relative_spread"]
-    # cutoffs [a, 2a] vs [b, 4b] with unit log mass: constant is ln 4 - ln 2
-    # ... the measured constant must at least be reproducible and real
-    consts = rep.extra["constants"]
-    assert abs(consts[0].imag) < 1e-10
+    # R_{-1} phi(t omega) = A(omega) - log(t) phi(0), so kdot_1 - kdot_2 is
+    # phi(0) integral_S k times integral_0^inf (eta2(t) - eta1(t)) log(t) dt/t;
+    # with eta2(t) = eta1(t/2) and unit log mass that is ln 2, so the
+    # constant is 2 ln 2 = ln 4 for k = 1/|m| (integral_S k = 2)
+    for c in rep.extra["constants"]:
+        assert abs(c - math.log(4.0)) < 1e-12, c
 
 
 def test_ambiguity_rejects_vanishing_at_zero():
@@ -98,3 +100,81 @@ def test_ambiguity_rejects_vanishing_at_zero():
 def test_tplus_pole_at_negative_integer_guarded():
     with pytest.raises(PoleError):
         homog.tplus_profile(-1.0 + 1e-9, homog.ExpProfile(1.0))
+
+
+def _norm_density(n, seen=None):
+    """|m|^-n, recording the shapes of the point arrays it is given."""
+
+    def density(x):
+        if seen is not None:
+            seen.append(np.shape(x))
+        return 1.0 / np.sum(x * x, axis=-1) ** (n / 2.0)
+
+    return homog.homog_density(-float(n), density, n=n, label=f"|m|^-{n}")
+
+
+def test_extension_ambiguity_constant_in_the_plane():
+    # the same constant for k = |m|^-2 on R^2 is 2 pi ln 2; k and phi are
+    # radial, so four rays of the sphere rule integrate them exactly
+    seen = []
+    k = _norm_density(2, seen)
+    psi1, psi2 = homog.make_cutoff(0.5, 2.0), homog.make_cutoff(1.0, 4.0)
+    for a in (1.0, 2.0):
+        phi = testfn.gaussian(a, n=2)
+        d = complex(homog.extend_kdot(k, psi1, phi, sphere_order=2)) - complex(
+            homog.extend_kdot(k, psi2, phi, sphere_order=2)
+        )
+        assert abs(d - 2.0 * math.pi * math.log(2.0)) < 1e-10, (a, d)
+    # the fixed rule evaluates the density on (N, n) arrays of points
+    assert seen and all(len(shape) == 2 and shape[1] == 2 for shape in seen), set(seen)
+
+
+def test_extension_restricts_in_the_plane():
+    k = _norm_density(2)
+    rep = homog.check_extension_restricts(k, homog.make_cutoff(0.5, 2.0), testfn.bump(1.5, 1.2, n=2))
+    assert rep.passed, rep.rel_residual
+    assert rep.extra["rule"]["coarse_fine_gap"] < 1e-10
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [testfn.gaussian(1.0), testfn.hermite_gaussian(2, 1.0), testfn.bump(3.0, 1.0)],
+    ids=["gaussian", "hermite", "bump"],
+)
+def test_fixed_inner_rule_matches_adaptive_rs_transform(phi):
+    ts = np.array([0.5, 0.8, 1.3, 2.0])
+    for om in (np.array([1.0]), np.array([-1.0])):
+        cut = phi.ray(0.5 * om).cutoff(1e-18)
+        fixed = homog._rs_rows(phi.ray(om).derivative(1), ts, cut, 2 * homog._INNER_PANELS[-1])
+        for t, value in zip(ts, fixed):
+            ref = complex(homog.rs_transform(phi, -1.0, t * om, tol=1e-12))
+            assert abs(value - ref) < 1e-12, (t * om, value, ref)
+
+
+def test_extension_refuses_an_unresolved_test_function():
+    # a bump of radius 0.02 inside the cutoff annulus is far narrower than
+    # the finest inner rule resolves
+    k = homog.homog_density(-1.0, lambda x: 1.0 / np.abs(x), n=1, label="|m|^-1")
+    with pytest.raises(AccuracyError):
+        homog.extend_kdot(k, homog.make_cutoff(0.5, 2.0), testfn.bump(1.0, 0.02))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        testfn.PolyGauss1D([1.0, 0.5], 2.0),
+        testfn.bump(0.0, 1.0).ray([1.0]),
+        testfn.bump(0.0, 1.0).ray([1.0]).derivative(1),
+        homog.ExpProfile(1.5),
+        homog.ScaledProfile(homog.ExpProfile(1.0), 2.0),
+        homog.make_cutoff(0.5, 2.0).eta,
+        homog.make_cutoff(0.5, 2.0),
+    ],
+    ids=["polygauss", "numeric-order-0", "numeric-order-1", "exp", "scaled", "cutoff-eta", "cutoff"],
+)
+def test_profile_scalar_in_scalar_out(f):
+    assert np.shape(f(0.9)) == ()
+    xs = np.linspace(0.3, 2.5, 7)
+    vals = f(xs)
+    assert np.shape(vals) == (7,)
+    assert np.allclose(vals, [f(float(x)) for x in xs], rtol=1e-14, atol=0.0)
