@@ -6,7 +6,9 @@ check id and then by the parameter record, so identical configurations
 produce byte-identical report files.
 
 Exit codes: 0 when every check passes, 2 when any check fails, 1 on a
-configuration or execution error.
+configuration or execution error.  A suite runs its entries (the SUITES
+table) one by one: an entry that raises a PVZetaError becomes one row
+with status "error", the other entries still run, and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import funceq, heatflow, homog, phspace, symbolkern, testfn, zeta
 from .errors import ConfigError, PVZetaError
-from .report import CheckReport, sort_reports
+from .report import CheckReport, sort_reports, worst
 
 TOL_DIR_ENV = "PVZETA_TOL_DIR"
 
@@ -168,7 +170,7 @@ def run_zeta(cfg):
         elif which == "montecarlo":
             seed = cfg.require_seed("the Monte-Carlo oracle is randomized")
             comp = cfg.get("component", space.components[0])
-            reports.append(zeta.check_zeta_montecarlo(space, comp, s, phi, int(float(cfg.get("mc_samples", 1e7))), seed))
+            reports.append(zeta.check_zeta_montecarlo(space, comp, s, phi, 10_000_000, seed))
         else:
             raise ConfigError(f"unknown zeta check {which!r}")
     return reports
@@ -267,37 +269,34 @@ def run_probe(cfg):
         seed = cfg.require_seed("the scaling sweep draws random factors")
         rng = np.random.default_rng(seed)
         count = int(cfg.get("alphas", 50))
-        worst = None
+        if count < 1:
+            raise ConfigError("--alphas must be at least 1")
+        sweep = []
         for _ in range(count):
             alpha = float(rng.uniform(0.05, 20.0))
-            rep = symbolkern.scaling_check(f, space, [m], [float(rng.uniform(-3.0, 3.0))], alpha, tol=tol)
-            if worst is None or rep.rel_residual > worst.rel_residual:
-                worst = rep
-        worst.params["sweep_count"] = count
-        worst.params["seed"] = seed
-        reports.append(worst)
+            sweep.append(symbolkern.scaling_check(f, space, [m], [float(rng.uniform(-3.0, 3.0))], alpha, tol=tol))
+        rep = worst(sweep)
+        rep.params.update(sweep_count=count, seed=seed)
+        reports.append(rep)
     elif what == "kernel":
         tol = _tol(ov, "kernel-vs-heat", cfg.tol, 1e-7)
         pts = [(1.0, 0.5), (0.7, 1.3), (2.0, 0.5), (-1.0, -0.5)]
-        worst = None
+        rows = []
         for mm, mp in pts:
             _, _, K = symbolkern.aux_symbol_and_kernel(f, space, mm, mp)
             oracle = heatflow.kernel_xy(t, mm, mp, variant) if mm * mp > 0 else 0.0
-            resid = abs(K - oracle) / max(abs(K), abs(oracle), 1e-300)
-            if worst is None or resid > worst[0]:
-                worst = (resid, K, oracle, (mm, mp))
-        rep = CheckReport(
-            check="kernel-vs-heat",
-            params={"t": t, "variant": variant, "points": [list(p) for p in pts]},
-            lhs=complex(worst[1]),
-            rhs=complex(worst[2]),
-            tolerance=tol,
-            anchor="Eq27",
-            extra={"worst_point": list(worst[3])},
-        )
-        rep.rel_residual = worst[0]
-        rep.status = "pass" if worst[0] < tol else "fail"
-        reports.append(rep)
+            rows.append(
+                CheckReport(
+                    check="kernel-vs-heat",
+                    params={"t": t, "variant": variant, "points": [list(p) for p in pts]},
+                    lhs=K,
+                    rhs=oracle,
+                    tolerance=tol,
+                    anchor="Eq27",
+                    extra={"worst_point": [mm, mp]},
+                )
+            )
+        reports.append(worst(rows))
     elif what == "integrability":
         reports.append(symbolkern.local_integrability_check(f))
     else:
@@ -314,6 +313,9 @@ def run_heat(cfg):
     xs = _floats(cfg.get("x", "0.5,1.0,2.0"))
     phi = heatflow.log_gaussian(1.0)
     reports = []
+    if which == "bounds" and ts:
+        # one call over the whole t grid, so the growth-rate fit sees every t
+        reports.append(heatflow.langlands_bounds_check(ts, (0.5, 1.0), variant=variant))
     for t in ts:
         if which == "semigroup":
             tol = _tol(ov, "heat-semigroup", cfg.tol, 1e-6)
@@ -325,8 +327,6 @@ def run_heat(cfg):
         elif which == "lacunary":
             tol = _tol(ov, "heat-lacunary", cfg.tol, 1e-7 if t <= 0.5 else 2e-6)
             reports.append(heatflow.lacunary_check(t, variant=variant, tol=tol))
-        elif which == "bounds":
-            reports.append(heatflow.langlands_bounds_check((t,), (0.5, 1.0), variant=variant))
         elif which == "funceq":
             tol = _tol(ov, "heat-diagonal-funceq", cfg.tol, 1e-7)
             for s in ss:
@@ -334,7 +334,7 @@ def run_heat(cfg):
         elif which == "kernel":
             pts = [(x, y) for x in (0.5, 1.0, 2.0) for y in (0.25, 1.0, 3.0)]
             reports.append(heatflow.kernel_identity_check(t, pts, variant=variant))
-        else:
+        elif which != "bounds":
             raise ConfigError(f"unknown heat check {which!r}")
     dump = cfg.get("dump_profile")
     if dump:
@@ -348,98 +348,97 @@ def run_heat(cfg):
     return reports
 
 
-def _suite_quick(seed):
-    reports = []
-    gauss = testfn.parse_testfn("gaussian:a=3.14159,n=1")
-    hermite = testfn.parse_testfn("hermite:d=2,a=3.14159,n=1")
-    # scalar functional equation under the calibrated convention
-    conv = funceq.calibrate_convention("12", [0.5], [gauss])["selected"][0]
-    for s in (0.4, 0.5, 0.6):
-        reports.append(funceq.check_eq12(s, gauss, conv))
-        reports.append(funceq.check_eq12(s, hermite, conv))
-    # continuation consistency
-    reports.append(zeta.check_mellin_overlap(gauss, 1.0, 0.3))
-    for k in (1, 2, 3):
-        reports.append(zeta.check_mellin_residue(gauss, 1.0, k))
-    # homogeneous distributions
-    reports.append(homog.check_tplus_int())
-    for s in (-0.5, 0.3, -1.7):
-        reports.append(homog.check_homogeneity(s, gauss, 2.0))
-    reports.append(homog.check_extension_restricts(_default_density(), homog.make_cutoff(0.5, 2.0), testfn.parse_testfn("bump:c=3,r=1,n=1")))
-    phis = _testfns("gaussian:a=0.5,n=1;gaussian:a=1,n=1;gaussian:a=2,n=1;gaussian:a=3.14159,n=1;gaussian:a=4,n=1")
-    reports.append(homog.check_ambiguity(_default_density(), homog.make_cutoff(0.5, 2.0), homog.make_cutoff(1.0, 4.0), phis))
-    # heat flow
-    phi = heatflow.log_gaussian(1.0)
-    reports.append(heatflow.semigroup_check(0.5, 0.5, phi, (0.5, 1.0, 2.0)))
-    reports.append(heatflow.generator_check(0.5, phi, 1.0))
-    reports.append(heatflow.lacunary_check(0.1))
-    reports.append(heatflow.kernel_identity_check(0.1, [(0.5, 0.25), (1.0, 1.0), (2.0, 3.0)]))
-    reports.append(heatflow.langlands_bounds_check((0.25, 1.0), (0.5, 1.0)))
-    # symbols
-    f = heatflow.heat_group_function(0.1)
-    sp = phspace.scalar1d()
-    reports.append(symbolkern.check_symbol_decay(f, sp, 1.0))
+# ---------------------------------------------------------------------------
+# Suites: entries are (subcommand, params) runs through the runners above,
+# or (check id, function of the seed) for rows no subcommand emits
+
+
+def _kernel_identity(seed):
+    return [heatflow.kernel_identity_check(0.1, [(0.5, 0.25), (1.0, 1.0), (2.0, 3.0)])]
+
+
+def _scaling_sweep(seed):
+    f, space = heatflow.heat_group_function(0.1), phspace.scalar1d()
     rng = np.random.default_rng(seed)
-    worst = None
-    for _ in range(10):
-        rep = symbolkern.scaling_check(f, sp, [1.0], [float(rng.uniform(-3.0, 3.0))], float(rng.uniform(0.05, 20.0)))
-        if worst is None or rep.rel_residual > worst.rel_residual:
-            worst = rep
-    worst.params["seed"] = seed
-    reports.append(worst)
-    reports.append(symbolkern.local_integrability_check(f))
+    rep = worst(
+        [symbolkern.scaling_check(f, space, [1.0], [float(rng.uniform(-3.0, 3.0))], float(rng.uniform(0.05, 20.0))) for _ in range(10)]
+    )
+    rep.params["seed"] = seed
+    return [rep]
+
+
+def _integrability_refined(seed):
+    # two more dyadic levels than the probe
+    return [symbolkern.local_integrability_check(heatflow.heat_group_function(0.1), levels=8)]
+
+
+def _invariance_sweep(spec):
+    def sweep(seed):
+        space = phspace.parse_space(spec)
+        gs, ms = phspace.sample_group(space, 50, seed), phspace.sample_points(space, 50, seed + 1)
+        rep = worst([phspace.check_relative_invariance(space, g, m) for g, m in zip(gs, ms)])
+        rep.params.update(sweep_count=50, seed=seed)
+        return [rep]
+
+    return sweep
+
+
+_GAUSS1 = "gaussian:a=3.14159,n=1"
+
+_QUICK = (
+    # scalar functional equation under the calibrated convention
+    ("funceq", {"eq": "12", "s": "0.4,0.5,0.6", "testfn": f"{_GAUSS1};hermite:d=2,a=3.14159,n=1"}),
+    # continuation consistency
+    ("zeta", {"check": "overlap", "s": "0.3", "testfn": _GAUSS1}),
+    ("zeta", {"check": "residue", "k": "1,2,3", "testfn": _GAUSS1}),
+    # homogeneous distributions
+    ("homog", {"check": "tplus-int"}),
+    ("homog", {"check": "homogeneity", "s": "-0.5,0.3,-1.7", "lam": "2.0", "testfn": _GAUSS1}),
+    ("homog", {"check": "extension"}),
+    ("homog", {"check": "ambiguity"}),
+    # heat flow
+    ("heat", {"check": "semigroup", "t": "0.5", "s": "0.5", "x": "0.5,1.0,2.0"}),
+    ("heat", {"check": "generator", "t": "0.5", "x": "1.0"}),
+    ("heat", {"check": "lacunary", "t": "0.1"}),
+    ("heat-kernel-identity", _kernel_identity),
+    ("heat", {"check": "bounds", "t": "0.25,1.0"}),
+    # symbols
+    ("probe", {"what": "symbol-decay", "t": "0.1", "m": "1.0"}),
+    ("symbol-scaling", _scaling_sweep),
+    ("probe", {"what": "integrability", "t": "0.1"}),
     # relative invariance (1D)
-    space = phspace.scalar1d()
-    worst = None
-    gs = phspace.sample_group(space, 50, seed)
-    ms = phspace.sample_points(space, 50, seed + 1)
-    for g, m in zip(gs, ms):
-        rep = phspace.check_relative_invariance(space, g, m)
-        if worst is None or rep.rel_residual > worst.rel_residual:
-            worst = rep
-    worst.params["sweep_count"] = 50
-    worst.params["seed"] = seed
-    reports.append(worst)
-    return reports
+    ("relative-invariance", _invariance_sweep("scalar1d")),
+)
 
-
-def _suite_full(seed):
-    reports = _suite_quick(seed)
-    g3 = testfn.parse_testfn("gaussian:a=3.14159,n=3")
-    # 3D functional equations
-    conv = "twopi"
-    for s in (0.3, 0.7, 1.1):
-        reports.append(funceq.check_eq12a(s, np.eye(3), g3, conv, variant="corrected"))
-    B = phspace.indefinite(q=1, n=3).Bmat
-    for s in (0.2, 0.4):
-        reports.append(funceq.check_eq22(s, B, g3, conv, q=1))
-    space = phspace.indefinite(q=1, n=3)
-    reports.append(zeta.check_zeta_montecarlo(space, "plus", 0.2, g3, 10_000_000, seed))
-    # integrability refinement: two more dyadic levels
-    reports.append(symbolkern.local_integrability_check(heatflow.heat_group_function(0.1), levels=8))
-    # invariance on the quadratic kinds
-    for sp in (phspace.definite(n=3), space):
-        worst = None
-        gs = phspace.sample_group(sp, 50, seed)
-        ms = phspace.sample_points(sp, 50, seed + 1)
-        for g, m in zip(gs, ms):
-            rep = phspace.check_relative_invariance(sp, g, m)
-            if worst is None or rep.rel_residual > worst.rel_residual:
-                worst = rep
-        worst.params["sweep_count"] = 50
-        worst.params["seed"] = seed
-        reports.append(worst)
-    return reports
+SUITES = {
+    "quick": _QUICK,
+    "full": _QUICK
+    + (
+        # 3D functional equations
+        ("funceq", {"eq": "12a", "s": "0.3,0.7,1.1", "convention": "twopi"}),
+        ("funceq", {"eq": "22", "s": "0.2,0.4", "convention": "twopi", "q": "1"}),
+        ("zeta", {"check": "montecarlo", "space": "indefinite:q=1,n=3", "component": "plus", "s": "0.2", "testfn": "gaussian:a=3.14159,n=3"}),
+        ("kernel-integrability", _integrability_refined),
+        # invariance on the quadratic kinds
+        ("relative-invariance", _invariance_sweep("definite:n=3")),
+        ("relative-invariance", _invariance_sweep("indefinite:q=1,n=3")),
+    ),
+}
 
 
 def run_suite(cfg):
     name = cfg.get("name")
+    if name not in SUITES:
+        raise ConfigError(f"unknown suite name {name!r}")
     seed = int(cfg.seed) if cfg.seed is not None else 0
-    if name == "quick":
-        return _suite_quick(seed)
-    if name == "full":
-        return _suite_full(seed)
-    raise ConfigError(f"unknown suite name {name!r}")
+    reports = []
+    for key, spec in SUITES[name]:
+        params = {"seed": seed} if callable(spec) else {**spec, "seed": seed}
+        try:
+            reports.extend(spec(seed) if callable(spec) else _RUNNERS[key](RunConfig(key, params)))
+        except PVZetaError as exc:
+            reports.append(CheckReport.error(key, params, exc))
+    return reports
 
 
 _RUNNERS = {
@@ -483,7 +482,10 @@ def run(config):
     """Execute a validated RunConfig; returns (exit_status, reports)."""
     reports = _RUNNERS[config.subcommand](config)
     reports = emit(reports, config.format, config.out)
-    if any(not r.passed for r in reports):
+    statuses = {r.status for r in reports}
+    if "error" in statuses:
+        return 1, reports
+    if "fail" in statuses:
         return 2, reports
     return 0, reports
 

@@ -85,16 +85,6 @@ def gamma_factor(eq, s, n=None, B=None, q=None, variant="corrected"):
     raise DomainError(f"unknown equation id {eq!r}")
 
 
-def normalized_zeta(eq, space, component, s, phi, **kw):
-    """Zeta integral divided by the equation's gamma factor (scalar
-    equations only)."""
-    if eq in ("22", 22):
-        raise DomainError("normalization by a matrix factor is not defined componentwise")
-    z = zeta.zeta_local(space, component, s, phi, **kw)
-    fac = gamma_factor(eq, s, n=space.n, B=space.Bmat, variant="corrected")
-    return zeta.MeroValue(complex(z.value) / fac, z.pole_distance, z.continuation_order)
-
-
 # ---------------------------------------------------------------------------
 # Eq 12
 

@@ -202,7 +202,7 @@ def semigroup_check(t, s, phi, xs, variant="corrected", tol=1e-6):
         if worst is None or resid > worst[0]:
             worst = (resid, two, one, x)
     ratio = complex(np.mean(ratios)) if ratios else complex("nan")
-    rep = CheckReport(
+    return CheckReport(
         check="heat-semigroup",
         params={"t": t, "s": s, "variant": variant, "testfn": phi.label, "x_grid": xs},
         lhs=worst[1],
@@ -210,10 +210,8 @@ def semigroup_check(t, s, phi, xs, variant="corrected", tol=1e-6):
         tolerance=tol,
         anchor="Eq26",
         extra={"measured_ratio": ratio, "worst_x": worst[3]},
+        residual=worst[0],
     )
-    rep.rel_residual = worst[0]
-    rep.status = "pass" if worst[0] < tol else "fail"
-    return rep
 
 
 def generator_check(t, phi, x, hs=(1e-2, 1e-3), variant="corrected", tol=None):
@@ -234,7 +232,7 @@ def generator_check(t, phi, x, hs=(1e-2, 1e-3), variant="corrected", tol=None):
     ratio = resids[0] / max(resids[-1], 1e-300)
     expected = (hs[0] / hs[-1]) ** 2
     tol = tol if tol is not None else 0.2
-    rep = CheckReport(
+    return CheckReport(
         check="heat-generator",
         params={"t": t, "x": x, "variant": variant, "testfn": phi.label, "h": list(hs)},
         lhs=ratio,
@@ -243,7 +241,6 @@ def generator_check(t, phi, x, hs=(1e-2, 1e-3), variant="corrected", tol=None):
         anchor="Eq25",
         extra={"residuals": resids, "omega_value": rhs},
     )
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +361,12 @@ def lacunary_check(t, ys=None, variant="corrected", tol=1e-7, support_tol=1e-12)
     scale = float(np.max(np.abs(closed))) or 1.0
     resid = np.abs(numeric - closed) / scale
     worst = int(np.argmax(resid))
+    peak = float(resid[worst])
     above = ys >= 1.0
     closed_gap = float(np.max(np.abs(closed[above]))) if np.any(above) else 0.0
     numeric_gap = float(np.max(np.abs(numeric[above]))) if np.any(above) else 0.0
     support_ok = closed_gap < support_tol and numeric_gap < max(support_tol, tol * scale)
-    rep = CheckReport(
+    return CheckReport(
         check="heat-lacunary",
         params={"t": t, "variant": variant, "y_grid": [float(y) for y in ys]},
         lhs=complex(numeric[worst]),
@@ -376,15 +374,14 @@ def lacunary_check(t, ys=None, variant="corrected", tol=1e-7, support_tol=1e-12)
         tolerance=tol,
         anchor="EqV",
         extra={
-            "max_relative_residual": float(np.max(resid)),
+            "max_relative_residual": peak,
             "closed_support_gap": closed_gap,
             "numeric_support_gap": numeric_gap,
             "support_vanishes": bool(support_ok),
         },
+        residual=peak,
+        passed=peak < tol and support_ok,
     )
-    rep.rel_residual = float(np.max(resid))
-    rep.status = "pass" if (rep.rel_residual < tol and support_ok) else "fail"
-    return rep
 
 
 def kernel_xy(t, x, y, variant="corrected"):
@@ -404,7 +401,7 @@ def kernel_identity_check(t, pts, variant="corrected", tol=1e-10):
         resid = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
         if worst is None or resid > worst[0]:
             worst = (resid, lhs, rhs, (x, y))
-    rep = CheckReport(
+    return CheckReport(
         check="heat-kernel-identity",
         params={"t": t, "variant": variant, "points": [list(p) for p in pts]},
         lhs=worst[1],
@@ -412,10 +409,8 @@ def kernel_identity_check(t, pts, variant="corrected", tol=1e-10):
         tolerance=tol,
         anchor="Eq27",
         extra={"worst_point": list(worst[3])},
+        residual=worst[0],
     )
-    rep.rel_residual = worst[0]
-    rep.status = "pass" if worst[0] < tol else "fail"
-    return rep
 
 
 def diagonal_funceq(t, zeta_s, phi, variant="corrected", convention="twopi", tol=1e-7):
@@ -463,7 +458,7 @@ def langlands_bounds_check(ts, kappas, variant="corrected", tol=1e-8):
     tv = np.asarray(ts, dtype=float)
     nv = np.array([r["numeric"] for r in rows if r["kappa"] == kmax])
     omega_fit = float(np.polyfit(tv, np.log(nv), 1)[0]) if len(tv) >= 2 else float("nan")
-    rep = CheckReport(
+    return CheckReport(
         check="heat-langlands-bounds",
         params={"variant": variant, "t_grid": list(ts), "kappa_grid": list(kappas)},
         lhs=worst[1],
@@ -471,10 +466,8 @@ def langlands_bounds_check(ts, kappas, variant="corrected", tol=1e-8):
         tolerance=tol,
         anchor="Eq24",
         extra={"worst_at": list(worst[3]), "fitted_growth_rate": omega_fit, "rows": rows},
+        residual=worst[0],
     )
-    rep.rel_residual = worst[0]
-    rep.status = "pass" if worst[0] < tol else "fail"
-    return rep
 
 
 def heat_group_function(t, variant="corrected"):

@@ -143,12 +143,6 @@ def tplus_profile(s, profile, tol=1e-11):
     return complex(mv.value) if isinstance(mv.value, complex) else mv.value
 
 
-def tplus_pair(s, phi, tol=1e-11):
-    """<t_+^s, phi>: direct integral for Re s > -1, continuation by parts
-    for non-integer s <= -1, the log-regularized finite part at s = -k."""
-    return tplus_profile(s, _as_profile(phi), tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # Homogeneous functionals and radial cutoffs
 
@@ -447,9 +441,8 @@ def check_ambiguity(k, psi1, psi2, phis, tol=1e-6):
         pair = (extend_kdot(k, psi1, phi), extend_kdot(k, psi2, phi))
         exts.extend(pair)
         consts.append((complex(pair[0]) - complex(pair[1])) / p0)
-    spread = max(abs(c - consts[0]) for c in consts)
-    scale = max(abs(consts[0]), 1e-300)
-    rep = CheckReport(
+    spread = max(abs(c - consts[0]) for c in consts) / max(abs(consts[0]), 1e-300)
+    return CheckReport(
         check="homog-ambiguity",
         params={"density": k.label, "cutoffs": [[psi1.a, psi1.b], [psi2.a, psi2.b]], "count": len(phis)},
         lhs=complex(consts[0]),
@@ -458,10 +451,8 @@ def check_ambiguity(k, psi1, psi2, phis, tol=1e-6):
         anchor="Eq13",
         extra={
             "constants": [complex(c) for c in consts],
-            "relative_spread": spread / scale,
+            "relative_spread": spread,
             "rule": _rule_diag(exts),
         },
+        residual=spread,
     )
-    rep.rel_residual = spread / scale
-    rep.status = "pass" if rep.rel_residual < tol else "fail"
-    return rep

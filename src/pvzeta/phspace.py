@@ -96,12 +96,6 @@ class GroupElement:
         return np.array(self.R, dtype=float).reshape(n, n)
 
 
-def identity_element(space):
-    if space.kind == "scalar1d":
-        return GroupElement(1.0)
-    return GroupElement(1.0, tuple(np.eye(space.n).ravel()))
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -111,14 +105,6 @@ def rel_invariant(space, m):
         return float(m) if m.ndim == 0 else m
     B = space.Bmat
     return np.einsum("...i,ij,...j->...", m, B, m) if m.ndim > 1 else float(m @ B @ m)
-
-
-def dual_invariant(space, xi):
-    xi = np.asarray(xi, dtype=float)
-    if space.kind == "scalar1d":
-        return float(xi) if xi.ndim == 0 else xi
-    Binv = np.linalg.inv(space.Bmat)
-    return np.einsum("...i,ij,...j->...", xi, Binv, xi) if xi.ndim > 1 else float(xi @ Binv @ xi)
 
 
 def character(space, g):
@@ -159,19 +145,16 @@ def check_relative_invariance(space, g, m, tol=1e-10):
     lhs = rel_invariant(space, apply_group(space, g, m))
     rhs = character(space, g) * rel_invariant(space, m)
     denom = max(1.0, abs(rel_invariant(space, m)))
-    resid = abs(lhs - rhs) / denom
-    rep = CheckReport(
+    # normalize the residual as specified: |p(gm) - chi p(m)| / max(1, |p(m)|)
+    return CheckReport(
         check="relative-invariance",
         params={"space": repr(space), "alpha": g.alpha, "m": list(np.atleast_1d(m))},
         lhs=lhs,
         rhs=rhs,
         tolerance=tol,
         anchor="EqE",
+        residual=abs(lhs - rhs) / denom,
     )
-    # normalize the residual as specified: |p(gm) - chi p(m)| / max(1, |p(m)|)
-    rep.rel_residual = resid
-    rep.status = "pass" if resid < tol else "fail"
-    return rep
 
 
 def sample_group(space, count, seed):

@@ -136,13 +136,12 @@ def panel_rule(a, b, npanel, order=16):
     return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
 
 
-def panel_integral(f, a, b, panel_width=0.5, order=16, refine=True):
+def panel_integral(f, a, b, panel_width=0.5, order=16):
     """Composite Gauss-Legendre integration on fixed panels.
 
     Suited to uniformly oscillatory integrands where adaptive subdivision
     thrashes; f must accept a 1D array of nodes.  The error estimate is
-    the disagreement with a doubled panel count (skipped if refine is
-    False)."""
+    the disagreement with a doubled panel count."""
     if not (np.isfinite(a) and np.isfinite(b)):
         raise DomainError("panel integration needs finite endpoints")
 
@@ -152,9 +151,6 @@ def panel_integral(f, a, b, panel_width=0.5, order=16, refine=True):
 
     npanel = max(4, int(math.ceil((b - a) / panel_width)))
     v1 = run(npanel)
-    if not refine:
-        value = v1.real if v1.imag == 0.0 else v1
-        return QuadResult(value, abs(v1) * 1e-13, npanel * order)
     v2 = run(2 * npanel)
     value = v2.real if v2.imag == 0.0 else v2
     return QuadResult(value, abs(v2 - v1), 3 * npanel * order)

@@ -9,7 +9,8 @@ order so identical runs produce byte-identical output files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from operator import attrgetter
 
 _FLOOR = 1e-300
 
@@ -26,28 +27,37 @@ def _jsonable(x):
     return x
 
 
-@dataclass
 class CheckReport:
     """Result of one residual check.
 
-    rel_residual = |lhs - rhs| / max(|lhs|, |rhs|, floor); status is
-    'pass' exactly when rel_residual < tolerance.
-    """
+    rel_residual = |lhs - rhs| / max(|lhs|, |rhs|, floor) unless the check
+    passes its own normalization as residual=; status is 'pass' exactly
+    when rel_residual < tolerance unless the check passes its own rule as
+    passed=.  CheckReport.error builds the row of a check that raised
+    (status 'error')."""
 
-    check: str
-    params: dict
-    lhs: complex
-    rhs: complex
-    tolerance: float
-    anchor: str = ""
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.lhs = complex(self.lhs)
-        self.rhs = complex(self.rhs)
+    def __init__(self, check, params, lhs, rhs, tolerance, anchor="", extra=None, *, residual=None, passed=None):
+        self.check = check
+        self.params = params
+        self.lhs = complex(lhs)
+        self.rhs = complex(rhs)
+        self.tolerance = tolerance
+        self.anchor = anchor
+        self.extra = {} if extra is None else extra
         self.abs_residual = abs(self.lhs - self.rhs)
-        self.rel_residual = self.abs_residual / max(abs(self.lhs), abs(self.rhs), _FLOOR)
-        self.status = "pass" if self.rel_residual < self.tolerance else "fail"
+        if residual is None:
+            residual = self.abs_residual / max(abs(self.lhs), abs(self.rhs), _FLOOR)
+        self.rel_residual = residual
+        if passed is None:
+            passed = residual < tolerance
+        self.status = "pass" if passed else "fail"
+
+    @classmethod
+    def error(cls, check, params, exc):
+        """Row for a check that raised exc instead of reporting."""
+        rep = cls(check, params, math.nan, math.nan, math.nan, extra={"error": f"{type(exc).__name__}: {exc}"})
+        rep.status = "error"
+        return rep
 
     @property
     def passed(self):
@@ -110,3 +120,8 @@ class CheckReport:
 def sort_reports(reports):
     """Deterministic report order: by check id, then parameter record."""
     return sorted(reports, key=lambda r: (r.check, json.dumps(_jsonable(r.params), sort_keys=True)))
+
+
+def worst(reports):
+    """The first report of maximal rel_residual."""
+    return max(reports, key=attrgetter("rel_residual"))

@@ -306,7 +306,7 @@ def check_symbol_decay(f, space, m, tol_slope=-8.0, by_tau=100.0, taus=(5, 10, 2
         if hi >= by_tau
     ]
     worst = max(sl for _, _, sl in bands)
-    rep = CheckReport(
+    return CheckReport(
         check="symbol-decay",
         params={"f": f.label, "space": repr(space), "m": probe["m"], "by_tau": by_tau},
         lhs=worst,
@@ -314,10 +314,9 @@ def check_symbol_decay(f, space, m, tol_slope=-8.0, by_tau=100.0, taus=(5, 10, 2
         tolerance=abs(tol_slope),
         anchor="Thm2",
         extra=probe,
+        residual=worst - tol_slope,
+        passed=worst < tol_slope,
     )
-    rep.rel_residual = worst - tol_slope
-    rep.status = "pass" if worst < tol_slope else "fail"
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +348,7 @@ def local_integrability_check(f, R=1.0, levels=6, ratio_bound=0.75, m_pts=64, u_
     shrink geometrically for the integral to exist."""
     zero_probe = float(np.max(np.abs(np.asarray(f.fn(np.array([0.5, 1.0, 2.0]))))))
     if zero_probe == 0.0:
-        rep = CheckReport(
+        return CheckReport(
             check="kernel-integrability",
             params={"f": f.label, "R": R, "levels": levels},
             lhs=0.0,
@@ -357,10 +356,9 @@ def local_integrability_check(f, R=1.0, levels=6, ratio_bound=0.75, m_pts=64, u_
             tolerance=ratio_bound,
             anchor="Lem2",
             extra={"levels": [0.0] * levels, "increments": [], "ratios": []},
+            residual=0.0,
+            passed=True,
         )
-        rep.rel_residual = 0.0
-        rep.status = "pass"
-        return rep
     atil = _atilde_abs_fn(f)
     xg, wg = quad.gauss_legendre(16)
 
@@ -389,7 +387,7 @@ def local_integrability_check(f, R=1.0, levels=6, ratio_bound=0.75, m_pts=64, u_
     worst = max(ratios) if ratios else 0.0
     if inc.size and np.any(inc < -1e-12):
         raise NonConvergence("level sums decreased; grid refinement is inconsistent")
-    rep = CheckReport(
+    return CheckReport(
         check="kernel-integrability",
         params={"f": f.label, "R": R, "levels": levels},
         lhs=worst,
@@ -397,10 +395,9 @@ def local_integrability_check(f, R=1.0, levels=6, ratio_bound=0.75, m_pts=64, u_
         tolerance=ratio_bound,
         anchor="Lem2",
         extra={"levels": totals, "increments": [float(v) for v in inc], "ratios": ratios},
+        residual=worst / ratio_bound,
+        passed=worst < ratio_bound,
     )
-    rep.rel_residual = worst / ratio_bound
-    rep.status = "pass" if worst < ratio_bound else "fail"
-    return rep
 
 
 def continuity_probe(f, annulus=(0.5, 1.0), grid=24, floor=5e-12):

@@ -576,33 +576,6 @@ def _numeric_fourier(phi, conv, tol):
 
 
 # ---------------------------------------------------------------------------
-# Pointwise product with a smooth weight (used by weighted zeta integrals)
-
-
-def product_with(phi, w, label=None):
-    """TestFunction for m -> w(m) phi(m); derivatives fall back to FD."""
-    label = label or f"({phi.label})*weight"
-
-    def ev2(m):
-        m = np.asarray(m, dtype=float)
-        arg = m if phi.n > 1 else m[..., 0]
-        return np.asarray(w(arg)) * phi._eval(m)
-
-    def ray_fn(direction):
-        base = phi.ray(direction)
-
-        def fn(r):
-            r = np.asarray(r, dtype=float)
-            pts = r[..., None] * direction
-            arg = pts if phi.n > 1 else pts[..., 0]
-            return np.asarray(w(arg)) * np.asarray(base(r))
-
-        return NumericProfile(fn, base.decay)
-
-    return TestFunction(phi.n, ev2, ray_fn, phi.decay, label)
-
-
-# ---------------------------------------------------------------------------
 # CLI spec parsing
 
 

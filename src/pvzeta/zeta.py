@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import phspace, quad, testfn
+from . import phspace, quad
 from .errors import DomainError, PoleError
 
 POLE_GUARD = 1e-6
@@ -218,19 +218,17 @@ def check_mellin_residue(phi, omega, k, eps=1e-4, tol=1e-3):
     approx = eps * complex(mellin_profile(prof, -k + eps, order=k).value)
     g = prof if k == 1 else prof.derivative(k - 1)
     expected = complex(g(0.0)) / math.factorial(k - 1)
-    rep = CheckReport(
+    # the approach carries an O(eps) bias from the regular part, so a
+    # vanishing residue is compared on the absolute scale
+    return CheckReport(
         check="mellin-residue",
         params={"k": k, "eps": eps, "omega": float(np.atleast_1d(omega)[0]), "testfn": phi.label},
         lhs=approx,
         rhs=expected,
         tolerance=tol,
         anchor="Eq5",
+        residual=abs(approx - expected) / max(abs(expected), 1.0),
     )
-    # the approach carries an O(eps) bias from the regular part, so a
-    # vanishing residue is compared on the absolute scale
-    rep.rel_residual = rep.abs_residual / max(abs(expected), 1.0)
-    rep.status = "pass" if rep.rel_residual < tol else "fail"
-    return rep
 
 
 def check_zeta_montecarlo(space, component, s, phi, nsamples, seed, nsigma=3.0, tol=1e-10):
@@ -249,7 +247,7 @@ def check_zeta_montecarlo(space, component, s, phi, nsamples, seed, nsigma=3.0, 
     est, se = quad.monte_carlo_signature(g, space.Bmat, space.q, component, s.real, int(nsamples), seed)
     lhs = complex(mv.value)
     band = nsigma * se
-    rep = CheckReport(
+    return CheckReport(
         check="zeta-montecarlo",
         params={
             "space": repr(space),
@@ -265,19 +263,5 @@ def check_zeta_montecarlo(space, component, s, phi, nsamples, seed, nsigma=3.0, 
         tolerance=max(band / max(abs(lhs), abs(est), 1e-300), 1e-300),
         anchor="Eq22",
         extra={"standard_error": se, "sigma_band": band},
+        passed=abs(lhs - complex(est)) < band,
     )
-    rep.status = "pass" if rep.abs_residual < band else "fail"
-    return rep
-
-
-def zeta_diagonal(space, w, s, phi, tol=1e-10, **kw):
-    """Weighted zeta integral of |p(m)|^s w(m) phi(m) dm, the pairing of a
-    diagonal density against phi.  w must be smooth and bounded."""
-    wphi = testfn.product_with(phi, w)
-    total = 0.0 + 0.0j
-    mv = None
-    for comp in space.components:
-        mv = zeta_local(space, comp, s, wphi, tol=tol, **kw)
-        total += complex(mv.value)
-    value = total.real if total.imag == 0.0 else total
-    return MeroValue(value, mv.pole_distance, mv.continuation_order)

@@ -1,10 +1,11 @@
 import json
+import math
 import os
 
 import pytest
 
-from pvzeta import cli
-from pvzeta.errors import ConfigError
+from pvzeta import cli, heatflow
+from pvzeta.errors import AccuracyError, ConfigError
 
 
 def run(argv):
@@ -41,6 +42,7 @@ def test_unknown_suite_exits_one():
 
 def test_seed_required_for_montecarlo():
     assert run(["probe", "--what", "scaling"]) == 1
+    assert run(["probe", "--what", "scaling", "--seed", "1", "--alphas", "0"]) == 1
 
 
 def test_csv_projection(tmp_path):
@@ -112,3 +114,33 @@ def test_heat_profile_dump(tmp_path):
     lines = dump.read_text().splitlines()
     assert lines[0] == "t,x,St_phi"
     assert len(lines) == 101
+
+
+def test_heat_bounds_fits_growth_over_the_t_grid(tmp_path):
+    out = tmp_path / "r.jsonl"
+    assert run(["heat", "--check", "bounds", "--t", "0.25,1.0", "--out", str(out)]) == 0
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    assert len(rows) == 1
+    assert rows[0]["params"]["t_grid"] == [0.25, 1.0]
+    assert math.isfinite(rows[0]["extra"]["fitted_growth_rate"])
+
+
+def test_suite_isolates_an_entry_that_raises(tmp_path, monkeypatch):
+    def unresolved(*args, **kwargs):
+        raise AccuracyError("forced for the test")
+
+    monkeypatch.setattr(heatflow, "lacunary_check", unresolved)
+    out = tmp_path / "r.jsonl"
+    assert run(["suite", "quick", "--seed", "11", "--out", str(out)]) == 1
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    errors = [r for r in rows if r["status"] == "error"]
+    assert len(rows) == 25 and len(errors) == 1
+    assert errors[0]["check"] == "heat" and errors[0]["params"] == {"check": "lacunary", "seed": 11, "t": "0.1"}
+    assert errors[0]["extra"]["error"] == "AccuracyError: forced for the test"
+    assert all(r["status"] == "pass" for r in rows if r is not errors[0])
+
+
+def test_suite_propagates_errors_outside_the_package(monkeypatch):
+    monkeypatch.setitem(cli.SUITES, "quick", (("heat-kernel-identity", lambda seed: [1 / 0]),))
+    with pytest.raises(ZeroDivisionError):
+        run(["suite", "quick"])

@@ -102,10 +102,3 @@ def test_parse_testfn():
 def test_polygauss_requires_positive_rate():
     with pytest.raises(DomainError):
         testfn.gaussian(-1.0)
-
-
-def test_product_with_weight():
-    phi = testfn.gaussian(1.0)
-    w = lambda m: np.asarray(m) ** 2
-    wphi = testfn.product_with(phi, w)
-    assert abs(wphi(2.0) - 4.0 * math.exp(-4.0)) < 1e-13
