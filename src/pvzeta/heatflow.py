@@ -324,20 +324,11 @@ def atilde_numeric(t, ys, variant="corrected", floor=5e-12):
     """(2 pi)^{-1} integral e^{i y xi} atilde-symbol d xi with the symbol
     e^{-i xi} fhat_t(-xi), evaluated on shared Gauss-Legendre panels.
     floor sets where the spectrum scan truncates; the truncation error
-    scales like floor times the cut frequency."""
+    scales like floor times the cut frequency.  A spectrum too wide for
+    quad.MAX_PHASE_ENTRIES raises AccuracyError."""
     ys = np.asarray(ys, dtype=float)
     cut = _fhat_tail_cut(t, variant, floor=floor)
-    xg, wg = quad.gauss_legendre(16)
-    # 16-node panels hold ~10 radians of the e^{i(y-1)xi} phase; fhat itself
-    # varies on an O(1) xi scale near the origin, hence the cap
-    rate = max(float(np.max(np.abs(ys - 1.0))), 1.0)
-    width = min(10.0 / rate, 2.0)
-    npanel = max(16, int(2.0 * cut / width) + 8)
-    edges = np.linspace(-cut, cut, npanel + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    xi = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
+    xi, w = quad.fourier_panels(cut, ys - 1.0)
     fh = fhat_many(t, -xi, variant)
     phases = np.exp(1j * np.outer(ys.ravel() - 1.0, xi))
     vals = (phases @ (w * fh)) / (2.0 * math.pi)

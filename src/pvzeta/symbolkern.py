@@ -212,19 +212,12 @@ def _symbol_tail_cut(f, sign, floor=5e-12):
 def atilde_numeric(f, m_sign, us, floor=5e-12):
     """Atilde(m, u) for scalar m of the given sign: the inverse transform
     (2 pi)^{-1} integral e^{i u xi} atilde(m, xi) d xi on shared panels,
-    with atilde(m, xi) = e^{-i sgn(m) xi} F(sgn(m) xi)."""
+    with atilde(m, xi) = e^{-i sgn(m) xi} F(sgn(m) xi).  A spectrum too
+    wide for quad.MAX_PHASE_ENTRIES raises AccuracyError."""
     sign = 1.0 if m_sign > 0 else -1.0
     us = np.asarray(us, dtype=float)
     cut = _symbol_tail_cut(f, sign, floor=floor)
-    xg, wg = quad.gauss_legendre(16)
-    rate = max(float(np.max(np.abs(us - sign))), 1.0)
-    width = min(10.0 / rate, 2.0)
-    npanel = max(16, int(2.0 * cut / width) + 8)
-    edges = np.linspace(-cut, cut, npanel + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    xi = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
+    xi, w = quad.fourier_panels(cut, us - sign)
     fh = _hat_scalar_many(f, sign * xi)
     phases = np.exp(1j * np.outer(us.ravel() - sign, xi))
     vals = (phases @ (w * fh)) / (2.0 * math.pi)

@@ -269,7 +269,7 @@ def _fd_partial(phi, alpha, h=1e-3):
 def _pg_eval(coeffs, a, n):
     def ev(m):
         m = np.asarray(m, dtype=float)
-        r2 = np.sum(m * m, axis=-1)
+        r2 = quad.sum_squares(m)
         out = np.zeros(r2.shape, dtype=complex)
         for beta, c in coeffs.items():
             mono = np.ones(r2.shape)
@@ -433,7 +433,7 @@ def bump(center=0.0, radius=1.0, n=1):
 
     def ev(m):
         m = np.asarray(m, dtype=float)
-        u2 = np.sum((m - c) ** 2, axis=-1) / radius ** 2
+        u2 = quad.sum_squares(m - c) / radius ** 2
         out = np.zeros(u2.shape)
         inside = u2 < 1.0
         with np.errstate(divide="ignore", over="ignore"):

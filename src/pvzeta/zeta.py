@@ -11,7 +11,9 @@ with N minimal such that Re s + N > -1 (N <= 6).  Local zeta integrals
 Z_i(s, phi) = integral over a component of |p(m)|^s phi(m) dm reduce to
 this radial transform after the polar (definite) or hyperbolic
 (indefinite) factorization, in which |p| is exactly a power of the
-radius.
+radius.  In the definite case every sphere ray shares one tanh-sinh
+radial rule; zeta_local_reference keeps one adaptive transform per ray
+as the independent route.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phspace, quad
-from .errors import DomainError, PoleError
+from .errors import AccuracyError, DomainError, PoleError
 
 POLE_GUARD = 1e-6
 MAX_CONTINUATION = 6
@@ -32,11 +34,13 @@ MAX_CONTINUATION = 6
 class MeroValue:
     """Value of an analytically continued quantity, with the distance to
     the nearest pole of the continuation and the number of integrations
-    by parts that produced it."""
+    by parts that produced it; rule describes the shared radial rule
+    (node count and last level gap) when one produced the value."""
 
     value: complex
     pole_distance: float
     continuation_order: int
+    rule: dict | None = None
 
     def __complex__(self):
         return complex(self.value)
@@ -49,6 +53,17 @@ def _neg_int_distance(s):
     if k > -1:
         k = -1
     return abs(s - k)
+
+
+def _continuation_depth(s):
+    """Least N with Re s + N > -1: the integrations by parts that make
+    the radial Mellin integral at s converge."""
+    N = 0
+    while s.real + N <= -1.0 + 1e-12:
+        N += 1
+        if N > MAX_CONTINUATION:
+            raise DomainError(f"continuation depth beyond N = {MAX_CONTINUATION} at s = {s}")
+    return N
 
 
 def _oscillatory_mellin(integrand, expo, cut, wavelength):
@@ -87,11 +102,7 @@ def mellin_profile(profile, s, tol=1e-11, pole_guard=POLE_GUARD, order=None):
     dist = _neg_int_distance(s)
     if dist < pole_guard:
         raise PoleError(f"Mellin transform has a pole within {pole_guard} of s = {s}")
-    N = 0
-    while s.real + N <= -1.0 + 1e-12:
-        N += 1
-        if N > MAX_CONTINUATION:
-            raise DomainError(f"continuation depth beyond N = {MAX_CONTINUATION} at s = {s}")
+    N = _continuation_depth(s)
     if order is not None:
         if order < N or order > MAX_CONTINUATION:
             raise DomainError(f"forced continuation order must lie in [{N}, {MAX_CONTINUATION}]")
@@ -129,33 +140,124 @@ def mellin(phi, omega, s, tol=1e-11, pole_guard=POLE_GUARD, order=None):
 # ---------------------------------------------------------------------------
 
 
-def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=16, pole_guard=POLE_GUARD):
-    """Z_i(s, phi) = integral over component V_i of |p(m)|^s phi(m) dm,
-    continued in s by radial integration by parts."""
-    s = complex(s)
+# Tanh-sinh rule of the definite engine, on abscissae |t| <= _DE_TMAX:
+# the step starts at _DE_H0 and halves, keeping every earlier node, for
+# at most _DE_LEVELS refinements.  At |t| = _DE_TMAX the node sits
+# e^{-pi sinh(_DE_TMAX)} (about 1e-37) of the interval from an end.
+_DE_H0 = 0.5
+_DE_TMAX = 4.0
+_DE_LEVELS = 8
+_DE_CACHE = {}
+
+
+def _tanh_sinh_level(level):
+    """Nodes and weights on [0, 1] of the tanh-sinh abscissae first used
+    at this level (all of them at level 0, the odd multiples of the step
+    after); the weights leave out the step."""
+    if level not in _DE_CACHE:
+        h = _DE_H0 / 2 ** level
+        k = np.arange(-int(_DE_TMAX / h), int(_DE_TMAX / h) + 1)
+        t = k * h if level == 0 else k[k % 2 == 1] * h
+        x = 0.5 * math.pi * np.sinh(t)
+        # u = (1 + tanh x) / 2, written so that nodes near 0 keep their digits
+        u = 1.0 / (1.0 + np.exp(-2.0 * x))
+        w = 0.25 * math.pi * np.cosh(t) / np.cosh(x) ** 2
+        _DE_CACHE[level] = (u, w)
+    return _DE_CACHE[level]
+
+
+def _check_target(space, component, phi):
+    """Reject a component the space lacks or a test function of another dimension."""
     if component not in space.components:
         raise DomainError(f"component {component!r} not in {space.components}")
     if phi.n != space.n:
         raise DomainError("test function dimension does not match the space")
+
+
+def _definite_engine(space, s, phi, tol, sphere_order, pole_guard):
+    """Z(s, phi) for a definite space: every sphere ray on one shared
+    tanh-sinh rule in u = r^(1 + Re expo) on [0, largest ray cutoff].
+    Returns None when a ray profile is oscillatory (the reference
+    handles those on wavelength-sized panels) or has no finite cutoff."""
+    n = space.n
+    sm = 2.0 * s + n - 1.0
+    dist = _neg_int_distance(sm)
+    if dist < pole_guard:
+        raise PoleError(f"Mellin transform has a pole within {pole_guard} of s = {sm}")
+    N = _continuation_depth(sm)
+    pts, wts = quad.sphere_quadrature(n, order=sphere_order)
+    profiles, cut = [], 0.0
+    for om in pts:
+        prof = phi.ray(om)
+        c = prof.cutoff(1e-16) if hasattr(prof, "cutoff") else 0.0
+        if getattr(prof, "oscillation", None) or not (np.isfinite(c) and c > 0.0):
+            return None
+        profiles.append(prof if N == 0 else prof.derivative(N))
+        cut = max(cut, c)
+    expo = sm + N
+    # r = u^p with p = 1 / (1 + Re expo) turns r^expo dr into p r^(i Im expo) du
+    p = 1.0 / (1.0 + expo.real)
+    span = cut ** (1.0 + expo.real)
+    sums = np.zeros(len(pts), dtype=complex)
+    mass = np.zeros(len(pts))
+    prev, nodes = None, 0
+    for level in range(_DE_LEVELS + 1):
+        u01, w01 = _tanh_sinh_level(level)
+        r = (span * u01) ** p
+        w = span * p * w01
+        if expo.imag != 0.0:
+            w = w * r ** (1j * expo.imag)
+        for i, g in enumerate(profiles):
+            vals = np.asarray(g(r))
+            sums[i] += vals @ w
+            mass[i] += np.abs(vals) @ np.abs(w)
+        nodes += len(r)
+        h = _DE_H0 / 2 ** level
+        cur = h * sums
+        if prev is not None:
+            gaps = np.abs(cur - prev)
+            if np.all(gaps <= tol * h * mass):
+                break
+        prev = cur
+    else:
+        worst = float(np.max(gaps / np.maximum(h * mass, 1e-300)))
+        raise AccuracyError(
+            f"tanh-sinh radial rule unresolved after {_DE_LEVELS} halvings: "
+            f"the last two levels differ by {worst:.2e} of the L1 mass on the worst ray"
+        )
+    pref = (-1.0) ** N
+    for j in range(1, N + 1):
+        pref = pref / (sm + j)
+    B = space.Bmat
+    pom = np.einsum("ij,jk,ik->i", pts, B, pts)
+    ps = pom ** s.real if s.imag == 0.0 else pom.astype(complex) ** s
+    weights = wts * ps * pref
+    total = complex(np.sum(weights * cur))
+    gap = float(abs(np.sum(weights * (cur - prev))))
+    value = total.real if total.imag == 0.0 else total
+    return MeroValue(value, dist, N, rule={"radial_nodes": nodes, "level_gap": gap})
+
+
+def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=16, pole_guard=POLE_GUARD):
+    """Z_i(s, phi) = integral over component V_i of |p(m)|^s phi(m) dm,
+    continued in s by radial integration by parts.
+
+    For a definite space all sphere rays share one tanh-sinh radial rule
+    (Takahasi & Mori 1974), refined until two levels agree within tol of
+    the L1 mass on every ray; zeta_local_reference keeps the adaptive
+    rule per ray, and serves oscillatory ray profiles."""
+    s = complex(s)
+    _check_target(space, component, phi)
 
     if space.kind == "scalar1d":
         omega = 1.0 if component == "V1" else -1.0
         return mellin(phi, omega, s, tol=tol, pole_guard=pole_guard)
 
     if space.kind == "definite":
-        B = space.Bmat
-        n = space.n
-        # |p(r omega)|^s = r^{2s} p(omega)^s: sphere x radial factorization
-        pts, wts = quad.sphere_quadrature(n, order=sphere_order)
-        total = 0.0 + 0.0j
-        dist, order = None, 0
-        for om, w in zip(pts, wts):
-            pom = float(om @ B @ om)
-            mv = mellin_profile(phi.ray(om), 2.0 * s + n - 1.0, tol=tol, pole_guard=pole_guard)
-            total += w * pom ** s * complex(mv.value)
-            dist, order = mv.pole_distance, mv.continuation_order
-        value = total.real if total.imag == 0.0 else total
-        return MeroValue(value, dist, order)
+        mv = _definite_engine(space, s, phi, tol, sphere_order, pole_guard)
+        if mv is None:
+            mv = zeta_local_reference(space, component, s, phi, tol=tol, sphere_order=sphere_order, pole_guard=pole_guard)
+        return mv
 
     # indefinite kind: hyperbolic coordinates, weight r^{2s} exactly
     if 2.0 * s.real <= -0.5 - MAX_CONTINUATION:
@@ -177,12 +279,30 @@ def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=16, pole_guard=
     val = complex(val)
     if val.imag == 0.0:
         val = val.real
-    N = 0
-    b = beta.real
-    while b <= -1.0 + 1e-12:
-        N += 1
-        b += 1.0
-    return MeroValue(val, dist, N)
+    return MeroValue(val, dist, _continuation_depth(beta))
+
+
+def zeta_local_reference(space, component, s, phi, tol=1e-10, sphere_order=16, pole_guard=POLE_GUARD):
+    """zeta_local with one adaptive radial Mellin transform per sphere ray
+    for a definite space, the independent route for checks of the shared
+    rule; other space kinds go to zeta_local."""
+    s = complex(s)
+    _check_target(space, component, phi)
+    if space.kind != "definite":
+        return zeta_local(space, component, s, phi, tol=tol, sphere_order=sphere_order, pole_guard=pole_guard)
+    B = space.Bmat
+    n = space.n
+    # |p(r omega)|^s = r^{2s} p(omega)^s: sphere x radial factorization
+    pts, wts = quad.sphere_quadrature(n, order=sphere_order)
+    total = 0.0 + 0.0j
+    dist, order = None, 0
+    for om, w in zip(pts, wts):
+        pom = float(om @ B @ om)
+        mv = mellin_profile(phi.ray(om), 2.0 * s + n - 1.0, tol=tol, pole_guard=pole_guard)
+        total += w * pom ** s * complex(mv.value)
+        dist, order = mv.pole_distance, mv.continuation_order
+    value = total.real if total.imag == 0.0 else total
+    return MeroValue(value, dist, order)
 
 
 def check_mellin_overlap(phi, omega, s, order=2, tol=1e-8):

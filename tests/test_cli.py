@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from pvzeta import cli, heatflow
+from pvzeta import cli, heatflow, zeta
 from pvzeta.errors import AccuracyError, ConfigError
 
 
@@ -104,6 +104,44 @@ def test_zeta_eval_report(tmp_path):
     assert status == 0
     row = json.loads(out.read_text().splitlines()[0])
     assert row["check"] == "zeta-eval"
+
+
+def test_zeta_eval_definite_sides(tmp_path, monkeypatch):
+    args = ["zeta", "--space", "definite:n=2", "--s", "0.6", "--testfn", "gaussian:a=3.14159,n=2"]
+    out = tmp_path / "r.jsonl"
+    assert run(args + ["--out", str(out)]) == 0
+    row = json.loads(out.read_text())
+    assert row["status"] == "pass" and row["rel_residual"] < 1e-12
+    assert set(row["extra"]["rule"]) == {"radial_nodes", "level_gap"}
+
+    # the shared radial rule is on the left side only: perturbing it fails the row
+    engine = zeta._definite_engine
+
+    def perturbed(*args):
+        mv = engine(*args)
+        mv.value *= 1.0 + 1e-6
+        return mv
+
+    monkeypatch.setattr(zeta, "_definite_engine", perturbed)
+    assert run(args + ["--out", str(out)]) == 2
+    row = json.loads(out.read_text())
+    assert row["status"] == "fail" and row["rel_residual"] > 1e-7
+
+
+def test_lacunary_refuses_an_oversized_phase_matrix(tmp_path, monkeypatch, capsys):
+    # at t = 2 the printed symbol reaches |xi| ~ 3e6: some 8e8 entries;
+    # only the one-frequency calls of the tail scan may run
+    sizes, fhat_many = [], heatflow.fhat_many
+
+    def spy(t, chis, variant="corrected"):
+        sizes.append(len(chis))
+        return fhat_many(t, chis, variant)
+
+    monkeypatch.setattr(heatflow, "fhat_many", spy)
+    out = tmp_path / "r.jsonl"
+    assert run(["heat", "--check", "lacunary", "--t", "2.0", "--variant", "printed", "--out", str(out)]) == 1
+    assert "phase matrix" in capsys.readouterr().err
+    assert sizes and max(sizes) == 1
 
 
 def test_heat_profile_dump(tmp_path):

@@ -1,10 +1,13 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pvzeta
 from pvzeta import quad
-from pvzeta.errors import DomainError
+from pvzeta.errors import AccuracyError, DomainError
 
 
 def test_integrate_1d_smooth():
@@ -117,3 +120,36 @@ def test_monte_carlo_deterministic():
 def test_sphere_quadrature_rejects_bad_dim():
     with pytest.raises(DomainError):
         quad.sphere_quadrature(4)
+
+
+def test_rule_nodes_come_from_the_caches():
+    # leggauss(12) costs about 0.3 ms and the hyperbolic rule needs it
+    # thousands of times per check, so only the two caches may call numpy
+    allowed = {("quad.py", "gauss_legendre"), ("quad.py", "gauss_hermite")}
+    offenders = []
+    for path in sorted(Path(pvzeta.__file__).parent.glob("*.py")):
+        fn = None
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            m = re.match(r"\s*def (\w+)", line)
+            if m:
+                fn = m.group(1)
+            if re.search(r"\b(leggauss|hermgauss)\b", line) and (path.name, fn) not in allowed:
+                offenders.append(f"{path.name}:{lineno}")
+    assert offenders == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sum_squares_is_bitwise_numpy_sum(n):
+    rng = np.random.default_rng(n)
+    for shape in [(1000, n), (7, 11, n), (n,)]:
+        x = rng.normal(size=shape) * rng.uniform(0.1, 10.0, size=shape)
+        assert np.array_equal(quad.sum_squares(x), np.sum(x * x, axis=-1))
+        assert np.array_equal(quad.sum_squares(x - 0.3), np.sum((x - 0.3) ** 2, axis=-1))
+
+
+def test_fourier_panels_cap():
+    offsets = np.linspace(-2.5, 1.5, 17)
+    xi, w = quad.fourier_panels(100.0, offsets)
+    assert abs(np.sum(w) - 200.0) < 1e-12 and offsets.size * xi.size <= quad.MAX_PHASE_ENTRIES
+    with pytest.raises(AccuracyError):
+        quad.fourier_panels(1e7, offsets)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from pvzeta import phspace, special, testfn, zeta
-from pvzeta.errors import DomainError, PoleError
+from pvzeta.errors import AccuracyError, DomainError, PoleError
 
 
 def gaussian_mellin(s, a):
@@ -66,14 +67,15 @@ def test_zeta_scalar1d_matches_mellin():
 
 
 def test_zeta_definite_gaussian_closed_form():
-    # int |m|^{2s} e^{-pi |m|^2} dm over R^3
-    # = 4 pi Gamma(s + 3/2) / (2 pi^{s + 3/2})
-    s = 0.3
-    phi = testfn.gaussian(math.pi, n=3)
-    sp = phspace.definite(n=3)
-    mv = zeta.zeta_local(sp, "V1", s, phi)
-    ref = 4.0 * math.pi * gaussian_mellin(2.0 * s + 2.0, math.pi)
-    assert abs(complex(mv.value) - ref) / abs(ref) < 1e-9
+    # int |m|^{2s} e^{-a |m|^2} dm over R^n
+    # = pi^{n/2} Gamma(s + n/2) / (Gamma(n/2) a^{s + n/2}), continued in s
+    for n, a in ((2, 1.7), (3, math.pi)):
+        phi = testfn.gaussian(a, n=n)
+        for s in (0.3, 0.8, 0.3 - 0.6j, -1.3 + 0.2j, -1.8, -2.3):
+            mv = zeta.zeta_local(phspace.definite(n=n), "V1", s, phi)
+            z = complex(s) + n / 2.0
+            ref = math.pi ** (n / 2.0) * scipy.special.gamma(z) / (math.gamma(n / 2.0) * a ** z)
+            assert abs(complex(mv.value) - ref) / abs(ref) < 1e-13, (n, s)
 
 
 def test_zeta_indefinite_montecarlo():
@@ -93,3 +95,63 @@ def test_zeta_rejects_bad_component():
     sp = phspace.scalar1d()
     with pytest.raises(DomainError):
         zeta.zeta_local(sp, "nope", 0.3, testfn.gaussian(1.0))
+
+
+# (space, test function, s, continuation depth N of the radial Mellin
+# transform at 2s + n - 1, sphere order); order 8 keeps the n = 3 runs
+# of the adaptive reference short
+ENGINE_CASES = [
+    (phspace.definite(B=np.diag([1.0, 2.0, 0.5])), testfn.hermite_gaussian(2, 1.3, n=3), 0.4, 0, 8),
+    (phspace.definite(B=np.diag([1.0, 2.0, 0.5])), testfn.gaussian(math.pi, n=3), -1.7 + 0.3j, 1, 8),
+    (phspace.definite(B=np.diag([1.0, 2.0, 0.5])), testfn.hermite_gaussian(2, 2.0, n=3), -2.2, 2, 8),
+    (phspace.definite(B=np.diag([1.0, 3.0])), testfn.hermite_gaussian(2, 1.3, n=2), -1.2 + 0.4j, 1, 16),
+    (phspace.definite(B=np.diag([1.0, 3.0])), testfn.hermite_gaussian(2, 1.3, n=2), -1.6 + 0.3j, 2, 16),
+    (phspace.definite(B=np.diag([2.0, 0.7])), testfn.gaussian(0.8, n=2), 0.9 - 0.5j, 0, 16),
+]
+
+
+@pytest.mark.parametrize("space, phi, s, depth, order", ENGINE_CASES)
+def test_definite_engine_matches_reference(space, phi, s, depth, order):
+    fast = zeta.zeta_local(space, "V1", s, phi, tol=1e-10, sphere_order=order)
+    ref = zeta.zeta_local_reference(space, "V1", s, phi, tol=1e-12, sphere_order=order)
+    assert fast.continuation_order == ref.continuation_order == depth
+    assert fast.pole_distance == ref.pole_distance
+    assert fast.rule is not None and ref.rule is None
+    err = abs(complex(fast.value) - complex(ref.value)) / abs(complex(ref.value))
+    assert err < 1e-12, err
+
+
+def test_definite_engine_pole_guard():
+    # 2s + n - 1 = -1 at s = -n/2
+    sp, phi = phspace.definite(n=3), testfn.gaussian(math.pi, n=3)
+    with pytest.raises(PoleError):
+        zeta.zeta_local(sp, "V1", -1.5 + 1e-8, phi)
+    assert zeta.zeta_local(sp, "V1", -1.5 + 1e-3, phi).pole_distance == pytest.approx(2e-3)
+
+
+def test_definite_engine_level_cap(monkeypatch):
+    monkeypatch.setattr(zeta, "_DE_LEVELS", 1)
+    with pytest.raises(AccuracyError):
+        zeta.zeta_local(phspace.definite(n=2), "V1", 0.3, testfn.gaussian(1.0, n=2), tol=1e-14)
+
+
+def test_definite_oscillatory_rays_use_the_reference():
+    phi = testfn.gaussian(math.pi, n=2)
+    make_ray = phi._ray
+
+    def ray(direction):
+        prof = make_ray(direction)
+        prof.oscillation = 0.5
+        return prof
+
+    phi._ray = ray
+    sp = phspace.definite(n=2)
+    mv = zeta.zeta_local(sp, "V1", 0.4, phi)
+    assert mv.rule is None
+    assert mv.value == zeta.zeta_local_reference(sp, "V1", 0.4, phi).value
+
+
+def test_reference_delegates_for_other_kinds():
+    phi = testfn.gaussian(math.pi)
+    sp = phspace.scalar1d()
+    assert zeta.zeta_local_reference(sp, "V2", 0.4, phi) == zeta.zeta_local(sp, "V2", 0.4, phi)
