@@ -71,7 +71,9 @@ def test_zeta_definite_gaussian_closed_form():
     # = pi^{n/2} Gamma(s + n/2) / (Gamma(n/2) a^{s + n/2}), continued in s
     for n, a in ((2, 1.7), (3, math.pi)):
         phi = testfn.gaussian(a, n=n)
-        for s in (0.3, 0.8, 0.3 - 0.6j, -1.3 + 0.2j, -1.8, -2.3):
+        # at -0.975 + 0.2i (n = 2) and -1.975 + 0.2i the continued exponent
+        # has real part -0.95: the end nodes of the shared rule underflow to r = 0
+        for s in (0.3, 0.8, 0.3 - 0.6j, -1.3 + 0.2j, -1.8, -2.3, -0.975 + 0.2j, -1.975 + 0.2j):
             mv = zeta.zeta_local(phspace.definite(n=n), "V1", s, phi)
             z = complex(s) + n / 2.0
             ref = math.pi ** (n / 2.0) * scipy.special.gamma(z) / (math.gamma(n / 2.0) * a ** z)
@@ -99,7 +101,8 @@ def test_zeta_rejects_bad_component():
 
 # (space, test function, s, continuation depth N of the radial Mellin
 # transform at 2s + n - 1, sphere order); order 8 keeps the n = 3 runs
-# of the adaptive reference short
+# of the adaptive reference short.  Bumps have numeric ray profiles with
+# finite-difference derivatives and a support edge inside the interval.
 ENGINE_CASES = [
     (phspace.definite(B=np.diag([1.0, 2.0, 0.5])), testfn.hermite_gaussian(2, 1.3, n=3), 0.4, 0, 8),
     (phspace.definite(B=np.diag([1.0, 2.0, 0.5])), testfn.gaussian(math.pi, n=3), -1.7 + 0.3j, 1, 8),
@@ -107,6 +110,9 @@ ENGINE_CASES = [
     (phspace.definite(B=np.diag([1.0, 3.0])), testfn.hermite_gaussian(2, 1.3, n=2), -1.2 + 0.4j, 1, 16),
     (phspace.definite(B=np.diag([1.0, 3.0])), testfn.hermite_gaussian(2, 1.3, n=2), -1.6 + 0.3j, 2, 16),
     (phspace.definite(B=np.diag([2.0, 0.7])), testfn.gaussian(0.8, n=2), 0.9 - 0.5j, 0, 16),
+    (phspace.definite(n=2), testfn.bump(0.0, 1.0, n=2), 0.3, 0, 16),
+    (phspace.definite(n=2), testfn.bump(0.0, 1.0, n=2), -1.2, 1, 16),
+    (phspace.definite(B=np.diag([1.0, 3.0])), testfn.bump(1.5, 1.0, n=2), -1.3, 1, 16),
 ]
 
 
@@ -130,9 +136,14 @@ def test_definite_engine_pole_guard():
 
 
 def test_definite_engine_level_cap(monkeypatch):
+    # past the cap the engine raises and zeta_local takes the reference
     monkeypatch.setattr(zeta, "_DE_LEVELS", 1)
+    sp, phi = phspace.definite(n=2), testfn.gaussian(1.0, n=2)
     with pytest.raises(AccuracyError):
-        zeta.zeta_local(phspace.definite(n=2), "V1", 0.3, testfn.gaussian(1.0, n=2), tol=1e-14)
+        zeta._definite_engine(sp, complex(0.3), phi, 1e-14, 16, zeta.POLE_GUARD)
+    mv = zeta.zeta_local(sp, "V1", 0.3, phi, tol=1e-14)
+    assert mv.rule is None
+    assert mv.value == zeta.zeta_local_reference(sp, "V1", 0.3, phi, tol=1e-14).value
 
 
 def test_definite_oscillatory_rays_use_the_reference():
