@@ -116,7 +116,10 @@ def _tol(overrides, check_id, flag_tol, default):
 def _floats(text):
     if text is None or str(text).strip() == "":
         return []
-    return [float(v) for v in str(text).split(",") if v.strip() != ""]
+    try:
+        return [float(v) for v in str(text).split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise ConfigError(f"expected comma-separated real numbers, got {text!r}") from exc
 
 
 def _ints(text):
@@ -330,7 +333,7 @@ def run_heat(cfg):
             for x in xs:
                 reports.append(heatflow.generator_check(t, phi, x, variant=variant))
         elif which == "lacunary":
-            tol = _tol(ov, "heat-lacunary", cfg.tol, 1e-7 if t <= 0.5 else 2e-6)
+            tol = _tol(ov, "heat-lacunary", cfg.tol, 1e-7)
             reports.append(heatflow.lacunary_check(t, variant=variant, tol=tol))
         elif which == "funceq":
             tol = _tol(ov, "heat-diagonal-funceq", cfg.tol, 1e-7)

@@ -1,6 +1,7 @@
 """Quadrature engines: singular radial integrals, balls, spheres,
 indefinite quadratic-form components in hyperbolic coordinates, and
-1D oscillatory Fourier integrals.
+1D oscillatory Fourier integrals (adaptive, and on the half line by a
+double-exponential rule).
 
 Endpoint singularities t^alpha (alpha > -1) are removed by the
 substitution t = u^{1/(1+alpha)} before handing the integrand to an
@@ -166,29 +167,87 @@ def panel_integral(f, a, b, panel_width=0.5, order=16):
     return QuadResult(value, abs(v2 - v1), 3 * npanel * order)
 
 
-# Largest phase matrix (offsets x nodes) that fourier_panels admits; the
-# heat lacunary check at t = 1 needs about 2.4e7 entries.
-MAX_PHASE_ENTRIES = 1 << 25
+# Half-line Fourier integrals by the double-exponential rule of Ooura & Mori
+# (J. Comput. Appl. Math. 38 (1991) 353-360): x = M phi(t) / |w|, M = pi / h,
+# phi(t) = t / (1 - e^{-6 sinh t}), sine part at t = n h, cosine part at
+# t = (n + 1/2) h.  For large t the nodes fall on the zeros of the oscillation,
+# so no cut in x is needed.  |w| <= _OM_TINY takes the exp-sinh rule instead.
+_OM_TMAX, _ES_TMAX, _OM_TINY, _OM_H0, _OM_LEVELS = 3.0, 4.5, 1e-9, 0.1, 4
+_OM_CACHE = {}
 
 
-def fourier_panels(cut, offsets):
-    """Composite 16-node Gauss-Legendre rule on [-cut, cut] for the
-    inverse transforms integral e^{i o xi} F(xi) d xi at every offset o.
-    A panel holds about 10 radians of the phase at the largest |o|, and
-    is at most 2 wide because F varies on an O(1) scale near the origin.
-    Raises AccuracyError, before any node is built, when the phase matrix
-    of the offsets and the nodes would exceed MAX_PHASE_ENTRIES."""
+def _ooura_mori(h):
+    """Nodes p and weights v at unit frequency, with weights below 1e-18 of
+    the largest dropped: integral_0^inf G(x) e^{-ix} dx ~ sum v G(p)."""
+    if h not in _OM_CACHE:
+        k = np.arange(-round(_OM_TMAX / h), round(_OM_TMAX / h) + 1)
+        t = np.concatenate([k * h, (k[:-1] + 0.5) * h])
+        sine = np.arange(t.size) < k.size
+        t1 = np.where(t == 0.0, 1.0, t)  # phi(0) = 1/6 and phi'(0) = 1/2 are set below
+        s = 6.0 * np.sinh(t1)
+        em = np.expm1(s)
+        phi = np.where(t == 0.0, 1.0 / 6.0, t1 / -np.expm1(-s))
+        dphi = np.where(t == 0.0, 0.5, np.exp(s) * (em - 6.0 * t1 * np.cosh(t1)) / (em * em))
+        m = math.pi / h
+        # for t > 0, m t is a multiple of pi / 2: the trig factor comes from
+        # phi - t = t / (e^s - 1), which keeps the digits that m phi loses
+        lead = np.where(np.concatenate([k, k[:-1]]) % 2 == 0, 1.0, -1.0) * np.sin(m * t1 / em)
+        osc = np.where(t > 0.0, np.where(sine, lead, -lead), np.where(sine, np.sin(m * phi), np.cos(m * phi)))
+        v = h * m * dphi * np.where(sine, -1j * osc, osc)
+        keep = np.abs(v) >= 1e-18 * np.max(np.abs(v))
+        _OM_CACHE[h] = (m * phi)[keep], v[keep]
+    return _OM_CACHE[h]
+
+
+def half_line_fourier(G, omegas, h, max_nodes=None):
+    """(integral_0^inf G(x) e^{-i w x} dx at every w in omegas, node count)
+    at step h.  G is called once on every offset's nodes, or once per block
+    of about max_nodes; the exp-sinh nodes of the tiny offsets ride along."""
+    om = np.asarray(omegas, dtype=float).ravel()
+    p, v = _ooura_mori(h)
+    tau = np.arange(-round(_ES_TMAX / h), round(_ES_TMAX / h) + 1) * h
+    q = np.exp(0.5 * math.pi * np.sinh(tau))
+    tiny = np.abs(om) <= _OM_TINY
+    reg, small = np.flatnonzero(~tiny), np.flatnonzero(tiny)
+    out, nodes = np.empty(om.size, dtype=complex), 0
+    rows = max(1, reg.size if max_nodes is None else max_nodes // p.size)
+    for lo in range(0, max(reg.size, 1), rows):  # one block at least, for the exp-sinh nodes
+        idx = reg[lo : lo + rows]
+        a = np.abs(om[idx])
+        x = (p[None, :] / a[:, None]).ravel()
+        vals = np.asarray(G(np.concatenate([x, q]) if lo == 0 and small.size else x), dtype=complex)
+        grid, nodes = vals[: x.size].reshape(-1, p.size), nodes + vals.size
+        gq = vals[x.size :] if lo == 0 else gq
+        # e^{-i w x} at w < 0 is the conjugate phase
+        out[idx] = np.where(om[idx] > 0.0, grid @ v, grid @ np.conj(v)) / a
+    if small.size:
+        wq = h * 0.5 * math.pi * np.cosh(tau) * q * gq
+        nz = np.flatnonzero(wq)
+        rows = max(1, small.size if max_nodes is None else max_nodes // q.size)
+        for lo in range(0, small.size, rows):
+            idx = small[lo : lo + rows]
+            out[idx] = np.exp(-1j * np.outer(om[idx], q[nz])) @ wq[nz]
+    return out, nodes
+
+
+def inverse_fourier(F, offsets, tol=1e-10):
+    """(2 pi)^{-1} integral_R F(xi) e^{-i o xi} d xi at every offset o for
+    F(-xi) = conj F(xi), one F call per level.  h halves from _OM_H0 (each
+    level is a fresh node set, as M moves with h) until two levels agree
+    within tol of the largest value.  Returns (values, {"nodes", "h",
+    "level_gap"}), the last the largest change between the last two levels."""
     offsets = np.asarray(offsets, dtype=float)
-    rate = max(float(np.max(np.abs(offsets))), 1.0)
-    width = min(10.0 / rate, 2.0)
-    npanel = max(16, int(2.0 * cut / width) + 8)
-    entries = offsets.size * 16 * npanel
-    if entries > MAX_PHASE_ENTRIES:
-        raise AccuracyError(
-            f"inverse transform out to |xi| = {cut:.3g} needs a phase matrix of "
-            f"{entries:.3g} entries, above the cap of {MAX_PHASE_ENTRIES:.3g}"
-        )
-    return panel_rule(-cut, cut, npanel, order=16)
+    prev, nodes = None, 0
+    for level in range(_OM_LEVELS + 1):
+        h = _OM_H0 / 2 ** level
+        cur, n = half_line_fourier(F, offsets, h)
+        cur, nodes = cur.real / math.pi, nodes + n
+        if prev is not None:
+            gap = float(np.max(np.abs(cur - prev)))
+            if gap <= tol * float(np.max(np.abs(cur))):
+                return cur.reshape(offsets.shape), {"nodes": nodes, "h": h, "level_gap": gap}
+        prev = cur
+    raise AccuracyError(f"Fourier rule unresolved after {_OM_LEVELS} halvings: levels differ by {gap:.2e}")
 
 
 # ---------------------------------------------------------------------------

@@ -100,34 +100,13 @@ def _hat_scalar(f, u):
 
 
 def _hat_scalar_many(f, us):
+    """F on an array of frequencies: the oracle if any, else the transform of
+    f(1/beta)/beta on the Fourier rule at step 0.05 (1e-15 on the heat F)."""
     us = np.asarray(us, dtype=float)
     if f.hat1d is not None:
         return np.asarray(f.hat1d(us), dtype=complex)
-    flat = us.ravel()
-    if flat.size <= 8:
-        return np.array([_hat_scalar(f, u) for u in flat], dtype=complex).reshape(us.shape)
-    # shared-panel fallback: geometric edges resolve the 1/beta scale
-    # below 1, uniform edges hold ~10 radians of phase above it
-    L = f.log_cut()
-    a, b = math.exp(-L), math.exp(L)
-    rate = max(float(np.max(np.abs(flat))), 1.0)
-    width = min(0.5, 10.0 / rate)
-    lo = np.exp(np.arange(math.log(a), 0.0, min(0.25, width)))
-    hi = np.arange(1.0, b + width, width)
-    edges = np.concatenate([lo, hi])
-    xg, wg = quad.gauss_legendre(16)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    beta = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    g = w * np.asarray(f.fn(1.0 / beta)) / beta
-    keep = np.abs(g) > np.max(np.abs(g)) * 1e-18
-    beta, g = beta[keep], g[keep]
-    out = np.empty(flat.size, dtype=complex)
-    step = max(1, int(4e6 / beta.size))
-    for i in range(0, flat.size, step):
-        out[i : i + step] = np.exp(1j * np.outer(flat[i : i + step], beta)) @ g
-    return out.reshape(us.shape)
+    g = lambda beta: np.asarray(f.fn(1.0 / beta)) / beta
+    return quad.half_line_fourier(g, -us.ravel(), 0.05, max_nodes=1 << 20)[0].reshape(us.shape)
 
 
 def _orbit(space, m):
@@ -209,27 +188,20 @@ def _symbol_tail_cut(f, sign, floor=5e-12):
     raise AccuracyError("symbol tail did not fall below the requested floor")
 
 
-def atilde_numeric(f, m_sign, us, floor=5e-12):
-    """Atilde(m, u) for scalar m of the given sign: the inverse transform
-    (2 pi)^{-1} integral e^{i u xi} atilde(m, xi) d xi on shared panels,
-    with atilde(m, xi) = e^{-i sgn(m) xi} F(sgn(m) xi).  A spectrum too
-    wide for quad.MAX_PHASE_ENTRIES raises AccuracyError."""
-    sign = 1.0 if m_sign > 0 else -1.0
-    us = np.asarray(us, dtype=float)
-    cut = _symbol_tail_cut(f, sign, floor=floor)
-    xi, w = quad.fourier_panels(cut, us - sign)
-    fh = _hat_scalar_many(f, sign * xi)
-    phases = np.exp(1j * np.outer(us.ravel() - sign, xi))
-    vals = (phases @ (w * fh)) / (2.0 * math.pi)
-    return vals.reshape(us.shape)
+def atilde_numeric(f, m_sign, us):
+    """Atilde(m, u) for scalar m of the given sign and real f: the inverse
+    transform (2 pi)^{-1} integral e^{i u xi} atilde(m, xi) d xi, atilde(m, xi)
+    = e^{-i sgn(m) xi} F(sgn(m) xi), by quad.inverse_fourier at 1 - sgn(m) u."""
+    offsets = 1.0 - (1.0 if m_sign > 0 else -1.0) * np.asarray(us, dtype=float)
+    return quad.inverse_fourier(lambda xi: _hat_scalar_many(f, xi), offsets)[0]
 
 
-def aux_symbol_and_kernel(f, space, m, mprime, xi=None, floor=5e-12):
+def aux_symbol_and_kernel(f, space, m, mprime, xi=None):
     """(atilde(m, xi), Atilde(m, u), K_f(m, m')) at u = (m - m')/|m|.
 
     Scalar case only; xi defaults to 1.  The closed-form Atilde oracle is
     used when the GroupFunction carries one (positive direction), the
-    panel inverse transform otherwise."""
+    numeric inverse transform otherwise."""
     if space.kind != "scalar1d":
         raise DomainError("kernel assembly is implemented for the scalar case")
     m = float(np.atleast_1d(np.asarray(m, dtype=float))[0])
@@ -243,18 +215,9 @@ def aux_symbol_and_kernel(f, space, m, mprime, xi=None, floor=5e-12):
     if f.atilde_closed is not None and sign > 0:
         Atil = complex(np.asarray(f.atilde_closed(np.array([u]))).ravel()[0])
     else:
-        Atil = complex(atilde_numeric(f, sign, np.array([u]), floor=floor)[0])
+        Atil = complex(atilde_numeric(f, sign, np.array([u]))[0])
     K = Atil / abs(m)
     return atil, Atil, K
-
-
-def kernel(f, m, mprime, floor=5e-12):
-    """K_f(m, m') on the line (0 when the signs of m and m' differ; the
-    symbol construction itself produces that vanishing)."""
-    from . import phspace
-
-    _, _, K = aux_symbol_and_kernel(f, phspace.scalar1d(), m, mprime, floor=floor)
-    return K
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +291,7 @@ def _atilde_abs_fn(f, floor=5e-12, grid_half_width=40.0, npts=4001):
             "attach an atilde_closed oracle to this GroupFunction"
         )
     ug = np.linspace(-grid_half_width, grid_half_width, npts)
-    table = np.abs(atilde_numeric(f, 1.0, ug, floor=floor))
+    table = np.abs(atilde_numeric(f, 1.0, ug))
     return lambda u: np.interp(np.asarray(u, dtype=float), ug, table, left=0.0, right=0.0)
 
 
@@ -393,10 +356,10 @@ def local_integrability_check(f, R=1.0, levels=6, ratio_bound=0.75, m_pts=64, u_
     )
 
 
-def continuity_probe(f, annulus=(0.5, 1.0), grid=24, floor=5e-12):
+def continuity_probe(f, annulus=(0.5, 1.0), grid=24):
     """Max neighbor jump of K_f on a grid over the annulus in m (m' fixed
     scan), reported relative to the grid step (a C^1-consistency figure)."""
-    atil = _atilde_abs_fn(f, floor=floor)
+    atil = _atilde_abs_fn(f)
     ms = np.linspace(annulus[0], annulus[1], grid)
     mps = np.linspace(annulus[0] * 0.5, annulus[1] * 1.5, grid)
     Kg = np.empty((grid, grid))

@@ -128,9 +128,10 @@ def test_zeta_eval_definite_sides(tmp_path, monkeypatch):
     assert row["status"] == "fail" and row["rel_residual"] > 1e-7
 
 
-def test_lacunary_refuses_an_oversized_phase_matrix(tmp_path, monkeypatch, capsys):
-    # at t = 2 the printed symbol reaches |xi| ~ 3e6: some 8e8 entries;
-    # only the one-frequency calls of the tail scan may run
+def test_lacunary_wide_spectrum_keeps_calls_small(tmp_path, monkeypatch):
+    # at t = 2 the printed symbol reaches |xi| ~ 3e6; the Fourier rule
+    # needs no cut in it, and no fhat_many call may get more than 50k
+    # frequencies (each costs a row of a 4e6-entry block)
     sizes, fhat_many = [], heatflow.fhat_many
 
     def spy(t, chis, variant="corrected"):
@@ -139,9 +140,27 @@ def test_lacunary_refuses_an_oversized_phase_matrix(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(heatflow, "fhat_many", spy)
     out = tmp_path / "r.jsonl"
-    assert run(["heat", "--check", "lacunary", "--t", "2.0", "--variant", "printed", "--out", str(out)]) == 1
-    assert "phase matrix" in capsys.readouterr().err
-    assert sizes and max(sizes) == 1
+    assert run(["heat", "--check", "lacunary", "--t", "2.0", "--variant", "printed", "--out", str(out)]) == 0
+    row = json.loads(out.read_text())
+    assert row["status"] == "pass" and row["extra"]["numeric_support_gap"] < 1e-12
+    assert sizes and max(sizes) <= 50_000
+
+
+@pytest.mark.parametrize("variant", ["corrected", "printed"])
+def test_lacunary_passes_at_the_default_tolerance(tmp_path, variant):
+    out = tmp_path / "r.jsonl"
+    argv = ["heat", "--check", "lacunary", "--t", "0.1,0.25,0.5,1.0,2.0", "--variant", variant, "--out", str(out)]
+    assert run(argv) == 0
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [r["tolerance"] for r in rows] == [1e-7] * 5
+    assert all(r["rel_residual"] < 1e-12 for r in rows)
+
+
+@pytest.mark.parametrize("flag", ["--t=abc", "--s=-1.45+0.15j", "--x=1,,two"])
+def test_unparsable_numbers_are_config_errors(tmp_path, capsys, flag):
+    out = tmp_path / "r.jsonl"
+    assert run(["heat", "--check", "semigroup", flag, "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_heat_profile_dump(tmp_path):

@@ -90,11 +90,22 @@ def test_lacunary_small_t():
 
 
 def test_lacunary_t_one():
-    # the t = 1 spectrum is log-normally wide; the dual-path tolerance is
-    # relaxed while the support assertion stays on the closed form
+    # the t = 1 spectrum is log-normally wide; the double-exponential rule
+    # needs no cut in it, so the residual sits far below the 2e-6 kept
+    # here (test_lacunary_across_t holds it to 1e-12)
     rep = heatflow.lacunary_check(1.0, tol=2e-6)
     assert rep.passed
     assert rep.extra["closed_support_gap"] < 1e-12
+
+
+@pytest.mark.parametrize("variant", ["corrected", "printed"])
+@pytest.mark.parametrize("t", [0.1, 0.25, 0.5, 1.0, 2.0])
+def test_lacunary_across_t(t, variant):
+    rep = heatflow.lacunary_check(t, variant=variant, tol=1e-12)
+    assert rep.passed, rep.to_dict()
+    assert rep.extra["numeric_support_gap"] < 1e-12
+    rule = rep.extra["rule"]
+    assert rule["level_gap"] < 1e-10 and rule["nodes"] < 20000 and rule["h"] <= 0.05
 
 
 def test_kernel_identity_and_support():

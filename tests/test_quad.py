@@ -147,9 +147,30 @@ def test_sum_squares_is_bitwise_numpy_sum(n):
         assert np.array_equal(quad.sum_squares(x - 0.3), np.sum((x - 0.3) ** 2, axis=-1))
 
 
-def test_fourier_panels_cap():
-    offsets = np.linspace(-2.5, 1.5, 17)
-    xi, w = quad.fourier_panels(100.0, offsets)
-    assert abs(np.sum(w) - 200.0) < 1e-12 and offsets.size * xi.size <= quad.MAX_PHASE_ENTRIES
+def test_half_line_fourier_exponential():
+    # integral_0^inf e^{-x} e^{-i w x} dx = 1 / (1 + i w), tiny offsets included
+    ws = np.array([-40.0, -3.0, -0.25, -1e-12, 0.0, 1e-12, 0.02, 1.0, 7.5, 100.0])
+    for max_nodes in (None, 500):
+        vals, nodes = quad.half_line_fourier(lambda x: np.exp(-x), ws, 0.025, max_nodes=max_nodes)
+        assert np.max(np.abs(vals - 1.0 / (1.0 + 1j * ws))) < 1e-13 and nodes > 100 * ws.size
+
+
+def test_inverse_fourier_lorentzian():
+    # (2 pi)^{-1} integral e^{-i o xi} / (1 + xi^2) d xi = e^{-|o|} / 2
+    offs = np.linspace(-3.0, 3.0, 13)
+    calls = []
+
+    def F(xi):
+        calls.append(xi.size)
+        return 1.0 / (1.0 + xi * xi)
+
+    vals, rule = quad.inverse_fourier(F, offs)
+    assert np.max(np.abs(vals - 0.5 * np.exp(-np.abs(offs)))) < 1e-13
+    # one call per level, on every offset's nodes together
+    assert rule["nodes"] == sum(calls) and len(calls) >= 2 and rule["level_gap"] < 1e-10
+
+
+def test_inverse_fourier_refuses_an_unresolved_transform():
+    # a jump in F leaves the level gap far above the tolerance
     with pytest.raises(AccuracyError):
-        quad.fourier_panels(1e7, offsets)
+        quad.inverse_fourier(lambda xi: (xi < 1.0).astype(float), np.array([0.5, 1.5]))

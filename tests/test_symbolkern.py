@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pvzeta import heatflow, phspace, symbolkern
+from pvzeta import heatflow, phspace, quad, symbolkern
 from pvzeta.errors import DomainError
 
 
@@ -121,7 +121,49 @@ def test_atilde_numeric_matches_closed(heat_f):
     us = np.linspace(-1.5, 2.5, 9)
     closed = heatflow.atilde_closed(0.1, us)
     numeric = symbolkern.atilde_numeric(heat_f, 1.0, us)
-    assert np.max(np.abs(numeric - closed)) < 1e-10
+    assert np.max(np.abs(numeric - closed)) < 1e-13
+
+
+def _atilde_exact(f, us):
+    # Fourier inversion of F gives Atilde(+1, u) = f(1/y)/y at y = 1 - u > 0, else 0
+    y = 1.0 - np.asarray(us, dtype=float)
+    out = np.zeros(y.shape)
+    out[y > 0] = f(1.0 / y[y > 0]) / y[y > 0]
+    return out
+
+
+def test_atilde_numeric_without_oracle_against_adaptive_route():
+    # no closed transform: F comes from the numeric forward transform, and
+    # the inverse is checked against adaptive QAWF quadrature of that F
+    f = symbolkern.log_gaussian_group(0.5)
+    us = np.array([-6.0, -4.5, 5.5, 8.0])
+    numeric = symbolkern.atilde_numeric(f, 1.0, us)
+
+    def F(part):
+        return lambda xi: getattr(complex(symbolkern._hat_scalar_many(f, np.array([xi]))[0]), part)
+
+    for u, val in zip(us, numeric):
+        c = quad.oscillatory_ft_1d(F("real"), 1.0 - u, 0.0, np.inf)
+        s = quad.oscillatory_ft_1d(F("imag"), 1.0 - u, 0.0, np.inf)
+        assert abs(val - (c.real - s.imag) / math.pi) < 1e-12
+    grid = np.linspace(-3.0, 2.0, 21)
+    assert np.max(np.abs(symbolkern.atilde_numeric(f, 1.0, grid) - _atilde_exact(f, grid))) < 1e-12
+
+
+def test_numeric_kernel_table_runs_one_batched_call_per_level(monkeypatch):
+    f = symbolkern.log_gaussian_group(0.5)
+    sizes, hat_many = [], symbolkern._hat_scalar_many
+
+    def spy(g, us):
+        sizes.append(np.size(us))
+        return hat_many(g, us)
+
+    monkeypatch.setattr(symbolkern, "_hat_scalar_many", spy)
+    table = symbolkern._atilde_abs_fn(f)
+    ug = np.linspace(-40.0, 40.0, 4001)
+    assert np.max(np.abs(table(ug) - np.abs(_atilde_exact(f, ug)))) < 1e-12
+    # one call per level of the rule, each on every offset's nodes
+    assert 2 <= len(sizes) <= 3 and min(sizes) > 4001 * 100
 
 
 def test_local_integrability_dyadic(heat_f):
