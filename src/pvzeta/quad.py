@@ -172,7 +172,7 @@ def panel_integral(f, a, b, panel_width=0.5, order=16):
 # phi(t) = t / (1 - e^{-6 sinh t}), sine part at t = n h, cosine part at
 # t = (n + 1/2) h.  For large t the nodes fall on the zeros of the oscillation,
 # so no cut in x is needed.  |w| <= _OM_TINY takes the exp-sinh rule instead.
-_OM_TMAX, _ES_TMAX, _OM_TINY, _OM_H0, _OM_LEVELS = 3.0, 4.5, 1e-9, 0.1, 4
+_OM_TMAX, _ES_TMAX, _OM_TINY, _OM_H0, _OM_LEVELS, _OM_TOL = 3.0, 4.5, 1e-9, 0.1, 4, 1e-10
 _OM_CACHE = {}
 
 
@@ -218,8 +218,10 @@ def half_line_fourier(G, omegas, h, max_nodes=None):
         vals = np.asarray(G(np.concatenate([x, q]) if lo == 0 and small.size else x), dtype=complex)
         grid, nodes = vals[: x.size].reshape(-1, p.size), nodes + vals.size
         gq = vals[x.size :] if lo == 0 else gq
-        # e^{-i w x} at w < 0 is the conjugate phase
-        out[idx] = np.where(om[idx] > 0.0, grid @ v, grid @ np.conj(v)) / a
+        # e^{-i w x} at w < 0 is the conjugate phase; one product per row
+        pos = om[idx] > 0.0
+        out[idx[pos]] = grid[pos] @ v / a[pos]
+        out[idx[~pos]] = grid[~pos] @ np.conj(v) / a[~pos]
     if small.size:
         wq = h * 0.5 * math.pi * np.cosh(tau) * q * gq
         nz = np.flatnonzero(wq)
@@ -230,11 +232,11 @@ def half_line_fourier(G, omegas, h, max_nodes=None):
     return out, nodes
 
 
-def inverse_fourier(F, offsets, tol=1e-10):
+def inverse_fourier(F, offsets):
     """(2 pi)^{-1} integral_R F(xi) e^{-i o xi} d xi at every offset o for
     F(-xi) = conj F(xi), one F call per level.  h halves from _OM_H0 (each
     level is a fresh node set, as M moves with h) until two levels agree
-    within tol of the largest value.  Returns (values, {"nodes", "h",
+    within _OM_TOL of the largest value.  Returns (values, {"nodes", "h",
     "level_gap"}), the last the largest change between the last two levels."""
     offsets = np.asarray(offsets, dtype=float)
     prev, nodes = None, 0
@@ -244,7 +246,7 @@ def inverse_fourier(F, offsets, tol=1e-10):
         cur, nodes = cur.real / math.pi, nodes + n
         if prev is not None:
             gap = float(np.max(np.abs(cur - prev)))
-            if gap <= tol * float(np.max(np.abs(cur))):
+            if gap <= _OM_TOL * float(np.max(np.abs(cur))):
                 return cur.reshape(offsets.shape), {"nodes": nodes, "h": h, "level_gap": gap}
         prev = cur
     raise AccuracyError(f"Fourier rule unresolved after {_OM_LEVELS} halvings: levels differ by {gap:.2e}")

@@ -175,17 +175,17 @@ def scaling_check(f, space, m, xi, alpha, tol=1e-9):
 # Auxiliary symbol, inverse transform, Schwartz kernel
 
 
-def _symbol_tail_cut(f, sign, floor=5e-12):
+def _symbol_tail_cut(f, sign):
     xi, below = 1.0, 0
     while xi < 1e7:
-        if abs(_hat_scalar(f, sign * xi)) < floor:
+        if abs(_hat_scalar(f, sign * xi)) < 5e-12:
             below += 1
             if below >= 3:
                 return xi
         else:
             below = 0
         xi *= 1.25
-    raise AccuracyError("symbol tail did not fall below the requested floor")
+    raise AccuracyError("symbol tail did not fall below 5e-12")
 
 
 def atilde_numeric(f, m_sign, us):
@@ -279,13 +279,13 @@ def check_symbol_decay(f, space, m, tol_slope=-8.0, by_tau=100.0, taus=(5, 10, 2
 # Local integrability of the kernel
 
 
-def _atilde_abs_fn(f, floor=5e-12, grid_half_width=40.0, npts=4001):
+def _atilde_abs_fn(f, grid_half_width=40.0, npts=4001):
     """|Atilde(+1, u)| as a fast vectorized function: the closed oracle
     when present, a dense numeric table with linear interpolation
     otherwise."""
     if f.atilde_closed is not None:
         return lambda u: np.abs(np.asarray(f.atilde_closed(np.asarray(u, dtype=float))))
-    if _symbol_tail_cut(f, 1.0, floor=floor) > 200.0:
+    if _symbol_tail_cut(f, 1.0) > 200.0:
         raise AccuracyError(
             "the symbol decays too slowly for the numeric kernel table; "
             "attach an atilde_closed oracle to this GroupFunction"
