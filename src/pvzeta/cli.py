@@ -113,17 +113,29 @@ def _tol(overrides, check_id, flag_tol, default):
     return default
 
 
-def _floats(text):
+def _numbers(text, kind, what):
     if text is None or str(text).strip() == "":
         return []
     try:
-        return [float(v) for v in str(text).split(",") if v.strip() != ""]
+        return [kind(v) for v in str(text).split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated real numbers, got {text!r}") from exc
+        raise ConfigError(f"expected comma-separated {what}, got {text!r}") from exc
+
+
+def _floats(text):
+    return _numbers(text, float, "real numbers")
 
 
 def _ints(text):
-    return [int(v) for v in str(text).split(",") if v.strip() != ""]
+    return _numbers(text, int, "integers")
+
+
+def _number(cfg, key, default, parse=_floats):
+    """The one number a flag holds, parsed by _floats or _ints."""
+    values = parse(cfg.get(key, default))
+    if len(values) != 1:
+        raise ConfigError(f"--{key.replace('_', '-')} takes one number, got {cfg.get(key)!r}")
+    return values[0]
 
 
 def _testfns(text):
@@ -190,7 +202,8 @@ def run_funceq(cfg):
     s_list = _floats(cfg.get("s", ""))
     phis = _testfns(cfg.get("testfn", "gaussian:a=3.14159,n=1" if eq == "12" else "gaussian:a=3.14159,n=3"))
     variant = cfg.get("variant", "corrected")
-    q = int(cfg.get("q", 1))
+    q = _number(cfg, "q", 1, _ints)
+    mc = int(_number(cfg, "mc_samples", 0))
     reports = []
     if not s_list:
         return reports
@@ -214,7 +227,6 @@ def run_funceq(cfg):
         for s in s_list:
             for phi in phis:
                 reports.append(funceq.check_eq22(s, B, phi, conv, q=q, tol=tol))
-        mc = int(float(cfg.get("mc_samples", 0)))
         if mc:
             seed = cfg.require_seed("the Monte-Carlo oracle is randomized")
             space = phspace.indefinite(q=q, n=3)
@@ -264,11 +276,11 @@ def run_homog(cfg):
 def run_probe(cfg):
     ov = _tol_overrides("probe")
     what = cfg.get("what", "symbol-decay")
-    t = float(cfg.get("t", 0.1))
+    t = _number(cfg, "t", 0.1)
     variant = cfg.get("variant", "corrected")
     f = heatflow.heat_group_function(t, variant)
     space = phspace.scalar1d()
-    m = float(cfg.get("m", 1.0))
+    m = _number(cfg, "m", 1.0)
     reports = []
     if what == "symbol-decay":
         reports.append(symbolkern.check_symbol_decay(f, space, m))
@@ -276,7 +288,7 @@ def run_probe(cfg):
         tol = _tol(ov, "symbol-scaling", cfg.tol, 1e-9)
         seed = cfg.require_seed("the scaling sweep draws random factors")
         rng = np.random.default_rng(seed)
-        count = int(cfg.get("alphas", 50))
+        count = _number(cfg, "alphas", 50, _ints)
         if count < 1:
             raise ConfigError("--alphas must be at least 1")
         sweep = []

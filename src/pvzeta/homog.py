@@ -132,7 +132,7 @@ def tplus_profile(s, profile, tol=1e-11):
             lambda t: np.log(t) * gk(t),
             0.0,
             cut,
-            spec=quad.SingularitySpec("left", -0.5, log_factor=True),
+            spec=quad.SingularitySpec("left", -0.5),
             tol=tol,
         )
         fact = math.factorial(k - 1)

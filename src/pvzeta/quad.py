@@ -1,4 +1,4 @@
-"""Quadrature engines: singular radial integrals, balls, spheres,
+"""Quadrature engines: singular radial integrals, sphere rules,
 indefinite quadratic-form components in hyperbolic coordinates, and
 1D oscillatory Fourier integrals (adaptive, and on the half line by a
 double-exponential rule).
@@ -25,15 +25,15 @@ from .errors import AccuracyError, DomainError, NonConvergence, PoleError
 
 @dataclass(frozen=True)
 class SingularitySpec:
-    """Declared endpoint behavior of an integrand: f ~ t^exponent
-    (times an optional log factor) at the named endpoint."""
+    """Declared endpoint behavior of an integrand: f ~ t^exponent at the
+    named endpoint (a milder singularity, such as log t, may declare a
+    dominating exponent)."""
 
-    endpoint: str = "none"  # left | right | none
+    endpoint: str = "none"  # left | none
     exponent: float = 0.0
-    log_factor: bool = False
 
     def __post_init__(self):
-        if self.endpoint not in ("left", "right", "none"):
+        if self.endpoint not in ("left", "none"):
             raise DomainError(f"bad endpoint {self.endpoint!r}")
         if self.exponent <= -1.0:
             raise DomainError("endpoint exponent must exceed -1 (integrability)")
@@ -71,7 +71,7 @@ def _quad_piece(f, a, b, tol):
 
 
 def integrate_1d(f, a, b, spec=None, tol=1e-10):
-    """Integrate f on (a, b) (b may be +inf) with a declared endpoint
+    """Integrate f on (a, b) (b may be +inf) with a declared left-endpoint
     singularity removed by power substitution.  Returns QuadResult."""
     g, count = _counting(f)
     total, err = 0.0 + 0.0j, 0.0
@@ -86,16 +86,6 @@ def integrate_1d(f, a, b, spec=None, tol=1e-10):
         pieces.append((h, 0.0, (cut - a) ** (1.0 + alpha)))
         if cut < b:
             pieces.append((g, cut, b))
-    elif spec is not None and spec.endpoint == "right" and spec.exponent < 0.0:
-        if not np.isfinite(b):
-            raise DomainError("right-endpoint singularity needs a finite endpoint")
-        alpha = spec.exponent
-        p = 1.0 / (1.0 + alpha)
-        cut = max(a, b - 1.0)
-        h = lambda u: g(b - u ** p) * p * u ** (p - 1.0)
-        pieces.append((h, 0.0, (b - cut) ** (1.0 + alpha)))
-        if cut > a:
-            pieces.append((g, a, cut))
     else:
         pieces.append((g, a, b))
 
@@ -284,58 +274,6 @@ def sphere_quadrature(n, order=16):
     raise DomainError("sphere quadrature supports n <= 3")
 
 
-def lebedev26():
-    """26-point octahedral rule on S^2, exact for polynomials of degree 7.
-    Weights sum to 1 (multiply by 4 pi for the surface measure)."""
-    pts, wts = [], []
-    for i in range(3):
-        for s in (1.0, -1.0):
-            p = np.zeros(3)
-            p[i] = s
-            pts.append(p)
-            wts.append(1.0 / 21.0)
-    r = 1.0 / math.sqrt(2.0)
-    for i in range(3):
-        j, k = [x for x in range(3) if x != i]
-        for si in (1.0, -1.0):
-            for sj in (1.0, -1.0):
-                p = np.zeros(3)
-                p[j], p[k] = si * r, sj * r
-                pts.append(p)
-                wts.append(4.0 / 105.0)
-    c = 1.0 / math.sqrt(3.0)
-    for sx in (1.0, -1.0):
-        for sy in (1.0, -1.0):
-            for sz in (1.0, -1.0):
-                pts.append(np.array([sx * c, sy * c, sz * c]))
-                wts.append(27.0 / 840.0)
-    return np.array(pts), np.array(wts)
-
-
-def integrate_ball(f, n, tol=1e-10, order=12):
-    """Integrate f over R^n (n <= 3) by sphere x radial factorization.
-    f is called pointwise with an array of n coordinates."""
-    if n == 1:
-        r1 = integrate_1d(lambda t: f(np.array([t])), -np.inf, np.inf, tol=tol)
-        return r1
-
-    def run(k):
-        pts, wts = sphere_quadrature(n, order=k)
-        total, err, neval = 0.0 + 0.0j, 0.0, 0
-        for om, w in zip(pts, wts):
-            rad = integrate_1d(lambda r, om=om: f(r * om) * r ** (n - 1), 0.0, np.inf, tol=tol)
-            total += w * complex(rad.value)
-            err += w * rad.error_estimate
-            neval += rad.evaluations
-        return total, err, neval
-
-    v1, e1, n1 = run(order)
-    v2, e2, n2 = run(2 * order)
-    disagree = abs(v2 - v1)
-    value = v2.real if v2.imag == 0.0 else v2
-    return QuadResult(value, max(e2, disagree), n1 + n2)
-
-
 # ---------------------------------------------------------------------------
 # Indefinite quadratic forms in hyperbolic polar coordinates
 
@@ -436,7 +374,7 @@ def radial_power_integral(H, beta, r_max, tol=1e-10, fd_h=1e-3, depth=0, max_dep
     if abs(beta + 1.0) < 1e-9:
         raise PoleError(f"radial power integral has a pole at beta = -1 (beta = {beta})")
     if beta.real > -1.0:
-        spec = SingularitySpec("left", beta.real, False) if beta.real < 0.0 else None
+        spec = SingularitySpec("left", beta.real) if beta.real < 0.0 else None
         res = integrate_1d(lambda r: r ** beta * H(r), 0.0, r_max, spec=spec, tol=tol)
         return res.value
     h = fd_h
@@ -466,12 +404,10 @@ def integrate_signature(g, B, q, sheet, w=0.0, tol=1e-9, sphere_order=24, decay_
     g must be vectorized over arrays of points (last axis = coordinates)
     and carry gaussian decay; decay_rate bounds |g| <= C e^{-rate |x|^2}
     in standardized coordinates (defaults to a conservative estimate).
-    Re w > -1/2 is required; deeper exponents belong to the continuation
-    entry point radial_power_integral.
+    For Re w <= -1/2 the radial integral is continued in w by
+    radial_power_integral.
     """
     w = complex(w)
-    if w.real <= -0.5:
-        raise DomainError("integrate_signature requires Re w > -1/2")
     geom = SignatureGeometry(B, q, sheet, sphere_order=sphere_order)
     if decay_rate is None:
         decay_rate = 0.5

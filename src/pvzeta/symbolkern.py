@@ -19,6 +19,10 @@ its inverse transform Atilde(m, u) uses the normalized measure
 
     K_f(m, m') = |m|^{-n} Atilde(m, (m - m')/|m|).
 
+F comes from the oracle hat1d when present, else from the Fourier rule
+quad.half_line_fourier; Atilde and the kernel table of the integrability
+check from quad.inverse_fourier (AccuracyError when it does not resolve).
+
 All transforms here use the angular-normalized convention exclusively.
 """
 
@@ -89,24 +93,19 @@ def log_gaussian_group(a, scale=1.0, label=None):
 # Symbols
 
 
-def _hat_scalar(f, u):
-    """F(u) = integral_0^inf f(1/beta) e^{i u beta} d beta / beta."""
-    if f.hat1d is not None:
-        return complex(np.asarray(f.hat1d(np.array([float(u)]))).ravel()[0])
-    L = f.log_cut()
-    a, b = math.exp(-L), math.exp(L)
-    g = lambda beta: np.asarray(f.fn(1.0 / np.asarray(beta, dtype=float))) / np.asarray(beta, dtype=float)
-    return quad.oscillatory_ft_1d(g, -float(u), a, b, tol=1e-10)
-
-
 def _hat_scalar_many(f, us):
-    """F on an array of frequencies: the oracle if any, else the transform of
-    f(1/beta)/beta on the Fourier rule at step 0.05 (1e-15 on the heat F)."""
+    """F(u) = integral_0^inf f(1/beta) e^{i u beta} d beta / beta on an array
+    of frequencies: the oracle if any, else the transform of f(1/beta)/beta
+    on the Fourier rule at step 0.05 (1e-15 on the heat F)."""
     us = np.asarray(us, dtype=float)
     if f.hat1d is not None:
         return np.asarray(f.hat1d(us), dtype=complex)
     g = lambda beta: np.asarray(f.fn(1.0 / beta)) / beta
     return quad.half_line_fourier(g, -us.ravel(), 0.05, max_nodes=1 << 20)[0].reshape(us.shape)
+
+
+# sphere rule of the rotation orbits: 64 points on the circle, 32 x 64 on S^2
+_ORBIT_ORDER = 32
 
 
 def _orbit(space, m):
@@ -122,16 +121,8 @@ def _orbit(space, m):
     Bh = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
     Bih = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
     rad = float(np.linalg.norm(Bh @ m))
-    if space.n == 3:
-        pts, wts = quad.lebedev26()
-    elif space.n == 2:
-        k = 64
-        th = 2.0 * math.pi * np.arange(k) / k
-        pts = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        wts = np.full(k, 1.0 / k)
-    else:
-        raise DomainError("definite symbols support n in {2, 3}")
-    return (rad * pts) @ Bih.T, wts
+    pts, wts = quad.sphere_quadrature(space.n, order=_ORBIT_ORDER)
+    return (rad * pts) @ Bih.T, wts / np.sum(wts)
 
 
 def symbol_hat(f, space, m, xi):
@@ -175,19 +166,6 @@ def scaling_check(f, space, m, xi, alpha, tol=1e-9):
 # Auxiliary symbol, inverse transform, Schwartz kernel
 
 
-def _symbol_tail_cut(f, sign):
-    xi, below = 1.0, 0
-    while xi < 1e7:
-        if abs(_hat_scalar(f, sign * xi)) < 5e-12:
-            below += 1
-            if below >= 3:
-                return xi
-        else:
-            below = 0
-        xi *= 1.25
-    raise AccuracyError("symbol tail did not fall below 5e-12")
-
-
 def atilde_numeric(f, m_sign, us):
     """Atilde(m, u) for scalar m of the given sign and real f: the inverse
     transform (2 pi)^{-1} integral e^{i u xi} atilde(m, xi) d xi, atilde(m, xi)
@@ -210,7 +188,7 @@ def aux_symbol_and_kernel(f, space, m, mprime, xi=None):
         raise DomainError("the kernel is defined away from m = 0")
     xi = 1.0 if xi is None else float(xi)
     sign = 1.0 if m > 0 else -1.0
-    atil = complex(np.exp(-1j * sign * xi)) * _hat_scalar(f, sign * xi)
+    atil = complex(np.exp(-1j * sign * xi)) * complex(_hat_scalar_many(f, np.array([sign * xi]))[0])
     u = (m - mprime) / abs(m)
     if f.atilde_closed is not None and sign > 0:
         Atil = complex(np.asarray(f.atilde_closed(np.array([u]))).ravel()[0])
@@ -279,18 +257,13 @@ def check_symbol_decay(f, space, m, tol_slope=-8.0, by_tau=100.0, taus=(5, 10, 2
 # Local integrability of the kernel
 
 
-def _atilde_abs_fn(f, grid_half_width=40.0, npts=4001):
+def _atilde_abs_fn(f):
     """|Atilde(+1, u)| as a fast vectorized function: the closed oracle
-    when present, a dense numeric table with linear interpolation
-    otherwise."""
+    when present, else a table on 4001 points of [-40, 40] with linear
+    interpolation."""
     if f.atilde_closed is not None:
         return lambda u: np.abs(np.asarray(f.atilde_closed(np.asarray(u, dtype=float))))
-    if _symbol_tail_cut(f, 1.0) > 200.0:
-        raise AccuracyError(
-            "the symbol decays too slowly for the numeric kernel table; "
-            "attach an atilde_closed oracle to this GroupFunction"
-        )
-    ug = np.linspace(-grid_half_width, grid_half_width, npts)
+    ug = np.linspace(-40.0, 40.0, 4001)
     table = np.abs(atilde_numeric(f, 1.0, ug))
     return lambda u: np.interp(np.asarray(u, dtype=float), ug, table, left=0.0, right=0.0)
 
@@ -355,16 +328,3 @@ def local_integrability_check(f, R=1.0, levels=6, ratio_bound=0.75, m_pts=64, u_
         passed=worst < ratio_bound,
     )
 
-
-def continuity_probe(f, annulus=(0.5, 1.0), grid=24):
-    """Max neighbor jump of K_f on a grid over the annulus in m (m' fixed
-    scan), reported relative to the grid step (a C^1-consistency figure)."""
-    atil = _atilde_abs_fn(f)
-    ms = np.linspace(annulus[0], annulus[1], grid)
-    mps = np.linspace(annulus[0] * 0.5, annulus[1] * 1.5, grid)
-    Kg = np.empty((grid, grid))
-    for i, m in enumerate(ms):
-        Kg[i] = atil((m - mps) / m) / m
-    jumps = max(float(np.max(np.abs(np.diff(Kg, axis=0)))), float(np.max(np.abs(np.diff(Kg, axis=1)))))
-    h = float(ms[1] - ms[0])
-    return {"max_jump": jumps, "grid_step": h, "jump_per_step": jumps / h}

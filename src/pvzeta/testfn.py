@@ -495,7 +495,6 @@ def _numeric_fourier(phi, conv, tol):
         # enough to sit inside a radial Mellin quadrature.  Even functions
         # have even real transforms, so those evaluations are cached by
         # |frequency| (the two Mellin rays then share all evaluations).
-        x16, w16 = quad.gauss_legendre(16)
         even = bool(getattr(phi, "even_symmetric", False))
         cache = {}
 
@@ -506,12 +505,7 @@ def _numeric_fourier(phi, conv, tol):
             hit = cache.get(w)
             if hit is not None:
                 return hit
-            npanel = max(4, int(abs(w) * 2.0 * cut / 10.0) + 4)
-            edges = np.linspace(-cut, cut, npanel + 1)
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            nodes = (mid[:, None] + half[:, None] * x16[None, :]).ravel()
-            wts = (half[:, None] * w16[None, :]).ravel()
+            nodes, wts = quad.panel_rule(-cut, cut, max(4, int(abs(w) * 2.0 * cut / 10.0) + 4))
             vals = np.asarray(phi(nodes))
             if np.iscomplexobj(vals):
                 res = complex(np.sum(wts * vals * np.exp(-1j * w * nodes)))

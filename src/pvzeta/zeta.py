@@ -7,13 +7,16 @@ integration by parts,
     M_s = (-1)^N / ((s+1) ... (s+N)) integral_0^inf r^{s+N} d^N/dr^N
           [phi(r omega)] dr,
 
-with N minimal such that Re s + N > -1 (N <= 6).  Local zeta integrals
-Z_i(s, phi) = integral over a component of |p(m)|^s phi(m) dm reduce to
-this radial transform after the polar (definite) or hyperbolic
+with N minimal such that Re s + N > -1 (N <= 6).  For complex s the
+phase r^(i Im s) is built from log r (or log u after a power
+substitution), since r underflows to 0 near the origin.  Local zeta
+integrals Z_i(s, phi) = integral over a component of |p(m)|^s phi(m) dm
+reduce to this radial transform after the polar (definite) or hyperbolic
 (indefinite) factorization, in which |p| is exactly a power of the
 radius.  In the definite case every sphere ray shares one tanh-sinh
 radial rule; zeta_local_reference keeps one adaptive transform per ray
-as the independent route.
+as the independent route.  In the indefinite case zeta_local hands the
+component to quad.integrate_signature.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import phspace, quad
+from . import quad
 from .errors import AccuracyError, DomainError, PoleError
 
 POLE_GUARD = 1e-6
@@ -85,26 +88,44 @@ def _continuation(s, pole_guard, order=None):
     return dist, N, -den if N % 2 else den
 
 
-def _oscillatory_mellin(integrand, expo, cut, wavelength):
-    """Radial power integral of a uniformly oscillatory profile (the
-    transform of a compactly supported function) on fixed Gauss-Legendre
+def _head_integrand(integrand, g, expo):
+    """r^expo g(r) dr near r = 0 for Re expo < 0, as an integrand in
+    u = r^(1 + Re expo): with r = u^p, p = 1 / (1 + Re expo), it is
+    p g(u^p) u^(i p Im expo).  A complex phase is built from log u, as in
+    the definite engine: u^p underflows to 0 at small u once p is large,
+    and 0^expo raises."""
+    p = 1.0 / (1.0 + expo.real)
+    if expo.imag == 0.0:
+        return lambda u: integrand(u ** p) * p * u ** (p - 1.0)
+    return lambda u: p * g(u ** p) * np.exp(1j * p * expo.imag * np.log(u))
+
+
+def _split_mellin(integrand, g, expo, cut, wavelength, tol):
+    """Radial power integral as a head on (0, min(1, cut)), taken in
+    u = r^(1 + Re expo) when Re expo < 0, plus a body on the rest.
+
+    A uniformly oscillatory profile (the transform of a compactly
+    supported function; wavelength set) goes on fixed Gauss-Legendre
     panels sized to the oscillation wavelength.  Adaptive subdivision is
-    hopeless here: the integrand oscillates hundreds of times across the
-    tail, so the grid is fixed up front and checked by panel doubling."""
-    if not np.isfinite(cut):
-        raise DomainError("oscillatory Mellin path needs a finite scanned cutoff")
+    hopeless there: the integrand oscillates hundreds of times across the
+    tail, so the grid is fixed up front and checked by panel doubling.
+    Otherwise both parts are adaptive."""
+    if wavelength:
+        if not np.isfinite(cut):
+            raise DomainError("oscillatory Mellin path needs a finite scanned cutoff")
+        # the oscillation only slows down in u, so the wavelength bound stays valid
+        head_rule = lambda f, lo, hi: quad.panel_integral(f, lo, hi, panel_width=min(0.25, wavelength / 4.0), order=16)
+        body_rule = lambda f, lo, hi: quad.panel_integral(f, lo, hi, panel_width=min(1.0, 1.25 * wavelength), order=16)
+    else:
+        head_rule = body_rule = lambda f, lo, hi: quad.integrate_1d(f, lo, hi, tol=tol)
     head_end = min(1.0, cut)
     if expo.real < 0.0:
-        # substitute r = u^p on (0, head_end); the oscillation only slows
-        # down in u, so the wavelength bound stays valid
-        p = 1.0 / (1.0 + expo.real)
-        h = lambda u: integrand(u ** p) * p * u ** (p - 1.0)
-        head = quad.panel_integral(h, 0.0, head_end ** (1.0 + expo.real), panel_width=min(0.25, wavelength / 4.0), order=16)
+        head = head_rule(_head_integrand(integrand, g, expo), 0.0, head_end ** (1.0 + expo.real))
     else:
-        head = quad.panel_integral(integrand, 0.0, head_end, panel_width=min(0.25, wavelength / 4.0), order=16)
+        head = head_rule(integrand, 0.0, head_end)
     total, err, neval = complex(head.value), head.error_estimate, head.evaluations
     if cut > head_end:
-        body = quad.panel_integral(integrand, head_end, cut, panel_width=min(1.0, 1.25 * wavelength), order=16)
+        body = body_rule(integrand, head_end, cut)
         total += complex(body.value)
         err += body.error_estimate
         neval += body.evaluations
@@ -130,8 +151,8 @@ def mellin_profile(profile, s, tol=1e-11, pole_guard=POLE_GUARD, order=None):
         return r ** expo * g(r)
 
     osc = getattr(profile, "oscillation", None)
-    if osc:
-        res = _oscillatory_mellin(integrand, expo, cut, osc)
+    if osc or (expo.real < 0.0 and expo.imag != 0.0):
+        res = _split_mellin(integrand, g, expo, cut, osc, tol)
     else:
         res = quad.integrate_1d(integrand, 0.0, cut, spec=spec, tol=tol)
     value = complex(res.value) / den
@@ -275,24 +296,16 @@ def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=16, pole_guard=
     # indefinite kind: hyperbolic coordinates, weight r^{2s} exactly
     if 2.0 * s.real <= -0.5 - MAX_CONTINUATION:
         raise DomainError("s too deep for radial continuation")
-    B = space.Bmat
-    n = space.n
-    sheet = component
-    rate = phi.decay.rate if phi.decay.kind == "gaussian" else 0.5
-    # in standardized coordinates |m|^2 >= |x|^2 / max|b_i|
-    rate_std = rate / float(np.max(np.abs(np.diag(B))))
-    geom = quad.SignatureGeometry(B, space.q, sheet)
-    H = geom.angular_profile(lambda pts: np.asarray(phi(pts)), rate_std)
-    r_max = math.sqrt(45.0 / rate_std) + 2.0
-    beta = 2.0 * s + n - 2.0
+    beta = 2.0 * s + space.n - 2.0
     dist = _neg_int_distance(beta) / 2.0
     if dist < pole_guard:
         raise PoleError(f"zeta continuation pole near s = {s}")
-    val = geom.detfac * quad.radial_power_integral(H, beta, r_max, tol=tol)
-    val = complex(val)
-    if val.imag == 0.0:
-        val = val.real
-    return MeroValue(val, dist, _continuation_depth(beta))
+    rate = phi.decay.rate if phi.decay.kind == "gaussian" else 0.5
+    # in standardized coordinates |m|^2 >= |x|^2 / max|b_i|
+    rate_std = rate / float(np.max(np.abs(np.diag(space.Bmat))))
+    g = lambda pts: np.asarray(phi(pts))
+    res = quad.integrate_signature(g, space.Bmat, space.q, component, w=s, tol=tol, decay_rate=rate_std)
+    return MeroValue(res.value, dist, _continuation_depth(beta))
 
 
 def zeta_local_reference(space, component, s, phi, tol=1e-10, sphere_order=16, pole_guard=POLE_GUARD):

@@ -61,6 +61,9 @@ def test_config_file_and_unknown_key(tmp_path):
     assert run(["funceq", "--config", str(cfg), "--out", str(out)]) == 0
     cfg.write_text("eq=12\ns=0.5\nbogus_key=1\n")
     assert run(["funceq", "--config", str(cfg)]) == 1
+    # argparse types --q; a config file passes it through as text
+    cfg.write_text("eq=12\ns=0.5\nq=abc\n")
+    assert run(["funceq", "--config", str(cfg)]) == 1
 
 
 def test_cli_flag_overrides_config(tmp_path):
@@ -156,10 +159,26 @@ def test_lacunary_passes_at_the_default_tolerance(tmp_path, variant):
     assert all(r["rel_residual"] < 1e-12 for r in rows)
 
 
-@pytest.mark.parametrize("flag", ["--t=abc", "--s=-1.45+0.15j", "--x=1,,two"])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        "--t=abc",
+        "--s=-1.45+0.15j",
+        "--x=1,,two",
+        "probe --t=abc",
+        "probe --m=abc",
+        "probe --what scaling --seed 1 --alphas=abc",
+        "zeta --check residue --k=abc",
+        "funceq --eq 22 --s 0.3 --mc-samples=abc",
+    ],
+)
 def test_unparsable_numbers_are_config_errors(tmp_path, capsys, flag):
+    # a bare flag goes to heat --check semigroup, else the subcommand leads
+    argv = flag.split()
+    if argv[0].startswith("--"):
+        argv = ["heat", "--check", "semigroup", *argv]
     out = tmp_path / "r.jsonl"
-    assert run(["heat", "--check", "semigroup", flag, "--out", str(out)]) == 1
+    assert run([*argv, "--out", str(out)]) == 1
     assert "config error" in capsys.readouterr().err
 
 

@@ -24,7 +24,7 @@ def test_integrate_1d_left_singularity():
 
 def test_integrate_1d_log_singularity():
     # integral of log x over (0, 1) = -1
-    spec = quad.SingularitySpec("left", -0.5, log_factor=True)
+    spec = quad.SingularitySpec("left", -0.5)
     res = quad.integrate_1d(lambda x: np.log(x), 0.0, 1.0, spec=spec, tol=1e-11)
     assert abs(res.value + 1.0) < 1e-9
 
@@ -69,19 +69,6 @@ def test_sphere_quadrature_measure():
         # integrates quadratics exactly: int omega_i omega_j = surface/n delta_ij
         g = np.einsum("ki,kj,k->ij", pts, pts, wts)
         assert np.allclose(g, np.eye(n) * surface / n, atol=1e-10)
-
-
-def test_lebedev26_normalized():
-    pts, wts = quad.lebedev26()
-    assert abs(np.sum(wts) - 1.0) < 1e-14
-    assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-14)
-    # exact for degree <= 7: mean of x^2 over the sphere is 1/3
-    assert abs(np.sum(wts * pts[:, 0] ** 2) - 1.0 / 3.0) < 1e-13
-
-
-def test_integrate_ball_gaussian():
-    res = quad.integrate_ball(lambda x: math.exp(-float(np.dot(x, x))), 3, tol=1e-10)
-    assert abs(complex(res.value) - math.pi ** 1.5) < 1e-8
 
 
 def test_oscillatory_ft_gaussian():
