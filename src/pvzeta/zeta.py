@@ -145,16 +145,15 @@ def mellin_profile(profile, s, tol=1e-11, pole_guard=POLE_GUARD, order=None):
     if cut <= 0.0:
         cut = np.inf
     expo = s + N
-    spec = quad.SingularitySpec("left", expo.real) if expo.real < 0.0 else None
 
     def integrand(r):
         return r ** expo * g(r)
 
     osc = getattr(profile, "oscillation", None)
-    if osc or (expo.real < 0.0 and expo.imag != 0.0):
+    if osc or expo.real < 0.0:
         res = _split_mellin(integrand, g, expo, cut, osc, tol)
     else:
-        res = quad.integrate_1d(integrand, 0.0, cut, spec=spec, tol=tol)
+        res = quad.integrate_1d(integrand, 0.0, cut, tol=tol)
     value = complex(res.value) / den
     if value.imag == 0.0:
         value = value.real

@@ -33,12 +33,15 @@ def test_mellin_continued_gaussian():
 def test_mellin_complex_s_near_minus_one(s):
     # r = u^(1/(1 + Re s)) underflows at small u here; the phase r^(i Im s)
     # comes from log u, so no point raises.  Closer to s = -1 the adaptive
-    # rule loses digits, so the closed form is asserted from Re s = -0.97 on.
+    # rule loses digits (1.5e-5 relative at -0.999 + 0.05i, 8.8e-6 at
+    # -0.9855 + 0.5i), so there only a loose bound holds the drift.
     phi = testfn.gaussian(math.pi)
     mv = zeta.mellin(phi, [1.0], s)
-    assert np.isfinite(complex(mv.value))
+    exact = gaussian_mellin(s, math.pi)
     if s.real >= -0.97:
-        assert abs(complex(mv.value) - gaussian_mellin(s, math.pi)) < 1e-10
+        assert abs(complex(mv.value) - exact) < 1e-10
+    else:
+        assert abs(complex(mv.value) - exact) < 1e-4 * abs(exact)
 
 
 def test_mellin_pole_guard():
