@@ -126,6 +126,12 @@ def _floats(text):
     return _numbers(text, float, "real numbers")
 
 
+def _s_values(text):
+    """Values of --s: complex where the text has a 'j' (such as
+    -1.35+0.2j), real otherwise, so real rows keep their bytes."""
+    return _numbers(text, lambda v: complex(v) if "j" in v else float(v), "real or complex numbers")
+
+
 def _ints(text):
     return _numbers(text, int, "integers")
 
@@ -157,7 +163,7 @@ def run_zeta(cfg):
     ov = _tol_overrides("zeta")
     space = phspace.parse_space(cfg.get("space", "scalar1d"))
     phi = testfn.parse_testfn(cfg.get("testfn", "gaussian:a=3.14159,n=1"))
-    s_list = _floats(cfg.get("s", "0.5"))
+    s_list = _s_values(cfg.get("s", "0.5"))
     which = cfg.get("check", "value")
     reports = []
     for s in s_list:
@@ -199,7 +205,7 @@ def run_zeta(cfg):
 def run_funceq(cfg):
     ov = _tol_overrides("funceq")
     eq = str(cfg.get("eq", "12"))
-    s_list = _floats(cfg.get("s", ""))
+    s_list = _s_values(cfg.get("s", ""))
     phis = _testfns(cfg.get("testfn", "gaussian:a=3.14159,n=1" if eq == "12" else "gaussian:a=3.14159,n=3"))
     variant = cfg.get("variant", "corrected")
     q = _number(cfg, "q", 1, _ints)
@@ -223,7 +229,7 @@ def run_funceq(cfg):
     elif eq == "22":
         B = phspace.indefinite(q=q, n=3).Bmat
         conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis, B=B, q=q)
-        tol = _tol(ov, "funceq-eq22", cfg.tol, 1e-3)
+        tol = _tol(ov, "funceq-eq22", cfg.tol, 1e-9)
         for s in s_list:
             for phi in phis:
                 reports.append(funceq.check_eq22(s, B, phi, conv, q=q, tol=tol))
@@ -524,7 +530,7 @@ def _build_parser():
     p = sub.add_parser("zeta", help="zeta integral evaluation and continuation checks")
     p.add_argument("--space", default=None)
     p.add_argument("--component", default=None)
-    p.add_argument("--s", default=None, help="comma-separated s values")
+    p.add_argument("--s", default=None, help="comma-separated s values, complex ones as -1.35+0.2j")
     p.add_argument("--testfn", default=None)
     p.add_argument("--check", choices=("value", "overlap", "residue", "montecarlo"), default=None)
     p.add_argument("--k", default=None, help="comma-separated pole orders for --check residue")

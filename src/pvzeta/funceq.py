@@ -191,7 +191,7 @@ def eq22_sides(s, B, phi, convention, q=1, tol=1e-10):
     return lhs, rhs, direct
 
 
-def check_eq22(s, B, phi, convention, q=1, tol=1e-3):
+def check_eq22(s, B, phi, convention, q=1, tol=1e-9):
     lhs, rhs, direct = eq22_sides(s, B, phi, convention, q=q)
     resid = [abs(l - r) / max(abs(l), abs(r), _FLOOR) for l, r in zip(lhs, rhs)]
     worst = int(np.argmax(resid))

@@ -1,14 +1,15 @@
-"""Quadrature engines: singular radial integrals, sphere rules,
-indefinite quadratic-form components in hyperbolic coordinates, and
-1D oscillatory Fourier integrals (adaptive, and on the half line by a
-double-exponential rule).
+"""Quadrature engines: singular radial integrals, a shared tanh-sinh
+radial rule, sphere rules, indefinite quadratic-form components in
+hyperbolic coordinates, and 1D oscillatory Fourier integrals (adaptive,
+and on the half line by a double-exponential rule).
 
 Endpoint singularities t^alpha (alpha > -1) are removed by the
 substitution t = u^{1/(1+alpha)} before handing the integrand to an
-adaptive Gauss-Kronrod rule.  Radial integrals with a non-integrable
-power weight are continued by integration by parts on the smooth factor
-(radial_power_integral), which is the numerical backbone of every
-meromorphic continuation in the package.
+adaptive Gauss-Kronrod rule.  The continuation of non-integrable radial
+powers lives with the zeta integrals (integration by parts for the
+Mellin transform, the b-function for indefinite forms);
+radial_power_integral keeps one finite-difference by-parts step as the
+reference route of the indefinite zeta integrals.
 """
 
 from __future__ import annotations
@@ -41,9 +42,13 @@ class SingularitySpec:
 
 @dataclass
 class QuadResult:
+    """Value, error estimate and integrand evaluations of one quadrature;
+    rule carries the node count and last level gap of a level-refined rule."""
+
     value: complex
     error_estimate: float
     evaluations: int
+    rule: dict | None = None
 
     def __complex__(self):
         return complex(self.value)
@@ -82,7 +87,13 @@ def integrate_1d(f, a, b, spec=None, tol=1e-10):
         p = 1.0 / (1.0 + alpha)
         cut = min(b, a + 1.0)
         # t = a + u^p maps the t^alpha singularity to a bounded integrand.
-        h = lambda u: g(a + u ** p) * p * u ** (p - 1.0)
+        def h(u):
+            t = a + u ** p
+            if t == a:
+                # u^p underflowed: the integrand would be sampled at its singular endpoint
+                raise AccuracyError(f"left-endpoint substitution t = a + u^{p:.4g} reached t = a at u = {u:.3g}")
+            return g(t) * p * u ** (p - 1.0)
+
         pieces.append((h, 0.0, (cut - a) ** (1.0 + alpha)))
         if cut < b:
             pieces.append((g, cut, b))
@@ -155,6 +166,66 @@ def panel_integral(f, a, b, panel_width=0.5, order=16):
     v2 = run(2 * npanel)
     value = v2.real if v2.imag == 0.0 else v2
     return QuadResult(value, abs(v2 - v1), 3 * npanel * order)
+
+
+# Tanh-sinh rule shared by the radial integrals of both zeta engines, on
+# abscissae |t| <= _DE_TMAX: the step starts at _DE_H0 and halves, keeping
+# every earlier node.  At |t| = _DE_TMAX the node sits e^{-pi sinh(_DE_TMAX)}
+# (about 1e-37) of the interval from an end.
+_DE_H0 = 0.5
+_DE_TMAX = 4.0
+_DE_CACHE = {}
+
+
+def _tanh_sinh_level(level):
+    """Nodes and weights on [0, 1] of the tanh-sinh abscissae first used
+    at this level (all of them at level 0, the odd multiples of the step
+    after); the weights leave out the step."""
+    if level not in _DE_CACHE:
+        h = _DE_H0 / 2 ** level
+        k = np.arange(-int(_DE_TMAX / h), int(_DE_TMAX / h) + 1)
+        t = k * h if level == 0 else k[k % 2 == 1] * h
+        x = 0.5 * math.pi * np.sinh(t)
+        # u = (1 + tanh x) / 2, written so that nodes near 0 keep their digits
+        u = 1.0 / (1.0 + np.exp(-2.0 * x))
+        w = 0.25 * math.pi * np.cosh(t) / np.cosh(x) ** 2
+        _DE_CACHE[level] = (u, w)
+    return _DE_CACHE[level]
+
+
+def _radial_levels(rows, expo, cut, tol, levels):
+    """integral_0^cut r^expo v(r) dr for every function v of the list that
+    rows(r) evaluates at the radii r of one level, on the tanh-sinh rule in
+    u = r^(1 + Re expo): r = u^p with p = 1 / (1 + Re expo) turns r^expo dr
+    into p r^(i Im expo) du.  The step halves until, for every v, two levels
+    agree within tol of its L1 mass, else AccuracyError after `levels`
+    halvings.  Returns (last level, previous level, radial nodes)."""
+    p = 1.0 / (1.0 + expo.real)
+    span = cut ** (1.0 + expo.real)
+    sums, mass, prev, nodes = 0.0, 0.0, None, 0
+    for level in range(levels + 1):
+        u01, w01 = _tanh_sinh_level(level)
+        w = span * p * w01
+        if expo.imag != 0.0:
+            # r^(i Im expo) from log r: r itself underflows to 0 at the
+            # end nodes once p is large, and 0^(i y) is nan
+            w = w * np.exp(1j * expo.imag * p * np.log(span * u01))
+        vals = [np.asarray(v) for v in rows((span * u01) ** p)]
+        sums = sums + np.array([v @ w for v in vals])
+        mass = mass + np.array([np.abs(v) @ np.abs(w) for v in vals])
+        nodes += u01.size
+        h = _DE_H0 / 2 ** level
+        cur = h * sums
+        if prev is not None:
+            gaps = np.abs(cur - prev)
+            if np.all(gaps <= tol * h * mass):
+                return cur, prev, nodes
+        prev = cur
+    worst = float(np.max(gaps / np.maximum(h * mass, 1e-300)))
+    raise AccuracyError(
+        f"tanh-sinh radial rule unresolved after {levels} halvings: "
+        f"the last two levels differ by {worst:.2e} of the L1 mass of the worst integrand"
+    )
 
 
 # Half-line Fourier integrals by the double-exponential rule of Ooura & Mori
@@ -277,6 +348,19 @@ def sphere_quadrature(n, order=16):
 # ---------------------------------------------------------------------------
 # Indefinite quadratic forms in hyperbolic polar coordinates
 
+# points of one call of the integrand in SignatureGeometry.profile
+_SIG_BLOCK = 1 << 21
+# Panel edges of the u rule, as distances below the truncation point: width
+# 1/2 across the top 4 units, where the gaussian decay sets in, then each
+# panel half as wide as its distance from the top.  Below the top the
+# integrand is a smooth function of r e^u that only grows or shrinks
+# exponentially, which 12-point Gauss-Legendre panels of that width resolve
+# to rounding; the panel count grows like log log(1/r) as r -> 0, not like
+# log(1/r) as on equal panels.
+_U_EDGES = np.concatenate([np.arange(0.0, 4.0, 0.5), 4.0 * 1.5 ** np.arange(16)])
+# level cap of the tanh-sinh radial rule of integrate_signature
+_SIG_LEVELS = 9
+
 
 class SignatureGeometry:
     """Hyperbolic polar parametrization of one component of
@@ -286,9 +370,9 @@ class SignatureGeometry:
     the component with k cosh-like directions and j = n - k sinh-like
     ones is x = r (cosh u * omega_k, sinh u * omega_j) with
     |x^T I_{k,j} x| = r^2 and |x|^2 = r^2 cosh(2u) exactly.  The measure
-    is r^{n-1} (cosh u)^{k-1} (sinh u)^{j-1} dr du d omega_k d omega_j,
-    with u over (0, inf) in general and over all of R when j = 1 (the
-    one-dimensional sinh block needs no separate sign sum).
+    is r^{n-1} (cosh u)^{k-1} (sinh u)^{j-1} dr du d omega_k d omega_j
+    with u over (0, inf); for j = 1 the sphere S^0 = {+1, -1} covers
+    the negative u.
     """
 
     def __init__(self, B, q, sheet, sphere_order=24):
@@ -317,60 +401,68 @@ class SignatureGeometry:
         if self.k == 0:
             raise DomainError("requested sheet is empty for this signature")
         self.omega_k, self.wk = sphere_quadrature(self.k, order=sphere_order)
-        if self.j >= 2:
+        if self.j >= 1:
             self.omega_j, self.wj = sphere_quadrature(self.j, order=sphere_order)
-        elif self.j == 1:
-            self.omega_j, self.wj = np.array([[1.0]]), np.array([1.0])
         else:
             self.omega_j, self.wj = np.zeros((1, 0)), np.array([1.0])
-        self.full_u_line = self.j == 1
 
-    def _u_nodes(self, r, decay_rate, tail=42.0):
-        """Composite Gauss-Legendre nodes for the u integral, truncated
-        where the gaussian decay of the integrand bounds the tail."""
-        r = max(abs(r), 1e-150)
-        arg = 1.0 + tail / (decay_rate * r * r)
-        umax = 0.5 * math.acosh(arg) + 0.5
-        npanel = max(4, int(math.ceil(umax / 0.5)))
-        u, wu = panel_rule(0.0, umax, npanel, order=12)
-        if self.full_u_line:
-            u = np.concatenate([-u[::-1], u])
-            wu = np.concatenate([wu[::-1], wu])
-        return u, wu
+    def profile(self, g, r, decay_rate, tail=42.0):
+        """(H, points): H(r) = r * F(r) at every radius of the 1D array r,
+        F(r) the full angular integral of g at radius r, so that the
+        component integral is integral of r^{2w + n - 2} H(r) dr times
+        detfac.  The u integral runs on graded Gauss-Legendre panels
+        (_U_EDGES) up to where the gaussian decay of g bounds the tail.
+        Every u-node of every radius goes to g together, in calls of at
+        most about _SIG_BLOCK points; points counts them."""
+        r = np.asarray(r, dtype=float)
+        rr = np.maximum(np.abs(r), 1e-150)
+        umax = 0.5 * np.arccosh(1.0 + tail / (decay_rate * rr * rr)) + 0.5
+        npanel = np.searchsorted(_U_EDGES, umax)
+        owner = np.repeat(np.arange(r.size), npanel)
+        within = np.arange(owner.size) - np.repeat(np.cumsum(npanel) - npanel, npanel)
+        top = umax[owner]
+        dlo, dhi = _U_EDGES[within], np.minimum(_U_EDGES[within + 1], top)
+        half = 0.5 * (dhi - dlo)
+        x, wx = gauss_legendre(12)
+        u = (top - 0.5 * (dlo + dhi))[:, None] + half[:, None] * x
+        cu, su = np.cosh(u).ravel(), np.sinh(u).ravel()
+        ang = cu ** (self.k - 1) * su ** (self.j - 1) * (half[:, None] * wx).ravel()
+        rn = np.repeat(r[owner], x.size)
+        nk, nj = len(self.wk), len(self.wj)
+        wkj = (self.wk[:, None] * self.wj[None, :]).ravel()
+        rows = max(1, _SIG_BLOCK // (nk * nj))
+        rcosh, rsinh = rn * cu, rn * su
+        parts = []
+        for lo in range(0, cu.size, rows):
+            rc, rs = rcosh[lo : lo + rows], rsinh[lo : lo + rows]
+            pts = np.zeros((rc.size, nk, nj, self.n))
+            pts[..., self.cosh_idx] = rc[:, None, None, None] * self.omega_k[None, :, None, :]
+            if self.j > 0:
+                pts[..., self.sinh_idx] = rs[:, None, None, None] * self.omega_j[None, None, :, :]
+            pts *= self.Dscale
+            parts.append(np.asarray(g(pts)).reshape(rc.size, nk * nj) @ wkj)
+        per_node = np.concatenate(parts) * ang
+        F = np.add.reduceat(per_node, np.cumsum(npanel * x.size) - npanel * x.size)
+        return r * F, cu.size * nk * nj
+
+    @staticmethod
+    def radial_cutoff(decay_rate):
+        """Radius past which the gaussian decay of g leaves nothing."""
+        return math.sqrt(45.0 / decay_rate) + 2.0
 
     def angular_profile(self, g, decay_rate):
-        """Return H with H(r) = r * F(r), where F(r) is the full angular
-        integral of g at radius r (so that the component integral is
-        integral of r^{2w + n - 2} H(r) dr times the det factor)."""
-        n, k, j = self.n, self.k, self.j
-
-        def H(r):
-            u, wu = self._u_nodes(r, decay_rate)
-            ang = (np.cosh(u) ** (k - 1)) * (np.sinh(np.abs(u)) ** (j - 1)) * wu
-            # points array of shape (n_u, n_k, n_j, n)
-            cu = np.cosh(u)
-            su = np.sinh(u)
-            pts = np.zeros((len(u), len(self.wk), len(self.wj), n))
-            pts[..., self.cosh_idx] = cu[:, None, None, None] * self.omega_k[None, :, None, :]
-            if j > 0:
-                pts[..., self.sinh_idx] = su[:, None, None, None] * self.omega_j[None, None, :, :]
-            pts *= r
-            pts *= self.Dscale
-            vals = g(pts)
-            w_total = ang[:, None, None] * self.wk[None, :, None] * self.wj[None, None, :]
-            return r * np.sum(vals * w_total)
-
-        return H
+        """The scalar H(r) of profile, one radius per call."""
+        return lambda r: self.profile(g, np.array([float(r)]), decay_rate)[0][0]
 
 
-def radial_power_integral(H, beta, r_max, tol=1e-10, fd_h=1e-3, depth=0, max_depth=6):
-    """Meromorphic continuation of integral_0^inf r^beta H(r) dr for smooth
-    H with H(0) = 0 allowed; beta may be complex with Re beta <= -1, in
-    which case the integral is defined by repeated integration by parts
-    (the derivative of H taken by 4th-order central differences)."""
+def radial_power_integral(H, beta, r_max, tol=1e-10, fd_h=1e-3, depth=0):
+    """integral_0^inf r^beta H(r) dr for smooth H with H(0) = 0 allowed,
+    continued to -2 < Re beta <= -1 by one integration by parts (the
+    derivative of H by 4th-order differences with step fd_h).  This
+    stencil is the reference route of the indefinite zeta integrals."""
     beta = complex(beta)
-    if depth > max_depth:
-        raise DomainError(f"radial continuation depth exceeded {max_depth}")
+    if depth > 1:
+        raise DomainError("the finite-difference continuation takes one step only (Re beta > -2)")
     if abs(beta + 1.0) < 1e-9:
         raise PoleError(f"radial power integral has a pole at beta = -1 (beta = {beta})")
     if beta.real > -1.0:
@@ -393,48 +485,66 @@ def radial_power_integral(H, beta, r_max, tol=1e-10, fd_h=1e-3, depth=0, max_dep
             - 3.0 * H(r + 4 * h)
         ) / (12.0 * h)
 
-    inner = radial_power_integral(Hp, beta + 1.0, r_max, tol=tol, fd_h=fd_h, depth=depth + 1, max_depth=max_depth)
+    inner = radial_power_integral(Hp, beta + 1.0, r_max, tol=tol, fd_h=fd_h, depth=depth + 1)
     return -inner / (beta + 1.0)
 
 
 def integrate_signature(g, B, q, sheet, w=0.0, tol=1e-9, sphere_order=24, decay_rate=None):
     """Integrate |p(m)|^w g(m) over the component of R^n where
-    sign(m^T B m) matches the sheet, for diagonal B of signature (q, n-q).
+    sign(m^T B m) matches the sheet, for diagonal B of signature (q, n-q)
+    and Re w > -1/2 (zeta.zeta_local continues below that with the
+    b-function).
 
     g must be vectorized over arrays of points (last axis = coordinates)
     and carry gaussian decay; decay_rate bounds |g| <= C e^{-rate |x|^2}
     in standardized coordinates (defaults to a conservative estimate).
-    For Re w <= -1/2 the radial integral is continued in w by
-    radial_power_integral.
+    The radial integral of r^(2w + n - 2) H(r) runs on the tanh-sinh rule
+    of the definite zeta engine (_radial_levels, at most _SIG_LEVELS
+    halvings), with H at every node of a level from one
+    SignatureGeometry.profile call.  The result's rule holds the radial
+    node count and the change between the last two levels.
     """
     w = complex(w)
+    if w.real <= -0.5:
+        raise DomainError(f"integrate_signature needs Re w > -1/2, got w = {w}")
     geom = SignatureGeometry(B, q, sheet, sphere_order=sphere_order)
     if decay_rate is None:
         decay_rate = 0.5
-    H, count = _counting(geom.angular_profile(g, decay_rate))
-    r_max = math.sqrt(45.0 / decay_rate) + 2.0
-    beta = 2.0 * w + geom.n - 2.0
-    val = radial_power_integral(H, beta, r_max, tol=tol)
-    val = geom.detfac * val
-    value = val.real if getattr(val, "imag", 0.0) == 0.0 else val
-    return QuadResult(value, tol, count[0])
+    points = 0
+
+    def rows(r):
+        nonlocal points
+        H, n_pts = geom.profile(g, r, decay_rate)
+        points += n_pts
+        return [H]
+
+    cur, prev, nodes = _radial_levels(rows, 2.0 * w + geom.n - 2.0, geom.radial_cutoff(decay_rate), tol, _SIG_LEVELS)
+    gap = geom.detfac * float(abs(cur[0] - prev[0]))
+    val = geom.detfac * complex(cur[0])
+    value = val.real if val.imag == 0.0 else val
+    return QuadResult(value, gap, points, rule={"radial_nodes": nodes, "level_gap": gap})
 
 
 def monte_carlo_signature(g, B, q, sheet, w, nsamples, seed):
     """Monte-Carlo oracle for integrate_signature using a standard
-    gaussian proposal with density exactly e^{-pi |m|^2}.  Returns
-    (estimate, standard_error)."""
+    gaussian proposal with density exactly e^{-pi |m|^2}, for diagonal B
+    (as SignatureGeometry).  Returns (estimate, standard_error)."""
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n = B.shape[0]
+    d = np.diag(B)
+    if not np.allclose(B, np.diag(d)):
+        raise DomainError("the Monte-Carlo oracle needs B in diagonal signature form")
     rng = np.random.default_rng(seed)
     sigma = 1.0 / math.sqrt(2.0 * math.pi)
-    total, total2, kept = 0.0, 0.0, 0
+    total, total2 = 0.0, 0.0
     chunk = 1_000_000
     done = 0
     while done < nsamples:
         k = min(chunk, nsamples - done)
         x = rng.normal(0.0, sigma, size=(k, n))
-        p = np.einsum("ij,jk,ik->i", x, B, x)
+        p = x[:, 0] * d[0] * x[:, 0]
+        for i in range(1, n):
+            p = p + x[:, i] * d[i] * x[:, i]
         mask = p > 0 if sheet == "plus" else p < 0
         vals = np.zeros(k)
         if np.any(mask):

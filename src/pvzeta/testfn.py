@@ -267,10 +267,16 @@ def _fd_partial(phi, alpha, h=1e-3):
 
 
 def _pg_eval(coeffs, a, n):
+    # real coefficients give the same values in real arithmetic, at a
+    # fraction of the cost of complex arithmetic
+    real = all(complex(c).imag == 0.0 for c in coeffs.values())
+    if real:
+        coeffs = {beta: complex(c).real for beta, c in coeffs.items()}
+
     def ev(m):
         m = np.asarray(m, dtype=float)
         r2 = quad.sum_squares(m)
-        out = np.zeros(r2.shape, dtype=complex)
+        out = np.zeros(r2.shape, dtype=float if real else complex)
         for beta, c in coeffs.items():
             mono = np.ones(r2.shape)
             for j, bj in enumerate(beta):
@@ -278,7 +284,7 @@ def _pg_eval(coeffs, a, n):
                     mono = mono * m[..., j] ** bj
             out = out + c * mono
         out = out * np.exp(-a * r2)
-        if np.all(np.abs(out.imag) == 0.0):
+        if not real and np.all(np.abs(out.imag) == 0.0):
             return out.real
         return out
 
@@ -356,7 +362,7 @@ def polygauss(coeffs, a, n, label=None):
                 acc[g] = acc.get(g, 0.0) + scale * v
         return polygauss(acc, b, n, label=f"ft[{conv.value}]({label})")
 
-    return TestFunction(
+    out = TestFunction(
         n,
         _pg_eval(coeffs, a, n),
         ray_fn,
@@ -365,6 +371,25 @@ def polygauss(coeffs, a, n, label=None):
         fourier_fn=fourier_fn,
         deriv_fn=deriv,
     )
+    out.polygauss = (coeffs, a)
+    return out
+
+
+def laplacian_power(phi, weights, N):
+    """L^N phi for L = sum_i weights[i] d_i^2, exactly, as one
+    polynomial-Gaussian TestFunction (weights = 1 / diag(B) gives the
+    dual operator p*(d) of p(m) = m^T B m for diagonal B).  phi must be
+    of the polynomial-Gaussian family."""
+    if getattr(phi, "polygauss", None) is None:
+        raise DomainError(f"L^N phi needs a polynomial-Gaussian test function, got {phi.label}")
+    coeffs, a = phi.polygauss
+    for _ in range(int(N)):
+        acc = {}
+        for axis, wt in enumerate(weights):
+            for beta, c in _pg_diff(_pg_diff(coeffs, a, axis), a, axis).items():
+                acc[beta] = acc.get(beta, 0.0) + wt * c
+        coeffs = {beta: c for beta, c in acc.items() if c != 0.0}
+    return polygauss(coeffs, a, phi.n, label=f"L^{int(N)}({phi.label})")
 
 
 def gaussian(a, n=1):

@@ -11,12 +11,23 @@ with N minimal such that Re s + N > -1 (N <= 6).  For complex s the
 phase r^(i Im s) is built from log r (or log u after a power
 substitution), since r underflows to 0 near the origin.  Local zeta
 integrals Z_i(s, phi) = integral over a component of |p(m)|^s phi(m) dm
-reduce to this radial transform after the polar (definite) or hyperbolic
-(indefinite) factorization, in which |p| is exactly a power of the
-radius.  In the definite case every sphere ray shares one tanh-sinh
-radial rule; zeta_local_reference keeps one adaptive transform per ray
-as the independent route.  In the indefinite case zeta_local hands the
-component to quad.integrate_signature.
+reduce to this radial transform after the polar factorization of a
+definite form, in which |p| is exactly a power of the radius; every
+sphere ray shares one tanh-sinh radial rule, and zeta_local_reference
+keeps one adaptive transform per ray as the independent route.
+
+Indefinite forms are continued by the b-function of p(m) = m^T B m
+(Sato & Shintani, Ann. of Math. 100 (1974); Gel'fand & Shilov,
+Generalized Functions I, ch. III): with p*(d) = d^T B^{-1} d and
+b(s) = 4 (s + 1)(s + n/2), p*(d)|p|^{s+1} = +-b(s)|p|^s on the component
+where +-p > 0, so
+
+    Z_+-(s, phi) = (+-1)^N Z_+-(s + N, p*(d)^N phi) / prod_{j<N} b(s + j),
+
+with N minimal such that Re s + N > -1/2, where quad.integrate_signature
+evaluates the right-hand side.  zeta_local_reference keeps the angular
+profile per radius under adaptive quadrature, continued one step by the
+finite-difference stencil of quad.radial_power_integral.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quad
+from . import quad, testfn
 from .errors import AccuracyError, DomainError, PoleError
 
 POLE_GUARD = 1e-6
@@ -88,15 +99,16 @@ def _continuation(s, pole_guard, order=None):
     return dist, N, -den if N % 2 else den
 
 
-def _head_integrand(integrand, g, expo):
+def _head_integrand(g, expo):
     """r^expo g(r) dr near r = 0 for Re expo < 0, as an integrand in
     u = r^(1 + Re expo): with r = u^p, p = 1 / (1 + Re expo), it is
-    p g(u^p) u^(i p Im expo).  A complex phase is built from log u, as in
-    the definite engine: u^p underflows to 0 at small u once p is large,
-    and 0^expo raises."""
+    p g(u^p) u^(i p Im expo), since r^(Re expo) u^(p - 1) = 1.  The
+    powers are cancelled, not computed, and a complex phase is built from
+    log u, as in the definite engine: u^p underflows to 0 at small u once
+    p is large, and 0^expo raises."""
     p = 1.0 / (1.0 + expo.real)
     if expo.imag == 0.0:
-        return lambda u: integrand(u ** p) * p * u ** (p - 1.0)
+        return lambda u: p * g(u ** p)
     return lambda u: p * g(u ** p) * np.exp(1j * p * expo.imag * np.log(u))
 
 
@@ -120,7 +132,7 @@ def _split_mellin(integrand, g, expo, cut, wavelength, tol):
         head_rule = body_rule = lambda f, lo, hi: quad.integrate_1d(f, lo, hi, tol=tol)
     head_end = min(1.0, cut)
     if expo.real < 0.0:
-        head = head_rule(_head_integrand(integrand, g, expo), 0.0, head_end ** (1.0 + expo.real))
+        head = head_rule(_head_integrand(g, expo), 0.0, head_end ** (1.0 + expo.real))
     else:
         head = head_rule(integrand, 0.0, head_end)
     total, err, neval = complex(head.value), head.error_estimate, head.evaluations
@@ -169,32 +181,10 @@ def mellin(phi, omega, s, tol=1e-11, pole_guard=POLE_GUARD, order=None):
 # ---------------------------------------------------------------------------
 
 
-# Tanh-sinh rule of the definite engine, on abscissae |t| <= _DE_TMAX:
-# the step starts at _DE_H0 and halves, keeping every earlier node, for
-# at most _DE_LEVELS refinements.  At |t| = _DE_TMAX the node sits
-# e^{-pi sinh(_DE_TMAX)} (about 1e-37) of the interval from an end.
+# Level cap of the definite engine on the tanh-sinh rule quad._radial_levels.
 # At tol = 1e-10 Gaussian and Hermite rays settle within 5 halvings, a
 # bump (smooth, not analytic, support edge inside the interval) within 9.
-_DE_H0 = 0.5
-_DE_TMAX = 4.0
 _DE_LEVELS = 9
-_DE_CACHE = {}
-
-
-def _tanh_sinh_level(level):
-    """Nodes and weights on [0, 1] of the tanh-sinh abscissae first used
-    at this level (all of them at level 0, the odd multiples of the step
-    after); the weights leave out the step."""
-    if level not in _DE_CACHE:
-        h = _DE_H0 / 2 ** level
-        k = np.arange(-int(_DE_TMAX / h), int(_DE_TMAX / h) + 1)
-        t = k * h if level == 0 else k[k % 2 == 1] * h
-        x = 0.5 * math.pi * np.sinh(t)
-        # u = (1 + tanh x) / 2, written so that nodes near 0 keep their digits
-        u = 1.0 / (1.0 + np.exp(-2.0 * x))
-        w = 0.25 * math.pi * np.cosh(t) / np.cosh(x) ** 2
-        _DE_CACHE[level] = (u, w)
-    return _DE_CACHE[level]
 
 
 def _check_target(space, component, phi):
@@ -222,39 +212,8 @@ def _definite_engine(space, s, phi, tol, sphere_order, pole_guard):
             return None
         profiles.append(prof if N == 0 else prof.derivative(N))
         cut = max(cut, c)
-    expo = sm + N
-    # r = u^p with p = 1 / (1 + Re expo) turns r^expo dr into p r^(i Im expo) du
-    p = 1.0 / (1.0 + expo.real)
-    span = cut ** (1.0 + expo.real)
-    sums = np.zeros(len(pts), dtype=complex)
-    mass = np.zeros(len(pts))
-    prev, nodes = None, 0
-    for level in range(_DE_LEVELS + 1):
-        u01, w01 = _tanh_sinh_level(level)
-        r = (span * u01) ** p
-        w = span * p * w01
-        if expo.imag != 0.0:
-            # r^(i Im expo) from log r: r itself underflows to 0 at the
-            # end nodes once p is large, and 0^(i y) is nan
-            w = w * np.exp(1j * expo.imag * p * np.log(span * u01))
-        for i, g in enumerate(profiles):
-            vals = np.asarray(g(r))
-            sums[i] += vals @ w
-            mass[i] += np.abs(vals) @ np.abs(w)
-        nodes += len(r)
-        h = _DE_H0 / 2 ** level
-        cur = h * sums
-        if prev is not None:
-            gaps = np.abs(cur - prev)
-            if np.all(gaps <= tol * h * mass):
-                break
-        prev = cur
-    else:
-        worst = float(np.max(gaps / np.maximum(h * mass, 1e-300)))
-        raise AccuracyError(
-            f"tanh-sinh radial rule unresolved after {_DE_LEVELS} halvings: "
-            f"the last two levels differ by {worst:.2e} of the L1 mass on the worst ray"
-        )
+    rows = lambda r: [g(r) for g in profiles]
+    cur, prev, nodes = quad._radial_levels(rows, sm + N, cut, tol, _DE_LEVELS)
     B = space.Bmat
     pom = np.einsum("ij,jk,ik->i", pts, B, pts)
     ps = pom ** s.real if s.imag == 0.0 else pom.astype(complex) ** s
@@ -267,13 +226,17 @@ def _definite_engine(space, s, phi, tol, sphere_order, pole_guard):
 
 def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=16, pole_guard=POLE_GUARD):
     """Z_i(s, phi) = integral over component V_i of |p(m)|^s phi(m) dm,
-    continued in s by radial integration by parts.
+    continued in s by radial integration by parts (scalar and definite
+    kinds) or by the b-function (indefinite kind, see the module
+    docstring; phi must then be polynomial-Gaussian when Re s <= -1/2).
 
     For a definite space all sphere rays share one tanh-sinh radial rule
     (Takahasi & Mori 1974), refined until two levels agree within tol of
     the L1 mass on every ray; zeta_local_reference keeps the adaptive
     rule per ray, and serves oscillatory ray profiles and the inputs the
-    shared rule leaves unresolved at its level cap."""
+    shared rule leaves unresolved at its level cap.  An indefinite
+    component runs on quad.integrate_signature, whose rule the returned
+    value carries, with its level gap divided like the value."""
     s = complex(s)
     _check_target(space, component, phi)
 
@@ -292,31 +255,74 @@ def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=16, pole_guard=
             mv = zeta_local_reference(space, component, s, phi, tol=tol, sphere_order=sphere_order, pole_guard=pole_guard)
         return mv
 
-    # indefinite kind: hyperbolic coordinates, weight r^{2s} exactly
-    if 2.0 * s.real <= -0.5 - MAX_CONTINUATION:
-        raise DomainError("s too deep for radial continuation")
-    beta = 2.0 * s + space.n - 2.0
-    dist = _neg_int_distance(beta) / 2.0
+    # indefinite kind: the b-function moves s to Re s > -1/2, where the
+    # hyperbolic-coordinate rule converges (weight r^{2s} exactly)
+    n = space.n
+    dist = _indefinite_pole_distance(space, s, pole_guard)
+    N = 0
+    while s.real + N <= -0.5:
+        N += 1
+        if N > MAX_CONTINUATION:
+            raise DomainError(f"b-function continuation beyond N = {MAX_CONTINUATION} at s = {s}")
+    den = 1.0
+    for j in range(N):
+        den = den * _b_function(n, s + j)
+    if component == "minus" and N % 2:
+        den = -den
+    g = phi if N == 0 else testfn.laplacian_power(phi, 1.0 / np.diag(space.Bmat), N)
+    res = quad.integrate_signature(
+        g, space.Bmat, space.q, component, w=s + N, tol=tol, decay_rate=_standardized_rate(space, phi)
+    )
+    value = complex(res.value) / den
+    value = value.real if value.imag == 0.0 else value
+    rule = {"radial_nodes": res.rule["radial_nodes"], "level_gap": res.rule["level_gap"] / abs(den)}
+    return MeroValue(value, dist, N, rule=rule)
+
+
+def _b_function(n, s):
+    """b(s) = 4 (s + 1)(s + n/2) of p(m) = m^T B m in n variables:
+    p*(d)|p|^{s+1} = +-b(s)|p|^s on the component where +-p > 0."""
+    return 4.0 * (s + 1.0) * (s + n / 2.0)
+
+
+def _indefinite_pole_distance(space, s, pole_guard):
+    """Distance from s to the poles -1 - k and -n/2 - k (k >= 0) of an
+    indefinite zeta integral, the roots of the shifted b-functions;
+    PoleError within pole_guard."""
+    dist = min(_neg_int_distance(s), _neg_int_distance(s + space.n / 2.0 - 1.0))
     if dist < pole_guard:
         raise PoleError(f"zeta continuation pole near s = {s}")
+    return dist
+
+
+def _standardized_rate(space, phi):
+    """Gaussian decay rate of phi in the standardized coordinates of
+    quad.SignatureGeometry, where |m|^2 >= |x|^2 / max|b_i|."""
     rate = phi.decay.rate if phi.decay.kind == "gaussian" else 0.5
-    # in standardized coordinates |m|^2 >= |x|^2 / max|b_i|
-    rate_std = rate / float(np.max(np.abs(np.diag(space.Bmat))))
-    g = lambda pts: np.asarray(phi(pts))
-    res = quad.integrate_signature(g, space.Bmat, space.q, component, w=s, tol=tol, decay_rate=rate_std)
-    return MeroValue(res.value, dist, _continuation_depth(beta))
+    return rate / float(np.max(np.abs(np.diag(space.Bmat))))
 
 
 def zeta_local_reference(space, component, s, phi, tol=1e-10, sphere_order=16, pole_guard=POLE_GUARD):
-    """zeta_local with one adaptive radial Mellin transform per sphere ray
-    for a definite space, the independent route for checks of the shared
-    rule; other space kinds go to zeta_local."""
+    """zeta_local by independent routes, for checks of the shared rules:
+    one adaptive radial Mellin transform per sphere ray for a definite
+    space, and for an indefinite one the angular profile per radius under
+    adaptive quadrature, continued by at most one finite-difference
+    by-parts step (so Re s > -n/2 only).  The scalar kind goes to
+    zeta_local."""
     s = complex(s)
     _check_target(space, component, phi)
-    if space.kind != "definite":
+    if space.kind == "scalar1d":
         return zeta_local(space, component, s, phi, tol=tol, sphere_order=sphere_order, pole_guard=pole_guard)
     B = space.Bmat
     n = space.n
+    if space.kind == "indefinite":
+        beta = 2.0 * s + n - 2.0
+        dist = _indefinite_pole_distance(space, s, pole_guard)
+        rate = _standardized_rate(space, phi)
+        geom = quad.SignatureGeometry(B, space.q, component)
+        H = geom.angular_profile(lambda pts: np.asarray(phi(pts)), rate)
+        val = geom.detfac * complex(quad.radial_power_integral(H, beta, geom.radial_cutoff(rate), tol=tol))
+        return MeroValue(val.real if val.imag == 0.0 else val, dist, _continuation_depth(beta))
     # |p(r omega)|^s = r^{2s} p(omega)^s: sphere x radial factorization
     pts, wts = quad.sphere_quadrature(n, order=sphere_order)
     total = 0.0 + 0.0j

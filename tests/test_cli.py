@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from pvzeta import cli, heatflow, zeta
+from pvzeta import cli, heatflow, quad, zeta
 from pvzeta.errors import AccuracyError, ConfigError
 
 
@@ -129,6 +129,43 @@ def test_zeta_eval_definite_sides(tmp_path, monkeypatch):
     assert run(args + ["--out", str(out)]) == 2
     row = json.loads(out.read_text())
     assert row["status"] == "fail" and row["rel_residual"] > 1e-7
+
+
+def test_zeta_eval_indefinite_sides(tmp_path, monkeypatch):
+    # complex s on the command line; the b-function route on the left, the
+    # stencil reference on the right
+    args = ["zeta", "--check", "value", "--space", "indefinite:q=1,n=3", "--s=-1.35+0.2j", "--testfn", "gaussian:a=3.14159,n=3"]
+    out = tmp_path / "r.jsonl"
+    assert run(args + ["--out", str(out)]) == 0
+    row = json.loads(out.read_text())
+    assert row["params"]["s"] == {"re": -1.35, "im": 0.2}
+    assert row["status"] == "pass" and row["rel_residual"] < 1e-9
+    assert set(row["extra"]["rule"]) == {"radial_nodes", "level_gap"}
+
+    signature = quad.integrate_signature
+
+    def perturbed(*args, **kwargs):
+        res = signature(*args, **kwargs)
+        res.value *= 1.0 + 1e-6
+        return res
+
+    monkeypatch.setattr(quad, "integrate_signature", perturbed)
+    assert run(args + ["--out", str(out)]) == 2
+
+
+def test_funceq_eq22_complex_s(tmp_path):
+    out = tmp_path / "r.jsonl"
+    assert run(["funceq", "--eq", "22", "--s=1.35+0.2j", "--out", str(out)]) == 0
+    row = json.loads(out.read_text())
+    assert row["tolerance"] == 1e-9 and row["rel_residual"] < 1e-13
+
+
+def test_real_s_text_stays_real():
+    assert cli._s_values("0.5,-1.35") == [0.5, -1.35]
+    assert all(type(v) is float for v in cli._s_values("0.5,-1.35"))
+    assert cli._s_values("-1.35+0.2j,1j") == [complex(-1.35, 0.2), 1j]
+    with pytest.raises(ConfigError):
+        cli._s_values("1+2i")
 
 
 def test_lacunary_wide_spectrum_keeps_calls_small(tmp_path, monkeypatch):

@@ -70,6 +70,18 @@ def test_eq22_two_vector():
     assert rep.passed, rep.extra["component_residuals"]
 
 
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("s", [0.2, 0.4, 1.35 + 0.2j])
+def test_eq22_at_rounding_level(q, s):
+    # both sides on the b-function route: the dual side at s - 3/2 is one
+    # step deep for real s < 1
+    phi = testfn.gaussian(math.pi, n=3)
+    B = np.diag([1.0] * q + [-1.0] * (3 - q))
+    rep = funceq.check_eq22(s, B, phi, CONV, q=q)
+    assert rep.tolerance == 1e-9
+    assert max(rep.extra["component_residuals"]) < 1e-13, rep.extra["component_residuals"]
+
+
 def test_build_s_grid_avoids_poles():
     grid = funceq.build_s_grid([0.5, -1.0, 0.25], pole_guard=1e-3)
     assert all(abs(s + 1.0) > 1e-3 for s in grid)

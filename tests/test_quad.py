@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 import pvzeta
 from pvzeta import quad
@@ -96,12 +97,30 @@ def test_monte_carlo_signature_consistency():
     assert abs(complex(det) - est) < 4.0 * se
 
 
+def test_signature_profile_closed_form():
+    # plus sheet of diag(1, -1, -1), g = e^{-pi |x|^2}: with x = cosh u,
+    # H(r) = r F(r) = sqrt(2) pi e^{pi r^2} erfc(sqrt(2 pi) r); tiny r puts
+    # the truncation point of the graded u panels near u = 70
+    geom = quad.SignatureGeometry(np.diag([1.0, -1.0, -1.0]), 1, "plus")
+    r = np.array([1e-30, 1e-8, 0.01, 0.3, 1.0, 2.0])
+    H, points = geom.profile(lambda pts: np.exp(-np.pi * quad.sum_squares(pts)), r, np.pi)
+    exact = math.sqrt(2.0) * np.pi * np.exp(np.pi * r * r) * scipy.special.erfc(math.sqrt(2.0 * np.pi) * r)
+    assert np.max(np.abs(H - exact) / exact) < 1e-14
+    assert points % (2 * 48) == 0 and points < 2 * 48 * 12 * 16 * r.size
+
+
 def test_monte_carlo_deterministic():
     B = np.diag([1.0, -1.0, -1.0])
     g = lambda pts: np.exp(-np.pi * np.sum(pts * pts, axis=1))
     a = quad.monte_carlo_signature(g, B, 1, "plus", 0.2, 100_000, seed=9)
     b = quad.monte_carlo_signature(g, B, 1, "plus", 0.2, 100_000, seed=9)
     assert a == b
+
+
+def test_monte_carlo_refuses_a_non_diagonal_form():
+    B = np.array([[1.0, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, -1.0]])
+    with pytest.raises(DomainError):
+        quad.monte_carlo_signature(lambda pts: np.ones(len(pts)), B, 1, "plus", 0.2, 1000, seed=1)
 
 
 def test_sphere_quadrature_rejects_bad_dim():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from pvzeta import phspace, special, testfn, zeta
-from pvzeta.errors import AccuracyError, DomainError, PoleError
+from pvzeta import funceq, phspace, quad, special, testfn, zeta
+from pvzeta.errors import AccuracyError, DomainError, PoleError, PVZetaError
 
 
 def gaussian_mellin(s, a):
@@ -42,6 +42,15 @@ def test_mellin_complex_s_near_minus_one(s):
         assert abs(complex(mv.value) - exact) < 1e-10
     else:
         assert abs(complex(mv.value) - exact) < 1e-4 * abs(exact)
+
+
+@pytest.mark.parametrize("s", [-0.995, -0.999])
+def test_mellin_real_s_near_minus_one(s):
+    # the head integrand is p g(u^p): with r^s u^(p - 1) = 1 cancelled, an
+    # underflow of u^p no longer meets 0 to a negative power
+    mv = zeta.mellin(testfn.gaussian(math.pi), [1.0], s)
+    exact = gaussian_mellin(s, math.pi)
+    assert abs(complex(mv.value) - exact) < 1e-13 * abs(exact)
 
 
 def test_mellin_pole_guard():
@@ -181,3 +190,111 @@ def test_reference_delegates_for_other_kinds():
     phi = testfn.gaussian(math.pi)
     sp = phspace.scalar1d()
     assert zeta.zeta_local_reference(sp, "V2", 0.4, phi) == zeta.zeta_local(sp, "V2", 0.4, phi)
+
+
+# ---------------------------------------------------------------------------
+# indefinite forms: the b-function route and the stencil reference
+
+INDEFINITE_B = {1: np.diag([1.0, -1.0, -1.0]), 2: np.diag([1.0, 1.0, -1.0])}
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("s", [-1.35, 0.2, 0.3 + 0.4j])
+def test_b_function_identity_pointwise(q, s):
+    # p*(d)|p|^{s+1} = +-b(s)|p|^s, the left side by 5-point second differences
+    B = INDEFINITE_B[q]
+    rng = np.random.default_rng(q)
+    f = lambda m: np.abs(m @ B @ m).astype(complex) ** (s + 1.0)
+    h = 1e-3
+    for sign in (1.0, -1.0):
+        hits = 0
+        while hits < 4:
+            m = rng.normal(size=3)
+            p = float(m @ B @ m)
+            if sign * p < 0.5:
+                continue
+            hits += 1
+            lap = 0.0
+            for i in range(3):
+                e = np.eye(3)[i] * h
+                d2 = (-f(m + 2 * e) + 16 * f(m + e) - 30 * f(m) + 16 * f(m - e) - f(m - 2 * e)) / (12 * h * h)
+                lap += d2 / B[i, i]
+            rhs = sign * zeta._b_function(3, s) * abs(p) ** complex(s)
+            assert abs(lap - rhs) < 1e-7 * abs(rhs), (q, s, sign, m)
+
+
+def test_laplacian_power_matches_derivative_sums():
+    # L^2 phi with L = sum_i w_i d_i^2, against the exact partial derivatives
+    phi = testfn.hermite_gaussian(2, 1.3, n=3)
+    w = 1.0 / np.diag(INDEFINITE_B[1])
+    L2 = testfn.laplacian_power(phi, w, 2)
+    pts = np.random.default_rng(5).normal(size=(50, 3))
+    ref = np.zeros(50)
+    for i in range(3):
+        for k in range(3):
+            alpha = [0, 0, 0]
+            alpha[i] += 2
+            alpha[k] += 2
+            ref = ref + w[i] * w[k] * phi.derivative(tuple(alpha))(pts)
+    vals = L2(pts)
+    # real coefficients are evaluated in real arithmetic
+    assert vals.dtype == np.float64
+    assert np.max(np.abs(vals - ref)) < 1e-12 * np.max(np.abs(ref))
+    # a complex-coefficient function keeps complex arithmetic
+    chat = testfn.fourier(testfn.hermite_gaussian(1, 1.3, n=3), "angular")
+    Lc = testfn.laplacian_power(chat, w, 1)
+    refc = sum(w[i] * chat.derivative(tuple(2 * (j == i) for j in range(3)))(pts) for i in range(3))
+    assert np.iscomplexobj(Lc(pts)) and np.max(np.abs(Lc(pts) - refc)) < 1e-12 * np.max(np.abs(refc))
+    with pytest.raises(DomainError):
+        testfn.laplacian_power(testfn.bump(0.0, 1.0, n=3), w, 1)
+
+
+@pytest.mark.parametrize("component", ["plus", "minus"])
+@pytest.mark.parametrize("phi", [testfn.gaussian(math.pi, n=3), testfn.hermite_gaussian(2, 1.3, n=3)], ids=["gaussian", "hermite"])
+def test_indefinite_b_function_route_matches_stencil_reference(component, phi):
+    sp = phspace.indefinite(q=1, n=3)
+    fast = zeta.zeta_local(sp, component, -1.35, phi, tol=1e-10)
+    ref = zeta.zeta_local_reference(sp, component, -1.35, phi, tol=1e-11)
+    assert fast.continuation_order == 1 and ref.continuation_order == 1
+    assert fast.pole_distance == pytest.approx(ref.pole_distance) == pytest.approx(0.15)
+    assert set(fast.rule) == {"radial_nodes", "level_gap"} and ref.rule is None
+    err = abs(complex(fast.value) - complex(ref.value)) / abs(complex(ref.value))
+    assert err < 1e-10, err
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_indefinite_depth_two_through_eq22(q):
+    # at s = 2.35 the direct side of Eq22 is Z(-2.35), two b-function steps
+    # deep, where the stencil reference does not reach
+    B, phi = INDEFINITE_B[q], testfn.gaussian(math.pi, n=3)
+    sp = phspace.indefinite(B=B)
+    assert zeta.zeta_local(sp, "plus", -2.35, phi).continuation_order == 2
+    with pytest.raises(DomainError):
+        zeta.zeta_local_reference(sp, "plus", -2.35, phi)
+    rep = funceq.check_eq22(2.35, B, phi, "twopi", q=q)
+    assert max(rep.extra["component_residuals"]) < 1e-13, rep.extra["component_residuals"]
+
+
+@pytest.mark.parametrize("pole", [-1.0, -1.5])
+def test_indefinite_pole_guard(pole):
+    sp, phi = phspace.indefinite(q=1, n=3), testfn.gaussian(math.pi, n=3)
+    for route in (zeta.zeta_local, zeta.zeta_local_reference):
+        with pytest.raises(PoleError):
+            route(sp, "minus", pole + 1e-8, phi)
+    assert zeta.zeta_local(sp, "minus", pole + 1e-3j, phi).pole_distance == pytest.approx(1e-3)
+
+
+def test_signature_rule_level_cap(monkeypatch):
+    monkeypatch.setattr(quad, "_SIG_LEVELS", 1)
+    sp, phi = phspace.indefinite(q=1, n=3), testfn.gaussian(math.pi, n=3)
+    with pytest.raises(AccuracyError):
+        zeta.zeta_local(sp, "plus", 0.2, phi, tol=1e-14)
+    with pytest.raises(DomainError):
+        quad.integrate_signature(lambda pts: np.ones(pts.shape[:-1]), sp.Bmat, 1, "plus", w=-0.5)
+
+
+def test_indefinite_reference_near_minus_one_raises_a_package_error():
+    # the direct branch substitutes r = u^100 there, which underflows to 0
+    sp, phi = phspace.indefinite(q=1, n=3), testfn.gaussian(math.pi, n=3)
+    with pytest.raises(PVZetaError):
+        zeta.zeta_local_reference(sp, "plus", -0.995 + 0.1j, phi)
