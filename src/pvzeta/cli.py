@@ -105,12 +105,14 @@ def _tol_overrides(subcommand):
     return {k: float(v) for k, v in load_config_file(path, normalize=False).items()}
 
 
-def _tol(overrides, check_id, flag_tol, default):
+def _tol(overrides, check_id, flag_tol):
+    """{"tol": value} when --tol or the override file sets a tolerance for
+    check_id, else {}: the library check then keeps its own default."""
     if flag_tol is not None:
-        return float(flag_tol)
+        return {"tol": float(flag_tol)}
     if check_id in overrides:
-        return overrides[check_id]
-    return default
+        return {"tol": overrides[check_id]}
+    return {}
 
 
 def _numbers(text, kind, what):
@@ -168,10 +170,10 @@ def run_zeta(cfg):
     reports = []
     for s in s_list:
         if which == "value":
-            tol = _tol(ov, "zeta-eval", cfg.tol, 1e-8)
+            tol = _tol(ov, "zeta-eval", cfg.tol).get("tol", 1e-8)
             comp = cfg.get("component", space.components[0])
-            # a definite space puts the shared radial rule on the left
-            # and the adaptive rule per ray on the right
+            # the scalar and definite kinds put the shared radial rule on
+            # the left and the adaptive rule per ray on the right
             fast = zeta.zeta_local(space, comp, s, phi, tol=1e-9)
             ref = zeta.zeta_local_reference(space, comp, s, phi, tol=1e-11)
             extra = {"continuation_order": ref.continuation_order, "pole_distance": ref.pole_distance}
@@ -189,10 +191,10 @@ def run_zeta(cfg):
                 )
             )
         elif which == "overlap":
-            reports.append(zeta.check_mellin_overlap(phi, 1.0, s, tol=_tol(ov, "mellin-overlap", cfg.tol, 1e-8)))
+            reports.append(zeta.check_mellin_overlap(phi, 1.0, s, **_tol(ov, "mellin-overlap", cfg.tol)))
         elif which == "residue":
             for k in _ints(cfg.get("k", "1,2,3")):
-                reports.append(zeta.check_mellin_residue(phi, 1.0, k, tol=_tol(ov, "mellin-residue", cfg.tol, 1e-3)))
+                reports.append(zeta.check_mellin_residue(phi, 1.0, k, **_tol(ov, "mellin-residue", cfg.tol)))
         elif which == "montecarlo":
             seed = cfg.require_seed("the Monte-Carlo oracle is randomized")
             comp = cfg.get("component", space.components[0])
@@ -215,24 +217,24 @@ def run_funceq(cfg):
         return reports
     if eq == "12":
         conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis)
-        tol = _tol(ov, "funceq-eq12", cfg.tol, 1e-6)
+        tol = _tol(ov, "funceq-eq12", cfg.tol)
         for s in s_list:
             for phi in phis:
-                reports.append(funceq.check_eq12(s, phi, conv, tol=tol))
+                reports.append(funceq.check_eq12(s, phi, conv, **tol))
     elif eq == "12a":
         B = np.eye(phis[0].n)
         conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis, B=B)
-        tol = _tol(ov, "funceq-eq12a", cfg.tol, 1e-6)
+        tol = _tol(ov, "funceq-eq12a", cfg.tol)
         for s in s_list:
             for phi in phis:
-                reports.append(funceq.check_eq12a(s, B, phi, conv, variant=variant, tol=tol))
+                reports.append(funceq.check_eq12a(s, B, phi, conv, variant=variant, **tol))
     elif eq == "22":
         B = phspace.indefinite(q=q, n=3).Bmat
         conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis, B=B, q=q)
-        tol = _tol(ov, "funceq-eq22", cfg.tol, 1e-9)
+        tol = _tol(ov, "funceq-eq22", cfg.tol)
         for s in s_list:
             for phi in phis:
-                reports.append(funceq.check_eq22(s, B, phi, conv, q=q, tol=tol))
+                reports.append(funceq.check_eq22(s, B, phi, conv, q=q, **tol))
         if mc:
             seed = cfg.require_seed("the Monte-Carlo oracle is randomized")
             space = phspace.indefinite(q=q, n=3)
@@ -254,25 +256,25 @@ def run_homog(cfg):
     which = cfg.get("check", "tplus-int")
     reports = []
     if which == "tplus-int":
-        reports.append(homog.check_tplus_int(tol=_tol(ov, "homog-tplus-int", cfg.tol, 1e-8)))
+        reports.append(homog.check_tplus_int(**_tol(ov, "homog-tplus-int", cfg.tol)))
     elif which == "homogeneity":
-        tol = _tol(ov, "homog-homogeneity", cfg.tol, 1e-8)
+        tol = _tol(ov, "homog-homogeneity", cfg.tol)
         phi = testfn.parse_testfn(cfg.get("testfn", "gaussian:a=3.14159,n=1"))
         degrees = _floats(cfg.get("s", "-0.5,0.3,-1.7"))
         lams = _floats(cfg.get("lam", "0.5,2.0"))
         for s in degrees:
             for lam in lams:
-                reports.append(homog.check_homogeneity(s, phi, lam, tol=tol))
+                reports.append(homog.check_homogeneity(s, phi, lam, **tol))
     elif which == "extension":
-        tol = _tol(ov, "homog-extension-restricts", cfg.tol, 1e-8)
+        tol = _tol(ov, "homog-extension-restricts", cfg.tol)
         phi = testfn.parse_testfn(cfg.get("testfn", "bump:c=3,r=1,n=1"))
-        reports.append(homog.check_extension_restricts(_default_density(), homog.make_cutoff(0.5, 2.0), phi, tol=tol))
+        reports.append(homog.check_extension_restricts(_default_density(), homog.make_cutoff(0.5, 2.0), phi, **tol))
     elif which == "ambiguity":
-        tol = _tol(ov, "homog-ambiguity", cfg.tol, 1e-6)
+        tol = _tol(ov, "homog-ambiguity", cfg.tol)
         specs = cfg.get("testfn", "gaussian:a=0.5,n=1;gaussian:a=1,n=1;gaussian:a=2,n=1;gaussian:a=3.14159,n=1;gaussian:a=4,n=1")
         phis = _testfns(specs)
         reports.append(
-            homog.check_ambiguity(_default_density(), homog.make_cutoff(0.5, 2.0), homog.make_cutoff(1.0, 4.0), phis, tol=tol)
+            homog.check_ambiguity(_default_density(), homog.make_cutoff(0.5, 2.0), homog.make_cutoff(1.0, 4.0), phis, **tol)
         )
     else:
         raise ConfigError(f"unknown homog check {which!r}")
@@ -291,7 +293,7 @@ def run_probe(cfg):
     if what == "symbol-decay":
         reports.append(symbolkern.check_symbol_decay(f, space, m))
     elif what == "scaling":
-        tol = _tol(ov, "symbol-scaling", cfg.tol, 1e-9)
+        tol = _tol(ov, "symbol-scaling", cfg.tol)
         seed = cfg.require_seed("the scaling sweep draws random factors")
         rng = np.random.default_rng(seed)
         count = _number(cfg, "alphas", 50, _ints)
@@ -300,12 +302,12 @@ def run_probe(cfg):
         sweep = []
         for _ in range(count):
             alpha = float(rng.uniform(0.05, 20.0))
-            sweep.append(symbolkern.scaling_check(f, space, [m], [float(rng.uniform(-3.0, 3.0))], alpha, tol=tol))
+            sweep.append(symbolkern.scaling_check(f, space, [m], [float(rng.uniform(-3.0, 3.0))], alpha, **tol))
         rep = worst(sweep)
         rep.params.update(sweep_count=count, seed=seed)
         reports.append(rep)
     elif what == "kernel":
-        tol = _tol(ov, "kernel-vs-heat", cfg.tol, 1e-7)
+        tol = _tol(ov, "kernel-vs-heat", cfg.tol).get("tol", 1e-7)
         pts = [(1.0, 0.5), (0.7, 1.3), (2.0, 0.5), (-1.0, -0.5)]
         rows = []
         for mm, mp in pts:
@@ -344,19 +346,19 @@ def run_heat(cfg):
         reports.append(heatflow.langlands_bounds_check(ts, (0.5, 1.0), variant=variant))
     for t in ts:
         if which == "semigroup":
-            tol = _tol(ov, "heat-semigroup", cfg.tol, 1e-6)
+            tol = _tol(ov, "heat-semigroup", cfg.tol)
             for s in ss:
-                reports.append(heatflow.semigroup_check(t, s, phi, xs, variant=variant, tol=tol))
+                reports.append(heatflow.semigroup_check(t, s, phi, xs, variant=variant, **tol))
         elif which == "generator":
             for x in xs:
                 reports.append(heatflow.generator_check(t, phi, x, variant=variant))
         elif which == "lacunary":
-            tol = _tol(ov, "heat-lacunary", cfg.tol, 1e-7)
-            reports.append(heatflow.lacunary_check(t, variant=variant, tol=tol))
+            tol = _tol(ov, "heat-lacunary", cfg.tol)
+            reports.append(heatflow.lacunary_check(t, variant=variant, **tol))
         elif which == "funceq":
-            tol = _tol(ov, "heat-diagonal-funceq", cfg.tol, 1e-7)
+            tol = _tol(ov, "heat-diagonal-funceq", cfg.tol)
             for s in ss:
-                reports.append(heatflow.diagonal_funceq(t, s, testfn.parse_testfn("gaussian:a=3.14159,n=1"), variant=variant, tol=tol))
+                reports.append(heatflow.diagonal_funceq(t, s, testfn.parse_testfn("gaussian:a=3.14159,n=1"), variant=variant, **tol))
         elif which == "kernel":
             pts = [(x, y) for x in (0.5, 1.0, 2.0) for y in (0.25, 1.0, 3.0)]
             reports.append(heatflow.kernel_identity_check(t, pts, variant=variant))

@@ -122,7 +122,7 @@ def check_eq12(s, phi, convention, tol=1e-6):
 # Eq 12a
 
 
-def check_eq12a(s, B, phi, convention, variant="corrected", n=None, tol=1e-6, sphere_order=16):
+def check_eq12a(s, B, phi, convention, variant="corrected", tol=1e-6, sphere_order=None):
     conv = testfn.FourierConvention.parse(convention) if isinstance(convention, str) else convention
     if variant not in ("printed", "corrected"):
         raise DomainError("variant must be 'printed' or 'corrected'")

@@ -71,14 +71,15 @@ def l1_norm(t, variant="corrected"):
 
 def f_t(t, y, variant="corrected"):
     """f_t(y) = K_t(y)/y on y > 0, else 0."""
-    y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 0
-    ya = np.atleast_1d(y)
-    out = np.zeros(ya.shape)
-    pos = ya > 0.0
-    if np.any(pos):
-        out[pos] = langlands_kernel(t, ya[pos], variant) / ya[pos]
-    return float(out[0]) if scalar else out
+
+    def ev(ya):
+        out = np.zeros(ya.shape)
+        pos = ya > 0.0
+        if np.any(pos):
+            out[pos] = langlands_kernel(t, ya[pos], variant) / ya[pos]
+        return out
+
+    return testfn._evaluate(ev, 1, y)
 
 
 # ---------------------------------------------------------------------------
@@ -95,16 +96,14 @@ class LogTestFunction:
         self.decay = testfn.Decay("other")
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xa = np.atleast_1d(x)
+        return testfn._evaluate(self._eval, 1, x)
+
+    def _eval(self, xa):
         out = np.zeros(xa.shape, dtype=complex)
         pos = xa > 0.0
         if np.any(pos):
             out[pos] = np.asarray(self.profile(np.log(xa[pos])), dtype=complex)
-        if np.all(out.imag == 0.0):
-            out = out.real
-        return out[0] if scalar else out
+        return out.real if np.all(out.imag == 0.0) else out
 
     def omega(self):
         """Omega phi expressed in the same family: (x^2 d_x^2 + x d_x)

@@ -136,7 +136,7 @@ def tplus_profile(s, profile, tol=1e-11):
             tol=tol,
         )
         fact = math.factorial(k - 1)
-        g0 = complex(np.asarray(gk1(0.0), dtype=complex).ravel()[0])
+        g0 = complex(gk1(0.0))
         value = -complex(res.value) / fact + special.harmonic(k - 1) * g0 / fact
         return value.real if value.imag == 0.0 else value
     mv = zeta.mellin_profile(profile, s, tol=tol)
@@ -152,7 +152,10 @@ class HomogFunctional:
     degree and given by a pointwise density, paired by quadrature away
     from 0.  The density takes points of shape (..., n) to values of
     shape (...); for n = 1 a trailing axis of length 1 in the values is
-    accepted."""
+    accepted.  Calling the functional evaluates the density under the
+    contract of testfn._evaluate (on the line a scalar gives a scalar and
+    an array an array of the same shape), and is the only place that
+    shapes the density's values."""
 
     def __init__(self, degree, density, n=1, label="k"):
         self.degree = complex(degree)
@@ -163,7 +166,7 @@ class HomogFunctional:
     def __call__(self, m):
         if self.density is None:
             raise DomainError(f"{self.label} has no pointwise density")
-        return self.density(np.asarray(m, dtype=float))
+        return testfn._evaluate(self.density, self.n, m)
 
     def direct_pair(self, phi, inner=None, outer=None, tol=1e-11, sphere_order=16):
         """Direct integral of density * phi over an annulus containing the
@@ -180,8 +183,7 @@ class HomogFunctional:
             total = 0.0 + 0.0j
             for sgn in (1.0, -1.0):
                 r = quad.integrate_1d(
-                    lambda t, sgn=sgn: complex(np.asarray(self.density(np.array([sgn * t]))).item())
-                    * complex(phi(sgn * t)),
+                    lambda t, sgn=sgn: complex(self(sgn * t)) * complex(phi(sgn * t)),
                     inner,
                     outer,
                     tol=tol,
@@ -192,7 +194,7 @@ class HomogFunctional:
             total = 0.0 + 0.0j
             for om, w in zip(pts, wts):
                 r = quad.integrate_1d(
-                    lambda t, om=om: self.density(t * om) * complex(phi(t * om)) * t ** (n - 1),
+                    lambda t, om=om: self(t * om) * complex(phi(t * om)) * t ** (n - 1),
                     inner,
                     outer,
                     tol=tol,
@@ -311,7 +313,9 @@ def _kdot_rule(k, psi, rays, p_out, p_in):
     total, mass, rows = 0.0 + 0.0j, 0.0, []
     for om, w, dprof, cut in rays:
         r = _rs_rows(dprof, t, cut, p_in)
-        terms = w * outer * np.asarray(k(t[:, None] * om), dtype=complex).reshape(len(t)) * r
+        # the outer nodes of the ray, as points on the line when n = 1
+        pts = t * om[0] if k.n == 1 else t[:, None] * om
+        terms = w * outer * np.asarray(k(pts), dtype=complex) * r
         total += complex(np.sum(terms))
         mass += float(np.sum(np.abs(terms)))
         rows.append(r)

@@ -191,7 +191,7 @@ def aux_symbol_and_kernel(f, space, m, mprime, xi=None):
     atil = complex(np.exp(-1j * sign * xi)) * complex(_hat_scalar_many(f, np.array([sign * xi]))[0])
     u = (m - mprime) / abs(m)
     if f.atilde_closed is not None and sign > 0:
-        Atil = complex(np.asarray(f.atilde_closed(np.array([u]))).ravel()[0])
+        Atil = complex(f.atilde_closed(u))
     else:
         Atil = complex(atilde_numeric(f, sign, np.array([u]))[0])
     K = Atil / abs(m)
@@ -202,7 +202,7 @@ def aux_symbol_and_kernel(f, space, m, mprime, xi=None):
 # Decay probe
 
 
-def decay_probe(f, space, m, xi_dir=None, taus=(5, 10, 25, 50, 100, 200), fd_order=1, h=1e-2):
+def decay_probe(f, space, m, xi_dir=None, taus=(5, 10, 25, 50, 100, 200), h=1e-2):
     """Octave-band log-log slopes of |a_f(m, tau xi_dir)| and of its
     first finite-difference xi-derivative along the ray."""
     m = np.atleast_1d(np.asarray(m, dtype=float))

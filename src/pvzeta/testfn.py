@@ -1,11 +1,16 @@
 """Schwartz test functions with exact derivatives and closed-form transforms.
 
 Built-in families are polynomial-times-Gaussian (closed under derivatives
-and Fourier transforms), Gaussians of a general positive quadratic form,
-and compactly supported bumps.  Every function carries a decay descriptor
-so quadrature routines can truncate tails honestly, and a ray() method
-producing the 1D radial profile r -> phi(r * direction) with derivative
-access, which is what the Mellin continuation machinery consumes.
+and Fourier transforms) and compactly supported bumps (Fourier transform
+by quadrature, on the line only).  Every function carries a decay
+descriptor so quadrature routines can truncate tails honestly, and a
+ray() method producing the 1D radial profile r -> phi(r * direction) with
+derivative access, which is what the Mellin continuation machinery
+consumes.
+
+Every pointwise evaluator of the package follows one contract, written
+down in _evaluate: on the line a scalar gives a scalar and an array an
+array of the same shape; in R^n the last axis holds the coordinates.
 
 Three Fourier conventions are named explicitly and every transform call
 takes one; there is no module default.
@@ -158,7 +163,7 @@ class NumericProfile:
         tol = max(tol, 1e-13)
         r, peak, below = 0.5, 1e-300, 0
         while r < 4096.0:
-            v = abs(complex(np.asarray(self(r), dtype=complex).ravel()[0]))
+            v = abs(complex(self(r)))
             peak = max(peak, v)
             below = below + 1 if v < tol * peak else 0
             if below >= 4:
@@ -172,12 +177,24 @@ class NumericProfile:
 # TestFunction
 
 
-class TestFunction:
-    """A Schwartz-class function on R^n.
+def _evaluate(fn, n, m):
+    """The evaluation contract of every pointwise evaluator, in one place.
 
-    Evaluation is vectorized: for n = 1 any float array is accepted; for
-    n > 1 the last axis indexes coordinates.  ray(direction) returns the
-    profile r -> phi(r * direction) (direction need not be normalized).
+    fn takes points of shape (..., n) (last axis = coordinates) to values
+    of shape (...); on the line a trailing axis of length 1 in its values
+    is accepted too.  For n = 1, m holds points on the line: a scalar
+    gives a scalar and an array an array of the same shape.  For n > 1 the
+    last axis of m holds the coordinates."""
+    m = np.asarray(m, dtype=float)
+    if n > 1:
+        return fn(m)
+    return np.asarray(fn(m.reshape(-1, 1))).reshape(m.shape)[()]
+
+
+class TestFunction:
+    """A Schwartz-class function on R^n, evaluated under the contract of
+    _evaluate.  ray(direction) returns the profile r -> phi(r * direction)
+    (direction need not be normalized).
     """
 
     def __init__(self, n, eval_fn, ray_fn, decay, label, fourier_fn=None, deriv_fn=None):
@@ -190,12 +207,7 @@ class TestFunction:
         self._deriv = deriv_fn
 
     def __call__(self, m):
-        m = np.asarray(m, dtype=float)
-        if self.n == 1:
-            scalar = m.ndim == 0
-            vals = self._eval(np.atleast_1d(m)[..., None])
-            return vals[0] if scalar else vals
-        return self._eval(m)
+        return _evaluate(self._eval, self.n, m)
 
     def ray(self, direction):
         direction = np.atleast_1d(np.asarray(direction, dtype=float))
@@ -251,15 +263,7 @@ def _fd_partial(phi, alpha, h=1e-3):
 
         fun = make(fun)
 
-    def wrapper(m):
-        m = np.asarray(m, dtype=float)
-        if phi.n == 1:
-            scalar = m.ndim == 0
-            vals = fun(np.atleast_1d(m)[..., None])
-            return vals[0] if scalar else vals
-        return fun(m)
-
-    return wrapper
+    return lambda m: _evaluate(fun, phi.n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +340,7 @@ def polygauss(coeffs, a, n, label=None):
             for _ in range(k):
                 cur = _pg_diff(cur, a, axis)
         ev = _pg_eval(cur, a, n)
-
-        def wrapper(m):
-            m = np.asarray(m, dtype=float)
-            if n == 1:
-                scalar = m.ndim == 0
-                vals = ev(np.atleast_1d(m)[..., None])
-                return vals[0] if scalar else vals
-            return ev(m)
-
-        return wrapper
+        return lambda m: _evaluate(ev, n, m)
 
     def fourier_fn(conv):
         c0_fn, b_fn, kappa = _FT_CONST[conv]
@@ -406,46 +401,6 @@ def hermite_gaussian(d, a, n=1):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian of a quadratic form
-
-
-def gaussian_quadform(A, n=None, pref=1.0, label=None):
-    """phi(m) = pref * e^{-m^T A m} for symmetric positive definite A."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = A.shape[0] if n is None else int(n)
-    if A.shape != (n, n) or not np.allclose(A, A.T):
-        raise DomainError("A must be a symmetric n x n matrix")
-    eigs = np.linalg.eigvalsh(A)
-    if eigs[0] <= 0:
-        raise DomainError("A must be positive definite")
-    label = label or f"quadgauss:n={n}"
-    pref = complex(pref)
-
-    def ev(m):
-        m = np.asarray(m, dtype=float)
-        q = np.einsum("...i,ij,...j->...", m, A, m)
-        out = pref * np.exp(-q)
-        return out.real if pref.imag == 0.0 else out
-
-    def ray_fn(direction):
-        a1 = float(direction @ A @ direction)
-        return PolyGauss1D([pref], a1)
-
-    def fourier_fn(conv):
-        c0_fn, b_fn, _ = _FT_CONST[conv]
-        detA = float(np.linalg.det(A))
-        scale = pref * math.pi ** (n / 2.0) / math.sqrt(detA)
-        Ainv = np.linalg.inv(A)
-        if conv is FourierConvention.TWOPI:
-            B = math.pi ** 2 * Ainv
-        else:
-            B = Ainv / 4.0
-        return gaussian_quadform(B, n, pref=scale, label=f"ft[{conv.value}]({label})")
-
-    return TestFunction(n, ev, ray_fn, Decay("gaussian", rate=float(eigs[0])), label, fourier_fn=fourier_fn)
-
-
-# ---------------------------------------------------------------------------
 # Bump
 
 
@@ -466,7 +421,6 @@ def bump(center=0.0, radius=1.0, n=1):
         return out
 
     decay = Decay("compact", radius=radius, shift=float(np.linalg.norm(c)))
-    even = not np.any(c)
 
     def ray_fn(direction):
         dn = float(np.linalg.norm(direction))
@@ -479,26 +433,24 @@ def bump(center=0.0, radius=1.0, n=1):
 
         return NumericProfile(fn, Decay("compact", radius=cut))
 
-    out = TestFunction(n, ev, ray_fn, decay, label)
-    out.even_symmetric = even
-    return out
+    return TestFunction(n, ev, ray_fn, decay, label)
 
 
 # ---------------------------------------------------------------------------
 # Fourier transform (closed form when available, quadrature otherwise)
 
 
-def fourier(phi, convention, tol=1e-8):
+def fourier(phi, convention):
     """Fourier transform of phi under the named convention.
 
-    Returns a TestFunction; closed form for the Gaussian families, a
-    quadrature-backed evaluator otherwise (n = 1 by oscillatory quadrature,
-    n = 2, 3 for radial functions by Hankel/sinc reduction).
+    Returns a TestFunction: the closed form for the polynomial-Gaussian
+    family, otherwise (n = 1 only) the quadrature-backed evaluator of
+    _numeric_fourier.
     """
     convention = FourierConvention(convention) if not isinstance(convention, FourierConvention) else convention
     if phi.has_closed_fourier:
         return phi._fourier(convention)
-    return _numeric_fourier(phi, convention, tol)
+    return _numeric_fourier(phi, convention)
 
 
 _KERNEL_SCALE = {
@@ -507,89 +459,65 @@ _KERNEL_SCALE = {
     FourierConvention.ANGULAR_NORMALIZED: -1.0,
 }
 
+# entries of one block of the phase matrix in _numeric_fourier
+_FT_BLOCK = 1 << 20
 
-def _numeric_fourier(phi, conv, tol):
+
+def _numeric_fourier(phi, conv):
+    """Transform of a compactly supported phi on the line.
+
+    At the angular frequency w = scale * xi of the convention, the
+    integral of phi(m) e^{-i w m} over [-cut, cut] runs on composite
+    Gauss-Legendre with max(4, floor(|w| 2 cut / 10) + 4) panels, a count
+    tied to the total phase.  Each call transforms all its frequencies
+    together: those sharing a panel count share one evaluation of phi,
+    and their phase matrix is taken in blocks of at most _FT_BLOCK
+    entries.  Every frequency is summed on its own row, so its value does
+    not depend on the other frequencies of the call."""
+    if phi.n != 1:
+        raise DomainError(f"numeric Fourier transforms are implemented on the line only, got n = {phi.n}")
     scale = _KERNEL_SCALE[conv]
     cut = phi.decay.cutoff(1e-18)
     if cut <= 0.0:
         raise DomainError("numeric transform needs a decay certificate")
 
-    if phi.n == 1:
-        # Vectorized composite Gauss-Legendre with the panel count tied to
-        # the total phase |scale * xi| * 2 cut keeps every evaluation fast
-        # enough to sit inside a radial Mellin quadrature.  Even functions
-        # have even real transforms, so those evaluations are cached by
-        # |frequency| (the two Mellin rays then share all evaluations).
-        even = bool(getattr(phi, "even_symmetric", False))
-        cache = {}
-
-        def fhat_scalar(xi):
-            w = scale * float(xi)
-            if even:
-                w = abs(w)
-            hit = cache.get(w)
-            if hit is not None:
-                return hit
-            nodes, wts = quad.panel_rule(-cut, cut, max(4, int(abs(w) * 2.0 * cut / 10.0) + 4))
-            vals = np.asarray(phi(nodes))
-            if np.iscomplexobj(vals):
-                res = complex(np.sum(wts * vals * np.exp(-1j * w * nodes)))
-            else:
-                wv = wts * vals
-                res = complex(np.dot(wv, np.cos(w * nodes)), -np.dot(wv, np.sin(w * nodes)))
-            cache[w] = res
-            return res
-    else:
-        if phi.decay.shift != 0.0:
-            raise DomainError("numeric transforms in n > 1 require a radial (centered) function")
-        e1 = np.zeros(phi.n)
-        e1[0] = 1.0
-        prof = phi.ray(e1)
-        from scipy.integrate import quad as _squad
-        from scipy.special import j0 as _j0
-
-        def fhat_scalar(xi):
-            k = abs(scale) * float(np.linalg.norm(xi))
-            if phi.n == 2:
-                integ = lambda r: float(prof(r)) * r * _j0(k * r)
-                pref = 2.0 * math.pi
-            else:
-                def integ(r):
-                    x = k * r
-                    s = math.sin(x) / x if x > 1e-8 else 1.0 - x * x / 6.0
-                    return float(prof(r)) * r * r * s
-
-                pref = 4.0 * math.pi
-            val, _ = _squad(integ, 0.0, cut, limit=200, epsabs=1e-13, epsrel=1e-11)
-            return pref * val
-
-    def ev(m):
-        m = np.asarray(m, dtype=float)
-        pts = m.reshape(-1, phi.n)
-        vals = np.array([fhat_scalar(p if phi.n > 1 else float(p[0])) for p in pts], dtype=complex)
-        if np.all(vals.imag == 0.0):
-            vals = vals.real
-        return vals.reshape(m.shape[:-1])
+    def transform(xi):
+        xi = np.asarray(xi, dtype=float)
+        w = scale * xi.ravel()
+        half_w = 0.5 * w
+        npanel = np.maximum(4, (np.abs(w) * 2.0 * cut / 10.0).astype(int) + 4)
+        out = np.empty(w.shape, dtype=complex)
+        counts, group = np.unique(npanel, return_inverse=True)
+        for g, count in enumerate(counts):
+            idx = np.flatnonzero(group == g)
+            nodes, wts = quad.panel_rule(-cut, cut, int(count))
+            wv = wts * np.asarray(phi(nodes))
+            rows = max(1, _FT_BLOCK // nodes.size)
+            for lo in range(0, idx.size, rows):
+                sel = idx[lo : lo + rows]
+                # cos and sin of the phase w m from t = tan(w m / 2), as
+                # (1 - t^2) / (1 + t^2) and 2 t / (1 + t^2), within 2e-16
+                # of both: numpy's float64 tan is vectorized where its cos
+                # and sin are not (on an AVX-512 x86-64 host, 15 ms per
+                # 2^20 entries against 61 ms for cos and sin)
+                t = np.tan(half_w[sel, None] * nodes)
+                tt = t * t
+                cw = wv / (1.0 + tt)
+                out[sel] = np.sum((1.0 - tt) * cw, axis=-1) - 2j * np.sum(t * cw, axis=-1)
+        if np.all(out.imag == 0.0):
+            out = out.real
+        return out.reshape(xi.shape)[()]
 
     # The transform of a function supported in |m| <= cut oscillates in xi
     # no faster than |scale| * cut radians per unit, hence this wavelength.
     wavelength = 2.0 * math.pi / (abs(scale) * cut)
 
     def ray_fn(direction):
-        dn = float(np.linalg.norm(direction))
-
-        def fn(r):
-            r = np.asarray(r, dtype=float)
-            flat = np.atleast_1d(r).ravel()
-            out = np.array([fhat_scalar(float(x) * direction if phi.n > 1 else float(x) * float(direction[0])) for x in flat], dtype=complex)
-            if np.all(out.imag == 0.0):
-                out = out.real
-            return out.reshape(np.shape(r))
-
-        return NumericProfile(fn, Decay("other"), oscillation=wavelength / dn)
+        d = float(direction[0])
+        return NumericProfile(lambda r: transform(np.asarray(r, dtype=float) * d), Decay("other"), oscillation=wavelength / abs(d))
 
     label = f"ft[{conv.value}]({phi.label})"
-    out = TestFunction(phi.n, ev, ray_fn, Decay("other"), label)
+    out = TestFunction(1, lambda m: transform(m[..., 0]), ray_fn, Decay("other"), label)
     out.oscillation = wavelength
     return out
 

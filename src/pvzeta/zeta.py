@@ -11,10 +11,11 @@ with N minimal such that Re s + N > -1 (N <= 6).  For complex s the
 phase r^(i Im s) is built from log r (or log u after a power
 substitution), since r underflows to 0 near the origin.  Local zeta
 integrals Z_i(s, phi) = integral over a component of |p(m)|^s phi(m) dm
-reduce to this radial transform after the polar factorization of a
-definite form, in which |p| is exactly a power of the radius; every
-sphere ray shares one tanh-sinh radial rule, and zeta_local_reference
-keeps one adaptive transform per ray as the independent route.
+reduce to this radial transform after the polar factorization of the
+scalar kind (one ray) or of a definite form (the sphere rule), in which
+|p| is exactly a power of the radius; every ray shares one tanh-sinh
+radial rule, and zeta_local_reference keeps one adaptive transform per
+ray as the independent route.
 
 Indefinite forms are continued by the b-function of p(m) = m^T B m
 (Sato & Shintani, Ann. of Math. 100 (1974); Gel'fand & Shilov,
@@ -195,15 +196,33 @@ def _check_target(space, component, phi):
         raise DomainError("test function dimension does not match the space")
 
 
-def _definite_engine(space, s, phi, tol, sphere_order, pole_guard):
-    """Z(s, phi) for a definite space: every sphere ray on one shared
-    tanh-sinh rule in u = r^(1 + Re expo) on [0, largest ray cutoff].
-    Returns None when a ray profile is oscillatory (the reference
-    handles those on wavelength-sized panels) or has no finite cutoff."""
-    n = space.n
-    sm = 2.0 * s + n - 1.0
+def _polar(space, component, s, sphere_order):
+    """The polar factorization |p(r omega)|^s dm = r^expo |p(omega)|^s dr
+    d omega of the scalar and definite kinds: (rays omega, their weights,
+    the matrix B with |p(omega)| = omega^T B omega, expo).  The scalar
+    kind has the one ray +-1 of its component and expo = s, a definite
+    space the sphere rule of sphere_order (16 by default) and
+    expo = 2 s + n - 1."""
+    if space.kind == "scalar1d":
+        return np.array([[1.0 if component == "V1" else -1.0]]), np.ones(1), np.eye(1), s
+    pts, wts = quad.sphere_quadrature(space.n, order=16 if sphere_order is None else sphere_order)
+    return pts, wts, space.Bmat, 2.0 * s + space.n - 1.0
+
+
+def _orders(sphere_order):
+    """sphere_order as a keyword of quad.integrate_signature and
+    quad.SignatureGeometry, left out when None so they keep their own."""
+    return {} if sphere_order is None else {"sphere_order": sphere_order}
+
+
+def _radial_engine(space, component, s, phi, tol, sphere_order, pole_guard):
+    """Z(s, phi) for the scalar and definite kinds: every ray of _polar on
+    one shared tanh-sinh rule in u = r^(1 + Re expo) on [0, largest ray
+    cutoff].  Returns None when a ray profile is oscillatory (the
+    reference handles those on wavelength-sized panels) or has no finite
+    cutoff."""
+    pts, wts, B, sm = _polar(space, component, s, sphere_order)
     dist, N, den = _continuation(sm, pole_guard)
-    pts, wts = quad.sphere_quadrature(n, order=sphere_order)
     profiles, cut = [], 0.0
     for om in pts:
         prof = phi.ray(om)
@@ -214,7 +233,6 @@ def _definite_engine(space, s, phi, tol, sphere_order, pole_guard):
         cut = max(cut, c)
     rows = lambda r: [g(r) for g in profiles]
     cur, prev, nodes = quad._radial_levels(rows, sm + N, cut, tol, _DE_LEVELS)
-    B = space.Bmat
     pom = np.einsum("ij,jk,ik->i", pts, B, pts)
     ps = pom ** s.real if s.imag == 0.0 else pom.astype(complex) ** s
     weights = wts * ps / den
@@ -224,29 +242,28 @@ def _definite_engine(space, s, phi, tol, sphere_order, pole_guard):
     return MeroValue(value, dist, N, rule={"radial_nodes": nodes, "level_gap": gap})
 
 
-def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=16, pole_guard=POLE_GUARD):
+def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=None, pole_guard=POLE_GUARD):
     """Z_i(s, phi) = integral over component V_i of |p(m)|^s phi(m) dm,
     continued in s by radial integration by parts (scalar and definite
     kinds) or by the b-function (indefinite kind, see the module
     docstring; phi must then be polynomial-Gaussian when Re s <= -1/2).
 
-    For a definite space all sphere rays share one tanh-sinh radial rule
-    (Takahasi & Mori 1974), refined until two levels agree within tol of
-    the L1 mass on every ray; zeta_local_reference keeps the adaptive
-    rule per ray, and serves oscillatory ray profiles and the inputs the
-    shared rule leaves unresolved at its level cap.  An indefinite
-    component runs on quad.integrate_signature, whose rule the returned
-    value carries, with its level gap divided like the value."""
+    For the scalar and definite kinds all rays (the one ray of a scalar
+    component, the sphere rule of a definite space) share one tanh-sinh
+    radial rule (Takahasi & Mori 1974), refined until two levels agree
+    within tol of the L1 mass on every ray; zeta_local_reference keeps
+    the adaptive rule per ray, and serves oscillatory ray profiles and
+    the inputs the shared rule leaves unresolved at its level cap.  An
+    indefinite component runs on quad.integrate_signature, whose rule the
+    returned value carries, with its level gap divided like the value.
+    sphere_order sets the sphere rule; None takes each engine's own (16
+    for a definite space, 24 in quad.integrate_signature)."""
     s = complex(s)
     _check_target(space, component, phi)
 
-    if space.kind == "scalar1d":
-        omega = 1.0 if component == "V1" else -1.0
-        return mellin(phi, omega, s, tol=tol, pole_guard=pole_guard)
-
-    if space.kind == "definite":
+    if space.kind != "indefinite":
         try:
-            mv = _definite_engine(space, s, phi, tol, sphere_order, pole_guard)
+            mv = _radial_engine(space, component, s, phi, tol, sphere_order, pole_guard)
         except AccuracyError:
             # features narrower than the finest shared step (a small
             # off-centre bump): adaptive subdivision per ray still works
@@ -271,7 +288,7 @@ def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=16, pole_guard=
         den = -den
     g = phi if N == 0 else testfn.laplacian_power(phi, 1.0 / np.diag(space.Bmat), N)
     res = quad.integrate_signature(
-        g, space.Bmat, space.q, component, w=s + N, tol=tol, decay_rate=_standardized_rate(space, phi)
+        g, space.Bmat, space.q, component, w=s + N, tol=tol, decay_rate=_standardized_rate(space, phi), **_orders(sphere_order)
     )
     value = complex(res.value) / den
     value = value.real if value.imag == 0.0 else value
@@ -302,34 +319,29 @@ def _standardized_rate(space, phi):
     return rate / float(np.max(np.abs(np.diag(space.Bmat))))
 
 
-def zeta_local_reference(space, component, s, phi, tol=1e-10, sphere_order=16, pole_guard=POLE_GUARD):
+def zeta_local_reference(space, component, s, phi, tol=1e-10, sphere_order=None, pole_guard=POLE_GUARD):
     """zeta_local by independent routes, for checks of the shared rules:
-    one adaptive radial Mellin transform per sphere ray for a definite
-    space, and for an indefinite one the angular profile per radius under
-    adaptive quadrature, continued by at most one finite-difference
-    by-parts step (so Re s > -n/2 only).  The scalar kind goes to
-    zeta_local."""
+    one adaptive radial Mellin transform per ray of _polar for the scalar
+    and definite kinds, and for an indefinite one the angular profile per
+    radius under adaptive quadrature, continued by at most one
+    finite-difference by-parts step (so Re s > -n/2 only).  sphere_order
+    as in zeta_local."""
     s = complex(s)
     _check_target(space, component, phi)
-    if space.kind == "scalar1d":
-        return zeta_local(space, component, s, phi, tol=tol, sphere_order=sphere_order, pole_guard=pole_guard)
-    B = space.Bmat
-    n = space.n
     if space.kind == "indefinite":
-        beta = 2.0 * s + n - 2.0
+        beta = 2.0 * s + space.n - 2.0
         dist = _indefinite_pole_distance(space, s, pole_guard)
         rate = _standardized_rate(space, phi)
-        geom = quad.SignatureGeometry(B, space.q, component)
+        geom = quad.SignatureGeometry(space.Bmat, space.q, component, **_orders(sphere_order))
         H = geom.angular_profile(lambda pts: np.asarray(phi(pts)), rate)
         val = geom.detfac * complex(quad.radial_power_integral(H, beta, geom.radial_cutoff(rate), tol=tol))
         return MeroValue(val.real if val.imag == 0.0 else val, dist, _continuation_depth(beta))
-    # |p(r omega)|^s = r^{2s} p(omega)^s: sphere x radial factorization
-    pts, wts = quad.sphere_quadrature(n, order=sphere_order)
+    pts, wts, B, sm = _polar(space, component, s, sphere_order)
     total = 0.0 + 0.0j
     dist, order = None, 0
     for om, w in zip(pts, wts):
         pom = float(om @ B @ om)
-        mv = mellin_profile(phi.ray(om), 2.0 * s + n - 1.0, tol=tol, pole_guard=pole_guard)
+        mv = mellin_profile(phi.ray(om), sm, tol=tol, pole_guard=pole_guard)
         total += w * pom ** s * complex(mv.value)
         dist, order = mv.pole_distance, mv.continuation_order
     value = total.real if total.imag == 0.0 else total

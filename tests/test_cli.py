@@ -109,6 +109,27 @@ def test_zeta_eval_report(tmp_path):
     assert row["check"] == "zeta-eval"
 
 
+def test_zeta_eval_scalar_sides(tmp_path, monkeypatch):
+    # the shared radial rule with one ray on the left, the adaptive Mellin
+    # transform on the right
+    out = tmp_path / "r.jsonl"
+    for s in ("0.5", "0.8", "-1.3"):
+        assert run(["zeta", f"--s={s}", "--out", str(out)]) == 0
+        row = json.loads(out.read_text())
+        assert row["rel_residual"] < 1e-14, (s, row["rel_residual"])
+        assert set(row["extra"]["rule"]) == {"radial_nodes", "level_gap"}
+
+    engine = zeta._radial_engine
+
+    def perturbed(*args):
+        mv = engine(*args)
+        mv.value *= 1.0 + 1e-7
+        return mv
+
+    monkeypatch.setattr(zeta, "_radial_engine", perturbed)
+    assert run(["zeta", "--s=0.5", "--out", str(out)]) == 2
+
+
 def test_zeta_eval_definite_sides(tmp_path, monkeypatch):
     args = ["zeta", "--space", "definite:n=2", "--s", "0.6", "--testfn", "gaussian:a=3.14159,n=2"]
     out = tmp_path / "r.jsonl"
@@ -118,14 +139,14 @@ def test_zeta_eval_definite_sides(tmp_path, monkeypatch):
     assert set(row["extra"]["rule"]) == {"radial_nodes", "level_gap"}
 
     # the shared radial rule is on the left side only: perturbing it fails the row
-    engine = zeta._definite_engine
+    engine = zeta._radial_engine
 
     def perturbed(*args):
         mv = engine(*args)
         mv.value *= 1.0 + 1e-6
         return mv
 
-    monkeypatch.setattr(zeta, "_definite_engine", perturbed)
+    monkeypatch.setattr(zeta, "_radial_engine", perturbed)
     assert run(args + ["--out", str(out)]) == 2
     row = json.loads(out.read_text())
     assert row["status"] == "fail" and row["rel_residual"] > 1e-7

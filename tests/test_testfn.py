@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pvzeta import testfn
+from pvzeta import heatflow, homog, quad, testfn
 from pvzeta.errors import ConfigError, DomainError
 
 
@@ -70,8 +70,34 @@ def test_bump_fourier_is_oscillation_tagged():
         lambda: testfn.bump(0.0, 1.0),
         lambda: testfn.fourier(testfn.gaussian(2.0), testfn.FourierConvention.TWOPI),
         lambda: testfn.fourier(testfn.bump(0.0, 1.0), testfn.FourierConvention.TWOPI),
+        lambda: testfn.hermite_gaussian(2, math.pi).derivative(1),
+        lambda: testfn.bump(0.3, 1.0).derivative(2),
+        lambda: testfn.hermite_gaussian(3, 1.0).ray([-0.5]),
+        lambda: testfn.bump(0.3, 1.0).ray([1.0]),
+        lambda: testfn.fourier(testfn.bump(0.3, 1.0), testfn.FourierConvention.ANGULAR).ray([-2.0]),
+        lambda: testfn.fourier(testfn.bump(0.3, 1.0), testfn.FourierConvention.TWOPI).ray([1.0]).derivative(1),
+        lambda: heatflow.log_gaussian(1.0),
+        lambda: (lambda y: heatflow.f_t(0.5, y)),
+        lambda: homog.homog_density(1.0, np.abs, n=1),
+        lambda: homog.homog_density(2.0, lambda x: np.sum(x * x, axis=-1), n=1),
     ],
-    ids=["gaussian", "hermite", "bump", "gaussian-closed-fourier", "bump-numeric-fourier"],
+    ids=[
+        "gaussian",
+        "hermite",
+        "bump",
+        "gaussian-closed-fourier",
+        "bump-numeric-fourier",
+        "exact-derivative",
+        "fd-derivative",
+        "polygauss-ray",
+        "bump-ray",
+        "numeric-fourier-ray",
+        "numeric-fourier-ray-derivative",
+        "log-gaussian",
+        "heat-f_t",
+        "density-trailing-axis",
+        "density",
+    ],
 )
 def test_scalar_in_scalar_out_on_the_line(make):
     phi = make()
@@ -81,6 +107,40 @@ def test_scalar_in_scalar_out_on_the_line(make):
     vals = phi(xs)
     assert np.shape(vals) == (7,)
     assert np.array_equal(vals, [phi(float(x)) for x in xs])
+
+
+@pytest.mark.parametrize("center", [0.0, 0.6], ids=["centred", "off-centre"])
+@pytest.mark.parametrize("conv", list(testfn.FourierConvention), ids=lambda c: c.value)
+def test_numeric_fourier_matches_the_per_frequency_rule(center, conv):
+    # each frequency on its own panel rule, as a sum of phi e^{-i w m}
+    phi = testfn.bump(center, 0.8)
+    cut = phi.decay.cutoff(1e-18)
+    scale = {"twopi": 2.0 * math.pi, "angular": 1.0, "angular-normalized": -1.0}[conv.value]
+    xi = np.concatenate([np.linspace(-250.0, 250.0, 501), [0.0, 1e-9, -3.7, 1800.0]])
+    ref = []
+    for x in xi:
+        w = scale * float(x)
+        nodes, wts = quad.panel_rule(-cut, cut, max(4, int(abs(w) * 2.0 * cut / 10.0) + 4))
+        ref.append(np.sum(wts * phi(nodes) * np.exp(-1j * w * nodes)))
+    ref = np.array(ref)
+    # many panel counts in one call
+    assert len({max(4, int(abs(scale * x) * 2.0 * cut / 10.0) + 4) for x in xi}) > 20
+    phihat = testfn.fourier(phi, conv)
+    vals = phihat(xi)
+    peak = float(np.max(np.abs(ref)))
+    assert np.max(np.abs(vals - ref)) < 1e-14 * peak
+    # off the centre the transform is complex
+    assert (np.max(np.abs(ref.imag)) > 1e-3 * peak) == (center != 0.0)
+    # the same values through a ray and one frequency at a time
+    assert np.array_equal(phihat.ray([1.0])(xi), vals)
+    assert np.array_equal([phihat(float(x)) for x in xi[::25]], vals[::25])
+
+
+def test_numeric_fourier_is_on_the_line_only():
+    with pytest.raises(DomainError):
+        testfn.fourier(testfn.bump(0.0, 1.0, n=2), testfn.FourierConvention.TWOPI)
+    # closed transforms stay available in any dimension
+    assert testfn.fourier(testfn.gaussian(1.0, n=2), testfn.FourierConvention.TWOPI).n == 2
 
 
 def test_numeric_profile_cutoff_scan():

@@ -164,7 +164,7 @@ def test_definite_engine_level_cap(monkeypatch):
     monkeypatch.setattr(zeta, "_DE_LEVELS", 1)
     sp, phi = phspace.definite(n=2), testfn.gaussian(1.0, n=2)
     with pytest.raises(AccuracyError):
-        zeta._definite_engine(sp, complex(0.3), phi, 1e-14, 16, zeta.POLE_GUARD)
+        zeta._radial_engine(sp, "V1", complex(0.3), phi, 1e-14, 16, zeta.POLE_GUARD)
     mv = zeta.zeta_local(sp, "V1", 0.3, phi, tol=1e-14)
     assert mv.rule is None
     assert mv.value == zeta.zeta_local_reference(sp, "V1", 0.3, phi, tol=1e-14).value
@@ -186,10 +186,44 @@ def test_definite_oscillatory_rays_use_the_reference():
     assert mv.value == zeta.zeta_local_reference(sp, "V1", 0.4, phi).value
 
 
-def test_reference_delegates_for_other_kinds():
-    phi = testfn.gaussian(math.pi)
+@pytest.mark.parametrize("component, omega", [("V1", 1.0), ("V2", -1.0)])
+@pytest.mark.parametrize(
+    "phi, s, depth",
+    [
+        (testfn.gaussian(math.pi), 0.5, 0),
+        (testfn.hermite_gaussian(1, 2.0), 0.8 - 0.3j, 0),
+        (testfn.hermite_gaussian(2, 1.3), -1.4 + 0.2j, 1),
+        (testfn.bump(0.4, 1.0), -0.6, 0),
+    ],
+    ids=["gaussian", "hermite-complex-s", "hermite-continued", "bump"],
+)
+def test_scalar_kind_shared_rule_against_adaptive_mellin(phi, s, depth, component, omega):
+    # the scalar kind runs on the shared radial rule with its one ray,
+    # and its reference is the adaptive Mellin transform on that ray
     sp = phspace.scalar1d()
-    assert zeta.zeta_local_reference(sp, "V2", 0.4, phi) == zeta.zeta_local(sp, "V2", 0.4, phi)
+    fast = zeta.zeta_local(sp, component, s, phi)
+    ref = zeta.zeta_local_reference(sp, component, s, phi)
+    mel = zeta.mellin(phi, omega, s, tol=1e-10)
+    assert ref == mel
+    assert fast.rule is not None and fast.continuation_order == depth == ref.continuation_order
+    err = abs(complex(fast.value) - complex(ref.value)) / abs(complex(ref.value))
+    assert err < 1e-12, err
+
+
+def test_indefinite_sphere_order_reaches_both_routes():
+    # phi = m_2^4 e^{-pi |m|^2} has angular structure, so the order matters
+    sp = phspace.indefinite(q=1, n=3)
+    phi = testfn.polygauss({(0, 4, 0): 1.0}, math.pi, 3)
+    rate = zeta._standardized_rate(sp, phi)
+    low = quad.integrate_signature(phi, sp.Bmat, 1, "plus", w=0.2, tol=1e-10, sphere_order=1, decay_rate=rate)
+    default = zeta.zeta_local(sp, "plus", 0.2, phi)
+    fast = zeta.zeta_local(sp, "plus", 0.2, phi, sphere_order=1)
+    assert fast.value == low.value
+    # the order-1 rule overweights the fourth power by 1/3
+    assert fast.value == pytest.approx(4.0 / 3.0 * default.value, rel=1e-9)
+    ref_low = zeta.zeta_local_reference(sp, "plus", 0.2, phi, sphere_order=1)
+    assert ref_low.value == pytest.approx(fast.value, rel=1e-9)
+    assert zeta.zeta_local_reference(sp, "plus", 0.2, phi).value == pytest.approx(default.value, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
