@@ -6,9 +6,11 @@ check id and then by the parameter record, so identical configurations
 produce byte-identical report files.
 
 Exit codes: 0 when every check passes, 2 when any check fails, 1 on a
-configuration or execution error.  A suite runs its entries (the SUITES
-table) one by one: an entry that raises a PVZetaError becomes one row
-with status "error", the other entries still run, and the exit code is 1.
+configuration or execution error.  A configuration error writes no
+report.  A subcommand that raises any other PVZetaError reports one row
+with status "error" instead of its checks; a suite runs its entries (the
+SUITES table) one by one, so there an entry that raises becomes that row
+and the other entries still run.
 """
 
 from __future__ import annotations
@@ -29,15 +31,43 @@ TOL_DIR_ENV = "PVZETA_TOL_DIR"
 
 _FORMATS = ("json-lines", "csv")
 
-# flags accepted by each subcommand (config-file keys must match these)
-_COMMON_KEYS = {"format", "out", "seed", "tol", "config"}
-_SUBCOMMAND_KEYS = {
-    "zeta": {"space", "component", "s", "testfn", "check", "k"},
-    "funceq": {"eq", "s", "testfn", "convention", "variant", "q", "mc_samples"},
-    "homog": {"check", "s", "lam", "testfn"},
-    "probe": {"what", "t", "variant", "m", "alphas"},
-    "heat": {"check", "t", "s", "variant", "x", "dump_profile"},
-    "suite": {"name"},
+# The flags of every subcommand, declared once: they build the parser and
+# are the keys a config file may set.  Each flag defaults to None.
+_COMMON_FLAGS = {
+    "--format": {"choices": _FORMATS}, "--out": {}, "--seed": {"type": int}, "--tol": {"type": float},
+    "--config": {"help": "flat key=value config file"},
+}
+_SUBCOMMANDS = {
+    "zeta": ("zeta integral evaluation and continuation checks", {
+        "--space": {}, "--component": {},
+        "--s": {"help": "comma-separated s values, complex ones as -1.35+0.2j"},
+        "--testfn": {},
+        "--check": {"choices": ("value", "overlap", "residue", "montecarlo")},
+        "--k": {"help": "comma-separated pole orders for --check residue"},
+    }),
+    "funceq": ("functional equation checks", {
+        "--eq": {"choices": ("12", "12a", "22")},
+        "--s": {},
+        "--testfn": {"help": "semicolon-separated test-function specs"},
+        "--convention": {"choices": ("auto", "twopi", "angular", "angular-normalized")},
+        "--variant": {"choices": ("printed", "corrected")}, "--q": {"type": int}, "--mc-samples": {},
+    }),
+    "homog": ("homogeneous distribution checks", {
+        "--check": {"choices": ("homogeneity", "tplus-int", "extension", "ambiguity")},
+        "--s": {"help": "comma-separated degrees"},
+        "--lam": {"help": "comma-separated scale factors"},
+        "--testfn": {},
+    }),
+    "probe": ("symbol and kernel probes", {
+        "--what": {"choices": ("symbol-decay", "scaling", "kernel", "integrability")},
+        "--t": {}, "--variant": {"choices": heatflow.VARIANTS}, "--m": {},
+        "--alphas": {"help": "number of random scale factors"},
+    }),
+    "heat": ("heat semigroup checks", {
+        "--check": {"choices": ("semigroup", "generator", "lacunary", "bounds", "funceq", "kernel")},
+        "--t": {}, "--s": {}, "--x": {}, "--variant": {"choices": heatflow.VARIANTS}, "--dump-profile": {},
+    }),
+    "suite": ("named batch suites", {"name": {"nargs": "?"}}),
 }
 
 
@@ -46,9 +76,10 @@ class RunConfig:
     Unknown keys are rejected with the offending key named."""
 
     def __init__(self, subcommand, params):
-        if subcommand not in _SUBCOMMAND_KEYS:
+        if subcommand not in _SUBCOMMANDS:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
-        allowed = _SUBCOMMAND_KEYS[subcommand] | _COMMON_KEYS
+        # argparse's names: --mc-samples is the key mc_samples
+        allowed = {f.lstrip("-").replace("-", "_") for f in (*_SUBCOMMANDS[subcommand][1], *_COMMON_FLAGS)}
         for key in params:
             if key not in allowed:
                 raise ConfigError(f"unknown config key {key!r} for subcommand {subcommand!r}")
@@ -343,15 +374,17 @@ def run_heat(cfg):
     reports = []
     if which == "bounds" and ts:
         # one call over the whole t grid, so the growth-rate fit sees every t
-        reports.append(heatflow.langlands_bounds_check(ts, (0.5, 1.0), variant=variant))
+        tol = _tol(ov, "heat-langlands-bounds", cfg.tol)
+        reports.append(heatflow.langlands_bounds_check(ts, (0.5, 1.0), variant=variant, **tol))
     for t in ts:
         if which == "semigroup":
             tol = _tol(ov, "heat-semigroup", cfg.tol)
             for s in ss:
                 reports.append(heatflow.semigroup_check(t, s, phi, xs, variant=variant, **tol))
         elif which == "generator":
+            tol = _tol(ov, "heat-generator", cfg.tol)
             for x in xs:
-                reports.append(heatflow.generator_check(t, phi, x, variant=variant))
+                reports.append(heatflow.generator_check(t, phi, x, variant=variant, **tol))
         elif which == "lacunary":
             tol = _tol(ov, "heat-lacunary", cfg.tol)
             reports.append(heatflow.lacunary_check(t, variant=variant, **tol))
@@ -360,8 +393,9 @@ def run_heat(cfg):
             for s in ss:
                 reports.append(heatflow.diagonal_funceq(t, s, testfn.parse_testfn("gaussian:a=3.14159,n=1"), variant=variant, **tol))
         elif which == "kernel":
+            tol = _tol(ov, "heat-kernel-identity", cfg.tol)
             pts = [(x, y) for x in (0.5, 1.0, 2.0) for y in (0.25, 1.0, 3.0)]
-            reports.append(heatflow.kernel_identity_check(t, pts, variant=variant))
+            reports.append(heatflow.kernel_identity_check(t, pts, variant=variant, **tol))
         elif which != "bounds":
             raise ConfigError(f"unknown heat check {which!r}")
     dump = cfg.get("dump_profile")
@@ -454,6 +488,17 @@ SUITES = {
 }
 
 
+def _guarded(check, params, produce, arg):
+    """The reports of produce(arg), or, when it raises a PVZetaError other
+    than a ConfigError, the one error row of check with params."""
+    try:
+        return produce(arg)
+    except ConfigError:
+        raise
+    except PVZetaError as exc:
+        return [CheckReport.error(check, params, exc)]
+
+
 def run_suite(cfg):
     name = cfg.get("name")
     if name not in SUITES:
@@ -462,10 +507,8 @@ def run_suite(cfg):
     reports = []
     for key, spec in SUITES[name]:
         params = {"seed": seed} if callable(spec) else {**spec, "seed": seed}
-        try:
-            reports.extend(spec(seed) if callable(spec) else _RUNNERS[key](RunConfig(key, params)))
-        except PVZetaError as exc:
-            reports.append(CheckReport.error(key, params, exc))
+        produce, arg = (spec, seed) if callable(spec) else (_RUNNERS[key], RunConfig(key, params))
+        reports.extend(_guarded(key, params, produce, arg))
     return reports
 
 
@@ -508,7 +551,10 @@ def emit(reports, fmt, out):
 
 def run(config):
     """Execute a validated RunConfig; returns (exit_status, reports)."""
-    reports = _RUNNERS[config.subcommand](config)
+    key = config.subcommand
+    # an error row keeps the flags that shape the checks, not where they go
+    params = {k: v for k, v in config.params.items() if k not in ("format", "out", "config")}
+    reports = _guarded(key, params, _RUNNERS[key], config)
     reports = emit(reports, config.format, config.out)
     statuses = {r.status for r in reports}
     if "error" in statuses:
@@ -521,61 +567,10 @@ def run(config):
 def _build_parser():
     parser = argparse.ArgumentParser(prog="pvzeta", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=_FORMATS, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--config", default=None, help="flat key=value config file")
-
-    p = sub.add_parser("zeta", help="zeta integral evaluation and continuation checks")
-    p.add_argument("--space", default=None)
-    p.add_argument("--component", default=None)
-    p.add_argument("--s", default=None, help="comma-separated s values, complex ones as -1.35+0.2j")
-    p.add_argument("--testfn", default=None)
-    p.add_argument("--check", choices=("value", "overlap", "residue", "montecarlo"), default=None)
-    p.add_argument("--k", default=None, help="comma-separated pole orders for --check residue")
-    common(p)
-
-    p = sub.add_parser("funceq", help="functional equation checks")
-    p.add_argument("--eq", choices=("12", "12a", "22"), default=None)
-    p.add_argument("--s", default=None)
-    p.add_argument("--testfn", default=None, help="semicolon-separated test-function specs")
-    p.add_argument("--convention", choices=("auto", "twopi", "angular", "angular-normalized"), default=None)
-    p.add_argument("--variant", choices=("printed", "corrected"), default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--mc-samples", dest="mc_samples", default=None)
-    common(p)
-
-    p = sub.add_parser("homog", help="homogeneous distribution checks")
-    p.add_argument("--check", choices=("homogeneity", "tplus-int", "extension", "ambiguity"), default=None)
-    p.add_argument("--s", default=None, help="comma-separated degrees")
-    p.add_argument("--lam", default=None, help="comma-separated scale factors")
-    p.add_argument("--testfn", default=None)
-    common(p)
-
-    p = sub.add_parser("probe", help="symbol and kernel probes")
-    p.add_argument("--what", choices=("symbol-decay", "scaling", "kernel", "integrability"), default=None)
-    p.add_argument("--t", default=None)
-    p.add_argument("--variant", choices=("printed", "corrected"), default=None)
-    p.add_argument("--m", default=None)
-    p.add_argument("--alphas", default=None, help="number of random scale factors")
-    common(p)
-
-    p = sub.add_parser("heat", help="heat semigroup checks")
-    p.add_argument("--check", choices=("semigroup", "generator", "lacunary", "bounds", "funceq", "kernel"), default=None)
-    p.add_argument("--t", default=None)
-    p.add_argument("--s", default=None)
-    p.add_argument("--x", default=None)
-    p.add_argument("--variant", choices=("printed", "corrected"), default=None)
-    p.add_argument("--dump-profile", dest="dump_profile", default=None)
-    common(p)
-
-    p = sub.add_parser("suite", help="named batch suites")
-    p.add_argument("name", nargs="?", default=None)
-    common(p)
-
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kw in (flags | _COMMON_FLAGS).items():
+            p.add_argument(flag, default=None, **kw)
     return parser
 
 
@@ -597,9 +592,6 @@ def main(argv=None):
         return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except PVZetaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -40,20 +40,6 @@ from .report import CheckReport
 _FLOOR = 1e-300
 
 
-def build_s_grid(values, pole_guard=1e-3, extra_poles=()):
-    """Filter an s-grid, dropping points within pole_guard of a
-    nonpositive integer or of any listed extra pole."""
-    out = []
-    for s in values:
-        s = complex(s)
-        k = round(s.real)
-        near_int = k <= 0 and abs(s - k) < pole_guard
-        near_extra = any(abs(s - complex(p)) < pole_guard for p in extra_poles)
-        if not (near_int or near_extra):
-            out.append(s.real if s.imag == 0.0 else s)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Gamma factors
 
@@ -89,15 +75,15 @@ def gamma_factor(eq, s, n=None, B=None, q=None, variant="corrected"):
 # Eq 12
 
 
-def eq12_sides(s, phi, convention, tol=1e-11):
+def eq12_sides(s, phi, convention):
     """(lhs, rhs) of Eq12 without packaging, for reuse by scaled variants."""
     s = complex(s)
     phihat = testfn.fourier(phi, convention)
-    lhs = complex(zeta.mellin(phihat, 1.0, s - 1.0, tol=tol).value) + complex(
-        zeta.mellin(phihat, -1.0, s - 1.0, tol=tol).value
+    lhs = complex(zeta.mellin(phihat, 1.0, s - 1.0).value) + complex(
+        zeta.mellin(phihat, -1.0, s - 1.0).value
     )
-    base = complex(zeta.mellin(phi, 1.0, -s, tol=tol).value) + complex(
-        zeta.mellin(phi, -1.0, -s, tol=tol).value
+    base = complex(zeta.mellin(phi, 1.0, -s).value) + complex(
+        zeta.mellin(phi, -1.0, -s).value
     )
     rhs = special.gamma_factor_1d(s) * base
     return lhs, rhs
@@ -122,7 +108,7 @@ def check_eq12(s, phi, convention, tol=1e-6):
 # Eq 12a
 
 
-def check_eq12a(s, B, phi, convention, variant="corrected", tol=1e-6, sphere_order=None):
+def check_eq12a(s, B, phi, convention, variant="corrected", tol=1e-6):
     conv = testfn.FourierConvention.parse(convention) if isinstance(convention, str) else convention
     if variant not in ("printed", "corrected"):
         raise DomainError("variant must be 'printed' or 'corrected'")
@@ -133,8 +119,8 @@ def check_eq12a(s, B, phi, convention, variant="corrected", tol=1e-6, sphere_ord
     space = phspace.definite(B=B)
     dual = phspace.definite(B=np.linalg.inv(B))
     phihat = testfn.fourier(phi, conv)
-    lhs = complex(zeta.zeta_local(dual, "V1", complex(s) - n / 2.0, phihat, sphere_order=sphere_order).value)
-    base = complex(zeta.zeta_local(space, "V1", -complex(s), phi, sphere_order=sphere_order).value)
+    lhs = complex(zeta.zeta_local(dual, "V1", complex(s) - n / 2.0, phihat).value)
+    base = complex(zeta.zeta_local(space, "V1", -complex(s), phi).value)
     fac = gamma_factor("12a", s, n=n, B=B, variant=variant)
     rhs = fac * base
     return CheckReport(
@@ -158,7 +144,7 @@ def check_eq12a(s, B, phi, convention, variant="corrected", tol=1e-6, sphere_ord
 # Eq 22
 
 
-def eq22_sides(s, B, phi, convention, q=1, tol=1e-10):
+def eq22_sides(s, B, phi, convention, q=1):
     """Returns (lhs_vec, rhs_vec) of the 2-vector equation: lhs over the
     dual components of phihat, rhs = C(s) applied to the direct zeta
     vector of phi."""
@@ -176,13 +162,13 @@ def eq22_sides(s, B, phi, convention, q=1, tol=1e-10):
 
     lhs = np.array(
         [
-            complex(zeta.zeta_local(dual, comp, s - n / 2.0, phihat, tol=tol).value)
+            complex(zeta.zeta_local(dual, comp, s - n / 2.0, phihat).value)
             for comp in ("plus", "minus")
         ]
     )
     direct = np.array(
         [
-            complex(zeta.zeta_local(space, comp, -s, phi, tol=tol).value)
+            complex(zeta.zeta_local(space, comp, -s, phi).value)
             for comp in ("plus", "minus")
         ]
     )
@@ -221,7 +207,7 @@ def check_eq22(s, B, phi, convention, q=1, tol=1e-9):
 # Convention calibration
 
 
-def calibrate_convention(eq, s_samples, phis, B=None, q=1, tol=1e-6):
+def calibrate_convention(eq, s_samples, phis, B=None, q=1):
     """Evaluate the named check under every Fourier convention (and both
     exponent variants for Eq12a); return all residuals and the minimizer.
 
@@ -238,11 +224,11 @@ def calibrate_convention(eq, s_samples, phis, B=None, q=1, tol=1e-6):
                 for phi in phis:
                     try:
                         if str(eq) == "12":
-                            rep = check_eq12(s, phi, conv, tol=tol)
+                            rep = check_eq12(s, phi, conv)
                         elif str(eq) == "12a":
-                            rep = check_eq12a(s, B if B is not None else np.eye(phi.n), phi, conv, variant=variant, tol=tol)
+                            rep = check_eq12a(s, B if B is not None else np.eye(phi.n), phi, conv, variant=variant)
                         elif str(eq) == "22":
-                            rep = check_eq22(s, B if B is not None else np.diag([1.0, -1.0, -1.0]), phi, conv, q=q, tol=tol)
+                            rep = check_eq22(s, B if B is not None else np.diag([1.0, -1.0, -1.0]), phi, conv, q=q)
                         else:
                             raise DomainError(f"unknown equation id {eq!r}")
                     except PoleError:

@@ -134,7 +134,7 @@ def log_gaussian_image(a, t, scale=1.0, variant="corrected"):
 # Semigroup action
 
 
-def apply(t, phi, x, variant="corrected", tol=1e-11):
+def apply(t, phi, x, variant="corrected"):
     """S_t phi(x): c_t integral e^{-r^2/4t} phi(x e^{-r}) dr for x != 0,
     and |K_t|_{L1} phi(0) at x = 0 (the L1 norm inherits the variant)."""
     _check_variant(variant)
@@ -149,7 +149,7 @@ def apply(t, phi, x, variant="corrected", tol=1e-11):
     def integrand(r):
         return np.exp(-r * r / (4.0 * t)) * np.asarray(phi(x * np.exp(-r)))
 
-    res = quad.integrate_1d(integrand, -R, R, tol=tol)
+    res = quad.integrate_1d(integrand, -R, R, tol=1e-11)
     val = c * complex(res.value)
     return val.real if val.imag == 0.0 else val
 
@@ -183,7 +183,7 @@ def semigroup_check(t, s, phi, xs, variant="corrected", tol=1e-6):
     _check_variant(variant)
     xs = [float(x) for x in np.atleast_1d(xs)]
     inner_tol = 1e-11
-    ones = [complex(apply(t + s, phi, x, variant, tol=inner_tol)) for x in xs]
+    ones = [complex(apply(t + s, phi, x, variant)) for x in xs]
     twos = _two_step(t, s, phi, xs, variant, 128)
     gap = np.abs(twos - _two_step(t, s, phi, xs, variant, 64))
     if np.any(gap > inner_tol * np.abs(twos)):
@@ -213,15 +213,16 @@ def semigroup_check(t, s, phi, xs, variant="corrected", tol=1e-6):
     )
 
 
-def generator_check(t, phi, x, hs=(1e-2, 1e-3), variant="corrected", tol=None):
+def generator_check(t, phi, x, variant="corrected", tol=0.2):
     """Central time difference of S_t phi vs S_t(Omega phi) at x; the
-    residual must shrink O(h^2) across the listed step sizes (ratio about
-    100 for a decade in h)."""
+    residual must shrink O(h^2) across the step sizes h = 1e-2, 1e-3
+    (ratio about 100 for a decade in h)."""
     _check_variant(variant)
     if not hasattr(phi, "omega"):
         raise DomainError("generator check needs a test function with exact Omega (log-Gaussian family)")
     omega_phi = phi.omega()
     rhs = complex(apply(t, omega_phi, x, variant))
+    hs = (1e-2, 1e-3)
     resids = []
     for h in hs:
         if not (0.0 < h < t):
@@ -230,7 +231,6 @@ def generator_check(t, phi, x, hs=(1e-2, 1e-3), variant="corrected", tol=None):
         resids.append(abs(lhs - rhs))
     ratio = resids[0] / max(resids[-1], 1e-300)
     expected = (hs[0] / hs[-1]) ** 2
-    tol = tol if tol is not None else 0.2
     return CheckReport(
         check="heat-generator",
         params={"t": t, "x": x, "variant": variant, "testfn": phi.label, "h": list(hs)},
@@ -261,7 +261,7 @@ def fhat_many(t, chis, variant="corrected"):
         # panel width limited by both the e^{i pi u/4t} phase rate and the
         # Gaussian envelope scale sqrt(t)
         width = min(7.5 * t, 3.0 * math.sqrt(t), 2.0)
-        u, w = quad.panel_rule(-U, U, max(8, int(2.0 * U / width) + 8), order=16)
+        u, w = quad.panel_rule(-U, U, max(8, int(2.0 * U / width) + 8))
         amp = prefactor(t, variant) * math.exp(math.pi ** 2 / (16.0 * t))
         base = w * np.exp(-u * u / (4.0 * t)) * np.exp(1j * math.pi * u / (4.0 * t))
         eu = np.exp(u)
@@ -306,17 +306,17 @@ def atilde_numeric(t, ys, variant="corrected"):
     return quad.inverse_fourier(lambda xi: fhat_many(t, xi, variant), np.asarray(ys, dtype=float) - 1.0)
 
 
-def lacunary_check(t, ys=None, variant="corrected", tol=1e-7, support_tol=1e-12):
-    """Dual-path check of Atilde_t: closed form f_t(1-y) against the
-    numerical inverse transform of the symbol, plus the lacunary support
-    property Atilde = 0 for y >= 1.
+def lacunary_check(t, variant="corrected", tol=1e-7):
+    """Dual-path check of Atilde_t on 17 points y in [-1.5, 2.5]: closed
+    form f_t(1-y) against the numerical inverse transform of the symbol,
+    plus the lacunary support property Atilde = 0 for y >= 1.
 
     The 1e-12 support assertion lives on the closed-form path (where the
     vanishing is structural); the numeric path validates the closed form
     at the dual-path tolerance everywhere, including the support gap.  The
     Fourier rule takes the whole spectrum, so the numeric values on y >= 1
     sit at the accuracy of fhat_t (5e-14 at t = 0.1, 1e-15 from t = 0.25)."""
-    ys = np.asarray(ys if ys is not None else np.linspace(-1.5, 2.5, 17), dtype=float)
+    ys, support_tol = np.linspace(-1.5, 2.5, 17), 1e-12
     closed = np.asarray(atilde_closed(t, ys, variant))
     numeric, rule = atilde_numeric(t, ys, variant)
     scale = float(np.max(np.abs(closed))) or 1.0
@@ -375,12 +375,13 @@ def kernel_identity_check(t, pts, variant="corrected", tol=1e-10):
     )
 
 
-def diagonal_funceq(t, zeta_s, phi, variant="corrected", convention="twopi", tol=1e-7):
+def diagonal_funceq(t, zeta_s, phi, variant="corrected", tol=1e-7):
     """Functional equation of the diagonal trace densities
     s_{t,zeta}(x) = c_t |x|^zeta: both sides of the scalar functional
-    equation scaled by the diagonal constant c_t = K_t(1)."""
+    equation (twopi convention) scaled by the diagonal constant
+    c_t = K_t(1)."""
     c = float(langlands_kernel(t, 1.0, variant))
-    lhs, rhs = funceq.eq12_sides(zeta_s, phi, testfn.FourierConvention.parse(convention))
+    lhs, rhs = funceq.eq12_sides(zeta_s, phi, testfn.FourierConvention.TWOPI)
     return CheckReport(
         check="heat-diagonal-funceq",
         params={"t": t, "zeta": complex(zeta_s), "variant": variant, "testfn": phi.label},

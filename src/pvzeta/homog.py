@@ -32,7 +32,7 @@ blocks.  The scaling law R_{-n} phi(t omega) = A(omega) - log(t) phi(0)
 is not used, so the cutoff-ambiguity check compares genuinely different
 integrals.  A rule with twice the panels must agree with it, and at one
 outer node per ray the adaptive tplus_profile must agree as well; either
-disagreement beyond tol raises AccuracyError.  direct_pair, the other
+disagreement beyond 1e-10 raises AccuracyError.  direct_pair, the other
 side of the restriction check, stays on adaptive quadrature.
 """
 
@@ -168,36 +168,36 @@ class HomogFunctional:
             raise DomainError(f"{self.label} has no pointwise density")
         return testfn._evaluate(self.density, self.n, m)
 
-    def direct_pair(self, phi, inner=None, outer=None, tol=1e-11, sphere_order=16):
-        """Direct integral of density * phi over an annulus containing the
-        support of phi (phi must vanish near 0 for this to be the honest
-        pairing at the critical degree)."""
+    def direct_pair(self, phi):
+        """Direct integral of density * phi over the ball |m| <= the support
+        bound of phi (phi must vanish near 0 for this to be the honest
+        pairing at the critical degree), adaptive (tol 1e-11) along the
+        two rays of the line or each ray of the order-16 sphere rule."""
         if self.density is None:
             raise DomainError(f"{self.label} has no pointwise density")
         n = self.n
-        outer = outer if outer is not None else phi.decay.cutoff(1e-16)
+        outer = phi.decay.cutoff(1e-16)
         if not np.isfinite(outer) or outer <= 0.0:
             raise DomainError("direct pairing needs a finite support bound")
-        inner = inner if inner is not None else 0.0
         if n == 1:
             total = 0.0 + 0.0j
             for sgn in (1.0, -1.0):
                 r = quad.integrate_1d(
                     lambda t, sgn=sgn: complex(self(sgn * t)) * complex(phi(sgn * t)),
-                    inner,
+                    0.0,
                     outer,
-                    tol=tol,
+                    tol=1e-11,
                 )
                 total += complex(r.value)
         else:
-            pts, wts = quad.sphere_quadrature(n, order=sphere_order)
+            pts, wts = quad.sphere_quadrature(n)
             total = 0.0 + 0.0j
             for om, w in zip(pts, wts):
                 r = quad.integrate_1d(
                     lambda t, om=om: self(t * om) * complex(phi(t * om)) * t ** (n - 1),
-                    inner,
+                    0.0,
                     outer,
-                    tol=tol,
+                    tol=1e-11,
                 )
                 total += w * complex(r.value)
         return total.real if total.imag == 0.0 else total
@@ -234,8 +234,8 @@ class RadialCutoff:
         m = np.asarray(m, dtype=float)
         return self.eta(np.abs(m) if m.ndim <= 1 else np.linalg.norm(m, axis=-1))
 
-    def log_mass(self, tol=1e-12):
-        res = quad.integrate_1d(lambda t: self.eta(t) / t, self.a, self.b, tol=tol)
+    def log_mass(self):
+        res = quad.integrate_1d(lambda t: self.eta(t) / t, self.a, self.b, tol=1e-12)
         return float(np.real(complex(res.value)))
 
 
@@ -260,11 +260,10 @@ def rs_transform(phi, s, m, tol=1e-11):
     return tplus_profile(complex(s) + phi.n - 1.0, phi.ray(m), tol=tol)
 
 
-# Panel counts of the fixed rules in extend_kdot, each panel of _ORDER
-# Gauss-Legendre nodes: the coarse outer rule on the cutoff annulus and
-# the successive coarse inner rules in u = sqrt(tau); every fine rule
-# doubles both counts of its coarse rule.
-_ORDER = 16
+# Panel counts of the fixed rules in extend_kdot (quad.panel_rule): the
+# coarse outer rule on the cutoff annulus and the successive coarse inner
+# rules in u = sqrt(tau); every fine rule doubles both counts of its
+# coarse rule.
 _OUTER_PANELS = 16
 _INNER_PANELS = (64, 128, 256)
 # points of phi' evaluated at once, which bounds the temporaries
@@ -292,7 +291,7 @@ def _rs_rows(dprof, t, cut, npanel):
     ray profile of omega.  One composite Gauss-Legendre rule in
     u = sqrt(tau) (the softening map of tplus_profile) serves all nodes;
     node t evaluates dprof at its own points t tau, in row blocks."""
-    u, w = quad.panel_rule(0.0, math.sqrt(cut), npanel, _ORDER)
+    u, w = quad.panel_rule(0.0, math.sqrt(cut), npanel)
     tau = u * u
     # -log(tau) dtau = -4 u log(u) du
     c = -4.0 * w * u * np.log(u)
@@ -308,7 +307,7 @@ def _rs_rows(dprof, t, cut, npanel):
 def _kdot_rule(k, psi, rays, p_out, p_in):
     """One composite rule for kdot(phi): value, the L1 mass of its terms,
     the outer nodes and the R_{-n} phi values of each ray at them."""
-    t, wt = quad.panel_rule(psi.a, psi.b, p_out, _ORDER)
+    t, wt = quad.panel_rule(psi.a, psi.b, p_out)
     outer = wt * psi.eta(t) * t ** (k.n - 1)
     total, mass, rows = 0.0 + 0.0j, 0.0, []
     for om, w, dprof, cut in rays:
@@ -322,7 +321,7 @@ def _kdot_rule(k, psi, rays, p_out, p_in):
     return total, mass, t, rows
 
 
-def extend_kdot(k, psi, phi, tol=1e-10, sphere_order=16):
+def extend_kdot(k, psi, phi, sphere_order=16):
     """kdot(phi) = <k, psi * R_{-n} phi>: the extension of a degree -n
     homogeneous density across the origin.  Returns an Extension.
 
@@ -331,11 +330,12 @@ def extend_kdot(k, psi, phi, tol=1e-10, sphere_order=16):
     integral R_{-n} phi(t omega), all on one shared inner rule.  The
     density is evaluated on (N, n) arrays of points.  The coarse rule is
     checked against the fine rule with twice the panels; while they differ
-    by more than tol of the L1 mass of the sum, the inner panel count is
-    doubled, and past the last count AccuracyError is raised.  At one outer
-    node of each ray the fine inner value must also match the adaptive
-    rs_transform within tol of the largest |R_{-n} phi|, or AccuracyError
-    is raised."""
+    by more than tol = 1e-10 of the L1 mass of the sum, the inner panel
+    count is doubled, and past the last count AccuracyError is raised.  At
+    one outer node of each ray the fine inner value must also match the
+    adaptive rs_transform within tol of the largest |R_{-n} phi|, or
+    AccuracyError is raised."""
+    tol = 1e-10
     n = k.n
     if phi.n != n:
         raise DomainError("test function dimension does not match the density")
@@ -371,7 +371,7 @@ def extend_kdot(k, psi, phi, tol=1e-10, sphere_order=16):
                 f"adaptive gives {ref:.15g}"
             )
     value = value.real if value.imag == 0.0 else value
-    return Extension(value, gap, len(t), 2 * p_in * _ORDER)
+    return Extension(value, gap, len(t), 2 * p_in * quad.PANEL_ORDER)
 
 
 # ---------------------------------------------------------------------------

@@ -194,10 +194,11 @@ def sample_group(space, count, seed):
     return out
 
 
-def sample_points(space, count, seed, scale=1.5):
-    """Seeded gaussian sample points in V (for randomized invariance tests)."""
+def sample_points(space, count, seed):
+    """Seeded gaussian sample points in V, standard deviation 1.5 in each
+    coordinate (for randomized invariance tests)."""
     rng = np.random.default_rng(seed)
-    pts = rng.normal(0.0, scale, size=(count, space.n))
+    pts = rng.normal(0.0, 1.5, size=(count, space.n))
     return pts[:, 0] if space.kind == "scalar1d" else pts
 
 

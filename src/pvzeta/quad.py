@@ -138,17 +138,21 @@ def gauss_hermite(order):
     return _GH_CACHE[order]
 
 
-def panel_rule(a, b, npanel, order=16):
+# Gauss-Legendre nodes on each panel of panel_rule and panel_integral
+PANEL_ORDER = 16
+
+
+def panel_rule(a, b, npanel):
     """Nodes and weights of composite Gauss-Legendre on npanel equal
     panels of the finite interval [a, b]."""
-    x, w = gauss_legendre(order)
+    x, w = gauss_legendre(PANEL_ORDER)
     edges = np.linspace(a, b, npanel + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
 
 
-def panel_integral(f, a, b, panel_width=0.5, order=16):
+def panel_integral(f, a, b, panel_width=0.5):
     """Composite Gauss-Legendre integration on fixed panels.
 
     Suited to uniformly oscillatory integrands where adaptive subdivision
@@ -158,14 +162,14 @@ def panel_integral(f, a, b, panel_width=0.5, order=16):
         raise DomainError("panel integration needs finite endpoints")
 
     def run(npanel):
-        nodes, wts = panel_rule(a, b, npanel, order)
+        nodes, wts = panel_rule(a, b, npanel)
         return complex(np.sum(wts * np.asarray(f(nodes), dtype=complex)))
 
     npanel = max(4, int(math.ceil((b - a) / panel_width)))
     v1 = run(npanel)
     v2 = run(2 * npanel)
     value = v2.real if v2.imag == 0.0 else v2
-    return QuadResult(value, abs(v2 - v1), 3 * npanel * order)
+    return QuadResult(value, abs(v2 - v1), 3 * npanel * PANEL_ORDER)
 
 
 # Tanh-sinh rule shared by the radial integrals of both zeta engines, on
@@ -406,17 +410,17 @@ class SignatureGeometry:
         else:
             self.omega_j, self.wj = np.zeros((1, 0)), np.array([1.0])
 
-    def profile(self, g, r, decay_rate, tail=42.0):
+    def profile(self, g, r, decay_rate):
         """(H, points): H(r) = r * F(r) at every radius of the 1D array r,
         F(r) the full angular integral of g at radius r, so that the
         component integral is integral of r^{2w + n - 2} H(r) dr times
         detfac.  The u integral runs on graded Gauss-Legendre panels
-        (_U_EDGES) up to where the gaussian decay of g bounds the tail.
-        Every u-node of every radius goes to g together, in calls of at
-        most about _SIG_BLOCK points; points counts them."""
+        (_U_EDGES) up to where the gaussian decay of g bounds the tail
+        by e^{-42}.  Every u-node of every radius goes to g together, in
+        calls of at most about _SIG_BLOCK points; points counts them."""
         r = np.asarray(r, dtype=float)
         rr = np.maximum(np.abs(r), 1e-150)
-        umax = 0.5 * np.arccosh(1.0 + tail / (decay_rate * rr * rr)) + 0.5
+        umax = 0.5 * np.arccosh(1.0 + 42.0 / (decay_rate * rr * rr)) + 0.5
         npanel = np.searchsorted(_U_EDGES, umax)
         owner = np.repeat(np.arange(r.size), npanel)
         within = np.arange(owner.size) - np.repeat(np.cumsum(npanel) - npanel, npanel)
@@ -455,10 +459,10 @@ class SignatureGeometry:
         return lambda r: self.profile(g, np.array([float(r)]), decay_rate)[0][0]
 
 
-def radial_power_integral(H, beta, r_max, tol=1e-10, fd_h=1e-3, depth=0):
+def radial_power_integral(H, beta, r_max, tol=1e-10, depth=0):
     """integral_0^inf r^beta H(r) dr for smooth H with H(0) = 0 allowed,
     continued to -2 < Re beta <= -1 by one integration by parts (the
-    derivative of H by 4th-order differences with step fd_h).  This
+    derivative of H by 4th-order differences with step 1e-3).  This
     stencil is the reference route of the indefinite zeta integrals."""
     beta = complex(beta)
     if depth > 1:
@@ -469,7 +473,7 @@ def radial_power_integral(H, beta, r_max, tol=1e-10, fd_h=1e-3, depth=0):
         spec = SingularitySpec("left", beta.real) if beta.real < 0.0 else None
         res = integrate_1d(lambda r: r ** beta * H(r), 0.0, r_max, spec=spec, tol=tol)
         return res.value
-    h = fd_h
+    h = 1e-3
 
     def Hp(r):
         # H needs only to be smooth on (0, inf); near 0 a one-sided
@@ -485,7 +489,7 @@ def radial_power_integral(H, beta, r_max, tol=1e-10, fd_h=1e-3, depth=0):
             - 3.0 * H(r + 4 * h)
         ) / (12.0 * h)
 
-    inner = radial_power_integral(Hp, beta + 1.0, r_max, tol=tol, fd_h=fd_h, depth=depth + 1)
+    inner = radial_power_integral(Hp, beta + 1.0, r_max, tol=tol, depth=depth + 1)
     return -inner / (beta + 1.0)
 
 

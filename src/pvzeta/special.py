@@ -40,14 +40,15 @@ def pole_distance(s: complex) -> float:
     return math.hypot(re - k, im)
 
 
-def gamma(s: complex, pole_guard: float = POLE_GUARD) -> complex:
-    """Complex gamma via Lanczos + reflection; PoleError inside the guard band."""
+def gamma(s: complex) -> complex:
+    """Complex gamma via Lanczos + reflection; PoleError within POLE_GUARD
+    of a pole."""
     s = complex(s)
-    if pole_distance(s) < pole_guard:
-        raise PoleError(f"gamma evaluated within {pole_guard} of a pole: s={s}")
+    if pole_distance(s) < POLE_GUARD:
+        raise PoleError(f"gamma evaluated within {POLE_GUARD} of a pole: s={s}")
     if s.real < 0.5:
         # reflection: Gamma(s) Gamma(1-s) = pi / sin(pi s)
-        return math.pi / (cmath.sin(math.pi * s) * gamma(1.0 - s, pole_guard))
+        return math.pi / (cmath.sin(math.pi * s) * gamma(1.0 - s))
     z = s - 1.0
     x = _LANCZOS_C[0]
     for i, c in enumerate(_LANCZOS_C[1:], start=1):

@@ -59,8 +59,9 @@ class GroupFunction:
     def __call__(self, alpha):
         return self.fn(np.asarray(alpha, dtype=float))
 
-    def log_cut(self, tol=1e-18):
-        return math.sqrt(max(-math.log(tol), 1.0) / self.log_decay_rate) + 2.0
+    def log_cut(self):
+        """L with |f(e^r)| below about 1e-18 of C for |r| > L."""
+        return math.sqrt(-math.log(1e-18) / self.log_decay_rate) + 2.0
 
     def _haar_integral(self, weight):
         L = self.log_cut()
@@ -78,13 +79,13 @@ class GroupFunction:
         return self._integral
 
 
-def log_gaussian_group(a, scale=1.0, label=None):
-    """f(alpha) = scale e^{-a (log alpha)^2}: the generic test element."""
+def log_gaussian_group(a):
+    """f(alpha) = e^{-a (log alpha)^2}: the generic test element."""
     if a <= 0:
         raise DomainError("rate must be positive")
     return GroupFunction(
-        fn=lambda al: scale * np.exp(-a * np.log(al) ** 2),
-        label=label or f"loggauss-group:a={a:g}",
+        fn=lambda al: np.exp(-a * np.log(al) ** 2),
+        label=f"loggauss-group:a={a:g}",
         log_decay_rate=a,
     )
 
@@ -202,13 +203,11 @@ def aux_symbol_and_kernel(f, space, m, mprime, xi=None):
 # Decay probe
 
 
-def decay_probe(f, space, m, xi_dir=None, taus=(5, 10, 25, 50, 100, 200), h=1e-2):
-    """Octave-band log-log slopes of |a_f(m, tau xi_dir)| and of its
-    first finite-difference xi-derivative along the ray."""
+def decay_probe(f, space, m):
+    """Octave-band log-log slopes of |a_f(m, tau xi_dir)|, xi_dir = (1, ..., 1),
+    and of its first finite-difference xi-derivative along the ray."""
     m = np.atleast_1d(np.asarray(m, dtype=float))
-    n = space.n
-    xi_dir = np.atleast_1d(np.asarray(xi_dir if xi_dir is not None else np.ones(n), dtype=float))
-    taus = np.asarray(taus, dtype=float)
+    xi_dir, taus, h = np.ones(space.n), np.array([5.0, 10.0, 25.0, 50.0, 100.0, 200.0]), 1e-2
 
     def a_of(tau):
         return symbol(f, space, m, tau * xi_dir)
@@ -230,10 +229,10 @@ def decay_probe(f, space, m, xi_dir=None, taus=(5, 10, 25, 50, 100, 200), h=1e-2
     }
 
 
-def check_symbol_decay(f, space, m, tol_slope=-8.0, by_tau=100.0, taus=(5, 10, 25, 50, 100, 200)):
+def check_symbol_decay(f, space, m, tol_slope=-8.0, by_tau=100.0):
     """Pass iff every octave band at or beyond by_tau has slope below
     tol_slope (super-polynomial decay off the fixed points)."""
-    probe = decay_probe(f, space, m, taus=taus)
+    probe = decay_probe(f, space, m)
     bands = [
         (lo, hi, sl)
         for lo, hi, sl in zip(probe["taus"][:-1], probe["taus"][1:], probe["band_slopes"])
@@ -268,13 +267,14 @@ def _atilde_abs_fn(f):
     return lambda u: np.interp(np.asarray(u, dtype=float), ug, table, left=0.0, right=0.0)
 
 
-def local_integrability_check(f, R=1.0, levels=6, ratio_bound=0.75, m_pts=64, u_pts=512):
-    """Dyadic estimate of the double integral of |K_f| over [-R, R]^2.
+def local_integrability_check(f, levels=6):
+    """Dyadic estimate of the double integral of |K_f| over [-R, R]^2, R = 1.
 
     Level j integrates over 2^{-j} R < |m| <= R; the inner m' integral is
     taken on the grid m' = m (1 - u), where |K_f| d m' = |Atilde(u)| d u,
     so each level is a finite 2D grid sum.  The level increments must
     shrink geometrically for the integral to exist."""
+    R, ratio_bound, m_pts, u_pts = 1.0, 0.75, 64, 512
     zero_probe = float(np.max(np.abs(np.asarray(f.fn(np.array([0.5, 1.0, 2.0]))))))
     if zero_probe == 0.0:
         return CheckReport(

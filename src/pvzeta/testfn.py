@@ -127,11 +127,10 @@ class NumericProfile:
     deeper derivatives raises DomainError rather than returning noise.
     """
 
-    def __init__(self, fn, decay, order=0, h=1e-3, oscillation=None):
+    def __init__(self, fn, decay, order=0, oscillation=None):
         self.fn = fn
         self.decay = decay
         self.order = int(order)
-        self.h = float(h)
         self.oscillation = oscillation
         self._scan_cut = None
 
@@ -140,7 +139,7 @@ class NumericProfile:
         if self.order == 0:
             return self.fn(r)
         offsets, weights = _FD_STENCILS[self.order]
-        h = self.h
+        h = 1e-3
         acc = sum(w * self.fn(r + k * h) for k, w in zip(offsets, weights))
         return acc / h ** self.order
 
@@ -150,7 +149,7 @@ class NumericProfile:
             raise DomainError(
                 f"numeric profiles support derivatives up to order 4, requested {total}"
             )
-        return NumericProfile(self.fn, self.decay, order=total, h=self.h, oscillation=self.oscillation)
+        return NumericProfile(self.fn, self.decay, order=total, oscillation=self.oscillation)
 
     def cutoff(self, tol=1e-14):
         cut = self.decay.cutoff(tol)
@@ -218,17 +217,18 @@ class TestFunction:
         return self._ray(direction)
 
     def derivative(self, alpha):
-        """Partial derivative evaluator for the multi-index alpha
-        (an int for n = 1).  Exact for polynomial-Gaussian families,
-        O(h^2) central differences otherwise."""
+        """Exact partial derivative evaluator for the multi-index alpha
+        (an int for n = 1), for the polynomial-Gaussian family; other
+        functions raise DomainError (their ray profiles keep their own
+        derivative)."""
         if isinstance(alpha, int):
             alpha = (alpha,)
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.n or any(a < 0 for a in alpha):
             raise DomainError(f"bad multi-index {alpha} for dimension {self.n}")
-        if self._deriv is not None:
-            return self._deriv(alpha)
-        return _fd_partial(self, alpha)
+        if self._deriv is None:
+            raise DomainError(f"multi-index derivatives need a polynomial-Gaussian test function, got {self.label}")
+        return self._deriv(alpha)
 
     @property
     def has_closed_fourier(self):
@@ -236,34 +236,6 @@ class TestFunction:
 
     def __repr__(self):
         return f"TestFunction({self.label})"
-
-
-def _fd_partial(phi, alpha, h=1e-3):
-    order = sum(alpha)
-    if order > 4:
-        raise DomainError("finite-difference partial derivatives capped at total order 4")
-
-    fun = phi._eval
-    for axis, k in enumerate(alpha):
-        if k == 0:
-            continue
-        offsets, weights = _FD_STENCILS[k]
-
-        def make(prev, axis=axis, k=k, offsets=offsets, weights=weights):
-            def out(pts):
-                acc = None
-                for off, w in zip(offsets, weights):
-                    q = np.array(pts, dtype=float)
-                    q[..., axis] += off * h
-                    term = w * prev(q)
-                    acc = term if acc is None else acc + term
-                return acc / h ** k
-
-            return out
-
-        fun = make(fun)
-
-    return lambda m: _evaluate(fun, phi.n, m)
 
 
 # ---------------------------------------------------------------------------

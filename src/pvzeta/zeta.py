@@ -7,7 +7,8 @@ integration by parts,
     M_s = (-1)^N / ((s+1) ... (s+N)) integral_0^inf r^{s+N} d^N/dr^N
           [phi(r omega)] dr,
 
-with N minimal such that Re s + N > -1 (N <= 6).  For complex s the
+with N minimal such that Re s + N > -1, plus one when Im s != 0 and
+Re s + N < -0.9 (N <= 6).  For complex s the
 phase r^(i Im s) is built from log r (or log u after a power
 substitution), since r underflows to 0 near the origin.  Local zeta
 integrals Z_i(s, phi) = integral over a component of |p(m)|^s phi(m) dm
@@ -72,23 +73,28 @@ def _neg_int_distance(s):
 
 def _continuation_depth(s):
     """Least N with Re s + N > -1: the integrations by parts that make
-    the radial Mellin integral at s converge."""
+    the radial Mellin integral at s converge; one more when Im s != 0 and
+    Re s + N < -0.9.  There the head's phase u^(i p Im s) in
+    u = r^(1 + Re s + N) has p = 1 / (1 + Re s + N) above 10, up to 1000
+    at Re s + N = -0.999, which adaptive quadrature does not resolve (on
+    a Gaussian ray at s = -0.999 + 0.275i the direct head is off by 6.6e-2
+    relative)."""
     N = 0
-    while s.real + N <= -1.0 + 1e-12:
+    while s.real + N <= -1.0 + 1e-12 or (s.imag != 0.0 and s.real + N < -0.9):
         N += 1
         if N > MAX_CONTINUATION:
             raise DomainError(f"continuation depth beyond N = {MAX_CONTINUATION} at s = {s}")
     return N
 
 
-def _continuation(s, pole_guard, order=None):
+def _continuation(s, order=None):
     """Pole distance, by-parts depth N and divisor (-1)^N prod_{j<=N} (s + j)
     of the radial Mellin transform at s, shared by every Mellin route.
-    Raises PoleError within pole_guard of a pole; order forces a depth
+    Raises PoleError within POLE_GUARD of a pole; order forces a depth
     beyond the minimal one."""
     dist = _neg_int_distance(s)
-    if dist < pole_guard:
-        raise PoleError(f"Mellin transform has a pole within {pole_guard} of s = {s}")
+    if dist < POLE_GUARD:
+        raise PoleError(f"Mellin transform has a pole within {POLE_GUARD} of s = {s}")
     N = _continuation_depth(s)
     if order is not None:
         if order < N or order > MAX_CONTINUATION:
@@ -127,8 +133,8 @@ def _split_mellin(integrand, g, expo, cut, wavelength, tol):
         if not np.isfinite(cut):
             raise DomainError("oscillatory Mellin path needs a finite scanned cutoff")
         # the oscillation only slows down in u, so the wavelength bound stays valid
-        head_rule = lambda f, lo, hi: quad.panel_integral(f, lo, hi, panel_width=min(0.25, wavelength / 4.0), order=16)
-        body_rule = lambda f, lo, hi: quad.panel_integral(f, lo, hi, panel_width=min(1.0, 1.25 * wavelength), order=16)
+        head_rule = lambda f, lo, hi: quad.panel_integral(f, lo, hi, panel_width=min(0.25, wavelength / 4.0))
+        body_rule = lambda f, lo, hi: quad.panel_integral(f, lo, hi, panel_width=min(1.0, 1.25 * wavelength))
     else:
         head_rule = body_rule = lambda f, lo, hi: quad.integrate_1d(f, lo, hi, tol=tol)
     head_end = min(1.0, cut)
@@ -146,13 +152,13 @@ def _split_mellin(integrand, g, expo, cut, wavelength, tol):
     return quad.QuadResult(value, err, neval)
 
 
-def mellin_profile(profile, s, tol=1e-11, pole_guard=POLE_GUARD, order=None):
+def mellin_profile(profile, s, tol=1e-11, order=None):
     """Radial Mellin transform of a 1D profile (see module docstring).
 
     order forces a continuation depth N beyond the minimal one (for
     overlap-consistency checks of the continuation itself)."""
     s = complex(s)
-    dist, N, den = _continuation(s, pole_guard, order)
+    dist, N, den = _continuation(s, order)
     g = profile if N == 0 else profile.derivative(N)
     cut = profile.cutoff(1e-16) if hasattr(profile, "cutoff") else 0.0
     if cut <= 0.0:
@@ -173,10 +179,10 @@ def mellin_profile(profile, s, tol=1e-11, pole_guard=POLE_GUARD, order=None):
     return MeroValue(value, dist, N)
 
 
-def mellin(phi, omega, s, tol=1e-11, pole_guard=POLE_GUARD, order=None):
+def mellin(phi, omega, s, tol=1e-11, order=None):
     """M_s(phi)(omega) for a TestFunction phi and a ray direction omega."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    return mellin_profile(phi.ray(omega), s, tol=tol, pole_guard=pole_guard, order=order)
+    return mellin_profile(phi.ray(omega), s, tol=tol, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +221,14 @@ def _orders(sphere_order):
     return {} if sphere_order is None else {"sphere_order": sphere_order}
 
 
-def _radial_engine(space, component, s, phi, tol, sphere_order, pole_guard):
+def _radial_engine(space, component, s, phi, tol, sphere_order):
     """Z(s, phi) for the scalar and definite kinds: every ray of _polar on
     one shared tanh-sinh rule in u = r^(1 + Re expo) on [0, largest ray
     cutoff].  Returns None when a ray profile is oscillatory (the
     reference handles those on wavelength-sized panels) or has no finite
     cutoff."""
     pts, wts, B, sm = _polar(space, component, s, sphere_order)
-    dist, N, den = _continuation(sm, pole_guard)
+    dist, N, den = _continuation(sm)
     profiles, cut = [], 0.0
     for om in pts:
         prof = phi.ray(om)
@@ -242,7 +248,7 @@ def _radial_engine(space, component, s, phi, tol, sphere_order, pole_guard):
     return MeroValue(value, dist, N, rule={"radial_nodes": nodes, "level_gap": gap})
 
 
-def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=None, pole_guard=POLE_GUARD):
+def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=None):
     """Z_i(s, phi) = integral over component V_i of |p(m)|^s phi(m) dm,
     continued in s by radial integration by parts (scalar and definite
     kinds) or by the b-function (indefinite kind, see the module
@@ -263,19 +269,19 @@ def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=None, pole_guar
 
     if space.kind != "indefinite":
         try:
-            mv = _radial_engine(space, component, s, phi, tol, sphere_order, pole_guard)
+            mv = _radial_engine(space, component, s, phi, tol, sphere_order)
         except AccuracyError:
             # features narrower than the finest shared step (a small
             # off-centre bump): adaptive subdivision per ray still works
             mv = None
         if mv is None:
-            mv = zeta_local_reference(space, component, s, phi, tol=tol, sphere_order=sphere_order, pole_guard=pole_guard)
+            mv = zeta_local_reference(space, component, s, phi, tol=tol, sphere_order=sphere_order)
         return mv
 
     # indefinite kind: the b-function moves s to Re s > -1/2, where the
     # hyperbolic-coordinate rule converges (weight r^{2s} exactly)
     n = space.n
-    dist = _indefinite_pole_distance(space, s, pole_guard)
+    dist = _indefinite_pole_distance(space, s)
     N = 0
     while s.real + N <= -0.5:
         N += 1
@@ -302,12 +308,12 @@ def _b_function(n, s):
     return 4.0 * (s + 1.0) * (s + n / 2.0)
 
 
-def _indefinite_pole_distance(space, s, pole_guard):
+def _indefinite_pole_distance(space, s):
     """Distance from s to the poles -1 - k and -n/2 - k (k >= 0) of an
     indefinite zeta integral, the roots of the shifted b-functions;
-    PoleError within pole_guard."""
+    PoleError within POLE_GUARD."""
     dist = min(_neg_int_distance(s), _neg_int_distance(s + space.n / 2.0 - 1.0))
-    if dist < pole_guard:
+    if dist < POLE_GUARD:
         raise PoleError(f"zeta continuation pole near s = {s}")
     return dist
 
@@ -319,7 +325,7 @@ def _standardized_rate(space, phi):
     return rate / float(np.max(np.abs(np.diag(space.Bmat))))
 
 
-def zeta_local_reference(space, component, s, phi, tol=1e-10, sphere_order=None, pole_guard=POLE_GUARD):
+def zeta_local_reference(space, component, s, phi, tol=1e-10, sphere_order=None):
     """zeta_local by independent routes, for checks of the shared rules:
     one adaptive radial Mellin transform per ray of _polar for the scalar
     and definite kinds, and for an indefinite one the angular profile per
@@ -330,18 +336,19 @@ def zeta_local_reference(space, component, s, phi, tol=1e-10, sphere_order=None,
     _check_target(space, component, phi)
     if space.kind == "indefinite":
         beta = 2.0 * s + space.n - 2.0
-        dist = _indefinite_pole_distance(space, s, pole_guard)
+        dist = _indefinite_pole_distance(space, s)
         rate = _standardized_rate(space, phi)
         geom = quad.SignatureGeometry(space.Bmat, space.q, component, **_orders(sphere_order))
         H = geom.angular_profile(lambda pts: np.asarray(phi(pts)), rate)
         val = geom.detfac * complex(quad.radial_power_integral(H, beta, geom.radial_cutoff(rate), tol=tol))
-        return MeroValue(val.real if val.imag == 0.0 else val, dist, _continuation_depth(beta))
+        # the stencil's by-parts steps: none while Re beta > -1, else one
+        return MeroValue(val.real if val.imag == 0.0 else val, dist, int(beta.real <= -1.0))
     pts, wts, B, sm = _polar(space, component, s, sphere_order)
     total = 0.0 + 0.0j
     dist, order = None, 0
     for om, w in zip(pts, wts):
         pom = float(om @ B @ om)
-        mv = mellin_profile(phi.ray(om), sm, tol=tol, pole_guard=pole_guard)
+        mv = mellin_profile(phi.ray(om), sm, tol=tol)
         total += w * pom ** s * complex(mv.value)
         dist, order = mv.pole_distance, mv.continuation_order
     value = total.real if total.imag == 0.0 else total
@@ -368,9 +375,9 @@ def check_mellin_overlap(phi, omega, s, order=2, tol=1e-8):
     )
 
 
-def check_mellin_residue(phi, omega, k, eps=1e-4, tol=1e-3):
+def check_mellin_residue(phi, omega, k, tol=1e-3):
     """The continued transform has a simple pole at s = -k with residue
-    phi^{(k-1)}(0) / (k-1)!; approach the pole along s = -k + eps."""
+    phi^{(k-1)}(0) / (k-1)!; approach the pole along s = -k + 1e-4."""
     from .report import CheckReport
 
     if k < 1 or k != int(k):
@@ -378,6 +385,7 @@ def check_mellin_residue(phi, omega, k, eps=1e-4, tol=1e-3):
     k = int(k)
     prof = phi.ray(np.atleast_1d(np.asarray(omega, dtype=float)))
     # depth k makes the integrand r^eps phi^{(k)}(r), mild at r = 0
+    eps = 1e-4
     approx = eps * complex(mellin_profile(prof, -k + eps, order=k).value)
     g = prof if k == 1 else prof.derivative(k - 1)
     expected = complex(g(0.0)) / math.factorial(k - 1)
@@ -394,10 +402,10 @@ def check_mellin_residue(phi, omega, k, eps=1e-4, tol=1e-3):
     )
 
 
-def check_zeta_montecarlo(space, component, s, phi, nsamples, seed, nsigma=3.0, tol=1e-10):
+def check_zeta_montecarlo(space, component, s, phi, nsamples, seed):
     """Validate the hyperbolic-coordinate zeta integral against a seeded
     Cartesian Monte-Carlo estimate; pass iff the quadrature value sits
-    within nsigma standard errors of the estimate."""
+    within nsigma = 3 standard errors of the estimate."""
     from .report import CheckReport
 
     if space.kind != "indefinite":
@@ -405,10 +413,11 @@ def check_zeta_montecarlo(space, component, s, phi, nsamples, seed, nsigma=3.0, 
     s = complex(s)
     if s.imag != 0.0:
         raise DomainError("the Monte-Carlo oracle needs real s")
-    mv = zeta_local(space, component, s, phi, tol=tol)
+    mv = zeta_local(space, component, s, phi)
     g = lambda pts: np.real(np.asarray(phi(pts)))
     est, se = quad.monte_carlo_signature(g, space.Bmat, space.q, component, s.real, int(nsamples), seed)
     lhs = complex(mv.value)
+    nsigma = 3.0
     band = nsigma * se
     return CheckReport(
         check="zeta-montecarlo",
@@ -419,7 +428,7 @@ def check_zeta_montecarlo(space, component, s, phi, nsamples, seed, nsigma=3.0, 
             "testfn": phi.label,
             "nsamples": int(nsamples),
             "seed": int(seed),
-            "nsigma": float(nsigma),
+            "nsigma": nsigma,
         },
         lhs=lhs,
         rhs=complex(est),

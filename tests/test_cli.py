@@ -238,6 +238,55 @@ def test_unparsable_numbers_are_config_errors(tmp_path, capsys, flag):
     out = tmp_path / "r.jsonl"
     assert run([*argv, "--out", str(out)]) == 1
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_keys_are_the_declared_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"check=kernel\nt=0.1\ndump-profile={tmp_path / 'p.csv'}\n")
+    assert run(["heat", "--config", str(cfg), "--out", str(tmp_path / "r.jsonl")]) == 0
+    assert (tmp_path / "p.csv").exists()
+    # a flag of another subcommand is an unknown key here
+    cfg.write_text("check=kernel\nmc-samples=3\n")
+    assert run(["heat", "--config", str(cfg)]) == 1
+    assert "unknown config key 'mc_samples' for subcommand 'heat'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "tol-dir"])
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (["--check", "generator", "--t", "0.5", "--x", "1.0"], "heat-generator"),
+        (["--check", "kernel", "--t", "0.1"], "heat-kernel-identity"),
+        (["--check", "bounds", "--t", "0.25,1.0"], "heat-langlands-bounds"),
+    ],
+    ids=["generator", "kernel", "bounds"],
+)
+def test_tolerance_reaches_every_heat_check(tmp_path, monkeypatch, argv, check, source):
+    if source == "flag":
+        argv = [*argv, "--tol", "1e-300"]
+    else:
+        (tmp_path / "heat.tol").write_text(f"{check}=1e-300\n")
+        monkeypatch.setenv(cli.TOL_DIR_ENV, str(tmp_path))
+    out = tmp_path / "r.jsonl"
+    status = run(["heat", *argv, "--out", str(out)])
+    row = json.loads(out.read_text())
+    assert row["check"] == check and row["tolerance"] == 1e-300
+    assert status == (0 if row["status"] == "pass" else 2)
+
+
+def test_subcommand_error_writes_the_error_row(tmp_path, monkeypatch):
+    def unresolved(*args, **kwargs):
+        raise AccuracyError("forced for the test")
+
+    monkeypatch.setattr(heatflow, "lacunary_check", unresolved)
+    out = tmp_path / "r.jsonl"
+    assert run(["heat", "--check", "lacunary", "--t", "0.1", "--out", str(out)]) == 1
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    assert len(rows) == 1 and rows[0]["status"] == "error"
+    # the row a suite entry gets, keyed by the run's own flags
+    assert rows[0]["check"] == "heat" and rows[0]["params"] == {"check": "lacunary", "t": "0.1"}
+    assert rows[0]["extra"]["error"] == "AccuracyError: forced for the test"
 
 
 def test_heat_profile_dump(tmp_path):

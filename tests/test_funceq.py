@@ -80,8 +80,3 @@ def test_eq22_at_rounding_level(q, s):
     rep = funceq.check_eq22(s, B, phi, CONV, q=q)
     assert rep.tolerance == 1e-9
     assert max(rep.extra["component_residuals"]) < 1e-13, rep.extra["component_residuals"]
-
-
-def test_build_s_grid_avoids_poles():
-    grid = funceq.build_s_grid([0.5, -1.0, 0.25], pole_guard=1e-3)
-    assert all(abs(s + 1.0) > 1e-3 for s in grid)

@@ -29,19 +29,19 @@ def test_mellin_continued_gaussian():
         assert abs(complex(mv.value) - gaussian_mellin(s, math.pi)) < 1e-9
 
 
-@pytest.mark.parametrize("s", [-0.999 + 0.05j, -0.9855 + 0.5j, -0.97 + 0.5j, -0.93 + 0.2j, -0.901 + 0.05j])
+@pytest.mark.parametrize(
+    "s", [-0.999 + 0.05j, -0.999 + 0.275j, -0.9855 + 0.5j, -0.97 + 0.5j, -0.93 + 0.2j, -0.901 + 0.05j]
+)
 def test_mellin_complex_s_near_minus_one(s):
-    # r = u^(1/(1 + Re s)) underflows at small u here; the phase r^(i Im s)
-    # comes from log u, so no point raises.  Closer to s = -1 the adaptive
-    # rule loses digits (1.5e-5 relative at -0.999 + 0.05i, 8.8e-6 at
-    # -0.9855 + 0.5i), so there only a loose bound holds the drift.
+    # for Re s < -0.9 the direct head's phase u^(i p Im s), p = 1/(1 + Re s),
+    # is up to 1000 times faster than r^(i Im s), which adaptive quadrature
+    # does not resolve (6.6e-2 relative at -0.999 + 0.275i); one integration
+    # by parts takes every point to Re s + 1 > 0
     phi = testfn.gaussian(math.pi)
     mv = zeta.mellin(phi, [1.0], s)
+    assert mv.continuation_order == 1
     exact = gaussian_mellin(s, math.pi)
-    if s.real >= -0.97:
-        assert abs(complex(mv.value) - exact) < 1e-10
-    else:
-        assert abs(complex(mv.value) - exact) < 1e-4 * abs(exact)
+    assert abs(complex(mv.value) - exact) < 1e-10
 
 
 @pytest.mark.parametrize("s", [-0.995, -0.999])
@@ -164,7 +164,7 @@ def test_definite_engine_level_cap(monkeypatch):
     monkeypatch.setattr(zeta, "_DE_LEVELS", 1)
     sp, phi = phspace.definite(n=2), testfn.gaussian(1.0, n=2)
     with pytest.raises(AccuracyError):
-        zeta._radial_engine(sp, "V1", complex(0.3), phi, 1e-14, 16, zeta.POLE_GUARD)
+        zeta._radial_engine(sp, "V1", complex(0.3), phi, 1e-14, 16)
     mv = zeta.zeta_local(sp, "V1", 0.3, phi, tol=1e-14)
     assert mv.rule is None
     assert mv.value == zeta.zeta_local_reference(sp, "V1", 0.3, phi, tol=1e-14).value
