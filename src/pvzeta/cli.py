@@ -207,9 +207,7 @@ def run_zeta(cfg):
             # the left and the adaptive rule per ray on the right
             fast = zeta.zeta_local(space, comp, s, phi, tol=1e-9)
             ref = zeta.zeta_local_reference(space, comp, s, phi, tol=1e-11)
-            extra = {"continuation_order": ref.continuation_order, "pole_distance": ref.pole_distance}
-            if fast.rule is not None:
-                extra["rule"] = fast.rule
+            extra = {"continuation_order": ref.continuation_order, "pole_distance": ref.pole_distance, "rule": fast.rule}
             reports.append(
                 CheckReport(
                     check="zeta-eval",

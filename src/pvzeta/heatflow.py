@@ -32,7 +32,7 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from . import funceq, quad, testfn
+from . import funceq, quad, symbolkern, testfn
 from .errors import AccuracyError, DomainError
 from .report import CheckReport
 
@@ -299,17 +299,11 @@ def atilde_closed(t, y, variant="corrected"):
     return f_t(t, 1.0 - np.asarray(y, dtype=float), variant)
 
 
-def atilde_numeric(t, ys, variant="corrected"):
-    """(2 pi)^{-1} integral e^{i y xi} atilde-symbol d xi with the symbol
-    e^{-i xi} fhat_t(-xi), on the double-exponential Fourier rule
-    (quad.inverse_fourier) at offsets y - 1.  Returns (values, rule)."""
-    return quad.inverse_fourier(lambda xi: fhat_many(t, xi, variant), np.asarray(ys, dtype=float) - 1.0)
-
-
 def lacunary_check(t, variant="corrected", tol=1e-7):
     """Dual-path check of Atilde_t on 17 points y in [-1.5, 2.5]: closed
-    form f_t(1-y) against the numerical inverse transform of the symbol,
-    plus the lacunary support property Atilde = 0 for y >= 1.
+    form f_t(1-y) against the numerical inverse transform of the symbol
+    (symbolkern.atilde_numeric on heat_group_function), plus the lacunary
+    support property Atilde = 0 for y >= 1.
 
     The 1e-12 support assertion lives on the closed-form path (where the
     vanishing is structural); the numeric path validates the closed form
@@ -318,7 +312,7 @@ def lacunary_check(t, variant="corrected", tol=1e-7):
     sit at the accuracy of fhat_t (5e-14 at t = 0.1, 1e-15 from t = 0.25)."""
     ys, support_tol = np.linspace(-1.5, 2.5, 17), 1e-12
     closed = np.asarray(atilde_closed(t, ys, variant))
-    numeric, rule = atilde_numeric(t, ys, variant)
+    numeric, rule = symbolkern.atilde_numeric(heat_group_function(t, variant), 1.0, ys)
     scale = float(np.max(np.abs(closed))) or 1.0
     resid = np.abs(numeric - closed) / scale
     worst = int(np.argmax(resid))
@@ -436,8 +430,6 @@ def langlands_bounds_check(ts, kappas, variant="corrected", tol=1e-8):
 def heat_group_function(t, variant="corrected"):
     """K_t packaged for the symbol machinery, with the closed transform
     and auxiliary kernel attached as oracles."""
-    from . import symbolkern
-
     return symbolkern.GroupFunction(
         fn=lambda a: np.asarray(langlands_kernel(t, a, variant)),
         label=f"heat:t={t:g},variant={variant}",

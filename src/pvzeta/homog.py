@@ -96,8 +96,7 @@ class ScaledProfile:
         return ScaledProfile(self.base, self.lam, self.order + int(k))
 
     def cutoff(self, tol=1e-18):
-        base_cut = self.base.cutoff(tol) if hasattr(self.base, "cutoff") else 0.0
-        return base_cut * self.lam
+        return self.base.cutoff(tol) * self.lam
 
 
 def _as_profile(phi):
@@ -123,18 +122,8 @@ def tplus_profile(s, profile, tol=1e-11):
         k = -int(round(s.real))
         gk = profile.derivative(k)
         gk1 = profile.derivative(k - 1) if k > 1 else profile
-        cut = profile.cutoff(1e-18) if hasattr(profile, "cutoff") else np.inf
-        if cut <= 0.0:
-            cut = np.inf
-        # log t is dominated by t^{-1/2}; declaring that exponent routes the
-        # integral through the softening substitution
-        res = quad.integrate_1d(
-            lambda t: np.log(t) * gk(t),
-            0.0,
-            cut,
-            spec=quad.SingularitySpec("left", -0.5),
-            tol=tol,
-        )
+        # t = u^2 softens the log: log(t) dt = 4 u log(u) du
+        res = quad.integrate_1d(lambda u: 4.0 * u * np.log(u) * gk(u * u), 0.0, math.sqrt(profile.cutoff(1e-18)), tol=tol)
         fact = math.factorial(k - 1)
         g0 = complex(gk1(0.0))
         value = -complex(res.value) / fact + special.harmonic(k - 1) * g0 / fact

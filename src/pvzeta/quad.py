@@ -1,15 +1,15 @@
-"""Quadrature engines: singular radial integrals, a shared tanh-sinh
+"""Quadrature engines: radial power integrals, a shared tanh-sinh
 radial rule, sphere rules, indefinite quadratic-form components in
 hyperbolic coordinates, and 1D oscillatory Fourier integrals (adaptive,
 and on the half line by a double-exponential rule).
 
-Endpoint singularities t^alpha (alpha > -1) are removed by the
-substitution t = u^{1/(1+alpha)} before handing the integrand to an
-adaptive Gauss-Kronrod rule.  The continuation of non-integrable radial
-powers lives with the zeta integrals (integration by parts for the
-Mellin transform, the b-function for indefinite forms);
-radial_power_integral keeps one finite-difference by-parts step as the
-reference route of the indefinite zeta integrals.
+power_integral is the one route for integral_0^cut r^expo g(r) dr with
+Re expo > -1: near r = 0 it works in u = r^(1 + Re expo), where the
+powers cancel and no endpoint is singular.  The continuation of
+non-integrable radial powers lives with the zeta integrals (integration
+by parts for the Mellin transform, the b-function for indefinite
+forms); radial_power_integral keeps one finite-difference by-parts step
+as the reference route of the indefinite zeta integrals.
 """
 
 from __future__ import annotations
@@ -22,22 +22,6 @@ from scipy.integrate import quad as _scipy_quad
 from scipy.integrate._quadpack import error as _QuadpackError
 
 from .errors import AccuracyError, DomainError, NonConvergence, PoleError
-
-
-@dataclass(frozen=True)
-class SingularitySpec:
-    """Declared endpoint behavior of an integrand: f ~ t^exponent at the
-    named endpoint (a milder singularity, such as log t, may declare a
-    dominating exponent)."""
-
-    endpoint: str = "none"  # left | none
-    exponent: float = 0.0
-
-    def __post_init__(self):
-        if self.endpoint not in ("left", "none"):
-            raise DomainError(f"bad endpoint {self.endpoint!r}")
-        if self.exponent <= -1.0:
-            raise DomainError("endpoint exponent must exceed -1 (integrability)")
 
 
 @dataclass
@@ -75,37 +59,70 @@ def _quad_piece(f, a, b, tol):
     return complex(val), err
 
 
-def integrate_1d(f, a, b, spec=None, tol=1e-10):
-    """Integrate f on (a, b) (b may be +inf) with a declared left-endpoint
-    singularity removed by power substitution.  Returns QuadResult."""
+def integrate_1d(f, a, b, tol=1e-10):
+    """Integrate f on (a, b) (either end may be infinite) by one adaptive
+    Gauss-Kronrod call.  Returns QuadResult."""
     g, count = _counting(f)
-    total, err = 0.0 + 0.0j, 0.0
-    pieces = []
+    value, err = _quad_piece(g, a, b, tol)
+    return QuadResult(value.real if value.imag == 0.0 else value, err, count[0])
 
-    if spec is not None and spec.endpoint == "left" and spec.exponent < 0.0:
-        alpha = spec.exponent
-        p = 1.0 / (1.0 + alpha)
-        cut = min(b, a + 1.0)
-        # t = a + u^p maps the t^alpha singularity to a bounded integrand.
-        def h(u):
-            t = a + u ** p
-            if t == a:
-                # u^p underflowed: the integrand would be sampled at its singular endpoint
-                raise AccuracyError(f"left-endpoint substitution t = a + u^{p:.4g} reached t = a at u = {u:.3g}")
-            return g(t) * p * u ** (p - 1.0)
 
-        pieces.append((h, 0.0, (cut - a) ** (1.0 + alpha)))
-        if cut < b:
-            pieces.append((g, cut, b))
+def _head_integrand(g, expo):
+    """r^expo g(r) dr near r = 0 for Re expo < 0, as an integrand in
+    u = r^(1 + Re expo): with r = u^p, p = 1 / (1 + Re expo), it is
+    p g(u^p) u^(i p Im expo), since r^(Re expo) u^(p - 1) = 1.  The
+    powers are cancelled, not computed, and a complex phase is built from
+    log u, as in _radial_levels: u^p underflows to 0 at small u once
+    p is large, and 0^expo raises."""
+    p = 1.0 / (1.0 + expo.real)
+    if expo.imag == 0.0:
+        return lambda u: p * g(u ** p)
+    return lambda u: p * g(u ** p) * np.exp(1j * p * expo.imag * np.log(u))
+
+
+def power_integral(g, expo, cut, tol, wavelength=None):
+    """integral_0^cut r^expo g(r) dr for Re expo > -1 and smooth g (cut may
+    be +inf).  With Re expo >= 0 and no wavelength it is one adaptive
+    integral.  Otherwise it is a head on (0, min(1, cut)), taken in
+    u = r^(1 + Re expo) (_head_integrand) when Re expo < 0, plus a body
+    on the rest.
+
+    A uniformly oscillatory g (the transform of a compactly supported
+    function; wavelength set) goes on fixed Gauss-Legendre panels sized
+    to the oscillation wavelength.  Adaptive subdivision is hopeless
+    there: the integrand oscillates hundreds of times across the tail,
+    so the grid is fixed up front and checked by panel doubling.
+    Otherwise both parts are adaptive."""
+    expo = complex(expo)
+    if expo.real <= -1.0:
+        raise DomainError(f"power integral needs Re expo > -1 (integrability), got {expo}")
+
+    def integrand(r):
+        return r ** expo * g(r)
+
+    if not wavelength and expo.real >= 0.0:
+        return integrate_1d(integrand, 0.0, cut, tol=tol)
+    if wavelength:
+        if not np.isfinite(cut):
+            raise DomainError("oscillatory power integral needs a finite cutoff")
+        # the oscillation only slows down in u, so the wavelength bound stays valid
+        head_rule = lambda f, lo, hi: panel_integral(f, lo, hi, panel_width=min(0.25, wavelength / 4.0))
+        body_rule = lambda f, lo, hi: panel_integral(f, lo, hi, panel_width=min(1.0, 1.25 * wavelength))
     else:
-        pieces.append((g, a, b))
-
-    for h, lo, hi in pieces:
-        v, e = _quad_piece(h, lo, hi, tol)
-        total += v
-        err += e
+        head_rule = body_rule = lambda f, lo, hi: integrate_1d(f, lo, hi, tol=tol)
+    head_end = min(1.0, cut)
+    if expo.real < 0.0:
+        head = head_rule(_head_integrand(g, expo), 0.0, head_end ** (1.0 + expo.real))
+    else:
+        head = head_rule(integrand, 0.0, head_end)
+    total, err, neval = complex(head.value), head.error_estimate, head.evaluations
+    if cut > head_end:
+        body = body_rule(integrand, head_end, cut)
+        total += complex(body.value)
+        err += body.error_estimate
+        neval += body.evaluations
     value = total.real if total.imag == 0.0 else total
-    return QuadResult(value, err, count[0])
+    return QuadResult(value, err, neval)
 
 
 def sum_squares(x):
@@ -418,8 +435,11 @@ class SignatureGeometry:
         (_U_EDGES) up to where the gaussian decay of g bounds the tail
         by e^{-42}.  Every u-node of every radius goes to g together, in
         calls of at most about _SIG_BLOCK points; points counts them."""
+        # 42 / r^2 below overflows under |r| ~ 1e-154: radii are held at
+        # 1e-150 (sign kept), where H has reached H(0+) to rounding
         r = np.asarray(r, dtype=float)
-        rr = np.maximum(np.abs(r), 1e-150)
+        r = np.copysign(np.maximum(np.abs(r), 1e-150), r)
+        rr = np.abs(r)
         umax = 0.5 * np.arccosh(1.0 + 42.0 / (decay_rate * rr * rr)) + 0.5
         npanel = np.searchsorted(_U_EDGES, umax)
         owner = np.repeat(np.arange(r.size), npanel)
@@ -470,9 +490,7 @@ def radial_power_integral(H, beta, r_max, tol=1e-10, depth=0):
     if abs(beta + 1.0) < 1e-9:
         raise PoleError(f"radial power integral has a pole at beta = -1 (beta = {beta})")
     if beta.real > -1.0:
-        spec = SingularitySpec("left", beta.real) if beta.real < 0.0 else None
-        res = integrate_1d(lambda r: r ** beta * H(r), 0.0, r_max, spec=spec, tol=tol)
-        return res.value
+        return power_integral(H, beta, r_max, tol).value
     h = 1e-3
 
     def Hp(r):

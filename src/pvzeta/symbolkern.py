@@ -170,9 +170,10 @@ def scaling_check(f, space, m, xi, alpha, tol=1e-9):
 def atilde_numeric(f, m_sign, us):
     """Atilde(m, u) for scalar m of the given sign and real f: the inverse
     transform (2 pi)^{-1} integral e^{i u xi} atilde(m, xi) d xi, atilde(m, xi)
-    = e^{-i sgn(m) xi} F(sgn(m) xi), by quad.inverse_fourier at 1 - sgn(m) u."""
+    = e^{-i sgn(m) xi} F(sgn(m) xi), by quad.inverse_fourier at 1 - sgn(m) u.
+    Returns (values, rule) as quad.inverse_fourier."""
     offsets = 1.0 - (1.0 if m_sign > 0 else -1.0) * np.asarray(us, dtype=float)
-    return quad.inverse_fourier(lambda xi: _hat_scalar_many(f, xi), offsets)[0]
+    return quad.inverse_fourier(lambda xi: _hat_scalar_many(f, xi), offsets)
 
 
 def aux_symbol_and_kernel(f, space, m, mprime, xi=None):
@@ -194,7 +195,7 @@ def aux_symbol_and_kernel(f, space, m, mprime, xi=None):
     if f.atilde_closed is not None and sign > 0:
         Atil = complex(f.atilde_closed(u))
     else:
-        Atil = complex(atilde_numeric(f, sign, np.array([u]))[0])
+        Atil = complex(atilde_numeric(f, sign, np.array([u]))[0][0])
     K = Atil / abs(m)
     return atil, Atil, K
 
@@ -263,7 +264,7 @@ def _atilde_abs_fn(f):
     if f.atilde_closed is not None:
         return lambda u: np.abs(np.asarray(f.atilde_closed(np.asarray(u, dtype=float))))
     ug = np.linspace(-40.0, 40.0, 4001)
-    table = np.abs(atilde_numeric(f, 1.0, ug))
+    table = np.abs(atilde_numeric(f, 1.0, ug)[0])
     return lambda u: np.interp(np.asarray(u, dtype=float), ug, table, left=0.0, right=0.0)
 
 
@@ -289,7 +290,6 @@ def local_integrability_check(f, levels=6):
             passed=True,
         )
     atil = _atilde_abs_fn(f)
-    xg, wg = quad.gauss_legendre(16)
 
     def inner_mass(ms):
         # integral over |m'| <= R of |K| d m' = integral |Atilde(u)| du

@@ -47,9 +47,6 @@ class FourierConvention(Enum):
         for member in cls:
             if member.value == key:
                 return member
-        aliases = {"2pi": cls.TWOPI, "ang": cls.ANGULAR, "angnorm": cls.ANGULAR_NORMALIZED}
-        if key in aliases:
-            return aliases[key]
         raise ConfigError(f"unknown Fourier convention: {text!r}")
 
 

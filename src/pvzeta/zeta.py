@@ -8,15 +8,15 @@ integration by parts,
           [phi(r omega)] dr,
 
 with N minimal such that Re s + N > -1, plus one when Im s != 0 and
-Re s + N < -0.9 (N <= 6).  For complex s the
-phase r^(i Im s) is built from log r (or log u after a power
-substitution), since r underflows to 0 near the origin.  Local zeta
-integrals Z_i(s, phi) = integral over a component of |p(m)|^s phi(m) dm
-reduce to this radial transform after the polar factorization of the
-scalar kind (one ray) or of a definite form (the sphere rule), in which
-|p| is exactly a power of the radius; every ray shares one tanh-sinh
-radial rule, and zeta_local_reference keeps one adaptive transform per
-ray as the independent route.
+Re s + N < -0.9 (N <= 6); the convergent integral is
+quad.power_integral.  For complex s the phase r^(i Im s) is built from
+log r (or log u after a power substitution), since r underflows to 0
+near the origin.  Local zeta integrals Z_i(s, phi) = integral over a
+component of |p(m)|^s phi(m) dm reduce to this radial transform after
+the polar factorization of the scalar kind (one ray) or of a definite
+form (the sphere rule), in which |p| is exactly a power of the radius;
+every ray shares one tanh-sinh radial rule, and zeta_local_reference
+keeps one adaptive transform per ray as the independent route.
 
 Indefinite forms are continued by the b-function of p(m) = m^T B m
 (Sato & Shintani, Ann. of Math. 100 (1974); Gel'fand & Shilov,
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quad, testfn
-from .errors import AccuracyError, DomainError, PoleError
+from .errors import DomainError, PoleError
 
 POLE_GUARD = 1e-6
 MAX_CONTINUATION = 6
@@ -106,52 +106,6 @@ def _continuation(s, order=None):
     return dist, N, -den if N % 2 else den
 
 
-def _head_integrand(g, expo):
-    """r^expo g(r) dr near r = 0 for Re expo < 0, as an integrand in
-    u = r^(1 + Re expo): with r = u^p, p = 1 / (1 + Re expo), it is
-    p g(u^p) u^(i p Im expo), since r^(Re expo) u^(p - 1) = 1.  The
-    powers are cancelled, not computed, and a complex phase is built from
-    log u, as in the definite engine: u^p underflows to 0 at small u once
-    p is large, and 0^expo raises."""
-    p = 1.0 / (1.0 + expo.real)
-    if expo.imag == 0.0:
-        return lambda u: p * g(u ** p)
-    return lambda u: p * g(u ** p) * np.exp(1j * p * expo.imag * np.log(u))
-
-
-def _split_mellin(integrand, g, expo, cut, wavelength, tol):
-    """Radial power integral as a head on (0, min(1, cut)), taken in
-    u = r^(1 + Re expo) when Re expo < 0, plus a body on the rest.
-
-    A uniformly oscillatory profile (the transform of a compactly
-    supported function; wavelength set) goes on fixed Gauss-Legendre
-    panels sized to the oscillation wavelength.  Adaptive subdivision is
-    hopeless there: the integrand oscillates hundreds of times across the
-    tail, so the grid is fixed up front and checked by panel doubling.
-    Otherwise both parts are adaptive."""
-    if wavelength:
-        if not np.isfinite(cut):
-            raise DomainError("oscillatory Mellin path needs a finite scanned cutoff")
-        # the oscillation only slows down in u, so the wavelength bound stays valid
-        head_rule = lambda f, lo, hi: quad.panel_integral(f, lo, hi, panel_width=min(0.25, wavelength / 4.0))
-        body_rule = lambda f, lo, hi: quad.panel_integral(f, lo, hi, panel_width=min(1.0, 1.25 * wavelength))
-    else:
-        head_rule = body_rule = lambda f, lo, hi: quad.integrate_1d(f, lo, hi, tol=tol)
-    head_end = min(1.0, cut)
-    if expo.real < 0.0:
-        head = head_rule(_head_integrand(g, expo), 0.0, head_end ** (1.0 + expo.real))
-    else:
-        head = head_rule(integrand, 0.0, head_end)
-    total, err, neval = complex(head.value), head.error_estimate, head.evaluations
-    if cut > head_end:
-        body = body_rule(integrand, head_end, cut)
-        total += complex(body.value)
-        err += body.error_estimate
-        neval += body.evaluations
-    value = total.real if total.imag == 0.0 else total
-    return quad.QuadResult(value, err, neval)
-
-
 def mellin_profile(profile, s, tol=1e-11, order=None):
     """Radial Mellin transform of a 1D profile (see module docstring).
 
@@ -160,19 +114,7 @@ def mellin_profile(profile, s, tol=1e-11, order=None):
     s = complex(s)
     dist, N, den = _continuation(s, order)
     g = profile if N == 0 else profile.derivative(N)
-    cut = profile.cutoff(1e-16) if hasattr(profile, "cutoff") else 0.0
-    if cut <= 0.0:
-        cut = np.inf
-    expo = s + N
-
-    def integrand(r):
-        return r ** expo * g(r)
-
-    osc = getattr(profile, "oscillation", None)
-    if osc or expo.real < 0.0:
-        res = _split_mellin(integrand, g, expo, cut, osc, tol)
-    else:
-        res = quad.integrate_1d(integrand, 0.0, cut, tol=tol)
+    res = quad.power_integral(g, s + N, profile.cutoff(1e-16), tol, getattr(profile, "oscillation", None))
     value = complex(res.value) / den
     if value.imag == 0.0:
         value = value.real
@@ -224,17 +166,15 @@ def _orders(sphere_order):
 def _radial_engine(space, component, s, phi, tol, sphere_order):
     """Z(s, phi) for the scalar and definite kinds: every ray of _polar on
     one shared tanh-sinh rule in u = r^(1 + Re expo) on [0, largest ray
-    cutoff].  Returns None when a ray profile is oscillatory (the
-    reference handles those on wavelength-sized panels) or has no finite
-    cutoff."""
+    cutoff].  DomainError when a ray profile has no finite cutoff."""
     pts, wts, B, sm = _polar(space, component, s, sphere_order)
     dist, N, den = _continuation(sm)
     profiles, cut = [], 0.0
     for om in pts:
         prof = phi.ray(om)
-        c = prof.cutoff(1e-16) if hasattr(prof, "cutoff") else 0.0
-        if getattr(prof, "oscillation", None) or not (np.isfinite(c) and c > 0.0):
-            return None
+        c = prof.cutoff(1e-16)
+        if not (np.isfinite(c) and c > 0.0):
+            raise DomainError(f"the shared radial rule needs a finite cutoff of every ray profile, got {c}")
         profiles.append(prof if N == 0 else prof.derivative(N))
         cut = max(cut, c)
     rows = lambda r: [g(r) for g in profiles]
@@ -257,26 +197,17 @@ def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=None):
     For the scalar and definite kinds all rays (the one ray of a scalar
     component, the sphere rule of a definite space) share one tanh-sinh
     radial rule (Takahasi & Mori 1974), refined until two levels agree
-    within tol of the L1 mass on every ray; zeta_local_reference keeps
-    the adaptive rule per ray, and serves oscillatory ray profiles and
-    the inputs the shared rule leaves unresolved at its level cap.  An
-    indefinite component runs on quad.integrate_signature, whose rule the
-    returned value carries, with its level gap divided like the value.
-    sphere_order sets the sphere rule; None takes each engine's own (16
-    for a definite space, 24 in quad.integrate_signature)."""
+    within tol of the L1 mass on every ray, else AccuracyError at its
+    level cap; zeta_local_reference keeps the adaptive rule per ray as
+    the independent route.  An indefinite component runs on
+    quad.integrate_signature, whose rule the returned value carries, with
+    its level gap divided like the value.  sphere_order sets the sphere
+    rule; None takes each engine's own (16 for a definite space, 24 in
+    quad.integrate_signature)."""
     s = complex(s)
     _check_target(space, component, phi)
-
     if space.kind != "indefinite":
-        try:
-            mv = _radial_engine(space, component, s, phi, tol, sphere_order)
-        except AccuracyError:
-            # features narrower than the finest shared step (a small
-            # off-centre bump): adaptive subdivision per ray still works
-            mv = None
-        if mv is None:
-            mv = zeta_local_reference(space, component, s, phi, tol=tol, sphere_order=sphere_order)
-        return mv
+        return _radial_engine(space, component, s, phi, tol, sphere_order)
 
     # indefinite kind: the b-function moves s to Re s > -1/2, where the
     # hyperbolic-coordinate rule converges (weight r^{2s} exactly)

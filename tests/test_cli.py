@@ -174,6 +174,13 @@ def test_zeta_eval_indefinite_sides(tmp_path, monkeypatch):
     assert run(args + ["--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("s", ["-0.99+0.1j", "-0.995", "-1.495"])
+def test_zeta_eval_indefinite_near_the_poles(tmp_path, s):
+    # within 0.01 of the poles -1 and -3/2 both sides agree
+    args = ["zeta", "--check", "value", "--space", "indefinite:q=1,n=3", "--testfn", "gaussian:a=3.14159,n=3", f"--s={s}"]
+    assert run(args + ["--out", str(tmp_path / "r.jsonl")]) == 0
+
+
 def test_funceq_eq22_complex_s(tmp_path):
     out = tmp_path / "r.jsonl"
     assert run(["funceq", "--eq", "22", "--s=1.35+0.2j", "--out", str(out)]) == 0
