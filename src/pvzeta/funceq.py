@@ -92,7 +92,7 @@ def eq12_sides(s, phi, convention):
 def check_eq12(s, phi, convention, tol=1e-6):
     if phi.n != 1:
         raise DomainError("Eq12 is the one-dimensional case")
-    conv = testfn.FourierConvention.parse(convention) if isinstance(convention, str) else convention
+    conv = testfn.FourierConvention.parse(convention)
     lhs, rhs = eq12_sides(s, phi, conv)
     return CheckReport(
         check="funceq-eq12",
@@ -109,7 +109,7 @@ def check_eq12(s, phi, convention, tol=1e-6):
 
 
 def check_eq12a(s, B, phi, convention, variant="corrected", tol=1e-6):
-    conv = testfn.FourierConvention.parse(convention) if isinstance(convention, str) else convention
+    conv = testfn.FourierConvention.parse(convention)
     if variant not in ("printed", "corrected"):
         raise DomainError("variant must be 'printed' or 'corrected'")
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -155,7 +155,7 @@ def eq22_sides(s, B, phi, convention, q=1):
         raise DomainError("Eq22 is supported for n = 3, q in {1, 2}")
     if abs(s - (n / 2.0 - 1.0)) < zeta.POLE_GUARD or zeta._neg_int_distance(s + 1.0 - n / 2.0) < zeta.POLE_GUARD:
         raise PoleError(f"gamma factor pole near s = {s}")
-    conv = testfn.FourierConvention.parse(convention) if isinstance(convention, str) else convention
+    conv = testfn.FourierConvention.parse(convention)
     space = phspace.indefinite(B=B)
     dual = phspace.indefinite(B=np.linalg.inv(B))
     phihat = testfn.fourier(phi, conv)
@@ -181,7 +181,7 @@ def check_eq22(s, B, phi, convention, q=1, tol=1e-9):
     lhs, rhs, direct = eq22_sides(s, B, phi, convention, q=q)
     resid = [abs(l - r) / max(abs(l), abs(r), _FLOOR) for l, r in zip(lhs, rhs)]
     worst = int(np.argmax(resid))
-    conv = testfn.FourierConvention.parse(convention) if isinstance(convention, str) else convention
+    conv = testfn.FourierConvention.parse(convention)
     return CheckReport(
         check="funceq-eq22",
         params={

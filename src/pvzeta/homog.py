@@ -61,7 +61,6 @@ class ExpProfile:
             raise DomainError("decay rate must be positive")
         self.a = float(a)
         self.c = complex(c)
-        self.decay = testfn.Decay("other")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -85,7 +84,6 @@ class ScaledProfile:
         self.base = base
         self.lam = float(lam)
         self.order = int(order)
-        self.decay = getattr(base, "decay", testfn.Decay("other"))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -97,18 +95,6 @@ class ScaledProfile:
 
     def cutoff(self, tol=1e-18):
         return self.base.cutoff(tol) * self.lam
-
-
-def _as_profile(phi):
-    """Accept a TestFunction on R (take its +1 ray) or any profile object
-    exposing __call__ / derivative / cutoff."""
-    if hasattr(phi, "ray"):
-        if phi.n != 1:
-            raise DomainError("t_+^s pairs against functions on R")
-        return phi.ray(np.array([1.0]))
-    if callable(phi) and hasattr(phi, "derivative"):
-        return phi
-    raise DomainError("expected a 1D TestFunction or a differentiable profile")
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +354,15 @@ def extend_kdot(k, psi, phi, sphere_order=16):
 
 
 def check_homogeneity(s, phi, lam, tol=1e-8):
-    """<t_+^s, lam^{-1} phi(./lam)> vs lam^s <t_+^s, phi>."""
-    prof = _as_profile(phi)
+    """<t_+^s, lam^{-1} phi(./lam)> vs lam^s <t_+^s, phi> for phi on the line."""
+    if phi.n != 1:
+        raise DomainError("t_+^s pairs against functions on R")
+    prof = phi.ray([1.0])
     lhs = tplus_profile(s, ScaledProfile(prof, lam))
     rhs = complex(lam) ** complex(s) * complex(tplus_profile(s, prof))
-    label = getattr(phi, "label", type(phi).__name__)
     return CheckReport(
         check="homog-homogeneity",
-        params={"s": complex(s), "lambda": float(lam), "testfn": label},
+        params={"s": complex(s), "lambda": float(lam), "testfn": phi.label},
         lhs=complex(lhs),
         rhs=rhs,
         tolerance=tol,

@@ -2,11 +2,11 @@
 
 Built-in families are polynomial-times-Gaussian (closed under derivatives
 and Fourier transforms) and compactly supported bumps (Fourier transform
-by quadrature, on the line only).  Every function carries a decay
-descriptor so quadrature routines can truncate tails honestly, and a
-ray() method producing the 1D radial profile r -> phi(r * direction) with
-derivative access, which is what the Mellin continuation machinery
-consumes.
+by quadrature over the support, on the line only).  Every function
+carries a decay descriptor so quadrature routines can truncate tails
+honestly, and a ray() method producing the 1D radial profile
+r -> phi(r * direction) with exact derivatives of every order, which is
+what the Mellin continuation machinery consumes.
 
 Every pointwise evaluator of the package follows one contract, written
 down in _evaluate: on the line a scalar gives a scalar and an array an
@@ -43,6 +43,8 @@ class FourierConvention(Enum):
 
     @classmethod
     def parse(cls, text):
+        if isinstance(text, cls):
+            return text
         key = str(text).strip().lower().replace("_", "-")
         for member in cls:
             if member.value == key:
@@ -58,7 +60,7 @@ class Decay:
     kind: str  # gaussian | compact | other
     rate: float = 0.0
     radius: float = 0.0
-    shift: float = 0.0
+    shift: float = 0.0  # a compact support's centre: signed on the line, its norm in R^n
 
     def cutoff(self, tol=1e-18):
         """Radius beyond which the function is below tol (0 if unknown)."""
@@ -66,7 +68,7 @@ class Decay:
             big = max(-math.log(tol), 1.0)
             return self.shift + math.sqrt(big / self.rate) + 2.0 / math.sqrt(self.rate)
         if self.kind == "compact":
-            return self.shift + self.radius
+            return abs(self.shift) + self.radius
         return 0.0
 
 
@@ -80,7 +82,6 @@ class PolyGauss1D:
     def __init__(self, coeffs, a):
         self.coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         self.a = float(a)
-        self.decay = Decay("gaussian", rate=self.a)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -108,23 +109,11 @@ class PolyGauss1D:
         return r
 
 
-# orders 1 and 2 are O(h^4), orders 3 and 4 are O(h^2)
-_FD_STENCILS = {
-    1: ((-2, -1, 1, 2), (1.0 / 12.0, -2.0 / 3.0, 2.0 / 3.0, -1.0 / 12.0)),
-    2: ((-2, -1, 0, 1, 2), (-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0)),
-    3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5)),
-    4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0)),
-}
-
-
 class NumericProfile:
-    """1D profile backed by an evaluator; derivatives by central differences.
+    """1D profile r -> fn(r, order), where fn(r, k) is the exact k-th
+    derivative of a bump ray or of a numeric-transform ray."""
 
-    Derivative order is capped at 4 (the O(h^2) stencil table); requesting
-    deeper derivatives raises DomainError rather than returning noise.
-    """
-
-    def __init__(self, fn, decay, order=0, oscillation=None):
+    def __init__(self, fn, decay, order, oscillation):
         self.fn = fn
         self.decay = decay
         self.order = int(order)
@@ -132,21 +121,10 @@ class NumericProfile:
         self._scan_cut = None
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.order == 0:
-            return self.fn(r)
-        offsets, weights = _FD_STENCILS[self.order]
-        h = 1e-3
-        acc = sum(w * self.fn(r + k * h) for k, w in zip(offsets, weights))
-        return acc / h ** self.order
+        return self.fn(np.asarray(r, dtype=float), self.order)
 
     def derivative(self, k=1):
-        total = self.order + int(k)
-        if total > 4:
-            raise DomainError(
-                f"numeric profiles support derivatives up to order 4, requested {total}"
-            )
-        return NumericProfile(self.fn, self.decay, order=total, oscillation=self.oscillation)
+        return NumericProfile(self.fn, self.decay, self.order + int(k), self.oscillation)
 
     def cutoff(self, tol=1e-14):
         cut = self.decay.cutoff(tol)
@@ -372,6 +350,31 @@ def hermite_gaussian(d, a, n=1):
 # ---------------------------------------------------------------------------
 # Bump
 
+# Coefficients (increasing powers) of the polynomials P_j with
+# F^(j)(q) = e^{-y} P_j(y) at y = 1/(1-q) for F(q) = e^{-1/(1-q)}:
+# P_0 = 1 and P_{j+1} = y^2 (P_j' - P_j), since dy/dq = y^2.
+_BUMP_POLYS = [np.ones(1)]
+
+
+def _bump_ray_derivative(q, dq, half_d2q, k):
+    """d^k/dr^k F(q(r)) for F(q) = e^{-1/(1-q)} on q < 1 (0 elsewhere), from
+    q and q' = dq at the points and the constant q''/2 = half_d2q of a
+    quadratic q, by Faa di Bruno's formula: the sum over k/2 <= j <= k of
+    k! / ((2j-k)! (k-j)!) q'^(2j-k) (q''/2)^(k-j) F^(j)(q)."""
+    while len(_BUMP_POLYS) <= k:
+        p = _BUMP_POLYS[-1]
+        _BUMP_POLYS.append(np.concatenate([[0.0, 0.0], np.polynomial.polynomial.polysub(np.polynomial.polynomial.polyder(p), p)]))
+    out = np.zeros(q.shape)
+    # e^{-y} is 0.0 in double precision past y = 745, where y^(2k) may overflow
+    live = 1.0 - q > 1.0 / 745.0
+    y, dq = 1.0 / (1.0 - q[live]), dq[live]
+    acc = 0.0
+    for j in range((k + 1) // 2, k + 1):
+        coef = math.factorial(k) // (math.factorial(2 * j - k) * math.factorial(k - j))
+        acc = acc + coef * half_d2q ** (k - j) * dq ** (2 * j - k) * np.polynomial.polynomial.polyval(y, _BUMP_POLYS[j])
+    out[live] = np.exp(-y) * acc
+    return out
+
 
 def bump(center=0.0, radius=1.0, n=1):
     """Scaled e^{-1/(1-u^2)} profile supported on |m - center| <= radius."""
@@ -389,18 +392,26 @@ def bump(center=0.0, radius=1.0, n=1):
             out[inside] = np.exp(-1.0 / (1.0 - u2[inside]))
         return out
 
-    decay = Decay("compact", radius=radius, shift=float(np.linalg.norm(c)))
+    decay = Decay("compact", radius=radius, shift=float(c[0]) if n == 1 else float(np.linalg.norm(c)))
 
     def ray_fn(direction):
-        dn = float(np.linalg.norm(direction))
-        cut = (float(np.linalg.norm(c)) + radius) / dn + 1.0
+        # q(r) = |r d - c|^2 / radius^2 = x^2 + h2, x = sa r - off, with sa = |d|,
+        # off = c.d / |d| and h2 = |c|^2 - off^2 in units of radius
+        sa = float(np.linalg.norm(direction)) / radius
+        off = float(direction @ c) / (radius * radius * sa)
+        h2 = max(float(c @ c) / radius ** 2 - off * off, 0.0)
+        # the ray ends at the support's far edge x = sqrt(1 - h2), an endpoint
+        # of the radial rules; a ray that misses the support keeps cut > 0
+        edge = (off + math.sqrt(1.0 - h2)) / sa if h2 < 1.0 else 0.0
+        cut = edge if edge > 0.0 else 1.0 / sa
 
-        def fn(r):
-            r = np.asarray(r, dtype=float)
-            pts = r[..., None] * direction
-            return ev(pts)
+        def fn(r, k):
+            if k == 0:
+                return ev(r[..., None] * direction)
+            x = sa * r - off
+            return _bump_ray_derivative(x * x + h2, 2.0 * sa * x, sa * sa, k)
 
-        return NumericProfile(fn, Decay("compact", radius=cut))
+        return NumericProfile(fn, Decay("compact", radius=cut), 0, None)
 
     return TestFunction(n, ev, ray_fn, decay, label)
 
@@ -416,7 +427,7 @@ def fourier(phi, convention):
     family, otherwise (n = 1 only) the quadrature-backed evaluator of
     _numeric_fourier.
     """
-    convention = FourierConvention(convention) if not isinstance(convention, FourierConvention) else convention
+    convention = FourierConvention.parse(convention)
     if phi.has_closed_fourier:
         return phi._fourier(convention)
     return _numeric_fourier(phi, convention)
@@ -435,32 +446,34 @@ _FT_BLOCK = 1 << 20
 def _numeric_fourier(phi, conv):
     """Transform of a compactly supported phi on the line.
 
-    At the angular frequency w = scale * xi of the convention, the
-    integral of phi(m) e^{-i w m} over [-cut, cut] runs on composite
-    Gauss-Legendre with max(4, floor(|w| 2 cut / 10) + 4) panels, a count
-    tied to the total phase.  Each call transforms all its frequencies
-    together: those sharing a panel count share one evaluation of phi,
-    and their phase matrix is taken in blocks of at most _FT_BLOCK
-    entries.  Every frequency is summed on its own row, so its value does
-    not depend on the other frequencies of the call."""
+    At the angular frequency w = scale * xi of the convention, the k-th
+    derivative (-i scale)^k integral m^k phi(m) e^{-i w m} dm over the
+    support [c - rho, c + rho] (its edges are panel ends) runs on
+    composite Gauss-Legendre with max(4, floor(|w| 2 rho / 10) + 4)
+    panels, a count tied to the total phase; a ray r -> F(r d) has the
+    derivatives d^k F^(k)(r d).  Each call transforms all its
+    frequencies together: those sharing a panel count share one
+    evaluation of phi, and their phase matrix is taken in blocks of at
+    most _FT_BLOCK entries.  Every frequency is summed on its own row, so
+    its value does not depend on the other frequencies of the call."""
     if phi.n != 1:
         raise DomainError(f"numeric Fourier transforms are implemented on the line only, got n = {phi.n}")
+    if phi.decay.kind != "compact":
+        raise DomainError("numeric transform needs a compact support")
     scale = _KERNEL_SCALE[conv]
-    cut = phi.decay.cutoff(1e-18)
-    if cut <= 0.0:
-        raise DomainError("numeric transform needs a decay certificate")
+    m_lo, m_hi = phi.decay.shift - phi.decay.radius, phi.decay.shift + phi.decay.radius
 
-    def transform(xi):
+    def transform(xi, k):
         xi = np.asarray(xi, dtype=float)
         w = scale * xi.ravel()
         half_w = 0.5 * w
-        npanel = np.maximum(4, (np.abs(w) * 2.0 * cut / 10.0).astype(int) + 4)
+        npanel = np.maximum(4, (np.abs(w) * (m_hi - m_lo) / 10.0).astype(int) + 4)
         out = np.empty(w.shape, dtype=complex)
         counts, group = np.unique(npanel, return_inverse=True)
         for g, count in enumerate(counts):
             idx = np.flatnonzero(group == g)
-            nodes, wts = quad.panel_rule(-cut, cut, int(count))
-            wv = wts * np.asarray(phi(nodes))
+            nodes, wts = quad.panel_rule(m_lo, m_hi, int(count))
+            wv = wts * np.asarray(phi(nodes)) * nodes ** k
             rows = max(1, _FT_BLOCK // nodes.size)
             for lo in range(0, idx.size, rows):
                 sel = idx[lo : lo + rows]
@@ -473,22 +486,22 @@ def _numeric_fourier(phi, conv):
                 tt = t * t
                 cw = wv / (1.0 + tt)
                 out[sel] = np.sum((1.0 - tt) * cw, axis=-1) - 2j * np.sum(t * cw, axis=-1)
+        if k:
+            out = out * (-1j * scale) ** k
         if np.all(out.imag == 0.0):
             out = out.real
         return out.reshape(xi.shape)[()]
 
     # The transform of a function supported in |m| <= cut oscillates in xi
     # no faster than |scale| * cut radians per unit, hence this wavelength.
-    wavelength = 2.0 * math.pi / (abs(scale) * cut)
+    wavelength = 2.0 * math.pi / (abs(scale) * phi.decay.cutoff(1e-18))
 
     def ray_fn(direction):
         d = float(direction[0])
-        return NumericProfile(lambda r: transform(np.asarray(r, dtype=float) * d), Decay("other"), oscillation=wavelength / abs(d))
+        return NumericProfile(lambda r, k: d ** k * transform(r * d, k), Decay("other"), 0, wavelength / abs(d))
 
     label = f"ft[{conv.value}]({phi.label})"
-    out = TestFunction(1, lambda m: transform(m[..., 0]), ray_fn, Decay("other"), label)
-    out.oscillation = wavelength
-    return out
+    return TestFunction(1, lambda m: transform(m[..., 0], 0), ray_fn, Decay("other"), label)
 
 
 # ---------------------------------------------------------------------------

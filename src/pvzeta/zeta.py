@@ -131,8 +131,8 @@ def mellin(phi, omega, s, tol=1e-11, order=None):
 
 
 # Level cap of the definite engine on the tanh-sinh rule quad._radial_levels.
-# At tol = 1e-10 Gaussian and Hermite rays settle within 5 halvings, a
-# bump (smooth, not analytic, support edge inside the interval) within 9.
+# At tol = 1e-10 Gaussian, Hermite and centred bump rays settle within 5
+# halvings, an off-centre or narrow bump (near support edge inside) within 9.
 _DE_LEVELS = 9
 
 

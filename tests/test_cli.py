@@ -2,9 +2,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from pvzeta import cli, heatflow, quad, zeta
+from pvzeta import cli, heatflow, quad, testfn, zeta
 from pvzeta.errors import AccuracyError, ConfigError
 
 
@@ -179,6 +180,27 @@ def test_zeta_eval_indefinite_near_the_poles(tmp_path, s):
     # within 0.01 of the poles -1 and -3/2 both sides agree
     args = ["zeta", "--check", "value", "--space", "indefinite:q=1,n=3", "--testfn", "gaussian:a=3.14159,n=3", f"--s={s}"]
     assert run(args + ["--out", str(tmp_path / "r.jsonl")]) == 0
+
+
+def test_zeta_eval_narrow_off_centre_bump(tmp_path):
+    # the ray's cutoff is the support's far edge, so the shared rule's
+    # nodes crowd into [0.48, 0.52] instead of missing it on [0, 1.52]
+    out = tmp_path / "r.jsonl"
+    assert run(["zeta", "--check", "value", "--testfn", "bump:c=0.5,r=0.02,n=1", "--s", "0.3", "--out", str(out)]) == 0
+    row = json.loads(out.read_text())
+    nodes, wts = quad.panel_rule(0.48, 0.52, 200)
+    ref = float(np.sum(wts * nodes ** 0.3 * testfn.bump(0.5, 0.02)(nodes)))
+    assert abs(ref - 7.2125091920637e-3) < 1e-15
+    for side in ("lhs", "rhs"):
+        assert abs(row[side]["re"] - ref) < 1e-13 * ref, side
+
+
+@pytest.mark.parametrize("c", ["0.3", "0.6", "-0.45", "3.0"])
+def test_funceq_eq12_off_centre_bump(tmp_path, c):
+    # the numeric transform integrates over the support [c - r, c + r],
+    # whose edges are panel ends
+    argv = ["funceq", "--eq", "12", "--s", "0.4", "--testfn", f"bump:c={c},r=0.8,n=1", "--convention", "twopi"]
+    assert run(argv + ["--out", str(tmp_path / "r.jsonl")]) == 0
 
 
 def test_funceq_eq22_complex_s(tmp_path):

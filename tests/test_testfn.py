@@ -32,6 +32,77 @@ def test_bump_support_and_smoothness():
     assert abs(d(1.2)) == 0.0
 
 
+def _cauchy_derivative(direction, center, radius, r0, k):
+    # k-th derivative of e^{-1/(1 - q(z))}, q(z) = |z d - c|^2 / radius^2 continued
+    # to complex z, by the 128-point trapezoid rule on a circle around r0
+    # a third of the way to the nearest root of q = 1
+    d = np.asarray(direction, dtype=float)
+    a, b, c2 = d @ d / radius ** 2, d @ center / radius ** 2, center @ center / radius ** 2
+    roots = np.roots([a, -2.0 * b, c2 - 1.0])
+    rad = np.min(np.abs(roots - r0)) / 3.0
+    theta = 2.0 * math.pi * np.arange(128) / 128
+    z = r0 + rad * np.exp(1j * theta)
+    f = np.exp(-1.0 / (1.0 - (a * z * z - 2.0 * b * z + c2)))
+    return math.factorial(k) / rad ** k * np.mean(f * np.exp(-1j * k * theta)).real
+
+
+@pytest.mark.parametrize(
+    "center, direction",
+    [
+        ([0.0], [1.0]),
+        ([0.3], [-1.3]),
+        ([0.0, 0.0], [0.6, -0.8]),
+        ([0.3, -0.2], [-1.1, 0.4]),
+        ([0.0, 0.0, 0.0], [0.6, -0.8, 0.5]),
+        ([0.3, -0.2, 0.1], [-1.1, 0.4, 0.2]),
+    ],
+    ids=["n1-centred", "n1-off-centre", "n2-centred", "n2-off-centre", "n3-centred", "n3-off-centre"],
+)
+def test_bump_ray_derivatives_match_a_cauchy_integral(center, direction):
+    # the exact ray derivatives against the analytic continuation of the
+    # bump inside its support, at interior points, orders 0 to 6
+    center = np.array(center)
+    phi = testfn.bump(center, 0.8, n=center.size)
+    ray = phi.ray(direction)
+    cut = ray.cutoff(1e-16)
+    for k in range(7):
+        g = ray if k == 0 else ray.derivative(k)
+        for r0 in np.linspace(0.05, 0.9, 5) * cut:
+            ref = _cauchy_derivative(direction, center, 0.8, r0, k)
+            assert abs(g(r0) - ref) < 1e-10 * max(1.0, abs(ref)), (k, r0)
+
+
+def test_bump_ray_cutoff_is_the_support_edge():
+    # the ray ends where it leaves the support; a ray that misses it keeps
+    # a positive cutoff
+    phi = testfn.bump([0.5, 0.0], 0.3, n=2)
+    assert phi.ray([2.0, 0.0]).cutoff(1e-16) == pytest.approx(0.4, rel=1e-15)
+    assert phi.ray([-1.0, 0.0]).cutoff(1e-16) == pytest.approx(0.3, rel=1e-15)
+    assert phi.ray([0.0, 1.0]).cutoff(1e-16) == pytest.approx(0.3, rel=1e-15)
+    edge = testfn.bump(0.5, 0.3).ray([1.0])
+    assert edge(0.8 * (1.0 - 1e-12)) == 0.0 and edge.derivative(5)(0.8) == 0.0
+
+
+@pytest.mark.parametrize("conv", [testfn.FourierConvention.TWOPI, testfn.FourierConvention.ANGULAR_NORMALIZED], ids=lambda c: c.value)
+def test_transform_ray_derivatives_match_adaptive_transforms(conv):
+    # d^k/dr^k F(r d) = d^k (-i scale)^k times the transform of m^k phi
+    phi = testfn.bump(0.6, 0.8)
+    scale = {"twopi": 2.0 * math.pi, "angular-normalized": -1.0}[conv.value]
+    d = -1.5
+    ray = testfn.fourier(phi, conv).ray([d])
+    rs = np.linspace(0.0, 6.0, 13)
+    for k in (1, 2, 3):
+        vals = ray.derivative(k)(rs)
+        ref = np.array(
+            [
+                d ** k * (-1j * scale) ** k
+                * quad.oscillatory_ft_1d(lambda m: m ** k * phi(m), scale * r * d, a=-0.2, b=1.4, tol=1e-12)
+                for r in rs
+            ]
+        )
+        assert np.max(np.abs(vals - ref)) < 1e-6 * np.max(np.abs(ref)), k
+
+
 def test_gaussian_fourier_closed_form():
     # twopi convention: transform of e^{-pi m^2} is itself
     phi = testfn.gaussian(math.pi)
@@ -110,19 +181,19 @@ def test_scalar_in_scalar_out_on_the_line(make):
 @pytest.mark.parametrize("center", [0.0, 0.6], ids=["centred", "off-centre"])
 @pytest.mark.parametrize("conv", list(testfn.FourierConvention), ids=lambda c: c.value)
 def test_numeric_fourier_matches_the_per_frequency_rule(center, conv):
-    # each frequency on its own panel rule, as a sum of phi e^{-i w m}
+    # each frequency on its own panel rule over the support [c - r, c + r],
+    # as a sum of phi e^{-i w m}
     phi = testfn.bump(center, 0.8)
-    cut = phi.decay.cutoff(1e-18)
     scale = {"twopi": 2.0 * math.pi, "angular": 1.0, "angular-normalized": -1.0}[conv.value]
     xi = np.concatenate([np.linspace(-250.0, 250.0, 501), [0.0, 1e-9, -3.7, 1800.0]])
     ref = []
     for x in xi:
         w = scale * float(x)
-        nodes, wts = quad.panel_rule(-cut, cut, max(4, int(abs(w) * 2.0 * cut / 10.0) + 4))
+        nodes, wts = quad.panel_rule(center - 0.8, center + 0.8, max(4, int(abs(w) * 1.6 / 10.0) + 4))
         ref.append(np.sum(wts * phi(nodes) * np.exp(-1j * w * nodes)))
     ref = np.array(ref)
     # many panel counts in one call
-    assert len({max(4, int(abs(scale * x) * 2.0 * cut / 10.0) + 4) for x in xi}) > 20
+    assert len({max(4, int(abs(scale * x) * 1.6 / 10.0) + 4) for x in xi}) > 20
     phihat = testfn.fourier(phi, conv)
     vals = phihat(xi)
     peak = float(np.max(np.abs(ref)))

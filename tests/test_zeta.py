@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 
 from pvzeta import funceq, phspace, quad, special, testfn, zeta
@@ -125,8 +126,8 @@ def test_zeta_rejects_bad_component():
 
 # (space, test function, s, continuation depth N of the radial Mellin
 # transform at 2s + n - 1, sphere order); order 8 keeps the n = 3 runs
-# of the adaptive reference short.  Bumps have numeric ray profiles with
-# finite-difference derivatives and a support edge inside the interval.
+# of the adaptive reference short.  Bump rays differentiate exactly and
+# end at the support's far edge.
 ENGINE_CASES = [
     (phspace.definite(B=np.diag([1.0, 2.0, 0.5])), testfn.hermite_gaussian(2, 1.3, n=3), 0.4, 0, 8),
     (phspace.definite(B=np.diag([1.0, 2.0, 0.5])), testfn.gaussian(math.pi, n=3), -1.7 + 0.3j, 1, 8),
@@ -149,6 +150,39 @@ def test_definite_engine_matches_reference(space, phi, s, depth, order):
     assert fast.rule is not None and ref.rule is None
     err = abs(complex(fast.value) - complex(ref.value)) / abs(complex(ref.value))
     assert err < 1e-12, err
+
+
+def _bump_power_integral(alpha):
+    # integral_0^1 r^alpha e^{-1/(1 - r^2)} dr continued in alpha, with no
+    # derivative of the bump: on [0, 1/2] term by term from
+    # e^{-1/(1-r^2)} = e^{-1} sum_n L_n^(-1)(1) r^(2n) (the Laguerre
+    # generating function; coefficients by the three-term recurrence, as
+    # scipy's eval_genlaguerre returns nan at -1), each term continued
+    # exactly, and on [1/2, 1] by QUADPACK
+    lag = [1.0, -1.0]
+    for m in range(1, 200):
+        lag.append(((2 * m - 1) * lag[m] - (m - 1) * lag[m - 1]) / (m + 1))
+    head = math.exp(-1.0) * sum(c * 0.5 ** (alpha + 2 * m + 1) / (alpha + 2 * m + 1) for m, c in enumerate(lag))
+    body = scipy.integrate.quad(lambda r: r ** alpha * math.exp(-1.0 / (1.0 - r * r)), 0.5, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return head + body
+
+
+@pytest.mark.parametrize(
+    "space, n, s",
+    [("scalar", 1, -3.5), ("scalar", 1, -4.5), ("scalar", 1, -5.5), ("definite", 3, -2.75), ("definite", 3, -3.25)],
+)
+def test_continued_bump_zeta_matches_the_series_route(space, n, s):
+    # continuation by parts needs the ray derivatives up to order 5 here;
+    # for the radial bump every sphere rule gives 4 pi times the radial
+    # integral at 2s + 2, so order 4 keeps the reference short
+    if space == "scalar":
+        sp, order, ref = phspace.scalar1d(), None, _bump_power_integral(s)
+    else:
+        sp, order, ref = phspace.definite(n=n), 4, 4.0 * math.pi * _bump_power_integral(2.0 * s + n - 1.0)
+    phi = testfn.bump(0.0, 1.0, n=n)
+    for route in (zeta.zeta_local, zeta.zeta_local_reference):
+        val = complex(route(sp, "V1", s, phi, sphere_order=order).value)
+        assert abs(val - ref) < 1e-10 * abs(ref), route.__name__
 
 
 def test_definite_engine_pole_guard():
