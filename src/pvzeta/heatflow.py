@@ -267,7 +267,11 @@ def fhat_many(t, chis, variant="corrected"):
         eu = np.exp(u)
         vals = np.empty(mag.shape, dtype=complex)
         # e^{-chi e^u} underflows the exp range for large chi; clip the
-        # exponent rather than warn (the true value is below 1e-300 there)
+        # exponent at -708, where the result is still a normal double: below
+        # about -708.4 numpy's exp returns subnormals on a slow path (on an
+        # AVX-512 x86-64 host, 0.6 s for 4e6 exponents in [-745, -709]
+        # against 0.08 s at -708).  A clipped entry moves by at most
+        # e^{-708} = 3.3e-308 times |base|
         step = max(1, int(4e6 / max(eu.size, 1)))
         for lo in range(0, mag.size, step):
             hi = min(lo + step, mag.size)
@@ -275,7 +279,7 @@ def fhat_many(t, chis, variant="corrected"):
             # columns where even the smallest frequency in the block is
             # suppressed below e^{-60} contribute nothing
             keep = eu * float(np.min(block)) <= 60.0
-            expo = np.clip(-block[:, None] * eu[None, keep], -745.0, 0.0)
+            expo = np.clip(-block[:, None] * eu[None, keep], -708.0, 0.0)
             vals[lo:hi] = amp * (np.exp(expo) @ base[keep])
         out[~zero] = np.where(flat[~zero] > 0.0, vals, np.conj(vals))
     return out.reshape(chis.shape)

@@ -31,6 +31,13 @@ def test_eq12_bump():
     assert rep.passed, rep.rel_residual
 
 
+@pytest.mark.parametrize("s", [0.4, 0.5, 0.6])
+def test_eq12_bump_at_rounding_level(s):
+    # both sides run on the bump's numeric transform, accurate to rounding
+    rep = funceq.check_eq12(s, testfn.bump(0.0, 1.0), CONV)
+    assert rep.rel_residual < 1e-13, rep.rel_residual
+
+
 def test_eq12_rejects_multidim():
     with pytest.raises(DomainError):
         funceq.check_eq12(0.5, testfn.gaussian(math.pi, n=3), CONV)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracle import oscillatory_ft_1d
 from pvzeta import heatflow, quad, testfn
 from pvzeta.errors import AccuracyError, DomainError
 
@@ -67,8 +68,24 @@ def test_fhat_against_oscillatory_reference():
     t = 0.1
     for chi in (0.5, 5.0):
         val = heatflow.fhat_t(t, chi)
-        ref = quad.oscillatory_ft_1d(lambda y: heatflow.f_t(t, y), chi, 0.0, 60.0, tol=1e-12)
+        ref = oscillatory_ft_1d(lambda y: heatflow.f_t(t, y), chi, 0.0, 60.0, tol=1e-12)
         assert abs(val - ref) < 1e-10 * max(abs(ref), 1.0)
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0])
+def test_fhat_many_over_nine_decades(t):
+    # finite everywhere (the clipped exponent keeps every e^{-chi e^u} a
+    # normal double), and equal to the oracle where it holds: at t = 0.1 on
+    # (0, 60) as above; at t = 1 f_t is still 1e-4 at y = 60, so the oracle
+    # runs on the half line, where only its QAWF branch (chi > 4) converges
+    chis = np.logspace(-3.0, 6.0, 28)
+    vals = heatflow.fhat_many(t, chis)
+    assert np.all(np.isfinite(vals))
+    lo, hi = {0.1: (0.0, 60.0), 1.0: (4.0, np.inf)}[t]
+    for chi, val in zip(chis, vals):
+        if lo < chi < 30.0:
+            ref = oscillatory_ft_1d(lambda y: heatflow.f_t(t, y), chi, 0.0, hi, tol=1e-12)
+            assert abs(val - ref) < 1e-10 * max(abs(ref), 1.0), chi
 
 
 def test_fhat_zero_frequency():

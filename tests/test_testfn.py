@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracle import oscillatory_ft_1d
 from pvzeta import heatflow, homog, quad, testfn
 from pvzeta.errors import ConfigError, DomainError
 
@@ -96,7 +97,7 @@ def test_transform_ray_derivatives_match_adaptive_transforms(conv):
         ref = np.array(
             [
                 d ** k * (-1j * scale) ** k
-                * quad.oscillatory_ft_1d(lambda m: m ** k * phi(m), scale * r * d, a=-0.2, b=1.4, tol=1e-12)
+                * oscillatory_ft_1d(lambda m: m ** k * phi(m), scale * r * d, a=-0.2, b=1.4, tol=1e-12)
                 for r in rs
             ]
         )
@@ -178,6 +179,20 @@ def test_scalar_in_scalar_out_on_the_line(make):
     assert np.array_equal(vals, [phi(float(x)) for x in xs])
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("center, radius", [(0.0, 1.0), (0.6, 0.8), (-0.45, 0.8)])
+@pytest.mark.parametrize("conv", list(testfn.FourierConvention), ids=lambda c: c.value)
+def test_numeric_fourier_matches_adaptive_quadrature(center, radius, conv):
+    # against QUADPACK run a little past the support (see the oracle); it
+    # reports roundoff at this tolerance, and the comparison is the check
+    phi = testfn.bump(center, radius)
+    scale = {"twopi": 2.0 * math.pi, "angular": 1.0, "angular-normalized": -1.0}[conv.value]
+    phihat = testfn.fourier(phi, conv)
+    for xi in (0.0, 1.0, 5.0, 20.0, 60.0):
+        ref = oscillatory_ft_1d(phi, scale * xi, center - radius - 0.1, center + radius + 0.1, tol=1e-13)
+        assert abs(phihat(xi) - ref) < 1e-14, xi
+
+
 @pytest.mark.parametrize("center", [0.0, 0.6], ids=["centred", "off-centre"])
 @pytest.mark.parametrize("conv", list(testfn.FourierConvention), ids=lambda c: c.value)
 def test_numeric_fourier_matches_the_per_frequency_rule(center, conv):
@@ -189,11 +204,11 @@ def test_numeric_fourier_matches_the_per_frequency_rule(center, conv):
     ref = []
     for x in xi:
         w = scale * float(x)
-        nodes, wts = quad.panel_rule(center - 0.8, center + 0.8, max(4, int(abs(w) * 1.6 / 10.0) + 4))
+        nodes, wts = quad.panel_rule(center - 0.8, center + 0.8, int(abs(w) * 1.6 / 10.0) + 32)
         ref.append(np.sum(wts * phi(nodes) * np.exp(-1j * w * nodes)))
     ref = np.array(ref)
     # many panel counts in one call
-    assert len({max(4, int(abs(scale * x) * 1.6 / 10.0) + 4) for x in xi}) > 20
+    assert len({int(abs(scale * x) * 1.6 / 10.0) + 32 for x in xi}) > 20
     phihat = testfn.fourier(phi, conv)
     vals = phihat(xi)
     peak = float(np.max(np.abs(ref)))
