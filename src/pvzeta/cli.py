@@ -25,7 +25,7 @@ import numpy as np
 
 from . import funceq, heatflow, homog, phspace, symbolkern, testfn, zeta
 from .errors import ConfigError, PVZetaError
-from .report import CheckReport, sort_reports, worst
+from .report import CheckReport, sort_reports
 
 TOL_DIR_ENV = "PVZETA_TOL_DIR"
 
@@ -189,7 +189,8 @@ def _resolve_convention(eq, convention, s_list, phis, B=None, q=1):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand runners (each returns a list of CheckReports)
+# Subcommand runners: each parses its flags and returns the CheckReports
+# of the library checks they select; the rows are built in the library
 
 
 def run_zeta(cfg):
@@ -202,23 +203,7 @@ def run_zeta(cfg):
     for s in s_list:
         if which == "value":
             tol = _tol(ov, "zeta-eval", cfg.tol).get("tol", 1e-8)
-            comp = cfg.get("component", space.components[0])
-            # the scalar and definite kinds put the shared radial rule on
-            # the left and the adaptive rule per ray on the right
-            fast = zeta.zeta_local(space, comp, s, phi, tol=1e-9)
-            ref = zeta.zeta_local_reference(space, comp, s, phi, tol=1e-11)
-            extra = {"continuation_order": ref.continuation_order, "pole_distance": ref.pole_distance, "rule": fast.rule}
-            reports.append(
-                CheckReport(
-                    check="zeta-eval",
-                    params={"space": repr(space), "component": comp, "s": complex(s), "testfn": phi.label},
-                    lhs=complex(fast.value),
-                    rhs=complex(ref.value),
-                    tolerance=tol,
-                    anchor="Eq5",
-                    extra=extra,
-                )
-            )
+            reports.append(zeta.check_zeta_eval(space, cfg.get("component", space.components[0]), s, phi, tol))
         elif which == "overlap":
             reports.append(zeta.check_mellin_overlap(phi, 1.0, s, **_tol(ov, "mellin-overlap", cfg.tol)))
         elif which == "residue":
@@ -322,38 +307,15 @@ def run_probe(cfg):
     if what == "symbol-decay":
         reports.append(symbolkern.check_symbol_decay(f, space, m))
     elif what == "scaling":
-        tol = _tol(ov, "symbol-scaling", cfg.tol)
+        tol = _tol(ov, "symbol-scaling", cfg.tol).get("tol", 1e-9)
         seed = cfg.require_seed("the scaling sweep draws random factors")
-        rng = np.random.default_rng(seed)
         count = _number(cfg, "alphas", 50, _ints)
         if count < 1:
             raise ConfigError("--alphas must be at least 1")
-        sweep = []
-        for _ in range(count):
-            alpha = float(rng.uniform(0.05, 20.0))
-            sweep.append(symbolkern.scaling_check(f, space, [m], [float(rng.uniform(-3.0, 3.0))], alpha, **tol))
-        rep = worst(sweep)
-        rep.params.update(sweep_count=count, seed=seed)
-        reports.append(rep)
+        reports.append(symbolkern.scaling_sweep(f, space, m, count, seed, tol))
     elif what == "kernel":
         tol = _tol(ov, "kernel-vs-heat", cfg.tol).get("tol", 1e-7)
-        pts = [(1.0, 0.5), (0.7, 1.3), (2.0, 0.5), (-1.0, -0.5)]
-        rows = []
-        for mm, mp in pts:
-            _, _, K = symbolkern.aux_symbol_and_kernel(f, space, mm, mp)
-            oracle = heatflow.kernel_xy(t, mm, mp, variant) if mm * mp > 0 else 0.0
-            rows.append(
-                CheckReport(
-                    check="kernel-vs-heat",
-                    params={"t": t, "variant": variant, "points": [list(p) for p in pts]},
-                    lhs=K,
-                    rhs=oracle,
-                    tolerance=tol,
-                    anchor="Eq27",
-                    extra={"worst_point": [mm, mp]},
-                )
-            )
-        reports.append(worst(rows))
+        reports.append(heatflow.kernel_vs_heat_check(t, variant, tol))
     elif what == "integrability":
         reports.append(symbolkern.local_integrability_check(f))
     else:
@@ -413,34 +375,13 @@ def run_heat(cfg):
 # or (check id, function of the seed) for rows no subcommand emits
 
 
-def _kernel_identity(seed):
-    return [heatflow.kernel_identity_check(0.1, [(0.5, 0.25), (1.0, 1.0), (2.0, 3.0)])]
-
-
-def _scaling_sweep(seed):
-    f, space = heatflow.heat_group_function(0.1), phspace.scalar1d()
-    rng = np.random.default_rng(seed)
-    rep = worst(
-        [symbolkern.scaling_check(f, space, [1.0], [float(rng.uniform(-3.0, 3.0))], float(rng.uniform(0.05, 20.0))) for _ in range(10)]
-    )
-    rep.params["seed"] = seed
-    return [rep]
-
-
 def _integrability_refined(seed):
     # two more dyadic levels than the probe
     return [symbolkern.local_integrability_check(heatflow.heat_group_function(0.1), levels=8)]
 
 
 def _invariance_sweep(spec):
-    def sweep(seed):
-        space = phspace.parse_space(spec)
-        gs, ms = phspace.sample_group(space, 50, seed), phspace.sample_points(space, 50, seed + 1)
-        rep = worst([phspace.check_relative_invariance(space, g, m) for g, m in zip(gs, ms)])
-        rep.params.update(sweep_count=50, seed=seed)
-        return [rep]
-
-    return sweep
+    return lambda seed: [phspace.invariance_sweep(phspace.parse_space(spec), 50, seed)]
 
 
 _GAUSS1 = "gaussian:a=3.14159,n=1"
@@ -460,11 +401,11 @@ _QUICK = (
     ("heat", {"check": "semigroup", "t": "0.5", "s": "0.5", "x": "0.5,1.0,2.0"}),
     ("heat", {"check": "generator", "t": "0.5", "x": "1.0"}),
     ("heat", {"check": "lacunary", "t": "0.1"}),
-    ("heat-kernel-identity", _kernel_identity),
+    ("heat", {"check": "kernel", "t": "0.1"}),
     ("heat", {"check": "bounds", "t": "0.25,1.0"}),
     # symbols
     ("probe", {"what": "symbol-decay", "t": "0.1", "m": "1.0"}),
-    ("symbol-scaling", _scaling_sweep),
+    ("probe", {"what": "scaling", "t": "0.1", "alphas": "10"}),
     ("probe", {"what": "integrability", "t": "0.1"}),
     # relative invariance (1D)
     ("relative-invariance", _invariance_sweep("scalar1d")),

@@ -35,9 +35,7 @@ import numpy as np
 
 from . import phspace, special, testfn, zeta
 from .errors import DomainError, PoleError
-from .report import CheckReport
-
-_FLOOR = 1e-300
+from .report import CheckReport, worst
 
 
 # ---------------------------------------------------------------------------
@@ -179,28 +177,17 @@ def eq22_sides(s, B, phi, convention, q=1):
 
 def check_eq22(s, B, phi, convention, q=1, tol=1e-9):
     lhs, rhs, direct = eq22_sides(s, B, phi, convention, q=q)
-    resid = [abs(l - r) / max(abs(l), abs(r), _FLOOR) for l, r in zip(lhs, rhs)]
-    worst = int(np.argmax(resid))
     conv = testfn.FourierConvention.parse(convention)
-    return CheckReport(
-        check="funceq-eq22",
-        params={
-            "s": complex(s),
-            "q": q,
-            "testfn": phi.label,
-            "convention": conv.value,
-        },
-        lhs=complex(lhs[worst]),
-        rhs=complex(rhs[worst]),
-        tolerance=tol,
-        anchor="Eq22",
-        extra={
-            "lhs_vec": [complex(v) for v in lhs],
-            "rhs_vec": [complex(v) for v in rhs],
-            "direct_vec": [complex(v) for v in direct],
-            "component_residuals": [float(r) for r in resid],
-        },
+    params = {"s": complex(s), "q": q, "testfn": phi.label, "convention": conv.value}
+    rows = [CheckReport("funceq-eq22", params, complex(l), complex(r), tol, anchor="Eq22") for l, r in zip(lhs, rhs)]
+    rep = worst(rows)
+    rep.extra.update(
+        lhs_vec=[complex(v) for v in lhs],
+        rhs_vec=[complex(v) for v in rhs],
+        direct_vec=[complex(v) for v in direct],
+        component_residuals=[float(r.rel_residual) for r in rows],
     )
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,9 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from . import funceq, quad, symbolkern, testfn
+from . import funceq, phspace, quad, symbolkern, testfn
 from .errors import AccuracyError, DomainError
-from .report import CheckReport
+from .report import CheckReport, worst
 
 VARIANTS = ("printed", "corrected")
 
@@ -192,25 +192,15 @@ def semigroup_check(t, s, phi, xs, variant="corrected", tol=1e-6):
             f"two-step Gauss-Hermite rule unresolved at x = {xs[k]}: "
             f"64 and 128 nodes differ by {gap[k]:.2e} on |value| {abs(twos[k]):.2e}"
         )
-    worst = None
-    ratios = []
-    for x, two, one in zip(xs, twos.tolist(), ones):
-        resid = abs(two - one) / max(abs(two), abs(one), 1e-300)
-        if abs(one) > 1e-300:
-            ratios.append(two / one)
-        if worst is None or resid > worst[0]:
-            worst = (resid, two, one, x)
-    ratio = complex(np.mean(ratios)) if ratios else complex("nan")
-    return CheckReport(
-        check="heat-semigroup",
-        params={"t": t, "s": s, "variant": variant, "testfn": phi.label, "x_grid": xs},
-        lhs=worst[1],
-        rhs=worst[2],
-        tolerance=tol,
-        anchor="Eq26",
-        extra={"measured_ratio": ratio, "worst_x": worst[3]},
-        residual=worst[0],
-    )
+    params = {"t": t, "s": s, "variant": variant, "testfn": phi.label, "x_grid": xs}
+    rows = [
+        CheckReport("heat-semigroup", params, two, one, tol, anchor="Eq26", extra={"worst_x": x})
+        for x, two, one in zip(xs, twos.tolist(), ones)
+    ]
+    ratios = [r.lhs / r.rhs for r in rows if abs(r.rhs) > 1e-300]
+    rep = worst(rows)
+    rep.extra["measured_ratio"] = complex(np.mean(ratios)) if ratios else complex("nan")
+    return rep
 
 
 def generator_check(t, phi, x, variant="corrected", tol=0.2):
@@ -319,8 +309,8 @@ def lacunary_check(t, variant="corrected", tol=1e-7):
     numeric, rule = symbolkern.atilde_numeric(heat_group_function(t, variant), 1.0, ys)
     scale = float(np.max(np.abs(closed))) or 1.0
     resid = np.abs(numeric - closed) / scale
-    worst = int(np.argmax(resid))
-    peak = float(resid[worst])
+    at = int(np.argmax(resid))
+    peak = float(resid[at])
     above = ys >= 1.0
     closed_gap = float(np.max(np.abs(closed[above]))) if np.any(above) else 0.0
     numeric_gap = float(np.max(np.abs(numeric[above]))) if np.any(above) else 0.0
@@ -328,8 +318,8 @@ def lacunary_check(t, variant="corrected", tol=1e-7):
     return CheckReport(
         check="heat-lacunary",
         params={"t": t, "variant": variant, "y_grid": [float(y) for y in ys]},
-        lhs=complex(numeric[worst]),
-        rhs=complex(closed[worst]),
+        lhs=complex(numeric[at]),
+        rhs=complex(closed[at]),
         tolerance=tol,
         anchor="EqV",
         extra={
@@ -354,23 +344,28 @@ def kernel_xy(t, x, y, variant="corrected"):
 
 def kernel_identity_check(t, pts, variant="corrected", tol=1e-10):
     """S_t(x, y) vs (1/|x|) Atilde_t(x, (x-y)/x) using the closed Atilde."""
-    worst = None
+    params = {"t": t, "variant": variant, "points": [list(p) for p in pts]}
+    rows = []
     for x, y in pts:
         lhs = kernel_xy(t, x, y, variant)
         rhs = float(np.asarray(atilde_closed(t, (x - y) / x, variant))) / abs(x) if x != 0.0 else 0.0
-        resid = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-        if worst is None or resid > worst[0]:
-            worst = (resid, lhs, rhs, (x, y))
-    return CheckReport(
-        check="heat-kernel-identity",
-        params={"t": t, "variant": variant, "points": [list(p) for p in pts]},
-        lhs=worst[1],
-        rhs=worst[2],
-        tolerance=tol,
-        anchor="Eq27",
-        extra={"worst_point": list(worst[3])},
-        residual=worst[0],
-    )
+        rows.append(CheckReport("heat-kernel-identity", params, lhs, rhs, tol, anchor="Eq27", extra={"worst_point": [x, y]}))
+    return worst(rows)
+
+
+def kernel_vs_heat_check(t, variant, tol):
+    """The Schwartz kernel assembled from the symbol of the heat group
+    function (symbolkern.aux_symbol_and_kernel) against the closed kernel
+    S_t(x, y), worst of four points on both sides of the origin."""
+    f, space = heat_group_function(t, variant), phspace.scalar1d()
+    pts = [(1.0, 0.5), (0.7, 1.3), (2.0, 0.5), (-1.0, -0.5)]
+    params = {"t": t, "variant": variant, "points": [list(p) for p in pts]}
+    rows = []
+    for x, y in pts:
+        _, _, K = symbolkern.aux_symbol_and_kernel(f, space, x, y)
+        closed = kernel_xy(t, x, y, variant)
+        rows.append(CheckReport("kernel-vs-heat", params, K, closed, tol, anchor="Eq27", extra={"worst_point": [x, y]}))
+    return worst(rows)
 
 
 def diagonal_funceq(t, zeta_s, phi, variant="corrected", tol=1e-7):
@@ -397,7 +392,8 @@ def langlands_bounds_check(ts, kappas, variant="corrected", tol=1e-8):
     the printed variant), plus a fit of the qualitative bound shape
     a e^{omega t} of the norm's t-growth at fixed kappa."""
     _check_variant(variant)
-    rows, worst = [], None
+    params = {"variant": variant, "t_grid": list(ts), "kappa_grid": list(kappas)}
+    rows, reports = [], []
     fac = math.sqrt(2.0) if variant == "printed" else 1.0
     for t in ts:
         c = prefactor(t, variant)
@@ -410,25 +406,21 @@ def langlands_bounds_check(ts, kappas, variant="corrected", tol=1e-8):
             )
             numeric = float(np.real(complex(res.value)))
             closed = fac * math.exp(k * k * t) * (1.0 + erf(k * math.sqrt(t)))
-            resid = abs(numeric - closed) / closed
             rows.append({"t": t, "kappa": k, "numeric": numeric, "closed": closed})
-            if worst is None or resid > worst[0]:
-                worst = (resid, numeric, closed, (t, k))
+            reports.append(
+                CheckReport(
+                    "heat-langlands-bounds", params, numeric, closed, tol, anchor="Eq24",
+                    extra={"worst_at": [t, k]}, residual=abs(numeric - closed) / closed,
+                )
+            )
     # growth-shape fit at the largest kappa: log-norm vs t regression
     kmax = max(kappas)
     tv = np.asarray(ts, dtype=float)
     nv = np.array([r["numeric"] for r in rows if r["kappa"] == kmax])
     omega_fit = float(np.polyfit(tv, np.log(nv), 1)[0]) if len(tv) >= 2 else float("nan")
-    return CheckReport(
-        check="heat-langlands-bounds",
-        params={"variant": variant, "t_grid": list(ts), "kappa_grid": list(kappas)},
-        lhs=worst[1],
-        rhs=worst[2],
-        tolerance=tol,
-        anchor="Eq24",
-        extra={"worst_at": list(worst[3]), "fitted_growth_rate": omega_fit, "rows": rows},
-        residual=worst[0],
-    )
+    rep = worst(reports)
+    rep.extra.update(fitted_growth_rate=omega_fit, rows=rows)
+    return rep
 
 
 def heat_group_function(t, variant="corrected"):

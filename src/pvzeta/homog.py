@@ -154,27 +154,17 @@ class HomogFunctional:
         outer = phi.decay.cutoff(1e-16)
         if not np.isfinite(outer) or outer <= 0.0:
             raise DomainError("direct pairing needs a finite support bound")
-        if n == 1:
-            total = 0.0 + 0.0j
-            for sgn in (1.0, -1.0):
-                r = quad.integrate_1d(
-                    lambda t, sgn=sgn: complex(self(sgn * t)) * complex(phi(sgn * t)),
-                    0.0,
-                    outer,
-                    tol=1e-11,
-                )
-                total += complex(r.value)
-        else:
-            pts, wts = quad.sphere_quadrature(n)
-            total = 0.0 + 0.0j
-            for om, w in zip(pts, wts):
-                r = quad.integrate_1d(
-                    lambda t, om=om: self(t * om) * complex(phi(t * om)) * t ** (n - 1),
-                    0.0,
-                    outer,
-                    tol=1e-11,
-                )
-                total += w * complex(r.value)
+        pts, wts = quad.sphere_quadrature(n)
+        total = 0.0 + 0.0j
+        # the rays as points on the line when n = 1, as in _kdot_rule
+        for om, w in zip(pts[:, 0] if n == 1 else pts, wts):
+            r = quad.integrate_1d(
+                lambda t, om=om: self(t * om) * complex(phi(t * om)) * t ** (n - 1),
+                0.0,
+                outer,
+                tol=1e-11,
+            )
+            total += w * complex(r.value)
         return total.real if total.imag == 0.0 else total
 
 

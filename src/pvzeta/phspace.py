@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConfigError, DomainError
-from .report import CheckReport
+from .report import CheckReport, worst
 
 
 @dataclass(frozen=True)
@@ -200,6 +200,16 @@ def sample_points(space, count, seed):
     rng = np.random.default_rng(seed)
     pts = rng.normal(0.0, 1.5, size=(count, space.n))
     return pts[:, 0] if space.kind == "scalar1d" else pts
+
+
+def invariance_sweep(space, count, seed):
+    """The worst check_relative_invariance over count group elements of
+    sample_group(space, count, seed) paired with the points of
+    sample_points(space, count, seed + 1)."""
+    gs, ms = sample_group(space, count, seed), sample_points(space, count, seed + 1)
+    rep = worst([check_relative_invariance(space, g, m) for g, m in zip(gs, ms)])
+    rep.params.update(sweep_count=count, seed=seed)
+    return rep
 
 
 def parse_space(spec):

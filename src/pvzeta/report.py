@@ -123,5 +123,7 @@ def sort_reports(reports):
 
 
 def worst(reports):
-    """The first report of maximal rel_residual."""
+    """The first report of maximal rel_residual.  A check over several
+    points builds one report per point and returns this one, with its
+    aggregate extra added."""
     return max(reports, key=attrgetter("rel_residual"))

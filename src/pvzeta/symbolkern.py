@@ -34,7 +34,7 @@ import numpy as np
 
 from . import quad
 from .errors import AccuracyError, DomainError, NonConvergence
-from .report import CheckReport
+from .report import CheckReport, worst
 
 
 class GroupFunction:
@@ -161,6 +161,19 @@ def scaling_check(f, space, m, xi, alpha, tol=1e-9):
         tolerance=tol,
         anchor="EqS",
     )
+
+
+def scaling_sweep(f, space, m, count, seed, tol):
+    """The worst scaling_check at m over count seeded draws, each of
+    alpha uniform in [0.05, 20] and then xi uniform in [-3, 3]."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(count):
+        alpha = float(rng.uniform(0.05, 20.0))
+        rows.append(scaling_check(f, space, [m], [float(rng.uniform(-3.0, 3.0))], alpha, tol))
+    rep = worst(rows)
+    rep.params.update(sweep_count=count, seed=seed)
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -381,7 +381,9 @@ def bump(center=0.0, radius=1.0, n=1):
     if radius <= 0:
         raise DomainError("bump radius must be positive")
     c = np.zeros(n) + np.asarray(center, dtype=float)
-    label = f"bump:c={float(np.linalg.norm(c)):g},r={radius:g},n={n}"
+    # the centre as parse_testfn reads it: a scalar, or coordinates joined by |
+    ctext = "|".join(f"{v:g}" for v in np.atleast_1d(np.asarray(center, dtype=float)))
+    label = f"bump:c={ctext},r={radius:g},n={n}"
 
     def ev(m):
         m = np.asarray(m, dtype=float)
@@ -559,7 +561,8 @@ def parse_testfn(spec):
         if name == "hermite":
             return hermite_gaussian(int(kw.get("d", 2)), float(kw.get("a", math.pi)), int(kw.get("n", 1)))
         if name == "bump":
-            return bump(float(kw.get("c", 0.0)), float(kw.get("r", 1.0)), int(kw.get("n", 1)))
+            center = [float(v) for v in kw.get("c", "0").split("|")]
+            return bump(center[0] if len(center) == 1 else center, float(kw.get("r", 1.0)), int(kw.get("n", 1)))
     except (ValueError, DomainError) as exc:
         raise ConfigError(f"invalid test-function spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown test-function family {name!r}")

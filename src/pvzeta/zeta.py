@@ -166,12 +166,21 @@ def _orders(sphere_order):
 def _radial_engine(space, component, s, phi, tol, sphere_order):
     """Z(s, phi) for the scalar and definite kinds: every ray of _polar on
     one shared tanh-sinh rule in u = r^(1 + Re expo) on [0, largest ray
-    cutoff].  DomainError when a ray profile has no finite cutoff."""
+    cutoff].  DomainError when a ray profile has no finite cutoff or
+    oscillates: the level gap of the rule does not see an unresolved
+    oscillation, so such a ray (the numeric Fourier transform of a bump)
+    goes to mellin or zeta_local_reference, whose quad.power_integral
+    sizes its panels to the wavelength."""
     pts, wts, B, sm = _polar(space, component, s, sphere_order)
     dist, N, den = _continuation(sm)
     profiles, cut = [], 0.0
     for om in pts:
         prof = phi.ray(om)
+        if getattr(prof, "oscillation", None) is not None:
+            raise DomainError(
+                f"the shared radial rule does not resolve the oscillating rays of {phi.label}; "
+                "zeta.mellin and zeta_local_reference take them on wavelength panels"
+            )
         c = prof.cutoff(1e-16)
         if not (np.isfinite(c) and c > 0.0):
             raise DomainError(f"the shared radial rule needs a finite cutoff of every ray profile, got {c}")
@@ -199,7 +208,8 @@ def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=None):
     radial rule (Takahasi & Mori 1974), refined until two levels agree
     within tol of the L1 mass on every ray, else AccuracyError at its
     level cap; zeta_local_reference keeps the adaptive rule per ray as
-    the independent route.  An indefinite component runs on
+    the independent route.  Oscillating rays raise DomainError (see
+    _radial_engine).  An indefinite component runs on
     quad.integrate_signature, whose rule the returned value carries, with
     its level gap divided like the value.  sphere_order sets the sphere
     rule; None takes each engine's own (16 for a definite space, 24 in
@@ -284,6 +294,26 @@ def zeta_local_reference(space, component, s, phi, tol=1e-10, sphere_order=None)
         dist, order = mv.pole_distance, mv.continuation_order
     value = total.real if total.imag == 0.0 else total
     return MeroValue(value, dist, order)
+
+
+def check_zeta_eval(space, component, s, phi, tol):
+    """zeta_local at tol 1e-9 against zeta_local_reference at tol 1e-11:
+    for the scalar and definite kinds the shared radial rule against the
+    adaptive rule per ray, for the indefinite kind the b-function route
+    against the finite-difference stencil."""
+    from .report import CheckReport
+
+    fast = zeta_local(space, component, s, phi, tol=1e-9)
+    ref = zeta_local_reference(space, component, s, phi, tol=1e-11)
+    return CheckReport(
+        check="zeta-eval",
+        params={"space": repr(space), "component": component, "s": complex(s), "testfn": phi.label},
+        lhs=complex(fast.value),
+        rhs=complex(ref.value),
+        tolerance=tol,
+        anchor="Eq5",
+        extra={"continuation_order": ref.continuation_order, "pole_distance": ref.pole_distance, "rule": fast.rule},
+    )
 
 
 def check_mellin_overlap(phi, omega, s, order=2, tol=1e-8):

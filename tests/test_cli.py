@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from pvzeta import cli, heatflow, quad, testfn, zeta
+from pvzeta import cli, heatflow, phspace, quad, testfn, zeta
 from pvzeta.errors import AccuracyError, ConfigError
 
 
@@ -182,6 +182,17 @@ def test_zeta_eval_indefinite_near_the_poles(tmp_path, s):
     assert run(args + ["--out", str(tmp_path / "r.jsonl")]) == 0
 
 
+@pytest.mark.parametrize(
+    "space, spec, s", [("definite:n=2", "gaussian:a=3.14159,n=2", 0.6), ("indefinite:q=1,n=3", "gaussian:a=3.14159,n=3", 0.4)]
+)
+def test_check_zeta_eval_is_the_cli_row(tmp_path, space, spec, s):
+    out = tmp_path / "r.jsonl"
+    assert run(["zeta", "--space", space, "--testfn", spec, f"--s={s}", "--out", str(out)]) == 0
+    sp = phspace.parse_space(space)
+    rep = zeta.check_zeta_eval(sp, sp.components[0], s, testfn.parse_testfn(spec), 1e-8)
+    assert out.read_text() == rep.to_json() + "\n"
+
+
 def test_zeta_eval_narrow_off_centre_bump(tmp_path):
     # the ray's cutoff is the support's far edge, so the shared rule's
     # nodes crowd into [0.48, 0.52] instead of missing it on [0, 1.52]
@@ -350,6 +361,10 @@ def test_suite_isolates_an_entry_that_raises(tmp_path, monkeypatch):
     assert errors[0]["check"] == "heat" and errors[0]["params"] == {"check": "lacunary", "seed": 11, "t": "0.1"}
     assert errors[0]["extra"]["error"] == "AccuracyError: forced for the test"
     assert all(r["status"] == "pass" for r in rows if r is not errors[0])
+    # the kernel identity and scaling rows come from their subcommands
+    by_check = {r["check"]: r for r in rows}
+    assert len(by_check["heat-kernel-identity"]["params"]["points"]) == 9
+    assert by_check["symbol-scaling"]["params"]["sweep_count"] == 10
 
 
 def test_suite_propagates_errors_outside_the_package(monkeypatch):

@@ -133,6 +133,15 @@ def test_kernel_identity_and_support():
     assert heatflow.kernel_xy(0.1, 1.0, -2.0) == 0.0
 
 
+@pytest.mark.parametrize("variant", heatflow.VARIANTS)
+def test_kernel_vs_heat_check(variant):
+    # the kernel assembled from the symbol against the closed S_t(x, y),
+    # on both sides of the origin
+    rep = heatflow.kernel_vs_heat_check(0.1, variant, 1e-7)
+    assert rep.check == "kernel-vs-heat" and rep.passed, rep.to_dict()
+    assert rep.params["variant"] == variant and len(rep.params["points"]) == 4
+
+
 def test_kernel_homogeneity():
     t, x, y, lam = 0.2, 0.7, 1.3, 3.0
     a = heatflow.kernel_xy(t, lam * x, lam * y)

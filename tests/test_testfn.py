@@ -243,6 +243,26 @@ def test_parse_testfn():
         testfn.parse_testfn("gaussian:a")
 
 
+@pytest.mark.parametrize(
+    "make, label",
+    [
+        (lambda: testfn.bump(-0.45, 0.8), "bump:c=-0.45,r=0.8,n=1"),
+        (lambda: testfn.bump(0.5, 1.0, n=2), "bump:c=0.5,r=1,n=2"),
+        (lambda: testfn.bump([0.3, -0.4], 1.0, n=2), "bump:c=0.3|-0.4,r=1,n=2"),
+    ],
+    ids=["line-negative", "plane-scalar", "plane-vector"],
+)
+def test_bump_label_rebuilds_the_bump(make, label):
+    # the label holds the centre as parse_testfn reads it, not its norm
+    phi = make()
+    assert phi.label == label
+    again = testfn.parse_testfn(label)
+    pts = np.random.default_rng(3).uniform(-1.5, 1.5, size=(200, phi.n))
+    pts = pts[:, 0] if phi.n == 1 else pts
+    assert again.label == label and np.array_equal(again(pts), phi(pts))
+    assert np.max(phi(pts)) > 0.0
+
+
 def test_polygauss_requires_positive_rate():
     with pytest.raises(DomainError):
         testfn.gaussian(-1.0)

@@ -124,6 +124,16 @@ def test_zeta_rejects_bad_component():
         zeta.zeta_local(sp, "nope", 0.3, testfn.gaussian(1.0))
 
 
+def test_shared_rule_refuses_oscillating_rays():
+    # the level gap of the shared rule does not see an unresolved
+    # oscillation; the numeric transform of a bump goes to the panel route
+    phihat = testfn.fourier(testfn.bump(0.0, 1.0), testfn.FourierConvention.TWOPI)
+    with pytest.raises(DomainError, match="zeta.mellin"):
+        zeta.zeta_local(phspace.scalar1d(), "V1", 0.4, phihat)
+    ref = zeta.zeta_local_reference(phspace.scalar1d(), "V1", 0.4, phihat)
+    assert ref.value == zeta.mellin(phihat, 1.0, 0.4).value
+
+
 # (space, test function, s, continuation depth N of the radial Mellin
 # transform at 2s + n - 1, sphere order); order 8 keeps the n = 3 runs
 # of the adaptive reference short.  Bump rays differentiate exactly and
