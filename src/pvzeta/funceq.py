@@ -143,18 +143,18 @@ def check_eq12a(s, B, phi, convention, variant="corrected", tol=1e-6):
 
 
 def eq22_sides(s, B, phi, convention, q=1):
-    """Returns (lhs_vec, rhs_vec) of the 2-vector equation: lhs over the
-    dual components of phihat, rhs = C(s) applied to the direct zeta
-    vector of phi."""
+    """Returns (lhs_vec, rhs_vec, direct_vec) of the 2-vector equation:
+    lhs over the dual components of phihat, rhs = C(s) applied to the
+    direct zeta vector of phi.  DomainError unless B has signature
+    (q, n - q); at a pole of C(s) the first zeta integral, at s - n/2,
+    raises PoleError."""
     s = complex(s)
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n = B.shape[0]
     if n != 3 or q not in (1, 2):
         raise DomainError("Eq22 is supported for n = 3, q in {1, 2}")
-    if abs(s - (n / 2.0 - 1.0)) < zeta.POLE_GUARD or zeta._neg_int_distance(s + 1.0 - n / 2.0) < zeta.POLE_GUARD:
-        raise PoleError(f"gamma factor pole near s = {s}")
     conv = testfn.FourierConvention.parse(convention)
-    space = phspace.indefinite(B=B)
+    space = phspace.indefinite(B=B, q=q)
     dual = phspace.indefinite(B=np.linalg.inv(B))
     phihat = testfn.fourier(phi, conv)
 

@@ -34,7 +34,7 @@ from scipy.special import erf
 
 from . import funceq, phspace, quad, symbolkern, testfn
 from .errors import AccuracyError, DomainError
-from .report import CheckReport, worst
+from .report import CheckReport, label_number, worst
 
 VARIANTS = ("printed", "corrected")
 
@@ -115,7 +115,7 @@ def log_gaussian(a, scale=1.0):
     """phi(x) = scale * e^{-a (log x)^2} on x > 0."""
     if a <= 0:
         raise DomainError("rate must be positive")
-    return LogTestFunction(testfn.PolyGauss1D([scale], a), label=f"loggauss:a={a:g}")
+    return LogTestFunction(testfn.PolyGauss1D([scale], a), label=f"loggauss:a={label_number(a)}")
 
 
 def log_gaussian_image(a, t, scale=1.0, variant="corrected"):
@@ -428,7 +428,7 @@ def heat_group_function(t, variant="corrected"):
     and auxiliary kernel attached as oracles."""
     return symbolkern.GroupFunction(
         fn=lambda a: np.asarray(langlands_kernel(t, a, variant)),
-        label=f"heat:t={t:g},variant={variant}",
+        label=f"heat:t={label_number(t)},variant={variant}",
         log_decay_rate=1.0 / (4.0 * t),
         hat1d=lambda u: fhat_many(t, -np.asarray(u, dtype=float), variant),
         atilde_closed=lambda u: atilde_closed(t, u, variant),

@@ -193,12 +193,6 @@ class RadialCutoff:
             out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
         return self.norm * out
 
-    def __call__(self, m):
-        """psi(m): a scalar or a 1-D array holds points on the line, an
-        array of shape (..., n) with two or more axes points in R^n."""
-        m = np.asarray(m, dtype=float)
-        return self.eta(np.abs(m) if m.ndim <= 1 else np.linalg.norm(m, axis=-1))
-
     def log_mass(self):
         res = quad.integrate_1d(lambda t: self.eta(t) / t, self.a, self.b, tol=1e-12)
         return float(np.real(complex(res.value)))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConfigError, DomainError
-from .report import CheckReport, worst
+from .report import CheckReport, label_number, worst
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,18 @@ class PVSpace:
         return ("plus", "minus")
 
     def __repr__(self):
+        """The kind, n and q, and B unless it is the kind's default (the
+        identity, or diag(1, ..., 1, -1, ..., -1) of signature (q, n - q)):
+        its diagonal joined by | as parse_space reads it, or every entry
+        row by row when B is not diagonal."""
         if self.kind == "scalar1d":
             return "PVSpace(scalar1d)"
-        return f"PVSpace({self.kind}, n={self.n}, q={self.q})"
+        text = f"PVSpace({self.kind}, n={self.n}, q={self.q}"
+        B = self.Bmat
+        if not np.array_equal(B, np.diag([1.0] * self.q + [-1.0] * (self.n - self.q))):
+            entries = np.diag(B) if np.array_equal(B, np.diag(np.diag(B))) else B.ravel()
+            text += ", B=" + "|".join(label_number(v) for v in entries)
+        return text + ")"
 
 
 def scalar1d():

@@ -1,7 +1,7 @@
-"""Quadrature engines: radial power integrals, a shared tanh-sinh
-radial rule, sphere rules, indefinite quadratic-form components in
-hyperbolic coordinates, and 1D oscillatory Fourier integrals on the half
-line by a double-exponential rule.
+"""Quadrature engines: radial power integrals, the tanh-sinh radial
+rule of the zeta integrals, sphere rules, indefinite quadratic-form
+components in hyperbolic coordinates, and 1D oscillatory Fourier
+integrals on the half line by a double-exponential rule.
 
 power_integral is the one route for integral_0^cut r^expo g(r) dr with
 Re expo > -1: near r = 0 it works in u = r^(1 + Re expo), where the
@@ -26,13 +26,11 @@ from .errors import AccuracyError, DomainError, NonConvergence, PoleError
 
 @dataclass
 class QuadResult:
-    """Value, error estimate and integrand evaluations of one quadrature;
-    rule carries the node count and last level gap of a level-refined rule."""
+    """Value, error estimate and integrand evaluations of one quadrature."""
 
     value: complex
     error_estimate: float
     evaluations: int
-    rule: dict | None = None
 
     def __complex__(self):
         return complex(self.value)
@@ -191,9 +189,10 @@ def panel_integral(f, a, b, panel_width=0.5):
     return QuadResult(value, abs(v2 - v1), 3 * npanel * PANEL_ORDER)
 
 
-# Tanh-sinh rule shared by the radial integrals of both zeta engines, on
-# abscissae |t| <= _DE_TMAX: the step starts at _DE_H0 and halves, keeping
-# every earlier node.  At |t| = _DE_TMAX the node sits e^{-pi sinh(_DE_TMAX)}
+# Tanh-sinh rule of _radial_levels, shared by the radial integrals of the
+# zeta integrals of every kind (zeta.zeta_local), on abscissae
+# |t| <= _DE_TMAX: the step starts at _DE_H0 and halves, keeping every
+# earlier node.  At |t| = _DE_TMAX the node sits e^{-pi sinh(_DE_TMAX)}
 # (about 1e-37) of the interval from an end.
 _DE_H0 = 0.5
 _DE_TMAX = 4.0
@@ -381,8 +380,6 @@ _SIG_BLOCK = 1 << 21
 # to rounding; the panel count grows like log log(1/r) as r -> 0, not like
 # log(1/r) as on equal panels.
 _U_EDGES = np.concatenate([np.arange(0.0, 4.0, 0.5), 4.0 * 1.5 ** np.arange(16)])
-# level cap of the tanh-sinh radial rule of integrate_signature
-_SIG_LEVELS = 9
 
 
 class SignatureGeometry:
@@ -513,44 +510,8 @@ def radial_power_integral(H, beta, r_max, tol=1e-10, depth=0):
     return -inner / (beta + 1.0)
 
 
-def integrate_signature(g, B, q, sheet, w=0.0, tol=1e-9, sphere_order=24, decay_rate=None):
-    """Integrate |p(m)|^w g(m) over the component of R^n where
-    sign(m^T B m) matches the sheet, for diagonal B of signature (q, n-q)
-    and Re w > -1/2 (zeta.zeta_local continues below that with the
-    b-function).
-
-    g must be vectorized over arrays of points (last axis = coordinates)
-    and carry gaussian decay; decay_rate bounds |g| <= C e^{-rate |x|^2}
-    in standardized coordinates (defaults to a conservative estimate).
-    The radial integral of r^(2w + n - 2) H(r) runs on the tanh-sinh rule
-    of the definite zeta engine (_radial_levels, at most _SIG_LEVELS
-    halvings), with H at every node of a level from one
-    SignatureGeometry.profile call.  The result's rule holds the radial
-    node count and the change between the last two levels.
-    """
-    w = complex(w)
-    if w.real <= -0.5:
-        raise DomainError(f"integrate_signature needs Re w > -1/2, got w = {w}")
-    geom = SignatureGeometry(B, q, sheet, sphere_order=sphere_order)
-    if decay_rate is None:
-        decay_rate = 0.5
-    points = 0
-
-    def rows(r):
-        nonlocal points
-        H, n_pts = geom.profile(g, r, decay_rate)
-        points += n_pts
-        return [H]
-
-    cur, prev, nodes = _radial_levels(rows, 2.0 * w + geom.n - 2.0, geom.radial_cutoff(decay_rate), tol, _SIG_LEVELS)
-    gap = geom.detfac * float(abs(cur[0] - prev[0]))
-    val = geom.detfac * complex(cur[0])
-    value = val.real if val.imag == 0.0 else val
-    return QuadResult(value, gap, points, rule={"radial_nodes": nodes, "level_gap": gap})
-
-
 def monte_carlo_signature(g, B, q, sheet, w, nsamples, seed):
-    """Monte-Carlo oracle for integrate_signature using a standard
+    """Monte-Carlo oracle for the indefinite zeta integrals using a standard
     gaussian proposal with density exactly e^{-pi |m|^2}, for diagonal B
     (as SignatureGeometry).  Returns (estimate, standard_error)."""
     B = np.atleast_2d(np.asarray(B, dtype=float))

@@ -122,6 +122,14 @@ def sort_reports(reports):
     return sorted(reports, key=lambda r: (r.check, json.dumps(_jsonable(r.params), sort_keys=True)))
 
 
+def label_number(x):
+    """x as a label writes it: the shortest text that reads back as x,
+    '{:g}' where that is exact (so such labels keep their bytes), else
+    repr without a trailing '.0'."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x)).removesuffix(".0")
+
+
 def worst(reports):
     """The first report of maximal rel_residual.  A check over several
     points builds one report per point and returns this one, with its

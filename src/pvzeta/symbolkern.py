@@ -34,7 +34,7 @@ import numpy as np
 
 from . import quad
 from .errors import AccuracyError, DomainError, NonConvergence
-from .report import CheckReport, worst
+from .report import CheckReport, label_number, worst
 
 
 class GroupFunction:
@@ -85,7 +85,7 @@ def log_gaussian_group(a):
         raise DomainError("rate must be positive")
     return GroupFunction(
         fn=lambda al: np.exp(-a * np.log(al) ** 2),
-        label=f"loggauss-group:a={a:g}",
+        label=f"loggauss-group:a={label_number(a)}",
         log_decay_rate=a,
     )
 

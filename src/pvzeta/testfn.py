@@ -26,6 +26,7 @@ import numpy as np
 
 from . import quad
 from .errors import ConfigError, DomainError
+from .report import label_number
 
 
 class FourierConvention(Enum):
@@ -268,7 +269,7 @@ def polygauss(coeffs, a, n, label=None):
     for beta in coeffs:
         if len(beta) != n:
             raise DomainError("multi-index length must equal the dimension")
-    label = label or f"polygauss:a={a:g},n={n}"
+    label = label or f"polygauss:a={label_number(a)},n={n}"
 
     def ray_fn(direction):
         a1 = a * float(np.dot(direction, direction))
@@ -336,7 +337,7 @@ def laplacian_power(phi, weights, N):
 
 def gaussian(a, n=1):
     """phi(m) = e^{-a |m|^2}."""
-    return polygauss({tuple([0] * n): 1.0}, a, n, label=f"gaussian:a={a:g},n={n}")
+    return polygauss({tuple([0] * n): 1.0}, a, n, label=f"gaussian:a={label_number(a)},n={n}")
 
 
 def hermite_gaussian(d, a, n=1):
@@ -344,7 +345,7 @@ def hermite_gaussian(d, a, n=1):
     if d > 4:
         raise DomainError("polynomial degree capped at 4")
     beta = tuple([d] + [0] * (n - 1))
-    return polygauss({beta: 1.0}, a, n, label=f"hermite:d={d},a={a:g},n={n}")
+    return polygauss({beta: 1.0}, a, n, label=f"hermite:d={d},a={label_number(a)},n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +383,8 @@ def bump(center=0.0, radius=1.0, n=1):
         raise DomainError("bump radius must be positive")
     c = np.zeros(n) + np.asarray(center, dtype=float)
     # the centre as parse_testfn reads it: a scalar, or coordinates joined by |
-    ctext = "|".join(f"{v:g}" for v in np.atleast_1d(np.asarray(center, dtype=float)))
-    label = f"bump:c={ctext},r={radius:g},n={n}"
+    ctext = "|".join(label_number(v) for v in np.atleast_1d(np.asarray(center, dtype=float)))
+    label = f"bump:c={ctext},r={label_number(radius)},n={n}"
 
     def ev(m):
         m = np.asarray(m, dtype=float)

@@ -14,9 +14,7 @@ log r (or log u after a power substitution), since r underflows to 0
 near the origin.  Local zeta integrals Z_i(s, phi) = integral over a
 component of |p(m)|^s phi(m) dm reduce to this radial transform after
 the polar factorization of the scalar kind (one ray) or of a definite
-form (the sphere rule), in which |p| is exactly a power of the radius;
-every ray shares one tanh-sinh radial rule, and zeta_local_reference
-keeps one adaptive transform per ray as the independent route.
+form (the sphere rule), in which |p| is exactly a power of the radius.
 
 Indefinite forms are continued by the b-function of p(m) = m^T B m
 (Sato & Shintani, Ann. of Math. 100 (1974); Gel'fand & Shilov,
@@ -26,10 +24,17 @@ where +-p > 0, so
 
     Z_+-(s, phi) = (+-1)^N Z_+-(s + N, p*(d)^N phi) / prod_{j<N} b(s + j),
 
-with N minimal such that Re s + N > -1/2, where quad.integrate_signature
-evaluates the right-hand side.  zeta_local_reference keeps the angular
-profile per radius under adaptive quadrature, continued one step by the
-finite-difference stencil of quad.radial_power_integral.
+with N minimal such that Re s + N > -1/2, where the hyperbolic
+coordinates of quad.SignatureGeometry give a radial integral of
+r^(2 (s + N) + n - 2) times the angular profile.
+
+zeta_local hands the radial functions of every kind (the rays, or the
+angular profile), which depend on s only through the depth N, and their
+weights r^expo to one driver on the tanh-sinh rule
+quad._radial_levels.  zeta_local_reference keeps independent routes: one
+adaptive transform per ray, and the angular profile per radius under
+adaptive quadrature, continued one step by the finite-difference stencil
+of quad.radial_power_integral.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ import numpy as np
 
 from . import quad, testfn
 from .errors import DomainError, PoleError
+from .special import POLE_GUARD
 
-POLE_GUARD = 1e-6
 MAX_CONTINUATION = 6
 
 
@@ -130,9 +135,11 @@ def mellin(phi, omega, s, tol=1e-11, order=None):
 # ---------------------------------------------------------------------------
 
 
-# Level cap of the definite engine on the tanh-sinh rule quad._radial_levels.
-# At tol = 1e-10 Gaussian, Hermite and centred bump rays settle within 5
-# halvings, an off-centre or narrow bump (near support edge inside) within 9.
+# Level cap of the tanh-sinh rule quad._radial_levels, one for all three
+# kinds.  At tol = 1e-10 Gaussian, Hermite and centred bump rays settle
+# within 5 halvings, an off-centre or narrow bump (near support edge inside)
+# within 9, and the angular profiles of polynomial-Gaussians on indefinite
+# components within 5.
 _DE_LEVELS = 9
 
 
@@ -157,16 +164,12 @@ def _polar(space, component, s, sphere_order):
     return pts, wts, space.Bmat, 2.0 * s + space.n - 1.0
 
 
-def _orders(sphere_order):
-    """sphere_order as a keyword of quad.integrate_signature and
-    quad.SignatureGeometry, left out when None so they keep their own."""
-    return {} if sphere_order is None else {"sphere_order": sphere_order}
-
-
-def _radial_engine(space, component, s, phi, tol, sphere_order):
-    """Z(s, phi) for the scalar and definite kinds: every ray of _polar on
-    one shared tanh-sinh rule in u = r^(1 + Re expo) on [0, largest ray
-    cutoff].  DomainError when a ray profile has no finite cutoff or
+def _polar_kind(space, component, s, phi, sphere_order):
+    """The radial data (pole distance, depth N, rows(r), weights,
+    divisor, radial exponent, cutoff) that zeta_local integrates, for the
+    scalar and definite kinds: the rays of _polar, continued by parts, on
+    [0, largest ray cutoff]; the weights carry 1 / den, so the divisor
+    is 1.  DomainError when a ray profile has no finite cutoff or
     oscillates: the level gap of the rule does not see an unresolved
     oscillation, so such a ray (the numeric Fourier transform of a bump)
     goes to mellin or zeta_local_reference, whose quad.power_integral
@@ -186,42 +189,18 @@ def _radial_engine(space, component, s, phi, tol, sphere_order):
             raise DomainError(f"the shared radial rule needs a finite cutoff of every ray profile, got {c}")
         profiles.append(prof if N == 0 else prof.derivative(N))
         cut = max(cut, c)
-    rows = lambda r: [g(r) for g in profiles]
-    cur, prev, nodes = quad._radial_levels(rows, sm + N, cut, tol, _DE_LEVELS)
     pom = np.einsum("ij,jk,ik->i", pts, B, pts)
     ps = pom ** s.real if s.imag == 0.0 else pom.astype(complex) ** s
-    weights = wts * ps / den
-    total = complex(np.sum(weights * cur))
-    gap = float(abs(np.sum(weights * (cur - prev))))
-    value = total.real if total.imag == 0.0 else total
-    return MeroValue(value, dist, N, rule={"radial_nodes": nodes, "level_gap": gap})
+    return dist, N, lambda r: [g(r) for g in profiles], wts * ps / den, 1.0, sm + N, cut
 
 
-def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=None):
-    """Z_i(s, phi) = integral over component V_i of |p(m)|^s phi(m) dm,
-    continued in s by radial integration by parts (scalar and definite
-    kinds) or by the b-function (indefinite kind, see the module
-    docstring; phi must then be polynomial-Gaussian when Re s <= -1/2).
-
-    For the scalar and definite kinds all rays (the one ray of a scalar
-    component, the sphere rule of a definite space) share one tanh-sinh
-    radial rule (Takahasi & Mori 1974), refined until two levels agree
-    within tol of the L1 mass on every ray, else AccuracyError at its
-    level cap; zeta_local_reference keeps the adaptive rule per ray as
-    the independent route.  Oscillating rays raise DomainError (see
-    _radial_engine).  An indefinite component runs on
-    quad.integrate_signature, whose rule the returned value carries, with
-    its level gap divided like the value.  sphere_order sets the sphere
-    rule; None takes each engine's own (16 for a definite space, 24 in
-    quad.integrate_signature)."""
-    s = complex(s)
-    _check_target(space, component, phi)
-    if space.kind != "indefinite":
-        return _radial_engine(space, component, s, phi, tol, sphere_order)
-
-    # indefinite kind: the b-function moves s to Re s > -1/2, where the
-    # hyperbolic-coordinate rule converges (weight r^{2s} exactly)
-    n = space.n
+def _signature_kind(space, component, s, phi, sphere_order):
+    """The radial data of _polar_kind for an indefinite component: the
+    b-function (module docstring) moves s to Re s + N > -1/2, where the
+    radial weight r^(2 (s + N) + n - 2) of the hyperbolic coordinates of
+    quad.SignatureGeometry is integrable.  The one row is the angular
+    profile of L^N phi, with weight detfac and divisor den, so the value
+    is (detfac sum) / den.  sphere_order is 24 by default."""
     dist = _indefinite_pole_distance(space, s)
     N = 0
     while s.real + N <= -0.5:
@@ -230,17 +209,42 @@ def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=None):
             raise DomainError(f"b-function continuation beyond N = {MAX_CONTINUATION} at s = {s}")
     den = 1.0
     for j in range(N):
-        den = den * _b_function(n, s + j)
+        den = den * _b_function(space.n, s + j)
     if component == "minus" and N % 2:
         den = -den
     g = phi if N == 0 else testfn.laplacian_power(phi, 1.0 / np.diag(space.Bmat), N)
-    res = quad.integrate_signature(
-        g, space.Bmat, space.q, component, w=s + N, tol=tol, decay_rate=_standardized_rate(space, phi), **_orders(sphere_order)
-    )
-    value = complex(res.value) / den
-    value = value.real if value.imag == 0.0 else value
-    rule = {"radial_nodes": res.rule["radial_nodes"], "level_gap": res.rule["level_gap"] / abs(den)}
-    return MeroValue(value, dist, N, rule=rule)
+    geom = quad.SignatureGeometry(space.Bmat, space.q, component, 24 if sphere_order is None else sphere_order)
+    rate = _standardized_rate(space, phi)
+    rows = lambda r: [geom.profile(g, r, rate)[0]]
+    return dist, N, rows, np.array([geom.detfac]), den, 2.0 * (s + N) + space.n - 2.0, geom.radial_cutoff(rate)
+
+
+def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=None):
+    """Z_i(s, phi) = integral over component V_i of |p(m)|^s phi(m) dm,
+    continued in s by radial integration by parts (scalar and definite
+    kinds) or by the b-function (indefinite kind, see the module
+    docstring; phi must then be polynomial-Gaussian when Re s <= -1/2).
+
+    Every kind reduces to radial integrals of r^expo v(r) for the rows v
+    of _polar_kind (the one ray of a scalar component, the sphere rule of
+    a definite space) or _signature_kind (the angular profile of an
+    indefinite component), and all rows share one tanh-sinh radial rule
+    (Takahasi & Mori 1974), refined until two levels agree within tol of
+    the L1 mass on every row, else AccuracyError at its level cap;
+    zeta_local_reference keeps independent routes.  Oscillating rays
+    raise DomainError (see _polar_kind).  The value carries the rule,
+    with its level gap weighted and divided like the value.  sphere_order
+    sets the sphere rule; None takes each kind's own (16 for a definite
+    space, 24 for an indefinite one)."""
+    s = complex(s)
+    _check_target(space, component, phi)
+    kind = _signature_kind if space.kind == "indefinite" else _polar_kind
+    dist, N, rows, weights, den, expo, cut = kind(space, component, s, phi, sphere_order)
+    cur, prev, nodes = quad._radial_levels(rows, expo, cut, tol, _DE_LEVELS)
+    total = complex(np.sum(weights * cur)) / den
+    gap = float(abs(np.sum(weights * (cur - prev)))) / abs(den)
+    value = total.real if total.imag == 0.0 else total
+    return MeroValue(value, dist, N, rule={"radial_nodes": nodes, "level_gap": gap})
 
 
 def _b_function(n, s):
@@ -279,7 +283,7 @@ def zeta_local_reference(space, component, s, phi, tol=1e-10, sphere_order=None)
         beta = 2.0 * s + space.n - 2.0
         dist = _indefinite_pole_distance(space, s)
         rate = _standardized_rate(space, phi)
-        geom = quad.SignatureGeometry(space.Bmat, space.q, component, **_orders(sphere_order))
+        geom = quad.SignatureGeometry(space.Bmat, space.q, component, 24 if sphere_order is None else sphere_order)
         H = geom.angular_profile(lambda pts: np.asarray(phi(pts)), rate)
         val = geom.detfac * complex(quad.radial_power_integral(H, beta, geom.radial_cutoff(rate), tol=tol))
         # the stencil's by-parts steps: none while Re beta > -1, else one

@@ -110,69 +110,39 @@ def test_zeta_eval_report(tmp_path):
     assert row["check"] == "zeta-eval"
 
 
-def test_zeta_eval_scalar_sides(tmp_path, monkeypatch):
-    # the shared radial rule with one ray on the left, the adaptive Mellin
-    # transform on the right
+@pytest.mark.parametrize(
+    "args, s_values, bound",
+    [
+        (["zeta"], ("0.5", "0.8", "-1.3"), 1e-14),
+        (["zeta", "--space", "definite:n=2", "--testfn", "gaussian:a=3.14159,n=2"], ("0.6",), 1e-12),
+        (["zeta", "--check", "value", "--space", "indefinite:q=1,n=3", "--testfn", "gaussian:a=3.14159,n=3"], ("-1.35+0.2j",), 1e-9),
+    ],
+    ids=["scalar", "definite", "indefinite"],
+)
+def test_zeta_eval_sides(tmp_path, monkeypatch, args, s_values, bound):
+    # zeta_local, on the shared radial rule, is on the left side only and
+    # zeta_local_reference on the right (the adaptive Mellin transform per
+    # ray, or the stencil for an indefinite component; complex s on the
+    # command line)
     out = tmp_path / "r.jsonl"
-    for s in ("0.5", "0.8", "-1.3"):
-        assert run(["zeta", f"--s={s}", "--out", str(out)]) == 0
+    for s in s_values:
+        assert run(args + [f"--s={s}", "--out", str(out)]) == 0
         row = json.loads(out.read_text())
-        assert row["rel_residual"] < 1e-14, (s, row["rel_residual"])
+        assert row["params"]["s"] == {"re": complex(s).real, "im": complex(s).imag}
+        assert row["status"] == "pass" and row["rel_residual"] < bound, (s, row["rel_residual"])
         assert set(row["extra"]["rule"]) == {"radial_nodes", "level_gap"}
 
-    engine = zeta._radial_engine
+    engine = zeta.zeta_local
 
-    def perturbed(*args):
-        mv = engine(*args)
-        mv.value *= 1.0 + 1e-7
-        return mv
-
-    monkeypatch.setattr(zeta, "_radial_engine", perturbed)
-    assert run(["zeta", "--s=0.5", "--out", str(out)]) == 2
-
-
-def test_zeta_eval_definite_sides(tmp_path, monkeypatch):
-    args = ["zeta", "--space", "definite:n=2", "--s", "0.6", "--testfn", "gaussian:a=3.14159,n=2"]
-    out = tmp_path / "r.jsonl"
-    assert run(args + ["--out", str(out)]) == 0
-    row = json.loads(out.read_text())
-    assert row["status"] == "pass" and row["rel_residual"] < 1e-12
-    assert set(row["extra"]["rule"]) == {"radial_nodes", "level_gap"}
-
-    # the shared radial rule is on the left side only: perturbing it fails the row
-    engine = zeta._radial_engine
-
-    def perturbed(*args):
-        mv = engine(*args)
+    def perturbed(*args, **kwargs):
+        mv = engine(*args, **kwargs)
         mv.value *= 1.0 + 1e-6
         return mv
 
-    monkeypatch.setattr(zeta, "_radial_engine", perturbed)
-    assert run(args + ["--out", str(out)]) == 2
+    monkeypatch.setattr(zeta, "zeta_local", perturbed)
+    assert run(args + [f"--s={s_values[0]}", "--out", str(out)]) == 2
     row = json.loads(out.read_text())
     assert row["status"] == "fail" and row["rel_residual"] > 1e-7
-
-
-def test_zeta_eval_indefinite_sides(tmp_path, monkeypatch):
-    # complex s on the command line; the b-function route on the left, the
-    # stencil reference on the right
-    args = ["zeta", "--check", "value", "--space", "indefinite:q=1,n=3", "--s=-1.35+0.2j", "--testfn", "gaussian:a=3.14159,n=3"]
-    out = tmp_path / "r.jsonl"
-    assert run(args + ["--out", str(out)]) == 0
-    row = json.loads(out.read_text())
-    assert row["params"]["s"] == {"re": -1.35, "im": 0.2}
-    assert row["status"] == "pass" and row["rel_residual"] < 1e-9
-    assert set(row["extra"]["rule"]) == {"radial_nodes", "level_gap"}
-
-    signature = quad.integrate_signature
-
-    def perturbed(*args, **kwargs):
-        res = signature(*args, **kwargs)
-        res.value *= 1.0 + 1e-6
-        return res
-
-    monkeypatch.setattr(quad, "integrate_signature", perturbed)
-    assert run(args + ["--out", str(out)]) == 2
 
 
 @pytest.mark.parametrize("s", ["-0.99+0.1j", "-0.995", "-1.495"])

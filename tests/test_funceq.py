@@ -77,6 +77,13 @@ def test_eq22_two_vector():
     assert rep.passed, rep.extra["component_residuals"]
 
 
+def test_eq22_refuses_a_q_that_does_not_match_B():
+    # B has signature (2, 1) while q keeps its default 1: the gamma matrix
+    # would take q = 1 and the zeta integrals B's signature
+    with pytest.raises(DomainError):
+        funceq.check_eq22(0.2, np.diag([1.0, 1.0, -1.0]), testfn.gaussian(math.pi, n=3), CONV)
+
+
 @pytest.mark.parametrize("q", [1, 2])
 @pytest.mark.parametrize("s", [0.2, 0.4, 1.35 + 0.2j])
 def test_eq22_at_rounding_level(q, s):

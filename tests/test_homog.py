@@ -168,9 +168,8 @@ def test_extension_refuses_an_unresolved_test_function():
         homog.ExpProfile(1.5),
         homog.ScaledProfile(homog.ExpProfile(1.0), 2.0),
         homog.make_cutoff(0.5, 2.0).eta,
-        homog.make_cutoff(0.5, 2.0),
     ],
-    ids=["polygauss", "numeric-order-0", "numeric-order-1", "exp", "scaled", "cutoff-eta", "cutoff"],
+    ids=["polygauss", "numeric-order-0", "numeric-order-1", "exp", "scaled", "cutoff-eta"],
 )
 def test_profile_scalar_in_scalar_out(f):
     assert np.shape(f(0.9)) == ()

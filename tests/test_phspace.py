@@ -11,6 +11,23 @@ def test_parse_space_roundtrip(spec):
     assert sp.kind in ("scalar1d", "definite", "indefinite")
 
 
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        ("definite:B=1|2|0.5,n=3", "PVSpace(definite, n=3, q=3, B=1|2|0.5)"),
+        ("definite:n=3", "PVSpace(definite, n=3, q=3)"),
+        ("indefinite:B=2|-1|-1", "PVSpace(indefinite, n=3, q=1, B=2|-1|-1)"),
+        ("indefinite:B=1|-1|-1", "PVSpace(indefinite, n=3, q=1)"),
+        ("indefinite:q=2,n=3", "PVSpace(indefinite, n=3, q=2)"),
+    ],
+    ids=["definite-B", "definite", "indefinite-B", "indefinite-default-B", "indefinite-q"],
+)
+def test_space_repr_names_a_non_default_B(spec, text):
+    # a row's space param identifies its run: B is named unless it is the
+    # kind's default, and spaces built without B= keep their text
+    assert repr(phspace.parse_space(spec)) == text
+
+
 def test_parse_space_rejects_garbage():
     with pytest.raises(ConfigError):
         phspace.parse_space("nonsense:x=1")

@@ -8,7 +8,7 @@ import pytest
 import scipy.special
 
 import pvzeta
-from pvzeta import quad
+from pvzeta import phspace, quad, testfn, zeta
 from pvzeta.errors import AccuracyError, DomainError
 
 
@@ -71,12 +71,11 @@ def test_sphere_quadrature_measure():
 
 
 def test_monte_carlo_signature_consistency():
-    # definite-direction mass of a gaussian on the plus sheet of
-    # diag(1,-1,-1): cross-check MC against the deterministic rule
-    B = np.diag([1.0, -1.0, -1.0])
-    g = lambda pts: np.exp(-np.pi * np.sum(pts * pts, axis=-1))
-    det = quad.integrate_signature(g, B, 1, "plus", w=0.2, decay_rate=np.pi)
-    est, se = quad.monte_carlo_signature(g, B, 1, "plus", 0.2, 500_000, seed=3)
+    # |p|^0.2 times a gaussian on the plus sheet of diag(1,-1,-1):
+    # cross-check MC against the deterministic zeta integral
+    B, phi = np.diag([1.0, -1.0, -1.0]), testfn.gaussian(math.pi, n=3)
+    det = zeta.zeta_local(phspace.indefinite(B=B), "plus", 0.2, phi)
+    est, se = quad.monte_carlo_signature(phi, B, 1, "plus", 0.2, 500_000, seed=3)
     assert abs(complex(det) - est) < 4.0 * se
 
 
@@ -137,7 +136,7 @@ def test_defaulted_parameters_do_not_grow():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
-    assert count <= 118, count
+    assert count <= 114, count
 
 
 def test_cli_builds_no_rows():

@@ -249,11 +249,14 @@ def test_parse_testfn():
         (lambda: testfn.bump(-0.45, 0.8), "bump:c=-0.45,r=0.8,n=1"),
         (lambda: testfn.bump(0.5, 1.0, n=2), "bump:c=0.5,r=1,n=2"),
         (lambda: testfn.bump([0.3, -0.4], 1.0, n=2), "bump:c=0.3|-0.4,r=1,n=2"),
+        (lambda: testfn.bump(0.25, 0.8765432), "bump:c=0.25,r=0.8765432,n=1"),
+        (lambda: testfn.gaussian(math.pi), "gaussian:a=3.141592653589793,n=1"),
     ],
-    ids=["line-negative", "plane-scalar", "plane-vector"],
+    ids=["line-negative", "plane-scalar", "plane-vector", "seven-digit-radius", "gaussian-pi"],
 )
 def test_bump_label_rebuilds_the_bump(make, label):
-    # the label holds the centre as parse_testfn reads it, not its norm
+    # the label holds the centre as parse_testfn reads it, not its norm,
+    # and every parameter to its last digit
     phi = make()
     assert phi.label == label
     again = testfn.parse_testfn(label)
