@@ -20,9 +20,9 @@ integral_0^inf eta(t) dt/t = 1.  Two cutoffs give extensions that differ
 by a multiple of phi(0) only.
 
 extend_kdot evaluates this on fixed rules.  On each ray omega of the
-sphere rule, a composite Gauss-Legendre rule on the cutoff annulus
-[a, b] carries the outer integral, and every outer node t gets its own
-inner integral
+sphere rule, whose order quad.angular_doubling measures, a composite
+Gauss-Legendre rule on the cutoff annulus [a, b] carries the outer
+integral, and every outer node t gets its own inner integral
 
     R_{-n} phi(t omega) = -integral_0^cut log(tau) d/dtau phi(tau t omega) dtau
 
@@ -33,7 +33,8 @@ is not used, so the cutoff-ambiguity check compares genuinely different
 integrals.  A rule with twice the panels must agree with it, and at one
 outer node per ray the adaptive tplus_profile must agree as well; either
 disagreement beyond 1e-10 raises AccuracyError.  direct_pair, the other
-side of the restriction check, stays on adaptive quadrature.
+side of the restriction check, stays on adaptive quadrature along the
+rays of the rotated sphere rule of the measured order.
 """
 
 from __future__ import annotations
@@ -143,18 +144,19 @@ class HomogFunctional:
             raise DomainError(f"{self.label} has no pointwise density")
         return testfn._evaluate(self.density, self.n, m)
 
-    def direct_pair(self, phi):
+    def direct_pair(self, phi, order):
         """Direct integral of density * phi over the ball |m| <= the support
         bound of phi (phi must vanish near 0 for this to be the honest
         pairing at the critical degree), adaptive (tol 1e-11) along the
-        two rays of the line or each ray of the order-16 sphere rule."""
+        two rays of the line or each ray of the rotated sphere rule of the
+        given order, the angular order of extend_kdot's Extension."""
         if self.density is None:
             raise DomainError(f"{self.label} has no pointwise density")
         n = self.n
         outer = phi.decay.cutoff(1e-16)
         if not np.isfinite(outer) or outer <= 0.0:
             raise DomainError("direct pairing needs a finite support bound")
-        pts, wts = quad.sphere_quadrature(n)
+        pts, wts = quad.sphere_quadrature(n, order, True)
         total = 0.0 + 0.0j
         # the rays as points on the line when n = 1, as in _kdot_rule
         for om, w in zip(pts[:, 0] if n == 1 else pts, wts):
@@ -232,13 +234,16 @@ _BLOCK_POINTS = 1 << 13
 @dataclass(frozen=True)
 class Extension:
     """kdot(phi) from the fine rules of extend_kdot, with the
-    disagreement of the coarse and the fine rule and the fine node counts
-    (outer nodes on each ray, inner nodes for each outer node)."""
+    disagreement of the coarse and the fine rule, the fine node counts
+    (outer nodes on each ray, inner nodes for each outer node), and the
+    angular order and gap of quad.angular_doubling."""
 
     value: complex
     gap: float
     outer_nodes: int
     inner_nodes: int
+    angular_order: int
+    angular_gap: float
 
     def __complex__(self):
         return complex(self.value)
@@ -263,14 +268,19 @@ def _rs_rows(dprof, t, cut, npanel):
     return np.concatenate(rows)
 
 
-def _kdot_rule(k, psi, rays, p_out, p_in):
+def _kdot_rule(k, psi, rays, p_out, p_in, memo):
     """One composite rule for kdot(phi): value, the L1 mass of its terms,
-    the outer nodes and the R_{-n} phi values of each ray at them."""
+    the outer nodes and the R_{-n} phi values of each ray at them.  memo
+    keeps those values by ray and panel counts: the circle rule of twice
+    the order repeats every ray of the last."""
     t, wt = quad.panel_rule(psi.a, psi.b, p_out)
     outer = wt * psi.eta(t) * t ** (k.n - 1)
     total, mass, rows = 0.0 + 0.0j, 0.0, []
     for om, w, dprof, cut in rays:
-        r = _rs_rows(dprof, t, cut, p_in)
+        key = (om.tobytes(), p_out, p_in)
+        if key not in memo:
+            memo[key] = _rs_rows(dprof, t, cut, p_in)
+        r = memo[key]
         # the outer nodes of the ray, as points on the line when n = 1
         pts = t * om[0] if k.n == 1 else t[:, None] * om
         terms = w * outer * np.asarray(k(pts), dtype=complex) * r
@@ -280,7 +290,7 @@ def _kdot_rule(k, psi, rays, p_out, p_in):
     return total, mass, t, rows
 
 
-def extend_kdot(k, psi, phi, sphere_order=16):
+def extend_kdot(k, psi, phi):
     """kdot(phi) = <k, psi * R_{-n} phi>: the extension of a degree -n
     homogeneous density across the origin.  Returns an Extension.
 
@@ -290,9 +300,13 @@ def extend_kdot(k, psi, phi, sphere_order=16):
     density is evaluated on (N, n) arrays of points.  The coarse rule is
     checked against the fine rule with twice the panels; while they differ
     by more than tol = 1e-10 of the L1 mass of the sum, the inner panel
-    count is doubled, and past the last count AccuracyError is raised.  At
-    one outer node of each ray the fine inner value must also match the
-    adaptive rs_transform within tol of the largest |R_{-n} phi|, or
+    count is doubled, and past the last count AccuracyError is raised.
+    The order of the sphere rule is doubled by quad.angular_doubling
+    until two orders agree within tol of the L1 mass; each order starts
+    at the inner panel count the last one settled on, and rays that miss
+    a compact support of phi are left out.  At one outer node
+    of each ray of the last order the fine inner value must also match
+    the adaptive rs_transform within tol of the largest |R_{-n} phi|, or
     AccuracyError is raised."""
     tol = 1e-10
     n = k.n
@@ -300,27 +314,37 @@ def extend_kdot(k, psi, phi, sphere_order=16):
         raise DomainError("test function dimension does not match the density")
     if k.density is None:
         raise DomainError("extension needs a pointwise density")
-    pts, wts = quad.sphere_quadrature(n, order=sphere_order)
-    rays = []
-    for om, w in zip(pts, wts):
-        # the inner range serves every outer node of the ray
-        cut = max(phi.ray(psi.a * om).cutoff(1e-18), phi.ray(psi.b * om).cutoff(1e-18))
-        if not (np.isfinite(cut) and cut > 0.0):
-            raise DomainError("fixed-rule extension needs a finite cutoff of the ray profile")
-        rays.append((om, w, phi.ray(om).derivative(1), cut))
-    for p_in in _INNER_PANELS:
-        coarse = _kdot_rule(k, psi, rays, _OUTER_PANELS, p_in)[0]
-        value, mass, t, rows = _kdot_rule(k, psi, rays, 2 * _OUTER_PANELS, 2 * p_in)
-        gap = abs(value - coarse)
-        if gap <= tol * mass:
-            break
-    else:
+
+    # the inner panel count that the last order settled on starts the next
+    first, memo = 0, {}
+
+    def run(order):
+        nonlocal first
+        pts, wts = quad.sphere_quadrature(n, order, False)
+        rays = []
+        for om, w in zip(pts, wts):
+            if phi.decay.misses(om):  # R_{-n} phi vanishes on the ray
+                continue
+            # the inner range serves every outer node of the ray
+            cut = max(phi.ray(psi.a * om).cutoff(1e-18), phi.ray(psi.b * om).cutoff(1e-18))
+            if not (np.isfinite(cut) and cut > 0.0):
+                raise DomainError("fixed-rule extension needs a finite cutoff of the ray profile")
+            rays.append((om, w, phi.ray(om).derivative(1), cut))
+        for i, p_in in enumerate(_INNER_PANELS[first:], first):
+            coarse = _kdot_rule(k, psi, rays, _OUTER_PANELS, p_in, memo)[0]
+            value, mass, t, rows = _kdot_rule(k, psi, rays, 2 * _OUTER_PANELS, 2 * p_in, memo)
+            gap = abs(value - coarse)
+            if gap <= tol * mass:
+                first = i
+                return value, mass, gap, p_in, rays, t, rows
         raise AccuracyError(
             f"fixed-rule extension unresolved: {2 * p_in} and {p_in} inner panels "
             f"differ by {gap:.2e} on an L1 mass of {mass:.2e}"
         )
+
+    (value, _, gap, p_in, rays, t, rows), angular_gap, order = quad.angular_doubling((n,), run, phi.decay.angle(), tol)
     mid = len(t) // 2
-    scale = max(float(np.max(np.abs(r))) for r in rows)
+    scale = max((float(np.max(np.abs(r))) for r in rows), default=0.0)
     for (om, _, _, _), r in zip(rays, rows):
         m = t[mid] * om
         ref = complex(rs_transform(phi, -float(n), m, tol=tol))
@@ -330,7 +354,7 @@ def extend_kdot(k, psi, phi, sphere_order=16):
                 f"adaptive gives {ref:.15g}"
             )
     value = value.real if value.imag == 0.0 else value
-    return Extension(value, gap, len(t), 2 * p_in * quad.PANEL_ORDER)
+    return Extension(value, gap, len(t), 2 * p_in * quad.PANEL_ORDER, order, angular_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +396,7 @@ def check_extension_restricts(k, psi, phi, tol=1e-8):
     pairing of the density against phi.  The extension runs on fixed
     rules, the direct pairing on adaptive quadrature."""
     ext = extend_kdot(k, psi, phi)
-    rhs = k.direct_pair(phi)
+    rhs = k.direct_pair(phi, ext.angular_order)
     return CheckReport(
         check="homog-extension-restricts",
         params={"density": k.label, "cutoff": [psi.a, psi.b], "testfn": phi.label},
@@ -385,11 +409,14 @@ def check_extension_restricts(k, psi, phi, tol=1e-8):
 
 
 def _rule_diag(exts):
-    """Worst coarse/fine gap and largest fine node counts of extensions."""
+    """Worst coarse/fine and angular gaps and largest fine node counts and
+    angular order of extensions."""
     return {
         "coarse_fine_gap": max(e.gap for e in exts),
         "outer_nodes": max(e.outer_nodes for e in exts),
         "inner_nodes": max(e.inner_nodes for e in exts),
+        "angular_order": max(e.angular_order for e in exts),
+        "angular_gap": max(e.angular_gap for e in exts),
     }
 
 

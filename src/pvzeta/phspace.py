@@ -221,9 +221,19 @@ def invariance_sweep(space, count, seed):
     return rep
 
 
+def _parse_B(kw):
+    """The diagonal matrix of B=b1|b2|...; an n that contradicts its size
+    raises ConfigError."""
+    diag = [float(x) for x in kw["B"].split("|")]
+    if "n" in kw and int(kw["n"]) != len(diag):
+        raise ConfigError(f"B has {len(diag)} diagonal entries, but n = {kw['n']}")
+    return np.diag(diag)
+
+
 def parse_space(spec):
-    """Build a PVSpace from a string like 'definite:B=I,n=3' or
-    'indefinite:q=1,n=3' or 'scalar1d'."""
+    """Build a PVSpace from a string like 'definite:B=I,n=3',
+    'definite:B=1|2|0.5', 'indefinite:q=1,n=3' or 'scalar1d'.  With B=
+    given, n and q must agree with it (ConfigError otherwise)."""
     name, _, rest = str(spec).partition(":")
     kw = {}
     if rest:
@@ -234,18 +244,13 @@ def parse_space(spec):
         if name == "scalar1d":
             return scalar1d()
         if name == "definite":
-            n = int(kw.get("n", 3))
             if kw.get("B", "I") == "I":
-                return definite(n=n)
-            diag = [float(x) for x in kw["B"].split("|")]
-            return definite(B=np.diag(diag))
+                return definite(n=int(kw.get("n", 3)))
+            return definite(B=_parse_B(kw))
         if name == "indefinite":
-            n = int(kw.get("n", 3))
-            q = int(kw.get("q", 1))
             if "B" in kw:
-                diag = [float(x) for x in kw["B"].split("|")]
-                return indefinite(B=np.diag(diag))
-            return indefinite(q=q, n=n)
+                return indefinite(B=_parse_B(kw), q=int(kw["q"]) if "q" in kw else None)
+            return indefinite(q=int(kw.get("q", 1)), n=int(kw.get("n", 3)))
     except (KeyError, ValueError, DomainError) as exc:
         raise ConfigError(f"invalid space spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown space kind {name!r}")

@@ -221,7 +221,8 @@ def _radial_levels(rows, expo, cut, tol, levels):
     u = r^(1 + Re expo): r = u^p with p = 1 / (1 + Re expo) turns r^expo dr
     into p r^(i Im expo) du.  The step halves until, for every v, two levels
     agree within tol of its L1 mass, else AccuracyError after `levels`
-    halvings.  Returns (last level, previous level, radial nodes)."""
+    halvings.  Returns (last level, previous level, L1 masses at the last
+    level, radial nodes)."""
     p = 1.0 / (1.0 + expo.real)
     span = cut ** (1.0 + expo.real)
     sums, mass, prev, nodes = 0.0, 0.0, None, 0
@@ -241,7 +242,7 @@ def _radial_levels(rows, expo, cut, tol, levels):
         if prev is not None:
             gaps = np.abs(cur - prev)
             if np.all(gaps <= tol * h * mass):
-                return cur, prev, nodes
+                return cur, prev, h * mass, nodes
         prev = cur
     worst = float(np.max(gaps / np.maximum(h * mass, 1e-300)))
     raise AccuracyError(
@@ -339,14 +340,20 @@ def inverse_fourier(F, offsets):
 # Spheres
 
 
-def sphere_quadrature(n, order=16):
+def sphere_quadrature(n, order, rotated):
     """Quadrature nodes and weights on S^{n-1} with total weight equal to
-    the surface measure (2 for n=1, 2 pi for n=2, 4 pi for n=3)."""
+    the surface measure (2 for n=1, 2 pi for n=2, 4 pi for n=3): the two
+    points of S^0, the trapezoidal rule on max(4, 2 order) equally spaced
+    angles of the circle, and on S^2 order Gauss-Legendre heights times
+    2 order azimuths.  The rotated rule shares no node with the plain one
+    of any order: its circle angles sit a third of a step off (a half step
+    would make it the odd half of the plain rule of twice its order), and
+    its polar axis on S^2 lies along m_1 instead of m_3."""
     if n == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if n == 2:
         m = max(4, 2 * order)
-        th = 2.0 * math.pi * np.arange(m) / m
+        th = 2.0 * math.pi * (np.arange(m) + (1.0 / 3.0 if rotated else 0.0)) / m
         pts = np.stack([np.cos(th), np.sin(th)], axis=-1)
         return pts, np.full(m, 2.0 * math.pi / m)
     if n == 3:
@@ -354,17 +361,57 @@ def sphere_quadrature(n, order=16):
         m = 2 * order
         th = 2.0 * math.pi * np.arange(m) / m
         rho = np.sqrt(1.0 - z ** 2)
-        pts = np.stack(
-            [
-                np.outer(rho, np.cos(th)).ravel(),
-                np.outer(rho, np.sin(th)).ravel(),
-                np.outer(z, np.ones(m)).ravel(),
-            ],
-            axis=-1,
-        )
+        axes = [np.outer(rho, np.cos(th)).ravel(), np.outer(rho, np.sin(th)).ravel(), np.outer(z, np.ones(m)).ravel()]
+        pts = np.stack(axes[2:] + axes[:2] if rotated else axes, axis=-1)
         w = np.outer(wz, np.full(m, 2.0 * math.pi / m)).ravel()
         return pts, w
     raise DomainError("sphere quadrature supports n <= 3")
+
+
+# Cap of angular_doubling: the rule gives up before a product of sphere
+# rules would exceed this many nodes (order 64 on S^2, 4096 on a circle).
+_ANGULAR_NODES = 1 << 13
+
+
+def angular_doubling(dims, run, angle, tol):
+    """The one rule that sets the order of the sphere rules: run(order)
+    returns (value, L1 mass, ...) of a sum over the product of sphere rules
+    on S^{d-1}, d in dims, at that order.  The order doubles until two
+    successive values agree within tol of the later mass, and
+    AccuracyError is raised before the nodes would pass _ANGULAR_NODES.
+    S^0 factors are exact: with no factor of dimension 2 or more, run(0)
+    is the one run.  The first order is the least power of two (2 at least)
+    whose node spacing pi / order lies below half the angle a support off
+    the origin subtends (2 pi for any other support), so that the first
+    two orders cannot both miss it and agree at 0.
+
+    Returns (the last run's return, the gap between the last two values,
+    the coarser of their orders), so that a reference on the returned
+    order is resolved to within the gap (the value is the finer one's).
+    The order is 0 when no doubling ran.  Exponential convergence of the
+    circle's trapezoidal rule: Trefethen & Weideman, SIAM Rev. 56 (2014)
+    385-458."""
+    dims = [d for d in dims if d >= 2]
+    if not dims:
+        return run(0), 0.0, 0
+    order = 2
+    while math.pi / order >= 0.5 * angle:
+        order *= 2
+    prev, gap = None, math.inf
+    while math.prod(sphere_quadrature(d, order, False)[1].size for d in dims) <= _ANGULAR_NODES:
+        out = run(order)
+        if prev is not None:
+            gap = float(abs(out[0] - prev[0]))
+            if gap <= tol * out[1]:
+                return out, gap, order // 2
+        prev = out
+        order *= 2
+    if prev is None:
+        raise AccuracyError(f"the support's angle {angle:.2e} needs more than {_ANGULAR_NODES} sphere nodes")
+    raise AccuracyError(
+        f"angular rule unresolved below {_ANGULAR_NODES} nodes: orders {order // 4} and {order // 2} "
+        f"differ by {gap:.2e} on an L1 mass of {prev[1]:.2e}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +439,11 @@ class SignatureGeometry:
     |x^T I_{k,j} x| = r^2 and |x|^2 = r^2 cosh(2u) exactly.  The measure
     is r^{n-1} (cosh u)^{k-1} (sinh u)^{j-1} dr du d omega_k d omega_j
     with u over (0, inf); for j = 1 the sphere S^0 = {+1, -1} covers
-    the negative u.
+    the negative u.  omega_k and omega_j run on
+    sphere_quadrature(., order, rotated).
     """
 
-    def __init__(self, B, q, sheet, sphere_order=24):
+    def __init__(self, B, q, sheet, order, rotated):
         B = np.atleast_2d(np.asarray(B, dtype=float))
         n = B.shape[0]
         d = np.diag(B).copy()
@@ -420,9 +468,9 @@ class SignatureGeometry:
         self.j = len(self.sinh_idx)
         if self.k == 0:
             raise DomainError("requested sheet is empty for this signature")
-        self.omega_k, self.wk = sphere_quadrature(self.k, order=sphere_order)
+        self.omega_k, self.wk = sphere_quadrature(self.k, order, rotated)
         if self.j >= 1:
-            self.omega_j, self.wj = sphere_quadrature(self.j, order=sphere_order)
+            self.omega_j, self.wj = sphere_quadrature(self.j, order, rotated)
         else:
             self.omega_j, self.wj = np.zeros((1, 0)), np.array([1.0])
 

@@ -122,7 +122,7 @@ def _orbit(space, m):
     Bh = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
     Bih = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
     rad = float(np.linalg.norm(Bh @ m))
-    pts, wts = quad.sphere_quadrature(space.n, order=_ORBIT_ORDER)
+    pts, wts = quad.sphere_quadrature(space.n, _ORBIT_ORDER, False)
     return (rad * pts) @ Bih.T, wts / np.sum(wts)
 
 

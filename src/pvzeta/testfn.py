@@ -62,6 +62,7 @@ class Decay:
     rate: float = 0.0
     radius: float = 0.0
     shift: float = 0.0  # a compact support's centre: signed on the line, its norm in R^n
+    center: tuple = ()  # a compact support's centre, when known
 
     def cutoff(self, tol=1e-18):
         """Radius beyond which the function is below tol (0 if unknown)."""
@@ -72,9 +73,37 @@ class Decay:
             return abs(self.shift) + self.radius
         return 0.0
 
+    def angle(self):
+        """Angle 2 asin(radius / |shift|) that a compact support off the
+        origin subtends from it; 2 pi for any other support."""
+        if self.kind == "compact" and abs(self.shift) > self.radius:
+            return 2.0 * math.asin(self.radius / abs(self.shift))
+        return 2.0 * math.pi
+
+    def misses(self, direction):
+        """Whether the ray {t direction : t >= 0} misses the ball
+        |m - center| < radius of a compact support with a known centre, so
+        that phi vanishes on it."""
+        if self.kind != "compact" or not self.center:
+            return False
+        c = np.asarray(self.center)
+        along = float(c @ direction) / float(np.linalg.norm(direction))
+        # the point of the ray nearest the centre: the origin, or the foot
+        near2 = float(c @ c) - (along * along if along > 0.0 else 0.0)
+        return near2 >= self.radius * self.radius
+
 
 # ---------------------------------------------------------------------------
 # 1D radial profiles
+
+
+def _horner(c, x):
+    """sum_k c[k] x^k by Horner's rule as numpy's polyval runs it, bit for
+    bit, without polyval's argument checks."""
+    acc = c[-1] + x * 0
+    for k in range(len(c) - 2, -1, -1):
+        acc = c[k] + acc * x
+    return acc
 
 
 class PolyGauss1D:
@@ -85,9 +114,11 @@ class PolyGauss1D:
         self.a = float(a)
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        val = np.polynomial.polynomial.polyval(r, self.coeffs) * np.exp(-self.a * r * r)
-        return val
+        # a scalar r is held as a numpy scalar: the adaptive Mellin
+        # transforms call this once per node, where 0-d array arithmetic
+        # and polyval's own checks cost four times the arithmetic
+        r = np.asarray(r, dtype=float)[()]
+        return _horner(self.coeffs, r) * np.exp(-self.a * r * r)
 
     def derivative(self, k=1):
         c = self.coeffs
@@ -372,7 +403,7 @@ def _bump_ray_derivative(q, dq, half_d2q, k):
     acc = 0.0
     for j in range((k + 1) // 2, k + 1):
         coef = math.factorial(k) // (math.factorial(2 * j - k) * math.factorial(k - j))
-        acc = acc + coef * half_d2q ** (k - j) * dq ** (2 * j - k) * np.polynomial.polynomial.polyval(y, _BUMP_POLYS[j])
+        acc = acc + coef * half_d2q ** (k - j) * dq ** (2 * j - k) * _horner(_BUMP_POLYS[j], y)
     out[live] = np.exp(-y) * acc
     return out
 
@@ -395,7 +426,7 @@ def bump(center=0.0, radius=1.0, n=1):
             out[inside] = np.exp(-1.0 / (1.0 - u2[inside]))
         return out
 
-    decay = Decay("compact", radius=radius, shift=float(c[0]) if n == 1 else float(np.linalg.norm(c)))
+    decay = Decay("compact", radius=radius, shift=float(c[0]) if n == 1 else float(np.linalg.norm(c)), center=tuple(c))
 
     def ray_fn(direction):
         # q(r) = |r d - c|^2 / radius^2 = x^2 + h2, x = sa r - off, with sa = |d|,

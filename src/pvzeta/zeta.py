@@ -31,14 +31,17 @@ r^(2 (s + N) + n - 2) times the angular profile.
 zeta_local hands the radial functions of every kind (the rays, or the
 angular profile), which depend on s only through the depth N, and their
 weights r^expo to one driver on the tanh-sinh rule
-quad._radial_levels.  zeta_local_reference keeps independent routes: one
-adaptive transform per ray, and the angular profile per radius under
-adaptive quadrature, continued one step by the finite-difference stencil
-of quad.radial_power_integral.
+quad._radial_levels, and that driver runs under quad.angular_doubling,
+which doubles the order of the sphere rules until two orders agree.
+zeta_local_reference keeps independent routes, on the rotated sphere
+rule of the order zeta_local measured: one adaptive transform per ray,
+and the angular profile per radius under adaptive quadrature, continued
+one step by the finite-difference stencil of quad.radial_power_integral.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -55,8 +58,9 @@ MAX_CONTINUATION = 6
 class MeroValue:
     """Value of an analytically continued quantity, with the distance to
     the nearest pole of the continuation and the number of integrations
-    by parts that produced it; rule describes the shared radial rule
-    (node count and last level gap) when one produced the value."""
+    by parts that produced it; rule describes the shared rules (radial
+    node count and last level gap, angular order and gap) when they
+    produced the value."""
 
     value: complex
     pole_distance: float
@@ -151,56 +155,70 @@ def _check_target(space, component, phi):
         raise DomainError("test function dimension does not match the space")
 
 
-def _polar(space, component, s, sphere_order):
+def _polar(space, component, s, order, rotated):
     """The polar factorization |p(r omega)|^s dm = r^expo |p(omega)|^s dr
     d omega of the scalar and definite kinds: (rays omega, their weights,
     the matrix B with |p(omega)| = omega^T B omega, expo).  The scalar
     kind has the one ray +-1 of its component and expo = s, a definite
-    space the sphere rule of sphere_order (16 by default) and
+    space the rule quad.sphere_quadrature(n, order, rotated) and
     expo = 2 s + n - 1."""
     if space.kind == "scalar1d":
         return np.array([[1.0 if component == "V1" else -1.0]]), np.ones(1), np.eye(1), s
-    pts, wts = quad.sphere_quadrature(space.n, order=16 if sphere_order is None else sphere_order)
+    pts, wts = quad.sphere_quadrature(space.n, order, rotated)
     return pts, wts, space.Bmat, 2.0 * s + space.n - 1.0
 
 
-def _polar_kind(space, component, s, phi, sphere_order):
-    """The radial data (pole distance, depth N, rows(r), weights,
-    divisor, radial exponent, cutoff) that zeta_local integrates, for the
-    scalar and definite kinds: the rays of _polar, continued by parts, on
-    [0, largest ray cutoff]; the weights carry 1 / den, so the divisor
-    is 1.  DomainError when a ray profile has no finite cutoff or
-    oscillates: the level gap of the rule does not see an unresolved
-    oscillation, so such a ray (the numeric Fourier transform of a bump)
-    goes to mellin or zeta_local_reference, whose quad.power_integral
-    sizes its panels to the wavelength."""
-    pts, wts, B, sm = _polar(space, component, s, sphere_order)
+def _polar_kind(space, component, s, phi):
+    """The radial data that zeta_local integrates, for the scalar and
+    definite kinds: (pole distance, depth N, radial exponent, dimensions
+    of the sphere factors, the angle of phi's support, at), where at(order)
+    gives (rows(r), weights, divisor, cutoff) for the rays of _polar at
+    that order, continued by parts, on [0, largest ray cutoff]; the
+    weights carry 1 / den, so the divisor is 1.  DomainError when a ray
+    profile has no finite cutoff or oscillates: the level gap of the rule
+    does not see an unresolved oscillation, so such a ray (the numeric
+    Fourier transform of a bump) goes to mellin or zeta_local_reference,
+    whose quad.power_integral sizes its panels to the wavelength."""
+    sm = s if space.kind == "scalar1d" else 2.0 * s + space.n - 1.0
     dist, N, den = _continuation(sm)
-    profiles, cut = [], 0.0
-    for om in pts:
-        prof = phi.ray(om)
-        if getattr(prof, "oscillation", None) is not None:
-            raise DomainError(
-                f"the shared radial rule does not resolve the oscillating rays of {phi.label}; "
-                "zeta.mellin and zeta_local_reference take them on wavelength panels"
-            )
-        c = prof.cutoff(1e-16)
-        if not (np.isfinite(c) and c > 0.0):
-            raise DomainError(f"the shared radial rule needs a finite cutoff of every ray profile, got {c}")
-        profiles.append(prof if N == 0 else prof.derivative(N))
-        cut = max(cut, c)
-    pom = np.einsum("ij,jk,ik->i", pts, B, pts)
-    ps = pom ** s.real if s.imag == 0.0 else pom.astype(complex) ** s
-    return dist, N, lambda r: [g(r) for g in profiles], wts * ps / den, 1.0, sm + N, cut
+
+    def at(order):
+        pts, wts, B, _ = _polar(space, component, s, order, False)
+        # a ray that misses phi's support adds 0
+        hit = [not phi.decay.misses(om) for om in pts]
+        pts, wts = pts[hit], wts[hit]
+        profiles, cut = [], 0.0
+        for om in pts:
+            prof = phi.ray(om)
+            if getattr(prof, "oscillation", None) is not None:
+                raise DomainError(
+                    f"the shared radial rule does not resolve the oscillating rays of {phi.label}; "
+                    "zeta.mellin and zeta_local_reference take them on wavelength panels"
+                )
+            c = prof.cutoff(1e-16)
+            if not (np.isfinite(c) and c > 0.0):
+                raise DomainError(f"the shared radial rule needs a finite cutoff of every ray profile, got {c}")
+            profiles.append(prof if N == 0 else prof.derivative(N))
+            cut = max(cut, c)
+        pom = np.einsum("ij,jk,ik->i", pts, B, pts)
+        ps = pom ** s.real if s.imag == 0.0 else pom.astype(complex) ** s
+        # with no ray left any cutoff serves
+        return lambda r: [g(r) for g in profiles], wts * ps / den, 1.0, cut or 1.0
+
+    dims = () if space.kind == "scalar1d" else (space.n,)
+    return dist, N, sm + N, dims, phi.decay.angle(), at
 
 
-def _signature_kind(space, component, s, phi, sphere_order):
+def _signature_kind(space, component, s, phi):
     """The radial data of _polar_kind for an indefinite component: the
     b-function (module docstring) moves s to Re s + N > -1/2, where the
     radial weight r^(2 (s + N) + n - 2) of the hyperbolic coordinates of
     quad.SignatureGeometry is integrable.  The one row is the angular
     profile of L^N phi, with weight detfac and divisor den, so the value
-    is (detfac sum) / den.  sphere_order is 24 by default."""
+    is (detfac sum) / den.  The sphere factors of the component are
+    S^{k-1} and S^{n-k-1}, k its cosh-like directions; the support's angle
+    is taken in the standardized coordinates, where the stretch of B can
+    narrow it."""
     dist = _indefinite_pole_distance(space, s)
     N = 0
     while s.real + N <= -0.5:
@@ -213,13 +231,20 @@ def _signature_kind(space, component, s, phi, sphere_order):
     if component == "minus" and N % 2:
         den = -den
     g = phi if N == 0 else testfn.laplacian_power(phi, 1.0 / np.diag(space.Bmat), N)
-    geom = quad.SignatureGeometry(space.Bmat, space.q, component, 24 if sphere_order is None else sphere_order)
     rate = _standardized_rate(space, phi)
-    rows = lambda r: [geom.profile(g, r, rate)[0]]
-    return dist, N, rows, np.array([geom.detfac]), den, 2.0 * (s + N) + space.n - 2.0, geom.radial_cutoff(rate)
+
+    def at(order):
+        geom = quad.SignatureGeometry(space.Bmat, space.q, component, order, False)
+        return lambda r: [geom.profile(g, r, rate)[0]], np.array([geom.detfac]), den, geom.radial_cutoff(rate)
+
+    k = space.q if component == "plus" else space.n - space.q
+    root = np.sqrt(np.abs(np.diag(space.Bmat)))
+    dec = phi.decay
+    angle = dataclasses.replace(dec, radius=dec.radius * root.min(), shift=dec.shift * root.max()).angle()
+    return dist, N, 2.0 * (s + N) + space.n - 2.0, (k, space.n - k), angle, at
 
 
-def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=None):
+def zeta_local(space, component, s, phi, tol=1e-10):
     """Z_i(s, phi) = integral over component V_i of |p(m)|^s phi(m) dm,
     continued in s by radial integration by parts (scalar and definite
     kinds) or by the b-function (indefinite kind, see the module
@@ -230,21 +255,31 @@ def zeta_local(space, component, s, phi, tol=1e-10, sphere_order=None):
     a definite space) or _signature_kind (the angular profile of an
     indefinite component), and all rows share one tanh-sinh radial rule
     (Takahasi & Mori 1974), refined until two levels agree within tol of
-    the L1 mass on every row, else AccuracyError at its level cap;
+    the L1 mass on every row, else AccuracyError at its level cap.  The
+    order of the sphere rules is measured, not set: quad.angular_doubling
+    doubles it until two orders agree within tol of the L1 mass of the
+    sum (the scalar kind and S^0 factors are exact and run once).
     zeta_local_reference keeps independent routes.  Oscillating rays
-    raise DomainError (see _polar_kind).  The value carries the rule,
-    with its level gap weighted and divided like the value.  sphere_order
-    sets the sphere rule; None takes each kind's own (16 for a definite
-    space, 24 for an indefinite one)."""
+    raise DomainError (see _polar_kind).  The value carries the rule:
+    radial nodes and level gap, weighted and divided like the value, and
+    the angular order that the finer order confirms within the angular
+    gap (0 when no doubling ran), which zeta_local_reference takes."""
     s = complex(s)
     _check_target(space, component, phi)
     kind = _signature_kind if space.kind == "indefinite" else _polar_kind
-    dist, N, rows, weights, den, expo, cut = kind(space, component, s, phi, sphere_order)
-    cur, prev, nodes = quad._radial_levels(rows, expo, cut, tol, _DE_LEVELS)
-    total = complex(np.sum(weights * cur)) / den
-    gap = float(abs(np.sum(weights * (cur - prev)))) / abs(den)
+    dist, N, expo, dims, angle, at = kind(space, component, s, phi)
+
+    def run(order):
+        rows, weights, den, cut = at(order)
+        cur, prev, mass, nodes = quad._radial_levels(rows, expo, cut, tol, _DE_LEVELS)
+        total = complex(np.sum(weights * cur)) / den
+        gap = float(abs(np.sum(weights * (cur - prev)))) / abs(den)
+        return total, float(np.sum(np.abs(weights) * mass)) / abs(den), nodes, gap
+
+    (total, _, nodes, gap), angular_gap, order = quad.angular_doubling(dims, run, angle, tol)
     value = total.real if total.imag == 0.0 else total
-    return MeroValue(value, dist, N, rule={"radial_nodes": nodes, "level_gap": gap})
+    rule = {"radial_nodes": nodes, "level_gap": gap, "angular_order": order, "angular_gap": angular_gap}
+    return MeroValue(value, dist, N, rule=rule)
 
 
 def _b_function(n, s):
@@ -270,45 +305,49 @@ def _standardized_rate(space, phi):
     return rate / float(np.max(np.abs(np.diag(space.Bmat))))
 
 
-def zeta_local_reference(space, component, s, phi, tol=1e-10, sphere_order=None):
+def zeta_local_reference(space, component, s, phi, order, tol=1e-10):
     """zeta_local by independent routes, for checks of the shared rules:
     one adaptive radial Mellin transform per ray of _polar for the scalar
     and definite kinds, and for an indefinite one the angular profile per
     radius under adaptive quadrature, continued by at most one
-    finite-difference by-parts step (so Re s > -n/2 only).  sphere_order
-    as in zeta_local."""
+    finite-difference by-parts step (so Re s > -n/2 only).  order is the
+    angular order that zeta_local measured (its rule's angular_order); the
+    sphere rules of that order are the rotated ones of
+    quad.sphere_quadrature, so that no angular node, and no angular error,
+    is common to both routes."""
     s = complex(s)
     _check_target(space, component, phi)
     if space.kind == "indefinite":
         beta = 2.0 * s + space.n - 2.0
         dist = _indefinite_pole_distance(space, s)
         rate = _standardized_rate(space, phi)
-        geom = quad.SignatureGeometry(space.Bmat, space.q, component, 24 if sphere_order is None else sphere_order)
+        geom = quad.SignatureGeometry(space.Bmat, space.q, component, order, True)
         H = geom.angular_profile(lambda pts: np.asarray(phi(pts)), rate)
         val = geom.detfac * complex(quad.radial_power_integral(H, beta, geom.radial_cutoff(rate), tol=tol))
         # the stencil's by-parts steps: none while Re beta > -1, else one
         return MeroValue(val.real if val.imag == 0.0 else val, dist, int(beta.real <= -1.0))
-    pts, wts, B, sm = _polar(space, component, s, sphere_order)
+    pts, wts, B, sm = _polar(space, component, s, order, True)
     total = 0.0 + 0.0j
-    dist, order = None, 0
+    dist, depth = None, 0
     for om, w in zip(pts, wts):
         pom = float(om @ B @ om)
         mv = mellin_profile(phi.ray(om), sm, tol=tol)
         total += w * pom ** s * complex(mv.value)
-        dist, order = mv.pole_distance, mv.continuation_order
+        dist, depth = mv.pole_distance, mv.continuation_order
     value = total.real if total.imag == 0.0 else total
-    return MeroValue(value, dist, order)
+    return MeroValue(value, dist, depth)
 
 
 def check_zeta_eval(space, component, s, phi, tol):
-    """zeta_local at tol 1e-9 against zeta_local_reference at tol 1e-11:
-    for the scalar and definite kinds the shared radial rule against the
-    adaptive rule per ray, for the indefinite kind the b-function route
-    against the finite-difference stencil."""
+    """zeta_local at tol 1e-9 against zeta_local_reference at tol 1e-11,
+    on the angular order that zeta_local measured: for the scalar and
+    definite kinds the shared radial rule against the adaptive rule per
+    ray, for the indefinite kind the b-function route against the
+    finite-difference stencil."""
     from .report import CheckReport
 
     fast = zeta_local(space, component, s, phi, tol=1e-9)
-    ref = zeta_local_reference(space, component, s, phi, tol=1e-11)
+    ref = zeta_local_reference(space, component, s, phi, fast.rule["angular_order"], tol=1e-11)
     return CheckReport(
         check="zeta-eval",
         params={"space": repr(space), "component": component, "s": complex(s), "testfn": phi.label},

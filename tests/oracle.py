@@ -1,15 +1,18 @@
-"""Adaptive QUADPACK oracle for one-dimensional Fourier integrals.
+"""Adaptive QUADPACK oracles for the tests.
 
 The tests compare the library's fixed Fourier rules (the numeric
 transform of a bump, the heat symbol, the double-exponential inverse
-transforms) against this independent adaptive route; the library itself
-never calls it.
+transforms) against an independent adaptive route for one-dimensional
+Fourier integrals, and the zeta integral of a Gaussian on an anisotropic
+definite form against its polar factorization with an adaptive sphere
+integral; the library itself never calls them.
 """
 
 import numpy as np
+from scipy.integrate import dblquad
 from scipy.integrate import quad as scipy_quad
 
-from pvzeta import quad
+from pvzeta import quad, special
 
 # at or below this |xi| the complex integrand is integrated directly
 OSC_THRESHOLD = 4.0
@@ -50,3 +53,25 @@ def oscillatory_ft_1d(f, xi, a=-np.inf, b=np.inf, tol=1e-10, force_method=None):
         return re - 1j * im
 
     return complex(piece(a, b))
+
+
+def gaussian_zeta_definite(s, a, diag):
+    """Z(s) = integral over R^3 of (m^T B m)^s e^{-a |m|^2} dm for the
+    positive diagonal B = diag(diag), entire in s: in polar coordinates
+    Gamma(s + 3/2) / (2 a^(s + 3/2)) times the sphere integral of
+    (omega^T B omega)^s, which is taken here by adaptive 2D quadrature
+    over the polar and azimuthal angles (real and imaginary parts apart),
+    independent of the library's sphere rules."""
+    s = complex(s)
+    b = np.asarray(diag, dtype=float)
+
+    def part(take):
+        def f(phi, theta):
+            st = np.sin(theta)
+            p = b[0] * (st * np.cos(phi)) ** 2 + b[1] * (st * np.sin(phi)) ** 2 + b[2] * np.cos(theta) ** 2
+            return take(np.exp(s * np.log(p))) * st
+
+        return dblquad(f, 0.0, np.pi, 0.0, 2.0 * np.pi, epsabs=0.0, epsrel=1e-13)[0]
+
+    sphere = part(np.real) + (1j * part(np.imag) if s.imag else 0.0)
+    return complex(special.gamma(s + 1.5)) / (2.0 * a ** (s + 1.5)) * sphere

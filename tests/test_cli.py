@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from oracle import gaussian_zeta_definite
 from pvzeta import cli, heatflow, phspace, quad, testfn, zeta
 from pvzeta.errors import AccuracyError, ConfigError
 
@@ -130,7 +131,7 @@ def test_zeta_eval_sides(tmp_path, monkeypatch, args, s_values, bound):
         row = json.loads(out.read_text())
         assert row["params"]["s"] == {"re": complex(s).real, "im": complex(s).imag}
         assert row["status"] == "pass" and row["rel_residual"] < bound, (s, row["rel_residual"])
-        assert set(row["extra"]["rule"]) == {"radial_nodes", "level_gap"}
+        assert set(row["extra"]["rule"]) == {"radial_nodes", "level_gap", "angular_order", "angular_gap"}
 
     engine = zeta.zeta_local
 
@@ -174,6 +175,22 @@ def test_zeta_eval_narrow_off_centre_bump(tmp_path):
     assert abs(ref - 7.2125091920637e-3) < 1e-15
     for side in ("lhs", "rhs"):
         assert abs(row[side]["re"] - ref) < 1e-13 * ref, side
+
+
+def test_zeta_eval_anisotropic_row_carries_the_oracle_value(tmp_path):
+    # the order-16 sphere rule puts both sides 4.8e-8 off while they agree
+    # to 2.7e-16; on the measured order each side is the oracle's value
+    out = tmp_path / "r.jsonl"
+    argv = ["zeta", "--check", "value", "--space", "definite:B=1|2|0.5", "--testfn", "gaussian:a=3.14159,n=3"]
+    assert run(argv + ["--s=-1.7+0.3j", "--out", str(out)]) == 0
+    row = json.loads(out.read_text())
+    assert row["params"]["space"] == "PVSpace(definite, n=3, q=3, B=1|2|0.5)"
+    rule = row["extra"]["rule"]
+    assert rule["angular_order"] == 32 and rule["angular_gap"] < 1e-9 * 24.0
+    exact = gaussian_zeta_definite(-1.7 + 0.3j, 3.14159, [1.0, 2.0, 0.5])
+    for side in ("lhs", "rhs"):
+        value = complex(row[side]["re"], row[side]["im"])
+        assert abs(value - exact) < 1e-12 * abs(exact), side
 
 
 @pytest.mark.parametrize("c", ["0.3", "0.6", "-0.45", "3.0"])

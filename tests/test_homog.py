@@ -115,15 +115,16 @@ def _norm_density(n, seen=None):
 
 def test_extension_ambiguity_constant_in_the_plane():
     # the same constant for k = |m|^-2 on R^2 is 2 pi ln 2; k and phi are
-    # radial, so four rays of the sphere rule integrate them exactly
+    # radial, so the four rays of the first order integrate them exactly
+    # and the angular rule settles there
     seen = []
     k = _norm_density(2, seen)
     psi1, psi2 = homog.make_cutoff(0.5, 2.0), homog.make_cutoff(1.0, 4.0)
     for a in (1.0, 2.0):
         phi = testfn.gaussian(a, n=2)
-        d = complex(homog.extend_kdot(k, psi1, phi, sphere_order=2)) - complex(
-            homog.extend_kdot(k, psi2, phi, sphere_order=2)
-        )
+        e1, e2 = homog.extend_kdot(k, psi1, phi), homog.extend_kdot(k, psi2, phi)
+        assert e1.angular_order == e2.angular_order == 2
+        d = complex(e1) - complex(e2)
         assert abs(d - 2.0 * math.pi * math.log(2.0)) < 1e-10, (a, d)
     # the fixed rule evaluates the density on (N, n) arrays of points
     assert seen and all(len(shape) == 2 and shape[1] == 2 for shape in seen), set(seen)

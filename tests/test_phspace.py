@@ -28,6 +28,21 @@ def test_space_repr_names_a_non_default_B(spec, text):
     assert repr(phspace.parse_space(spec)) == text
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["definite:B=1|2,n=3", "definite:B=2|0.5|0.5|1,n=2", "indefinite:B=1|-1|-1,n=2", "indefinite:B=1|-1|-1,q=2"],
+    ids=["definite-n", "definite-matrix-n", "indefinite-n", "indefinite-q"],
+)
+def test_parse_space_refuses_an_n_or_q_that_B_contradicts(spec):
+    with pytest.raises(ConfigError):
+        phspace.parse_space(spec)
+
+
+def test_parse_space_accepts_an_n_and_q_that_B_agrees_with():
+    assert phspace.parse_space("definite:B=1|2,n=2") == phspace.definite(B=np.diag([1.0, 2.0]))
+    assert phspace.parse_space("indefinite:B=2|-1|-1,q=1,n=3") == phspace.indefinite(B=np.diag([2.0, -1.0, -1.0]))
+
+
 def test_parse_space_rejects_garbage():
     with pytest.raises(ConfigError):
         phspace.parse_space("nonsense:x=1")

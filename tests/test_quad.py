@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import re
 from pathlib import Path
@@ -61,13 +62,52 @@ def test_gauss_legendre_cached():
 
 
 def test_sphere_quadrature_measure():
-    for n in (1, 2, 3):
-        pts, wts = quad.sphere_quadrature(n)
+    for n, rotated in itertools.product((1, 2, 3), (False, True)):
+        pts, wts = quad.sphere_quadrature(n, 16, rotated)
+        assert len(wts) == {1: 2, 2: 32, 3: 512}[n]
         surface = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[n]
         assert abs(np.sum(wts) - surface) < 1e-10
         # integrates quadratics exactly: int omega_i omega_j = surface/n delta_ij
         g = np.einsum("ki,kj,k->ij", pts, pts, wts)
         assert np.allclose(g, np.eye(n) * surface / n, atol=1e-10)
+        assert np.allclose(np.sum(pts * pts, axis=1), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rotated_sphere_rule_shares_no_node(n):
+    # the reference side of the zeta and extension checks runs on the
+    # rotated rule, so no angular node is common to the two sides
+    for order in (2, 4, 8, 16):
+        plain = quad.sphere_quadrature(n, order, False)[0]
+        for other in (2, 4, 8, 16, 32):
+            rot = quad.sphere_quadrature(n, other, True)[0]
+            dist = np.min(np.linalg.norm(plain[:, None, :] - rot[None, :, :], axis=-1))
+            assert dist > 1e-6, (order, other, dist)
+
+
+def test_angular_doubling_runs():
+    # the order doubles from 2 until two values agree within tol of the
+    # mass; the coarser of the two orders is returned with the later run
+    seen = []
+
+    def run(order):
+        seen.append(order)
+        return 1.0 + 2.0 ** -order, 1.0, order
+
+    out, gap, order = quad.angular_doubling((2,), run, 2.0 * math.pi, 1e-6)
+    assert seen == [2, 4, 8, 16, 32, 64] and order == 32 and out[2] == 64
+    assert gap == pytest.approx(2.0 ** -32)
+    # S^0 factors are exact: one run at order 0
+    seen.clear()
+    assert quad.angular_doubling((1, 1), run, 2.0 * math.pi, 1e-6)[1:] == (0.0, 0) and seen == [0]
+    # a narrow support starts at an order whose spacing pi / order is below
+    # half its angle
+    seen.clear()
+    quad.angular_doubling((2,), run, 0.1, 1e-3)
+    assert seen[0] == 64
+    # past the node cap the rule raises
+    with pytest.raises(AccuracyError):
+        quad.angular_doubling((3,), lambda order: (float(order), 1.0), 2.0 * math.pi, 1e-6)
 
 
 def test_monte_carlo_signature_consistency():
@@ -83,7 +123,7 @@ def test_signature_profile_closed_form():
     # plus sheet of diag(1, -1, -1), g = e^{-pi |x|^2}: with x = cosh u,
     # H(r) = r F(r) = sqrt(2) pi e^{pi r^2} erfc(sqrt(2 pi) r); tiny r puts
     # the truncation point of the graded u panels near u = 70
-    geom = quad.SignatureGeometry(np.diag([1.0, -1.0, -1.0]), 1, "plus")
+    geom = quad.SignatureGeometry(np.diag([1.0, -1.0, -1.0]), 1, "plus", 24, False)
     r = np.array([0.0, 1e-200, 1e-150, 1e-30, 1e-8, 0.01, 0.3, 1.0, 2.0])
     H, points = geom.profile(lambda pts: np.exp(-np.pi * quad.sum_squares(pts)), r, np.pi)
     exact = math.sqrt(2.0) * np.pi * np.exp(np.pi * r * r) * scipy.special.erfc(math.sqrt(2.0 * np.pi) * r)
@@ -109,7 +149,7 @@ def test_monte_carlo_refuses_a_non_diagonal_form():
 
 def test_sphere_quadrature_rejects_bad_dim():
     with pytest.raises(DomainError):
-        quad.sphere_quadrature(4)
+        quad.sphere_quadrature(4, 2, False)
 
 
 def test_rule_nodes_come_from_the_caches():
@@ -136,7 +176,7 @@ def test_defaulted_parameters_do_not_grow():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
-    assert count <= 114, count
+    assert count <= 109, count
 
 
 def test_cli_builds_no_rows():

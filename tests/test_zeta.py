@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from oracle import gaussian_zeta_definite
 
-from pvzeta import funceq, phspace, special, testfn, zeta
+from pvzeta import funceq, phspace, quad, special, testfn, zeta
 from pvzeta.errors import AccuracyError, DomainError, PoleError
 
 
@@ -130,36 +131,91 @@ def test_shared_rule_refuses_oscillating_rays():
     phihat = testfn.fourier(testfn.bump(0.0, 1.0), testfn.FourierConvention.TWOPI)
     with pytest.raises(DomainError, match="zeta.mellin"):
         zeta.zeta_local(phspace.scalar1d(), "V1", 0.4, phihat)
-    ref = zeta.zeta_local_reference(phspace.scalar1d(), "V1", 0.4, phihat)
+    ref = zeta.zeta_local_reference(phspace.scalar1d(), "V1", 0.4, phihat, 0)
     assert ref.value == zeta.mellin(phihat, 1.0, 0.4).value
 
 
 # (space, test function, s, continuation depth N of the radial Mellin
-# transform at 2s + n - 1, sphere order); order 8 keeps the n = 3 runs
-# of the adaptive reference short.  Bump rays differentiate exactly and
-# end at the support's far edge.
+# transform at 2s + n - 1).  Both routes take the angular order that
+# zeta_local measures, the reference on the rotated rule, so they share no
+# angular node.  Bump rays differentiate exactly and end at the support's
+# far edge.
 ENGINE_CASES = [
-    (phspace.definite(B=np.diag([1.0, 2.0, 0.5])), testfn.hermite_gaussian(2, 1.3, n=3), 0.4, 0, 8),
-    (phspace.definite(B=np.diag([1.0, 2.0, 0.5])), testfn.gaussian(math.pi, n=3), -1.7 + 0.3j, 1, 8),
-    (phspace.definite(B=np.diag([1.0, 2.0, 0.5])), testfn.hermite_gaussian(2, 2.0, n=3), -2.2, 2, 8),
-    (phspace.definite(B=np.diag([1.0, 3.0])), testfn.hermite_gaussian(2, 1.3, n=2), -1.2 + 0.4j, 1, 16),
-    (phspace.definite(B=np.diag([1.0, 3.0])), testfn.hermite_gaussian(2, 1.3, n=2), -1.6 + 0.3j, 2, 16),
-    (phspace.definite(B=np.diag([2.0, 0.7])), testfn.gaussian(0.8, n=2), 0.9 - 0.5j, 0, 16),
-    (phspace.definite(n=2), testfn.bump(0.0, 1.0, n=2), 0.3, 0, 16),
-    (phspace.definite(n=2), testfn.bump(0.0, 1.0, n=2), -1.2, 1, 16),
-    (phspace.definite(B=np.diag([1.0, 3.0])), testfn.bump(1.5, 1.0, n=2), -1.3, 1, 16),
+    (phspace.definite(B=np.diag([1.0, 2.0, 0.5])), testfn.hermite_gaussian(2, 1.3, n=3), 0.4, 0),
+    (phspace.definite(B=np.diag([1.0, 2.0, 0.5])), testfn.gaussian(math.pi, n=3), -1.7 + 0.3j, 1),
+    (phspace.definite(B=np.diag([1.0, 2.0, 0.5])), testfn.hermite_gaussian(2, 2.0, n=3), -2.2, 2),
+    (phspace.definite(B=np.diag([1.0, 3.0])), testfn.hermite_gaussian(2, 1.3, n=2), -1.2 + 0.4j, 1),
+    (phspace.definite(B=np.diag([1.0, 3.0])), testfn.hermite_gaussian(2, 1.3, n=2), -1.6 + 0.3j, 2),
+    (phspace.definite(B=np.diag([2.0, 0.7])), testfn.gaussian(0.8, n=2), 0.9 - 0.5j, 0),
+    (phspace.definite(n=2), testfn.bump(0.0, 1.0, n=2), 0.3, 0),
+    (phspace.definite(n=2), testfn.bump(0.0, 1.0, n=2), -1.2, 1),
+    (phspace.definite(B=np.diag([1.0, 3.0])), testfn.bump(1.5, 1.0, n=2), -1.3, 1),
 ]
 
 
-@pytest.mark.parametrize("space, phi, s, depth, order", ENGINE_CASES)
-def test_definite_engine_matches_reference(space, phi, s, depth, order):
-    fast = zeta.zeta_local(space, "V1", s, phi, tol=1e-10, sphere_order=order)
-    ref = zeta.zeta_local_reference(space, "V1", s, phi, tol=1e-12, sphere_order=order)
+@pytest.mark.parametrize("space, phi, s, depth", ENGINE_CASES)
+def test_definite_engine_matches_reference(space, phi, s, depth):
+    # the reference's order is the coarser of the two that agreed, so its
+    # angular error is the rule's angular gap; on the off-centre bump, whose
+    # edges slow the trapezoidal rule to order 512, that gap is 1.06e-12 of
+    # the value (the rule's tol is relative to the L1 mass)
+    fast = zeta.zeta_local(space, "V1", s, phi, tol=1e-12)
+    ref = zeta.zeta_local_reference(space, "V1", s, phi, fast.rule["angular_order"], tol=1e-12)
     assert fast.continuation_order == ref.continuation_order == depth
     assert fast.pole_distance == ref.pole_distance
     assert fast.rule is not None and ref.rule is None
-    err = abs(complex(fast.value) - complex(ref.value)) / abs(complex(ref.value))
-    assert err < 1e-12, err
+    err = abs(complex(fast.value) - complex(ref.value))
+    assert err < 1e-12 * abs(complex(ref.value)) + fast.rule["angular_gap"], err
+
+
+@pytest.mark.parametrize("s", [-1.7 + 0.3j, 0.8])
+def test_anisotropic_gaussian_matches_the_oracle(s):
+    # the order-16 sphere rule is off by 4.8e-8 at s = -1.7 + 0.3i; the
+    # measured order is not
+    sp = phspace.definite(B=np.diag([1.0, 2.0, 0.5]))
+    mv = zeta.zeta_local(sp, "V1", s, testfn.gaussian(math.pi, n=3))
+    exact = gaussian_zeta_definite(s, math.pi, [1.0, 2.0, 0.5])
+    assert abs(complex(mv.value) - exact) < 1e-12 * abs(exact)
+    assert mv.rule["angular_order"] >= 16
+
+
+def _tensor_plane_zeta(phi, s, lo, hi):
+    # integral of |m|^(2s) phi(m) over the square [lo, hi]^2 around the
+    # support, on a 40 x 40-panel Gauss-Legendre tensor rule
+    x, wx = quad.panel_rule(lo[0], hi[0], 40)
+    y, wy = quad.panel_rule(lo[1], hi[1], 40)
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    return float(np.sum(np.outer(wx, wy) * (X * X + Y * Y) ** s * phi(np.stack([X, Y], axis=-1))))
+
+
+def test_narrow_off_centre_bump_in_the_plane_resolves_on_both_routes():
+    # the support subtends 0.2 rad; the order-16 rule gives 1.4390e-3 on
+    # both routes, and the doubling settles far above it
+    phi, s = testfn.bump([0.5, 0.0], 0.05, n=2), 0.3
+    exact = _tensor_plane_zeta(phi, s, (0.45, -0.05), (0.55, 0.05))
+    assert exact == pytest.approx(7.6964e-4, rel=1e-4)
+    fast = zeta.zeta_local(phspace.definite(n=2), "V1", s, phi)
+    ref = zeta.zeta_local_reference(phspace.definite(n=2), "V1", s, phi, fast.rule["angular_order"])
+    assert fast.rule["angular_order"] >= 256
+    for val in (fast.value, ref.value):
+        assert abs(val - exact) < 1e-8 * exact, val
+
+
+def test_an_off_centre_support_sets_the_first_order():
+    # the support lies between the angles k pi / 4 of the nodes of orders 2
+    # and 4, which would both give 0 and agree; the first order puts its
+    # node spacing below half the angle the support subtends
+    c = np.array([math.cos(math.pi / 8.0), math.sin(math.pi / 8.0)])
+    phi, s = testfn.bump(c, 0.3, n=2), 0.3
+    for order in (2, 4):
+        pts = quad.sphere_quadrature(2, order, False)[0]
+        assert all(phi.decay.misses(om) for om in pts)
+    fast = zeta.zeta_local(phspace.definite(n=2), "V1", s, phi)
+    ref = zeta.zeta_local_reference(phspace.definite(n=2), "V1", s, phi, fast.rule["angular_order"])
+    exact = _tensor_plane_zeta(phi, s, c - 0.3, c + 0.3)
+    assert fast.rule["angular_order"] > 4 and exact > 0.0
+    for val in (fast.value, ref.value):
+        assert abs(val - exact) < 1e-8 * exact, val
 
 
 def _bump_power_integral(alpha):
@@ -184,15 +240,17 @@ def _bump_power_integral(alpha):
 def test_continued_bump_zeta_matches_the_series_route(space, n, s):
     # continuation by parts needs the ray derivatives up to order 5 here;
     # for the radial bump every sphere rule gives 4 pi times the radial
-    # integral at 2s + 2, so order 4 keeps the reference short
+    # integral at 2s + 2, so the angular rule settles at its first order
     if space == "scalar":
-        sp, order, ref = phspace.scalar1d(), None, _bump_power_integral(s)
+        sp, ref = phspace.scalar1d(), _bump_power_integral(s)
     else:
-        sp, order, ref = phspace.definite(n=n), 4, 4.0 * math.pi * _bump_power_integral(2.0 * s + n - 1.0)
+        sp, ref = phspace.definite(n=n), 4.0 * math.pi * _bump_power_integral(2.0 * s + n - 1.0)
     phi = testfn.bump(0.0, 1.0, n=n)
-    for route in (zeta.zeta_local, zeta.zeta_local_reference):
-        val = complex(route(sp, "V1", s, phi, sphere_order=order).value)
-        assert abs(val - ref) < 1e-10 * abs(ref), route.__name__
+    fast = zeta.zeta_local(sp, "V1", s, phi)
+    assert fast.rule["angular_order"] == (0 if space == "scalar" else 2)
+    slow = zeta.zeta_local_reference(sp, "V1", s, phi, fast.rule["angular_order"])
+    for val in (complex(fast.value), complex(slow.value)):
+        assert abs(val - ref) < 1e-10 * abs(ref)
 
 
 def test_definite_engine_pole_guard():
@@ -227,25 +285,31 @@ def test_scalar_kind_shared_rule_against_adaptive_mellin(phi, s, depth, componen
     # and its reference is the adaptive Mellin transform on that ray
     sp = phspace.scalar1d()
     fast = zeta.zeta_local(sp, component, s, phi)
-    ref = zeta.zeta_local_reference(sp, component, s, phi)
+    ref = zeta.zeta_local_reference(sp, component, s, phi, fast.rule["angular_order"])
     mel = zeta.mellin(phi, omega, s, tol=1e-10)
     assert ref == mel
-    assert fast.rule is not None and fast.continuation_order == depth == ref.continuation_order
+    # the one ray is exact: no angular doubling runs
+    assert fast.rule["angular_order"] == 0 and fast.rule["angular_gap"] == 0.0
+    assert fast.continuation_order == depth == ref.continuation_order
     err = abs(complex(fast.value) - complex(ref.value)) / abs(complex(ref.value))
     assert err < 1e-12, err
 
 
-def test_indefinite_sphere_order_reaches_both_routes():
-    # phi = m_2^4 e^{-pi |m|^2} has angular structure, so the order matters
+def test_indefinite_angular_order_is_measured(tmp_path):
+    # phi = m_2^4 e^{-pi |m|^2} varies as cos^4 on the circle of the plus
+    # sheet: the 4-point rule of order 2 overweights it by 1/3, 8 points
+    # are exact, so the rule settles one order above the Gaussian's
     sp = phspace.indefinite(q=1, n=3)
+    gauss = zeta.zeta_local(sp, "plus", 0.2, testfn.gaussian(math.pi, n=3))
     phi = testfn.polygauss({(0, 4, 0): 1.0}, math.pi, 3)
-    default = zeta.zeta_local(sp, "plus", 0.2, phi)
-    fast = zeta.zeta_local(sp, "plus", 0.2, phi, sphere_order=1)
-    # the order-1 rule overweights the fourth power by 1/3
-    assert fast.value == pytest.approx(4.0 / 3.0 * default.value, rel=1e-9)
-    ref_low = zeta.zeta_local_reference(sp, "plus", 0.2, phi, sphere_order=1)
-    assert ref_low.value == pytest.approx(fast.value, rel=1e-9)
-    assert zeta.zeta_local_reference(sp, "plus", 0.2, phi).value == pytest.approx(default.value, rel=1e-9)
+    fast = zeta.zeta_local(sp, "plus", 0.2, phi)
+    assert gauss.rule["angular_order"] == 2 and fast.rule["angular_order"] == 4
+    assert fast.rule["angular_gap"] < 1e-10 * abs(fast.value)
+    ref = zeta.zeta_local_reference(sp, "plus", 0.2, phi, 4)
+    assert ref.value == pytest.approx(fast.value, rel=1e-9)
+    # the row reports the order it measured
+    rep = zeta.check_zeta_eval(sp, "plus", 0.2, phi, 1e-8)
+    assert rep.passed and rep.extra["rule"]["angular_order"] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +374,10 @@ def test_laplacian_power_matches_derivative_sums():
 def test_indefinite_b_function_route_matches_stencil_reference(component, phi):
     sp = phspace.indefinite(q=1, n=3)
     fast = zeta.zeta_local(sp, component, -1.35, phi, tol=1e-10)
-    ref = zeta.zeta_local_reference(sp, component, -1.35, phi, tol=1e-11)
+    ref = zeta.zeta_local_reference(sp, component, -1.35, phi, fast.rule["angular_order"], tol=1e-11)
     assert fast.continuation_order == 1 and ref.continuation_order == 1
     assert fast.pole_distance == pytest.approx(ref.pole_distance) == pytest.approx(0.15)
-    assert set(fast.rule) == {"radial_nodes", "level_gap"} and ref.rule is None
+    assert set(fast.rule) == {"radial_nodes", "level_gap", "angular_order", "angular_gap"} and ref.rule is None
     err = abs(complex(fast.value) - complex(ref.value)) / abs(complex(ref.value))
     assert err < 1e-10, err
 
@@ -324,9 +388,10 @@ def test_indefinite_depth_two_through_eq22(q):
     # deep, where the stencil reference does not reach
     B, phi = INDEFINITE_B[q], testfn.gaussian(math.pi, n=3)
     sp = phspace.indefinite(B=B)
-    assert zeta.zeta_local(sp, "plus", -2.35, phi).continuation_order == 2
+    fast = zeta.zeta_local(sp, "plus", -2.35, phi)
+    assert fast.continuation_order == 2
     with pytest.raises(DomainError):
-        zeta.zeta_local_reference(sp, "plus", -2.35, phi)
+        zeta.zeta_local_reference(sp, "plus", -2.35, phi, fast.rule["angular_order"])
     rep = funceq.check_eq22(2.35, B, phi, "twopi", q=q)
     assert max(rep.extra["component_residuals"]) < 1e-13, rep.extra["component_residuals"]
 
@@ -334,9 +399,10 @@ def test_indefinite_depth_two_through_eq22(q):
 @pytest.mark.parametrize("pole", [-1.0, -1.5])
 def test_indefinite_pole_guard(pole):
     sp, phi = phspace.indefinite(q=1, n=3), testfn.gaussian(math.pi, n=3)
-    for route in (zeta.zeta_local, zeta.zeta_local_reference):
-        with pytest.raises(PoleError):
-            route(sp, "minus", pole + 1e-8, phi)
+    with pytest.raises(PoleError):
+        zeta.zeta_local(sp, "minus", pole + 1e-8, phi)
+    with pytest.raises(PoleError):
+        zeta.zeta_local_reference(sp, "minus", pole + 1e-8, phi, 2)
     assert zeta.zeta_local(sp, "minus", pole + 1e-3j, phi).pole_distance == pytest.approx(1e-3)
 
 
@@ -354,6 +420,7 @@ def test_indefinite_reference_near_the_poles():
     # most of the head, where the angular profile must give its limit H(0+)
     sp, phi = phspace.indefinite(q=1, n=3), testfn.gaussian(math.pi, n=3)
     for s in (-0.995, -0.999, -0.9999, -0.99 + 0.1j, -0.985 + 0.15j, -0.995 + 0.1j, -1.495, -1.499, -1.49 + 0.05j):
-        fast = complex(zeta.zeta_local(sp, "plus", s, phi).value)
-        ref = complex(zeta.zeta_local_reference(sp, "plus", s, phi).value)
+        mv = zeta.zeta_local(sp, "plus", s, phi)
+        fast = complex(mv.value)
+        ref = complex(zeta.zeta_local_reference(sp, "plus", s, phi, mv.rule["angular_order"]).value)
         assert abs(fast - ref) < 1e-10 * abs(ref), s
