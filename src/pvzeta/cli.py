@@ -225,7 +225,9 @@ def run_funceq(cfg):
     phis = _testfns(cfg.get("testfn", "gaussian:a=3.14159,n=1" if eq == "12" else "gaussian:a=3.14159,n=3"))
     variant = cfg.get("variant", "corrected")
     q = _number(cfg, "q", 1, _ints)
-    mc = int(_number(cfg, "mc_samples", 0))
+    mc = None if cfg.get("mc_samples") is None else _number(cfg, "mc_samples", None, _ints)
+    if mc is not None and mc < 2:
+        raise ConfigError(f"--mc-samples takes a count of at least 2, got {mc}")
     reports = []
     if not s_list:
         return reports
@@ -249,7 +251,7 @@ def run_funceq(cfg):
         for s in s_list:
             for phi in phis:
                 reports.append(funceq.check_eq22(s, B, phi, conv, q=q, **tol))
-        if mc:
+        if mc is not None:
             seed = cfg.require_seed("the Monte-Carlo oracle is randomized")
             space = phspace.indefinite(q=q, n=3)
             for s in s_list:

@@ -558,7 +558,17 @@ def radial_power_integral(H, beta, r_max, tol=1e-10, depth=0):
     return -inner / (beta + 1.0)
 
 
-def monte_carlo_signature(g, B, q, sheet, w, nsamples, seed):
+# The Monte-Carlo oracle draws and evaluates its samples in blocks of
+# _MC_BLOCK rows and sums them once per chunk of _MC_CHUNK values.  numpy's
+# pairwise summation order depends only on the length of the array, and
+# successive draws continue one stream, so the estimate is bit-identical
+# to evaluating each chunk whole, in memory that does not grow with
+# the sample count.
+_MC_CHUNK = 1_000_000
+_MC_BLOCK = 1 << 16
+
+
+def monte_carlo_signature(g, B, sheet, w, nsamples, seed):
     """Monte-Carlo oracle for the indefinite zeta integrals using a standard
     gaussian proposal with density exactly e^{-pi |m|^2}, for diagonal B
     (as SignatureGeometry).  Returns (estimate, standard_error)."""
@@ -567,26 +577,35 @@ def monte_carlo_signature(g, B, q, sheet, w, nsamples, seed):
     d = np.diag(B)
     if not np.allclose(B, np.diag(d)):
         raise DomainError("the Monte-Carlo oracle needs B in diagonal signature form")
+    if nsamples < 2:
+        raise DomainError(f"the Monte-Carlo oracle needs at least 2 samples, got {nsamples}")
     rng = np.random.default_rng(seed)
     sigma = 1.0 / math.sqrt(2.0 * math.pi)
+    w = float(np.real(w))
+    vals = np.empty(min(_MC_CHUNK, nsamples))
     total, total2 = 0.0, 0.0
-    chunk = 1_000_000
     done = 0
     while done < nsamples:
-        k = min(chunk, nsamples - done)
-        x = rng.normal(0.0, sigma, size=(k, n))
-        p = x[:, 0] * d[0] * x[:, 0]
-        for i in range(1, n):
-            p = p + x[:, i] * d[i] * x[:, i]
-        mask = p > 0 if sheet == "plus" else p < 0
-        vals = np.zeros(k)
-        if np.any(mask):
-            xm = x[mask]
-            gm = np.asarray(g(xm), dtype=float)
-            weight = np.exp(math.pi * sum_squares(xm))
-            vals[mask] = np.abs(p[mask]) ** float(np.real(w)) * gm * weight
-        total += float(np.sum(vals))
-        total2 += float(np.sum(vals * vals))
+        k = min(_MC_CHUNK, nsamples - done)
+        for lo in range(0, k, _MC_BLOCK):
+            x = rng.normal(0.0, sigma, size=(min(_MC_BLOCK, k - lo), n))
+            p = x[:, 0] * d[0] * x[:, 0]
+            for i in range(1, n):
+                p += x[:, i] * d[i] * x[:, i]
+            idx = np.flatnonzero(p > 0 if sheet == "plus" else p < 0)
+            out = vals[lo : lo + len(x)]
+            out.fill(0.0)
+            if idx.size:
+                xm = x[idx]
+                v = np.abs(p[idx])
+                v **= w
+                v *= np.asarray(g(xm), dtype=float)
+                v *= np.exp(math.pi * sum_squares(xm))
+                out[idx] = v
+        chunk = vals[:k]
+        total += float(np.sum(chunk))
+        chunk *= chunk
+        total2 += float(np.sum(chunk))
         done += k
     mean = total / nsamples
     var = total2 / nsamples - mean * mean

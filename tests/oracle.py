@@ -1,12 +1,16 @@
-"""Adaptive QUADPACK oracles for the tests.
+"""Adaptive QUADPACK oracles and a whole-chunk Monte-Carlo route for the tests.
 
 The tests compare the library's fixed Fourier rules (the numeric
 transform of a bump, the heat symbol, the double-exponential inverse
 transforms) against an independent adaptive route for one-dimensional
 Fourier integrals, and the zeta integral of a Gaussian on an anisotropic
 definite form against its polar factorization with an adaptive sphere
-integral; the library itself never calls them.
+integral; the library itself never calls them.  The Monte-Carlo route
+draws and evaluates each chunk of samples as one array, the reference of
+the library's blocked oracle.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import dblquad
@@ -75,3 +79,35 @@ def gaussian_zeta_definite(s, a, diag):
 
     sphere = part(np.real) + (1j * part(np.imag) if s.imag else 0.0)
     return complex(special.gamma(s + 1.5)) / (2.0 * a ** (s + 1.5)) * sphere
+
+
+def monte_carlo_signature_whole_chunk(g, B, sheet, w, nsamples, seed):
+    """quad.monte_carlo_signature with each chunk of 10^6 samples drawn
+    and evaluated as one array: the same stream and the same sums."""
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    n = B.shape[0]
+    d = np.diag(B)
+    rng = np.random.default_rng(seed)
+    sigma = 1.0 / math.sqrt(2.0 * math.pi)
+    total, total2 = 0.0, 0.0
+    chunk = 1_000_000
+    done = 0
+    while done < nsamples:
+        k = min(chunk, nsamples - done)
+        x = rng.normal(0.0, sigma, size=(k, n))
+        p = x[:, 0] * d[0] * x[:, 0]
+        for i in range(1, n):
+            p = p + x[:, i] * d[i] * x[:, i]
+        mask = p > 0 if sheet == "plus" else p < 0
+        vals = np.zeros(k)
+        if np.any(mask):
+            xm = x[mask]
+            gm = np.asarray(g(xm), dtype=float)
+            weight = np.exp(math.pi * quad.sum_squares(xm))
+            vals[mask] = np.abs(p[mask]) ** float(np.real(w)) * gm * weight
+        total += float(np.sum(vals))
+        total2 += float(np.sum(vals * vals))
+        done += k
+    mean = total / nsamples
+    var = total2 / nsamples - mean * mean
+    return mean, math.sqrt(max(var, 0.0) / nsamples)

@@ -255,6 +255,9 @@ def test_lacunary_passes_at_the_default_tolerance(tmp_path, variant):
         "probe --what scaling --seed 1 --alphas=abc",
         "zeta --check residue --k=abc",
         "funceq --eq 22 --s 0.3 --mc-samples=abc",
+        # a sample count is an integer of at least 2
+        "funceq --eq 22 --s=0.2 --mc-samples=-5 --seed 1",
+        "funceq --eq 22 --s=0.2 --mc-samples=0.5 --seed 1",
     ],
 )
 def test_unparsable_numbers_are_config_errors(tmp_path, capsys, flag):
@@ -266,6 +269,15 @@ def test_unparsable_numbers_are_config_errors(tmp_path, capsys, flag):
     assert run([*argv, "--out", str(out)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_mc_samples_add_one_row_per_component(tmp_path):
+    out = tmp_path / "r.jsonl"
+    assert run(["funceq", "--eq", "22", "--s=0.2", "--mc-samples=200000", "--seed", "1", "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    mc = [r for r in rows if r["check"] == "zeta-montecarlo"]
+    assert sorted(r["params"]["component"] for r in mc) == ["minus", "plus"]
+    assert all(r["params"]["nsamples"] == 200_000 and r["status"] == "pass" for r in mc)
 
 
 def test_config_keys_are_the_declared_flags(tmp_path, capsys):

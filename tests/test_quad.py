@@ -2,12 +2,14 @@ import ast
 import itertools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
 
+from oracle import monte_carlo_signature_whole_chunk
 import pvzeta
 from pvzeta import phspace, quad, testfn, zeta
 from pvzeta.errors import AccuracyError, DomainError
@@ -115,7 +117,7 @@ def test_monte_carlo_signature_consistency():
     # cross-check MC against the deterministic zeta integral
     B, phi = np.diag([1.0, -1.0, -1.0]), testfn.gaussian(math.pi, n=3)
     det = zeta.zeta_local(phspace.indefinite(B=B), "plus", 0.2, phi)
-    est, se = quad.monte_carlo_signature(phi, B, 1, "plus", 0.2, 500_000, seed=3)
+    est, se = quad.monte_carlo_signature(phi, B, "plus", 0.2, 500_000, seed=3)
     assert abs(complex(det) - est) < 4.0 * se
 
 
@@ -136,15 +138,52 @@ def test_signature_profile_closed_form():
 def test_monte_carlo_deterministic():
     B = np.diag([1.0, -1.0, -1.0])
     g = lambda pts: np.exp(-np.pi * np.sum(pts * pts, axis=1))
-    a = quad.monte_carlo_signature(g, B, 1, "plus", 0.2, 100_000, seed=9)
-    b = quad.monte_carlo_signature(g, B, 1, "plus", 0.2, 100_000, seed=9)
+    a = quad.monte_carlo_signature(g, B, "plus", 0.2, 100_000, seed=9)
+    b = quad.monte_carlo_signature(g, B, "plus", 0.2, 100_000, seed=9)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "diag, sheet, spec, nsamples",
+    [
+        # past a chunk boundary, ending inside a block
+        ((1.0, -1.0, -1.0), "plus", "gaussian:a=3.14159,n=3", 1_234_567),
+        ((1.0, -1.0, -1.0), "minus", "gaussian:a=3.14159,n=3", 1_000_000),
+        ((2.0, -1.0, -0.5), "plus", "gaussian:a=3.14159,n=3", 300_001),
+        ((1.0, 1.0, -1.0), "minus", "hermite:d=2,n=3", 250_000),
+        ((1.0, -1.0), "plus", "gaussian:a=3.14159,n=2", 200_000),
+    ],
+)
+def test_monte_carlo_blocks_match_the_whole_chunk_route(diag, sheet, spec, nsamples):
+    # the blocked oracle draws the same stream and sums the same chunks
+    phi = testfn.parse_testfn(spec)
+    g = lambda pts: np.real(np.asarray(phi(pts)))
+    args = (g, np.diag(diag), sheet, 0.2, nsamples, 2024)
+    assert quad.monte_carlo_signature(*args) == monte_carlo_signature_whole_chunk(*args)
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_samples():
+    # the whole-chunk route peaks at 73 MiB here
+    g = lambda pts: np.exp(-np.pi * quad.sum_squares(pts))
+    tracemalloc.start()
+    try:
+        quad.monte_carlo_signature(g, np.diag([1.0, -1.0, -1.0]), "plus", 0.2, 3_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
+@pytest.mark.parametrize("nsamples", [1, 0, -5])
+def test_monte_carlo_refuses_fewer_than_two_samples(nsamples):
+    with pytest.raises(DomainError, match="at least 2 samples"):
+        quad.monte_carlo_signature(lambda pts: np.ones(len(pts)), np.diag([1.0, -1.0]), "plus", 0.2, nsamples, seed=1)
 
 
 def test_monte_carlo_refuses_a_non_diagonal_form():
     B = np.array([[1.0, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, -1.0]])
     with pytest.raises(DomainError):
-        quad.monte_carlo_signature(lambda pts: np.ones(len(pts)), B, 1, "plus", 0.2, 1000, seed=1)
+        quad.monte_carlo_signature(lambda pts: np.ones(len(pts)), B, "plus", 0.2, 1000, seed=1)
 
 
 def test_sphere_quadrature_rejects_bad_dim():
