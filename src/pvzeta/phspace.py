@@ -48,8 +48,8 @@ class PVSpace:
     def __repr__(self):
         """The kind, n and q, and B unless it is the kind's default (the
         identity, or diag(1, ..., 1, -1, ..., -1) of signature (q, n - q)):
-        its diagonal joined by | as parse_space reads it, or every entry
-        row by row when B is not diagonal."""
+        its diagonal joined by |, or every entry row by row when B is not
+        diagonal; parse_space reads the text inside the parentheses back."""
         if self.kind == "scalar1d":
             return "PVSpace(scalar1d)"
         text = f"PVSpace({self.kind}, n={self.n}, q={self.q}"
@@ -222,18 +222,28 @@ def invariance_sweep(space, count, seed):
 
 
 def _parse_B(kw):
-    """The diagonal matrix of B=b1|b2|...; an n that contradicts its size
-    raises ConfigError."""
-    diag = [float(x) for x in kw["B"].split("|")]
-    if "n" in kw and int(kw["n"]) != len(diag):
-        raise ConfigError(f"B has {len(diag)} diagonal entries, but n = {kw['n']}")
-    return np.diag(diag)
+    """The matrix of B=b1|b2|...: its diagonal, or, when n is given and
+    there are n^2 entries, B row by row, as PVSpace's repr writes a
+    non-diagonal B (it must be symmetric).  An n that contradicts the
+    number of entries raises ConfigError."""
+    entries = [float(x) for x in kw["B"].split("|")]
+    n = int(kw["n"]) if "n" in kw else len(entries)
+    if len(entries) == n:
+        return np.diag(entries)
+    if len(entries) != n * n:
+        raise ConfigError(f"B has {len(entries)} entries, but n = {n} takes {n} or {n * n}")
+    B = np.array(entries).reshape(n, n)
+    if not np.array_equal(B, B.T):
+        raise ConfigError("B given row by row must be symmetric")
+    return B
 
 
 def parse_space(spec):
     """Build a PVSpace from a string like 'definite:B=I,n=3',
-    'definite:B=1|2|0.5', 'indefinite:q=1,n=3' or 'scalar1d'.  With B=
-    given, n and q must agree with it (ConfigError otherwise)."""
+    'definite:B=1|2|0.5', 'definite:n=2,B=2|0.5|0.5|1', 'indefinite:q=1,n=3'
+    or 'scalar1d'; the text inside a PVSpace repr reads back as its space.
+    With B= given, n and q must agree with it, and a definite q is n
+    (ConfigError otherwise)."""
     name, _, rest = str(spec).partition(":")
     kw = {}
     if rest:
@@ -244,9 +254,10 @@ def parse_space(spec):
         if name == "scalar1d":
             return scalar1d()
         if name == "definite":
-            if kw.get("B", "I") == "I":
-                return definite(n=int(kw.get("n", 3)))
-            return definite(B=_parse_B(kw))
+            space = definite(n=int(kw.get("n", 3))) if kw.get("B", "I") == "I" else definite(B=_parse_B(kw))
+            if "q" in kw and int(kw["q"]) != space.n:
+                raise ConfigError(f"a definite space has q = n = {space.n}, not q = {kw['q']}")
+            return space
         if name == "indefinite":
             if "B" in kw:
                 return indefinite(B=_parse_B(kw), q=int(kw["q"]) if "q" in kw else None)

@@ -23,6 +23,12 @@ from scipy.integrate._quadpack import error as _QuadpackError
 
 from .errors import AccuracyError, DomainError, NonConvergence, PoleError
 
+# Entries of the largest temporary that one block of a batched kernel
+# allocates (the Monte-Carlo oracle, the heat symbol fhat_many, the numeric
+# Fourier transforms and the Fourier rule behind them): 2^16 float64
+# entries are 512 KiB, a block that stays in cache.
+BLOCK = 1 << 16
+
 
 @dataclass
 class QuadResult:
@@ -559,13 +565,12 @@ def radial_power_integral(H, beta, r_max, tol=1e-10, depth=0):
 
 
 # The Monte-Carlo oracle draws and evaluates its samples in blocks of
-# _MC_BLOCK rows and sums them once per chunk of _MC_CHUNK values.  numpy's
+# BLOCK // n rows and sums them once per chunk of _MC_CHUNK values.  numpy's
 # pairwise summation order depends only on the length of the array, and
 # successive draws continue one stream, so the estimate is bit-identical
 # to evaluating each chunk whole, in memory that does not grow with
 # the sample count.
 _MC_CHUNK = 1_000_000
-_MC_BLOCK = 1 << 16
 
 
 def monte_carlo_signature(g, B, sheet, w, nsamples, seed):
@@ -583,12 +588,18 @@ def monte_carlo_signature(g, B, sheet, w, nsamples, seed):
     sigma = 1.0 / math.sqrt(2.0 * math.pi)
     w = float(np.real(w))
     vals = np.empty(min(_MC_CHUNK, nsamples))
+    rows = max(1, BLOCK // n)
+    draws = np.empty((min(rows, nsamples), n))
     total, total2 = 0.0, 0.0
     done = 0
     while done < nsamples:
         k = min(_MC_CHUNK, nsamples - done)
-        for lo in range(0, k, _MC_BLOCK):
-            x = rng.normal(0.0, sigma, size=(min(_MC_BLOCK, k - lo), n))
+        for lo in range(0, k, rows):
+            # the standard normal stream scaled in place: loc 0 adds nothing,
+            # so these are the bits of rng.normal(0.0, sigma)
+            x = draws[: min(rows, k - lo)]
+            rng.standard_normal(out=x)
+            x *= sigma
             p = x[:, 0] * d[0] * x[:, 0]
             for i in range(1, n):
                 p += x[:, i] * d[i] * x[:, i]

@@ -97,12 +97,13 @@ def log_gaussian_group(a):
 def _hat_scalar_many(f, us):
     """F(u) = integral_0^inf f(1/beta) e^{i u beta} d beta / beta on an array
     of frequencies: the oracle if any, else the transform of f(1/beta)/beta
-    on the Fourier rule at step 0.05 (1e-15 on the heat F)."""
+    on the Fourier rule at step 0.05 (1e-15 on the heat F), in blocks of
+    quad.BLOCK nodes."""
     us = np.asarray(us, dtype=float)
     if f.hat1d is not None:
         return np.asarray(f.hat1d(us), dtype=complex)
     g = lambda beta: np.asarray(f.fn(1.0 / beta)) / beta
-    return quad.half_line_fourier(g, -us.ravel(), 0.05, max_nodes=1 << 20)[0].reshape(us.shape)
+    return quad.half_line_fourier(g, -us.ravel(), 0.05, max_nodes=quad.BLOCK)[0].reshape(us.shape)
 
 
 # sphere rule of the rotation orbits: 64 points on the circle, 32 x 64 on S^2

@@ -473,9 +473,7 @@ _KERNEL_SCALE = {
     FourierConvention.ANGULAR_NORMALIZED: -1.0,
 }
 
-# entries of one block of the (frequency, panel) phase matrix in
-# _numeric_fourier, and the most nodes its per-function cache keeps
-_FT_BLOCK = 1 << 20
+# the most nodes the per-function cache of _numeric_fourier keeps
 _FT_CACHE = 1 << 22
 
 
@@ -499,7 +497,7 @@ def _numeric_fourier(phi, conv):
     Each call transforms all its frequencies together: those sharing a
     panel count share one evaluation of phi, cached per (count, k) for
     later calls, and their panel phases are taken in blocks of at most
-    _FT_BLOCK entries.  Every frequency is summed on its own row (einsum
+    quad.BLOCK entries.  Every frequency is summed on its own row (einsum
     does not hand the contraction to BLAS, whose results depend on the
     number of rows), so its value does not depend on the other
     frequencies of the call."""
@@ -546,7 +544,7 @@ def _numeric_fourier(phi, conv):
         for g, count in enumerate(counts):
             idx = np.flatnonzero(group == g)
             wv, mids, offs = panels(int(count), k)
-            rows = max(1, _FT_BLOCK // mids.size)
+            rows = max(1, quad.BLOCK // mids.size)
             for lo in range(0, idx.size, rows):
                 sel = idx[lo : lo + rows]
                 # the panel sums of w phi m^k e^{-i w mid_p} are dc - i ds,

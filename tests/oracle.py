@@ -7,7 +7,9 @@ Fourier integrals, and the zeta integral of a Gaussian on an anisotropic
 definite form against its polar factorization with an adaptive sphere
 integral; the library itself never calls them.  The Monte-Carlo route
 draws and evaluates each chunk of samples as one array, the reference of
-the library's blocked oracle.
+the library's blocked oracle, and fhat_many_one_block takes the heat
+symbol in blocks of 4e6 exponents, the reference of the library's
+cache-sized blocks.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.integrate import dblquad
 from scipy.integrate import quad as scipy_quad
 
-from pvzeta import quad, special
+from pvzeta import heatflow, quad, special
 
 # at or below this |xi| the complex integrand is integrated directly
 OSC_THRESHOLD = 4.0
@@ -111,3 +113,34 @@ def monte_carlo_signature_whole_chunk(g, B, sheet, w, nsamples, seed):
     mean = total / nsamples
     var = total2 / nsamples - mean * mean
     return mean, math.sqrt(max(var, 0.0) / nsamples)
+
+
+def fhat_many_one_block(t, chis, variant="corrected"):
+    """heatflow.fhat_many as it was before its blocks shrank to quad.BLOCK:
+    the frequencies in their own order, in blocks of 4e6 exponents (one
+    block for up to 8064 frequencies at t = 0.1), each keeping the nodes
+    that its smallest frequency needs."""
+    heatflow._check_variant(variant)
+    chis = np.asarray(chis, dtype=float)
+    flat = chis.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    zero = flat == 0.0
+    out[zero] = heatflow.l1_norm(t, variant)
+    mag = np.abs(flat[~zero])
+    if mag.size:
+        U = math.sqrt(4.0 * t * 80.0) + 3.0
+        width = min(7.5 * t, 3.0 * math.sqrt(t), 2.0)
+        u, w = quad.panel_rule(-U, U, max(8, int(2.0 * U / width) + 8))
+        amp = heatflow.prefactor(t, variant) * math.exp(math.pi ** 2 / (16.0 * t))
+        base = w * np.exp(-u * u / (4.0 * t)) * np.exp(1j * math.pi * u / (4.0 * t))
+        eu = np.exp(u)
+        vals = np.empty(mag.shape, dtype=complex)
+        step = max(1, int(4e6 / max(eu.size, 1)))
+        for lo in range(0, mag.size, step):
+            hi = min(lo + step, mag.size)
+            block = mag[lo:hi]
+            keep = eu * float(np.min(block)) <= 60.0
+            expo = np.clip(-block[:, None] * eu[None, keep], -708.0, 0.0)
+            vals[lo:hi] = amp * (np.exp(expo) @ base[keep])
+        out[~zero] = np.where(flat[~zero] > 0.0, vals, np.conj(vals))
+    return out.reshape(chis.shape)

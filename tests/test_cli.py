@@ -219,7 +219,8 @@ def test_real_s_text_stays_real():
 def test_lacunary_wide_spectrum_keeps_calls_small(tmp_path, monkeypatch):
     # at t = 2 the printed symbol reaches |xi| ~ 3e6; the Fourier rule
     # needs no cut in it, and no fhat_many call may get more than 50k
-    # frequencies (each costs a row of a 4e6-entry block)
+    # frequencies (each costs a row of exponents, a quad.BLOCK-sized block
+    # at a time)
     sizes, fhat_many = [], heatflow.fhat_many
 
     def spy(t, chis, variant="corrected"):

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracle import oscillatory_ft_1d
-from pvzeta import heatflow, quad, testfn
+from oracle import fhat_many_one_block, oscillatory_ft_1d
+from pvzeta import heatflow, quad, symbolkern, testfn
 from pvzeta.errors import AccuracyError, DomainError
 
 
@@ -86,6 +87,39 @@ def test_fhat_many_over_nine_decades(t):
         if lo < chi < 30.0:
             ref = oscillatory_ft_1d(lambda y: heatflow.f_t(t, y), chi, 0.0, hi, tol=1e-12)
             assert abs(val - ref) < 1e-10 * max(abs(ref), 1.0), chi
+
+
+@pytest.mark.parametrize("t, variant", [(0.1, "corrected"), (1.0, "corrected"), (2.0, "printed")])
+def test_blocked_fhat_many_keeps_the_lacunary_transform(t, variant, monkeypatch):
+    # the inverse transform on the lacunary grid, run on cache-sized
+    # blocks and on the 4e6-exponent blocks of the reference, to the bit
+    ys = np.linspace(-1.5, 2.5, 17)
+    blocked = symbolkern.atilde_numeric(heatflow.heat_group_function(t, variant), 1.0, ys)
+    monkeypatch.setattr(heatflow, "fhat_many", fhat_many_one_block)
+    whole = symbolkern.atilde_numeric(heatflow.heat_group_function(t, variant), 1.0, ys)
+    assert np.array_equal(blocked[0], whole[0]) and blocked[1] == whole[1]
+
+
+@pytest.mark.parametrize("variant", ["corrected", "printed"])
+@pytest.mark.parametrize("t", [0.05, 0.1, 1.0, 2.0])
+def test_blocked_fhat_many_matches_the_one_block_reference(t, variant):
+    # 20001 frequencies are several reference blocks; sorted blocks keep
+    # fewer nodes of the larger frequencies, which moves a value by rounding
+    chis = np.linspace(-40.0, 40.0, 20001)
+    vals, ref = heatflow.fhat_many(t, chis, variant), fhat_many_one_block(t, chis, variant)
+    assert np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-15
+
+
+def test_lacunary_transform_memory_stays_in_cache_sized_blocks():
+    # the reference's one block of 7049 x 496 exponents peaks at 107 MiB here
+    f = heatflow.heat_group_function(0.1)
+    tracemalloc.start()
+    try:
+        symbolkern.atilde_numeric(f, 1.0, np.linspace(-1.5, 2.5, 17))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_fhat_zero_frequency():

@@ -30,12 +30,55 @@ def test_space_repr_names_a_non_default_B(spec, text):
 
 @pytest.mark.parametrize(
     "spec",
-    ["definite:B=1|2,n=3", "definite:B=2|0.5|0.5|1,n=2", "indefinite:B=1|-1|-1,n=2", "indefinite:B=1|-1|-1,q=2"],
-    ids=["definite-n", "definite-matrix-n", "indefinite-n", "indefinite-q"],
+    [
+        "definite:B=1|2,n=3",
+        "definite:B=2|0.5|0.5|1,n=3",
+        "definite:B=1|2,q=1",
+        "definite:n=3,q=1",
+        "indefinite:B=1|-1|-1,n=2",
+        "indefinite:B=1|-1|-1,q=2",
+    ],
+    ids=["definite-n", "definite-matrix-n", "definite-B-q", "definite-q", "indefinite-n", "indefinite-q"],
 )
 def test_parse_space_refuses_an_n_or_q_that_B_contradicts(spec):
     with pytest.raises(ConfigError):
         phspace.parse_space(spec)
+
+
+def test_parse_space_refuses_an_asymmetric_B():
+    with pytest.raises(ConfigError, match="symmetric"):
+        phspace.parse_space("definite:n=2,B=2|0.5|0.4|1")
+
+
+def _spec_of(space):
+    # the text inside the repr, as a spec: "PVSpace(definite, n=2, ...)"
+    # becomes "definite:n=2,..."
+    kind, _, rest = repr(space).removeprefix("PVSpace(").removesuffix(")").partition(", ")
+    return f"{kind}:{rest.replace(', ', ',')}" if rest else kind
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        phspace.scalar1d(),
+        phspace.definite(n=3),
+        phspace.definite(B=np.diag([1.0, 2.0, 0.5])),
+        phspace.definite(B=[[2.0, 0.5], [0.5, 1.0]]),
+        phspace.definite(B=[[1.0, 0.1, 0.2], [0.1, 2.0, -0.3], [0.2, -0.3, 1.5]]),
+        phspace.indefinite(q=1, n=3),
+        phspace.indefinite(B=np.diag([2.0, -1.0, -1.0])),
+        phspace.indefinite(B=np.diag([1.5, 0.25, -3.0])),
+    ],
+    ids=["scalar1d", "definite", "definite-diagonal-B", "definite-matrix-B-2", "definite-matrix-B-3",
+         "indefinite", "indefinite-diagonal-B", "indefinite-diagonal-B-q2"],
+)
+def test_space_repr_parses_back(space):
+    assert phspace.parse_space(_spec_of(space)) == space
+
+
+def test_parse_space_reads_a_diagonal_B_written_row_by_row():
+    assert phspace.parse_space("indefinite:n=2,q=1,B=2|0|0|-1") == phspace.indefinite(B=np.diag([2.0, -1.0]))
+    assert phspace.parse_space("definite:n=2,B=2|0|0|1") == phspace.definite(B=np.diag([2.0, 1.0]))
 
 
 def test_parse_space_accepts_an_n_and_q_that_B_agrees_with():

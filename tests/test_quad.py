@@ -231,6 +231,23 @@ def test_cli_builds_no_rows():
     assert constructed == [] and "worst" not in imported
 
 
+def test_blocks_have_one_budget():
+    # every batched kernel sizes its blocks by quad.BLOCK: no other module
+    # binds a block size of its own, and max_nodes= is passed nothing else
+    own, passed = [], []
+    for path in sorted(Path(pvzeta.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem != "quad":
+            for node in tree.body:
+                targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+                own += [f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name) and t.id.endswith("_BLOCK")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.keyword) and node.arg == "max_nodes":
+                passed.append((path.stem, ast.unparse(node.value)))
+    assert own == []
+    assert passed and all(value == "quad.BLOCK" for _, value in passed), passed
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sum_squares_is_bitwise_numpy_sum(n):
     rng = np.random.default_rng(n)
