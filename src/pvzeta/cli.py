@@ -223,6 +223,8 @@ def run_funceq(cfg):
     eq = str(cfg.get("eq", "12"))
     s_list = _s_values(cfg.get("s", ""))
     phis = _testfns(cfg.get("testfn", "gaussian:a=3.14159,n=1" if eq == "12" else "gaussian:a=3.14159,n=3"))
+    if not phis:
+        raise ConfigError(f"--testfn names no test function: {cfg.get('testfn')!r}")
     variant = cfg.get("variant", "corrected")
     q = _number(cfg, "q", 1, _ints)
     mc = None if cfg.get("mc_samples") is None else _number(cfg, "mc_samples", None, _ints)
@@ -245,15 +247,14 @@ def run_funceq(cfg):
             for phi in phis:
                 reports.append(funceq.check_eq12a(s, B, phi, conv, variant=variant, **tol))
     elif eq == "22":
-        B = phspace.indefinite(q=q, n=3).Bmat
-        conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis, B=B, q=q)
+        space = phspace.indefinite(q=q, n=phis[0].n)
+        conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis, B=space.Bmat, q=q)
         tol = _tol(ov, "funceq-eq22", cfg.tol)
         for s in s_list:
             for phi in phis:
-                reports.append(funceq.check_eq22(s, B, phi, conv, q=q, **tol))
+                reports.append(funceq.check_eq22(s, space.Bmat, phi, conv, q=q, **tol))
         if mc is not None:
             seed = cfg.require_seed("the Monte-Carlo oracle is randomized")
-            space = phspace.indefinite(q=q, n=3)
             for s in s_list:
                 for phi in phis:
                     for comp in space.components:

@@ -5,7 +5,7 @@ Fourier transform, with explicit gamma-function factors:
       integral |xi|^{s-1} phihat(xi) dxi
         = (2 pi)^{-s} Gamma(s) 2 cos(pi s / 2) integral |m|^{-s} phi(m) dm
 
-  Eq12a (definite quadratic form, n >= 2):
+  Eq12a (definite quadratic form, any n the sphere rule covers, n <= 3):
       integral |p*(xi)|^{s-n/2} phihat dxi
         = pi^{n/2-2s} sqrt(det B) Gamma(s)/Gamma(n/2-s)
           integral |p(m)|^{-s} phi dm
@@ -14,11 +14,18 @@ Fourier transform, with explicit gamma-function factors:
       variants ('printed' and 'corrected') are first-class here and the
       discrepancy is a reported artifact.
 
-  Eq22  (indefinite signature (q, n-q), n = 3):
+  Eq22  (indefinite signature (q, n-q), any n >= 2):
       the 2-vector equation with matrix
       C(s) = Gamma(s+1-n/2) Gamma(s) |det B| pi^{-2s+n/2-1} *
              [[-sin pi(s-q/2),      sin(pi q/2)      ],
               [ sin(pi(n-q)/2),    -sin pi(s-(n-q)/2)]]
+
+Eq12a and Eq22 are the 1x1 and 2x2 cases of one vector identity (Sato &
+Shintani, Ann. of Math. 100 (1974)): the zeta integrals of phihat over
+the components of the dual space (B^{-1}) equal the gamma matrix times
+the zeta integrals of phi over the components of the space; _sides
+computes both vectors for either kind.  Eq12 stays on zeta.mellin, whose
+panels resolve the oscillating rays of a numeric transform.
 
 All checks are convention-explicit; calibrate_convention tabulates the
 residuals under each convention (and exponent variant) and reports the
@@ -28,6 +35,7 @@ minimizer.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import statistics
 
@@ -42,21 +50,19 @@ from .report import CheckReport, worst
 # Gamma factors
 
 
-def gamma_factor(eq, s, n=None, B=None, q=None, variant="corrected"):
-    """Closed-form factor of the named equation (matrix for Eq22)."""
+def gamma_factor(eq, s, B=None, q=None, variant="corrected"):
+    """Closed-form factor of the named equation (matrix for Eq22); the
+    quadratic ones take n from B."""
     s = complex(s)
     if eq in ("12", 12):
         return special.gamma_factor_1d(s)
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    n = B.shape[0]
+    detB = abs(float(np.linalg.det(B)))
     if eq in ("12a", "12A"):
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        n = B.shape[0] if n is None else n
-        detB = float(np.linalg.det(B))
         expo = (n / 2.0 - s) if variant == "printed" else (n / 2.0 - 2.0 * s)
         return math.pi ** complex(expo) * math.sqrt(detB) * special.gamma(s) / special.gamma(n / 2.0 - s)
     if eq in ("22", 22):
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        n = B.shape[0] if n is None else n
-        detB = abs(float(np.linalg.det(B)))
         pref = special.gamma(s + 1.0 - n / 2.0) * special.gamma(s) * detB * math.pi ** complex(-2.0 * s + n / 2.0 - 1.0)
         M = np.array(
             [
@@ -67,6 +73,19 @@ def gamma_factor(eq, s, n=None, B=None, q=None, variant="corrected"):
         )
         return pref * M
     raise DomainError(f"unknown equation id {eq!r}")
+
+
+def _sides(space, s, phi, convention):
+    """(Z(s - n/2, phihat) over the components of the dual space,
+    Z(-s, phi) over the components of space), both by zeta.zeta_local.
+    The dual space is space with B^{-1}, of the same kind and q.  At a
+    pole of the gamma factor the first integral raises PoleError; a
+    dimension the sphere rule does not cover raises DomainError."""
+    s = complex(s)
+    dual = dataclasses.replace(space, B=tuple(np.linalg.inv(space.Bmat).ravel()))
+    phihat = testfn.fourier(phi, convention)
+    lhs = [complex(zeta.zeta_local(dual, c, s - space.n / 2.0, phihat).value) for c in dual.components]
+    return lhs, [complex(zeta.zeta_local(space, c, -s, phi).value) for c in space.components]
 
 
 # ---------------------------------------------------------------------------
@@ -103,29 +122,21 @@ def check_eq12(s, phi, convention, tol=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# Eq 12a
+# Eq 12a and Eq 22
 
 
 def check_eq12a(s, B, phi, convention, variant="corrected", tol=1e-6):
     conv = testfn.FourierConvention.parse(convention)
     if variant not in ("printed", "corrected"):
         raise DomainError("variant must be 'printed' or 'corrected'")
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    n = B.shape[0]
-    if n not in (2, 3):
-        raise DomainError("Eq12a supported for n in {2, 3}")
     space = phspace.definite(B=B)
-    dual = phspace.definite(B=np.linalg.inv(B))
-    phihat = testfn.fourier(phi, conv)
-    lhs = complex(zeta.zeta_local(dual, "V1", complex(s) - n / 2.0, phihat).value)
-    base = complex(zeta.zeta_local(space, "V1", -complex(s), phi).value)
-    fac = gamma_factor("12a", s, n=n, B=B, variant=variant)
-    rhs = fac * base
+    (lhs,), (base,) = _sides(space, s, phi, conv)
+    rhs = gamma_factor("12a", s, B=space.Bmat, variant=variant) * base
     return CheckReport(
         check="funceq-eq12a",
         params={
             "s": complex(s),
-            "n": n,
+            "n": space.n,
             "testfn": phi.label,
             "convention": conv.value,
             "variant": variant,
@@ -138,46 +149,14 @@ def check_eq12a(s, B, phi, convention, variant="corrected", tol=1e-6):
     )
 
 
-# ---------------------------------------------------------------------------
-# Eq 22
-
-
-def eq22_sides(s, B, phi, convention, q=1):
-    """Returns (lhs_vec, rhs_vec, direct_vec) of the 2-vector equation:
-    lhs over the dual components of phihat, rhs = C(s) applied to the
-    direct zeta vector of phi.  DomainError unless B has signature
-    (q, n - q); at a pole of C(s) the first zeta integral, at s - n/2,
-    raises PoleError."""
-    s = complex(s)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    n = B.shape[0]
-    if n != 3 or q not in (1, 2):
-        raise DomainError("Eq22 is supported for n = 3, q in {1, 2}")
+def check_eq22(s, B, phi, convention, q=1, tol=1e-9):
+    """The worst component of the 2-vector equation: the dual zeta vector
+    of phihat against C(s) applied to the direct zeta vector of phi.
+    DomainError unless B has signature (q, n - q)."""
     conv = testfn.FourierConvention.parse(convention)
     space = phspace.indefinite(B=B, q=q)
-    dual = phspace.indefinite(B=np.linalg.inv(B))
-    phihat = testfn.fourier(phi, conv)
-
-    lhs = np.array(
-        [
-            complex(zeta.zeta_local(dual, comp, s - n / 2.0, phihat).value)
-            for comp in ("plus", "minus")
-        ]
-    )
-    direct = np.array(
-        [
-            complex(zeta.zeta_local(space, comp, -s, phi).value)
-            for comp in ("plus", "minus")
-        ]
-    )
-    C = gamma_factor("22", s, n=n, B=B, q=q)
-    rhs = C @ direct
-    return lhs, rhs, direct
-
-
-def check_eq22(s, B, phi, convention, q=1, tol=1e-9):
-    lhs, rhs, direct = eq22_sides(s, B, phi, convention, q=q)
-    conv = testfn.FourierConvention.parse(convention)
+    lhs, direct = _sides(space, s, phi, conv)
+    rhs = gamma_factor("22", s, B=space.Bmat, q=q) @ direct
     params = {"s": complex(s), "q": q, "testfn": phi.label, "convention": conv.value}
     rows = [CheckReport("funceq-eq22", params, complex(l), complex(r), tol, anchor="Eq22") for l, r in zip(lhs, rhs)]
     rep = worst(rows)
@@ -197,6 +176,8 @@ def check_eq22(s, B, phi, convention, q=1, tol=1e-9):
 def calibrate_convention(eq, s_samples, phis, B=None, q=1):
     """Evaluate the named check under every Fourier convention (and both
     exponent variants for Eq12a); return all residuals and the minimizer.
+    Without B, Eq12a takes the identity and Eq22 diag(I_q, -I_{n-q}), n
+    the dimension of the test function.
 
     The underlying identities never state their transform normalization,
     so it is fixed empirically: the (convention, variant) pair with the
@@ -215,7 +196,8 @@ def calibrate_convention(eq, s_samples, phis, B=None, q=1):
                         elif str(eq) == "12a":
                             rep = check_eq12a(s, B if B is not None else np.eye(phi.n), phi, conv, variant=variant)
                         elif str(eq) == "22":
-                            rep = check_eq22(s, B if B is not None else np.diag([1.0, -1.0, -1.0]), phi, conv, q=q)
+                            Bq = B if B is not None else phspace.indefinite(q=q, n=phi.n).Bmat
+                            rep = check_eq22(s, Bq, phi, conv, q=q)
                         else:
                             raise DomainError(f"unknown equation id {eq!r}")
                     except PoleError:

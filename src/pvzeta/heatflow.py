@@ -90,7 +90,7 @@ class LogTestFunction:
     """phi(x) = g(log x) for x > 0, 0 for x <= 0, with g a polynomial
     times Gaussian profile (exact derivatives, hence exact Omega)."""
 
-    def __init__(self, profile, label="loggauss"):
+    def __init__(self, profile, label):
         self.profile = profile
         self.label = label
         self.decay = testfn.Decay("other")

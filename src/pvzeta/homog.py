@@ -57,7 +57,7 @@ class ExpProfile:
     """g(t) = c e^{-a t}, closed under differentiation (the smooth
     extension of e^{-t} used by the Euler-Mascheroni oracle)."""
 
-    def __init__(self, a=1.0, c=1.0):
+    def __init__(self, a, c=1.0):
         if a <= 0:
             raise DomainError("decay rate must be positive")
         self.a = float(a)
@@ -68,10 +68,10 @@ class ExpProfile:
         out = self.c * np.exp(-self.a * t)
         return out.real if self.c.imag == 0.0 else out
 
-    def derivative(self, k=1):
+    def derivative(self, k):
         return ExpProfile(self.a, self.c * (-self.a) ** int(k))
 
-    def cutoff(self, tol=1e-18):
+    def cutoff(self, tol):
         amp = abs(self.c) + 1.0
         return (max(-math.log(tol), 1.0) + math.log(amp)) / self.a + 2.0
 
@@ -91,10 +91,10 @@ class ScaledProfile:
         g = self.base if self.order == 0 else self.base.derivative(self.order)
         return np.asarray(g(t / self.lam)) / self.lam ** (self.order + 1)
 
-    def derivative(self, k=1):
+    def derivative(self, k):
         return ScaledProfile(self.base, self.lam, self.order + int(k))
 
-    def cutoff(self, tol=1e-18):
+    def cutoff(self, tol):
         return self.base.cutoff(tol) * self.lam
 
 
@@ -133,7 +133,7 @@ class HomogFunctional:
     an array an array of the same shape), and is the only place that
     shapes the density's values."""
 
-    def __init__(self, degree, density, n=1, label="k"):
+    def __init__(self, degree, density, n, label):
         self.degree = complex(degree)
         self.density = density
         self.n = int(n)
@@ -227,7 +227,10 @@ def rs_transform(phi, s, m, tol=1e-11):
 # coarse rule.
 _OUTER_PANELS = 16
 _INNER_PANELS = (64, 128, 256)
-# points of phi' evaluated at once, which bounds the temporaries
+# points of phi' evaluated at once, which bounds the temporaries.  It
+# stays below quad.BLOCK: blocks of BLOCK // len(tau) rows (2^16 points)
+# took homog-ambiguity from 0.17 to 0.50 s and homog-extension from 0.09
+# to 0.17 s (best of 3 on a 2-CPU host)
 _BLOCK_POINTS = 1 << 13
 
 

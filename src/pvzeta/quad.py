@@ -24,9 +24,10 @@ from scipy.integrate._quadpack import error as _QuadpackError
 from .errors import AccuracyError, DomainError, NonConvergence, PoleError
 
 # Entries of the largest temporary that one block of a batched kernel
-# allocates (the Monte-Carlo oracle, the heat symbol fhat_many, the numeric
-# Fourier transforms and the Fourier rule behind them): 2^16 float64
-# entries are 512 KiB, a block that stays in cache.
+# allocates (the Monte-Carlo oracle, the angular profile of
+# SignatureGeometry, the heat symbol fhat_many, the numeric Fourier
+# transforms and the Fourier rule behind them): 2^16 float64 entries are
+# 512 KiB, a block that stays in cache.
 BLOCK = 1 << 16
 
 
@@ -175,7 +176,7 @@ def panel_rule(a, b, npanel):
     return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
 
 
-def panel_integral(f, a, b, panel_width=0.5):
+def panel_integral(f, a, b, panel_width):
     """Composite Gauss-Legendre integration on fixed panels.
 
     Suited to uniformly oscillatory integrands where adaptive subdivision
@@ -332,6 +333,10 @@ def inverse_fourier(F, offsets):
     prev, nodes = None, 0
     for level in range(_OM_LEVELS + 1):
         h = _OM_H0 / 2 ** level
+        # one F call per level, not blocks of BLOCK: blocks cut the peak of
+        # the 4001-offset kernel table of log_gaussian_group(2.0) from 244 to
+        # 92 MiB with the same bits, but took the a = 0.5 table from
+        # 3.2-4.0 s to 5.4-5.8 s (2-CPU host)
         cur, n = half_line_fourier(F, offsets, h)
         cur, nodes = cur.real / math.pi, nodes + n
         if prev is not None:
@@ -423,8 +428,6 @@ def angular_doubling(dims, run, angle, tol):
 # ---------------------------------------------------------------------------
 # Indefinite quadratic forms in hyperbolic polar coordinates
 
-# points of one call of the integrand in SignatureGeometry.profile
-_SIG_BLOCK = 1 << 21
 # Panel edges of the u rule, as distances below the truncation point: width
 # 1/2 across the top 4 units, where the gaussian decay sets in, then each
 # panel half as wide as its distance from the top.  Below the top the
@@ -487,7 +490,8 @@ class SignatureGeometry:
         detfac.  The u integral runs on graded Gauss-Legendre panels
         (_U_EDGES) up to where the gaussian decay of g bounds the tail
         by e^{-42}.  Every u-node of every radius goes to g together, in
-        calls of at most about _SIG_BLOCK points; points counts them."""
+        calls of BLOCK // (nk nj n) u-nodes, so that the point array holds
+        at most BLOCK entries; points counts the points."""
         # 42 / r^2 below overflows under |r| ~ 1e-154: radii are held at
         # 1e-150 (sign kept), where H has reached H(0+) to rounding
         r = np.asarray(r, dtype=float)
@@ -507,7 +511,7 @@ class SignatureGeometry:
         rn = np.repeat(r[owner], x.size)
         nk, nj = len(self.wk), len(self.wj)
         wkj = (self.wk[:, None] * self.wj[None, :]).ravel()
-        rows = max(1, _SIG_BLOCK // (nk * nj))
+        rows = max(1, BLOCK // (nk * nj * self.n))
         rcosh, rsinh = rn * cu, rn * su
         parts = []
         for lo in range(0, cu.size, rows):
@@ -532,7 +536,7 @@ class SignatureGeometry:
         return lambda r: self.profile(g, np.array([float(r)]), decay_rate)[0][0]
 
 
-def radial_power_integral(H, beta, r_max, tol=1e-10, depth=0):
+def radial_power_integral(H, beta, r_max, tol, depth=0):
     """integral_0^inf r^beta H(r) dr for smooth H with H(0) = 0 allowed,
     continued to -2 < Re beta <= -1 by one integration by parts (the
     derivative of H by 4th-order differences with step 1e-3).  This

@@ -64,7 +64,7 @@ class Decay:
     shift: float = 0.0  # a compact support's centre: signed on the line, its norm in R^n
     center: tuple = ()  # a compact support's centre, when known
 
-    def cutoff(self, tol=1e-18):
+    def cutoff(self, tol):
         """Radius beyond which the function is below tol (0 if unknown)."""
         if self.kind == "gaussian":
             big = max(-math.log(tol), 1.0)
@@ -120,7 +120,7 @@ class PolyGauss1D:
         r = np.asarray(r, dtype=float)[()]
         return _horner(self.coeffs, r) * np.exp(-self.a * r * r)
 
-    def derivative(self, k=1):
+    def derivative(self, k):
         c = self.coeffs
         a = self.a
         for _ in range(int(k)):
@@ -131,7 +131,7 @@ class PolyGauss1D:
             c = d
         return PolyGauss1D(c, a)
 
-    def cutoff(self, tol=1e-18):
+    def cutoff(self, tol):
         amp = float(np.sum(np.abs(self.coeffs))) + 1.0
         big = max(-math.log(tol), 1.0) + math.log(amp)
         r = math.sqrt(big / self.a) + 2.0 / math.sqrt(self.a)
@@ -155,10 +155,10 @@ class NumericProfile:
     def __call__(self, r):
         return self.fn(np.asarray(r, dtype=float), self.order)
 
-    def derivative(self, k=1):
+    def derivative(self, k):
         return NumericProfile(self.fn, self.decay, self.order + int(k), self.oscillation)
 
-    def cutoff(self, tol=1e-14):
+    def cutoff(self, tol):
         cut = self.decay.cutoff(tol)
         if cut > 0.0:
             return cut

@@ -310,15 +310,20 @@ def zeta_local_reference(space, component, s, phi, order, tol=1e-10):
     one adaptive radial Mellin transform per ray of _polar for the scalar
     and definite kinds, and for an indefinite one the angular profile per
     radius under adaptive quadrature, continued by at most one
-    finite-difference by-parts step (so Re s > -n/2 only).  order is the
-    angular order that zeta_local measured (its rule's angular_order); the
-    sphere rules of that order are the rotated ones of
+    finite-difference by-parts step (so Re s > -n/2 only).  Off n = 3 the
+    angular profile is not smooth at r = 0 and the step is not valid:
+    DomainError once Re beta <= -1 or Re s <= -1, beta = 2 s + n - 2.
+    order is the angular order that zeta_local measured (its rule's
+    angular_order); the sphere rules of that order are the rotated ones of
     quad.sphere_quadrature, so that no angular node, and no angular error,
     is common to both routes."""
     s = complex(s)
     _check_target(space, component, phi)
     if space.kind == "indefinite":
         beta = 2.0 * s + space.n - 2.0
+        if space.n != 3 and min(beta.real, s.real) <= -1.0:
+            raise DomainError(f"the finite-difference stencil does not continue past Re s = -1 or Re beta = -1 "
+                              f"off n = 3 (n = {space.n}, s = {s})")
         dist = _indefinite_pole_distance(space, s)
         rate = _standardized_rate(space, phi)
         geom = quad.SignatureGeometry(space.Bmat, space.q, component, order, True)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -206,6 +207,37 @@ def test_funceq_eq22_complex_s(tmp_path):
     assert run(["funceq", "--eq", "22", "--s=1.35+0.2j", "--out", str(out)]) == 0
     row = json.loads(out.read_text())
     assert row["tolerance"] == 1e-9 and row["rel_residual"] < 1e-13
+
+
+def test_funceq_eq22_takes_n_from_the_test_function(tmp_path):
+    # Eq22 and the Monte-Carlo rows run on diag(1, -1) for a plane test
+    # function; budget 3 s on a 2-CPU host (about 0.3 s)
+    out = tmp_path / "r.jsonl"
+    argv = ["funceq", "--eq", "22", "--s", "0.3", "--testfn", "gaussian:a=3.14159,n=2"]
+    t0 = time.monotonic()
+    assert run(argv + ["--mc-samples=200000", "--seed", "1", "--out", str(out)]) == 0
+    assert time.monotonic() - t0 < 3.0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["check"] for r in rows] == ["funceq-eq22", "zeta-montecarlo", "zeta-montecarlo"]
+    assert rows[0]["rel_residual"] < 1e-13
+    assert all(r["params"]["space"] == "PVSpace(indefinite, n=2, q=1)" for r in rows[1:])
+
+
+@pytest.mark.parametrize("eq", ["12", "12a", "22"])
+def test_funceq_without_a_test_function_is_a_config_error(capsys, eq):
+    # Eq12a and Eq22 take n from the first test function
+    assert run(["funceq", "--eq", eq, "--s", "0.3", "--testfn", ";"]) == 1
+    assert "config error: --testfn names no test function" in capsys.readouterr().err
+
+
+def test_zeta_eval_refuses_the_stencil_off_three_dimensions(tmp_path):
+    # on n = 2 the stencil reference is wrong past Re s = -1/2 (1e-2 at
+    # s = -0.6), so the row is an error, not a failure of the fast side
+    out = tmp_path / "r.jsonl"
+    argv = ["zeta", "--check", "value", "--space", "indefinite:q=1,n=2", "--testfn", "gaussian:a=3.14159,n=2"]
+    assert run(argv + ["--s=-0.6", "--out", str(out)]) == 1
+    row = json.loads(out.read_text())
+    assert row["status"] == "error" and row["extra"]["error"].startswith("DomainError: the finite-difference stencil")
 
 
 def test_real_s_text_stays_real():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -84,13 +85,51 @@ def test_eq22_refuses_a_q_that_does_not_match_B():
         funceq.check_eq22(0.2, np.diag([1.0, 1.0, -1.0]), testfn.gaussian(math.pi, n=3), CONV)
 
 
-@pytest.mark.parametrize("q", [1, 2])
+# (n, q): the ids 1 and 2 are the three-dimensional signatures
+SIGNATURES = [
+    pytest.param((3, 1), id="1"),
+    pytest.param((3, 2), id="2"),
+    pytest.param((2, 1), id="n2q1"),
+    pytest.param((4, 1), id="n4q1"),
+    pytest.param((4, 2), id="n4q2"),
+    pytest.param((4, 3), id="n4q3"),
+]
+
+
+@pytest.mark.parametrize("nq", SIGNATURES)
 @pytest.mark.parametrize("s", [0.2, 0.4, 1.35 + 0.2j])
-def test_eq22_at_rounding_level(q, s):
-    # both sides on the b-function route: the dual side at s - 3/2 is one
-    # step deep for real s < 1
-    phi = testfn.gaussian(math.pi, n=3)
-    B = np.diag([1.0] * q + [-1.0] * (3 - q))
+def test_eq22_at_rounding_level(nq, s):
+    # both sides on the b-function route: the dual side at s - n/2 is one
+    # or two steps deep for real s < 1.  Budget: about 1 s per s at n = 4
+    # on a 2-CPU host, 0.1 s below
+    n, q = nq
+    phi = testfn.gaussian(math.pi, n=n)
+    B = np.diag([1.0] * q + [-1.0] * (n - q))
+    t0 = time.monotonic()
     rep = funceq.check_eq22(s, B, phi, CONV, q=q)
+    assert time.monotonic() - t0 < (5.0 if n == 4 else 1.0)
     assert rep.tolerance == 1e-9
     assert max(rep.extra["component_residuals"]) < 1e-13, rep.extra["component_residuals"]
+
+
+@pytest.mark.parametrize("s", [0.2, 0.7, 0.4 + 0.2j])
+def test_eq12a_on_the_line(s):
+    # n = 1: the sphere S^0 is the two rays, and B = 2 scales the form
+    t0 = time.monotonic()
+    rep = funceq.check_eq12a(s, [[2.0]], testfn.gaussian(math.pi), CONV)
+    assert time.monotonic() - t0 < 1.0
+    assert rep.params["n"] == 1 and rep.rel_residual < 1e-13, rep.rel_residual
+
+
+def test_eq12a_refuses_four_dimensions():
+    # the sphere rule covers n <= 3, and refuses the rest itself
+    with pytest.raises(DomainError, match="sphere quadrature"):
+        funceq.check_eq12a(0.3, np.eye(4), testfn.gaussian(math.pi, n=4), CONV)
+
+
+def test_calibration_builds_B_from_q():
+    # without B, Eq22 takes diag(I_q, -I_{n-q}) from q and the test function
+    t0 = time.monotonic()
+    cal = funceq.calibrate_convention("22", [0.3], [testfn.gaussian(math.pi, n=3)], q=2)
+    assert time.monotonic() - t0 < 5.0
+    assert cal["selected"][0] == "twopi"

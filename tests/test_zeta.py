@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -394,6 +395,23 @@ def test_indefinite_depth_two_through_eq22(q):
         zeta.zeta_local_reference(sp, "plus", -2.35, phi, fast.rule["angular_order"])
     rep = funceq.check_eq22(2.35, B, phi, "twopi", q=q)
     assert max(rep.extra["component_residuals"]) < 1e-13, rep.extra["component_residuals"]
+
+
+@pytest.mark.parametrize("n, q, kept, refused", [(2, 1, -0.4, (-0.6, -0.9)), (4, 2, -0.8, (-1.2, -1.35, -1.8))])
+def test_indefinite_reference_off_three_dimensions(n, q, kept, refused):
+    # off n = 3 the angular profile is not smooth at r = 0 (pi e^{-pi r^2} / r
+    # at n = 4, q = 2), so the stencil's by-parts step extends nothing: it
+    # holds while Re beta > -1 and Re s > -1 (beta = 2 s + n - 2), and
+    # refuses beyond, where it was off by 1e-2 to 1e5.  Budget: 1 s
+    sp, phi = phspace.indefinite(q=q, n=n), testfn.gaussian(math.pi, n=n)
+    t0 = time.monotonic()
+    fast = zeta.zeta_local(sp, "plus", kept, phi)
+    ref = zeta.zeta_local_reference(sp, "plus", kept, phi, fast.rule["angular_order"], tol=1e-11)
+    assert abs(complex(fast.value) - complex(ref.value)) < 1e-12 * abs(complex(ref.value))
+    for s in refused:
+        with pytest.raises(DomainError, match="off n = 3"):
+            zeta.zeta_local_reference(sp, "plus", s, phi, fast.rule["angular_order"])
+    assert time.monotonic() - t0 < 1.0
 
 
 @pytest.mark.parametrize("pole", [-1.0, -1.5])
