@@ -400,9 +400,10 @@ def test_indefinite_depth_two_through_eq22(q):
 @pytest.mark.parametrize("n, q, kept, refused", [(2, 1, -0.4, (-0.6, -0.9)), (4, 2, -0.8, (-1.2, -1.35, -1.8))])
 def test_indefinite_reference_off_three_dimensions(n, q, kept, refused):
     # off n = 3 the angular profile is not smooth at r = 0 (pi e^{-pi r^2} / r
-    # at n = 4, q = 2), so the stencil's by-parts step extends nothing: it
-    # holds while Re beta > -1 and Re s > -1 (beta = 2 s + n - 2), and
-    # refuses beyond, where it was off by 1e-2 to 1e5.  Budget: 1 s
+    # at n = 4, q = 2), so the stencil's by-parts step is not valid: the
+    # reference holds while Re beta > -1 and Re s > -1 (beta = 2 s + n - 2)
+    # and refuses beyond, where the stencil is off by 1e-2 to 1e5.  Budget:
+    # 1 s (about 0.15 s on a 2-CPU host)
     sp, phi = phspace.indefinite(q=q, n=n), testfn.gaussian(math.pi, n=n)
     t0 = time.monotonic()
     fast = zeta.zeta_local(sp, "plus", kept, phi)
