@@ -1,9 +1,11 @@
 """The Euler-operator heat flow on the positive half-line.
 
 Shows the semigroup law holding for the mass-one kernel and failing by
-exactly sqrt(2) for the printed prefactor, the O(h^2) generator
-consistency, the lacunary vanishing of the auxiliary kernel, and the
-superpolynomial decay of the operator symbol away from the fixed point.
+exactly sqrt(2) for the printed prefactor (the corrected kernel times
+heatflow.variant_scale("printed") per application of S_t), the O(h^2)
+generator consistency, the lacunary vanishing of the auxiliary kernel,
+and the superpolynomial decay of the operator symbol away from the fixed
+point.
 
 Run:  python3 demos/heat_semigroup_story.py
 """
@@ -18,7 +20,7 @@ def main():
 
     print("== Kernel mass ==")
     for variant in heatflow.VARIANTS:
-        mass = heatflow.l1_norm(0.5, variant) / heatflow.l1_norm(0.5, "corrected")
+        mass = heatflow.heat_group_function(0.5, variant).l1() / heatflow.l1_norm(0.5)
         print(f"  {variant:>9s}: relative mass {mass:.10f}")
 
     print("\n== Semigroup law S_t S_s = S_(t+s) ==")

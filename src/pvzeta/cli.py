@@ -367,9 +367,10 @@ def run_heat(cfg):
         with open(dump, "w", newline="", encoding="utf-8") as fh:
             wr = csv.writer(fh)
             wr.writerow(["t", "x", "St_phi"])
+            scale = heatflow.variant_scale(variant)
             for t in ts:
                 for x in xs_grid:
-                    wr.writerow([repr(float(t)), repr(float(x)), repr(float(np.real(heatflow.apply(t, phi, float(x), variant))))])
+                    wr.writerow([repr(float(t)), repr(float(x)), repr(float(np.real(scale * heatflow.apply(t, phi, float(x)))))])
     return reports
 
 

@@ -11,8 +11,9 @@ Fourier transform, with explicit gamma-function factors:
           integral |p(m)|^{-s} phi dm
       The exponent pi^{n/2-s} found in some statements of this identity
       fails the Gaussian closed-form oracle by exactly pi^s; both
-      variants ('printed' and 'corrected') are first-class here and the
-      discrepancy is a reported artifact.
+      variants ('printed' and 'corrected') are first-class here:
+      check_eq12a applies the printed one as the factor pi^s on the
+      corrected eq12a_factor, and the discrepancy is a reported artifact.
 
   Eq22  (indefinite signature (q, n-q), any n >= 2):
       the 2-vector equation with matrix
@@ -24,8 +25,10 @@ Eq12a and Eq22 are the 1x1 and 2x2 cases of one vector identity (Sato &
 Shintani, Ann. of Math. 100 (1974)): the zeta integrals of phihat over
 the components of the dual space (B^{-1}) equal the gamma matrix times
 the zeta integrals of phi over the components of the space; _sides
-computes both vectors for either kind.  Eq12 stays on zeta.mellin, whose
-panels resolve the oscillating rays of a numeric transform.
+computes both vectors for either kind, eq12a_factor and eq22_matrix the
+gamma factors between them.  Eq12 stays on zeta.mellin, whose panels
+resolve the oscillating rays of a numeric transform, with the factor
+special.gamma_factor_1d.
 
 All checks are convention-explicit; calibrate_convention tabulates the
 residuals under each convention (and exponent variant) and reports the
@@ -50,29 +53,27 @@ from .report import CheckReport, worst
 # Gamma factors
 
 
-def gamma_factor(eq, s, B=None, q=None, variant="corrected"):
-    """Closed-form factor of the named equation (matrix for Eq22); the
-    quadratic ones take n from B."""
+def eq12a_factor(s, B):
+    """pi^{n/2-2s} sqrt(det B) Gamma(s)/Gamma(n/2-s) for the n x n array B."""
     s = complex(s)
-    if eq in ("12", 12):
-        return special.gamma_factor_1d(s)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    n = B.shape[0]
-    detB = abs(float(np.linalg.det(B)))
-    if eq in ("12a", "12A"):
-        expo = (n / 2.0 - s) if variant == "printed" else (n / 2.0 - 2.0 * s)
-        return math.pi ** complex(expo) * math.sqrt(detB) * special.gamma(s) / special.gamma(n / 2.0 - s)
-    if eq in ("22", 22):
-        pref = special.gamma(s + 1.0 - n / 2.0) * special.gamma(s) * detB * math.pi ** complex(-2.0 * s + n / 2.0 - 1.0)
-        M = np.array(
-            [
-                [-cmath.sin(math.pi * (s - q / 2.0)), math.sin(math.pi * q / 2.0)],
-                [math.sin(math.pi * (n - q) / 2.0), -cmath.sin(math.pi * (s - (n - q) / 2.0))],
-            ],
-            dtype=complex,
-        )
-        return pref * M
-    raise DomainError(f"unknown equation id {eq!r}")
+    n, detB = len(B), abs(float(np.linalg.det(B)))
+    return math.pi ** complex(n / 2.0 - 2.0 * s) * math.sqrt(detB) * special.gamma(s) / special.gamma(n / 2.0 - s)
+
+
+def eq22_matrix(s, B, q):
+    """The 2x2 gamma matrix C(s) of Eq22 for the n x n array B of
+    signature (q, n - q)."""
+    s = complex(s)
+    n, detB = len(B), abs(float(np.linalg.det(B)))
+    pref = special.gamma(s + 1.0 - n / 2.0) * special.gamma(s) * detB * math.pi ** complex(-2.0 * s + n / 2.0 - 1.0)
+    M = np.array(
+        [
+            [-cmath.sin(math.pi * (s - q / 2.0)), math.sin(math.pi * q / 2.0)],
+            [math.sin(math.pi * (n - q) / 2.0), -cmath.sin(math.pi * (s - (n - q) / 2.0))],
+        ],
+        dtype=complex,
+    )
+    return pref * M
 
 
 def _sides(space, s, phi, convention):
@@ -131,7 +132,11 @@ def check_eq12a(s, B, phi, convention, variant="corrected", tol=1e-6):
         raise DomainError("variant must be 'printed' or 'corrected'")
     space = phspace.definite(B=B)
     (lhs,), (base,) = _sides(space, s, phi, conv)
-    rhs = gamma_factor("12a", s, B=space.Bmat, variant=variant) * base
+    factor = eq12a_factor(s, space.Bmat)
+    if variant == "printed":
+        # the printed exponent pi^{n/2-s} is the corrected one times pi^s
+        factor *= math.pi ** complex(s)
+    rhs = factor * base
     return CheckReport(
         check="funceq-eq12a",
         params={
@@ -156,7 +161,7 @@ def check_eq22(s, B, phi, convention, q=1, tol=1e-9):
     conv = testfn.FourierConvention.parse(convention)
     space = phspace.indefinite(B=B, q=q)
     lhs, direct = _sides(space, s, phi, conv)
-    rhs = gamma_factor("22", s, B=space.Bmat, q=q) @ direct
+    rhs = eq22_matrix(s, space.Bmat, q) @ direct
     params = {"s": complex(s), "q": q, "testfn": phi.label, "convention": conv.value}
     rows = [CheckReport("funceq-eq22", params, complex(l), complex(r), tol, anchor="Eq22") for l, r in zip(lhs, rhs)]
     rep = worst(rows)

@@ -5,11 +5,13 @@ under x = e^r, so the semigroup kernel is a Gaussian in log x:
 
     K_t(x) = c_t e^{-(log x)^2 / (4t)},
 
-with two first-class normalization variants: 'corrected' uses
-c_t = (4 pi t)^{-1/2} (unit mass for d x/x, semigroup law holds) and
-'printed' uses c_t = (2 pi t)^{-1/2}, which overshoots both by exactly
-sqrt(2).  The variants are never reconciled silently; every check
-reports which one it ran under.
+with c_t = (4 pi t)^{-1/2}: unit mass for d x/x, and the semigroup law
+holds.  The printed normalization c_t = (2 pi t)^{-1/2} is exactly
+sqrt(2) times this one, so the helpers compute only the corrected
+kernel, and each check (and heat_group_function) multiplies by
+variant_scale(variant), 1 or sqrt(2), once per application of S_t.
+The variants are never reconciled silently; every check reports which
+one it ran under.
 
 The associated group convolution has Schwartz kernel
 S_t(x, y) = K_t(x/y)/|y| on xy > 0 (zero otherwise), symbol
@@ -39,44 +41,43 @@ from .report import CheckReport, label_number, worst
 VARIANTS = ("printed", "corrected")
 
 
-def _check_variant(variant):
+def variant_scale(variant):
+    """The factor of one application of S_t under the named variant: 1
+    corrected, sqrt(2) printed (c_t = (2 pi t)^{-1/2})."""
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}")
-    return variant
+    return math.sqrt(2.0) if variant == "printed" else 1.0
 
 
-def prefactor(t, variant="corrected"):
-    """c_t: (4 pi t)^{-1/2} corrected, (2 pi t)^{-1/2} printed."""
+def prefactor(t):
+    """c_t = (4 pi t)^{-1/2}."""
     if t <= 0:
         raise DomainError("t must be positive")
-    _check_variant(variant)
-    if variant == "printed":
-        return (2.0 * math.pi * t) ** -0.5
     return (4.0 * math.pi * t) ** -0.5
 
 
-def langlands_kernel(t, x, variant="corrected"):
+def langlands_kernel(t, x):
     """K_t(x) = c_t e^{-(log x)^2/(4t)}, x > 0."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("the kernel lives on x > 0")
     r = np.log(x)
-    return prefactor(t, variant) * np.exp(-r * r / (4.0 * t))
+    return prefactor(t) * np.exp(-r * r / (4.0 * t))
 
 
-def l1_norm(t, variant="corrected"):
-    """integral of K_t d x/x: 1 corrected, sqrt(2) printed."""
-    return prefactor(t, variant) * 2.0 * math.sqrt(math.pi * t)
+def l1_norm(t):
+    """integral of K_t d x/x, which is 1."""
+    return prefactor(t) * 2.0 * math.sqrt(math.pi * t)
 
 
-def f_t(t, y, variant="corrected"):
+def f_t(t, y):
     """f_t(y) = K_t(y)/y on y > 0, else 0."""
 
     def ev(ya):
         out = np.zeros(ya.shape)
         pos = ya > 0.0
         if np.any(pos):
-            out[pos] = langlands_kernel(t, ya[pos], variant) / ya[pos]
+            out[pos] = langlands_kernel(t, ya[pos]) / ya[pos]
         return out
 
     return testfn._evaluate(ev, 1, y)
@@ -118,32 +119,26 @@ def log_gaussian(a, scale=1.0):
     return LogTestFunction(testfn.PolyGauss1D([scale], a), label=f"loggauss:a={label_number(a)}")
 
 
-def log_gaussian_image(a, t, scale=1.0, variant="corrected"):
+def log_gaussian_image(a, t):
     """Closed form of S_t applied to log_gaussian(a): Gaussian convolution
-    in r = log x gives (1 + 4 a t)^{-1/2} e^{-a r^2/(1 + 4 a t)}; the
-    printed variant carries the extra sqrt(2)."""
-    _check_variant(variant)
+    in r = log x gives (1 + 4 a t)^{-1/2} e^{-a r^2/(1 + 4 a t)}."""
     sig = 1.0 + 4.0 * a * t
-    amp = scale / math.sqrt(sig)
-    if variant == "printed":
-        amp *= math.sqrt(2.0)
-    return log_gaussian(a / sig, scale=amp)
+    return log_gaussian(a / sig, scale=1.0 / math.sqrt(sig))
 
 
 # ---------------------------------------------------------------------------
 # Semigroup action
 
 
-def apply(t, phi, x, variant="corrected"):
+def apply(t, phi, x):
     """S_t phi(x): c_t integral e^{-r^2/4t} phi(x e^{-r}) dr for x != 0,
-    and |K_t|_{L1} phi(0) at x = 0 (the L1 norm inherits the variant)."""
-    _check_variant(variant)
+    and |K_t|_{L1} phi(0) at x = 0."""
     if not hasattr(phi, "decay"):
         raise DomainError("apply needs a decaying test function (decay certificate required)")
     x = float(x)
     if x == 0.0:
-        return l1_norm(t, variant) * complex(phi(0.0))
-    c = prefactor(t, variant)
+        return l1_norm(t) * complex(phi(0.0))
+    c = prefactor(t)
     R = math.sqrt(4.0 * t * 45.0) + 3.0
 
     def integrand(r):
@@ -154,7 +149,7 @@ def apply(t, phi, x, variant="corrected"):
     return val.real if val.imag == 0.0 else val
 
 
-def _two_step(t, s, phi, xs, variant, order):
+def _two_step(t, s, phi, xs, order):
     """S_t(S_s phi) on the grid xs by one tensor Gauss-Hermite rule:
     with r = 2 sqrt(t) z and u = 2 sqrt(s) z', the double integral
     c_t c_s integral e^{-r^2/4t} e^{-u^2/4s} phi(x e^{-r-u}) dr du
@@ -168,24 +163,26 @@ def _two_step(t, s, phi, xs, variant, order):
     for zi, wi in zip(z, w):
         y = np.outer(xs * math.exp(-2.0 * math.sqrt(t) * zi), inner)
         total += wi * (np.asarray(phi(y), dtype=complex) @ w)
-    return 4.0 * math.sqrt(t * s) * prefactor(t, variant) * prefactor(s, variant) * total
+    return 4.0 * math.sqrt(t * s) * prefactor(t) * prefactor(s) * total
 
 
 def semigroup_check(t, s, phi, xs, variant="corrected", tol=1e-6):
     """Max-grid residual of S_t(S_s phi) vs S_{t+s} phi.  The corrected
     variant must satisfy the law; the printed one composes to sqrt(2)
-    times the one-step operator, and the measured ratio is reported.
+    times the one-step operator (the two-step side carries variant_scale
+    squared, the one-step side carries it once), and the measured ratio
+    is reported.
 
     The two sides take independent routes: the two-step side is a tensor
     Gauss-Hermite rule, checked against the rule with half the nodes, and
     the one-step side is the adaptive apply.  A phi too rough for the
     fixed rule raises AccuracyError rather than report a wrong value."""
-    _check_variant(variant)
+    scale = variant_scale(variant)
     xs = [float(x) for x in np.atleast_1d(xs)]
     inner_tol = 1e-11
-    ones = [complex(apply(t + s, phi, x, variant)) for x in xs]
-    twos = _two_step(t, s, phi, xs, variant, 128)
-    gap = np.abs(twos - _two_step(t, s, phi, xs, variant, 64))
+    ones = [scale * complex(apply(t + s, phi, x)) for x in xs]
+    twos = scale ** 2 * _two_step(t, s, phi, xs, 128)
+    gap = np.abs(twos - scale ** 2 * _two_step(t, s, phi, xs, 64))
     if np.any(gap > inner_tol * np.abs(twos)):
         k = int(np.argmax(gap / np.maximum(np.abs(twos), 1e-300)))
         raise AccuracyError(
@@ -207,17 +204,17 @@ def generator_check(t, phi, x, variant="corrected", tol=0.2):
     """Central time difference of S_t phi vs S_t(Omega phi) at x; the
     residual must shrink O(h^2) across the step sizes h = 1e-2, 1e-3
     (ratio about 100 for a decade in h)."""
-    _check_variant(variant)
+    scale = variant_scale(variant)
     if not hasattr(phi, "omega"):
         raise DomainError("generator check needs a test function with exact Omega (log-Gaussian family)")
     omega_phi = phi.omega()
-    rhs = complex(apply(t, omega_phi, x, variant))
+    rhs = scale * complex(apply(t, omega_phi, x))
     hs = (1e-2, 1e-3)
     resids = []
     for h in hs:
         if not (0.0 < h < t):
             raise DomainError("need 0 < h < t")
-        lhs = (complex(apply(t + h, phi, x, variant)) - complex(apply(t - h, phi, x, variant))) / (2.0 * h)
+        lhs = scale * (complex(apply(t + h, phi, x)) - complex(apply(t - h, phi, x))) / (2.0 * h)
         resids.append(abs(lhs - rhs))
     ratio = resids[0] / max(resids[-1], 1e-300)
     expected = (hs[0] / hs[-1]) ** 2
@@ -236,7 +233,7 @@ def generator_check(t, phi, x, variant="corrected", tol=0.2):
 # Symbol, lacunary structure, kernel
 
 
-def fhat_many(t, chis, variant="corrected"):
+def fhat_many(t, chis):
     """fhat_t on an array of frequencies, vectorized via the shifted
     contour for chi > 0 and conjugation for chi < 0.
 
@@ -246,12 +243,11 @@ def fhat_many(t, chis, variant="corrected"):
     exponentiated in place, so memory does not grow with the number of
     frequencies.  Each block keeps the nodes where its smallest frequency
     is not yet suppressed below e^{-60}."""
-    _check_variant(variant)
     chis = np.asarray(chis, dtype=float)
     flat = chis.ravel()
     out = np.empty(flat.shape, dtype=complex)
     zero = flat == 0.0
-    out[zero] = l1_norm(t, variant)
+    out[zero] = l1_norm(t)
     mag = np.abs(flat[~zero])
     if mag.size:
         U = math.sqrt(4.0 * t * 80.0) + 3.0
@@ -259,7 +255,7 @@ def fhat_many(t, chis, variant="corrected"):
         # Gaussian envelope scale sqrt(t)
         width = min(7.5 * t, 3.0 * math.sqrt(t), 2.0)
         u, w = quad.panel_rule(-U, U, max(8, int(2.0 * U / width) + 8))
-        amp = prefactor(t, variant) * math.exp(math.pi ** 2 / (16.0 * t))
+        amp = prefactor(t) * math.exp(math.pi ** 2 / (16.0 * t))
         base = w * np.exp(-u * u / (4.0 * t)) * np.exp(1j * math.pi * u / (4.0 * t))
         eu = np.exp(u)
         vals = np.empty(mag.shape, dtype=complex)
@@ -286,22 +282,22 @@ def fhat_many(t, chis, variant="corrected"):
     return out.reshape(chis.shape)
 
 
-def fhat_t(t, chi, variant="corrected"):
+def fhat_t(t, chi):
     """fhat_t(chi) = integral_0^inf f_t(y) e^{-i y chi} dy."""
-    return complex(fhat_many(t, np.array([float(chi)]), variant)[0])
+    return complex(fhat_many(t, np.array([float(chi)]))[0])
 
 
-def heat_symbol(t, x, xi, variant="corrected"):
+def heat_symbol(t, x, xi):
     """s_t(x, xi) = e^{-i x xi} fhat_t(-x xi); at x = 0 this is the
     constant integral of f_t (the fixed-point symbol)."""
     chi = -float(x) * float(xi)
-    return complex(np.exp(-1j * float(x) * float(xi))) * fhat_t(t, chi, variant)
+    return complex(np.exp(-1j * float(x) * float(xi))) * fhat_t(t, chi)
 
 
-def atilde_closed(t, y, variant="corrected"):
+def atilde_closed(t, y):
     """Closed form of the auxiliary kernel: Atilde_t(x, y) = f_t(1 - y)
     (independent of x > 0); vanishes identically for y >= 1."""
-    return f_t(t, 1.0 - np.asarray(y, dtype=float), variant)
+    return f_t(t, 1.0 - np.asarray(y, dtype=float))
 
 
 def lacunary_check(t, variant="corrected", tol=1e-7):
@@ -316,7 +312,7 @@ def lacunary_check(t, variant="corrected", tol=1e-7):
     Fourier rule takes the whole spectrum, so the numeric values on y >= 1
     sit at the accuracy of fhat_t (5e-14 at t = 0.1, 1e-15 from t = 0.25)."""
     ys, support_tol = np.linspace(-1.5, 2.5, 17), 1e-12
-    closed = np.asarray(atilde_closed(t, ys, variant))
+    closed = variant_scale(variant) * np.asarray(atilde_closed(t, ys))
     numeric, rule = symbolkern.atilde_numeric(heat_group_function(t, variant), 1.0, ys)
     scale = float(np.max(np.abs(closed))) or 1.0
     resid = np.abs(numeric - closed) / scale
@@ -345,21 +341,22 @@ def lacunary_check(t, variant="corrected", tol=1e-7):
     )
 
 
-def kernel_xy(t, x, y, variant="corrected"):
+def kernel_xy(t, x, y):
     """S_t(x, y) = K_t(x/y)/|y| on xy > 0, 0 otherwise."""
     x, y = float(x), float(y)
     if x * y <= 0.0:
         return 0.0
-    return float(langlands_kernel(t, x / y, variant)) / abs(y)
+    return float(langlands_kernel(t, x / y)) / abs(y)
 
 
 def kernel_identity_check(t, pts, variant="corrected", tol=1e-10):
     """S_t(x, y) vs (1/|x|) Atilde_t(x, (x-y)/x) using the closed Atilde."""
+    scale = variant_scale(variant)
     params = {"t": t, "variant": variant, "points": [list(p) for p in pts]}
     rows = []
     for x, y in pts:
-        lhs = kernel_xy(t, x, y, variant)
-        rhs = float(np.asarray(atilde_closed(t, (x - y) / x, variant))) / abs(x) if x != 0.0 else 0.0
+        lhs = scale * kernel_xy(t, x, y)
+        rhs = scale * float(np.asarray(atilde_closed(t, (x - y) / x))) / abs(x) if x != 0.0 else 0.0
         rows.append(CheckReport("heat-kernel-identity", params, lhs, rhs, tol, anchor="Eq27", extra={"worst_point": [x, y]}))
     return worst(rows)
 
@@ -374,7 +371,7 @@ def kernel_vs_heat_check(t, variant, tol):
     rows = []
     for x, y in pts:
         _, _, K = symbolkern.aux_symbol_and_kernel(f, space, x, y)
-        closed = kernel_xy(t, x, y, variant)
+        closed = variant_scale(variant) * kernel_xy(t, x, y)
         rows.append(CheckReport("kernel-vs-heat", params, K, closed, tol, anchor="Eq27", extra={"worst_point": [x, y]}))
     return worst(rows)
 
@@ -384,7 +381,7 @@ def diagonal_funceq(t, zeta_s, phi, variant="corrected", tol=1e-7):
     s_{t,zeta}(x) = c_t |x|^zeta: both sides of the scalar functional
     equation (twopi convention) scaled by the diagonal constant
     c_t = K_t(1)."""
-    c = float(langlands_kernel(t, 1.0, variant))
+    c = variant_scale(variant) * float(langlands_kernel(t, 1.0))
     lhs, rhs = funceq.eq12_sides(zeta_s, phi, testfn.FourierConvention.TWOPI)
     return CheckReport(
         check="heat-diagonal-funceq",
@@ -399,15 +396,14 @@ def diagonal_funceq(t, zeta_s, phi, variant="corrected", tol=1e-7):
 
 def langlands_bounds_check(ts, kappas, variant="corrected", tol=1e-8):
     """Weighted norms integral |K_t(x)| e^{kappa |log x|} dx/x against the
-    closed form e^{kappa^2 t}(1 + erf(kappa sqrt(t))) (times sqrt(2) for
-    the printed variant), plus a fit of the qualitative bound shape
+    closed form e^{kappa^2 t}(1 + erf(kappa sqrt(t))), both times
+    variant_scale(variant), plus a fit of the qualitative bound shape
     a e^{omega t} of the norm's t-growth at fixed kappa."""
-    _check_variant(variant)
+    scale = variant_scale(variant)
     params = {"variant": variant, "t_grid": list(ts), "kappa_grid": list(kappas)}
     rows, reports = [], []
-    fac = math.sqrt(2.0) if variant == "printed" else 1.0
     for t in ts:
-        c = prefactor(t, variant)
+        c = scale * prefactor(t)
         for k in kappas:
             if k < 0:
                 raise DomainError("kappa must be nonnegative")
@@ -416,7 +412,7 @@ def langlands_bounds_check(ts, kappas, variant="corrected", tol=1e-8):
                 lambda r: c * np.exp(-r * r / (4.0 * t) + k * abs(r)), -R, R, tol=1e-12
             )
             numeric = float(np.real(complex(res.value)))
-            closed = fac * math.exp(k * k * t) * (1.0 + erf(k * math.sqrt(t)))
+            closed = scale * math.exp(k * k * t) * (1.0 + erf(k * math.sqrt(t)))
             rows.append({"t": t, "kappa": k, "numeric": numeric, "closed": closed})
             reports.append(
                 CheckReport(
@@ -435,13 +431,15 @@ def langlands_bounds_check(ts, kappas, variant="corrected", tol=1e-8):
 
 
 def heat_group_function(t, variant="corrected"):
-    """K_t packaged for the symbol machinery, with the closed transform
-    and auxiliary kernel attached as oracles."""
+    """K_t times variant_scale(variant), packaged for the symbol
+    machinery, with the closed transform and auxiliary kernel attached as
+    oracles."""
+    scale = variant_scale(variant)
     return symbolkern.GroupFunction(
-        fn=lambda a: np.asarray(langlands_kernel(t, a, variant)),
+        fn=lambda a: scale * np.asarray(langlands_kernel(t, a)),
         label=f"heat:t={label_number(t)},variant={variant}",
         log_decay_rate=1.0 / (4.0 * t),
-        hat1d=lambda u: fhat_many(t, -np.asarray(u, dtype=float), variant),
-        atilde_closed=lambda u: atilde_closed(t, u, variant),
-        l1_norm=l1_norm(t, variant),
+        hat1d=lambda u: scale * fhat_many(t, -np.asarray(u, dtype=float)),
+        atilde_closed=lambda u: scale * atilde_closed(t, u),
+        l1_norm=scale * l1_norm(t),
     )

@@ -140,8 +140,6 @@ class HomogFunctional:
         self.label = label
 
     def __call__(self, m):
-        if self.density is None:
-            raise DomainError(f"{self.label} has no pointwise density")
         return testfn._evaluate(self.density, self.n, m)
 
     def direct_pair(self, phi, order):
@@ -150,8 +148,6 @@ class HomogFunctional:
         pairing at the critical degree), adaptive (tol 1e-11) along the
         two rays of the line or each ray of the rotated sphere rule of the
         given order, the angular order of extend_kdot's Extension."""
-        if self.density is None:
-            raise DomainError(f"{self.label} has no pointwise density")
         n = self.n
         outer = phi.decay.cutoff(1e-16)
         if not np.isfinite(outer) or outer <= 0.0:
@@ -315,8 +311,6 @@ def extend_kdot(k, psi, phi):
     n = k.n
     if phi.n != n:
         raise DomainError("test function dimension does not match the density")
-    if k.density is None:
-        raise DomainError("extension needs a pointwise density")
 
     # the inner panel count that the last order settled on starts the next
     first, memo = 0, {}

@@ -166,6 +166,14 @@ def check_relative_invariance(space, g, m, tol=1e-10):
     )
 
 
+def _half_powers(B):
+    """(B^{1/2}, B^{-1/2}) of a symmetric positive definite B, from one
+    eigendecomposition."""
+    evals, evecs = np.linalg.eigh(B)
+    root = np.sqrt(evals)
+    return evecs @ np.diag(root) @ evecs.T, evecs @ np.diag(1.0 / root) @ evecs.T
+
+
 def sample_group(space, count, seed):
     """Seeded group elements: log alpha uniform in [-2, 2]; rotation part
     built to preserve B exactly (up to roundoff)."""
@@ -182,9 +190,7 @@ def sample_group(space, count, seed):
         B = space.Bmat
         if space.kind == "definite":
             # R = B^{-1/2} Q B^{1/2} with Q in SO(n): R^T B R = B, det R = 1
-            evals, evecs = np.linalg.eigh(B)
-            Bh = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
-            Bih = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
+            Bh, Bih = _half_powers(B)
             Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
             if np.linalg.det(Q) < 0:
                 Q[:, 0] = -Q[:, 0]

@@ -43,33 +43,26 @@ class QuadResult:
         return complex(self.value)
 
 
-def _counting(f):
-    count = [0]
+def integrate_1d(f, a, b, tol=1e-10):
+    """Integrate f on (a, b) (either end may be infinite) by one adaptive
+    Gauss-Kronrod call, counting the evaluations of f.  Returns
+    QuadResult."""
+    count = 0
 
-    def g(t):
-        count[0] += 1
+    def counted(t):
+        nonlocal count
+        count += 1
         return f(t)
 
-    return g, count
-
-
-def _quad_piece(f, a, b, tol):
     try:
-        val, err = _scipy_quad(f, a, b, limit=400, epsabs=tol * 1e-2, epsrel=tol * 1e-2, complex_func=True)
+        val, err = _scipy_quad(counted, a, b, limit=400, epsabs=tol * 1e-2, epsrel=tol * 1e-2, complex_func=True)
     except _QuadpackError as exc:  # pragma: no cover - QUADPACK's own failure; integrand errors propagate
         raise NonConvergence(f"quadrature failed on ({a}, {b}): {exc}") from exc
     err = float(abs(err))
     if not np.isfinite(err) or not np.isfinite(val):
         raise NonConvergence(f"quadrature did not converge on ({a}, {b})")
-    return complex(val), err
-
-
-def integrate_1d(f, a, b, tol=1e-10):
-    """Integrate f on (a, b) (either end may be infinite) by one adaptive
-    Gauss-Kronrod call.  Returns QuadResult."""
-    g, count = _counting(f)
-    value, err = _quad_piece(g, a, b, tol)
-    return QuadResult(value.real if value.imag == 0.0 else value, err, count[0])
+    value = complex(val)
+    return QuadResult(value.real if value.imag == 0.0 else value, err, count)
 
 
 def _head_integrand(g, expo):

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from . import quad
+from . import phspace, quad
 from .errors import AccuracyError, DomainError, NonConvergence
 from .report import CheckReport, label_number, worst
 
@@ -118,10 +118,7 @@ def _orbit(space, m):
         return m.reshape(1, 1), np.array([1.0])
     if space.kind != "definite":
         raise DomainError("symbols are defined for the fixed-point kinds (scalar1d, definite)")
-    B = space.Bmat
-    evals, evecs = np.linalg.eigh(B)
-    Bh = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
-    Bih = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
+    Bh, Bih = phspace._half_powers(space.Bmat)
     rad = float(np.linalg.norm(Bh @ m))
     pts, wts = quad.sphere_quadrature(space.n, _ORBIT_ORDER, False)
     return (rad * pts) @ Bih.T, wts / np.sum(wts)

@@ -13,7 +13,9 @@ down in _evaluate: on the line a scalar gives a scalar and an array an
 array of the same shape; in R^n the last axis holds the coordinates.
 
 Three Fourier conventions are named explicitly and every transform call
-takes one; there is no module default.
+takes one; there is no module default.  A convention is one number, the
+scale w of its forward kernel e^{-i w m.xi} (_KERNEL_SCALE), from which
+the closed Gaussian transforms and the numeric ones both follow.
 """
 
 from __future__ import annotations
@@ -285,10 +287,12 @@ def _pg_diff(coeffs, a, axis):
     return {b: c for b, c in out.items() if c != 0.0}
 
 
-_FT_CONST = {
-    FourierConvention.TWOPI: (lambda a, n: (math.pi / a) ** (n / 2.0), lambda a: math.pi ** 2 / a, 1j / (2.0 * math.pi)),
-    FourierConvention.ANGULAR: (lambda a, n: (math.pi / a) ** (n / 2.0), lambda a: 1.0 / (4.0 * a), 1j),
-    FourierConvention.ANGULAR_NORMALIZED: (lambda a, n: (math.pi / a) ** (n / 2.0), lambda a: 1.0 / (4.0 * a), -1j),
+# the scale w of each convention's forward kernel e^{-i w m.xi}; every
+# transform, closed or numeric, follows from it
+_KERNEL_SCALE = {
+    FourierConvention.TWOPI: 2.0 * math.pi,
+    FourierConvention.ANGULAR: 1.0,
+    FourierConvention.ANGULAR_NORMALIZED: -1.0,
 }
 
 
@@ -322,9 +326,12 @@ def polygauss(coeffs, a, n, label=None):
         return lambda m: _evaluate(ev, n, m)
 
     def fourier_fn(conv):
-        c0_fn, b_fn, kappa = _FT_CONST[conv]
-        c0 = c0_fn(a, n)
-        b = b_fn(a)
+        # e^{-a|m|^2} goes to c0 e^{-b|xi|^2} with c0 = (pi/a)^{n/2} and
+        # b = w^2/4a, and m_j to kappa d/dxi_j with kappa = i/w
+        w = _KERNEL_SCALE[conv]
+        c0 = (math.pi / a) ** (n / 2.0)
+        b = w * w / (4.0 * a)
+        kappa = 1j / w
         acc = {}
         for beta, c in coeffs.items():
             term = {tuple([0] * n): complex(c0)}
@@ -466,12 +473,6 @@ def fourier(phi, convention):
         return phi._fourier(convention)
     return _numeric_fourier(phi, convention)
 
-
-_KERNEL_SCALE = {
-    FourierConvention.TWOPI: 2.0 * math.pi,
-    FourierConvention.ANGULAR: 1.0,
-    FourierConvention.ANGULAR_NORMALIZED: -1.0,
-}
 
 # the most nodes the per-function cache of _numeric_fourier keeps
 _FT_CACHE = 1 << 22

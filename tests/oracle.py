@@ -115,23 +115,22 @@ def monte_carlo_signature_whole_chunk(g, B, sheet, w, nsamples, seed):
     return mean, math.sqrt(max(var, 0.0) / nsamples)
 
 
-def fhat_many_one_block(t, chis, variant="corrected"):
+def fhat_many_one_block(t, chis):
     """heatflow.fhat_many as it was before its blocks shrank to quad.BLOCK:
     the frequencies in their own order, in blocks of 4e6 exponents (one
     block for up to 8064 frequencies at t = 0.1), each keeping the nodes
     that its smallest frequency needs."""
-    heatflow._check_variant(variant)
     chis = np.asarray(chis, dtype=float)
     flat = chis.ravel()
     out = np.empty(flat.shape, dtype=complex)
     zero = flat == 0.0
-    out[zero] = heatflow.l1_norm(t, variant)
+    out[zero] = heatflow.l1_norm(t)
     mag = np.abs(flat[~zero])
     if mag.size:
         U = math.sqrt(4.0 * t * 80.0) + 3.0
         width = min(7.5 * t, 3.0 * math.sqrt(t), 2.0)
         u, w = quad.panel_rule(-U, U, max(8, int(2.0 * U / width) + 8))
-        amp = heatflow.prefactor(t, variant) * math.exp(math.pi ** 2 / (16.0 * t))
+        amp = heatflow.prefactor(t) * math.exp(math.pi ** 2 / (16.0 * t))
         base = w * np.exp(-u * u / (4.0 * t)) * np.exp(1j * math.pi * u / (4.0 * t))
         eu = np.exp(u)
         vals = np.empty(mag.shape, dtype=complex)

@@ -255,9 +255,9 @@ def test_lacunary_wide_spectrum_keeps_calls_small(tmp_path, monkeypatch):
     # at a time)
     sizes, fhat_many = [], heatflow.fhat_many
 
-    def spy(t, chis, variant="corrected"):
+    def spy(t, chis):
         sizes.append(len(chis))
-        return fhat_many(t, chis, variant)
+        return fhat_many(t, chis)
 
     monkeypatch.setattr(heatflow, "fhat_many", spy)
     out = tmp_path / "r.jsonl"

@@ -46,7 +46,7 @@ def test_eq12_rejects_multidim():
 
 def test_gamma_factor_pole():
     with pytest.raises(PoleError):
-        funceq.gamma_factor("12", 0.0)
+        special.gamma_factor_1d(0.0)
 
 
 def test_calibration_selects_twopi():

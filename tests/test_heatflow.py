@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import tracemalloc
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracle import fhat_many_one_block, oscillatory_ft_1d
-from pvzeta import heatflow, quad, symbolkern, testfn
+from pvzeta import funceq, heatflow, quad, symbolkern, testfn
 from pvzeta.errors import AccuracyError, DomainError
 
 
@@ -17,8 +19,11 @@ def test_kernel_mass_is_one():
 
 
 def test_printed_prefactor_ratio():
+    # the printed c_t = (2 pi t)^{-1/2} is variant_scale("printed") c_t
     t = 0.3
-    assert abs(heatflow.prefactor(t, "printed") / heatflow.prefactor(t, "corrected") - math.sqrt(2.0)) < 1e-14
+    printed = heatflow.variant_scale("printed") * heatflow.prefactor(t)
+    assert abs(printed / (2.0 * math.pi * t) ** -0.5 - 1.0) < 1e-14
+    assert heatflow.variant_scale("corrected") == 1.0
 
 
 def test_apply_matches_closed_log_gaussian():
@@ -100,14 +105,28 @@ def test_blocked_fhat_many_keeps_the_lacunary_transform(t, variant, monkeypatch)
     assert np.array_equal(blocked[0], whole[0]) and blocked[1] == whole[1]
 
 
-@pytest.mark.parametrize("variant", ["corrected", "printed"])
-@pytest.mark.parametrize("t", [0.05, 0.1, 1.0, 2.0])
-def test_blocked_fhat_many_matches_the_one_block_reference(t, variant):
+@pytest.mark.parametrize("t", [0.05, 0.1, 1.0, 2.0], ids=lambda t: f"{t}-corrected")
+def test_blocked_fhat_many_matches_the_one_block_reference(t):
     # 20001 frequencies are several reference blocks; sorted blocks keep
-    # fewer nodes of the larger frequencies, which moves a value by rounding
+    # fewer nodes of the larger frequencies, which moves a value by rounding;
+    # the printed variant is this transform times variant_scale (below)
     chis = np.linspace(-40.0, 40.0, 20001)
-    vals, ref = heatflow.fhat_many(t, chis, variant), fhat_many_one_block(t, chis, variant)
+    vals, ref = heatflow.fhat_many(t, chis), fhat_many_one_block(t, chis)
     assert np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("t", [0.05, 0.1, 1.0, 2.0])
+def test_printed_group_function_is_the_scaled_corrected_one(t):
+    # every oracle of the printed heat group function is exactly
+    # variant_scale("printed") times the corrected one, bit for bit
+    scale = heatflow.variant_scale("printed")
+    printed, corrected = heatflow.heat_group_function(t, "printed"), heatflow.heat_group_function(t, "corrected")
+    xs, us = np.array([0.3, 1.0, 2.7]), np.array([-40.0, -1.3, 0.0, 0.7, 25.0])
+    ys = np.linspace(-1.5, 2.5, 17)
+    assert np.array_equal(printed.fn(xs), scale * corrected.fn(xs))
+    assert np.array_equal(printed.hat1d(us), scale * corrected.hat1d(us))
+    assert np.array_equal(printed.atilde_closed(ys), scale * corrected.atilde_closed(ys))
+    assert printed.l1() == scale * corrected.l1()
 
 
 def test_lacunary_transform_memory_stays_in_cache_sized_blocks():
@@ -217,4 +236,28 @@ def test_apply_requires_decay_certificate():
 
 def test_variant_validation():
     with pytest.raises(DomainError):
-        heatflow.prefactor(0.5, "bogus")
+        heatflow.variant_scale("bogus")
+
+
+def test_normalization_choices_are_factors():
+    # the printed heat normalization is one factor, variant_scale, that
+    # only the checks and heat_group_function apply; the Eq12a exponent is
+    # a factor inside check_eq12a, with no gamma_factor switch in funceq
+    takes_variant = {
+        node.name
+        for node in ast.walk(ast.parse(inspect.getsource(heatflow)))
+        if isinstance(node, ast.FunctionDef) and any(a.arg == "variant" for a in node.args.args)
+    }
+    assert takes_variant == {
+        "variant_scale", "heat_group_function", "kernel_vs_heat_check", "semigroup_check", "generator_check",
+        "lacunary_check", "kernel_identity_check", "diagonal_funceq", "langlands_bounds_check",
+    }
+    bound = set()
+    for node in ast.walk(ast.parse(inspect.getsource(funceq))):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.alias):
+            bound.add(node.asname or node.name)
+    assert "gamma_factor" not in bound
