@@ -181,10 +181,10 @@ def _testfns(text):
     return [testfn.parse_testfn(spec.strip()) for spec in str(text).split(";") if spec.strip()]
 
 
-def _resolve_convention(eq, convention, s_list, phis, B=None, q=1):
+def _resolve_convention(eq, convention, s_list, phis, q):
     if convention != "auto":
         return convention
-    cal = funceq.calibrate_convention(str(eq), s_list[:2] or [0.5], phis[:1], B=B, q=q)
+    cal = funceq.calibrate_convention(str(eq), s_list[:2] or [0.5], phis[:1], q=q)
     return cal["selected"][0]
 
 
@@ -234,21 +234,21 @@ def run_funceq(cfg):
     if not s_list:
         return reports
     if eq == "12":
-        conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis)
+        conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis, q)
         tol = _tol(ov, "funceq-eq12", cfg.tol)
         for s in s_list:
             for phi in phis:
                 reports.append(funceq.check_eq12(s, phi, conv, **tol))
     elif eq == "12a":
         B = np.eye(phis[0].n)
-        conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis, B=B)
+        conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis, q)
         tol = _tol(ov, "funceq-eq12a", cfg.tol)
         for s in s_list:
             for phi in phis:
                 reports.append(funceq.check_eq12a(s, B, phi, conv, variant=variant, **tol))
     elif eq == "22":
         space = phspace.indefinite(q=q, n=phis[0].n)
-        conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis, B=space.Bmat, q=q)
+        conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis, q)
         tol = _tol(ov, "funceq-eq22", cfg.tol)
         for s in s_list:
             for phi in phis:

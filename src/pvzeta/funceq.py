@@ -53,18 +53,18 @@ from .report import CheckReport, worst
 # Gamma factors
 
 
-def eq12a_factor(s, B):
-    """pi^{n/2-2s} sqrt(det B) Gamma(s)/Gamma(n/2-s) for the n x n array B."""
+def eq12a_factor(s, space):
+    """pi^{n/2-2s} sqrt(det B) Gamma(s)/Gamma(n/2-s) for a definite space."""
     s = complex(s)
-    n, detB = len(B), abs(float(np.linalg.det(B)))
+    n, detB = space.n, abs(float(np.linalg.det(space.Bmat)))
     return math.pi ** complex(n / 2.0 - 2.0 * s) * math.sqrt(detB) * special.gamma(s) / special.gamma(n / 2.0 - s)
 
 
-def eq22_matrix(s, B, q):
-    """The 2x2 gamma matrix C(s) of Eq22 for the n x n array B of
+def eq22_matrix(s, space):
+    """The 2x2 gamma matrix C(s) of Eq22 for an indefinite space of
     signature (q, n - q)."""
     s = complex(s)
-    n, detB = len(B), abs(float(np.linalg.det(B)))
+    n, q, detB = space.n, space.q, abs(float(np.linalg.det(space.Bmat)))
     pref = special.gamma(s + 1.0 - n / 2.0) * special.gamma(s) * detB * math.pi ** complex(-2.0 * s + n / 2.0 - 1.0)
     M = np.array(
         [
@@ -132,7 +132,7 @@ def check_eq12a(s, B, phi, convention, variant="corrected", tol=1e-6):
         raise DomainError("variant must be 'printed' or 'corrected'")
     space = phspace.definite(B=B)
     (lhs,), (base,) = _sides(space, s, phi, conv)
-    factor = eq12a_factor(s, space.Bmat)
+    factor = eq12a_factor(s, space)
     if variant == "printed":
         # the printed exponent pi^{n/2-s} is the corrected one times pi^s
         factor *= math.pi ** complex(s)
@@ -161,7 +161,7 @@ def check_eq22(s, B, phi, convention, q=1, tol=1e-9):
     conv = testfn.FourierConvention.parse(convention)
     space = phspace.indefinite(B=B, q=q)
     lhs, direct = _sides(space, s, phi, conv)
-    rhs = eq22_matrix(s, space.Bmat, q) @ direct
+    rhs = eq22_matrix(s, space) @ direct
     params = {"s": complex(s), "q": q, "testfn": phi.label, "convention": conv.value}
     rows = [CheckReport("funceq-eq22", params, complex(l), complex(r), tol, anchor="Eq22") for l, r in zip(lhs, rhs)]
     rep = worst(rows)
@@ -178,11 +178,11 @@ def check_eq22(s, B, phi, convention, q=1, tol=1e-9):
 # Convention calibration
 
 
-def calibrate_convention(eq, s_samples, phis, B=None, q=1):
+def calibrate_convention(eq, s_samples, phis, q=1):
     """Evaluate the named check under every Fourier convention (and both
     exponent variants for Eq12a); return all residuals and the minimizer.
-    Without B, Eq12a takes the identity and Eq22 diag(I_q, -I_{n-q}), n
-    the dimension of the test function.
+    Eq12a takes B the identity and Eq22 diag(I_q, -I_{n-q}), n the
+    dimension of the test function.
 
     The underlying identities never state their transform normalization,
     so it is fixed empirically: the (convention, variant) pair with the
@@ -199,10 +199,9 @@ def calibrate_convention(eq, s_samples, phis, B=None, q=1):
                         if str(eq) == "12":
                             rep = check_eq12(s, phi, conv)
                         elif str(eq) == "12a":
-                            rep = check_eq12a(s, B if B is not None else np.eye(phi.n), phi, conv, variant=variant)
+                            rep = check_eq12a(s, np.eye(phi.n), phi, conv, variant=variant)
                         elif str(eq) == "22":
-                            Bq = B if B is not None else phspace.indefinite(q=q, n=phi.n).Bmat
-                            rep = check_eq22(s, Bq, phi, conv, q=q)
+                            rep = check_eq22(s, phspace.indefinite(q=q, n=phi.n).Bmat, phi, conv, q=q)
                         else:
                             raise DomainError(f"unknown equation id {eq!r}")
                     except PoleError:

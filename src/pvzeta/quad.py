@@ -431,9 +431,19 @@ def angular_doubling(dims, run, angle, tol):
 _U_EDGES = np.concatenate([np.arange(0.0, 4.0, 0.5), 4.0 * 1.5 ** np.arange(16)])
 
 
+def _signature_diagonal(space, sheet):
+    """The diagonal of B of an indefinite space, whose phspace.indefinite
+    holds B diagonal, invertible and of signature (q, n - q); the one
+    check of the hyperbolic routes is that sheet is one of its components
+    ('plus' or 'minus'), which refuses the scalar and definite kinds."""
+    if space.kind != "indefinite" or sheet not in space.components:
+        raise DomainError(f"sheet {sheet!r} is not a component of an indefinite space: {space!r}")
+    return np.diag(space.Bmat)
+
+
 class SignatureGeometry:
-    """Hyperbolic polar parametrization of one component of
-    {m : sign(m^T B m) fixed} for diagonal-signature B.
+    """Hyperbolic polar parametrization of the component sheet of an
+    indefinite space {m : sign(m^T B m) fixed}, B diagonal.
 
     In standardized coordinates x (m = D x with D = diag(|b_i|^{-1/2}))
     the component with k cosh-like directions and j = n - k sinh-like
@@ -445,36 +455,17 @@ class SignatureGeometry:
     sphere_quadrature(., order, rotated).
     """
 
-    def __init__(self, B, q, sheet, order, rotated):
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        n = B.shape[0]
-        d = np.diag(B).copy()
-        if not np.allclose(B, np.diag(d)):
-            raise DomainError("indefinite B must be in diagonal signature form")
-        if np.any(d == 0.0):
-            raise DomainError("B must be invertible")
-        if np.sum(d > 0) != q:
-            raise DomainError(f"B does not have signature ({q}, {n - q})")
-        if sheet not in ("plus", "minus"):
-            raise DomainError("sheet must be 'plus' or 'minus'")
-        self.n, self.q, self.sheet = n, q, sheet
+    def __init__(self, space, sheet, order, rotated):
+        d = _signature_diagonal(space, sheet)
+        self.n = space.n
         self.Dscale = 1.0 / np.sqrt(np.abs(d))
         self.detfac = float(np.prod(self.Dscale))
-        self.pos_idx = np.where(d > 0)[0]
-        self.neg_idx = np.where(d < 0)[0]
-        if sheet == "plus":
-            self.cosh_idx, self.sinh_idx = self.pos_idx, self.neg_idx
-        else:
-            self.cosh_idx, self.sinh_idx = self.neg_idx, self.pos_idx
+        pos, neg = np.where(d > 0)[0], np.where(d < 0)[0]
+        self.cosh_idx, self.sinh_idx = (pos, neg) if sheet == "plus" else (neg, pos)
         self.k = len(self.cosh_idx)
         self.j = len(self.sinh_idx)
-        if self.k == 0:
-            raise DomainError("requested sheet is empty for this signature")
         self.omega_k, self.wk = sphere_quadrature(self.k, order, rotated)
-        if self.j >= 1:
-            self.omega_j, self.wj = sphere_quadrature(self.j, order, rotated)
-        else:
-            self.omega_j, self.wj = np.zeros((1, 0)), np.array([1.0])
+        self.omega_j, self.wj = sphere_quadrature(self.j, order, rotated)
 
     def profile(self, g, r, decay_rate):
         """(H, points): H(r) = r * F(r) at every radius of the 1D array r,
@@ -511,8 +502,7 @@ class SignatureGeometry:
             rc, rs = rcosh[lo : lo + rows], rsinh[lo : lo + rows]
             pts = np.zeros((rc.size, nk, nj, self.n))
             pts[..., self.cosh_idx] = rc[:, None, None, None] * self.omega_k[None, :, None, :]
-            if self.j > 0:
-                pts[..., self.sinh_idx] = rs[:, None, None, None] * self.omega_j[None, None, :, :]
+            pts[..., self.sinh_idx] = rs[:, None, None, None] * self.omega_j[None, None, :, :]
             pts *= self.Dscale
             parts.append(np.asarray(g(pts)).reshape(rc.size, nk * nj) @ wkj)
         per_node = np.concatenate(parts) * ang
@@ -570,15 +560,13 @@ def radial_power_integral(H, beta, r_max, tol, depth=0):
 _MC_CHUNK = 1_000_000
 
 
-def monte_carlo_signature(g, B, sheet, w, nsamples, seed):
-    """Monte-Carlo oracle for the indefinite zeta integrals using a standard
-    gaussian proposal with density exactly e^{-pi |m|^2}, for diagonal B
-    (as SignatureGeometry).  Returns (estimate, standard_error)."""
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    n = B.shape[0]
-    d = np.diag(B)
-    if not np.allclose(B, np.diag(d)):
-        raise DomainError("the Monte-Carlo oracle needs B in diagonal signature form")
+def monte_carlo_signature(g, space, sheet, w, nsamples, seed):
+    """Monte-Carlo oracle for the zeta integrals of the component sheet of
+    an indefinite space, using a standard gaussian proposal with density
+    exactly e^{-pi |m|^2}; it reads only the diagonal of B.  Returns
+    (estimate, standard_error)."""
+    d = _signature_diagonal(space, sheet)
+    n = space.n
     if nsamples < 2:
         raise DomainError(f"the Monte-Carlo oracle needs at least 2 samples, got {nsamples}")
     rng = np.random.default_rng(seed)

@@ -43,7 +43,8 @@ class GroupFunction:
     |f(e^r)| <= C e^{-log_decay_rate r^2}.
 
     hat1d, atilde_closed and l1_norm are optional closed-form oracles
-    (the heat kernel ships with all three)."""
+    (the heat kernel ships with all three); atilde_closed serves only the
+    kernel table of local_integrability_check."""
 
     def __init__(self, fn, label, log_decay_rate, hat1d=None, atilde_closed=None, l1_norm=None):
         if log_decay_rate <= 0:
@@ -125,11 +126,10 @@ def _orbit(space, m):
 
 
 def symbol_hat(f, space, m, xi):
-    """fhat(m, xi); at m = 0 this is the integral of f for every xi."""
+    """fhat(m, xi) on the orbit of m; at m = 0 the orbit is the one point
+    0 and this is F(0), the integral of f, for every xi."""
     m = np.atleast_1d(np.asarray(m, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if not np.any(m):
-        return complex(f.integral())
     pts, wts = _orbit(space, m)
     us = pts @ xi
     vals = _hat_scalar_many(f, us)
@@ -190,9 +190,9 @@ def atilde_numeric(f, m_sign, us):
 def aux_symbol_and_kernel(f, space, m, mprime, xi=None):
     """(atilde(m, xi), Atilde(m, u), K_f(m, m')) at u = (m - m')/|m|.
 
-    Scalar case only; xi defaults to 1.  The closed-form Atilde oracle is
-    used when the GroupFunction carries one (positive direction), the
-    numeric inverse transform otherwise."""
+    Scalar case only; xi defaults to 1.  Atilde is always the numeric
+    inverse transform of the symbol (atilde_numeric), so that a kernel
+    assembled here stays independent of a closed-form Atilde."""
     if space.kind != "scalar1d":
         raise DomainError("kernel assembly is implemented for the scalar case")
     m = float(np.atleast_1d(np.asarray(m, dtype=float))[0])
@@ -203,10 +203,7 @@ def aux_symbol_and_kernel(f, space, m, mprime, xi=None):
     sign = 1.0 if m > 0 else -1.0
     atil = complex(np.exp(-1j * sign * xi)) * complex(_hat_scalar_many(f, np.array([sign * xi]))[0])
     u = (m - mprime) / abs(m)
-    if f.atilde_closed is not None and sign > 0:
-        Atil = complex(f.atilde_closed(u))
-    else:
-        Atil = complex(atilde_numeric(f, sign, np.array([u]))[0][0])
+    Atil = complex(atilde_numeric(f, sign, np.array([u]))[0][0])
     K = Atil / abs(m)
     return atil, Atil, K
 

@@ -49,6 +49,7 @@ import numpy as np
 
 from . import quad, testfn
 from .errors import DomainError, PoleError
+from .report import CheckReport
 from .special import POLE_GUARD
 
 MAX_CONTINUATION = 6
@@ -234,7 +235,7 @@ def _signature_kind(space, component, s, phi):
     rate = _standardized_rate(space, phi)
 
     def at(order):
-        geom = quad.SignatureGeometry(space.Bmat, space.q, component, order, False)
+        geom = quad.SignatureGeometry(space, component, order, False)
         return lambda r: [geom.profile(g, r, rate)[0]], np.array([geom.detfac]), den, geom.radial_cutoff(rate)
 
     k = space.q if component == "plus" else space.n - space.q
@@ -326,7 +327,7 @@ def zeta_local_reference(space, component, s, phi, order, tol=1e-10):
                               f"off n = 3 (n = {space.n}, s = {s})")
         dist = _indefinite_pole_distance(space, s)
         rate = _standardized_rate(space, phi)
-        geom = quad.SignatureGeometry(space.Bmat, space.q, component, order, True)
+        geom = quad.SignatureGeometry(space, component, order, True)
         H = geom.angular_profile(lambda pts: np.asarray(phi(pts)), rate)
         val = geom.detfac * complex(quad.radial_power_integral(H, beta, geom.radial_cutoff(rate), tol=tol))
         # the stencil's by-parts steps: none while Re beta > -1, else one
@@ -349,8 +350,6 @@ def check_zeta_eval(space, component, s, phi, tol):
     definite kinds the shared radial rule against the adaptive rule per
     ray, for the indefinite kind the b-function route against the
     finite-difference stencil."""
-    from .report import CheckReport
-
     fast = zeta_local(space, component, s, phi, tol=1e-9)
     ref = zeta_local_reference(space, component, s, phi, fast.rule["angular_order"], tol=1e-11)
     return CheckReport(
@@ -367,8 +366,6 @@ def check_zeta_eval(space, component, s, phi, tol):
 def check_mellin_overlap(phi, omega, s, order=2, tol=1e-8):
     """In the overlap region Re s > -1 the direct integral and the
     N-fold by-parts continuation must agree."""
-    from .report import CheckReport
-
     s = complex(s)
     if s.real <= -1.0:
         raise DomainError("overlap check needs Re s > -1")
@@ -387,8 +384,6 @@ def check_mellin_overlap(phi, omega, s, order=2, tol=1e-8):
 def check_mellin_residue(phi, omega, k, tol=1e-3):
     """The continued transform has a simple pole at s = -k with residue
     phi^{(k-1)}(0) / (k-1)!; approach the pole along s = -k + 1e-4."""
-    from .report import CheckReport
-
     if k < 1 or k != int(k):
         raise DomainError("poles sit at negative integers")
     k = int(k)
@@ -415,8 +410,6 @@ def check_zeta_montecarlo(space, component, s, phi, nsamples, seed):
     """Validate the hyperbolic-coordinate zeta integral against a seeded
     Cartesian Monte-Carlo estimate; pass iff the quadrature value sits
     within nsigma = 3 standard errors of the estimate."""
-    from .report import CheckReport
-
     if space.kind != "indefinite":
         raise DomainError("the Monte-Carlo oracle targets the indefinite kind")
     s = complex(s)
@@ -425,7 +418,7 @@ def check_zeta_montecarlo(space, component, s, phi, nsamples, seed):
     mv = zeta_local(space, component, s, phi)
     g = lambda pts: np.real(np.asarray(phi(pts)))
     # by keyword: the benchmark's tracer reads the sample count as kwargs['nsamples']
-    est, se = quad.monte_carlo_signature(g, space.Bmat, component, s.real, nsamples=int(nsamples), seed=seed)
+    est, se = quad.monte_carlo_signature(g, space, component, s.real, nsamples=int(nsamples), seed=seed)
     lhs = complex(mv.value)
     nsigma = 3.0
     band = nsigma * se

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 from pathlib import Path
 
 import pvzeta
@@ -28,3 +29,20 @@ def test_benchmark_tracer_binds_every_expected_span():
     finally:
         t.uninstall()
     assert pvzeta.zeta.zeta_local is original
+
+
+def test_benchmark_tracer_counts_the_oracle_samples():
+    # the tracer reads the sample count of quad.monte_carlo_signature as
+    # kwargs["nsamples"] unless a sixth positional argument is given, so
+    # check_zeta_montecarlo passes the count and the seed by keyword
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    space, phi = pvzeta.phspace.parse_space("indefinite:q=1,n=3"), pvzeta.testfn.gaussian(math.pi, n=3)
+    t = tracer.Tracer()
+    try:
+        t.install(pvzeta)
+        pvzeta.zeta.check_zeta_montecarlo(space, "plus", 0.2, phi, 1000, 5)
+    finally:
+        t.uninstall()
+    assert t.counts["quad.monte_carlo_signature.samples"] == 1000

@@ -277,6 +277,16 @@ def test_lacunary_passes_at_the_default_tolerance(tmp_path, variant):
     assert all(r["rel_residual"] < 1e-12 for r in rows)
 
 
+def test_lacunary_refuses_below_the_contour_rule(tmp_path):
+    # at t = 0.01 the amplitude e^{pi^2/(16 t)} of fhat_many eats every
+    # digit: the inverse transform does not settle and the run says so
+    out = tmp_path / "r.jsonl"
+    assert run(["heat", "--check", "lacunary", "--t", "0.01", "--out", str(out)]) == 1
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    assert len(rows) == 1 and rows[0]["status"] == "error"
+    assert rows[0]["extra"]["error"].startswith("AccuracyError: Fourier rule unresolved")
+
+
 @pytest.mark.parametrize(
     "flag",
     [

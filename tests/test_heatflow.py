@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracle import fhat_many_one_block, oscillatory_ft_1d
-from pvzeta import funceq, heatflow, quad, symbolkern, testfn
+from pvzeta import funceq, heatflow, phspace, quad, symbolkern, testfn
 from pvzeta.errors import AccuracyError, DomainError
 
 
@@ -72,8 +72,8 @@ def test_generator_quadratic_convergence():
 
 def test_fhat_against_oscillatory_reference():
     t = 0.1
-    for chi in (0.5, 5.0):
-        val = heatflow.fhat_t(t, chi)
+    vals = heatflow.fhat_many(t, np.array([0.5, 5.0]))
+    for chi, val in zip((0.5, 5.0), vals):
         ref = oscillatory_ft_1d(lambda y: heatflow.f_t(t, y), chi, 0.0, 60.0, tol=1e-12)
         assert abs(val - ref) < 1e-10 * max(abs(ref), 1.0)
 
@@ -143,12 +143,12 @@ def test_lacunary_transform_memory_stays_in_cache_sized_blocks():
 
 def test_fhat_zero_frequency():
     t = 0.4
-    assert abs(heatflow.fhat_t(t, 0.0) - heatflow.l1_norm(t)) < 1e-12
+    assert abs(heatflow.fhat_many(t, np.array([0.0]))[0] - heatflow.l1_norm(t)) < 1e-12
 
 
 def test_fhat_conjugate_symmetry():
     t = 0.2
-    a, b = heatflow.fhat_t(t, 1.3), heatflow.fhat_t(t, -1.3)
+    a, b = heatflow.fhat_many(t, np.array([1.3, -1.3]))
     assert abs(a - np.conj(b)) < 1e-13
 
 
@@ -216,9 +216,9 @@ def test_langlands_bounds():
 
 def test_heat_symbol_decay_band():
     # |s_t(1, xi)| decays superpolynomially: slope < -8 on the 50..100 band
-    t = 0.1
+    f, sp = heatflow.heat_group_function(0.1), phspace.scalar1d()
     taus = np.array([50.0, 100.0])
-    vals = np.abs([heatflow.heat_symbol(t, 1.0, tau) for tau in taus])
+    vals = np.abs([symbolkern.symbol(f, sp, 1.0, tau) for tau in taus])
     slope = (np.diff(np.log(vals)) / np.diff(np.log(taus))).item()
     assert slope < -8.0
 

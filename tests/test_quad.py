@@ -1,4 +1,5 @@
 import ast
+import inspect
 import itertools
 import math
 import re
@@ -11,7 +12,7 @@ import scipy.special
 
 from oracle import monte_carlo_signature_whole_chunk
 import pvzeta
-from pvzeta import phspace, quad, testfn, zeta
+from pvzeta import funceq, phspace, quad, testfn, zeta
 from pvzeta.errors import AccuracyError, DomainError
 
 
@@ -115,9 +116,9 @@ def test_angular_doubling_runs():
 def test_monte_carlo_signature_consistency():
     # |p|^0.2 times a gaussian on the plus sheet of diag(1,-1,-1):
     # cross-check MC against the deterministic zeta integral
-    B, phi = np.diag([1.0, -1.0, -1.0]), testfn.gaussian(math.pi, n=3)
-    det = zeta.zeta_local(phspace.indefinite(B=B), "plus", 0.2, phi)
-    est, se = quad.monte_carlo_signature(phi, B, "plus", 0.2, 500_000, seed=3)
+    space, phi = phspace.indefinite(q=1, n=3), testfn.gaussian(math.pi, n=3)
+    det = zeta.zeta_local(space, "plus", 0.2, phi)
+    est, se = quad.monte_carlo_signature(phi, space, "plus", 0.2, 500_000, seed=3)
     assert abs(complex(det) - est) < 4.0 * se
 
 
@@ -125,7 +126,7 @@ def test_signature_profile_closed_form():
     # plus sheet of diag(1, -1, -1), g = e^{-pi |x|^2}: with x = cosh u,
     # H(r) = r F(r) = sqrt(2) pi e^{pi r^2} erfc(sqrt(2 pi) r); tiny r puts
     # the truncation point of the graded u panels near u = 70
-    geom = quad.SignatureGeometry(np.diag([1.0, -1.0, -1.0]), 1, "plus", 24, False)
+    geom = quad.SignatureGeometry(phspace.indefinite(q=1, n=3), "plus", 24, False)
     r = np.array([0.0, 1e-200, 1e-150, 1e-30, 1e-8, 0.01, 0.3, 1.0, 2.0])
     H, points = geom.profile(lambda pts: np.exp(-np.pi * quad.sum_squares(pts)), r, np.pi)
     exact = math.sqrt(2.0) * np.pi * np.exp(np.pi * r * r) * scipy.special.erfc(math.sqrt(2.0 * np.pi) * r)
@@ -136,10 +137,10 @@ def test_signature_profile_closed_form():
 
 
 def test_monte_carlo_deterministic():
-    B = np.diag([1.0, -1.0, -1.0])
+    space = phspace.indefinite(q=1, n=3)
     g = lambda pts: np.exp(-np.pi * np.sum(pts * pts, axis=1))
-    a = quad.monte_carlo_signature(g, B, "plus", 0.2, 100_000, seed=9)
-    b = quad.monte_carlo_signature(g, B, "plus", 0.2, 100_000, seed=9)
+    a = quad.monte_carlo_signature(g, space, "plus", 0.2, 100_000, seed=9)
+    b = quad.monte_carlo_signature(g, space, "plus", 0.2, 100_000, seed=9)
     assert a == b
 
 
@@ -156,10 +157,10 @@ def test_monte_carlo_deterministic():
 )
 def test_monte_carlo_blocks_match_the_whole_chunk_route(diag, sheet, spec, nsamples):
     # the blocked oracle draws the same stream and sums the same chunks
-    phi = testfn.parse_testfn(spec)
+    phi, space = testfn.parse_testfn(spec), phspace.indefinite(B=np.diag(diag))
     g = lambda pts: np.real(np.asarray(phi(pts)))
-    args = (g, np.diag(diag), sheet, 0.2, nsamples, 2024)
-    assert quad.monte_carlo_signature(*args) == monte_carlo_signature_whole_chunk(*args)
+    rest = (sheet, 0.2, nsamples, 2024)
+    assert quad.monte_carlo_signature(g, space, *rest) == monte_carlo_signature_whole_chunk(g, space.Bmat, *rest)
 
 
 def test_monte_carlo_memory_does_not_grow_with_the_samples():
@@ -167,7 +168,7 @@ def test_monte_carlo_memory_does_not_grow_with_the_samples():
     g = lambda pts: np.exp(-np.pi * quad.sum_squares(pts))
     tracemalloc.start()
     try:
-        quad.monte_carlo_signature(g, np.diag([1.0, -1.0, -1.0]), "plus", 0.2, 3_000_000, seed=1)
+        quad.monte_carlo_signature(g, phspace.indefinite(q=1, n=3), "plus", 0.2, 3_000_000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -176,14 +177,23 @@ def test_monte_carlo_memory_does_not_grow_with_the_samples():
 
 @pytest.mark.parametrize("nsamples", [1, 0, -5])
 def test_monte_carlo_refuses_fewer_than_two_samples(nsamples):
+    space = phspace.indefinite(q=1, n=2)
     with pytest.raises(DomainError, match="at least 2 samples"):
-        quad.monte_carlo_signature(lambda pts: np.ones(len(pts)), np.diag([1.0, -1.0]), "plus", 0.2, nsamples, seed=1)
+        quad.monte_carlo_signature(lambda pts: np.ones(len(pts)), space, "plus", 0.2, nsamples, seed=1)
 
 
 def test_monte_carlo_refuses_a_non_diagonal_form():
+    # the oracle reads only the diagonal of B: an indefinite space holds B
+    # diagonal, and a definite space, whose B need not be, is no sheet of it
     B = np.array([[1.0, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, -1.0]])
-    with pytest.raises(DomainError):
-        quad.monte_carlo_signature(lambda pts: np.ones(len(pts)), B, "plus", 0.2, 1000, seed=1)
+    with pytest.raises(DomainError, match="diagonal"):
+        phspace.indefinite(B=B)
+    definite = phspace.definite(B=np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    for sheet in ("plus", "V1"):
+        with pytest.raises(DomainError, match="not a component of an indefinite space"):
+            quad.monte_carlo_signature(lambda pts: np.ones(len(pts)), definite, sheet, 0.2, 1000, seed=1)
+        with pytest.raises(DomainError, match="not a component of an indefinite space"):
+            quad.SignatureGeometry(definite, sheet, 2, False)
 
 
 def test_sphere_quadrature_rejects_bad_dim():
@@ -215,7 +225,24 @@ def test_defaulted_parameters_do_not_grow():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
-    assert count <= 77, count
+    assert count <= 74, count
+
+
+def test_engines_read_the_space():
+    # a space is described once, by the validated phspace.PVSpace: no quad
+    # engine takes a raw B or q, and the gamma factors take the space
+    tree = ast.parse(Path(quad.__file__).read_text(encoding="utf-8"))
+    raw = [
+        f"{node.name}({arg.arg})"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if arg.arg in ("B", "q")
+    ]
+    assert raw == []
+    params = lambda fn: list(inspect.signature(fn).parameters)
+    assert params(funceq.eq12a_factor) == params(funceq.eq22_matrix) == ["s", "space"]
+    assert "B" not in params(funceq.calibrate_convention)
 
 
 def test_cli_builds_no_rows():

@@ -32,12 +32,15 @@ def test_vectorized_fallback_matches_oracle(heat_f, heat_numeric):
 
 
 def test_symbol_matches_heat_closed_form(heat_f):
+    # s_t(x, xi) = e^{-i x xi} fhat_t(-x xi), the transform of f_t taken
+    # by adaptive oscillatory quadrature, independent of the contour rule
     sp = phspace.scalar1d()
     for x in (1.0, 0.5, -0.8):
         for xi in (0.3, 2.0, -4.0):
             a = symbolkern.symbol(heat_f, sp, x, xi)
-            b = heatflow.heat_symbol(0.1, x, xi)
-            assert abs(a - b) < 1e-12
+            ref = oscillatory_ft_1d(lambda y: heatflow.f_t(0.1, y), -x * xi, 0.0, 60.0, tol=1e-11)
+            b = np.exp(-1j * x * xi) * ref
+            assert abs(a - b) < 1e-10 * max(abs(b), 1.0)
 
 
 def test_symbol_constant_at_fixed_point(heat_f):
