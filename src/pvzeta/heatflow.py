@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from . import funceq, phspace, quad, symbolkern, testfn
 from .errors import AccuracyError, DomainError
@@ -401,6 +400,10 @@ def langlands_bounds_check(ts, kappas, variant="corrected", tol=1e-8):
     closed form e^{kappa^2 t}(1 + erf(kappa sqrt(t))), both times
     variant_scale(variant), plus a fit of the qualitative bound shape
     a e^{omega t} of the norm's t-growth at fixed kappa."""
+    # imported here, not at the top: a cold scipy.special import takes about
+    # 0.3 s; math.erf differs at rounding level and would move this check's rows
+    from scipy.special import erf
+
     scale = variant_scale(variant)
     params = {"variant": variant, "t_grid": list(ts), "kappa_grid": list(kappas)}
     rows, reports = [], []

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigError, DomainError
 from .report import CheckReport, label_number, worst
@@ -204,6 +203,9 @@ def sample_group(space, count, seed):
             norm = np.linalg.norm(X, 2)
             if norm > 2.0:
                 X *= 2.0 / norm
+            # imported here, not at the top: a cold scipy.linalg import takes about 0.34 s
+            from scipy.linalg import expm
+
             R = expm(X)
         out.append(GroupElement(alpha, tuple(R.ravel())))
     return out

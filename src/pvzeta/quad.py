@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
-from scipy.integrate._quadpack import error as _QuadpackError
 
 from .errors import AccuracyError, DomainError, NonConvergence, PoleError
 
@@ -47,6 +45,10 @@ def integrate_1d(f, a, b, tol=1e-10):
     """Integrate f on (a, b) (either end may be infinite) by one adaptive
     Gauss-Kronrod call, counting the evaluations of f.  Returns
     QuadResult."""
+    # imported here, not at the top: a cold scipy.integrate import takes about 0.5 s
+    from scipy.integrate import quad as _scipy_quad
+    from scipy.integrate._quadpack import error as _QuadpackError
+
     count = 0
 
     def counted(t):

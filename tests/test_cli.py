@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,29 @@ from pvzeta.errors import AccuracyError, ConfigError
 
 def run(argv):
     return cli.main(argv)
+
+
+_COLD_START = """
+import sys
+import pvzeta, pvzeta.cli
+from pvzeta import heatflow, phspace, quad
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+assert abs(quad.integrate_1d(lambda x: x * x, 0.0, 1.0).value - 1.0 / 3.0) < 1e-12
+space = phspace.indefinite(q=1, n=3)
+R = phspace.sample_group(space, 1, 0)[0].rot(3)
+assert abs(R.T @ space.Bmat @ R - space.Bmat).max() < 1e-12
+assert heatflow.langlands_bounds_check((0.25,), (0.5,)).passed
+"""
+
+
+def test_import_loads_no_scipy():
+    # scipy is loaded in this process by other tests, so the import path is
+    # checked in a fresh interpreter; the three callers that import scipy
+    # on first use (QUADPACK, expm, erf) must then work from that cold start
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
 
 
 def test_funceq_example_passes(tmp_path, capsys):
