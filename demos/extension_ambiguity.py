@@ -38,7 +38,7 @@ def main():
     phis = [testfn.gaussian(a) for a in (0.5, 1.0, 2.0, math.pi, 4.0)]
     rows = []
     for phi in phis:
-        d = complex(homog.extend_kdot(k, psi1, phi)) - complex(homog.extend_kdot(k, psi2, phi))
+        d = complex(homog.extend_kdot(k, psi1, phi)[0]) - complex(homog.extend_kdot(k, psi2, phi)[0])
         c = d / complex(phi(0.0))
         rows.append(c.real)
         print(f"  {phi.label:<24s} (kdot1 - kdot2)(phi)/phi(0) = {c.real:.12f}")

@@ -200,20 +200,21 @@ def run_zeta(cfg):
     s_list = _s_values(cfg.get("s", "0.5"))
     which = cfg.get("check", "value")
     reports = []
+    if which == "residue":
+        # the residues are taken at the poles s = -k, so --s plays no part
+        for k in _ints(cfg.get("k", "1,2,3")):
+            reports.append(zeta.check_mellin_residue(phi, 1.0, k, **_tol(ov, "mellin-residue", cfg.tol)))
     for s in s_list:
         if which == "value":
             tol = _tol(ov, "zeta-eval", cfg.tol).get("tol", 1e-8)
             reports.append(zeta.check_zeta_eval(space, cfg.get("component", space.components[0]), s, phi, tol))
         elif which == "overlap":
             reports.append(zeta.check_mellin_overlap(phi, 1.0, s, **_tol(ov, "mellin-overlap", cfg.tol)))
-        elif which == "residue":
-            for k in _ints(cfg.get("k", "1,2,3")):
-                reports.append(zeta.check_mellin_residue(phi, 1.0, k, **_tol(ov, "mellin-residue", cfg.tol)))
         elif which == "montecarlo":
             seed = cfg.require_seed("the Monte-Carlo oracle is randomized")
             comp = cfg.get("component", space.components[0])
             reports.append(zeta.check_zeta_montecarlo(space, comp, s, phi, 10_000_000, seed))
-        else:
+        elif which != "residue":
             raise ConfigError(f"unknown zeta check {which!r}")
     return reports
 
@@ -230,6 +231,8 @@ def run_funceq(cfg):
     mc = None if cfg.get("mc_samples") is None else _number(cfg, "mc_samples", None, _ints)
     if mc is not None and mc < 2:
         raise ConfigError(f"--mc-samples takes a count of at least 2, got {mc}")
+    if mc is not None and eq in ("12", "12a"):
+        raise ConfigError(f"--mc-samples adds the Monte-Carlo rows of --eq 22 and has no rows for --eq {eq}")
     reports = []
     if not s_list:
         return reports

@@ -364,14 +364,14 @@ def kernel_identity_check(t, pts, variant="corrected", tol=1e-10):
 
 def kernel_vs_heat_check(t, variant, tol):
     """The Schwartz kernel assembled from the symbol of the heat group
-    function (symbolkern.aux_symbol_and_kernel) against the closed kernel
+    function (symbolkern.kernel) against the closed kernel
     S_t(x, y), worst of four points on both sides of the origin."""
     f, space = heat_group_function(t, variant), phspace.scalar1d()
     pts = [(1.0, 0.5), (0.7, 1.3), (2.0, 0.5), (-1.0, -0.5)]
     params = {"t": t, "variant": variant, "points": [list(p) for p in pts]}
     rows = []
     for x, y in pts:
-        _, _, K = symbolkern.aux_symbol_and_kernel(f, space, x, y)
+        K = symbolkern.kernel(f, space, x, y)
         closed = variant_scale(variant) * kernel_xy(t, x, y)
         rows.append(CheckReport("kernel-vs-heat", params, K, closed, tol, anchor="Eq27", extra={"worst_point": [x, y]}))
     return worst(rows)

@@ -40,7 +40,6 @@ rays of the rotated sphere rule of the measured order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,7 +146,7 @@ class HomogFunctional:
         bound of phi (phi must vanish near 0 for this to be the honest
         pairing at the critical degree), adaptive (tol 1e-11) along the
         two rays of the line or each ray of the rotated sphere rule of the
-        given order, the angular order of extend_kdot's Extension."""
+        given order, the angular order of extend_kdot's rule."""
         n = self.n
         outer = phi.decay.cutoff(1e-16)
         if not np.isfinite(outer) or outer <= 0.0:
@@ -230,24 +229,6 @@ _INNER_PANELS = (64, 128, 256)
 _BLOCK_POINTS = 1 << 13
 
 
-@dataclass(frozen=True)
-class Extension:
-    """kdot(phi) from the fine rules of extend_kdot, with the
-    disagreement of the coarse and the fine rule, the fine node counts
-    (outer nodes on each ray, inner nodes for each outer node), and the
-    angular order and gap of quad.angular_doubling."""
-
-    value: complex
-    gap: float
-    outer_nodes: int
-    inner_nodes: int
-    angular_order: int
-    angular_gap: float
-
-    def __complex__(self):
-        return complex(self.value)
-
-
 def _rs_rows(dprof, t, cut, npanel):
     """R_{-n} phi(t omega) = -integral_0^cut log(tau) d/dtau phi(tau t omega) dtau
     for every outer node t of one ray, with dprof the derivative of the
@@ -291,7 +272,10 @@ def _kdot_rule(k, psi, rays, p_out, p_in, memo):
 
 def extend_kdot(k, psi, phi):
     """kdot(phi) = <k, psi * R_{-n} phi>: the extension of a degree -n
-    homogeneous density across the origin.  Returns an Extension.
+    homogeneous density across the origin.  Returns (value, rule), rule
+    holding the disagreement of the coarse and the fine rule, the fine
+    node counts (outer nodes on each ray, inner nodes for each outer
+    node), and the angular order and gap of quad.angular_doubling.
 
     On each ray of the sphere rule, the cutoff annulus carries a composite
     Gauss-Legendre outer rule and every outer node t its own inner
@@ -309,6 +293,8 @@ def extend_kdot(k, psi, phi):
     AccuracyError is raised."""
     tol = 1e-10
     n = k.n
+    if k.degree != -n:
+        raise DomainError(f"the extension is defined at the critical degree -n = {-n}, not {k.degree}")
     if phi.n != n:
         raise DomainError("test function dimension does not match the density")
 
@@ -351,7 +337,14 @@ def extend_kdot(k, psi, phi):
                 f"adaptive gives {ref:.15g}"
             )
     value = value.real if value.imag == 0.0 else value
-    return Extension(value, gap, len(t), 2 * p_in * quad.PANEL_ORDER, order, angular_gap)
+    rule = {
+        "coarse_fine_gap": gap,
+        "outer_nodes": len(t),
+        "inner_nodes": 2 * p_in * quad.PANEL_ORDER,
+        "angular_order": order,
+        "angular_gap": angular_gap,
+    }
+    return value, rule
 
 
 # ---------------------------------------------------------------------------
@@ -392,43 +385,32 @@ def check_extension_restricts(k, psi, phi, tol=1e-8):
     """For phi supported away from 0 the extension must equal the direct
     pairing of the density against phi.  The extension runs on fixed
     rules, the direct pairing on adaptive quadrature."""
-    ext = extend_kdot(k, psi, phi)
-    rhs = k.direct_pair(phi, ext.angular_order)
+    value, rule = extend_kdot(k, psi, phi)
+    rhs = k.direct_pair(phi, rule["angular_order"])
     return CheckReport(
         check="homog-extension-restricts",
         params={"density": k.label, "cutoff": [psi.a, psi.b], "testfn": phi.label},
-        lhs=complex(ext),
+        lhs=complex(value),
         rhs=complex(rhs),
         tolerance=tol,
         anchor="Eq13",
-        extra={"rule": _rule_diag([ext])},
+        extra={"rule": rule},
     )
-
-
-def _rule_diag(exts):
-    """Worst coarse/fine and angular gaps and largest fine node counts and
-    angular order of extensions."""
-    return {
-        "coarse_fine_gap": max(e.gap for e in exts),
-        "outer_nodes": max(e.outer_nodes for e in exts),
-        "inner_nodes": max(e.inner_nodes for e in exts),
-        "angular_order": max(e.angular_order for e in exts),
-        "angular_gap": max(e.angular_gap for e in exts),
-    }
 
 
 def check_ambiguity(k, psi1, psi2, phis, tol=1e-6):
     """The difference of two extensions is a delta at 0: the ratio
     (kdot_1 - kdot_2)(phi) / phi(0) must be the same constant for every
-    phi with phi(0) != 0."""
-    consts, exts = [], []
+    phi with phi(0) != 0.  The rule is the key-wise maximum of the
+    extensions' rules."""
+    consts, rules = [], []
     for phi in phis:
         p0 = complex(phi(np.zeros(k.n) if k.n > 1 else 0.0))
         if abs(p0) < 1e-12:
             raise DomainError("ambiguity check needs phi(0) != 0")
-        pair = (extend_kdot(k, psi1, phi), extend_kdot(k, psi2, phi))
-        exts.extend(pair)
-        consts.append((complex(pair[0]) - complex(pair[1])) / p0)
+        (v1, r1), (v2, r2) = extend_kdot(k, psi1, phi), extend_kdot(k, psi2, phi)
+        rules += [r1, r2]
+        consts.append((complex(v1) - complex(v2)) / p0)
     spread = max(abs(c - consts[0]) for c in consts) / max(abs(consts[0]), 1e-300)
     return CheckReport(
         check="homog-ambiguity",
@@ -440,7 +422,7 @@ def check_ambiguity(k, psi1, psi2, phis, tol=1e-6):
         extra={
             "constants": [complex(c) for c in consts],
             "relative_spread": spread,
-            "rule": _rule_diag(exts),
+            "rule": {key: max(r[key] for r in rules) for key in rules[0]},
         },
         residual=spread,
     )

@@ -19,9 +19,11 @@ its inverse transform Atilde(m, u) uses the normalized measure
 
     K_f(m, m') = |m|^{-n} Atilde(m, (m - m')/|m|).
 
-F comes from the oracle hat1d when present, else from the Fourier rule
-quad.half_line_fourier; Atilde and the kernel table of the integrability
-check from quad.inverse_fourier (AccuracyError when it does not resolve).
+The orbit of m under the rotation part is summed on the sphere rule whose
+order quad.angular_doubling measures.  F comes from the oracle hat1d when
+present, else from the Fourier rule quad.half_line_fourier; Atilde and
+the kernel table of the integrability check from quad.inverse_fourier
+(AccuracyError when it does not resolve).
 
 All transforms here use the angular-normalized convention exclusively.
 """
@@ -107,33 +109,41 @@ def _hat_scalar_many(f, us):
     return quad.half_line_fourier(g, -us.ravel(), 0.05, max_nodes=quad.BLOCK)[0].reshape(us.shape)
 
 
-# sphere rule of the rotation orbits: 64 points on the circle, 32 x 64 on S^2
-_ORBIT_ORDER = 32
+# the orbit sum is resolved once two sphere orders agree within this
+# fraction of its L1 mass (the tolerance of homog.extend_kdot)
+_ORBIT_TOL = 1e-10
 
 
-def _orbit(space, m):
+def _orbit(space, m, order):
     """Points and normalized weights of the group orbit of m restricted to
-    the rotation part (the dilation factor is integrated separately)."""
-    m = np.atleast_1d(np.asarray(m, dtype=float))
+    the rotation part (the dilation factor is integrated separately), on
+    the sphere rule of the given order."""
     if space.kind == "scalar1d":
         return m.reshape(1, 1), np.array([1.0])
-    if space.kind != "definite":
-        raise DomainError("symbols are defined for the fixed-point kinds (scalar1d, definite)")
     Bh, Bih = phspace._half_powers(space.Bmat)
     rad = float(np.linalg.norm(Bh @ m))
-    pts, wts = quad.sphere_quadrature(space.n, _ORBIT_ORDER, False)
+    pts, wts = quad.sphere_quadrature(space.n, order, False)
     return (rad * pts) @ Bih.T, wts / np.sum(wts)
 
 
 def symbol_hat(f, space, m, xi):
     """fhat(m, xi) on the orbit of m; at m = 0 the orbit is the one point
-    0 and this is F(0), the integral of f, for every xi."""
+    0 and this is F(0), the integral of f, for every xi.  The order of the
+    orbit's sphere rule is measured by quad.angular_doubling (the scalar
+    kind has no sphere factor and runs once), which raises AccuracyError
+    when the sum stays unresolved."""
+    if space.kind not in ("scalar1d", "definite"):
+        raise DomainError("symbols are defined for the fixed-point kinds (scalar1d, definite)")
     m = np.atleast_1d(np.asarray(m, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    pts, wts = _orbit(space, m)
-    us = pts @ xi
-    vals = _hat_scalar_many(f, us)
-    return complex(np.sum(wts * vals))
+
+    def run(order):
+        pts, wts = _orbit(space, m, order)
+        terms = wts * _hat_scalar_many(f, pts @ xi)
+        return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+    dims = (space.n,) if space.kind == "definite" else ()
+    return quad.angular_doubling(dims, run, 2.0 * math.pi, _ORBIT_TOL)[0][0]
 
 
 def symbol(f, space, m, xi):
@@ -187,25 +197,19 @@ def atilde_numeric(f, m_sign, us):
     return quad.inverse_fourier(lambda xi: _hat_scalar_many(f, xi), offsets)
 
 
-def aux_symbol_and_kernel(f, space, m, mprime, xi=None):
-    """(atilde(m, xi), Atilde(m, u), K_f(m, m')) at u = (m - m')/|m|.
-
-    Scalar case only; xi defaults to 1.  Atilde is always the numeric
-    inverse transform of the symbol (atilde_numeric), so that a kernel
-    assembled here stays independent of a closed-form Atilde."""
+def kernel(f, space, m, mprime):
+    """K_f(m, m') = Atilde(m, u) / |m| at u = (m - m')/|m|, scalar case only.
+    Atilde is always the numeric inverse transform of the symbol
+    (atilde_numeric), so that the kernel stays independent of a
+    closed-form Atilde."""
     if space.kind != "scalar1d":
         raise DomainError("kernel assembly is implemented for the scalar case")
     m = float(np.atleast_1d(np.asarray(m, dtype=float))[0])
     mprime = float(np.atleast_1d(np.asarray(mprime, dtype=float))[0])
     if m == 0.0:
         raise DomainError("the kernel is defined away from m = 0")
-    xi = 1.0 if xi is None else float(xi)
-    sign = 1.0 if m > 0 else -1.0
-    atil = complex(np.exp(-1j * sign * xi)) * complex(_hat_scalar_many(f, np.array([sign * xi]))[0])
     u = (m - mprime) / abs(m)
-    Atil = complex(atilde_numeric(f, sign, np.array([u]))[0][0])
-    K = Atil / abs(m)
-    return atil, Atil, K
+    return complex(atilde_numeric(f, math.copysign(1.0, m), np.array([u]))[0][0]) / abs(m)
 
 
 # ---------------------------------------------------------------------------

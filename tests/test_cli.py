@@ -349,6 +349,24 @@ def test_mc_samples_add_one_row_per_component(tmp_path):
     assert all(r["params"]["nsamples"] == 200_000 and r["status"] == "pass" for r in mc)
 
 
+@pytest.mark.parametrize("eq", ["12", "12a"])
+def test_mc_samples_without_monte_carlo_rows_is_a_config_error(tmp_path, capsys, eq):
+    # only Eq22 has Monte-Carlo rows; elsewhere the flag would be dropped
+    out = tmp_path / "r.jsonl"
+    argv = ["funceq", "--eq", eq, "--s", "0.5", "--mc-samples", "100", "--seed", "1", "--out", str(out)]
+    assert run(argv) == 1
+    assert "config error: --mc-samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zeta_residue_writes_its_rows_once(tmp_path):
+    # the residues sit at the poles s = -k, whatever --s holds
+    out = tmp_path / "r.jsonl"
+    assert run(["zeta", "--check", "residue", "--s", "0.3,0.5", "--k", "1", "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["check"], r["params"]["k"]) for r in rows] == [("mellin-residue", 1)]
+
+
 def test_config_keys_are_the_declared_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"check=kernel\nt=0.1\ndump-profile={tmp_path / 'p.csv'}\n")

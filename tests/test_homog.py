@@ -122,9 +122,9 @@ def test_extension_ambiguity_constant_in_the_plane():
     psi1, psi2 = homog.make_cutoff(0.5, 2.0), homog.make_cutoff(1.0, 4.0)
     for a in (1.0, 2.0):
         phi = testfn.gaussian(a, n=2)
-        e1, e2 = homog.extend_kdot(k, psi1, phi), homog.extend_kdot(k, psi2, phi)
-        assert e1.angular_order == e2.angular_order == 2
-        d = complex(e1) - complex(e2)
+        (v1, r1), (v2, r2) = homog.extend_kdot(k, psi1, phi), homog.extend_kdot(k, psi2, phi)
+        assert r1["angular_order"] == r2["angular_order"] == 2
+        d = complex(v1) - complex(v2)
         assert abs(d - 2.0 * math.pi * math.log(2.0)) < 1e-10, (a, d)
     # the fixed rule evaluates the density on (N, n) arrays of points
     assert seen and all(len(shape) == 2 and shape[1] == 2 for shape in seen), set(seen)
@@ -150,6 +150,14 @@ def test_fixed_inner_rule_matches_adaptive_rs_transform(phi):
         for t, value in zip(ts, fixed):
             ref = complex(homog.rs_transform(phi, -1.0, t * om, tol=1e-12))
             assert abs(value - ref) < 1e-12, (t * om, value, ref)
+
+
+def test_extension_refuses_a_degree_off_the_critical_one():
+    # the cutoff extension is defined at degree -n only; |m|^-1/2 on the
+    # line is locally integrable and has no need of it
+    k = homog.homog_density(-0.5, lambda x: np.abs(x) ** -0.5, n=1, label="|m|^-1/2")
+    with pytest.raises(DomainError, match="critical degree"):
+        homog.extend_kdot(k, homog.make_cutoff(0.5, 2.0), testfn.gaussian(1.0))
 
 
 def test_extension_refuses_an_unresolved_test_function():

@@ -83,6 +83,19 @@ def test_definite_symbol_scaling(heat_f):
     assert rep.passed
 
 
+def test_definite_symbol_matches_a_finer_orbit_sum(heat_f):
+    # the orbit sum at the scaling test's point against order 128 on the
+    # rotated sphere rule, which shares no node with the symbol's rule; the
+    # sum at order 32 is 4.4e-11 off, 4.6e-9 of the value, and the scaling
+    # row cannot see it, since both of its sides share the orbit nodes
+    sp = phspace.definite(n=3)
+    m, xi = 1.7 * np.array([1.0, 0.2, -0.5]), np.array([0.3, 1.0, 2.0])
+    pts, wts = quad.sphere_quadrature(3, 128, True)
+    ref = np.sum(wts * heat_f.hat1d(np.linalg.norm(m) * pts @ xi)) / np.sum(wts)
+    ref *= np.exp(-1j * (m @ xi))
+    assert abs(symbolkern.symbol(heat_f, sp, m, xi) - ref) < 1e-13
+
+
 def test_symbol_bounded_by_l1(heat_f):
     sp = phspace.scalar1d()
     for m, xi in ((1.0, 3.0), (0.2, -7.0), (5.0, 0.1)):
@@ -100,39 +113,40 @@ def test_decay_probe_slopes(heat_f):
 def test_aux_kernel_matches_heat_oracle(heat_f):
     sp = phspace.scalar1d()
     for m, mp in ((1.0, 0.5), (0.7, 1.3), (-1.0, -0.5)):
-        _, _, K = symbolkern.aux_symbol_and_kernel(heat_f, sp, m, mp)
+        K = symbolkern.kernel(heat_f, sp, m, mp)
         oracle = heatflow.kernel_xy(0.1, m, mp)
         assert abs(K - oracle) < 1e-10 * max(abs(oracle), 1.0)
 
 
 def test_aux_kernel_direction_only(heat_f):
-    # Atilde(m, u) depends only on the sign of m
+    # |m| K_f(m, m') = Atilde(m, u) depends on m only through its sign
     sp = phspace.scalar1d()
-    _, A1, _ = symbolkern.aux_symbol_and_kernel(heat_f, sp, 0.5, 0.25)
-    _, A2, _ = symbolkern.aux_symbol_and_kernel(heat_f, sp, 2.0, 1.0)
-    assert abs(A1 - A2) < 1e-9
+    A = symbolkern.atilde_numeric(heat_f, 1.0, np.array([0.5]))[0][0]
+    for m, mp in ((0.5, 0.25), (2.0, 1.0)):
+        assert abs(m * symbolkern.kernel(heat_f, sp, m, mp) - A) < 1e-9
 
 
 def test_kernel_scaling_homogeneity(heat_f):
     sp = phspace.scalar1d()
     lam = 3.0
-    _, _, K1 = symbolkern.aux_symbol_and_kernel(heat_f, sp, lam * 1.0, lam * 0.5)
-    _, _, K2 = symbolkern.aux_symbol_and_kernel(heat_f, sp, 1.0, 0.5)
+    K1 = symbolkern.kernel(heat_f, sp, lam * 1.0, lam * 0.5)
+    K2 = symbolkern.kernel(heat_f, sp, 1.0, 0.5)
     assert abs(K1 - K2 / lam) < 1e-8
 
 
 def test_aux_symbol_of_a_wide_group_function_at_large_xi():
     # log_gaussian_group(0.5) is the heat group function at t = 1/2 without
-    # its prefactor, so F(5) = fhat(-5) / c_{1/2}; |F| ~ 0.36 here
+    # its prefactor, so F(5) = fhat(-5) / c_{1/2}; |F| ~ 0.36 here, and the
+    # auxiliary symbol at m is the symbol at m/|m| = 1
     f = symbolkern.log_gaussian_group(0.5)
-    atil, _, _ = symbolkern.aux_symbol_and_kernel(f, phspace.scalar1d(), 1.0, 0.5, xi=5.0)
+    atil = symbolkern.symbol(f, phspace.scalar1d(), 1.0, 5.0)
     closed = np.exp(-5j) * heatflow.fhat_many(0.5, np.array([-5.0]))[0] / heatflow.prefactor(0.5)
     assert abs(atil - closed) < 1e-12
 
 
 def test_kernel_rejects_zero_m(heat_f):
     with pytest.raises(DomainError):
-        symbolkern.aux_symbol_and_kernel(heat_f, phspace.scalar1d(), 0.0, 1.0)
+        symbolkern.kernel(heat_f, phspace.scalar1d(), 0.0, 1.0)
 
 
 def test_atilde_numeric_matches_closed(heat_f):
