@@ -65,7 +65,8 @@ _SUBCOMMANDS = {
     }),
     "heat": ("heat semigroup checks", {
         "--check": {"choices": ("semigroup", "generator", "lacunary", "bounds", "funceq", "kernel")},
-        "--t": {}, "--s": {}, "--x": {}, "--variant": {"choices": heatflow.VARIANTS}, "--dump-profile": {},
+        "--t": {}, "--s": {"help": "comma-separated semigroup times, or zeta arguments for funceq (complex as 0.45+0.2j)"},
+        "--x": {}, "--variant": {"choices": heatflow.VARIANTS}, "--dump-profile": {},
     }),
     "suite": ("named batch suites", {"name": {"nargs": "?"}}),
 }
@@ -334,7 +335,8 @@ def run_heat(cfg):
     which = cfg.get("check", "semigroup")
     variant = cfg.get("variant", "corrected")
     ts = _floats(cfg.get("t", "0.5"))
-    ss = _floats(cfg.get("s", "0.5"))
+    # --s is a time for the semigroup and a zeta argument, maybe complex, for funceq
+    ss = (_s_values if which == "funceq" else _floats)(cfg.get("s", "0.5"))
     xs = _floats(cfg.get("x", "0.5,1.0,2.0"))
     phi = heatflow.log_gaussian(1.0)
     reports = []

@@ -95,23 +95,32 @@ def _sides(space, s, phi, convention):
 
 def eq12_sides(s, phi, convention):
     """(lhs, rhs) of Eq12 without packaging, for reuse by scaled variants."""
+    return _eq12(s, phi, convention)[:2]
+
+
+def _eq12(s, phi, convention):
+    """(lhs, rhs, rule) of Eq12.  rule is None when phihat is closed,
+    else the rule of the lhs: the panel_gap summed over the two rays of
+    the numeric transform."""
     s = complex(s)
     phihat = testfn.fourier(phi, convention)
-    lhs = complex(zeta.mellin(phihat, 1.0, s - 1.0).value) + complex(
-        zeta.mellin(phihat, -1.0, s - 1.0).value
-    )
+    rays = [zeta.mellin(phihat, d, s - 1.0) for d in (1.0, -1.0)]
+    lhs = complex(rays[0].value) + complex(rays[1].value)
     base = complex(zeta.mellin(phi, 1.0, -s).value) + complex(
         zeta.mellin(phi, -1.0, -s).value
     )
     rhs = special.gamma_factor_1d(s) * base
-    return lhs, rhs
+    rule = None
+    if rays[0].rule:
+        rule = {"panel_gap": rays[0].rule["panel_gap"] + rays[1].rule["panel_gap"]}
+    return lhs, rhs, rule
 
 
 def check_eq12(s, phi, convention, tol=1e-6):
     if phi.n != 1:
         raise DomainError("Eq12 is the one-dimensional case")
     conv = testfn.FourierConvention.parse(convention)
-    lhs, rhs = eq12_sides(s, phi, conv)
+    lhs, rhs, rule = _eq12(s, phi, conv)
     return CheckReport(
         check="funceq-eq12",
         params={"s": complex(s), "testfn": phi.label, "convention": conv.value},
@@ -119,6 +128,7 @@ def check_eq12(s, phi, convention, tol=1e-6):
         rhs=rhs,
         tolerance=tol,
         anchor="Eq12",
+        extra={"rule": rule} if rule else None,
     )
 
 

@@ -474,86 +474,117 @@ def fourier(phi, convention):
     return _numeric_fourier(phi, convention)
 
 
-# the most nodes the per-function cache of _numeric_fourier keeps
+# the most entries the store of one numeric transform keeps: the nodes of
+# its panel tables and the frequencies of its panel sums
 _FT_CACHE = 1 << 22
 
 
+def _cos_sin(theta):
+    """cos and sin of theta from t = tan(theta / 2), as (1 - t^2) /
+    (1 + t^2) and 2 t / (1 + t^2), within 2e-16 of both: numpy's float64
+    tan is vectorized where its cos and sin are not (on an AVX-512 x86-64
+    host, 15 ms per 2^20 entries against 61 ms)."""
+    t = np.tan(0.5 * theta)
+    tt = t * t
+    inv = 1.0 / (1.0 + tt)
+    return (1.0 - tt) * inv, 2.0 * t * inv
+
+
+def _panel_sums(aw, width, table):
+    """The sums of v(m) e^{-i a m} over the nodes m of a composite
+    Gauss-Legendre rule on a support of the given width, for each angular
+    frequency a >= 0 of the 1D array aw, each on the rule of its own
+    panel count (see _numeric_fourier).  table(count) gives the weighted
+    values v of the count-panel rule as (count, PANEL_ORDER), its panel
+    mids and the node offsets from a mid."""
+    # floor(a width / 10) + 32 panels, rounded up to a multiple of 16
+    npanel = -(-((aw * width / 10.0).astype(int) + 32) // 16) * 16
+    out = np.empty(aw.shape, dtype=complex)
+    counts, group = np.unique(npanel, return_inverse=True)
+    for g, count in enumerate(counts):
+        idx = np.flatnonzero(group == g)
+        wv, mids, offs = table(int(count))
+        rows = max(1, quad.BLOCK // mids.size)
+        for lo in range(0, idx.size, rows):
+            sel = idx[lo : lo + rows]
+            # the panel sums of v e^{-i a mid_p} are dc - i ds, taken in
+            # real arithmetic (a third of the complex cost)
+            pc, ps = _cos_sin(aw[sel, None] * mids)
+            dc, ds = np.einsum("ip,pj->ij", pc, wv), np.einsum("ip,pj->ij", ps, wv)
+            lc, ls = _cos_sin(aw[sel, None] * offs)
+            out[sel] = np.sum(dc * lc - ds * ls, axis=-1) - 1j * np.sum(dc * ls + ds * lc, axis=-1)
+    return out
+
+
 def _numeric_fourier(phi, conv):
-    """Transform of a compactly supported phi on the line.
+    """Transform of a compactly supported (real) phi on the line.
 
     At the angular frequency w = scale * xi of the convention, the k-th
     derivative (-i scale)^k integral m^k phi(m) e^{-i w m} dm over the
     support [c - rho, c + rho] (its edges are panel ends) runs on
-    composite Gauss-Legendre with floor(|w| 2 rho / 10) + 32 panels: a
-    count tied to the total phase, with a floor of 32 panels for the
-    essential singularities of a bump at the support edges (against
-    adaptive QUADPACK the rule is then within 3e-16 of a bump's transform
-    at every |w| <= 380 tested).  A ray r -> F(r d) has the derivatives
-    d^k F^(k)(r d).
+    composite Gauss-Legendre with floor(|w| 2 rho / 10) + 32 panels,
+    rounded up to a multiple of 16: a count tied to the total phase, with
+    a floor of 32 panels for the essential singularities of a bump at the
+    support edges (against adaptive QUADPACK the rule is then within
+    3e-16 of a bump's transform at every |w| <= 380 tested).  The counts
+    form a ladder, so the frequencies of one call share few panel tables
+    (about 20 on the finest body of an Eq12 ray, against 341 distinct
+    counts without the rounding), yet each frequency keeps a rule of its
+    own.  A ray r -> F(r d) has the derivatives d^k F^(k)(r d).
 
     Every node is m = mid_p + h x_j on panel p, with the panel half-width
     h and the Gauss-Legendre nodes x_j, so the phase factors as
     e^{-i w mid_p} e^{-i w h x_j}: one phase per (frequency, panel) and
-    one per (frequency, local node), contracted over the panels by einsum.
-    Each call transforms all its frequencies together: those sharing a
-    panel count share one evaluation of phi, cached per (count, k) for
-    later calls, and their panel phases are taken in blocks of at most
-    quad.BLOCK entries.  Every frequency is summed on its own row (einsum
-    does not hand the contraction to BLAS, whose results depend on the
-    number of rows), so its value does not depend on the other
-    frequencies of the call."""
+    one per (frequency, local node), contracted over the panels by einsum
+    (_panel_sums).  Each call transforms all its frequencies together:
+    those sharing a panel count share one evaluation of phi, and their
+    panel phases are taken in blocks of at most quad.BLOCK entries.
+    Every frequency is summed on its own row (einsum does not hand the
+    contraction to BLAS, whose results depend on the number of rows), so
+    its value does not depend on the other frequencies of the call.
+
+    The sums run at |w|: phi is real and every step of _panel_sums is odd
+    in w, so the sums at -w are the conjugates of those at |w|, bit for
+    bit.  The transform keeps a store, bounded by _FT_CACHE entries, of
+    the panel tables per (count, k) and of the sums, before the factor
+    (-i scale)^k, per (k, |w| array): the ray -d of a Mellin transform
+    asks for the nodes of the ray d and costs one conjugation."""
     if phi.n != 1:
         raise DomainError(f"numeric Fourier transforms are implemented on the line only, got n = {phi.n}")
     if phi.decay.kind != "compact":
         raise DomainError("numeric transform needs a compact support")
     scale = _KERNEL_SCALE[conv]
     m_lo, m_hi = phi.decay.shift - phi.decay.radius, phi.decay.shift + phi.decay.radius
-    cache, cached = {}, 0
+    store, stored = {}, 0
 
-    def panels(count, k):
+    def kept(key, size, build):
+        nonlocal stored
+        if key not in store:
+            if stored > _FT_CACHE:
+                store.clear()
+                stored = 0
+            store[key] = build()
+            stored += size
+        return store[key]
+
+    def table(count, k):
         # the weighted values w phi(m) m^k as (count, PANEL_ORDER), the
         # panel mids and the node offsets h x_j from a mid
-        nonlocal cached
-        if (count, k) not in cache:
-            if cached > _FT_CACHE:
-                cache.clear()
-                cached = 0
+        def build():
             x, wx = quad.gauss_legendre(quad.PANEL_ORDER)
             half = 0.5 * (m_hi - m_lo) / count
             mids = np.linspace(m_lo + half, m_hi - half, count)
             nodes = mids[:, None] + half * x
-            cache[count, k] = (half * wx * np.asarray(phi(nodes)) * nodes ** k, mids, half * x)
-            cached += nodes.size
-        return cache[count, k]
+            return half * wx * np.asarray(phi(nodes)) * nodes ** k, mids, half * x
 
-    def cos_sin(theta):
-        # cos and sin of theta from t = tan(theta / 2), as (1 - t^2) /
-        # (1 + t^2) and 2 t / (1 + t^2), within 2e-16 of both: numpy's
-        # float64 tan is vectorized where its cos and sin are not (on an
-        # AVX-512 x86-64 host, 15 ms per 2^20 entries against 61 ms)
-        t = np.tan(0.5 * theta)
-        tt = t * t
-        inv = 1.0 / (1.0 + tt)
-        return (1.0 - tt) * inv, 2.0 * t * inv
+        return kept((count, k), count * quad.PANEL_ORDER, build)
 
     def transform(xi, k):
         xi = np.asarray(xi, dtype=float)
         w = scale * xi.ravel()
-        npanel = (np.abs(w) * (m_hi - m_lo) / 10.0).astype(int) + 32
-        out = np.empty(w.shape, dtype=complex)
-        counts, group = np.unique(npanel, return_inverse=True)
-        for g, count in enumerate(counts):
-            idx = np.flatnonzero(group == g)
-            wv, mids, offs = panels(int(count), k)
-            rows = max(1, quad.BLOCK // mids.size)
-            for lo in range(0, idx.size, rows):
-                sel = idx[lo : lo + rows]
-                # the panel sums of w phi m^k e^{-i w mid_p} are dc - i ds,
-                # taken in real arithmetic (a third of the complex cost)
-                pc, ps = cos_sin(w[sel, None] * mids)
-                dc, ds = np.einsum("ip,pj->ij", pc, wv), np.einsum("ip,pj->ij", ps, wv)
-                lc, ls = cos_sin(w[sel, None] * offs)
-                out[sel] = np.sum(dc * lc - ds * ls, axis=-1) - 1j * np.sum(dc * ls + ds * lc, axis=-1)
+        aw = np.abs(w)
+        sums = kept((k, aw.tobytes()), aw.size, lambda: _panel_sums(aw, m_hi - m_lo, lambda count: table(count, k)))
+        out = np.where(w < 0.0, sums.conj(), sums)
         if k:
             out = out * (-1j * scale) ** k
         if np.all(out.imag == 0.0):

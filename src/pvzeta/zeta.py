@@ -59,9 +59,10 @@ MAX_CONTINUATION = 6
 class MeroValue:
     """Value of an analytically continued quantity, with the distance to
     the nearest pole of the continuation and the number of integrations
-    by parts that produced it; rule describes the shared rules (radial
-    node count and last level gap, angular order and gap) when they
-    produced the value."""
+    by parts that produced it; rule describes the rules that produced
+    it, when known: the shared rules of zeta_local (radial node count and
+    last level gap, angular order and gap), or the panel_gap of a Mellin
+    transform of an oscillating ray."""
 
     value: complex
     pole_distance: float
@@ -120,15 +121,20 @@ def mellin_profile(profile, s, tol=1e-11, order=None):
     """Radial Mellin transform of a 1D profile (see module docstring).
 
     order forces a continuation depth N beyond the minimal one (for
-    overlap-consistency checks of the continuation itself)."""
+    overlap-consistency checks of the continuation itself).  An
+    oscillating profile runs on the panels of quad.power_integral, and
+    the value's rule carries their panel_gap: the power integral's
+    summed error estimate, divided by |den| like the value."""
     s = complex(s)
     dist, N, den = _continuation(s, order)
     g = profile if N == 0 else profile.derivative(N)
-    res = quad.power_integral(g, s + N, profile.cutoff(1e-16), tol, getattr(profile, "oscillation", None))
+    wavelength = getattr(profile, "oscillation", None)
+    res = quad.power_integral(g, s + N, profile.cutoff(1e-16), tol, wavelength)
     value = complex(res.value) / den
     if value.imag == 0.0:
         value = value.real
-    return MeroValue(value, dist, N)
+    rule = {"panel_gap": res.error_estimate / abs(den)} if wavelength else None
+    return MeroValue(value, dist, N, rule=rule)
 
 
 def mellin(phi, omega, s, tol=1e-11, order=None):

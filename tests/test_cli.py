@@ -228,6 +228,28 @@ def test_funceq_eq12_off_centre_bump(tmp_path, c):
     assert run(argv + ["--out", str(tmp_path / "r.jsonl")]) == 0
 
 
+@pytest.mark.parametrize("s", ["0.45+0.2j", "0.45+1j", "0.3-0.5j"])
+def test_funceq_eq12_bump_at_complex_s(tmp_path, s):
+    # the head of the transform's Mellin integral is adaptive at complex s
+    out = tmp_path / "r.jsonl"
+    argv = ["funceq", "--eq", "12", f"--s={s}", "--testfn=bump:c=0,r=1,n=1", "--convention", "twopi"]
+    assert run(argv + ["--out", str(out)]) == 0
+    row = json.loads(out.read_text())
+    assert row["params"]["s"] == {"re": complex(s).real, "im": complex(s).imag}
+    assert row["rel_residual"] < 1e-12 and row["extra"]["rule"]["panel_gap"] < 1e-12
+
+
+def test_heat_funceq_takes_a_complex_s(tmp_path, capsys):
+    # --s of heat funceq is a zeta argument; the semigroup's --s is a time
+    out = tmp_path / "r.jsonl"
+    assert run(["heat", "--check", "funceq", "--t=0.3", "--s=0.45+0.2j,0.5", "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert {(r["params"]["zeta"]["re"], r["params"]["zeta"]["im"]) for r in rows} == {(0.45, 0.2), (0.5, 0.0)}
+    assert all(r["rel_residual"] < 1e-13 for r in rows)
+    assert run(["heat", "--check", "semigroup", "--t=0.3", "--s=0.45+0.2j", "--out", str(out)]) == 1
+    assert "expected comma-separated real numbers" in capsys.readouterr().err
+
+
 def test_funceq_eq22_complex_s(tmp_path):
     out = tmp_path / "r.jsonl"
     assert run(["funceq", "--eq", "22", "--s=1.35+0.2j", "--out", str(out)]) == 0

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from pvzeta import funceq, special, testfn
+from pvzeta import funceq, special, testfn, zeta
 from pvzeta.errors import DomainError, PoleError
 
 CONV = "twopi"
@@ -37,6 +37,50 @@ def test_eq12_bump_at_rounding_level(s):
     # both sides run on the bump's numeric transform, accurate to rounding
     rep = funceq.check_eq12(s, testfn.bump(0.0, 1.0), CONV)
     assert rep.rel_residual < 1e-13, rep.rel_residual
+
+
+# complex points where fixed panels in u under-resolved the head's phase
+# u^(i p Im s) of the bump's transform (residuals 2.2e-4, 5.1e-3, 2.0e-3)
+COMPLEX_S = [0.45 + 0.2j, 0.45 + 1j, 0.3 - 0.5j]
+
+
+@pytest.mark.parametrize("s", COMPLEX_S)
+def test_eq12_bump_at_complex_s(s):
+    rep = funceq.check_eq12(s, testfn.bump(0.0, 1.0), CONV)
+    assert rep.rel_residual < 1e-12, rep.rel_residual
+    assert rep.extra["rule"]["panel_gap"] < 1e-12
+
+
+@pytest.mark.parametrize("s", [0.5, 0.45 + 0.2j])
+def test_eq12_second_ray_computes_no_panel_sums(monkeypatch, s):
+    # the ray -1 of the lhs asks for the nodes of the ray +1, whose stored
+    # panel sums it conjugates: eq12_sides computes the sums of one ray
+    calls = []
+    panel_sums = testfn._panel_sums
+
+    def spy(aw, width, table):
+        calls.append(aw.size)
+        return panel_sums(aw, width, table)
+
+    monkeypatch.setattr(testfn, "_panel_sums", spy)
+    phi = testfn.bump(0.0, 1.0)
+    zeta.mellin(testfn.fourier(phi, CONV), 1.0, complex(s) - 1.0)
+    one_ray = list(calls)
+    calls.clear()
+    funceq.eq12_sides(s, phi, CONV)
+    assert one_ray and calls == one_ray
+
+
+def test_eq12_rule_is_the_summed_panel_gap():
+    # a bump row carries the panel gap of its numeric transform, summed
+    # over both rays; a closed transform gives a row without a rule
+    phi = testfn.bump(0.0, 1.0)
+    phihat = testfn.fourier(phi, CONV)
+    gaps = [zeta.mellin(phihat, d, 0.4 - 1.0).rule["panel_gap"] for d in (1.0, -1.0)]
+    rep = funceq.check_eq12(0.4, phi, CONV)
+    assert rep.extra == {"rule": {"panel_gap": gaps[0] + gaps[1]}}
+    assert 0.0 < gaps[0] < 1e-14
+    assert funceq.check_eq12(0.4, testfn.gaussian(math.pi), CONV).extra == {}
 
 
 def test_eq12_rejects_multidim():

@@ -197,18 +197,24 @@ def test_numeric_fourier_matches_adaptive_quadrature(center, radius, conv):
 @pytest.mark.parametrize("conv", list(testfn.FourierConvention), ids=lambda c: c.value)
 def test_numeric_fourier_matches_the_per_frequency_rule(center, conv):
     # each frequency on its own panel rule over the support [c - r, c + r],
-    # as a sum of phi e^{-i w m}
+    # as a sum of phi e^{-i w m}, with floor(|w| 1.6 / 10) + 32 panels
+    # rounded up to a multiple of 16
     phi = testfn.bump(center, 0.8)
     scale = {"twopi": 2.0 * math.pi, "angular": 1.0, "angular-normalized": -1.0}[conv.value]
     xi = np.concatenate([np.linspace(-250.0, 250.0, 501), [0.0, 1e-9, -3.7, 1800.0]])
+
+    def ladder(x):
+        return -(-(int(abs(scale * float(x)) * 1.6 / 10.0) + 32) // 16) * 16
+
     ref = []
     for x in xi:
         w = scale * float(x)
-        nodes, wts = quad.panel_rule(center - 0.8, center + 0.8, int(abs(w) * 1.6 / 10.0) + 32)
+        nodes, wts = quad.panel_rule(center - 0.8, center + 0.8, ladder(x))
         ref.append(np.sum(wts * phi(nodes) * np.exp(-1j * w * nodes)))
     ref = np.array(ref)
-    # many panel counts in one call
-    assert len({int(abs(scale * x) * 1.6 / 10.0) + 32 for x in xi}) > 20
+    # many panel counts in one call: 18 rungs of the ladder under twopi,
+    # 5 under the angular conventions
+    assert len({ladder(x) for x in xi}) >= 5
     phihat = testfn.fourier(phi, conv)
     vals = phihat(xi)
     peak = float(np.max(np.abs(ref)))
@@ -218,6 +224,26 @@ def test_numeric_fourier_matches_the_per_frequency_rule(center, conv):
     # the same values through a ray and one frequency at a time
     assert np.array_equal(phihat.ray([1.0])(xi), vals)
     assert np.array_equal([phihat(float(x)) for x in xi[::25]], vals[::25])
+
+
+@pytest.mark.parametrize("center", [0.0, 0.6, -0.45], ids=["centred", "off-centre", "left"])
+@pytest.mark.parametrize("conv", list(testfn.FourierConvention), ids=lambda c: c.value)
+def test_numeric_fourier_ray_minus_one_is_the_conjugate(center, conv):
+    # phi is real, so phihat(-xi) = conj phihat(xi), bit for bit; the ray -1
+    # reads the panel sums that the ray +1 stored, and equals the values of
+    # a fresh transform, so the store never changes a value
+    phi = testfn.bump(center, 0.8)
+    r = np.concatenate([np.linspace(0.01, 60.0, 997), [0.0, 1e-9, 1800.0]])
+    phihat = testfn.fourier(phi, conv)
+    for k in range(4):
+        plus = np.asarray(phihat.ray([1.0]).fn(r, k), dtype=complex)
+        minus = phihat.ray([-1.0]).fn(r, k)
+        fresh = testfn.fourier(phi, conv).ray([-1.0]).fn(r, k)
+        assert np.array_equal(minus, fresh), k
+        # d^k/dr^k phihat(-r) = conj(d^k/dr^k phihat(r)) for every k
+        assert np.array_equal(minus, np.conj(plus)), k
+    assert np.array_equal(phihat(-r), np.conj(phihat(r)))
+    assert np.array_equal(phihat(-r), testfn.fourier(phi, conv)(-r))
 
 
 def test_numeric_fourier_is_on_the_line_only():
