@@ -451,6 +451,9 @@ def run_suite(cfg):
     name = cfg.get("name")
     if name not in SUITES:
         raise ConfigError(f"unknown suite name {name!r}")
+    if cfg.tol is not None:
+        # one tolerance cannot fit every row of a suite
+        raise ConfigError(f"--tol does not apply to a suite; set per-check tolerances in ${TOL_DIR_ENV}/<subcommand>.tol")
     seed = int(cfg.seed) if cfg.seed is not None else 0
     reports = []
     for key, spec in SUITES[name]:

@@ -8,23 +8,25 @@ under x = e^r, so the semigroup kernel is a Gaussian in log x:
 with c_t = (4 pi t)^{-1/2}: unit mass for d x/x, and the semigroup law
 holds.  The printed normalization c_t = (2 pi t)^{-1/2} is exactly
 sqrt(2) times this one, so the helpers compute only the corrected
-kernel, and each check (and heat_group_function) multiplies by
-variant_scale(variant), 1 or sqrt(2), once per application of S_t.
+kernel, and heat_group_function and the checks on S_t alone multiply by
+variant_scale(variant), 1 or sqrt(2), once per application of S_t; the
+kernel checks read the group function, which carries the factor.
 The variants are never reconciled silently; every check reports which
 one it ran under.
 
 The associated group convolution has Schwartz kernel
-S_t(x, y) = K_t(x/y)/|y| on xy > 0 (zero otherwise), symbol
+S_t(x, y) = K_t(x/y)/|y| on xy > 0 (zero otherwise), the closed
+symbolkern.kernel_closed of heat_group_function(t), and symbol
 s_t(x, xi) = e^{-i x xi} fhat_t(-x xi) with
-fhat_t(chi) = integral_0^inf f_t(y) e^{-i y chi} dy and
-f_t(y) = K_t(y)/y.  For chi > 0 the contour shift log y = u + i pi/2
+fhat_t(chi) = integral_0^inf K_t(y) e^{-i y chi} dy / y (K_t(1/y) =
+K_t(y)).  For chi > 0 the contour shift log y = u + i pi/2
 turns the oscillatory transform into the absolutely convergent
 
     fhat_t(chi) = c_t e^{pi^2/(16 t)} integral e^{-u^2/4t}
                   e^{i pi u / (4 t)} e^{-chi e^u} du,
 
 which exhibits the super-polynomial decay in chi directly; chi < 0
-follows by conjugation (f_t is real).  fhat_many computes this
+follows by conjugation (K_t is real).  fhat_many computes this
 transform; the symbol s_t is symbolkern.symbol of heat_group_function(t),
 whose hat1d is fhat_many.
 """
@@ -69,19 +71,6 @@ def langlands_kernel(t, x):
 def l1_norm(t):
     """integral of K_t d x/x, which is 1."""
     return prefactor(t) * 2.0 * math.sqrt(math.pi * t)
-
-
-def f_t(t, y):
-    """f_t(y) = K_t(y)/y on y > 0, else 0."""
-
-    def ev(ya):
-        out = np.zeros(ya.shape)
-        pos = ya > 0.0
-        if np.any(pos):
-            out[pos] = langlands_kernel(t, ya[pos]) / ya[pos]
-        return out
-
-    return testfn._evaluate(ev, 1, y)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +236,7 @@ def fhat_many(t, chis):
 
     Where the rule stops: the amplitude e^{pi^2/(16 t)} multiplies a sum
     that cancels to O(1), so the relative error is about 1e-16 times that
-    amplitude.  Against adaptive oscillatory quadrature of f_t
+    amplitude.  Against adaptive oscillatory quadrature of K_t(y)/y
     (tests/oracle.py) at chi = 0.5 it is 7.7e10 at t = 0.01, 3.6e-3 at
     t = 0.02, 1.1e-7 at t = 0.03 and 8.3e-10 at t = 0.04, and
     lacunary_check refuses below t = 0.04 (see there)."""
@@ -290,17 +279,12 @@ def fhat_many(t, chis):
     return out.reshape(chis.shape)
 
 
-def atilde_closed(t, y):
-    """Closed form of the auxiliary kernel: Atilde_t(x, y) = f_t(1 - y)
-    (independent of x > 0); vanishes identically for y >= 1."""
-    return f_t(t, 1.0 - np.asarray(y, dtype=float))
-
-
 def lacunary_check(t, variant="corrected", tol=1e-7):
-    """Dual-path check of Atilde_t on 17 points y in [-1.5, 2.5]: closed
-    form f_t(1-y) against the numerical inverse transform of the symbol
-    (symbolkern.atilde_numeric on heat_group_function), plus the lacunary
-    support property Atilde = 0 for y >= 1.
+    """Dual-path check of Atilde_t on 17 points y in [-1.5, 2.5] for
+    heat_group_function(t, variant): the closed form K_t(1/(1-y))/(1-y)
+    (symbolkern.atilde_closed) against the numerical inverse transform of
+    the symbol (symbolkern.atilde_numeric), plus the lacunary support
+    property Atilde = 0 for y >= 1.
 
     The 1e-12 support assertion lives on the closed-form path (where the
     vanishing is structural); the numeric path validates the closed form
@@ -313,8 +297,9 @@ def lacunary_check(t, variant="corrected", tol=1e-7):
     9.4e-10, while t = 0.04 passes with residual 3.1e-10 and t = 0.05
     with 1.2e-11."""
     ys, support_tol = np.linspace(-1.5, 2.5, 17), 1e-12
-    closed = variant_scale(variant) * np.asarray(atilde_closed(t, ys))
-    numeric, rule = symbolkern.atilde_numeric(heat_group_function(t, variant), 1.0, ys)
+    f = heat_group_function(t, variant)
+    closed = symbolkern.atilde_closed(f, 1.0, ys)
+    numeric, rule = symbolkern.atilde_numeric(f, 1.0, ys)
     scale = float(np.max(np.abs(closed))) or 1.0
     resid = np.abs(numeric - closed) / scale
     at = int(np.argmax(resid))
@@ -342,22 +327,15 @@ def lacunary_check(t, variant="corrected", tol=1e-7):
     )
 
 
-def kernel_xy(t, x, y):
-    """S_t(x, y) = K_t(x/y)/|y| on xy > 0, 0 otherwise."""
-    x, y = float(x), float(y)
-    if x * y <= 0.0:
-        return 0.0
-    return float(langlands_kernel(t, x / y)) / abs(y)
-
-
 def kernel_identity_check(t, pts, variant="corrected", tol=1e-10):
-    """S_t(x, y) vs (1/|x|) Atilde_t(x, (x-y)/x) using the closed Atilde."""
-    scale = variant_scale(variant)
+    """S_t(x, y) = symbolkern.kernel_closed vs (1/|x|) Atilde_t(x, (x-y)/|x|)
+    with the closed Atilde, both of heat_group_function(t, variant)."""
+    f = heat_group_function(t, variant)
     params = {"t": t, "variant": variant, "points": [list(p) for p in pts]}
     rows = []
     for x, y in pts:
-        lhs = scale * kernel_xy(t, x, y)
-        rhs = scale * float(np.asarray(atilde_closed(t, (x - y) / x))) / abs(x) if x != 0.0 else 0.0
+        lhs = symbolkern.kernel_closed(f, x, y)
+        rhs = float(symbolkern.atilde_closed(f, x, (x - y) / abs(x))) / abs(x) if x != 0.0 else 0.0
         rows.append(CheckReport("heat-kernel-identity", params, lhs, rhs, tol, anchor="Eq27", extra={"worst_point": [x, y]}))
     return worst(rows)
 
@@ -365,14 +343,15 @@ def kernel_identity_check(t, pts, variant="corrected", tol=1e-10):
 def kernel_vs_heat_check(t, variant, tol):
     """The Schwartz kernel assembled from the symbol of the heat group
     function (symbolkern.kernel) against the closed kernel
-    S_t(x, y), worst of four points on both sides of the origin."""
+    S_t(x, y) (symbolkern.kernel_closed), worst of four points on both
+    sides of the origin."""
     f, space = heat_group_function(t, variant), phspace.scalar1d()
     pts = [(1.0, 0.5), (0.7, 1.3), (2.0, 0.5), (-1.0, -0.5)]
     params = {"t": t, "variant": variant, "points": [list(p) for p in pts]}
     rows = []
     for x, y in pts:
         K = symbolkern.kernel(f, space, x, y)
-        closed = variant_scale(variant) * kernel_xy(t, x, y)
+        closed = symbolkern.kernel_closed(f, x, y)
         rows.append(CheckReport("kernel-vs-heat", params, K, closed, tol, anchor="Eq27", extra={"worst_point": [x, y]}))
     return worst(rows)
 
@@ -381,8 +360,8 @@ def diagonal_funceq(t, zeta_s, phi, variant="corrected", tol=1e-7):
     """Functional equation of the diagonal trace densities
     s_{t,zeta}(x) = c_t |x|^zeta: both sides of the scalar functional
     equation (twopi convention) scaled by the diagonal constant
-    c_t = K_t(1)."""
-    c = variant_scale(variant) * float(langlands_kernel(t, 1.0))
+    c_t = K_t(1), the value f(1) of heat_group_function(t, variant)."""
+    c = float(heat_group_function(t, variant)(1.0))
     lhs, rhs = funceq.eq12_sides(zeta_s, phi, testfn.FourierConvention.TWOPI)
     return CheckReport(
         check="heat-diagonal-funceq",
@@ -437,7 +416,7 @@ def langlands_bounds_check(ts, kappas, variant="corrected", tol=1e-8):
 
 def heat_group_function(t, variant="corrected"):
     """K_t times variant_scale(variant), packaged for the symbol
-    machinery, with the closed transform and auxiliary kernel attached as
+    machinery, with the closed transform and L1 norm attached as
     oracles."""
     scale = variant_scale(variant)
     return symbolkern.GroupFunction(
@@ -445,6 +424,5 @@ def heat_group_function(t, variant="corrected"):
         label=f"heat:t={label_number(t)},variant={variant}",
         log_decay_rate=1.0 / (4.0 * t),
         hat1d=lambda u: scale * fhat_many(t, -np.asarray(u, dtype=float)),
-        atilde_closed=lambda u: scale * atilde_closed(t, u),
         l1_norm=scale * l1_norm(t),
     )

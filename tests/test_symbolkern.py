@@ -32,13 +32,14 @@ def test_vectorized_fallback_matches_oracle(heat_f, heat_numeric):
 
 
 def test_symbol_matches_heat_closed_form(heat_f):
-    # s_t(x, xi) = e^{-i x xi} fhat_t(-x xi), the transform of f_t taken
-    # by adaptive oscillatory quadrature, independent of the contour rule
+    # s_t(x, xi) = e^{-i x xi} fhat_t(-x xi), the transform of K_t(y)/y (the
+    # closed Atilde at u = 1 - y) taken by adaptive oscillatory quadrature,
+    # independent of the contour rule
     sp = phspace.scalar1d()
     for x in (1.0, 0.5, -0.8):
         for xi in (0.3, 2.0, -4.0):
             a = symbolkern.symbol(heat_f, sp, x, xi)
-            ref = oscillatory_ft_1d(lambda y: heatflow.f_t(0.1, y), -x * xi, 0.0, 60.0, tol=1e-11)
+            ref = oscillatory_ft_1d(lambda y: symbolkern.atilde_closed(heat_f, 1.0, 1.0 - np.asarray(y)), -x * xi, 0.0, 60.0, tol=1e-11)
             b = np.exp(-1j * x * xi) * ref
             assert abs(a - b) < 1e-10 * max(abs(b), 1.0)
 
@@ -114,7 +115,7 @@ def test_aux_kernel_matches_heat_oracle(heat_f):
     sp = phspace.scalar1d()
     for m, mp in ((1.0, 0.5), (0.7, 1.3), (-1.0, -0.5)):
         K = symbolkern.kernel(heat_f, sp, m, mp)
-        oracle = heatflow.kernel_xy(0.1, m, mp)
+        oracle = symbolkern.kernel_closed(heat_f, m, mp)
         assert abs(K - oracle) < 1e-10 * max(abs(oracle), 1.0)
 
 
@@ -151,17 +152,9 @@ def test_kernel_rejects_zero_m(heat_f):
 
 def test_atilde_numeric_matches_closed(heat_f):
     us = np.linspace(-1.5, 2.5, 9)
-    closed = heatflow.atilde_closed(0.1, us)
+    closed = symbolkern.atilde_closed(heat_f, 1.0, us)
     numeric = symbolkern.atilde_numeric(heat_f, 1.0, us)[0]
     assert np.max(np.abs(numeric - closed)) < 1e-13
-
-
-def _atilde_exact(f, us):
-    # Fourier inversion of F gives Atilde(+1, u) = f(1/y)/y at y = 1 - u > 0, else 0
-    y = 1.0 - np.asarray(us, dtype=float)
-    out = np.zeros(y.shape)
-    out[y > 0] = f(1.0 / y[y > 0]) / y[y > 0]
-    return out
 
 
 def test_atilde_numeric_without_oracle_against_adaptive_route():
@@ -179,27 +172,27 @@ def test_atilde_numeric_without_oracle_against_adaptive_route():
         s = oscillatory_ft_1d(F("imag"), 1.0 - u, 0.0, np.inf)
         assert abs(val - (c.real - s.imag) / math.pi) < 1e-12
     grid = np.linspace(-3.0, 2.0, 21)
-    assert np.max(np.abs(symbolkern.atilde_numeric(f, 1.0, grid)[0] - _atilde_exact(f, grid))) < 1e-12
+    assert np.max(np.abs(symbolkern.atilde_numeric(f, 1.0, grid)[0] - symbolkern.atilde_closed(f, 1.0, grid))) < 1e-12
 
 
 @pytest.mark.parametrize("a", [0.5, 0.1])
 def test_numeric_kernel_table_runs_one_batched_call_per_level(monkeypatch, a):
     # Wide group functions: |F| stays above 1e-5 out to |u| = 100 for
     # a = 0.5 and decays slower still for a = 0.1; the Fourier rule needs
-    # no spectrum cut, so both tables are exact to rounding
+    # no spectrum cut, so both inverses are exact to rounding
     f = symbolkern.log_gaussian_group(a)
     sizes, hat_many = [], symbolkern._hat_scalar_many
 
     def spy(g, us):
-        sizes.append(np.size(us))
+        sizes.append(np.asarray(us).size)
         return hat_many(g, us)
 
     monkeypatch.setattr(symbolkern, "_hat_scalar_many", spy)
-    table = symbolkern._atilde_abs_fn(f)
-    ug = np.linspace(-40.0, 40.0, 4001)
-    assert np.max(np.abs(table(ug) - np.abs(_atilde_exact(f, ug)))) < 1e-12
+    us = np.linspace(-1.5, 2.5, 17)
+    numeric = symbolkern.atilde_numeric(f, 1.0, us)[0]
+    assert np.max(np.abs(numeric - symbolkern.atilde_closed(f, 1.0, us))) < 1e-12
     # one call per level of the rule, each on every offset's nodes
-    assert 2 <= len(sizes) <= 3 and min(sizes) > 4001 * 100
+    assert 2 <= len(sizes) <= 3 and min(sizes) > 17 * 100
 
 
 def test_local_integrability_dyadic(heat_f):
@@ -209,6 +202,23 @@ def test_local_integrability_dyadic(heat_f):
     # totals increase monotonically toward the full integral
     totals = rep.extra["levels"]
     assert all(b >= a for a, b in zip(totals, totals[1:]))
+
+
+def test_local_integrability_of_a_function_with_zeros_at_half_one_two():
+    # f = r (r - ln 2)(r + ln 2) e^{-r^2}, r = log alpha, vanishes at
+    # alpha = 1/2, 1, 2 but not elsewhere (f(3) = 0.239), so its kernel has
+    # mass on every dyadic level
+    ln2 = math.log(2.0)
+
+    def fn(alpha):
+        r = np.log(alpha)
+        return r * (r - ln2) * (r + ln2) * np.exp(-r * r)
+
+    f = symbolkern.GroupFunction(fn, "zeros-at-half-one-two", 1.0)
+    assert abs(f(3.0) - 0.239) < 1e-3
+    rep = symbolkern.local_integrability_check(f)
+    assert all(v > 0.0 for v in rep.extra["levels"])
+    assert rep.passed and 0.6 < rep.lhs.real < 0.75, rep.to_dict()
 
 
 def test_local_integrability_zero_function():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracle import oscillatory_ft_1d
-from pvzeta import heatflow, homog, quad, testfn
+from pvzeta import heatflow, homog, quad, symbolkern, testfn
 from pvzeta.errors import ConfigError, DomainError
 
 
@@ -148,7 +148,7 @@ def test_bump_fourier_is_oscillation_tagged():
         lambda: testfn.fourier(testfn.bump(0.3, 1.0), testfn.FourierConvention.ANGULAR).ray([-2.0]),
         lambda: testfn.fourier(testfn.bump(0.3, 1.0), testfn.FourierConvention.TWOPI).ray([1.0]).derivative(1),
         lambda: heatflow.log_gaussian(1.0),
-        lambda: (lambda y: heatflow.f_t(0.5, y)),
+        lambda: (lambda u: symbolkern.atilde_closed(heatflow.heat_group_function(0.5), 1.0, u)),
         lambda: homog.homog_density(1.0, np.abs, n=1),
         lambda: homog.homog_density(2.0, lambda x: np.sum(x * x, axis=-1), n=1),
     ],
@@ -164,7 +164,7 @@ def test_bump_fourier_is_oscillation_tagged():
         "numeric-fourier-ray",
         "numeric-fourier-ray-derivative",
         "log-gaussian",
-        "heat-f_t",
+        "heat-atilde-closed",
         "density-trailing-axis",
         "density",
     ],
