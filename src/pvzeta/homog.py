@@ -16,25 +16,19 @@ delta terms:
     kdot(phi) = <k, psi * R_{-n} phi>
 
 for any radial cutoff psi(m) = eta(|m|) with logarithmic mass
-integral_0^inf eta(t) dt/t = 1.  Two cutoffs give extensions that differ
-by a multiple of phi(0) only.
+integral_0^inf eta(t) dt/t = 1.  Since R_{-n} phi(t omega) = A(omega) -
+log(t) phi(0) with A(omega) = R_{-n} phi(omega), it is the closed log-moment
 
-extend_kdot evaluates this on fixed rules.  On each ray omega of the
-sphere rule, whose order quad.angular_doubling measures, a composite
-Gauss-Legendre rule on the cutoff annulus [a, b] carries the outer
-integral, and every outer node t gets its own inner integral
+    kdot(phi) = integral_S k(omega) [A(omega) - c_1(psi) phi(0)] d omega,
 
-    R_{-n} phi(t omega) = -integral_0^cut log(tau) d/dtau phi(tau t omega) dtau
-
-on one composite Gauss-Legendre rule in u = sqrt(tau), shared by all
-outer nodes and evaluated as a (nodes x inner nodes) array in row
-blocks.  The scaling law R_{-n} phi(t omega) = A(omega) - log(t) phi(0)
-is not used, so the cutoff-ambiguity check compares genuinely different
-integrals.  A rule with twice the panels must agree with it, and at one
-outer node per ray the adaptive tplus_profile must agree as well; either
-disagreement beyond 1e-10 raises AccuracyError.  direct_pair, the other
-side of the restriction check, stays on adaptive quadrature along the
-rays of the rotated sphere rule of the measured order.
+c_1(psi) = integral_0^inf eta(t) log(t) dt/t the log-mean of the cutoff,
+and two cutoffs differ by (c_1(psi_2) - c_1(psi_1)) phi(0) integral_S k.
+extend_kdot, the fast route, computes one inner row A(omega) per ray.
+pointwise_kdot, the reference of homog-ambiguity, is the definition
+without the scaling law: psi and an inner row enter at each node of a
+double-exponential outer rule.  homog-extension-restricts compares
+extend_kdot with direct_pair, adaptive quadrature along the rays of the
+rotated sphere rule of the measured order.
 """
 
 from __future__ import annotations
@@ -45,7 +39,7 @@ import numpy as np
 
 from . import quad, special, testfn, zeta
 from .errors import AccuracyError, DomainError
-from .report import CheckReport
+from .report import CheckReport, worst
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +147,21 @@ class HomogFunctional:
             raise DomainError("direct pairing needs a finite support bound")
         pts, wts = quad.sphere_quadrature(n, order, True)
         total = 0.0 + 0.0j
-        # the rays as points on the line when n = 1, as in _kdot_rule
+        # the rays as points on the line when n = 1, as in _at
         for om, w in zip(pts[:, 0] if n == 1 else pts, wts):
-            r = quad.integrate_1d(
-                lambda t, om=om: self(t * om) * complex(phi(t * om)) * t ** (n - 1),
-                0.0,
-                outer,
-                tol=1e-11,
-            )
+            r = quad.integrate_1d(lambda t, om=om: self(t * om) * complex(phi(t * om)) * t ** (n - 1), 0.0, outer, tol=1e-11)
             total += w * complex(r.value)
         return total.real if total.imag == 0.0 else total
+
+    def sphere_integral(self):
+        """integral_S k, its order set by quad.angular_doubling at tol 1e-10."""
+
+        def run(order):
+            pts, wts = quad.sphere_quadrature(self.n, order, False)
+            terms = wts * _at(self, pts)
+            return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+        return quad.angular_doubling((self.n,), run, 2.0 * math.pi, 1e-10)[0][0]
 
 
 def homog_density(degree, density, n=1, label="k"):
@@ -180,28 +179,30 @@ class RadialCutoff:
         self.norm = float(norm)
 
     def eta(self, t):
-        t = np.asarray(t, dtype=float)
-        mid = 0.5 * (self.a + self.b)
-        half = 0.5 * (self.b - self.a)
-        u = (t - mid) / half
-        out = np.zeros(u.shape)
-        inside = np.abs(u) < 1.0
+        u = (np.asarray(t, dtype=float) - 0.5 * (self.a + self.b)) / (0.5 * (self.b - self.a))
         with np.errstate(divide="ignore", over="ignore"):
-            out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-        return self.norm * out
+            return self.norm * np.where(np.abs(u) < 1.0, np.exp(-1.0 / (1.0 - u * u)), 0.0)
+
+    def _log_moment(self, power):
+        """integral_0^inf eta(t) log(t)^power dt/t, adaptive at tol 1e-12
+        (at 1e-13 QUADPACK reports roundoff on the log-mean)."""
+        res = quad.integrate_1d(lambda t: self.eta(t) * np.log(t) ** power / t, self.a, self.b, tol=1e-12)
+        return float(np.real(complex(res.value)))
 
     def log_mass(self):
-        res = quad.integrate_1d(lambda t: self.eta(t) / t, self.a, self.b, tol=1e-12)
-        return float(np.real(complex(res.value)))
+        return self._log_moment(0)
+
+    def log_mean(self):
+        """c_1 = integral_0^inf eta(t) log(t) dt/t; two cutoffs of unit log mass
+        give extensions that differ by (c_1(psi_2) - c_1(psi_1)) phi(0) integral_S k."""
+        return self._log_moment(1)
 
 
 def make_cutoff(a, b):
     """Bump profile on [a, b] rescaled to unit logarithmic mass."""
     if not (0.0 < a < b):
         raise DomainError("cutoff needs 0 < a < b")
-    raw = RadialCutoff(a, b, 1.0)
-    mass = raw.log_mass()
-    return RadialCutoff(a, b, 1.0 / mass)
+    return RadialCutoff(a, b, 1.0 / RadialCutoff(a, b, 1.0).log_mass())
 
 
 # ---------------------------------------------------------------------------
@@ -216,25 +217,25 @@ def rs_transform(phi, s, m, tol=1e-11):
     return tplus_profile(complex(s) + phi.n - 1.0, phi.ray(m), tol=tol)
 
 
-# Panel counts of the fixed rules in extend_kdot (quad.panel_rule): the
-# coarse outer rule on the cutoff annulus and the successive coarse inner
-# rules in u = sqrt(tau); every fine rule doubles both counts of its
-# coarse rule.
-_OUTER_PANELS = 16
-_INNER_PANELS = (64, 128, 256)
-# points of phi' evaluated at once, which bounds the temporaries.  It
-# stays below quad.BLOCK: blocks of BLOCK // len(tau) rows (2^16 points)
-# took homog-ambiguity from 0.17 to 0.50 s and homog-extension from 0.09
-# to 0.17 s (best of 3 on a 2-CPU host)
+# Coarse panel counts of the inner rule in u = sqrt(tau); each fine rule
+# doubles them.  128 fine panels left bumps of radius about 1 up to 6e-14
+# off direct_pair and a Gaussian in the plane 1.3e-14 off its closed value.
+_INNER_PANELS = (128, 256)
+# Coarse step (the fine rule halves it) and edge |x| <= _DE_EDGE of the
+# outer rule of pointwise_kdot; at the edge eta is below 1e-19 of its peak.
+_DE_STEP, _DE_EDGE = 0.2, 2.6
+# phi' points contracted at once: one complex (53, 2048) product with the
+# real weights took 8.2 ms, in blocks of 4 rows 0.085 ms (2-CPU host, OpenBLAS)
 _BLOCK_POINTS = 1 << 13
 
 
 def _rs_rows(dprof, t, cut, npanel):
     """R_{-n} phi(t omega) = -integral_0^cut log(tau) d/dtau phi(tau t omega) dtau
-    for every outer node t of one ray, with dprof the derivative of the
-    ray profile of omega.  One composite Gauss-Legendre rule in
-    u = sqrt(tau) (the softening map of tplus_profile) serves all nodes;
-    node t evaluates dprof at its own points t tau, in row blocks."""
+    for each t of an array, dprof the derivative of the ray profile of
+    omega, on one composite Gauss-Legendre rule in u = sqrt(tau) (the
+    softening map of tplus_profile)."""
+    if not (np.isfinite(cut) and cut > 0.0):
+        raise DomainError("fixed-rule extension needs a finite cutoff of the ray profile")
     u, w = quad.panel_rule(0.0, math.sqrt(cut), npanel)
     tau = u * u
     # -log(tau) dtau = -4 u log(u) du
@@ -248,103 +249,95 @@ def _rs_rows(dprof, t, cut, npanel):
     return np.concatenate(rows)
 
 
-def _kdot_rule(k, psi, rays, p_out, p_in, memo):
-    """One composite rule for kdot(phi): value, the L1 mass of its terms,
-    the outer nodes and the R_{-n} phi values of each ray at them.  memo
-    keeps those values by ray and panel counts: the circle rule of twice
-    the order repeats every ray of the last."""
-    t, wt = quad.panel_rule(psi.a, psi.b, p_out)
-    outer = wt * psi.eta(t) * t ** (k.n - 1)
-    total, mass, rows = 0.0 + 0.0j, 0.0, []
-    for om, w, dprof, cut in rays:
-        key = (om.tobytes(), p_out, p_in)
-        if key not in memo:
-            memo[key] = _rs_rows(dprof, t, cut, p_in)
-        r = memo[key]
-        # the outer nodes of the ray, as points on the line when n = 1
-        pts = t * om[0] if k.n == 1 else t[:, None] * om
-        terms = w * outer * np.asarray(k(pts), dtype=complex) * r
-        total += complex(np.sum(terms))
-        mass += float(np.sum(np.abs(terms)))
-        rows.append(r)
-    return total, mass, t, rows
+def _at(k, pts):
+    """k at the points pts of shape (N, n), as points on the line when n = 1."""
+    return np.asarray(k(pts[:, 0] if k.n == 1 else pts), dtype=complex)
 
 
-def extend_kdot(k, psi, phi):
-    """kdot(phi) = <k, psi * R_{-n} phi>: the extension of a degree -n
-    homogeneous density across the origin.  Returns (value, rule), rule
-    holding the disagreement of the coarse and the fine rule, the fine
-    node counts (outer nodes on each ray, inner nodes for each outer
-    node), and the angular order and gap of quad.angular_doubling.
-
-    On each ray of the sphere rule, the cutoff annulus carries a composite
-    Gauss-Legendre outer rule and every outer node t its own inner
-    integral R_{-n} phi(t omega), all on one shared inner rule.  The
-    density is evaluated on (N, n) arrays of points.  The coarse rule is
-    checked against the fine rule with twice the panels; while they differ
-    by more than tol = 1e-10 of the L1 mass of the sum, the inner panel
-    count is doubled, and past the last count AccuracyError is raised.
-    The order of the sphere rule is doubled by quad.angular_doubling
-    until two orders agree within tol of the L1 mass; each order starts
-    at the inner panel count the last one settled on, and rays that miss
-    a compact support of phi are left out.  At one outer node
-    of each ray of the last order the fine inner value must also match
-    the adaptive rs_transform within tol of the largest |R_{-n} phi|, or
-    AccuracyError is raised."""
-    tol = 1e-10
-    n = k.n
+def _extension(k, phi, what, terms):
+    """The driver of both routes at tol = 1e-10.  terms(pts, wts, p, fine)
+    takes the rays of one order of the plain sphere rule that meet the
+    support of phi and returns the terms of the coarse (p inner panels) or
+    fine sum, and what the caller keeps of it.  p climbs _INNER_PANELS
+    until the two sums agree within tol of the fine L1 mass (AccuracyError
+    past the last); the order doubles under quad.angular_doubling."""
+    n, tol = k.n, 1e-10
     if k.degree != -n:
         raise DomainError(f"the extension is defined at the critical degree -n = {-n}, not {k.degree}")
     if phi.n != n:
         raise DomainError("test function dimension does not match the density")
 
-    # the inner panel count that the last order settled on starts the next
-    first, memo = 0, {}
-
     def run(order):
-        nonlocal first
         pts, wts = quad.sphere_quadrature(n, order, False)
-        rays = []
-        for om, w in zip(pts, wts):
-            if phi.decay.misses(om):  # R_{-n} phi vanishes on the ray
-                continue
-            # the inner range serves every outer node of the ray
-            cut = max(phi.ray(psi.a * om).cutoff(1e-18), phi.ray(psi.b * om).cutoff(1e-18))
-            if not (np.isfinite(cut) and cut > 0.0):
-                raise DomainError("fixed-rule extension needs a finite cutoff of the ray profile")
-            rays.append((om, w, phi.ray(om).derivative(1), cut))
-        for i, p_in in enumerate(_INNER_PANELS[first:], first):
-            coarse = _kdot_rule(k, psi, rays, _OUTER_PANELS, p_in, memo)[0]
-            value, mass, t, rows = _kdot_rule(k, psi, rays, 2 * _OUTER_PANELS, 2 * p_in, memo)
+        hit = np.array([not phi.decay.misses(om) for om in pts], dtype=bool)
+        pts, wts = pts[hit], wts[hit]
+        for p in _INNER_PANELS:
+            coarse = complex(np.sum(terms(pts, wts, p, False)[0]))
+            fine, kept = terms(pts, wts, p, True)
+            value, mass = complex(np.sum(fine)), float(np.sum(np.abs(fine)))
             gap = abs(value - coarse)
             if gap <= tol * mass:
-                first = i
-                return value, mass, gap, p_in, rays, t, rows
+                return value, mass, gap, p, kept
         raise AccuracyError(
-            f"fixed-rule extension unresolved: {2 * p_in} and {p_in} inner panels "
-            f"differ by {gap:.2e} on an L1 mass of {mass:.2e}"
+            f"{what} unresolved: {2 * p} and {p} inner panels differ by {gap:.2e} on an L1 mass of {mass:.2e}"
         )
 
-    (value, _, gap, p_in, rays, t, rows), angular_gap, order = quad.angular_doubling((n,), run, phi.decay.angle(), tol)
-    mid = len(t) // 2
-    scale = max((float(np.max(np.abs(r))) for r in rows), default=0.0)
-    for (om, _, _, _), r in zip(rays, rows):
-        m = t[mid] * om
-        ref = complex(rs_transform(phi, -float(n), m, tol=tol))
-        if abs(ref - r[mid]) > tol * scale:
+    (value, _, gap, p, kept), angular_gap, order = quad.angular_doubling((n,), run, phi.decay.angle(), tol)
+    rule = {"coarse_fine_gap": gap, "inner_nodes": 2 * p * quad.PANEL_ORDER, "angular_order": order, "angular_gap": angular_gap}
+    return (value.real if value.imag == 0.0 else value), rule, kept
+
+
+def extend_kdot(k, psi, phi):
+    """kdot(phi) = <k, psi * R_{-n} phi>, the extension of a degree -n
+    density across the origin, by the closed log-moment with one inner row
+    A(omega) per ray (_rs_rows) and c_1 = psi.log_mean().  Returns (value,
+    rule), rule holding the coarse-fine gap, the fine inner node count and
+    the angular order and gap (_extension).  On each ray of the last order
+    A(omega) must match the adaptive rs_transform within tol of the
+    largest |A|, or AccuracyError is raised."""
+    tol = 1e-10
+    shift = psi.log_mean() * complex(phi(np.zeros(phi.n) if phi.n > 1 else 0.0))
+
+    def terms(pts, wts, p, fine):
+        npanel = 2 * p if fine else p
+        a = np.array([_rs_rows(g.derivative(1), np.ones(1), g.cutoff(1e-18), npanel)[0] for g in map(phi.ray, pts)])
+        return wts * _at(k, pts) * (a - shift), (pts, a)
+
+    value, rule, (pts, a) = _extension(k, phi, "fixed-rule extension", terms)
+    scale = float(np.max(np.abs(a), initial=0.0))
+    for om, row in zip(pts, a):
+        ref = complex(rs_transform(phi, -float(k.n), om, tol=tol))
+        if abs(ref - row) > tol * scale:
             raise AccuracyError(
-                f"fixed-rule R_{{-n}} phi at m = {m.tolist()} is {complex(r[mid]):.15g}, "
-                f"adaptive gives {ref:.15g}"
+                f"fixed-rule R_{{-n}} phi at m = {om.tolist()} is {complex(row):.15g}, adaptive gives {ref:.15g}"
             )
-    value = value.real if value.imag == 0.0 else value
-    rule = {
-        "coarse_fine_gap": gap,
-        "outer_nodes": len(t),
-        "inner_nodes": 2 * p_in * quad.PANEL_ORDER,
-        "angular_order": order,
-        "angular_gap": angular_gap,
-    }
     return value, rule
+
+
+def pointwise_kdot(k, psi, phi):
+    """kdot(phi) = <k, psi * R_{-n} phi> by its definition, without the
+    scaling law: psi and k enter at each node t omega of a trapezoid rule
+    in x, t = mid + half tanh(x), where eta = norm exp(-cosh(x)^2) decays
+    double exponentially (Takahashi & Mori, Publ. RIMS 9 (1974)), and each
+    node gets its own inner row.  Returns (value, rule), rule as
+    extend_kdot's with the fine outer node count added."""
+    mid, half = 0.5 * (psi.a + psi.b), 0.5 * (psi.b - psi.a)
+
+    def terms(pts, wts, p, fine):
+        h, npanel = (0.5 * _DE_STEP, 2 * p) if fine else (_DE_STEP, p)
+        x = h * np.arange(-round(_DE_EDGE / h), round(_DE_EDGE / h) + 1)
+        t = mid + half * np.tanh(x)
+        # dt = half sech(x)^2 dx, and m = t omega has the measure t^{n-1} dt d omega
+        outer = h * half / np.cosh(x) ** 2 * psi.eta(t) * t ** (k.n - 1)
+        rows = []
+        for om, w in zip(pts, wts):
+            # the inner range of the ray serves every outer node of it
+            cut = max(phi.ray(psi.a * om).cutoff(1e-18), phi.ray(psi.b * om).cutoff(1e-18))
+            rows.append(w * outer * _at(k, t[:, None] * om) * _rs_rows(phi.ray(om).derivative(1), t, cut, npanel))
+        return np.concatenate(rows), len(t)
+
+    value, rule, nodes = _extension(k, phi, "pointwise extension", terms)
+    return value, {**rule, "outer_nodes": nodes}
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +376,9 @@ def check_tplus_int(tol=1e-8):
 
 def check_extension_restricts(k, psi, phi, tol=1e-8):
     """For phi supported away from 0 the extension must equal the direct
-    pairing of the density against phi.  The extension runs on fixed
-    rules, the direct pairing on adaptive quadrature."""
+    pairing of the density against phi.  The extension runs the closed
+    log-moment on fixed rules, the direct pairing adaptive quadrature on
+    the rotated sphere rule."""
     value, rule = extend_kdot(k, psi, phi)
     rhs = k.direct_pair(phi, rule["angular_order"])
     return CheckReport(
@@ -399,30 +393,26 @@ def check_extension_restricts(k, psi, phi, tol=1e-8):
 
 
 def check_ambiguity(k, psi1, psi2, phis, tol=1e-6):
-    """The difference of two extensions is a delta at 0: the ratio
-    (kdot_1 - kdot_2)(phi) / phi(0) must be the same constant for every
-    phi with phi(0) != 0.  The rule is the key-wise maximum of the
-    extensions' rules."""
-    consts, rules = [], []
+    """The difference of two extensions is a delta at 0: for every phi with
+    phi(0) != 0, (kdot_1 - kdot_2)(phi) / phi(0) by pointwise_kdot must be
+    the closed constant (c_1(psi2) - c_1(psi1)) integral_S k.  One report
+    per phi; the worst carries the constants of all phis, their relative
+    spread and the key-wise maximum of the reference rules."""
+    closed = (psi2.log_mean() - psi1.log_mean()) * k.sphere_integral()
+    params = {"density": k.label, "cutoffs": [[psi1.a, psi1.b], [psi2.a, psi2.b]], "count": len(phis)}
+    reports, consts, rules = [], [], []
     for phi in phis:
         p0 = complex(phi(np.zeros(k.n) if k.n > 1 else 0.0))
         if abs(p0) < 1e-12:
             raise DomainError("ambiguity check needs phi(0) != 0")
-        (v1, r1), (v2, r2) = extend_kdot(k, psi1, phi), extend_kdot(k, psi2, phi)
+        (v1, r1), (v2, r2) = pointwise_kdot(k, psi1, phi), pointwise_kdot(k, psi2, phi)
         rules += [r1, r2]
         consts.append((complex(v1) - complex(v2)) / p0)
-    spread = max(abs(c - consts[0]) for c in consts) / max(abs(consts[0]), 1e-300)
-    return CheckReport(
-        check="homog-ambiguity",
-        params={"density": k.label, "cutoffs": [[psi1.a, psi1.b], [psi2.a, psi2.b]], "count": len(phis)},
-        lhs=complex(consts[0]),
-        rhs=complex(consts[-1]),
-        tolerance=tol,
-        anchor="Eq13",
-        extra={
-            "constants": [complex(c) for c in consts],
-            "relative_spread": spread,
-            "rule": {key: max(r[key] for r in rules) for key in rules[0]},
-        },
-        residual=spread,
+        reports.append(CheckReport("homog-ambiguity", params, closed, consts[-1], tol, anchor="Eq13", extra={"testfn": phi.label}))
+    rep = worst(reports)
+    rep.extra.update(
+        constants=consts,
+        relative_spread=max(abs(c - consts[0]) for c in consts) / max(abs(consts[0]), 1e-300),
+        rule={key: max(r[key] for r in rules) for key in rules[0]},
     )
+    return rep

@@ -128,27 +128,6 @@ def apply_group(space, g, m):
     return g.alpha * (g.rot(space.n) @ m)
 
 
-def compose(space, g1, g2):
-    if space.kind == "scalar1d":
-        return GroupElement(g1.alpha * g2.alpha)
-    R = g1.rot(space.n) @ g2.rot(space.n)
-    return GroupElement(g1.alpha * g2.alpha, tuple(R.ravel()))
-
-
-def component_of(space, m):
-    """Component label of m, or None exactly on the singular set p = 0."""
-    p = rel_invariant(space, m)
-    if space.kind == "scalar1d":
-        if p > 0:
-            return "V1"
-        return "V2" if p < 0 else None
-    if space.kind == "definite":
-        return "V1" if p != 0.0 else None
-    if p > 0:
-        return "plus"
-    return "minus" if p < 0 else None
-
-
 def check_relative_invariance(space, g, m, tol=1e-10):
     lhs = rel_invariant(space, apply_group(space, g, m))
     rhs = character(space, g) * rel_invariant(space, m)

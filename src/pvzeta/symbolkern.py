@@ -119,7 +119,7 @@ def _hat_scalar_many(f, us):
 
 
 # the orbit sum is resolved once two sphere orders agree within this
-# fraction of its L1 mass (the tolerance of homog.extend_kdot)
+# fraction of its L1 mass (the tolerance of homog's two extension routes)
 _ORBIT_TOL = 1e-10
 
 

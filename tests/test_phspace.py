@@ -113,24 +113,6 @@ def test_character_determinant_relation():
             assert abs(lhs - rhs) / max(abs(rhs), 1.0) < 1e-10
 
 
-def test_component_of():
-    sp = phspace.parse_space("indefinite:q=1,n=3")
-    assert phspace.component_of(sp, [1.0, 0.1, 0.1]) == "plus"
-    assert phspace.component_of(sp, [0.1, 1.0, 0.1]) == "minus"
-    s1 = phspace.scalar1d()
-    assert phspace.component_of(s1, 2.0) == "V1"
-    assert phspace.component_of(s1, -2.0) == "V2"
-
-
-def test_group_composition_consistent():
-    sp = phspace.parse_space("definite:B=I,n=3")
-    g1, g2 = phspace.sample_group(sp, 2, seed=8)
-    m = np.array([0.3, -0.2, 1.1])
-    a = phspace.apply_group(sp, phspace.compose(sp, g1, g2), m)
-    b = phspace.apply_group(sp, g1, phspace.apply_group(sp, g2, m))
-    assert np.allclose(a, b, atol=1e-12)
-
-
 def test_sampling_deterministic():
     sp = phspace.parse_space("definite:B=I,n=3")
     a = phspace.sample_group(sp, 5, seed=1)
