@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -515,7 +516,9 @@ def run(config):
     return 0, reports
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args leaves no state in the parser
     parser = argparse.ArgumentParser(prog="pvzeta", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, flags) in _SUBCOMMANDS.items():

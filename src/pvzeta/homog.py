@@ -33,6 +33,7 @@ rotated sphere rule of the measured order.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -177,6 +178,7 @@ class RadialCutoff:
         self.a = float(a)
         self.b = float(b)
         self.norm = float(norm)
+        self._log_mean = None
 
     def eta(self, t):
         u = (np.asarray(t, dtype=float) - 0.5 * (self.a + self.b)) / (0.5 * (self.b - self.a))
@@ -194,12 +196,17 @@ class RadialCutoff:
 
     def log_mean(self):
         """c_1 = integral_0^inf eta(t) log(t) dt/t; two cutoffs of unit log mass
-        give extensions that differ by (c_1(psi_2) - c_1(psi_1)) phi(0) integral_S k."""
-        return self._log_moment(1)
+        give extensions that differ by (c_1(psi_2) - c_1(psi_1)) phi(0) integral_S k.
+        Computed once per cutoff."""
+        if self._log_mean is None:
+            self._log_mean = self._log_moment(1)
+        return self._log_mean
 
 
+@functools.cache
 def make_cutoff(a, b):
-    """Bump profile on [a, b] rescaled to unit logarithmic mass."""
+    """Bump profile on [a, b] rescaled to unit logarithmic mass, built once
+    per (a, b): a cutoff is a pure function of its ends."""
     if not (0.0 < a < b):
         raise DomainError("cutoff needs 0 < a < b")
     return RadialCutoff(a, b, 1.0 / RadialCutoff(a, b, 1.0).log_mass())

@@ -41,6 +41,40 @@ def test_import_loads_no_scipy():
     assert proc.stdout.splitlines()[0] == "[]"
 
 
+def _fresh_run(argv):
+    # the command line in a new interpreter: no cache and no parser warm
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = "import sys; from pvzeta import cli; sys.exit(cli.main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env, timeout=300)
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_a_parse_error_leaves_the_shared_parser_as_new(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["heat", "--check", "bogus", "--t", "0.5"])
+    assert exc.value.code == 2
+    argv = ["heat", "--check", "semigroup", "--t", "0.5", "--s", "0.25"]
+    assert run([*argv, "--out", str(tmp_path / "in.jsonl")]) == 0
+    proc = _fresh_run([*argv, "--out", str(tmp_path / "fresh.jsonl")])
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "in.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+
+
+def test_suite_runs_alike_warm_and_fresh(tmp_path):
+    # the second run meets warm caches (cutoffs, rules, transforms) and the
+    # parser of the first; all three reports must be the same bytes
+    outs = [tmp_path / f"{name}.jsonl" for name in ("first", "second", "fresh")]
+    for out in outs[:2]:
+        assert run(["suite", "quick", "--seed", "11", "--out", str(out)]) == 0
+    proc = _fresh_run(["suite", "quick", "--seed", "11", "--out", str(outs[2])])
+    assert proc.returncode == 0, proc.stderr
+    first = outs[0].read_bytes()
+    assert first and all(out.read_bytes() == first for out in outs[1:])
+
+
 def test_funceq_example_passes(tmp_path, capsys):
     out = tmp_path / "r.jsonl"
     status = run(["funceq", "--eq", "12", "--s", "0.5", "--testfn", "gaussian:a=3.14159,n=1", "--out", str(out)])

@@ -40,6 +40,33 @@ def test_apply_matches_closed_log_gaussian():
         assert abs(complex(heatflow.apply(t, phi, x)) - complex(closed(x))) < 1e-12
 
 
+_LOG_FUNCTIONS = [
+    heatflow.log_gaussian(1.0),
+    heatflow.LogTestFunction(testfn.PolyGauss1D([1.0, 0.5j, -0.25], 0.7), label="complex"),
+    heatflow.log_gaussian(0.5, scale=2.0).omega(),
+]
+
+
+@pytest.mark.parametrize("phi", _LOG_FUNCTIONS, ids=["real", "complex", "omega"])
+@pytest.mark.parametrize("x", [-1.0, 0.0, 1e-300, 1.0, math.exp(30.0), 0.37, 2.9])
+def test_scalar_path_has_the_bits_of_the_array_path(phi, x):
+    # QUADPACK's one float per node skips the array route; value and type
+    # must be those of a 1-element array, for a Python float and np.float64
+    ref = phi(np.array([x]))[0]
+    for arg in (x, np.float64(x)):
+        v = phi(arg)
+        assert type(v) is type(ref) and v == ref, (arg, v, ref)
+    assert type(phi(0.37)) is (np.complex128 if phi.label == "complex" else np.float64)
+
+
+def test_scalar_path_leaves_nan_and_arrays_to_the_array_route():
+    phi = heatflow.log_gaussian(1.0)
+    assert phi(float("nan")) == 0.0 and np.shape(phi(float("nan"))) == ()
+    xs = np.array([[0.5, -1.0], [2.0, 0.0]])
+    assert phi(xs).shape == (2, 2)
+    assert np.array_equal(phi(xs), [[phi(float(v)) for v in row] for row in xs])
+
+
 def test_apply_at_zero_uses_l1_norm():
     phi = heatflow.log_gaussian(1.0)
     v = complex(heatflow.apply(0.5, phi, 0.0))

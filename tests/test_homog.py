@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pvzeta import homog, special, testfn
+from pvzeta import homog, quad, special, testfn
 from pvzeta.errors import AccuracyError, DomainError, PoleError
 
 
@@ -70,6 +70,27 @@ def test_cutoff_log_means_differ_by_the_log_of_the_scale():
     # eta_2(t) = eta_1(t / 2) with unit log mass, so c_1 moves by ln 2
     d = homog.make_cutoff(1.0, 4.0).log_mean() - homog.make_cutoff(0.5, 2.0).log_mean()
     assert abs(d - math.log(2.0)) < 1e-15, d
+
+
+def test_cutoffs_are_built_once():
+    assert homog.make_cutoff(0.5, 2.0) is homog.make_cutoff(0.5, 2.0)
+    assert homog.make_cutoff(0.5, 2.0) is not homog.make_cutoff(1.0, 4.0)
+
+
+def test_log_mean_is_computed_once_per_cutoff(monkeypatch):
+    calls = []
+    real = quad.integrate_1d
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quad, "integrate_1d", counted)
+    psi = homog.RadialCutoff(0.5, 2.0, 1.0)
+    first = psi.log_mean()
+    assert psi.log_mean() == first and len(calls) == 1
+    homog.RadialCutoff(0.5, 2.0, 1.0).log_mean()
+    assert len(calls) == 2
 
 
 _CUTOFFS = [homog.make_cutoff(0.5, 2.0), homog.make_cutoff(1.0, 4.0)]
