@@ -473,7 +473,7 @@ class SignatureGeometry:
         self.omega_k, self.wk = sphere_quadrature(self.k, order, rotated)
         self.omega_j, self.wj = sphere_quadrature(self.j, order, rotated)
 
-    def profile(self, g, r, decay_rate, per_radius):
+    def profile(self, g, r, decay_rate):
         """(H, points): H(r) = r * F(r) at every radius of the 1D array r,
         F(r) the full angular integral of g at radius r, so that the
         component integral is integral of r^{2w + n - 2} H(r) dr times
@@ -481,10 +481,7 @@ class SignatureGeometry:
         (_U_EDGES) up to where the gaussian decay of g bounds the tail
         by e^{-42}.  Every u-node of every radius goes to g together, in
         calls of BLOCK // (nk nj n) u-nodes, so that the point array holds
-        at most BLOCK entries; points counts the points.  per_radius
-        starts a new call at each radius, so that each value has the bits
-        of a call on its radius alone (the BLAS contraction rounds a row
-        by where it sits in its call)."""
+        at most BLOCK entries; points counts the points."""
         # 42 / r^2 below overflows under |r| ~ 1e-154: radii are held at
         # 1e-150 (sign kept), where H has reached H(0+) to rounding
         r = np.asarray(r, dtype=float)
@@ -506,23 +503,16 @@ class SignatureGeometry:
         wkj = (self.wk[:, None] * self.wj[None, :]).ravel()
         rows = max(1, BLOCK // (nk * nj * self.n))
         rcosh, rsinh = rn * cu, rn * su
-        count = npanel * x.size
-        first = np.cumsum(count) - count
-        if per_radius:
-            starts = np.concatenate([np.arange(f, f + c, rows) for f, c in zip(first, count)])
-        else:
-            starts = np.arange(0, cu.size, rows)
-        bounds = np.append(starts, cu.size)
         parts = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            rc, rs = rcosh[lo:hi], rsinh[lo:hi]
+        for lo in range(0, cu.size, rows):
+            rc, rs = rcosh[lo : lo + rows], rsinh[lo : lo + rows]
             pts = np.zeros((rc.size, nk, nj, self.n))
             pts[..., self.cosh_idx] = rc[:, None, None, None] * self.omega_k[None, :, None, :]
             pts[..., self.sinh_idx] = rs[:, None, None, None] * self.omega_j[None, None, :, :]
             pts *= self.Dscale
             parts.append(np.asarray(g(pts)).reshape(rc.size, nk * nj) @ wkj)
         per_node = np.concatenate(parts) * ang
-        F = np.add.reduceat(per_node, first)
+        F = np.add.reduceat(per_node, np.cumsum(npanel * x.size) - npanel * x.size)
         return r * F, cu.size * nk * nj
 
     @staticmethod
@@ -531,22 +521,15 @@ class SignatureGeometry:
         return math.sqrt(45.0 / decay_rate) + 2.0
 
     def angular_profile(self, g, decay_rate):
-        """H(r) of profile at a radius or an array of radii, each value the
-        bits of a call on its radius alone: a scalar r gives a scalar and
-        an array an array of the same shape."""
-
-        def H(r):
-            r = np.asarray(r, dtype=float)
-            return self.profile(g, r.reshape(-1), decay_rate, per_radius=True)[0].reshape(r.shape)[()]
-
-        return H
+        """The scalar H(r) of profile, one radius per call."""
+        return lambda r: self.profile(g, np.array([float(r)]), decay_rate)[0][0]
 
 
 def radial_power_integral(H, beta, r_max, tol, depth=0):
     """integral_0^inf r^beta H(r) dr for smooth H with H(0) = 0 allowed,
     continued to -2 < Re beta <= -1 by one integration by parts (the
-    derivative of H by _stencil_derivative, so H takes arrays of radii).
-    This stencil is the reference route of the indefinite zeta integrals."""
+    derivative of H by 4th-order differences with step 1e-3).  This
+    stencil is the reference route of the indefinite zeta integrals."""
     beta = complex(beta)
     if depth > 1:
         raise DomainError("the finite-difference continuation takes one step only (Re beta > -2)")
@@ -554,25 +537,24 @@ def radial_power_integral(H, beta, r_max, tol, depth=0):
         raise PoleError(f"radial power integral has a pole at beta = -1 (beta = {beta})")
     if beta.real > -1.0:
         return power_integral(H, beta, r_max, tol).value
-    inner = radial_power_integral(lambda r: _stencil_derivative(H, r), beta + 1.0, r_max, tol=tol, depth=depth + 1)
+    h = 1e-3
+
+    def Hp(r):
+        # H needs only to be smooth on (0, inf); near 0 a one-sided
+        # stencil avoids sampling across the origin, where hyperbolic
+        # angular profiles are sign-odd with a jump.
+        if r >= 2.5 * h:
+            return (-H(r + 2 * h) + 8.0 * H(r + h) - 8.0 * H(r - h) + H(r - 2 * h)) / (12.0 * h)
+        return (
+            -25.0 * H(r)
+            + 48.0 * H(r + h)
+            - 36.0 * H(r + 2 * h)
+            + 16.0 * H(r + 3 * h)
+            - 3.0 * H(r + 4 * h)
+        ) / (12.0 * h)
+
+    inner = radial_power_integral(Hp, beta + 1.0, r_max, tol=tol, depth=depth + 1)
     return -inner / (beta + 1.0)
-
-
-# step of the finite-difference derivative of radial_power_integral
-_STENCIL_STEP = 1e-3
-
-
-def _stencil_derivative(H, r):
-    """H'(r) by 4th-order differences with step _STENCIL_STEP, all stencil
-    radii in one call of H.  H needs only to be smooth on (0, inf); near 0
-    a one-sided stencil avoids sampling across the origin, where
-    hyperbolic angular profiles are sign-odd with a jump."""
-    h = _STENCIL_STEP
-    if r >= 2.5 * h:
-        v = H(np.array([r + 2 * h, r + h, r - h, r - 2 * h]))
-        return (-v[0] + 8.0 * v[1] - 8.0 * v[2] + v[3]) / (12.0 * h)
-    v = H(np.array([r, r + h, r + 2 * h, r + 3 * h, r + 4 * h]))
-    return (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
 
 
 # The Monte-Carlo oracle draws and evaluates its samples in blocks of

@@ -242,7 +242,7 @@ def _signature_kind(space, component, s, phi):
 
     def at(order):
         geom = quad.SignatureGeometry(space, component, order, False)
-        return lambda r: [geom.profile(g, r, rate, per_radius=False)[0]], np.array([geom.detfac]), den, geom.radial_cutoff(rate)
+        return lambda r: [geom.profile(g, r, rate)[0]], np.array([geom.detfac]), den, geom.radial_cutoff(rate)
 
     k = space.q if component == "plus" else space.n - space.q
     root = np.sqrt(np.abs(np.diag(space.Bmat)))

@@ -128,45 +128,12 @@ def test_signature_profile_closed_form():
     # the truncation point of the graded u panels near u = 70
     geom = quad.SignatureGeometry(phspace.indefinite(q=1, n=3), "plus", 24, False)
     r = np.array([0.0, 1e-200, 1e-150, 1e-30, 1e-8, 0.01, 0.3, 1.0, 2.0])
-    H, points = geom.profile(lambda pts: np.exp(-np.pi * quad.sum_squares(pts)), r, np.pi, per_radius=False)
+    H, points = geom.profile(lambda pts: np.exp(-np.pi * quad.sum_squares(pts)), r, np.pi)
     exact = math.sqrt(2.0) * np.pi * np.exp(np.pi * r * r) * scipy.special.erfc(math.sqrt(2.0 * np.pi) * r)
     assert np.max(np.abs(H - exact) / exact) < 1e-14
     # radii below 1e-150 are held there
     assert H[0] == H[1] == H[2]
     assert points % (2 * 48) == 0 and points < 2 * 48 * 12 * 16 * r.size
-
-
-def _per_radius_stencil(H, r, h=1e-3):
-    # the stencil of radial_power_integral with one radius per call of H
-    if r >= 2.5 * h:
-        return (-H(r + 2 * h) + 8.0 * H(r + h) - 8.0 * H(r - h) + H(r - 2 * h)) / (12.0 * h)
-    return (-25.0 * H(r) + 48.0 * H(r + h) - 36.0 * H(r + 2 * h) + 16.0 * H(r + 3 * h) - 3.0 * H(r + 4 * h)) / (12.0 * h)
-
-
-@pytest.mark.parametrize("sheet", ["plus", "minus"])
-@pytest.mark.parametrize("order", [2, 32, 64])
-def test_batched_stencil_has_the_bits_of_one_radius_per_call(order, sheet):
-    # from order 32 on the blocks of g fall elsewhere in a batch than in a
-    # call per radius, and the BLAS contraction rounds a row by where it
-    # sits in its block, so the batch keeps each radius's blocks
-    geom = quad.SignatureGeometry(phspace.indefinite(q=1, n=3), sheet, order, True)
-    phi = testfn.gaussian(math.pi, n=3)
-    g, rate = (lambda pts: np.asarray(phi(pts))), math.pi
-    batched = geom.angular_profile(g, rate)
-    calls = []
-
-    def H(r):
-        calls.append(np.shape(r))
-        return batched(r)
-
-    one = lambda r: geom.profile(g, np.array([float(r)]), rate, per_radius=False)[0][0]
-    for r in [1e-4, 2e-3, *np.exp(np.linspace(-5.0, 1.5, 12))]:
-        del calls[:]
-        assert quad._stencil_derivative(H, r) == _per_radius_stencil(one, r), r
-        assert calls == [(4,) if r >= 2.5e-3 else (5,)]
-    radii = np.array([[1e-9, 0.05, 0.7], [1.3, 2.2, 6.0]])
-    assert np.array_equal(batched(radii), [[one(v) for v in row] for row in radii])
-    assert batched(0.7) == one(0.7) and np.shape(batched(0.7)) == ()
 
 
 def test_monte_carlo_deterministic():
