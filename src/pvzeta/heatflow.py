@@ -33,6 +33,7 @@ whose hat1d is fhat_many.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -231,9 +232,27 @@ def generator_check(t, phi, x, variant="corrected", tol=0.2):
 # Symbol, lacunary structure, kernel
 
 
+@functools.lru_cache(maxsize=64)
+def _fhat_rule(t):
+    """The shifted-contour rule of fhat_many at t: (amplitude, weighted
+    base terms, e^u at the nodes), the arrays read-only since every call
+    at this t shares them."""
+    U = math.sqrt(4.0 * t * 80.0) + 3.0
+    # panel width limited by both the e^{i pi u/4t} phase rate and the
+    # Gaussian envelope scale sqrt(t)
+    width = min(7.5 * t, 3.0 * math.sqrt(t), 2.0)
+    u, w = quad.panel_rule(-U, U, max(8, int(2.0 * U / width) + 8))
+    amp = prefactor(t) * math.exp(math.pi ** 2 / (16.0 * t))
+    base = w * np.exp(-u * u / (4.0 * t)) * np.exp(1j * math.pi * u / (4.0 * t))
+    eu = np.exp(u)
+    base.flags.writeable = eu.flags.writeable = False
+    return amp, base, eu
+
+
 def fhat_many(t, chis):
     """fhat_t on an array of frequencies, vectorized via the shifted
-    contour for chi > 0 and conjugation for chi < 0.
+    contour for chi > 0 and conjugation for chi < 0, on a panel rule built
+    once per t (_fhat_rule).
 
     The frequencies go through in order of magnitude, in blocks of
     quad.BLOCK // (rule nodes) rows: the exponents -chi e^u of a block
@@ -255,14 +274,7 @@ def fhat_many(t, chis):
     out[zero] = l1_norm(t)
     mag = np.abs(flat[~zero])
     if mag.size:
-        U = math.sqrt(4.0 * t * 80.0) + 3.0
-        # panel width limited by both the e^{i pi u/4t} phase rate and the
-        # Gaussian envelope scale sqrt(t)
-        width = min(7.5 * t, 3.0 * math.sqrt(t), 2.0)
-        u, w = quad.panel_rule(-U, U, max(8, int(2.0 * U / width) + 8))
-        amp = prefactor(t) * math.exp(math.pi ** 2 / (16.0 * t))
-        base = w * np.exp(-u * u / (4.0 * t)) * np.exp(1j * math.pi * u / (4.0 * t))
-        eu = np.exp(u)
+        amp, base, eu = _fhat_rule(t)
         vals = np.empty(mag.shape, dtype=complex)
         order = np.argsort(mag, kind="stable")
         rows = max(1, quad.BLOCK // eu.size)

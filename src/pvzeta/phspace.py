@@ -154,40 +154,39 @@ def _half_powers(B):
 
 def sample_group(space, count, seed):
     """Seeded group elements: log alpha uniform in [-2, 2]; rotation part
-    built to preserve B exactly (up to roundoff)."""
+    built to preserve B exactly (up to roundoff).  The draws are taken one
+    element at a time, in the order of the stream; the rotations are then
+    built in one stacked call per step."""
     if count < 0:
         raise DomainError("count must be nonnegative")
     rng = np.random.default_rng(seed)
-    out = []
+    if space.kind == "scalar1d":
+        return [GroupElement(float(np.exp(rng.uniform(-2.0, 2.0)))) for _ in range(count)]
     n = space.n
-    for _ in range(count):
-        alpha = float(np.exp(rng.uniform(-2.0, 2.0)))
-        if space.kind == "scalar1d":
-            out.append(GroupElement(alpha))
-            continue
-        B = space.Bmat
-        if space.kind == "definite":
-            # R = B^{-1/2} Q B^{1/2} with Q in SO(n): R^T B R = B, det R = 1
-            Bh, Bih = _half_powers(B)
-            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            if np.linalg.det(Q) < 0:
-                Q[:, 0] = -Q[:, 0]
-            R = Bih @ Q @ Bh
-        else:
-            # exp(B^{-1} S) with antisymmetric S preserves the form; scale
-            # the generator so boosts stay mild (rapidity <= 2)
-            S = rng.normal(size=(n, n))
-            S = S - S.T
-            X = np.linalg.inv(B) @ S
-            norm = np.linalg.norm(X, 2)
-            if norm > 2.0:
-                X *= 2.0 / norm
-            # imported here, not at the top: a cold scipy.linalg import takes about 0.34 s
-            from scipy.linalg import expm
+    alphas, draws = np.empty(count), np.empty((count, n, n))
+    for i in range(count):
+        alphas[i] = np.exp(rng.uniform(-2.0, 2.0))
+        draws[i] = rng.normal(size=(n, n))
+    B = space.Bmat
+    if space.kind == "definite":
+        # R = B^{-1/2} Q B^{1/2} with Q in SO(n): R^T B R = B, det R = 1
+        Bh, Bih = _half_powers(B)
+        Q, _ = np.linalg.qr(draws)
+        flip = np.linalg.det(Q) < 0
+        Q[flip, :, 0] = -Q[flip, :, 0]
+        R = Bih @ Q @ Bh
+    else:
+        # exp(B^{-1} S) with antisymmetric S preserves the form; scale
+        # the generator so boosts stay mild (rapidity <= 2)
+        X = np.linalg.inv(B) @ (draws - draws.transpose(0, 2, 1))
+        norm = np.linalg.norm(X, 2, axis=(1, 2))
+        big = norm > 2.0
+        X[big] *= (2.0 / norm[big])[:, None, None]
+        # imported here, not at the top: a cold scipy.linalg import takes about 0.34 s
+        from scipy.linalg import expm
 
-            R = expm(X)
-        out.append(GroupElement(alpha, tuple(R.ravel())))
-    return out
+        R = expm(X)
+    return [GroupElement(float(a), tuple(r.ravel())) for a, r in zip(alphas, R)]
 
 
 def sample_points(space, count, seed):

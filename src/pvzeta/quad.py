@@ -591,14 +591,12 @@ def monte_carlo_signature(g, space, sheet, w, nsamples, seed):
             x = draws[: min(rows, k - lo)]
             rng.standard_normal(out=x)
             x *= sigma
-            p = x[:, 0] * d[0] * x[:, 0]
-            for i in range(1, n):
-                p += x[:, i] * d[i] * x[:, i]
+            p = np.einsum("ij,j,ij->i", x, d, x)
             idx = np.flatnonzero(p > 0 if sheet == "plus" else p < 0)
             out = vals[lo : lo + len(x)]
             out.fill(0.0)
             if idx.size:
-                xm = x[idx]
+                xm = np.take(x, idx, axis=0)
                 v = np.abs(p[idx])
                 v **= w
                 v *= np.asarray(g(xm), dtype=float)

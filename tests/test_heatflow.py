@@ -148,6 +148,28 @@ def test_blocked_fhat_many_matches_the_one_block_reference(t):
     assert np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-15
 
 
+def test_fhat_many_builds_its_rule_once_per_t(monkeypatch):
+    calls, panel_rule = [], quad.panel_rule
+
+    def counted(*args):
+        calls.append(args)
+        return panel_rule(*args)
+
+    monkeypatch.setattr(quad, "panel_rule", counted)
+    heatflow._fhat_rule.cache_clear()
+    chis = np.array([-3.0, 0.0, 0.5, 7.0, 1e4])
+    first = heatflow.fhat_many(0.1, chis)
+    for _ in range(3):
+        assert np.array_equal(heatflow.fhat_many(0.1, chis), first)
+    assert len(calls) == 1
+    heatflow.fhat_many(0.5, chis)
+    heatflow.fhat_many(0.1, chis[:2])
+    assert len(calls) == 2
+    # the shared rule cannot be written through
+    _, base, eu = heatflow._fhat_rule(0.1)
+    assert not base.flags.writeable and not eu.flags.writeable
+
+
 @pytest.mark.parametrize("t", [0.05, 0.1, 1.0, 2.0])
 def test_printed_group_function_is_the_scaled_corrected_one(t):
     # every oracle of the printed heat group function is exactly

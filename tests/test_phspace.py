@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pvzeta import phspace
 from pvzeta.errors import ConfigError, DomainError
@@ -123,3 +124,70 @@ def test_sampling_deterministic():
 def test_sample_group_rejects_negative_count():
     with pytest.raises(DomainError):
         phspace.sample_group(phspace.scalar1d(), -1, seed=0)
+
+
+def _sample_group_one_at_a_time(space, count, seed):
+    """(alpha, R) of sample_group with each rotation built on its own from
+    its own draw: the reference of the stacked calls."""
+    rng = np.random.default_rng(seed)
+    out, n = [], space.n
+    for _ in range(count):
+        alpha = float(np.exp(rng.uniform(-2.0, 2.0)))
+        if space.kind == "scalar1d":
+            out.append((alpha, None))
+            continue
+        B = space.Bmat
+        if space.kind == "definite":
+            Bh, Bih = phspace._half_powers(B)
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            if np.linalg.det(Q) < 0:
+                Q[:, 0] = -Q[:, 0]
+            R = Bih @ Q @ Bh
+        else:
+            S = rng.normal(size=(n, n))
+            S = S - S.T
+            X = np.linalg.inv(B) @ S
+            norm = np.linalg.norm(X, 2)
+            if norm > 2.0:
+                X *= 2.0 / norm
+            R = scipy.linalg.expm(X)
+        out.append((alpha, R))
+    return out
+
+
+@pytest.mark.parametrize("count", [0, 1, 200])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "scalar1d",
+        "definite:B=I,n=3",
+        "definite:B=1|2|0.5",
+        "definite:n=2,B=2|0.5|0.5|1",
+        "indefinite:q=1,n=3",
+        "indefinite:q=2,n=4",
+        "indefinite:q=1,n=2",
+    ],
+)
+def test_stacked_rotations_have_the_bits_of_one_element_at_a_time(spec, count):
+    space = phspace.parse_space(spec)
+    for seed in (3, 301):
+        got = phspace.sample_group(space, count, seed)
+        ref = _sample_group_one_at_a_time(space, count, seed)
+        assert len(got) == len(ref) == count
+        for g, (alpha, R) in zip(got, ref):
+            assert type(g.alpha) is float and g.alpha == alpha
+            assert g.R is None if R is None else g.R == tuple(R.ravel())
+
+
+@pytest.mark.parametrize("spec, module, name", [("indefinite:q=1,n=3", scipy.linalg, "expm"), ("definite:n=3", np.linalg, "qr")])
+def test_one_sample_group_builds_its_rotations_in_one_call(spec, module, name, monkeypatch):
+    # one stacked call for every element, not one per element
+    shapes, original = [], getattr(module, name)
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    phspace.sample_group(phspace.parse_space(spec), 200, seed=1)
+    assert shapes == [(200, 3, 3)]

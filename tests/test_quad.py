@@ -153,10 +153,18 @@ def test_monte_carlo_deterministic():
         ((2.0, -1.0, -0.5), "plus", "gaussian:a=3.14159,n=3", 300_001),
         ((1.0, 1.0, -1.0), "minus", "hermite:d=2,n=3", 250_000),
         ((1.0, -1.0), "plus", "gaussian:a=3.14159,n=2", 200_000),
+        # n = 2, 3, 4 on both sheets with a non-unit diagonal, each ending
+        # inside a block of BLOCK // n rows
+        ((1.5, -0.5), "minus", "gaussian:a=3.14159,n=2", 100_003),
+        ((2.0, -0.5, -3.0), "minus", "gaussian:a=3.14159,n=3", 100_003),
+        ((0.5, 2.0, -1.5, -0.25), "plus", "gaussian:a=3.14159,n=4", 100_003),
+        ((0.5, 2.0, -1.5, -0.25), "minus", "gaussian:a=3.14159,n=4", 100_003),
     ],
 )
 def test_monte_carlo_blocks_match_the_whole_chunk_route(diag, sheet, spec, nsamples):
-    # the blocked oracle draws the same stream and sums the same chunks
+    # the blocked oracle draws the same stream and sums the same chunks; the
+    # whole-chunk route sums p column by column and gathers by a mask, the
+    # reference of the blocked route's one contraction and np.take
     phi, space = testfn.parse_testfn(spec), phspace.indefinite(B=np.diag(diag))
     g = lambda pts: np.real(np.asarray(phi(pts)))
     rest = (sheet, 0.2, nsamples, 2024)

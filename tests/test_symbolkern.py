@@ -103,9 +103,19 @@ def test_symbol_bounded_by_l1(heat_f):
         assert abs(symbolkern.symbol_hat(heat_f, sp, m, xi)) <= heat_f.l1() + 1e-12
 
 
-def test_decay_probe_slopes(heat_f):
+def test_decay_probe_slopes(heat_f, monkeypatch):
+    calls, symbol = [], symbolkern.symbol
+
+    def counted(*args):
+        calls.append(args)
+        return symbol(*args)
+
+    monkeypatch.setattr(symbolkern, "symbol", counted)
     rep = symbolkern.check_symbol_decay(heat_f, phspace.scalar1d(), 1.0)
     assert rep.passed
+    # one symbol value per tau of the fit window, and nothing else
+    assert len(calls) == len(rep.extra["taus"]) == 6
+    assert set(rep.extra) == {"m", "taus", "abs_symbol", "band_slopes"}
     slopes = rep.extra["band_slopes"]
     # slopes steepen monotonically: superpolynomial decay
     assert all(b < a for a, b in zip(slopes, slopes[1:]))
@@ -204,7 +214,7 @@ def test_local_integrability_dyadic(heat_f):
     assert all(b >= a for a, b in zip(totals, totals[1:]))
 
 
-def test_local_integrability_of_a_function_with_zeros_at_half_one_two():
+def _zeros_at_half_one_two():
     # f = r (r - ln 2)(r + ln 2) e^{-r^2}, r = log alpha, vanishes at
     # alpha = 1/2, 1, 2 but not elsewhere (f(3) = 0.239), so its kernel has
     # mass on every dyadic level
@@ -214,7 +224,15 @@ def test_local_integrability_of_a_function_with_zeros_at_half_one_two():
         r = np.log(alpha)
         return r * (r - ln2) * (r + ln2) * np.exp(-r * r)
 
-    f = symbolkern.GroupFunction(fn, "zeros-at-half-one-two", 1.0)
+    return symbolkern.GroupFunction(fn, "zeros-at-half-one-two", 1.0)
+
+
+def _zero_function():
+    return symbolkern.GroupFunction(lambda a: np.zeros_like(np.asarray(a, dtype=float)), "zero", 1.0)
+
+
+def test_local_integrability_of_a_function_with_zeros_at_half_one_two():
+    f = _zeros_at_half_one_two()
     assert abs(f(3.0) - 0.239) < 1e-3
     rep = symbolkern.local_integrability_check(f)
     assert all(v > 0.0 for v in rep.extra["levels"])
@@ -222,9 +240,42 @@ def test_local_integrability_of_a_function_with_zeros_at_half_one_two():
 
 
 def test_local_integrability_zero_function():
-    z = symbolkern.GroupFunction(lambda a: np.zeros_like(np.asarray(a, dtype=float)), "zero", 1.0)
-    rep = symbolkern.local_integrability_check(z)
+    rep = symbolkern.local_integrability_check(_zero_function())
     assert rep.passed
+
+
+def _integrability_levels_one_m_at_a_time(f, levels):
+    """The level sums of local_integrability_check with each inner mass
+    on its own u-grid: the reference of the (m, u) grid."""
+    R, m_pts, u_pts = 1.0, 64, 512
+    totals = []
+    for j in range(1, levels + 1):
+        edges = np.linspace(math.log(R * 2.0 ** (-j)), math.log(R), m_pts + 1)
+        mids = np.exp(0.5 * (edges[1:] + edges[:-1]))
+        hw = np.diff(np.exp(edges))
+        mass = np.empty(mids.shape)
+        for i, m in enumerate(mids):
+            uu = np.linspace((m - R) / m, (m + R) / m, u_pts)
+            mass[i] = np.trapezoid(np.abs(symbolkern.atilde_closed(f, 1.0, uu)), uu)
+        totals.append(2.0 * float(np.sum(hw * mass)))
+    return totals
+
+
+@pytest.mark.parametrize("levels", [6, 8])
+@pytest.mark.parametrize(
+    "make_f",
+    [
+        lambda: heatflow.heat_group_function(0.1),
+        lambda: heatflow.heat_group_function(0.5),
+        _zero_function,
+        _zeros_at_half_one_two,
+    ],
+    ids=["heat-0.1", "heat-0.5", "zero", "zeros-at-half-one-two"],
+)
+def test_integrability_grid_has_the_bits_of_one_m_at_a_time(make_f, levels):
+    f = make_f()
+    rep = symbolkern.local_integrability_check(f, levels=levels)
+    assert rep.extra["levels"] == _integrability_levels_one_m_at_a_time(f, levels)
 
 
 def test_log_gaussian_group_rejects_bad_rate():
