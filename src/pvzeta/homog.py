@@ -231,8 +231,8 @@ _INNER_PANELS = (128, 256)
 # Coarse step (the fine rule halves it) and edge |x| <= _DE_EDGE of the
 # outer rule of pointwise_kdot; at the edge eta is below 1e-19 of its peak.
 _DE_STEP, _DE_EDGE = 0.2, 2.6
-# phi' points contracted at once: one complex (53, 2048) product with the
-# real weights took 8.2 ms, in blocks of 4 rows 0.085 ms (2-CPU host, OpenBLAS)
+# phi' points contracted at once, a working set kept apart from quad.BLOCK: at
+# quad.BLOCK a nested-1d pass took 0.106 s against 0.067 s, peak 92 against 88 MB
 _BLOCK_POINTS = 1 << 13
 
 

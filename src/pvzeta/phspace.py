@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import quad
 from .errors import ConfigError, DomainError
 from .report import CheckReport, label_number, worst
 
@@ -183,9 +184,10 @@ def sample_group(space, count, seed):
         big = norm > 2.0
         X[big] *= (2.0 / norm[big])[:, None, None]
         # imported here, not at the top: a cold scipy.linalg import takes about 0.34 s
-        from scipy.linalg import expm
+        import scipy.linalg
 
-        R = expm(X)
+        quad.one_blas_thread(scipy)  # expm is the one caller of scipy's BLAS
+        R = scipy.linalg.expm(X)
     return [GroupElement(float(a), tuple(r.ravel())) for a, r in zip(alphas, R)]
 
 

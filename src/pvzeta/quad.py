@@ -14,8 +14,11 @@ as the reference route of the indefinite zeta integrals.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +30,26 @@ from .errors import AccuracyError, DomainError, NonConvergence, PoleError
 # transforms and the Fourier rule behind them): 2^16 float64 entries are
 # 512 KiB, a block that stays in cache.
 BLOCK = 1 << 16
+
+
+@functools.cache
+def one_blas_thread(package):
+    """Cap the OpenBLAS bundled with `package` (the numpy or scipy module) at
+    one thread for the process: the checks are serial and their products
+    small, so a woken worker only spins on a second CPU.  A threaded product
+    splits over output entries: no bit changes.  Other BLAS builds are left."""
+    for path in sorted((Path(package.__file__).parents[1] / f"{package.__name__}.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # the handle of the library already loaded
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+one_blas_thread(np)  # before numpy's first threaded product: woken workers go on spinning
 
 
 @dataclass

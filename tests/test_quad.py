@@ -1,9 +1,14 @@
 import ast
 import inspect
 import itertools
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -319,3 +324,77 @@ def test_inverse_fourier_refuses_an_unresolved_transform():
     # a jump in F leaves the level gap far above the tolerance
     with pytest.raises(AccuracyError):
         quad.inverse_fourier(lambda xi: (xi < 1.0).astype(float), np.array([0.5, 1.5]))
+
+
+# The OpenBLAS libraries that quad.one_blas_thread finds, and each one's
+# thread count through whichever getter it exports, for a fresh interpreter.
+_OPENBLAS = """
+import ctypes
+from pathlib import Path
+
+def openblas(*packages):
+    for package in packages:
+        for path in sorted((Path(package.__file__).parents[1] / f"{package.__name__}.libs").glob("*openblas*")):
+            lib = ctypes.CDLL(str(path))
+            for get, put in [("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                             ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads")]:
+                if hasattr(lib, get):
+                    yield getattr(lib, get), getattr(lib, put)
+"""
+
+
+def _fresh(code):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _OPENBLAS + code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_bundled_openblas_runs_on_one_thread():
+    # numpy's library is capped when pvzeta is imported, which loads no
+    # scipy; scipy's when the first expm call imports scipy.linalg
+    at_import, counts = _fresh("""
+import json, sys
+import numpy
+import pvzeta
+from pvzeta import phspace
+assert "scipy" not in sys.modules
+at_import = [get() for get, _ in openblas(numpy)]
+phspace.sample_group(phspace.indefinite(q=1, n=3), 1, 0)
+import scipy
+print(json.dumps([at_import, [get() for get, _ in openblas(numpy, scipy)]]))
+""")
+    if not counts:
+        pytest.skip("no bundled OpenBLAS with a thread-count getter")
+    assert at_import == [1] * len(at_import) and counts == [1] * len(counts)
+
+
+def test_rows_keep_their_bits_on_two_blas_threads():
+    # the lacunary inverse transform at t = 0.1 runs complex products above
+    # OpenBLAS's threading threshold; the same numbers must come out on two
+    # threads as on one
+    same = _fresh("""
+import json
+import numpy as np, scipy
+from pvzeta import heatflow, phspace, quad, symbolkern
+quad.one_blas_thread(scipy)  # now, so that sample_group leaves the count set below
+libs = list(openblas(np, scipy))
+
+def rows(threads):
+    for get, put in libs:
+        put(threads)
+        assert get() == threads
+    numeric, _ = symbolkern.atilde_numeric(heatflow.heat_group_function(0.1, "corrected"), 1.0, np.linspace(-1.5, 2.5, 17))
+    group = phspace.sample_group(phspace.indefinite(q=1, n=3), 200, 7)
+    return numeric.tobytes(), np.array([g.rot(3) for g in group]).tobytes()
+
+print(json.dumps(rows(2) == rows(1)))
+""")
+    assert same
+
+
+def test_one_blas_thread_without_a_bundled_library(tmp_path):
+    # MKL, Accelerate and system builds ship no <package>.libs directory
+    package = types.ModuleType("plain")
+    package.__file__ = str(tmp_path / "plain" / "__init__.py")
+    assert quad.one_blas_thread(package) is None
