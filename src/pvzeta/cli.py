@@ -9,8 +9,8 @@ Exit codes: 0 when every check passes, 2 when any check fails, 1 on a
 configuration or execution error.  A configuration error writes no
 report.  A subcommand that raises any other PVZetaError reports one row
 with status "error" instead of its checks; a suite runs its entries (the
-SUITES table) one by one, so there an entry that raises becomes that row
-and the other entries still run.
+SUITES table of subcommands with their flags) one by one, so there an
+entry that raises becomes that row and the other entries still run.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ _SUBCOMMANDS = {
         "--space": {}, "--component": {},
         "--s": {"help": "comma-separated s values, complex ones as -1.35+0.2j"},
         "--testfn": {},
-        "--check": {"choices": ("value", "overlap", "residue", "montecarlo")},
+        "--check": {"choices": ("value", "overlap", "residue", "montecarlo", "invariance")},
         "--k": {"help": "comma-separated pole orders for --check residue"},
     }),
     "funceq": ("functional equation checks", {
@@ -75,7 +75,8 @@ _SUBCOMMANDS = {
 
 class RunConfig:
     """Validated run description: subcommand plus a typed parameter map.
-    Unknown keys are rejected with the offending key named."""
+    Unknown keys are rejected with the offending key named; the seed, the
+    tolerance and the subcommand's tolerance file are parsed here, once."""
 
     def __init__(self, subcommand, params):
         if subcommand not in _SUBCOMMANDS:
@@ -92,8 +93,9 @@ class RunConfig:
         self.params = dict(params)
         self.format = fmt
         self.out = params.get("out")
-        self.seed = params.get("seed")
-        self.tol = params.get("tol")
+        self.seed = _config_number("--seed", params.get("seed"), int)
+        self.tol = _config_number("--tol", params.get("tol"), float)
+        self._tol_overrides = _tol_overrides(subcommand)
 
     def get(self, key, default=None):
         v = self.params.get(key)
@@ -102,7 +104,25 @@ class RunConfig:
     def require_seed(self, why):
         if self.seed is None:
             raise ConfigError(f"--seed is required: {why}")
-        return int(self.seed)
+        return self.seed
+
+    def tol_for(self, check_id):
+        """{"tol": value} when --tol or the tolerance file sets a tolerance
+        for check_id, else {}: the library check then keeps its own default."""
+        tol = self._tol_overrides.get(check_id) if self.tol is None else self.tol
+        return {} if tol is None else {"tol": tol}
+
+
+def _config_number(where, text, kind):
+    """text as a kind (int or float) of at least 0, or None when unset;
+    anything else is a ConfigError that names where the text came from."""
+    try:
+        value = None if text is None else kind(text)
+    except ValueError:
+        value = float("nan")
+    if value is not None and not value >= 0:  # NaN is not >= 0 either
+        raise ConfigError(f"{where} takes {'an integer' if kind is int else 'a number'} of at least 0, got {text!r}")
+    return value
 
 
 def load_config_file(path, normalize=True):
@@ -135,17 +155,7 @@ def _tol_overrides(subcommand):
     path = os.path.join(directory, f"{subcommand}.tol")
     if not os.path.exists(path):
         return {}
-    return {k: float(v) for k, v in load_config_file(path, normalize=False).items()}
-
-
-def _tol(overrides, check_id, flag_tol):
-    """{"tol": value} when --tol or the override file sets a tolerance for
-    check_id, else {}: the library check then keeps its own default."""
-    if flag_tol is not None:
-        return {"tol": float(flag_tol)}
-    if check_id in overrides:
-        return {"tol": overrides[check_id]}
-    return {}
+    return {k: _config_number(f"{path}: {k}", v, float) for k, v in load_config_file(path, normalize=False).items()}
 
 
 def _numbers(text, kind, what):
@@ -196,22 +206,24 @@ def _resolve_convention(eq, convention, s_list, phis, q):
 
 
 def run_zeta(cfg):
-    ov = _tol_overrides("zeta")
     space = phspace.parse_space(cfg.get("space", "scalar1d"))
     phi = testfn.parse_testfn(cfg.get("testfn", "gaussian:a=3.14159,n=1"))
     s_list = _s_values(cfg.get("s", "0.5"))
     which = cfg.get("check", "value")
+    if which == "invariance":
+        # p(rho(g) m) = chi(g) p(m) over seeded group elements; --s plays no part
+        return [phspace.invariance_sweep(space, 50, cfg.require_seed("the invariance sweep draws random group elements"))]
     reports = []
     if which == "residue":
         # the residues are taken at the poles s = -k, so --s plays no part
         for k in _ints(cfg.get("k", "1,2,3")):
-            reports.append(zeta.check_mellin_residue(phi, 1.0, k, **_tol(ov, "mellin-residue", cfg.tol)))
+            reports.append(zeta.check_mellin_residue(phi, 1.0, k, **cfg.tol_for("mellin-residue")))
     for s in s_list:
         if which == "value":
-            tol = _tol(ov, "zeta-eval", cfg.tol).get("tol", 1e-8)
+            tol = cfg.tol_for("zeta-eval").get("tol", 1e-8)
             reports.append(zeta.check_zeta_eval(space, cfg.get("component", space.components[0]), s, phi, tol))
         elif which == "overlap":
-            reports.append(zeta.check_mellin_overlap(phi, 1.0, s, **_tol(ov, "mellin-overlap", cfg.tol)))
+            reports.append(zeta.check_mellin_overlap(phi, 1.0, s, **cfg.tol_for("mellin-overlap")))
         elif which == "montecarlo":
             seed = cfg.require_seed("the Monte-Carlo oracle is randomized")
             comp = cfg.get("component", space.components[0])
@@ -222,7 +234,6 @@ def run_zeta(cfg):
 
 
 def run_funceq(cfg):
-    ov = _tol_overrides("funceq")
     eq = str(cfg.get("eq", "12"))
     s_list = _s_values(cfg.get("s", ""))
     phis = _testfns(cfg.get("testfn", "gaussian:a=3.14159,n=1" if eq == "12" else "gaussian:a=3.14159,n=3"))
@@ -240,21 +251,21 @@ def run_funceq(cfg):
         return reports
     if eq == "12":
         conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis, q)
-        tol = _tol(ov, "funceq-eq12", cfg.tol)
+        tol = cfg.tol_for("funceq-eq12")
         for s in s_list:
             for phi in phis:
                 reports.append(funceq.check_eq12(s, phi, conv, **tol))
     elif eq == "12a":
         B = np.eye(phis[0].n)
         conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis, q)
-        tol = _tol(ov, "funceq-eq12a", cfg.tol)
+        tol = cfg.tol_for("funceq-eq12a")
         for s in s_list:
             for phi in phis:
                 reports.append(funceq.check_eq12a(s, B, phi, conv, variant=variant, **tol))
     elif eq == "22":
         space = phspace.indefinite(q=q, n=phis[0].n)
         conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis, q)
-        tol = _tol(ov, "funceq-eq22", cfg.tol)
+        tol = cfg.tol_for("funceq-eq22")
         for s in s_list:
             for phi in phis:
                 reports.append(funceq.check_eq22(s, space.Bmat, phi, conv, q=q, **tol))
@@ -274,13 +285,12 @@ def _default_density():
 
 
 def run_homog(cfg):
-    ov = _tol_overrides("homog")
     which = cfg.get("check", "tplus-int")
     reports = []
     if which == "tplus-int":
-        reports.append(homog.check_tplus_int(**_tol(ov, "homog-tplus-int", cfg.tol)))
+        reports.append(homog.check_tplus_int(**cfg.tol_for("homog-tplus-int")))
     elif which == "homogeneity":
-        tol = _tol(ov, "homog-homogeneity", cfg.tol)
+        tol = cfg.tol_for("homog-homogeneity")
         phi = testfn.parse_testfn(cfg.get("testfn", "gaussian:a=3.14159,n=1"))
         degrees = _floats(cfg.get("s", "-0.5,0.3,-1.7"))
         lams = _floats(cfg.get("lam", "0.5,2.0"))
@@ -288,11 +298,11 @@ def run_homog(cfg):
             for lam in lams:
                 reports.append(homog.check_homogeneity(s, phi, lam, **tol))
     elif which == "extension":
-        tol = _tol(ov, "homog-extension-restricts", cfg.tol)
+        tol = cfg.tol_for("homog-extension-restricts")
         phi = testfn.parse_testfn(cfg.get("testfn", "bump:c=3,r=1,n=1"))
         reports.append(homog.check_extension_restricts(_default_density(), homog.make_cutoff(0.5, 2.0), phi, **tol))
     elif which == "ambiguity":
-        tol = _tol(ov, "homog-ambiguity", cfg.tol)
+        tol = cfg.tol_for("homog-ambiguity")
         specs = cfg.get("testfn", "gaussian:a=0.5,n=1;gaussian:a=1,n=1;gaussian:a=2,n=1;gaussian:a=3.14159,n=1;gaussian:a=4,n=1")
         phis = _testfns(specs)
         reports.append(
@@ -304,7 +314,6 @@ def run_homog(cfg):
 
 
 def run_probe(cfg):
-    ov = _tol_overrides("probe")
     what = cfg.get("what", "symbol-decay")
     t = _number(cfg, "t", 0.1)
     variant = cfg.get("variant", "corrected")
@@ -315,14 +324,14 @@ def run_probe(cfg):
     if what == "symbol-decay":
         reports.append(symbolkern.check_symbol_decay(f, space, m))
     elif what == "scaling":
-        tol = _tol(ov, "symbol-scaling", cfg.tol).get("tol", 1e-9)
+        tol = cfg.tol_for("symbol-scaling").get("tol", 1e-9)
         seed = cfg.require_seed("the scaling sweep draws random factors")
         count = _number(cfg, "alphas", 50, _ints)
         if count < 1:
             raise ConfigError("--alphas must be at least 1")
         reports.append(symbolkern.scaling_sweep(f, space, m, count, seed, tol))
     elif what == "kernel":
-        tol = _tol(ov, "kernel-vs-heat", cfg.tol).get("tol", 1e-7)
+        tol = cfg.tol_for("kernel-vs-heat").get("tol", 1e-7)
         reports.append(heatflow.kernel_vs_heat_check(t, variant, tol))
     elif what == "integrability":
         reports.append(symbolkern.local_integrability_check(f))
@@ -332,7 +341,6 @@ def run_probe(cfg):
 
 
 def run_heat(cfg):
-    ov = _tol_overrides("heat")
     which = cfg.get("check", "semigroup")
     variant = cfg.get("variant", "corrected")
     ts = _floats(cfg.get("t", "0.5"))
@@ -343,26 +351,26 @@ def run_heat(cfg):
     reports = []
     if which == "bounds" and ts:
         # one call over the whole t grid, so the growth-rate fit sees every t
-        tol = _tol(ov, "heat-langlands-bounds", cfg.tol)
+        tol = cfg.tol_for("heat-langlands-bounds")
         reports.append(heatflow.langlands_bounds_check(ts, (0.5, 1.0), variant=variant, **tol))
     for t in ts:
         if which == "semigroup":
-            tol = _tol(ov, "heat-semigroup", cfg.tol)
+            tol = cfg.tol_for("heat-semigroup")
             for s in ss:
                 reports.append(heatflow.semigroup_check(t, s, phi, xs, variant=variant, **tol))
         elif which == "generator":
-            tol = _tol(ov, "heat-generator", cfg.tol)
+            tol = cfg.tol_for("heat-generator")
             for x in xs:
                 reports.append(heatflow.generator_check(t, phi, x, variant=variant, **tol))
         elif which == "lacunary":
-            tol = _tol(ov, "heat-lacunary", cfg.tol)
+            tol = cfg.tol_for("heat-lacunary")
             reports.append(heatflow.lacunary_check(t, variant=variant, **tol))
         elif which == "funceq":
-            tol = _tol(ov, "heat-diagonal-funceq", cfg.tol)
+            tol = cfg.tol_for("heat-diagonal-funceq")
             for s in ss:
                 reports.append(heatflow.diagonal_funceq(t, s, testfn.parse_testfn("gaussian:a=3.14159,n=1"), variant=variant, **tol))
         elif which == "kernel":
-            tol = _tol(ov, "heat-kernel-identity", cfg.tol)
+            tol = cfg.tol_for("heat-kernel-identity")
             pts = [(x, y) for x in (0.5, 1.0, 2.0) for y in (0.25, 1.0, 3.0)]
             reports.append(heatflow.kernel_identity_check(t, pts, variant=variant, **tol))
         elif which != "bounds":
@@ -381,17 +389,8 @@ def run_heat(cfg):
 
 
 # ---------------------------------------------------------------------------
-# Suites: entries are (subcommand, params) runs through the runners above,
-# or (check id, function of the seed) for rows no subcommand emits
-
-
-def _integrability_refined(seed):
-    # two more dyadic levels than the probe
-    return [symbolkern.local_integrability_check(heatflow.heat_group_function(0.1), levels=8)]
-
-
-def _invariance_sweep(spec):
-    return lambda seed: [phspace.invariance_sweep(phspace.parse_space(spec), 50, seed)]
+# Suites: each entry is (subcommand, params), run through the runners above
+# as the command line runs those flags with the suite's --seed
 
 
 _GAUSS1 = "gaussian:a=3.14159,n=1"
@@ -418,7 +417,7 @@ _QUICK = (
     ("probe", {"what": "scaling", "t": "0.1", "alphas": "10"}),
     ("probe", {"what": "integrability", "t": "0.1"}),
     # relative invariance (1D)
-    ("relative-invariance", _invariance_sweep("scalar1d")),
+    ("zeta", {"check": "invariance", "space": "scalar1d"}),
 )
 
 SUITES = {
@@ -429,23 +428,24 @@ SUITES = {
         ("funceq", {"eq": "12a", "s": "0.3,0.7,1.1", "convention": "twopi"}),
         ("funceq", {"eq": "22", "s": "0.2,0.4", "convention": "twopi", "q": "1"}),
         ("zeta", {"check": "montecarlo", "space": "indefinite:q=1,n=3", "component": "plus", "s": "0.2", "testfn": "gaussian:a=3.14159,n=3"}),
-        ("kernel-integrability", _integrability_refined),
         # invariance on the quadratic kinds
-        ("relative-invariance", _invariance_sweep("definite:n=3")),
-        ("relative-invariance", _invariance_sweep("indefinite:q=1,n=3")),
+        ("zeta", {"check": "invariance", "space": "definite:n=3"}),
+        ("zeta", {"check": "invariance", "space": "indefinite:q=1,n=3"}),
     ),
 }
 
 
-def _guarded(check, params, produce, arg):
-    """The reports of produce(arg), or, when it raises a PVZetaError other
-    than a ConfigError, the one error row of check with params."""
+def _guarded(cfg):
+    """The reports of the runner of cfg, or, when it raises a PVZetaError
+    other than a ConfigError, one error row keyed by the subcommand and the
+    flags that shape its checks, not where the report goes."""
     try:
-        return produce(arg)
+        return _RUNNERS[cfg.subcommand](cfg)
     except ConfigError:
         raise
     except PVZetaError as exc:
-        return [CheckReport.error(check, params, exc)]
+        params = {k: v for k, v in cfg.params.items() if k not in ("format", "out", "config")}
+        return [CheckReport.error(cfg.subcommand, params, exc)]
 
 
 def run_suite(cfg):
@@ -455,13 +455,8 @@ def run_suite(cfg):
     if cfg.tol is not None:
         # one tolerance cannot fit every row of a suite
         raise ConfigError(f"--tol does not apply to a suite; set per-check tolerances in ${TOL_DIR_ENV}/<subcommand>.tol")
-    seed = int(cfg.seed) if cfg.seed is not None else 0
-    reports = []
-    for key, spec in SUITES[name]:
-        params = {"seed": seed} if callable(spec) else {**spec, "seed": seed}
-        produce, arg = (spec, seed) if callable(spec) else (_RUNNERS[key], RunConfig(key, params))
-        reports.extend(_guarded(key, params, produce, arg))
-    return reports
+    seed = 0 if cfg.seed is None else cfg.seed
+    return [rep for key, spec in SUITES[name] for rep in _guarded(RunConfig(key, {**spec, "seed": seed}))]
 
 
 _RUNNERS = {
@@ -492,8 +487,11 @@ def emit(reports, fmt, out):
             buf.write("\n")
     text = buf.getvalue()
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     npass = sum(1 for r in reports if r.passed)
@@ -503,11 +501,7 @@ def emit(reports, fmt, out):
 
 def run(config):
     """Execute a validated RunConfig; returns (exit_status, reports)."""
-    key = config.subcommand
-    # an error row keeps the flags that shape the checks, not where they go
-    params = {k: v for k, v in config.params.items() if k not in ("format", "out", "config")}
-    reports = _guarded(key, params, _RUNNERS[key], config)
-    reports = emit(reports, config.format, config.out)
+    reports = emit(_guarded(config), config.format, config.out)
     statuses = {r.status for r in reports}
     if "error" in statuses:
         return 1, reports

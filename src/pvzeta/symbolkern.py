@@ -285,7 +285,7 @@ def check_symbol_decay(f, space, m, tol_slope=-8.0, by_tau=100.0):
 # Local integrability of the kernel
 
 
-def local_integrability_check(f, levels=6):
+def local_integrability_check(f, levels=8):
     """Dyadic estimate of the double integral of |K_f| over [-R, R]^2, R = 1.
 
     Level j integrates over 2^{-j} R < |m| <= R; the inner m' integral is

@@ -113,9 +113,13 @@ def test_suite_refuses_tol(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_seed_required_for_montecarlo():
+def test_seed_required_for_montecarlo(capsys):
     assert run(["probe", "--what", "scaling"]) == 1
     assert run(["probe", "--what", "scaling", "--seed", "1", "--alphas", "0"]) == 1
+    capsys.readouterr()
+    assert run(["zeta", "--check", "invariance", "--space", "definite:n=3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: --seed is required: the invariance sweep")
 
 
 def test_csv_projection(tmp_path):
@@ -393,6 +397,9 @@ def test_lacunary_refuses_below_the_contour_rule(tmp_path):
         # a sample count is an integer of at least 2
         "funceq --eq 22 --s=0.2 --mc-samples=-5 --seed 1",
         "funceq --eq 22 --s=0.2 --mc-samples=0.5 --seed 1",
+        # a seed is an integer of at least 0, for a subcommand and a suite
+        "probe --what scaling --seed -1",
+        "suite quick --seed -1",
     ],
 )
 def test_unparsable_numbers_are_config_errors(tmp_path, capsys, flag):
@@ -520,6 +527,64 @@ def test_suite_isolates_an_entry_that_raises(tmp_path, monkeypatch):
 
 
 def test_suite_propagates_errors_outside_the_package(monkeypatch):
-    monkeypatch.setitem(cli.SUITES, "quick", (("heat-kernel-identity", lambda seed: [1 / 0]),))
+    def divide_by_zero(*args, **kwargs):
+        return 1 / 0
+
+    monkeypatch.setattr(heatflow, "kernel_identity_check", divide_by_zero)
+    monkeypatch.setitem(cli.SUITES, "quick", (("heat", {"check": "kernel", "t": "0.1"}),))
     with pytest.raises(ZeroDivisionError):
         run(["suite", "quick"])
+
+
+@pytest.mark.parametrize("name", sorted(cli.SUITES))
+def test_suites_are_data(name):
+    # every entry is a subcommand with its flags, run as the command line
+    # runs them; no entry is a function of its own
+    for key, params in cli.SUITES[name]:
+        assert key in cli._RUNNERS and key != "suite"
+        assert type(params) is dict
+        cli.RunConfig(key, {**params, "seed": 0})
+
+
+@pytest.mark.parametrize("spec", ["scalar1d", "definite:n=3", "indefinite:q=1,n=3"])
+def test_zeta_invariance_is_the_worst_of_the_sweep(tmp_path, spec):
+    out = tmp_path / "r.jsonl"
+    assert run(["zeta", "--check", "invariance", "--space", spec, "--seed", "11", "--out", str(out)]) == 0
+    row = json.loads(out.read_text())
+    space = phspace.parse_space(spec)
+    pairs = zip(phspace.sample_group(space, 50, 11), phspace.sample_points(space, 50, 12))
+    worst = max(phspace.check_relative_invariance(space, g, m).rel_residual for g, m in pairs)
+    assert row["check"] == "relative-invariance" and row["rel_residual"] == worst
+    assert row["params"]["sweep_count"] == 50 and row["params"]["seed"] == 11
+
+
+@pytest.mark.parametrize(
+    "argv, config, tol_file",
+    [
+        (["probe", "--what", "scaling"], "seed=abc", None),
+        (["suite", "quick"], "seed=abc", None),
+        (["heat", "--check", "kernel"], "tol=abc", None),
+        (["heat", "--check", "semigroup"], None, "heat-semigroup=abc"),
+    ],
+    ids=["config-seed", "config-suite-seed", "config-tol", "tol-file"],
+)
+def test_bad_numbers_in_files_are_config_errors(tmp_path, monkeypatch, capsys, argv, config, tol_file):
+    # the seed, the tolerance and the tolerance file are parsed where they
+    # enter, in RunConfig, before any check runs (flags: the test above)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+    if tol_file is not None:
+        (tmp_path / "heat.tol").write_text(tol_file + "\n")
+        monkeypatch.setenv(cli.TOL_DIR_ENV, str(tmp_path))
+    out = tmp_path / "r.jsonl"
+    assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and ("seed" in err or "tol" in err), err
+    assert not out.exists()
+
+
+def test_unwritable_report_is_a_config_error(capsys):
+    out = "/nonexistent/dir/r.jsonl"
+    assert run(["heat", "--check", "kernel", "--t", "0.1", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: cannot write report to {out}")
