@@ -7,7 +7,11 @@ produce byte-identical report files.
 
 Exit codes: 0 when every check passes, 2 when any check fails, 1 on a
 configuration or execution error.  A configuration error writes no
-report.  A subcommand that raises any other PVZetaError reports one row
+report; it is a key that is not a flag of the subcommand, a value outside
+the choices the flag declares (checked once, in RunConfig, for flags,
+config files and suite entries alike), a --component that the space
+lacks, a number that does not parse, or a file that cannot be read or
+written.  A subcommand that raises any other PVZetaError reports one row
 with status "error" instead of its checks; a suite runs its entries (the
 SUITES table of subcommands with their flags) one by one, so there an
 entry that raises becomes that row and the other entries still run.
@@ -30,12 +34,11 @@ from .report import CheckReport, sort_reports
 
 TOL_DIR_ENV = "PVZETA_TOL_DIR"
 
-_FORMATS = ("json-lines", "csv")
-
 # The flags of every subcommand, declared once: they build the parser and
-# are the keys a config file may set.  Each flag defaults to None.
+# are the keys a config file may set, and RunConfig holds every value to
+# the flag's choices.  Each flag defaults to None.
 _COMMON_FLAGS = {
-    "--format": {"choices": _FORMATS}, "--out": {}, "--seed": {"type": int}, "--tol": {"type": float},
+    "--format": {"choices": ("json-lines", "csv")}, "--out": {}, "--seed": {"type": int}, "--tol": {"type": float},
     "--config": {"help": "flat key=value config file"},
 }
 _SUBCOMMANDS = {
@@ -50,7 +53,7 @@ _SUBCOMMANDS = {
         "--eq": {"choices": ("12", "12a", "22")},
         "--s": {},
         "--testfn": {"help": "semicolon-separated test-function specs"},
-        "--convention": {"choices": ("auto", "twopi", "angular", "angular-normalized")},
+        "--convention": {"choices": ("auto", *(c.value for c in testfn.FourierConvention))},
         "--variant": {"choices": ("printed", "corrected")}, "--q": {"type": int}, "--mc-samples": {},
     }),
     "homog": ("homogeneous distribution checks", {
@@ -75,23 +78,24 @@ _SUBCOMMANDS = {
 
 class RunConfig:
     """Validated run description: subcommand plus a typed parameter map.
-    Unknown keys are rejected with the offending key named; the seed, the
+    A key that is not a flag of the subcommand, or a value outside the
+    flag's declared choices, is rejected with the key named; the seed, the
     tolerance and the subcommand's tolerance file are parsed here, once."""
 
     def __init__(self, subcommand, params):
         if subcommand not in _SUBCOMMANDS:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
         # argparse's names: --mc-samples is the key mc_samples
-        allowed = {f.lstrip("-").replace("-", "_") for f in (*_SUBCOMMANDS[subcommand][1], *_COMMON_FLAGS)}
-        for key in params:
-            if key not in allowed:
+        flags = {f.lstrip("-").replace("-", "_"): kw for f, kw in (_SUBCOMMANDS[subcommand][1] | _COMMON_FLAGS).items()}
+        for key, value in params.items():
+            if key not in flags:
                 raise ConfigError(f"unknown config key {key!r} for subcommand {subcommand!r}")
-        fmt = params.get("format") or "json-lines"
-        if fmt not in _FORMATS:
-            raise ConfigError(f"unknown output format {fmt!r}")
+            choices = flags[key].get("choices")
+            if choices is not None and value not in choices:
+                raise ConfigError(f"{key} takes one of {', '.join(choices)}, got {value!r}")
         self.subcommand = subcommand
         self.params = dict(params)
-        self.format = fmt
+        self.format = self.get("format", "json-lines")
         self.out = params.get("out")
         self.seed = _config_number("--seed", params.get("seed"), int)
         self.tol = _config_number("--tol", params.get("tol"), float)
@@ -193,13 +197,6 @@ def _testfns(text):
     return [testfn.parse_testfn(spec.strip()) for spec in str(text).split(";") if spec.strip()]
 
 
-def _resolve_convention(eq, convention, s_list, phis, q):
-    if convention != "auto":
-        return convention
-    cal = funceq.calibrate_convention(str(eq), s_list[:2] or [0.5], phis[:1], q=q)
-    return cal["selected"][0]
-
-
 # ---------------------------------------------------------------------------
 # Subcommand runners: each parses its flags and returns the CheckReports
 # of the library checks they select; the rows are built in the library
@@ -208,33 +205,32 @@ def _resolve_convention(eq, convention, s_list, phis, q):
 def run_zeta(cfg):
     space = phspace.parse_space(cfg.get("space", "scalar1d"))
     phi = testfn.parse_testfn(cfg.get("testfn", "gaussian:a=3.14159,n=1"))
+    comp = cfg.get("component", space.components[0])
+    if comp not in space.components:
+        raise ConfigError(f"component takes one of {', '.join(space.components)} on {space}, got {comp!r}")
     s_list = _s_values(cfg.get("s", "0.5"))
     which = cfg.get("check", "value")
     if which == "invariance":
         # p(rho(g) m) = chi(g) p(m) over seeded group elements; --s plays no part
         return [phspace.invariance_sweep(space, 50, cfg.require_seed("the invariance sweep draws random group elements"))]
-    reports = []
     if which == "residue":
         # the residues are taken at the poles s = -k, so --s plays no part
-        for k in _ints(cfg.get("k", "1,2,3")):
-            reports.append(zeta.check_mellin_residue(phi, 1.0, k, **cfg.tol_for("mellin-residue")))
+        return [zeta.check_mellin_residue(phi, 1.0, k, **cfg.tol_for("mellin-residue")) for k in _ints(cfg.get("k", "1,2,3"))]
+    reports = []
     for s in s_list:
         if which == "value":
             tol = cfg.tol_for("zeta-eval").get("tol", 1e-8)
-            reports.append(zeta.check_zeta_eval(space, cfg.get("component", space.components[0]), s, phi, tol))
+            reports.append(zeta.check_zeta_eval(space, comp, s, phi, tol))
         elif which == "overlap":
             reports.append(zeta.check_mellin_overlap(phi, 1.0, s, **cfg.tol_for("mellin-overlap")))
         elif which == "montecarlo":
             seed = cfg.require_seed("the Monte-Carlo oracle is randomized")
-            comp = cfg.get("component", space.components[0])
             reports.append(zeta.check_zeta_montecarlo(space, comp, s, phi, 10_000_000, seed))
-        elif which != "residue":
-            raise ConfigError(f"unknown zeta check {which!r}")
     return reports
 
 
 def run_funceq(cfg):
-    eq = str(cfg.get("eq", "12"))
+    eq = cfg.get("eq", "12")
     s_list = _s_values(cfg.get("s", ""))
     phis = _testfns(cfg.get("testfn", "gaussian:a=3.14159,n=1" if eq == "12" else "gaussian:a=3.14159,n=3"))
     if not phis:
@@ -246,37 +242,30 @@ def run_funceq(cfg):
         raise ConfigError(f"--mc-samples takes a count of at least 2, got {mc}")
     if mc is not None and eq in ("12", "12a"):
         raise ConfigError(f"--mc-samples adds the Monte-Carlo rows of --eq 22 and has no rows for --eq {eq}")
-    reports = []
     if not s_list:
-        return reports
-    if eq == "12":
-        conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis, q)
-        tol = cfg.tol_for("funceq-eq12")
-        for s in s_list:
-            for phi in phis:
+        return []
+    # Eq12a takes B the identity and Eq22 the form of signature (q, n - q),
+    # n the dimension of the first test function
+    space = phspace.indefinite(q=q, n=phis[0].n) if eq == "22" else None
+    conv = cfg.get("convention", "auto")
+    if conv == "auto":
+        conv = funceq.calibrate_convention(eq, s_list[:2], phis[:1], q=q)["selected"][0]
+    tol = cfg.tol_for(f"funceq-eq{eq}")
+    reports = []
+    for s in s_list:
+        for phi in phis:
+            if eq == "12":
                 reports.append(funceq.check_eq12(s, phi, conv, **tol))
-    elif eq == "12a":
-        B = np.eye(phis[0].n)
-        conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis, q)
-        tol = cfg.tol_for("funceq-eq12a")
-        for s in s_list:
-            for phi in phis:
-                reports.append(funceq.check_eq12a(s, B, phi, conv, variant=variant, **tol))
-    elif eq == "22":
-        space = phspace.indefinite(q=q, n=phis[0].n)
-        conv = _resolve_convention(eq, cfg.get("convention", "auto"), s_list, phis, q)
-        tol = cfg.tol_for("funceq-eq22")
-        for s in s_list:
-            for phi in phis:
+            elif eq == "12a":
+                reports.append(funceq.check_eq12a(s, np.eye(phis[0].n), phi, conv, variant=variant, **tol))
+            else:
                 reports.append(funceq.check_eq22(s, space.Bmat, phi, conv, q=q, **tol))
-        if mc is not None:
-            seed = cfg.require_seed("the Monte-Carlo oracle is randomized")
-            for s in s_list:
-                for phi in phis:
-                    for comp in space.components:
-                        reports.append(zeta.check_zeta_montecarlo(space, comp, s, phi, mc, seed))
-    else:
-        raise ConfigError(f"unknown equation id {eq!r}")
+    if mc is not None:
+        seed = cfg.require_seed("the Monte-Carlo oracle is randomized")
+        for s in s_list:
+            for phi in phis:
+                for comp in space.components:
+                    reports.append(zeta.check_zeta_montecarlo(space, comp, s, phi, mc, seed))
     return reports
 
 
@@ -308,8 +297,6 @@ def run_homog(cfg):
         reports.append(
             homog.check_ambiguity(_default_density(), homog.make_cutoff(0.5, 2.0), homog.make_cutoff(1.0, 4.0), phis, **tol)
         )
-    else:
-        raise ConfigError(f"unknown homog check {which!r}")
     return reports
 
 
@@ -335,8 +322,6 @@ def run_probe(cfg):
         reports.append(heatflow.kernel_vs_heat_check(t, variant, tol))
     elif what == "integrability":
         reports.append(symbolkern.local_integrability_check(f))
-    else:
-        raise ConfigError(f"unknown probe {what!r}")
     return reports
 
 
@@ -373,18 +358,16 @@ def run_heat(cfg):
             tol = cfg.tol_for("heat-kernel-identity")
             pts = [(x, y) for x in (0.5, 1.0, 2.0) for y in (0.25, 1.0, 3.0)]
             reports.append(heatflow.kernel_identity_check(t, pts, variant=variant, **tol))
-        elif which != "bounds":
-            raise ConfigError(f"unknown heat check {which!r}")
     dump = cfg.get("dump_profile")
     if dump:
-        xs_grid = np.linspace(0.05, 5.0, 100)
-        with open(dump, "w", newline="", encoding="utf-8") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "x", "St_phi"])
-            scale = heatflow.variant_scale(variant)
-            for t in ts:
-                for x in xs_grid:
-                    wr.writerow([repr(float(t)), repr(float(x)), repr(float(np.real(scale * heatflow.apply(t, phi, float(x)))))])
+        scale = heatflow.variant_scale(variant)
+        grid = [(float(t), float(x)) for t in ts for x in np.linspace(0.05, 5.0, 100)]
+        rows = [[repr(t), repr(x), repr(float(np.real(scale * heatflow.apply(t, phi, x))))] for t, x in grid]
+        try:
+            with open(dump, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([["t", "x", "St_phi"], *rows])
+        except OSError as exc:
+            raise ConfigError(f"cannot write profile to {dump}: {exc}") from exc
     return reports
 
 

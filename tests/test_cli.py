@@ -588,3 +588,67 @@ def test_unwritable_report_is_a_config_error(capsys):
     out = "/nonexistent/dir/r.jsonl"
     assert run(["heat", "--check", "kernel", "--t", "0.1", "--out", out]) == 1
     assert capsys.readouterr().err.startswith(f"config error: cannot write report to {out}")
+
+
+_CHOICE_FLAGS = [
+    (sub, flag.lstrip("-"))
+    for sub, (_, flags) in cli._SUBCOMMANDS.items()
+    for flag, kw in (flags | cli._COMMON_FLAGS).items()
+    if "choices" in kw
+]
+
+
+@pytest.mark.parametrize("sub, key", _CHOICE_FLAGS, ids=[f"{sub}-{key}" for sub, key in _CHOICE_FLAGS])
+def test_a_value_outside_the_choices_is_a_config_error(tmp_path, capsys, sub, key):
+    # argparse holds flags to their choices; RunConfig holds a config file to the same table
+    (tmp_path / "run.cfg").write_text(f"{key}=bogus\n")
+    out = tmp_path / "r.jsonl"
+    argv = [sub, *(["quick"] if sub == "suite" else []), "--config", str(tmp_path / "run.cfg"), "--out", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key.replace('-', '_')} takes one of ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        # an empty --s or --t once let these run no check and pass
+        (["funceq"], "eq=13", "eq takes one of 12, 12a, 22, got '13'"),
+        (["zeta"], "check=foo\ns=", "check takes one of value, "),
+        (["heat"], "check=bogus\nt=", "check takes one of semigroup, "),
+        # these once became DomainError rows
+        (["heat"], "variant=foo\nt=0.1", "variant takes one of printed, corrected, got 'foo'"),
+        (["probe"], "variant=foo", "variant takes one of printed, corrected, got 'foo'"),
+        (["zeta", "--space", "definite:n=3", "--component", "plus"], None, "component takes one of V1 on "),
+        (["homog"], "format=", "format takes one of json-lines, csv, got ''"),
+        (["heat", "--check", "kernel", "--t", "0.1", "--dump-profile", "/nonexistent/p.csv"], None,
+         "cannot write profile to /nonexistent/p.csv"),
+    ],
+    ids=["eq", "zeta-check", "heat-check", "heat-variant", "probe-variant", "component", "empty-format", "dump-profile"],
+)
+def test_bad_choices_and_paths_are_config_errors(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "r.jsonl"
+    assert run([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
+def test_a_suite_entry_meets_the_choices(monkeypatch, capsys):
+    monkeypatch.setitem(cli.SUITES, "quick", (("homog", {"check": "bogus"}),))
+    assert run(["suite", "quick"]) == 1
+    assert capsys.readouterr().err.startswith("config error: check takes one of ")
+
+
+def test_cli_loads_on_first_use():
+    # `python -m pvzeta.cli` finds cli unloaded, so it runs once, as __main__
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = "import sys, pvzeta; assert 'pvzeta.cli' not in sys.modules; assert pvzeta.cli.main and 'pvzeta.cli' in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "pvzeta.cli", "homog", "--check", "tplus-int"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["check"] == "homog-tplus-int"
