@@ -101,7 +101,8 @@ def eq12_sides(s, phi, convention):
 def _eq12(s, phi, convention):
     """(lhs, rhs, rule) of Eq12.  rule is None when phihat is closed,
     else the rule of the lhs: the panel_gap summed over the two rays of
-    the numeric transform."""
+    the numeric transform, the larger of their cuts, and whether both
+    cuts are certified."""
     s = complex(s)
     phihat = testfn.fourier(phi, convention)
     rays = [zeta.mellin(phihat, d, s - 1.0) for d in (1.0, -1.0)]
@@ -112,7 +113,11 @@ def _eq12(s, phi, convention):
     rhs = special.gamma_factor_1d(s) * base
     rule = None
     if rays[0].rule:
-        rule = {"panel_gap": rays[0].rule["panel_gap"] + rays[1].rule["panel_gap"]}
+        rule = {
+            "panel_gap": rays[0].rule["panel_gap"] + rays[1].rule["panel_gap"],
+            "cut": max(ray.rule["cut"] for ray in rays),
+            "cut_certified": all(ray.rule["cut_certified"] for ray in rays),
+        }
     return lhs, rhs, rule
 
 

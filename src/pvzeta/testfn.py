@@ -114,11 +114,22 @@ class PolyGauss1D:
     def __init__(self, coeffs, a):
         self.coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         self.a = float(a)
+        # with every imaginary part +0.0 the imaginary part of the complex
+        # route stays +0.0 at each step, so its real part is the float
+        # arithmetic on the real parts, bit for bit
+        imag = self.coeffs.imag.tolist()
+        self._real = None if any(v or math.copysign(1.0, v) < 0.0 for v in imag) else self.coeffs.real.tolist()
 
     def __call__(self, r):
-        # a scalar r is held as a numpy scalar: the adaptive Mellin
-        # transforms call this once per node, where 0-d array arithmetic
-        # and polyval's own checks cost four times the arithmetic
+        # the adaptive Mellin transforms call this once per node, with a
+        # Python float or a numpy float64 (a float too): real coefficients
+        # take it in float arithmetic, cheaper than numpy scalar arithmetic;
+        # np.exp, not math.exp, keeps the bits of the array route
+        if self._real is not None and isinstance(r, float):
+            r = float(r)
+            return np.complex128(_horner(self._real, r) * float(np.exp(-self.a * r * r)))
+        # any other scalar r is held as a numpy scalar: 0-d array
+        # arithmetic and polyval's own checks cost four times the arithmetic
         r = np.asarray(r, dtype=float)[()]
         return _horner(self.coeffs, r) * np.exp(-self.a * r * r)
 
@@ -152,7 +163,7 @@ class NumericProfile:
         self.decay = decay
         self.order = int(order)
         self.oscillation = oscillation
-        self._scan_cut = None
+        self._scan = None
 
     def __call__(self, r):
         return self.fn(np.asarray(r, dtype=float), self.order)
@@ -161,24 +172,36 @@ class NumericProfile:
         return NumericProfile(self.fn, self.decay, self.order + int(k), self.oscillation)
 
     def cutoff(self, tol):
+        """The radius beyond which the profile is taken as zero.  A known
+        decay gives its own cutoff.  Otherwise the profile is scanned once
+        (the first scan serves every later tol) at r = 0.5 * 1.3^k against
+        max(tol, 1e-13), since the scan cannot certify decay below the
+        quadrature noise floor of the evaluator: the cut is the first of
+        four consecutive samples below that fraction of the running peak,
+        and the three after it certify the tail.  A scan that passes
+        r = 4096 without such a streak returns its last sample, and the
+        tail beyond it is not certified (cut_certified)."""
         cut = self.decay.cutoff(tol)
         if cut > 0.0:
             return cut
-        if self._scan_cut is not None:
-            return self._scan_cut
-        # the scan cannot certify decay below the quadrature noise floor
-        # of the evaluator, so the threshold is clamped there
-        tol = max(tol, 1e-13)
-        r, peak, below = 0.5, 1e-300, 0
-        while r < 4096.0:
-            v = abs(complex(self(r)))
-            peak = max(peak, v)
-            below = below + 1 if v < tol * peak else 0
-            if below >= 4:
-                break
-            r *= 1.3
-        self._scan_cut = r
-        return r
+        if self._scan is None:
+            tol = max(tol, 1e-13)
+            r, peak, below, first = 0.5, 1e-300, 0, 0.0
+            while r < 4096.0 and below < 4:
+                v = abs(complex(self(r)))
+                peak = max(peak, v)
+                below = below + 1 if v < tol * peak else 0
+                if below == 1:
+                    first = r
+                r *= 1.3
+            self._scan = (first, True) if below >= 4 else (r, False)
+        return self._scan[0]
+
+    def cut_certified(self, tol):
+        """Whether the tail beyond cutoff(tol) is certified: always for a
+        known decay, for a scan when it found its four samples."""
+        self.cutoff(tol)
+        return self._scan is None or self._scan[1]
 
 
 # ---------------------------------------------------------------------------

@@ -123,17 +123,22 @@ def mellin_profile(profile, s, tol=1e-11, order=None):
     order forces a continuation depth N beyond the minimal one (for
     overlap-consistency checks of the continuation itself).  An
     oscillating profile runs on the panels of quad.power_integral, and
-    the value's rule carries their panel_gap: the power integral's
-    summed error estimate, divided by |den| like the value."""
+    the value's rule carries their panel_gap (the power integral's
+    summed error estimate, divided by |den| like the value), the cut of
+    the ray and whether its scan certified the tail there
+    (testfn.NumericProfile.cut_certified)."""
     s = complex(s)
     dist, N, den = _continuation(s, order)
     g = profile if N == 0 else profile.derivative(N)
     wavelength = getattr(profile, "oscillation", None)
-    res = quad.power_integral(g, s + N, profile.cutoff(1e-16), tol, wavelength)
+    cut = profile.cutoff(1e-16)
+    res = quad.power_integral(g, s + N, cut, tol, wavelength)
     value = complex(res.value) / den
     if value.imag == 0.0:
         value = value.real
-    rule = {"panel_gap": res.error_estimate / abs(den)} if wavelength else None
+    rule = None
+    if wavelength:
+        rule = {"panel_gap": res.error_estimate / abs(den), "cut": cut, "cut_certified": profile.cut_certified(1e-16)}
     return MeroValue(value, dist, N, rule=rule)
 
 

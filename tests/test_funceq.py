@@ -71,16 +71,44 @@ def test_eq12_second_ray_computes_no_panel_sums(monkeypatch, s):
     assert one_ray and calls == one_ray
 
 
+def test_eq12_computes_at_most_3300_frequencies(monkeypatch):
+    # the Mellin body of the transform stops at the first certifying scan
+    # point (123.5 for the unit bump), not the last (271.4, 6745 frequencies)
+    count = 0
+    panel_sums = testfn._panel_sums
+
+    def spy(aw, width, table):
+        nonlocal count
+        count += aw.size
+        return panel_sums(aw, width, table)
+
+    monkeypatch.setattr(testfn, "_panel_sums", spy)
+    funceq.check_eq12(0.4, testfn.bump(0.0, 1.0), CONV)
+    assert 0 < count <= 3300, count
+
+
 def test_eq12_rule_is_the_summed_panel_gap():
     # a bump row carries the panel gap of its numeric transform, summed
-    # over both rays; a closed transform gives a row without a rule
+    # over both rays, and the cut of the rays with whether their scan
+    # certified it; a closed transform gives a row without a rule
     phi = testfn.bump(0.0, 1.0)
     phihat = testfn.fourier(phi, CONV)
-    gaps = [zeta.mellin(phihat, d, 0.4 - 1.0).rule["panel_gap"] for d in (1.0, -1.0)]
+    rules = [zeta.mellin(phihat, d, 0.4 - 1.0).rule for d in (1.0, -1.0)]
+    gaps = [rule["panel_gap"] for rule in rules]
+    cut = phihat.ray([1.0]).cutoff(1e-16)
+    assert [rule["cut"] for rule in rules] == [cut, cut]
     rep = funceq.check_eq12(0.4, phi, CONV)
-    assert rep.extra == {"rule": {"panel_gap": gaps[0] + gaps[1]}}
+    assert rep.extra == {"rule": {"panel_gap": gaps[0] + gaps[1], "cut": cut, "cut_certified": True}}
     assert 0.0 < gaps[0] < 1e-14
     assert funceq.check_eq12(0.4, testfn.gaussian(math.pi), CONV).extra == {}
+
+
+def test_eq12_row_shows_an_uncertified_cut():
+    # the scan of a narrow bump's transform reaches its cap without four
+    # points below tolerance: the row says the cut is uncertified
+    rep = funceq.check_eq12(0.4, testfn.bump(0.0, 0.05), CONV)
+    rule = rep.extra["rule"]
+    assert rule["cut"] > 4096.0 and rule["cut_certified"] is False
 
 
 def test_eq12_rejects_multidim():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracle import oscillatory_ft_1d
-from pvzeta import heatflow, homog, quad, symbolkern, testfn
+from pvzeta import heatflow, homog, quad, symbolkern, testfn, zeta
 from pvzeta.errors import ConfigError, DomainError
 
 
@@ -22,6 +22,42 @@ def test_gaussian_values_and_derivatives():
 def test_hermite_gaussian_profile():
     phi = testfn.hermite_gaussian(2, math.pi)
     assert abs(phi(0.5) - 0.25 * math.exp(-math.pi * 0.25)) < 1e-14
+
+
+def _bits(v):
+    return type(v), np.float64(v.real).tobytes(), np.float64(v.imag).tobytes()
+
+
+def test_polygauss_float_node_keeps_the_bits_of_the_array_route():
+    # a float node of a profile with real coefficients runs in float
+    # arithmetic; a 0-d array takes the complex array route
+    rng = np.random.default_rng(5)
+    xs = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1.0, -1.0, 40.0, -40.0, 1e3, *rng.normal(0.0, 3.0, 20)]
+    for deg in range(5):
+        for a in (math.pi, 3.14159, 1.0, 0.37, 2.2):
+            for zero in (None, 0.0, -0.0):
+                c = rng.normal(size=deg + 1) * 10.0 ** rng.integers(-3, 3, deg + 1)
+                if zero is not None:
+                    c[rng.integers(deg + 1)] = zero
+                g = testfn.PolyGauss1D(c, a)
+                for x in xs:
+                    for r in (float(x), np.float64(x)):
+                        assert _bits(g(r)) == _bits(g(np.asarray(r))), (c, a, r)
+
+
+def test_polygauss_float_path_needs_every_imaginary_part_plus_zero(monkeypatch):
+    seen = []
+    horner = testfn._horner
+
+    def spy(c, x):
+        seen.append(type(c))
+        return horner(c, x)
+
+    monkeypatch.setattr(testfn, "_horner", spy)
+    for coeffs in ([1.0, 0.5, -0.25], [1.0, complex(0.5, -0.0), -0.25], [1.0, 0.5j, -0.25]):
+        g = testfn.PolyGauss1D(coeffs, 0.7)
+        assert _bits(g(0.8)) == _bits(g(np.asarray(0.8)))
+    assert seen == [list] + [np.ndarray] * 5
 
 
 def test_bump_support_and_smoothness():
@@ -253,11 +289,57 @@ def test_numeric_fourier_is_on_the_line_only():
     assert testfn.fourier(testfn.gaussian(1.0, n=2), testfn.FourierConvention.TWOPI).n == 2
 
 
+def _scan_points(ray):
+    """The scan grid r = 0.5 * 1.3^k below 4096, each point with whether
+    the ray there is below 1e-13 of its running peak."""
+    r, peak, pts = 0.5, 1e-300, []
+    while r < 4096.0:
+        v = abs(complex(ray(r)))
+        peak = max(peak, v)
+        pts.append((r, v < 1e-13 * peak))
+        r *= 1.3
+    return pts
+
+
 def test_numeric_profile_cutoff_scan():
-    phi = testfn.bump(0.0, 1.0)
-    phihat = testfn.fourier(phi, testfn.FourierConvention.TWOPI)
-    cut = phihat.ray([1.0]).cutoff(1e-16)
-    assert 10.0 < cut < 5000.0
+    # the cut is the first of the four consecutive scan points below
+    # tolerance that certify the tail, not the last
+    ray = testfn.fourier(testfn.bump(0.0, 1.0), testfn.FourierConvention.TWOPI).ray([1.0])
+    cut = ray.cutoff(1e-16)
+    assert ray.cut_certified(1e-16) and cut == pytest.approx(123.532, rel=1e-5)
+    pts = _scan_points(ray)
+    first = [r for r, _ in pts].index(cut)
+    below = [b for _, b in pts]
+    # the cut and the three points after it are below tolerance, and no
+    # earlier run of four is
+    assert all(below[first : first + 4])
+    assert not any(all(below[k : k + 4]) for k in range(first))
+
+
+@pytest.mark.parametrize("center, radius", [(0.0, 1.0), (0.3, 0.8), (3.0, 0.8), (-0.45, 0.8)])
+def test_numeric_profile_cut_drops_a_negligible_tail(center, radius):
+    # r^(s-1) phihat(r) over [cut, last certifying scan point], by adaptive
+    # quadrature on pieces of eight wavelengths (no node in common with
+    # the Mellin body's panels), is below 1e-13 of the Mellin value
+    phihat = testfn.fourier(testfn.bump(center, radius), testfn.FourierConvention.TWOPI)
+    for d in (1.0, -1.0):
+        ray = phihat.ray([d])
+        cut = ray.cutoff(1e-16)
+        edges = np.linspace(cut, cut * 1.3 * 1.3 * 1.3, math.ceil((1.3 ** 3 - 1.0) * cut / (8.0 * ray.oscillation)) + 1)
+        for s in (0.4, 0.7, 0.45 + 0.2j):
+            tail = sum(
+                complex(quad.integrate_1d(lambda r: r ** (s - 1.0) * ray(r), lo, hi, tol=1e-10).value)
+                for lo, hi in zip(edges[:-1], edges[1:])
+            )
+            value = abs(complex(zeta.mellin(phihat, d, s - 1.0).value))
+            assert abs(tail) < 1e-13 * value, (d, s, abs(tail) / value)
+
+
+def test_numeric_profile_scan_cap_is_uncertified():
+    # a narrow bump's transform does not fall below tolerance before the
+    # cap: the scan returns its last point, past 4096, uncertified
+    ray = testfn.fourier(testfn.bump(0.0, 0.05), testfn.FourierConvention.TWOPI).ray([1.0])
+    assert not ray.cut_certified(1e-16) and ray.cutoff(1e-16) == _scan_points(ray)[-1][0] * 1.3
 
 
 def test_parse_testfn():
