@@ -88,14 +88,6 @@ class LogTestFunction:
         self.decay = testfn.Decay("other")
 
     def __call__(self, x):
-        # QUADPACK passes one float per node: it goes straight to the
-        # profile, with the bits and types of the array route, whose 0-d
-        # array work costs seven times the arithmetic; NaN takes that route
-        if isinstance(x, float) and x == x:
-            if x <= 0.0:
-                return np.float64(0.0)
-            v = np.complex128(self.profile(np.log(np.float64(x))))
-            return v.real if v.imag == 0.0 else v
         return testfn._evaluate(self._eval, 1, x)
 
     def _eval(self, xa):

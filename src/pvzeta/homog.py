@@ -150,7 +150,11 @@ class HomogFunctional:
         total = 0.0 + 0.0j
         # the rays as points on the line when n = 1, as in _at
         for om, w in zip(pts[:, 0] if n == 1 else pts, wts):
-            r = quad.integrate_1d(lambda t, om=om: self(t * om) * complex(phi(t * om)) * t ** (n - 1), 0.0, outer, tol=1e-11)
+            def integrand(t):  # integrate_1d runs it before om moves on
+                m = np.multiply.outer(t, om)  # shape (nodes,) on the line, (nodes, n) off it
+                return self(m) * np.asarray(phi(m)) * t ** (n - 1)
+
+            r = quad.integrate_1d(integrand, 0.0, outer, tol=1e-11)
             total += w * complex(r.value)
         return total.real if total.imag == 0.0 else total
 
@@ -186,8 +190,8 @@ class RadialCutoff:
             return self.norm * np.where(np.abs(u) < 1.0, np.exp(-1.0 / (1.0 - u * u)), 0.0)
 
     def _log_moment(self, power):
-        """integral_0^inf eta(t) log(t)^power dt/t, adaptive at tol 1e-12
-        (at 1e-13 QUADPACK reports roundoff on the log-mean)."""
+        """integral_0^inf eta(t) log(t)^power dt/t, adaptive at tol 1e-12,
+        where the rule already stops on its roundoff floor."""
         res = quad.integrate_1d(lambda t: self.eta(t) * np.log(t) ** power / t, self.a, self.b, tol=1e-12)
         return float(np.real(complex(res.value)))
 

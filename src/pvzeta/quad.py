@@ -64,30 +64,146 @@ class QuadResult:
         return complex(self.value)
 
 
-def integrate_1d(f, a, b, tol=1e-10):
-    """Integrate f on (a, b) (either end may be infinite) by one adaptive
-    Gauss-Kronrod call, counting the evaluations of f.  Returns
-    QuadResult."""
-    # imported here, not at the top: a cold scipy.integrate import takes about 0.5 s
-    from scipy.integrate import quad as _scipy_quad
-    from scipy.integrate._quadpack import error as _QuadpackError
+# The 21-point Gauss-Kronrod rule of QUADPACK's qk21 on [-1, 1] (the
+# constants of scipy.integrate._quad_vec._quadrature_gk21): Kronrod nodes
+# and weights, and the 10-point Gauss weights of the odd-indexed nodes.
+_GK21_X = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+    -0.148874338981631210884826001129720, -0.294392862701460198131126603103866,
+    -0.433395394129247190799265943165784, -0.562757134668604683339000099272694,
+    -0.679409568299024406234327365114874, -0.780817726586416897063717578345042,
+    -0.865063366688984510732096688423493, -0.930157491355708226001207180059508,
+    -0.973906528517171720077964012084452, -0.995657163025808080735527280689003,
+])
+_GK21_WK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+    0.147739104901338491374841515972068, 0.142775938577060080797094273138717,
+    0.134709217311473325928054001771707, 0.123491976262065851077958109831074,
+    0.109387158802297641899210590325805, 0.093125454583697605535065465083366,
+    0.075039674810919952767043140916190, 0.054755896574351996031381300244580,
+    0.032558162307964727478818972459390, 0.011694638867371874278064396062192,
+])
+_G10_W = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338, 0.295524224714752870173892994651338,
+    0.269266719309996355091226921569469, 0.219086362515982043995534934228163,
+    0.149451349150580593145776339657697, 0.066671344308688137593568809893332,
+])
+# integrate_1d raises NonConvergence rather than hold more intervals
+_GK_INTERVALS = 400
+# an interval at an end of the range is cut this fraction of its width from
+# that end: the algebraic end points of the Mellin integrands resolve
+# geometrically, and a smooth integrand loses two thin intervals
+_GK_GRADE = 1.0 / 16.0
 
+
+def _gk21(g, lo, hi):
+    """QUADPACK's qk21 on every interval (lo[i], hi[i]) with one g call on
+    all their nodes: (values, error estimates, roundoff floors).  The
+    error is resasc min(1, (200 |K - G| / resasc)^1.5), floored at
+    50 eps resabs, the floor returned apart."""
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    vals = g((c[:, None] + h[:, None] * _GK21_X).ravel()).reshape(-1, _GK21_X.size)
+    resk = vals @ _GK21_WK
+    h = np.abs(h)
+    gap = np.abs(resk - vals[:, 1::2] @ _G10_W) * h
+    resasc = np.abs(vals - 0.5 * resk[:, None]) @ _GK21_WK * h
+    floor = 50.0 * np.finfo(float).eps * (np.abs(vals) @ _GK21_WK) * h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where((resasc != 0.0) & (gap != 0.0), resasc * np.minimum(1.0, (200.0 * gap / resasc) ** 1.5), gap)
+    return 0.5 * (hi - lo) * resk, np.maximum(err, floor), floor
+
+
+def integrate_1d(f, a, b, tol=1e-10):
+    """Integrate f on (a, b) (either end may be infinite) by globally
+    adaptive Gauss-Kronrod subdivision in rounds (Gander & Gautschi, BIT 40
+    (2000) 84-101) on QUADPACK's G10/K21 pair and error estimate.  f takes
+    a 1-D array of nodes and returns their values, real or complex: it is
+    called once per round, on the 21 nodes of every interval that round
+    made, so a complex integrand takes one pass.  Each round splits the
+    largest-error intervals whose errors add up past the excess over the
+    target max(tol 1e-2, tol 1e-2 |I|), or stops; a sum of errors within
+    twice the roundoff floors stops it too.  An interval at an end of the
+    range is cut _GK_GRADE of its width from that end, any other at its
+    midpoint.  An infinite end is mapped by t / (1 - t), the real line
+    folded onto the half line.  NonConvergence past _GK_INTERVALS
+    intervals or on a value that is not finite, never a warning.  Returns
+    QuadResult; evaluations counts the nodes handed to f."""
+    if a > b:
+        res = integrate_1d(f, b, a, tol)
+        return QuadResult(-res.value, res.error_estimate, res.evaluations)
     count = 0
 
-    def counted(t):
+    def g(t):
         nonlocal count
-        count += 1
-        return f(t)
+        count += t.size
+        return np.asarray(f(t))
 
-    try:
-        val, err = _scipy_quad(counted, a, b, limit=400, epsabs=tol * 1e-2, epsrel=tol * 1e-2, complex_func=True)
-    except _QuadpackError as exc:  # pragma: no cover - QUADPACK's own failure; integrand errors propagate
-        raise NonConvergence(f"quadrature failed on ({a}, {b}): {exc}") from exc
-    err = float(abs(err))
-    if not np.isfinite(err) or not np.isfinite(val):
-        raise NonConvergence(f"quadrature did not converge on ({a}, {b})")
-    value = complex(val)
-    return QuadResult(value.real if value.imag == 0.0 else value, err, count)
+    # the integrand on the rule's range (lo, hi): (0, 1) once an end is infinite
+    lo, hi, mapped = float(a), float(b), g
+    if math.isinf(a) and math.isinf(b):
+        lo, hi = 0.0, 1.0
+
+        def mapped(t):
+            x = t / (1.0 - t)
+            v = g(np.concatenate([x, -x]))
+            return (v[: t.size] + v[t.size :]) / (1.0 - t) ** 2
+    elif math.isinf(b):
+        lo, hi = 0.0, 1.0
+        mapped = lambda t: g(a + t / (1.0 - t)) / (1.0 - t) ** 2
+    elif math.isinf(a):
+        lo, hi = 0.0, 1.0
+        mapped = lambda t: g(b - t / (1.0 - t)) / (1.0 - t) ** 2
+    eps = tol * 1e-2
+    left, right = np.array([lo]), np.array([hi])
+    val, err, floor = _gk21(mapped, left, right)
+    while True:
+        total = val.sum()
+        if not np.isfinite(total):
+            raise NonConvergence(f"quadrature on ({a}, {b}) met a value that is not finite")
+        excess = err.sum() - max(eps, eps * abs(total), 2.0 * floor.sum())
+        if excess <= 0.0:
+            break
+        order = np.argsort(-err, kind="stable")
+        split = order[: np.searchsorted(np.cumsum(err[order]), excess, side="right") + 1]
+        keep = np.ones(err.size, dtype=bool)
+        keep[split] = False
+        # the edges of each split interval, nan where no cut falls: graded
+        # off an end of (lo, hi) that it touches, else at its midpoint
+        sl, sr = left[split], right[split]
+        at_lo, at_hi = sl == lo, sr == hi
+        edges = np.stack([
+            sl,
+            np.where(at_lo, sl + _GK_GRADE * (sr - sl), np.nan),
+            np.where(at_lo | at_hi, np.nan, 0.5 * (sl + sr)),
+            np.where(at_hi, sr - _GK_GRADE * (sr - sl), np.nan),
+            sr,
+        ], axis=1)
+        row, col = np.nonzero(~np.isnan(edges))
+        flat = edges[row, col]
+        same = row[1:] == row[:-1]
+        new_l, new_r = flat[:-1][same], flat[1:][same]
+        if keep.sum() + new_l.size > _GK_INTERVALS:
+            raise NonConvergence(
+                f"quadrature on ({a}, {b}) needs more than {_GK_INTERVALS} intervals: "
+                f"error estimate {err.sum():.2e} against {eps:.2e} absolute and relative"
+            )
+        nv, ne, nf = _gk21(mapped, new_l, new_r)
+        left, right = np.concatenate([left[keep], new_l]), np.concatenate([right[keep], new_r])
+        val, err, floor = np.concatenate([val[keep], nv]), np.concatenate([err[keep], ne]), np.concatenate([floor[keep], nf])
+    value = complex(total)
+    return QuadResult(value.real if value.imag == 0.0 else value, float(err.sum()), count)
 
 
 def _head_integrand(g, expo):
@@ -119,7 +235,7 @@ def power_integral(g, expo, cut, tol, wavelength=None):
     turns without bound as u -> 0, which no panel width resolves (fixed
     panels leave Eq12 on a bump at s = 0.45 + 0.2i off by 2.2e-4).
     Otherwise both parts are adaptive.  The error estimate is the sum of
-    the parts' estimates: QUADPACK's, or the gap of panel doubling."""
+    the parts' estimates: integrate_1d's, or the gap of panel doubling."""
     expo = complex(expo)
     if expo.real <= -1.0:
         raise DomainError(f"power integral needs Re expo > -1 (integrability), got {expo}")
@@ -544,8 +660,8 @@ class SignatureGeometry:
         return math.sqrt(45.0 / decay_rate) + 2.0
 
     def angular_profile(self, g, decay_rate):
-        """The scalar H(r) of profile, one radius per call."""
-        return lambda r: self.profile(g, np.array([float(r)]), decay_rate)[0][0]
+        """H(r) of profile at every radius of the 1D array r, in one call."""
+        return lambda r: self.profile(g, r, decay_rate)[0]
 
 
 def radial_power_integral(H, beta, r_max, tol, depth=0):
@@ -565,16 +681,15 @@ def radial_power_integral(H, beta, r_max, tol, depth=0):
     def Hp(r):
         # H needs only to be smooth on (0, inf); near 0 a one-sided
         # stencil avoids sampling across the origin, where hyperbolic
-        # angular profiles are sign-odd with a jump.
-        if r >= 2.5 * h:
-            return (-H(r + 2 * h) + 8.0 * H(r + h) - 8.0 * H(r - h) + H(r - 2 * h)) / (12.0 * h)
-        return (
-            -25.0 * H(r)
-            + 48.0 * H(r + h)
-            - 36.0 * H(r + 2 * h)
-            + 16.0 * H(r + 3 * h)
-            - 3.0 * H(r + 4 * h)
-        ) / (12.0 * h)
+        # angular profiles are sign-odd with a jump.  One H call takes the
+        # five radii r + k h of every r: k = -2..2, or 0..4 one-sided.
+        r = np.asarray(r, dtype=float)
+        near = r < 2.5 * h
+        shift = np.where(near[:, None], np.arange(5), np.arange(-2, 3)) * h
+        v = np.asarray(H((r[:, None] + shift).ravel())).reshape(r.size, 5).T
+        central = (-v[4] + 8.0 * v[3] - 8.0 * v[1] + v[0]) / (12.0 * h)
+        one_sided = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
+        return np.where(near, one_sided, central)
 
     inner = radial_power_integral(Hp, beta + 1.0, r_max, tol=tol, depth=depth + 1)
     return -inner / (beta + 1.0)

@@ -114,22 +114,10 @@ class PolyGauss1D:
     def __init__(self, coeffs, a):
         self.coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         self.a = float(a)
-        # with every imaginary part +0.0 the imaginary part of the complex
-        # route stays +0.0 at each step, so its real part is the float
-        # arithmetic on the real parts, bit for bit
-        imag = self.coeffs.imag.tolist()
-        self._real = None if any(v or math.copysign(1.0, v) < 0.0 for v in imag) else self.coeffs.real.tolist()
 
     def __call__(self, r):
-        # the adaptive Mellin transforms call this once per node, with a
-        # Python float or a numpy float64 (a float too): real coefficients
-        # take it in float arithmetic, cheaper than numpy scalar arithmetic;
-        # np.exp, not math.exp, keeps the bits of the array route
-        if self._real is not None and isinstance(r, float):
-            r = float(r)
-            return np.complex128(_horner(self._real, r) * float(np.exp(-self.a * r * r)))
-        # any other scalar r is held as a numpy scalar: 0-d array
-        # arithmetic and polyval's own checks cost four times the arithmetic
+        # a scalar r is held as a numpy scalar: 0-d array arithmetic and
+        # polyval's own checks cost four times the arithmetic
         r = np.asarray(r, dtype=float)[()]
         return _horner(self.coeffs, r) * np.exp(-self.a * r * r)
 

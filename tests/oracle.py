@@ -3,9 +3,10 @@
 The tests compare the library's fixed Fourier rules (the numeric
 transform of a bump, the heat symbol, the double-exponential inverse
 transforms) against an independent adaptive route for one-dimensional
-Fourier integrals, and the zeta integral of a Gaussian on an anisotropic
-definite form against its polar factorization with an adaptive sphere
-integral; the library itself never calls them.  The Monte-Carlo route
+Fourier integrals, the library's adaptive rule quad.integrate_1d against
+QUADPACK on the same problem (quadpack_1d), and the zeta integral of a
+Gaussian on an anisotropic definite form against its polar factorization
+with an adaptive sphere integral; the library itself never calls them.  The Monte-Carlo route
 draws and evaluates each chunk of samples as one array, the reference of
 the library's blocked oracle, and fhat_many_one_block takes the heat
 symbol in blocks of 4e6 exponents, the reference of the library's
@@ -22,6 +23,16 @@ from pvzeta import heatflow, quad, special
 
 # at or below this |xi| the complex integrand is integrated directly
 OSC_THRESHOLD = 4.0
+
+
+def quadpack_1d(f, a, b, tol):
+    """(value, error estimate) of integral_a^b f by QUADPACK through
+    scipy.integrate.quad, with quad.integrate_1d's tolerance mapping
+    (epsabs = epsrel = tol 1e-2) and interval cap (400): the reference of
+    the library's adaptive rule.  f is called with one float node at a
+    time, and a complex integrand runs twice, once per part."""
+    val, err = scipy_quad(f, a, b, limit=400, epsabs=tol * 1e-2, epsrel=tol * 1e-2, complex_func=True)
+    return complex(val), float(abs(err))
 
 
 def oscillatory_ft_1d(f, xi, a=-np.inf, b=np.inf, tol=1e-10, force_method=None):

@@ -33,8 +33,9 @@ assert heatflow.langlands_bounds_check((0.25,), (0.5,)).passed
 
 def test_import_loads_no_scipy():
     # scipy is loaded in this process by other tests, so the import path is
-    # checked in a fresh interpreter; the three callers that import scipy
-    # on first use (QUADPACK, expm, erf) must then work from that cold start
+    # checked in a fresh interpreter; the adaptive rule and the two callers
+    # that import scipy on first use (expm, erf) must then work from that
+    # cold start
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", _COLD_START], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -63,11 +64,9 @@ def test_a_parse_error_leaves_the_shared_parser_as_new(tmp_path):
     assert (tmp_path / "in.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_suite_runs_alike_warm_and_fresh(tmp_path):
     # the second run meets warm caches (cutoffs, rules, transforms) and the
-    # parser of the first; all three reports must be the same bytes (the
-    # suite's expected roundoff IntegrationWarning is not what is checked)
+    # parser of the first; all three reports must be the same bytes
     outs = [tmp_path / f"{name}.jsonl" for name in ("first", "second", "fresh")]
     for out in outs[:2]:
         assert run(["suite", "quick", "--seed", "11", "--out", str(out)]) == 0
@@ -155,12 +154,15 @@ def test_cli_flag_overrides_config(tmp_path):
 def test_tol_dir_env_override(tmp_path, monkeypatch):
     told = tmp_path / "tols"
     told.mkdir()
-    # absurdly tight tolerance forces a failure on a correct identity
-    (told / "funceq.tol").write_text("funceq-eq12=1e-30\n")
+    # an absurdly tight tolerance fails a correct identity whose residual
+    # cannot vanish: the finite-difference generator row reads about 1.4e-4
+    (told / "heat.tol").write_text("heat-generator=1e-30\n")
     monkeypatch.setenv(cli.TOL_DIR_ENV, str(told))
     out = tmp_path / "r.jsonl"
-    status = run(["funceq", "--eq", "12", "--s", "0.5", "--testfn", "gaussian:a=3.14159,n=1", "--out", str(out)])
+    status = run(["heat", "--check", "generator", "--t", "0.5", "--x", "1.0", "--out", str(out)])
     assert status == 2
+    row = json.loads(out.read_text().splitlines()[0])
+    assert row["check"] == "heat-generator" and row["tolerance"] == 1e-30 and row["rel_residual"] > 1e-6
 
 
 def test_runconfig_rejects_unknown_key():
@@ -652,3 +654,19 @@ def test_cli_loads_on_first_use():
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["check"] == "homog-tplus-int"
+
+
+def test_one_shot_adaptive_check_loads_no_scipy_integrate(tmp_path):
+    # the adaptive rule is numpy's own: a fresh one-shot t_+^s pairing,
+    # which runs it, never imports scipy.integrate (about 0.5 s cold)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = (
+        "import sys; from pvzeta import cli\n"
+        "assert cli.main(['homog', '--check', 'tplus-int', '--out', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    )
+    out = tmp_path / "r.jsonl"
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert json.loads(out.read_text())["check"] == "homog-tplus-int"

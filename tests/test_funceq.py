@@ -87,6 +87,22 @@ def test_eq12_computes_at_most_3300_frequencies(monkeypatch):
     assert 0 < count <= 3300, count
 
 
+def test_eq12_calls_the_ray_evaluators_at_most_100_times(monkeypatch):
+    # an adaptive Mellin transform of a bump ray hands the evaluator every
+    # node of a subdivision round at once (730 calls at one node a call)
+    count = 0
+    call = testfn.NumericProfile.__call__
+
+    def spy(self, r):
+        nonlocal count
+        count += 1
+        return call(self, r)
+
+    monkeypatch.setattr(testfn.NumericProfile, "__call__", spy)
+    funceq.check_eq12(0.4, testfn.bump(0.0, 1.0), CONV)
+    assert 0 < count <= 100, count
+
+
 def test_eq12_rule_is_the_summed_panel_gap():
     # a bump row carries the panel gap of its numeric transform, summed
     # over both rays, and the cut of the rays with whether their scan

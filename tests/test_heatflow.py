@@ -50,8 +50,8 @@ _LOG_FUNCTIONS = [
 @pytest.mark.parametrize("phi", _LOG_FUNCTIONS, ids=["real", "complex", "omega"])
 @pytest.mark.parametrize("x", [-1.0, 0.0, 1e-300, 1.0, math.exp(30.0), 0.37, 2.9])
 def test_scalar_path_has_the_bits_of_the_array_path(phi, x):
-    # QUADPACK's one float per node skips the array route; value and type
-    # must be those of a 1-element array, for a Python float and np.float64
+    # a scalar gives a scalar: value and type are those of a 1-element
+    # array, for a Python float and np.float64
     ref = phi(np.array([x]))[0]
     for arg in (x, np.float64(x)):
         v = phi(arg)
@@ -60,6 +60,8 @@ def test_scalar_path_has_the_bits_of_the_array_path(phi, x):
 
 
 def test_scalar_path_leaves_nan_and_arrays_to_the_array_route():
+    # NaN is no point of x > 0; an array keeps its shape, each entry the
+    # value at that scalar
     phi = heatflow.log_gaussian(1.0)
     assert phi(float("nan")) == 0.0 and np.shape(phi(float("nan"))) == ()
     xs = np.array([[0.5, -1.0], [2.0, 0.0]])

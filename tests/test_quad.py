@@ -9,21 +9,121 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
 
-from oracle import monte_carlo_signature_whole_chunk
+from oracle import monte_carlo_signature_whole_chunk, quadpack_1d
 import pvzeta
-from pvzeta import funceq, phspace, quad, testfn, zeta
-from pvzeta.errors import AccuracyError, DomainError
+from pvzeta import funceq, heatflow, homog, phspace, quad, testfn, zeta
+from pvzeta.errors import AccuracyError, DomainError, NonConvergence
 
 
 def test_integrate_1d_smooth():
     res = quad.integrate_1d(lambda x: np.exp(-x * x), -np.inf, np.inf, tol=1e-12)
     assert abs(res.value - math.sqrt(math.pi)) < 1e-12
+
+
+def _engine_cases():
+    """The integrand families the library hands integrate_1d, by name:
+    (f, a, b, tol).  Each f takes an array or one float node."""
+    cases = {}
+    for name, g in (("gauss", testfn.gaussian(math.pi).ray([1.0])), ("hermite", testfn.hermite_gaussian(2, math.pi).ray([1.0]))):
+        cut = g.cutoff(1e-16)
+        # the Mellin integrands of power_integral: whole at Re expo >= 0,
+        # else a head in u = r^(1 + Re expo) and a body
+        cases[f"{name}-mellin-0.4"] = (lambda r, g=g: r ** complex(0.4) * g(r), 0.0, cut, 1e-11)
+        for expo in (-0.7, -0.3 + 0.5j):
+            expo = complex(expo)
+            cases[f"{name}-head-{expo}"] = (quad._head_integrand(g, expo), 0.0, 1.0, 1e-11)
+            cases[f"{name}-body-{expo}"] = (lambda r, g=g, e=expo: r ** e * g(r), 1.0, cut, 1e-11)
+    # heatflow.apply's integrand at t = 0.5, x = 1.3
+    phi, t, x = heatflow.log_gaussian(1.0), 0.5, 1.3
+    R = math.sqrt(4.0 * t * 45.0) + 3.0
+    cases["apply"] = (lambda r: np.exp(-r * r / (4.0 * t)) * np.asarray(phi(x * np.exp(-r))), -R, R, 1e-11)
+    # the |r| kink of heatflow.langlands_bounds_check at t = 0.25, kappa = 0.5
+    c, t, k = heatflow.prefactor(0.25), 0.25, 0.5
+    R = math.sqrt(4.0 * t * 45.0) + 4.0 * k * t + 5.0
+    cases["bounds-kink"] = (lambda r: c * np.exp(-r * r / (4.0 * t) + k * abs(r)), -R, R, 1e-12)
+    # the log-moments of a radial cutoff
+    psi = homog.make_cutoff(0.5, 2.0)
+    for power in (0, 1):
+        cases[f"cutoff-log-{power}"] = (lambda u, p=power: psi.eta(u) * np.log(u) ** p / u, psi.a, psi.b, 1e-12)
+    cases["line"] = (lambda y: np.exp(-(y - 0.7) ** 2) * np.cos(y), -np.inf, np.inf, 1e-12)
+    cases["half-line"] = (lambda y: np.exp(-y) * np.cos(3.0 * y), 1.0, np.inf, 1e-12)
+    return cases
+
+
+_ENGINE_CASES = _engine_cases()
+
+
+@pytest.mark.parametrize("name", list(_ENGINE_CASES))
+def test_integrate_1d_agrees_with_quadpack(name, capfd):
+    # the same problem on QUADPACK: within both error estimates, or 1e-13;
+    # the library's rule warns nothing and writes nothing to stderr
+    f, a, b, tol = _ENGINE_CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = quad.integrate_1d(f, a, b, tol=tol)
+    assert capfd.readouterr().err == ""
+    with warnings.catch_warnings():
+        # QUADPACK reports roundoff on the kink, the line and a log-moment
+        warnings.simplefilter("ignore")
+        ref, ref_err = quadpack_1d(f, a, b, tol)
+    assert abs(complex(res.value) - ref) <= max(res.error_estimate + ref_err, 1e-13), (res, ref, ref_err)
+
+
+@pytest.mark.parametrize("name", ["gauss-head-(-0.7+0j)", "hermite-head-(-0.3+0.5j)", "bounds-kink", "line"])
+def test_integrate_1d_calls_f_once_per_round(name, monkeypatch):
+    # every round evaluates the new intervals' nodes in one call of f, on
+    # a 1-D array: 21 nodes an interval, twice that on the folded line
+    f, a, b, tol = _ENGINE_CASES[name]
+    rounds, sizes = 0, []
+    rule = quad._gk21
+
+    def counted_rule(*args):
+        nonlocal rounds
+        rounds += 1
+        return rule(*args)
+
+    def spy(x):
+        assert type(x) is np.ndarray and x.ndim == 1 and x.dtype == float
+        sizes.append(x.size)
+        return f(x)
+
+    monkeypatch.setattr(quad, "_gk21", counted_rule)
+    res = quad.integrate_1d(spy, a, b, tol=tol)
+    per_interval = 42 if name == "line" else 21
+    assert rounds > 1 and len(sizes) == rounds
+    assert sizes[0] == per_interval and all(n % per_interval == 0 for n in sizes)
+    assert sum(sizes) == res.evaluations
+
+
+@pytest.mark.parametrize("f, err_range", [
+    (lambda x: 1.0 / (1.0 + 25.0 * x * x), (1e-7, 1e-3)),  # the error formula
+    (lambda x: x * x, (1e-15, 1e-14)),  # K = G: the roundoff floor 50 eps resabs
+], ids=["runge", "quadratic"])
+def test_one_interval_is_quadpack_qk21(f, err_range):
+    # at a tolerance that the first interval meets, value and error
+    # estimate are QUADPACK's qk21 on (a, b), which QUADPACK also stops at
+    res = quad.integrate_1d(f, 0.0, 1.0, tol=0.1)
+    ref, ref_err = quadpack_1d(f, 0.0, 1.0, 0.1)
+    assert res.evaluations == 21 and err_range[0] < ref_err < err_range[1]
+    # the error estimate takes K - G, which cancels: it agrees to 1e-8
+    assert abs(res.value - ref.real) < 1e-15 and abs(res.error_estimate - ref_err) < 1e-8 * ref_err
+
+
+def test_integrate_1d_raises_at_the_interval_cap(capfd):
+    # 1/x on (0, 1) diverges: the error at 0 never falls, and the rule
+    # raises NonConvergence at 400 intervals, with no warning or output
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence, match="more than 400 intervals"):
+            quad.integrate_1d(lambda x: 1.0 / x, 0.0, 1.0)
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("expo", [-0.5, -0.999, -0.9 + 0.3j, 0.7 + 0.2j])

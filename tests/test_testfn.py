@@ -24,42 +24,6 @@ def test_hermite_gaussian_profile():
     assert abs(phi(0.5) - 0.25 * math.exp(-math.pi * 0.25)) < 1e-14
 
 
-def _bits(v):
-    return type(v), np.float64(v.real).tobytes(), np.float64(v.imag).tobytes()
-
-
-def test_polygauss_float_node_keeps_the_bits_of_the_array_route():
-    # a float node of a profile with real coefficients runs in float
-    # arithmetic; a 0-d array takes the complex array route
-    rng = np.random.default_rng(5)
-    xs = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1.0, -1.0, 40.0, -40.0, 1e3, *rng.normal(0.0, 3.0, 20)]
-    for deg in range(5):
-        for a in (math.pi, 3.14159, 1.0, 0.37, 2.2):
-            for zero in (None, 0.0, -0.0):
-                c = rng.normal(size=deg + 1) * 10.0 ** rng.integers(-3, 3, deg + 1)
-                if zero is not None:
-                    c[rng.integers(deg + 1)] = zero
-                g = testfn.PolyGauss1D(c, a)
-                for x in xs:
-                    for r in (float(x), np.float64(x)):
-                        assert _bits(g(r)) == _bits(g(np.asarray(r))), (c, a, r)
-
-
-def test_polygauss_float_path_needs_every_imaginary_part_plus_zero(monkeypatch):
-    seen = []
-    horner = testfn._horner
-
-    def spy(c, x):
-        seen.append(type(c))
-        return horner(c, x)
-
-    monkeypatch.setattr(testfn, "_horner", spy)
-    for coeffs in ([1.0, 0.5, -0.25], [1.0, complex(0.5, -0.0), -0.25], [1.0, 0.5j, -0.25]):
-        g = testfn.PolyGauss1D(coeffs, 0.7)
-        assert _bits(g(0.8)) == _bits(g(np.asarray(0.8)))
-    assert seen == [list] + [np.ndarray] * 5
-
-
 def test_bump_support_and_smoothness():
     phi = testfn.bump(0.0, 1.0)
     assert phi(1.0) == 0.0 and phi(1.5) == 0.0
