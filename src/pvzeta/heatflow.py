@@ -146,14 +146,16 @@ def _two_step(t, s, phi, xs, order):
     c_t c_s integral e^{-r^2/4t} e^{-u^2/4s} phi(x e^{-r-u}) dr du
     becomes 4 sqrt(ts) c_t c_s sum w_i w_j phi(x e^{-r_i-u_j})."""
     z, w = quad.gauss_hermite(order)
-    xs = np.asarray(xs)
     inner = np.exp(-2.0 * math.sqrt(s) * z)
+    outer = np.array([math.exp(-2.0 * math.sqrt(t) * zi) for zi in z])
     total = np.zeros(len(xs), dtype=complex)
-    # one phi call per row of the tensor rule (all u nodes at one r node)
-    # keeps the working arrays, and so peak memory, small
-    for zi, wi in zip(z, w):
-        y = np.outer(xs * math.exp(-2.0 * math.sqrt(t) * zi), inner)
-        total += wi * (np.asarray(phi(y), dtype=complex) @ w)
+    # one phi call and one stacked product (each row the bits of its own 2-D
+    # product) per chunk of at most quad.BLOCK / 8 points, which keeps peak memory small
+    step = max(1, quad.BLOCK // 8 // (len(xs) * order))
+    for lo in range(0, order, step):
+        y = (xs * outer[lo : lo + step, None])[:, :, None] * inner
+        for wi, row in zip(w[lo : lo + step], np.asarray(phi(y), dtype=complex) @ w):
+            total += wi * row
     return 4.0 * math.sqrt(t * s) * prefactor(t) * prefactor(s) * total
 
 

@@ -235,8 +235,10 @@ _INNER_PANELS = (128, 256)
 # Coarse step (the fine rule halves it) and edge |x| <= _DE_EDGE of the
 # outer rule of pointwise_kdot; at the edge eta is below 1e-19 of its peak.
 _DE_STEP, _DE_EDGE = 0.2, 2.6
-# phi' points contracted at once, a working set kept apart from quad.BLOCK: at
-# quad.BLOCK a nested-1d pass took 0.106 s against 0.067 s, peak 92 against 88 MB
+# phi' points evaluated and contracted at once.  One block for the whole t x tau
+# grid falls out of cache: 53 x 4096 points took about 3x as long per call.  The
+# partition is part of the bits: BLAS rounds a row of a (1, N) complex product
+# apart from the same row inside a (2, N) block, so a new block size moves rows.
 _BLOCK_POINTS = 1 << 13
 
 
@@ -258,6 +260,14 @@ def _rs_rows(dprof, t, cut, npanel):
         # d/dtau phi(tau t omega) = t g'(t tau) for the profile g of omega
         rows.append(tb * (np.asarray(dprof(tb[:, None] * tau)) @ c))
     return np.concatenate(rows)
+
+
+def _rows_per_profile(rays, t, npanel):
+    """_rs_rows of each (dprof, cut) pair of rays, once per distinct pair:
+    equal polynomial-Gaussian profiles (PolyGauss1D.__eq__) share one, as
+    the rays +-1 of an even phi do; every other profile is its own."""
+    rows = {key: _rs_rows(key[0], t, key[1], npanel) for key in dict.fromkeys(rays)}
+    return [rows[key] for key in rays]
 
 
 def _at(k, pts):
@@ -311,7 +321,8 @@ def extend_kdot(k, psi, phi):
 
     def terms(pts, wts, p, fine):
         npanel = 2 * p if fine else p
-        a = np.array([_rs_rows(g.derivative(1), np.ones(1), g.cutoff(1e-18), npanel)[0] for g in map(phi.ray, pts)])
+        rays = [(g.derivative(1), g.cutoff(1e-18)) for g in map(phi.ray, pts)]
+        a = np.array([row[0] for row in _rows_per_profile(rays, np.ones(1), npanel)])
         return wts * _at(k, pts) * (a - shift), (pts, a)
 
     value, rule, (pts, a) = _extension(k, phi, "fixed-rule extension", terms)
@@ -340,11 +351,9 @@ def pointwise_kdot(k, psi, phi):
         t = mid + half * np.tanh(x)
         # dt = half sech(x)^2 dx, and m = t omega has the measure t^{n-1} dt d omega
         outer = h * half / np.cosh(x) ** 2 * psi.eta(t) * t ** (k.n - 1)
-        rows = []
-        for om, w in zip(pts, wts):
-            # the inner range of the ray serves every outer node of it
-            cut = max(phi.ray(psi.a * om).cutoff(1e-18), phi.ray(psi.b * om).cutoff(1e-18))
-            rows.append(w * outer * _at(k, t[:, None] * om) * _rs_rows(phi.ray(om).derivative(1), t, cut, npanel))
+        # the inner range of a ray serves every outer node of it
+        rays = [(phi.ray(om).derivative(1), max(phi.ray(psi.a * om).cutoff(1e-18), phi.ray(psi.b * om).cutoff(1e-18))) for om in pts]
+        rows = [w * outer * _at(k, t[:, None] * om) * a for om, w, a in zip(pts, wts, _rows_per_profile(rays, t, npanel))]
         return np.concatenate(rows), len(t)
 
     value, rule, nodes = _extension(k, phi, "pointwise extension", terms)

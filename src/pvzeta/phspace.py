@@ -10,6 +10,7 @@ and alpha^2 for the quadratic ones.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,11 +28,14 @@ class PVSpace:
     B: tuple = None  # row-major entries for quadratic kinds
     q: int = 0
 
-    @property
+    # built once per space: cached_property writes __dict__, past the frozen __setattr__
+    @functools.cached_property
     def Bmat(self):
         if self.B is None:
             return None
-        return np.array(self.B, dtype=float).reshape(self.n, self.n)
+        B = np.array(self.B, dtype=float).reshape(self.n, self.n)
+        B.flags.writeable = False
+        return B
 
     @property
     def deg_p(self):
@@ -46,6 +50,10 @@ class PVSpace:
         return ("plus", "minus")
 
     def __repr__(self):
+        return self._text
+
+    @functools.cached_property
+    def _text(self):
         """The kind, n and q, and B unless it is the kind's default (the
         identity, or diag(1, ..., 1, -1, ..., -1) of signature (q, n - q)):
         its diagonal joined by |, or every entry row by row when B is not

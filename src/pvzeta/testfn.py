@@ -58,7 +58,7 @@ class FourierConvention(Enum):
 @dataclass(frozen=True)
 class Decay:
     """Tail bound descriptor: |phi(m)| <= C e^{-rate |m|^2} beyond shift,
-    or phi = 0 outside |m - center| <= radius, or 'other' (scan for tails)."""
+    or phi = 0 outside |m - center| <= radius, or 'other' (scan to radius)."""
 
     kind: str  # gaussian | compact | other
     rate: float = 0.0
@@ -114,12 +114,20 @@ class PolyGauss1D:
     def __init__(self, coeffs, a):
         self.coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         self.a = float(a)
+        # with zero imaginary parts, float64 steps give the complex steps' real parts exactly
+        self._c = self.coeffs if np.any(self.coeffs.imag) else self.coeffs.real
 
     def __call__(self, r):
         # a scalar r is held as a numpy scalar: 0-d array arithmetic and
         # polyval's own checks cost four times the arithmetic
         r = np.asarray(r, dtype=float)[()]
-        return _horner(self.coeffs, r) * np.exp(-self.a * r * r)
+        return (_horner(self._c, r) * np.exp(-self.a * r * r)).astype(complex)
+
+    def __eq__(self, other):  # equal exact coefficients and rate: the same values, bit for bit
+        return isinstance(other, PolyGauss1D) and self.a == other.a and self.coeffs.tobytes() == other.coeffs.tobytes()
+
+    def __hash__(self):
+        return hash((self.coeffs.tobytes(), self.a))
 
     def derivative(self, k):
         c = self.coeffs
@@ -166,16 +174,16 @@ class NumericProfile:
         max(tol, 1e-13), since the scan cannot certify decay below the
         quadrature noise floor of the evaluator: the cut is the first of
         four consecutive samples below that fraction of the running peak,
-        and the three after it certify the tail.  A scan that passes
-        r = 4096 without such a streak returns its last sample, and the
-        tail beyond it is not certified (cut_certified)."""
+        and the three after it certify the tail.  A scan that passes the
+        decay's radius without such a streak returns its last sample, and
+        the tail beyond it is not certified (cut_certified)."""
         cut = self.decay.cutoff(tol)
         if cut > 0.0:
             return cut
         if self._scan is None:
             tol = max(tol, 1e-13)
             r, peak, below, first = 0.5, 1e-300, 0, 0.0
-            while r < 4096.0 and below < 4:
+            while r < self.decay.radius and below < 4:
                 v = abs(complex(self(r)))
                 peak = max(peak, v)
                 below = below + 1 if v < tol * peak else 0
@@ -605,10 +613,13 @@ def _numeric_fourier(phi, conv):
     # The transform of a function supported in |m| <= cut oscillates in xi
     # no faster than |scale| * cut radians per unit, hence this wavelength.
     wavelength = 2.0 * math.pi / (abs(scale) * phi.decay.cutoff(1e-18))
+    # Its modulus spreads as 1 / (|scale| radius) wherever the support sits: a
+    # tail scan stops at 4096 such widths (r = 4096 for the unit bump, TWOPI).
+    reach = 4096.0 * 2.0 * math.pi / (abs(scale) * phi.decay.radius)
 
     def ray_fn(direction):
         d = float(direction[0])
-        return NumericProfile(lambda r, k: d ** k * transform(r * d, k), Decay("other"), 0, wavelength / abs(d))
+        return NumericProfile(lambda r, k: d ** k * transform(r * d, k), Decay("other", radius=reach / abs(d)), 0, wavelength / abs(d))
 
     label = f"ft[{conv.value}]({phi.label})"
     return TestFunction(1, lambda m: transform(m[..., 0], 0), ray_fn, Decay("other"), label)

@@ -10,7 +10,9 @@ with an adaptive sphere integral; the library itself never calls them.  The Mont
 draws and evaluates each chunk of samples as one array, the reference of
 the library's blocked oracle, and fhat_many_one_block takes the heat
 symbol in blocks of 4e6 exponents, the reference of the library's
-cache-sized blocks.
+cache-sized blocks.  The per-ray and per-node loops below are the
+references of the library's shared inner rows (homog) and stacked
+Gauss-Hermite rows (heatflow).
 """
 
 import math
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.integrate import dblquad
 from scipy.integrate import quad as scipy_quad
 
-from pvzeta import heatflow, quad, special
+from pvzeta import heatflow, homog, quad, special
 
 # at or below this |xi| the complex integrand is integrated directly
 OSC_THRESHOLD = 4.0
@@ -154,3 +156,48 @@ def fhat_many_one_block(t, chis):
             vals[lo:hi] = amp * (np.exp(expo) @ base[keep])
         out[~zero] = np.where(flat[~zero] > 0.0, vals, np.conj(vals))
     return out.reshape(chis.shape)
+
+
+def extend_kdot_per_ray(k, psi, phi):
+    """(value, rule) of homog.extend_kdot with one _rs_rows call per ray of
+    every order, without the adaptive spot-check (which changes neither)."""
+    shift = psi.log_mean() * complex(phi(np.zeros(phi.n) if phi.n > 1 else 0.0))
+
+    def terms(pts, wts, p, fine):
+        npanel = 2 * p if fine else p
+        a = np.array([homog._rs_rows(g.derivative(1), np.ones(1), g.cutoff(1e-18), npanel)[0] for g in map(phi.ray, pts)])
+        return wts * homog._at(k, pts) * (a - shift), None
+
+    value, rule, _ = homog._extension(k, phi, "fixed-rule extension", terms)
+    return value, rule
+
+
+def pointwise_kdot_per_ray(k, psi, phi):
+    """homog.pointwise_kdot with one _rs_rows call per ray of every order."""
+    mid, half = 0.5 * (psi.a + psi.b), 0.5 * (psi.b - psi.a)
+
+    def terms(pts, wts, p, fine):
+        h, npanel = (0.5 * homog._DE_STEP, 2 * p) if fine else (homog._DE_STEP, p)
+        x = h * np.arange(-round(homog._DE_EDGE / h), round(homog._DE_EDGE / h) + 1)
+        t = mid + half * np.tanh(x)
+        outer = h * half / np.cosh(x) ** 2 * psi.eta(t) * t ** (k.n - 1)
+        rows = []
+        for om, w in zip(pts, wts):
+            cut = max(phi.ray(psi.a * om).cutoff(1e-18), phi.ray(psi.b * om).cutoff(1e-18))
+            rows.append(w * outer * homog._at(k, t[:, None] * om) * homog._rs_rows(phi.ray(om).derivative(1), t, cut, npanel))
+        return np.concatenate(rows), len(t)
+
+    value, rule, nodes = homog._extension(k, phi, "pointwise extension", terms)
+    return value, {**rule, "outer_nodes": nodes}
+
+
+def two_step_per_node(t, s, phi, xs, order):
+    """heatflow._two_step with one phi call and one 2-D product per r node."""
+    z, w = quad.gauss_hermite(order)
+    xs = np.asarray(xs)
+    inner = np.exp(-2.0 * math.sqrt(s) * z)
+    total = np.zeros(len(xs), dtype=complex)
+    for zi, wi in zip(z, w):
+        y = np.outer(xs * math.exp(-2.0 * math.sqrt(t) * zi), inner)
+        total += wi * (np.asarray(phi(y), dtype=complex) @ w)
+    return 4.0 * math.sqrt(t * s) * heatflow.prefactor(t) * heatflow.prefactor(s) * total

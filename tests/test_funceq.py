@@ -119,12 +119,15 @@ def test_eq12_rule_is_the_summed_panel_gap():
     assert funceq.check_eq12(0.4, testfn.gaussian(math.pi), CONV).extra == {}
 
 
-def test_eq12_row_shows_an_uncertified_cut():
-    # the scan of a narrow bump's transform reaches its cap without four
-    # points below tolerance: the row says the cut is uncertified
+def test_eq12_row_certifies_the_cut_of_a_narrow_bump():
+    # the scan cap of a transform scales with 1 / radius: a bump of radius
+    # 0.05 is cut, certified, at the first of four points below tolerance
+    # (before the cap was in units of the transform's width, its scan
+    # stopped at r = 4096 and integrated to 4863.9, uncertified)
     rep = funceq.check_eq12(0.4, testfn.bump(0.0, 0.05), CONV)
     rule = rep.extra["rule"]
-    assert rule["cut"] > 4096.0 and rule["cut_certified"] is False
+    assert rule["cut"] == pytest.approx(2213.896, rel=1e-6) and rule["cut_certified"] is True
+    assert rep.passed, rep.rel_residual
 
 
 def test_eq12_rejects_multidim():

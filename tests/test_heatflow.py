@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle import fhat_many_one_block, oscillatory_ft_1d
+from oracle import fhat_many_one_block, oscillatory_ft_1d, two_step_per_node
 from pvzeta import funceq, heatflow, phspace, quad, symbolkern, testfn
 from pvzeta.errors import AccuracyError, DomainError
 
@@ -78,6 +78,28 @@ def test_apply_at_zero_uses_l1_norm():
 def test_semigroup_corrected():
     rep = heatflow.semigroup_check(0.25, 0.5, heatflow.log_gaussian(1.0), (0.5, 1.0, 2.0))
     assert rep.passed, rep.rel_residual
+
+
+@pytest.mark.parametrize("phi", _LOG_FUNCTIONS, ids=["real", "complex", "omega"])
+@pytest.mark.parametrize("xs", [[1.0], [0.5, 1.0, 2.0], list(np.linspace(0.2, 3.0, 70))], ids=["one", "three", "seventy"])
+@pytest.mark.parametrize("order", [64, 128])
+def test_stacked_two_step_has_the_bits_of_the_per_node_rule(phi, xs, order, monkeypatch):
+    # one phi call per chunk of r nodes and a stacked product give the bits
+    # of one phi call and one 2-D product per node, summed in node order;
+    # seventy points take one node per chunk
+    calls = []
+    real = phi._eval
+
+    def counted(y):
+        calls.append(y.size)
+        return real(y)
+
+    ref = two_step_per_node(0.3, 0.45, phi, xs, order)
+    monkeypatch.setattr(phi, "_eval", counted)
+    got = heatflow._two_step(0.3, 0.45, phi, xs, order)
+    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got.imag), np.signbit(ref.imag))
+    assert sum(calls) == len(xs) * order * order and max(calls) <= max(quad.BLOCK // 8, len(xs) * order)
+    assert len(calls) == -(-order // max(1, quad.BLOCK // 8 // (len(xs) * order)))
 
 
 def test_semigroup_refuses_a_kink_the_fixed_rule_cannot_resolve():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracle import extend_kdot_per_ray, pointwise_kdot_per_ray
 from pvzeta import homog, quad, special, testfn
 from pvzeta.errors import AccuracyError, DomainError, PoleError
 
@@ -195,6 +196,53 @@ def test_extension_ambiguity_constant_in_the_plane():
     # both routes evaluate the density on (N, n) arrays of points
     homog.extend_kdot(k, psi1, testfn.gaussian(1.0, n=2))
     assert seen and all(len(shape) == 2 and shape[1] == 2 for shape in seen), set(seen)
+
+
+# (id, phi, whether phi is even, so that rays of one profile can share a row)
+_SHARED_ROW_CASES = [
+    ("gaussian", testfn.gaussian(1.3), True),
+    ("hermite-2", testfn.hermite_gaussian(2, 0.9), True),
+    ("hermite-3", testfn.hermite_gaussian(3, 1.0), False),
+    ("bump-0", testfn.bump(0.0, 1.0), False),
+    ("bump-0.3", testfn.bump(0.3, 1.1), False),
+    ("gaussian-plane", testfn.gaussian(1.0, n=2), True),
+    ("hermite-plane", testfn.hermite_gaussian(2, 1.5, n=2), True),
+]
+_ROUTES = [("extend", homog.extend_kdot, extend_kdot_per_ray), ("pointwise", homog.pointwise_kdot, pointwise_kdot_per_ray)]
+
+
+@pytest.mark.parametrize(
+    "route, per_ray, phi, even",
+    [pytest.param(route, per_ray, phi, even, id=f"{name}-{rid}") for name, phi, even in _SHARED_ROW_CASES for rid, route, per_ray in _ROUTES],
+)
+def test_shared_inner_rows_keep_the_per_ray_bits(route, per_ray, phi, even, monkeypatch):
+    # rays with one polynomial-Gaussian profile share one _rs_rows result:
+    # the value and rule are those of one row per ray, bit for bit, with
+    # half the rows for an even phi on the line (the rays +-1), fewer in
+    # the plane (rays whose profiles come out equal: all of them for a
+    # radial phi), and one per ray for an odd phi or a bump, which is
+    # never merged
+    k = _norm_density(phi.n)
+    psi = homog.make_cutoff(0.5, 2.0)
+    calls = []
+    real = homog._rs_rows
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homog, "_rs_rows", counted)
+    ref, ref_rule = per_ray(k, psi, phi)
+    per_ray_calls = len(calls)
+    del calls[:]
+    value, rule = route(k, psi, phi)
+    assert repr(value) == repr(ref) and repr(rule) == repr(ref_rule)
+    if not even:
+        assert len(calls) == per_ray_calls
+    elif phi.n == 1:
+        assert 2 * len(calls) == per_ray_calls
+    else:
+        assert len(calls) < per_ray_calls, (len(calls), per_ray_calls)
 
 
 def test_extension_restricts_in_the_plane():

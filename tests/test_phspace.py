@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -191,3 +193,28 @@ def test_one_sample_group_builds_its_rotations_in_one_call(spec, module, name, m
     monkeypatch.setattr(module, name, counted)
     phspace.sample_group(phspace.parse_space(spec), 200, seed=1)
     assert shapes == [(200, 3, 3)]
+
+
+@pytest.mark.parametrize("spec", ["definite:B=I,n=3", "indefinite:q=1,n=3", "definite:B=2|1|0.5", "scalar1d"])
+def test_space_builds_its_matrix_and_text_once(spec):
+    # Bmat and the repr are built once per space; Bmat is read-only, and
+    # equality and hash are those of the fields alone
+    space = phspace.parse_space(spec)
+    twin = phspace.parse_space(spec)
+    assert space == twin and hash(space) == hash(twin)
+    text = repr(space)
+    assert repr(space) is text and space == twin and hash(space) == hash(twin)
+    if space.B is None:
+        assert space.Bmat is None
+        return
+    B = space.Bmat
+    assert space.Bmat is B and np.array_equal(B, np.reshape(space.B, (space.n, space.n)))
+    with pytest.raises(ValueError):
+        B[0, 0] = 7.0
+    assert space == twin and hash(space) == hash(twin)
+    # a replaced space builds its own matrix and text
+    other = dataclasses.replace(space, B=tuple(2.0 * np.asarray(space.B)))
+    assert other != space and other.Bmat is not B and np.array_equal(other.Bmat, 2.0 * B)
+    assert repr(other) != text and phspace.parse_space(_spec_of(other)) == other
+    same = dataclasses.replace(space)
+    assert same == space and hash(same) == hash(space) and repr(same) == text and np.array_equal(same.Bmat, B)

@@ -253,11 +253,11 @@ def test_numeric_fourier_is_on_the_line_only():
     assert testfn.fourier(testfn.gaussian(1.0, n=2), testfn.FourierConvention.TWOPI).n == 2
 
 
-def _scan_points(ray):
-    """The scan grid r = 0.5 * 1.3^k below 4096, each point with whether
+def _scan_points(ray, cap=4096.0):
+    """The scan grid r = 0.5 * 1.3^k below cap, each point with whether
     the ray there is below 1e-13 of its running peak."""
     r, peak, pts = 0.5, 1e-300, []
-    while r < 4096.0:
+    while r < cap:
         v = abs(complex(ray(r)))
         peak = max(peak, v)
         pts.append((r, v < 1e-13 * peak))
@@ -300,10 +300,35 @@ def test_numeric_profile_cut_drops_a_negligible_tail(center, radius):
 
 
 def test_numeric_profile_scan_cap_is_uncertified():
-    # a narrow bump's transform does not fall below tolerance before the
-    # cap: the scan returns its last point, past 4096, uncertified
-    ray = testfn.fourier(testfn.bump(0.0, 0.05), testfn.FourierConvention.TWOPI).ray([1.0])
-    assert not ray.cut_certified(1e-16) and ray.cutoff(1e-16) == _scan_points(ray)[-1][0] * 1.3
+    # a profile that does not fall below tolerance before the cap of its
+    # decay (here 100, short of the unit bump transform's cut at 123.5):
+    # the scan returns its last point, past the cap, uncertified
+    fn = testfn.fourier(testfn.bump(0.0, 1.0), testfn.FourierConvention.TWOPI).ray([1.0]).fn
+    ray = testfn.NumericProfile(fn, testfn.Decay("other", radius=100.0), 0, None)
+    assert not ray.cut_certified(1e-16) and ray.cutoff(1e-16) == _scan_points(ray, 100.0)[-1][0] * 1.3 > 100.0
+
+
+@pytest.mark.parametrize("conv", list(testfn.FourierConvention))
+def test_numeric_profile_scan_cap_scales_with_the_support(conv):
+    # the cap is 4096 widths 2 pi / (|scale| radius) of the transform, on
+    # every ray: 4096 for the unit bump under TWOPI, wherever it sits, and
+    # 20 times that for a bump of radius 0.05, whose cut is certified at
+    # the first of its four scan points below tolerance
+    scale = testfn._KERNEL_SCALE[conv]
+    for center, radius in ((0.0, 1.0), (3.0, 1.0), (0.0, 0.05)):
+        phihat = testfn.fourier(testfn.bump(center, radius), conv)
+        for d in (1.0, -2.0):
+            cap = phihat.ray([d]).decay.radius
+            assert cap == pytest.approx(4096.0 * 2.0 * math.pi / (abs(scale * d) * radius), rel=1e-15)
+    unit = testfn.fourier(testfn.bump(0.0, 1.0), testfn.FourierConvention.TWOPI)
+    assert unit.ray([1.0]).decay.radius == 4096.0
+    if conv is testfn.FourierConvention.TWOPI:
+        ray = testfn.fourier(testfn.bump(0.0, 0.05), conv).ray([1.0])
+        cut = ray.cutoff(1e-16)
+        assert ray.cut_certified(1e-16) and cut == pytest.approx(2213.896, rel=1e-6)
+        pts = _scan_points(ray, ray.decay.radius)
+        first = [r for r, _ in pts].index(cut)
+        assert all(b for _, b in pts[first : first + 4]) and first + 3 < len(pts)
 
 
 def test_parse_testfn():
@@ -358,3 +383,54 @@ def test_real_coefficients_evaluate_bitwise_as_complex():
     ref = ref * np.exp(-1.3 * np.sum(m * m, axis=-1))
     vals = phi(m)
     assert vals.dtype == np.float64 and np.array_equal(vals, ref.real)
+
+
+_RAY_CASES = [
+    (testfn.gaussian(1.0), [1.0]),
+    (testfn.gaussian(math.pi), [-1.0]),
+    (testfn.hermite_gaussian(2, 3.14159), [1.0]),
+    (testfn.hermite_gaussian(2, 0.7), [-1.0]),
+    (testfn.hermite_gaussian(3, 1.1, n=2), [0.6, -0.8]),
+]
+
+
+@pytest.mark.parametrize("phi, direction", _RAY_CASES, ids=["gaussian", "gaussian-pi-minus", "hermite-2", "hermite-2-minus", "hermite-3-plane"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_real_ray_profiles_have_the_bits_of_the_complex_path(phi, direction, k):
+    # real coefficients run in float64: the real parts equal the complex
+    # Horner sum times the Gaussian bit for bit, and the result keeps the
+    # complex128 dtype and the shape (a scalar r gives an np.complex128)
+    g = phi.ray(direction).derivative(k)
+    assert not np.any(g.coeffs.imag)
+    rng = np.random.default_rng(7)
+    grids = [rng.uniform(0.0, 6.0, size=(53, 2048)), np.linspace(0.0, 9.0, 7), np.array([0.0, 1e-300, 0.5])]
+    for r in grids + [0.37, np.float64(2.5), 0.0]:
+        rr = np.asarray(r, dtype=float)[()]
+        ref = testfn._horner(g.coeffs, rr) * np.exp(-g.a * rr * rr)
+        v = g(r)
+        assert np.shape(v) == np.shape(ref) and np.asarray(v).dtype == np.complex128
+        assert np.array_equal(np.real(v), np.real(ref)) and not np.any(np.imag(v))
+    assert type(g(0.37)) is np.complex128
+
+
+def test_complex_coefficients_keep_the_complex_path():
+    # the complex profile of the heat tests keeps today's complex arithmetic
+    g = testfn.PolyGauss1D([1.0, 0.5j, -0.25], 0.7)
+    r = np.linspace(-3.0, 3.0, 101)
+    for prof in (g, g.derivative(1), g.derivative(3)):
+        ref = testfn._horner(prof.coeffs, r) * np.exp(-prof.a * r * r)
+        assert np.array_equal(prof(r), ref) and np.any(prof(r).imag)
+        assert np.array_equal(np.signbit(prof(r).imag), np.signbit(ref.imag))
+
+
+def test_polygauss_profiles_compare_by_exact_coefficients_and_rate():
+    # the key of the shared inner rows: no tolerance, and never a bump ray
+    a = testfn.PolyGauss1D([1.0, 0.0, 2.0], 1.5)
+    assert a == testfn.PolyGauss1D(np.array([1.0, 0.0, 2.0]), 1.5) and hash(a) == hash(testfn.PolyGauss1D([1.0, 0.0, 2.0], 1.5))
+    assert a != testfn.PolyGauss1D([1.0, 0.0, np.nextafter(2.0, 3.0)], 1.5)
+    assert a != testfn.PolyGauss1D([1.0, 0.0, 2.0], np.nextafter(1.5, 2.0))
+    assert a != testfn.PolyGauss1D([1.0, 0.0, 2.0, 0.0], 1.5)
+    phi = testfn.gaussian(2.0)
+    assert phi.ray([1.0]).derivative(1) == phi.ray([-1.0]).derivative(1)
+    bump = testfn.bump(0.0, 1.0)
+    assert bump.ray([1.0]) != bump.ray([-1.0]) and bump.ray([1.0]) != bump.ray([1.0])
