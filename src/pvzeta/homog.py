@@ -23,12 +23,12 @@ log(t) phi(0) with A(omega) = R_{-n} phi(omega), it is the closed log-moment
 
 c_1(psi) = integral_0^inf eta(t) log(t) dt/t the log-mean of the cutoff,
 and two cutoffs differ by (c_1(psi_2) - c_1(psi_1)) phi(0) integral_S k.
-extend_kdot, the fast route, computes one inner row A(omega) per ray.
-pointwise_kdot, the reference of homog-ambiguity, is the definition
-without the scaling law: psi and an inner row enter at each node of a
-double-exponential outer rule.  homog-extension-restricts compares
-extend_kdot with direct_pair, adaptive quadrature along the rays of the
-rotated sphere rule of the measured order.
+extend_kdot, the fast route, computes the inner rows A(omega) of a family
+of rays at once, one per distinct ray.  pointwise_kdot, the reference of
+homog-ambiguity, is the definition without the scaling law: psi and an
+inner row enter at each node of a double-exponential outer rule.
+homog-extension-restricts compares extend_kdot with direct_pair, one
+adaptive subdivision for the rays of the rotated sphere rule.
 """
 
 from __future__ import annotations
@@ -97,18 +97,17 @@ class ScaledProfile:
 
 
 def tplus_profile(s, profile, tol=1e-11):
-    """<t_+^s, g> for a 1D profile g."""
+    """<t_+^s, g> for a 1D profile g, and at a pole s = -k for each ray of a family g."""
     s = complex(s)
     if s.imag == 0.0 and s.real <= -1.0 + 1e-14 and s.real == round(s.real):
         k = -int(round(s.real))
         gk = profile.derivative(k)
         gk1 = profile.derivative(k - 1) if k > 1 else profile
         # t = u^2 softens the log: log(t) dt = 4 u log(u) du
-        res = quad.integrate_1d(lambda u: 4.0 * u * np.log(u) * gk(u * u), 0.0, math.sqrt(profile.cutoff(1e-18)), tol=tol)
+        res = quad.integrate_1d(lambda u: 4.0 * u * np.log(u) * gk(u * u), 0.0, math.sqrt(np.max(profile.cutoff(1e-18))), tol=tol)
         fact = math.factorial(k - 1)
-        g0 = complex(gk1(0.0))
-        value = -complex(res.value) / fact + special.harmonic(k - 1) * g0 / fact
-        return value.real if value.imag == 0.0 else value
+        value = -res.value / fact + special.harmonic(k - 1) * np.asarray(gk1(np.zeros(1)))[..., 0] / fact
+        return value.real if np.all(np.imag(value) == 0.0) else value
     mv = zeta.mellin_profile(profile, s, tol=tol)
     return complex(mv.value) if isinstance(mv.value, complex) else mv.value
 
@@ -139,23 +138,21 @@ class HomogFunctional:
     def direct_pair(self, phi, order):
         """Direct integral of density * phi over the ball |m| <= the support
         bound of phi (phi must vanish near 0 for this to be the honest
-        pairing at the critical degree), adaptive (tol 1e-11) along the
-        two rays of the line or each ray of the rotated sphere rule of the
-        given order, the angular order of extend_kdot's rule."""
+        pairing at the critical degree), adaptive (tol 1e-11) on one
+        subdivision for the rays of the rotated sphere rule of the given
+        order, the angular order of extend_kdot's rule."""
         n = self.n
         outer = phi.decay.cutoff(1e-16)
         if not np.isfinite(outer) or outer <= 0.0:
             raise DomainError("direct pairing needs a finite support bound")
         pts, wts = quad.sphere_quadrature(n, order, True)
-        total = 0.0 + 0.0j
-        # the rays as points on the line when n = 1, as in _at
-        for om, w in zip(pts[:, 0] if n == 1 else pts, wts):
-            def integrand(t):  # integrate_1d runs it before om moves on
-                m = np.multiply.outer(t, om)  # shape (nodes,) on the line, (nodes, n) off it
-                return self(m) * np.asarray(phi(m)) * t ** (n - 1)
 
-            r = quad.integrate_1d(integrand, 0.0, outer, tol=1e-11)
-            total += w * complex(r.value)
+        def integrand(t):
+            # (rays, nodes) points on the line, (rays, nodes, n) off it
+            m = np.multiply.outer(pts[:, 0], t) if n == 1 else pts[:, None, :] * t[:, None]
+            return self(m) * np.asarray(phi(m)) * t ** (n - 1)
+
+        total = complex(np.sum(wts * quad.integrate_1d(integrand, 0.0, outer, tol=1e-11).value))
         return total.real if total.imag == 0.0 else total
 
     def sphere_integral(self):
@@ -222,7 +219,6 @@ def make_cutoff(a, b):
 
 def rs_transform(phi, s, m, tol=1e-11):
     """R_s phi(m) = t_+^{s+n-1} applied to t -> phi(t m), m != 0."""
-    m = np.atleast_1d(np.asarray(m, dtype=float))
     if not np.any(m):
         raise DomainError("R_s is defined away from the origin")
     return tplus_profile(complex(s) + phi.n - 1.0, phi.ray(m), tol=tol)
@@ -244,30 +240,38 @@ _BLOCK_POINTS = 1 << 13
 
 def _rs_rows(dprof, t, cut, npanel):
     """R_{-n} phi(t omega) = -integral_0^cut log(tau) d/dtau phi(tau t omega) dtau
-    for each t of an array, dprof the derivative of the ray profile of
-    omega, on one composite Gauss-Legendre rule in u = sqrt(tau) (the
-    softening map of tplus_profile)."""
-    if not (np.isfinite(cut) and cut > 0.0):
+    for each t of an array, dprof the derivative g' of the ray profile of
+    omega (or of a family of rays, with one cut per ray and rows (rays, t)),
+    on one composite Gauss-Legendre rule in u = sqrt(tau) (the softening
+    map of tplus_profile).  The part t g'(0) of the integrand, which panels
+    resolve only at second order, is integrated exactly: t g'(0) cut (1 - log cut)."""
+    cut = np.asarray(cut, dtype=float)
+    if not np.all(np.isfinite(cut) & (cut > 0.0)):
         raise DomainError("fixed-rule extension needs a finite cutoff of the ray profile")
-    u, w = quad.panel_rule(0.0, math.sqrt(cut), npanel)
+    u, w = quad.panel_rule(0.0, np.sqrt(cut), npanel)
     tau = u * u
     # -log(tau) dtau = -4 u log(u) du
     c = -4.0 * w * u * np.log(u)
-    block = max(1, _BLOCK_POINTS // len(tau))
+    g0 = np.asarray(dprof(np.zeros(cut.shape + (1,))))[..., 0]
+    closed = g0 * cut * (1.0 - np.log(cut))
+    block = max(1, _BLOCK_POINTS // tau.shape[-1])
     rows = []
     for i in range(0, len(t), block):
         tb = t[i : i + block]
-        # d/dtau phi(tau t omega) = t g'(t tau) for the profile g of omega
-        rows.append(tb * (np.asarray(dprof(tb[:, None] * tau)) @ c))
-    return np.concatenate(rows)
+        # d/dtau phi(tau t omega) = t g'(t tau); each ray contracts its own slice
+        r = tb[:, None] * tau[..., None, :]
+        v = np.asarray(dprof(r.reshape(r.shape[:-2] + (-1,)))).reshape(r.shape) - g0[..., None, None]
+        rows.append(tb * ((v @ c[..., :, None])[..., 0] + closed[..., None]))
+    return np.concatenate(rows, axis=-1)
 
 
-def _rows_per_profile(rays, t, npanel):
-    """_rs_rows of each (dprof, cut) pair of rays, once per distinct pair:
-    equal polynomial-Gaussian profiles (PolyGauss1D.__eq__) share one, as
-    the rays +-1 of an even phi do; every other profile is its own."""
-    rows = {key: _rs_rows(key[0], t, key[1], npanel) for key in dict.fromkeys(rays)}
-    return [rows[key] for key in rays]
+def _shared_rs_rows(dprof, t, cut, npanel):
+    """_rs_rows of a family once per polynomial-Gaussian ray of distinct coefficient bytes, rate and cut."""
+    if not isinstance(dprof, testfn.PolyGauss1D):
+        return _rs_rows(dprof, t, cut, npanel)
+    keys = np.hstack([np.ascontiguousarray(dprof.coeffs[..., 0].T).view(float), dprof.a, cut[:, None]])
+    _, first, inverse = np.unique(keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0], return_index=True, return_inverse=True)
+    return _rs_rows(testfn.PolyGauss1D(dprof.coeffs[:, first], dprof.a[first]), t, cut[first], npanel)[inverse]
 
 
 def _at(k, pts):
@@ -290,7 +294,7 @@ def _extension(k, phi, what, terms):
 
     def run(order):
         pts, wts = quad.sphere_quadrature(n, order, False)
-        hit = np.array([not phi.decay.misses(om) for om in pts], dtype=bool)
+        hit = ~phi.decay.misses(pts)
         pts, wts = pts[hit], wts[hit]
         for p in _INNER_PANELS:
             coarse = complex(np.sum(terms(pts, wts, p, False)[0]))
@@ -314,25 +318,23 @@ def extend_kdot(k, psi, phi):
     A(omega) per ray (_rs_rows) and c_1 = psi.log_mean().  Returns (value,
     rule), rule holding the coarse-fine gap, the fine inner node count and
     the angular order and gap (_extension).  On each ray of the last order
-    A(omega) must match the adaptive rs_transform within tol of the
+    A(omega) must match the adaptive tplus_profile within tol of the
     largest |A|, or AccuracyError is raised."""
     tol = 1e-10
     shift = psi.log_mean() * complex(phi(np.zeros(phi.n) if phi.n > 1 else 0.0))
 
     def terms(pts, wts, p, fine):
-        npanel = 2 * p if fine else p
-        rays = [(g.derivative(1), g.cutoff(1e-18)) for g in map(phi.ray, pts)]
-        a = np.array([row[0] for row in _rows_per_profile(rays, np.ones(1), npanel)])
+        rays = phi.rays(pts)
+        a = _shared_rs_rows(rays.derivative(1), np.ones(1), rays.cutoff(1e-18), 2 * p if fine else p)[:, 0]
         return wts * _at(k, pts) * (a - shift), (pts, a)
 
     value, rule, (pts, a) = _extension(k, phi, "fixed-rule extension", terms)
-    scale = float(np.max(np.abs(a), initial=0.0))
-    for om, row in zip(pts, a):
-        ref = complex(rs_transform(phi, -float(k.n), om, tol=tol))
-        if abs(ref - row) > tol * scale:
-            raise AccuracyError(
-                f"fixed-rule R_{{-n}} phi at m = {om.tolist()} is {complex(row):.15g}, adaptive gives {ref:.15g}"
-            )
+    # R_{-n} phi = t_+^{-1} on the rays, adaptive, all rays on one subdivision
+    ref = tplus_profile(-1.0, phi.rays(pts), tol=tol)
+    off = np.flatnonzero(np.abs(ref - a) > tol * float(np.max(np.abs(a), initial=0.0)))
+    if off.size:
+        raise AccuracyError(f"fixed-rule R_{{-n}} phi at m = {pts[off[0]].tolist()} is {complex(a[off[0]]):.15g}, "
+                            f"adaptive gives {complex(ref[off[0]]):.15g}")
     return value, rule
 
 
@@ -352,9 +354,10 @@ def pointwise_kdot(k, psi, phi):
         # dt = half sech(x)^2 dx, and m = t omega has the measure t^{n-1} dt d omega
         outer = h * half / np.cosh(x) ** 2 * psi.eta(t) * t ** (k.n - 1)
         # the inner range of a ray serves every outer node of it
-        rays = [(phi.ray(om).derivative(1), max(phi.ray(psi.a * om).cutoff(1e-18), phi.ray(psi.b * om).cutoff(1e-18))) for om in pts]
-        rows = [w * outer * _at(k, t[:, None] * om) * a for om, w, a in zip(pts, wts, _rows_per_profile(rays, t, npanel))]
-        return np.concatenate(rows), len(t)
+        cut = np.maximum(phi.rays(psi.a * pts).cutoff(1e-18), phi.rays(psi.b * pts).cutoff(1e-18))
+        rows = _shared_rs_rows(phi.rays(pts).derivative(1), t, cut, npanel)
+        dens = _at(k, (t[:, None] * pts[:, None, :]).reshape(-1, k.n)).reshape(rows.shape)
+        return (wts[:, None] * outer * dens * rows).ravel(), len(t)
 
     value, rule, nodes = _extension(k, phi, "pointwise extension", terms)
     return value, {**rule, "outer_nodes": nodes}

@@ -110,15 +110,15 @@ _GK_GRADE = 1.0 / 16.0
 
 def _gk21(g, lo, hi):
     """QUADPACK's qk21 on every interval (lo[i], hi[i]) with one g call on
-    all their nodes: (values, error estimates, roundoff floors).  The
-    error is resasc min(1, (200 |K - G| / resasc)^1.5), floored at
-    50 eps resabs, the floor returned apart."""
+    all their nodes: (values, error estimates, roundoff floors), each
+    (family, intervals), every product with the family axis leading.  The
+    error is resasc min(1, (200 |K - G| / resasc)^1.5), floored at 50 eps resabs."""
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    vals = g((c[:, None] + h[:, None] * _GK21_X).ravel()).reshape(-1, _GK21_X.size)
+    vals = g((c[:, None] + h[:, None] * _GK21_X).ravel()).reshape(-1, lo.size, _GK21_X.size)
     resk = vals @ _GK21_WK
     h = np.abs(h)
-    gap = np.abs(resk - vals[:, 1::2] @ _G10_W) * h
-    resasc = np.abs(vals - 0.5 * resk[:, None]) @ _GK21_WK * h
+    gap = np.abs(resk - vals[..., 1::2] @ _G10_W) * h
+    resasc = np.abs(vals - 0.5 * resk[..., None]) @ _GK21_WK * h
     floor = 50.0 * np.finfo(float).eps * (np.abs(vals) @ _GK21_WK) * h
     with np.errstate(divide="ignore", invalid="ignore"):
         err = np.where((resasc != 0.0) & (gap != 0.0), resasc * np.minimum(1.0, (200.0 * gap / resasc) ** 1.5), gap)
@@ -129,26 +129,30 @@ def integrate_1d(f, a, b, tol=1e-10):
     """Integrate f on (a, b) (either end may be infinite) by globally
     adaptive Gauss-Kronrod subdivision in rounds (Gander & Gautschi, BIT 40
     (2000) 84-101) on QUADPACK's G10/K21 pair and error estimate.  f takes
-    a 1-D array of nodes and returns their values, real or complex: it is
-    called once per round, on the 21 nodes of every interval that round
-    made, so a complex integrand takes one pass.  Each round splits the
-    largest-error intervals whose errors add up past the excess over the
-    target max(tol 1e-2, tol 1e-2 |I|), or stops; a sum of errors within
-    twice the roundoff floors stops it too.  An interval at an end of the
-    range is cut _GK_GRADE of its width from that end, any other at its
-    midpoint.  An infinite end is mapped by t / (1 - t), the real line
-    folded onto the half line.  NonConvergence past _GK_INTERVALS
-    intervals or on a value that is not finite, never a warning.  Returns
-    QuadResult; evaluations counts the nodes handed to f."""
+    a 1-D array of nodes and returns their values, real or complex, or a
+    (family, nodes) block of a family of integrands on one set of
+    intervals (scipy.integrate.quad_vec), whose value and error estimate
+    are then arrays: it is called once per round, on the 21 nodes of every
+    interval that round made.  Each round splits, for each member past its
+    target max(tol 1e-2, tol 1e-2 |I|, twice its roundoff floors), its
+    largest-error intervals whose errors add up past its excess, taking
+    the union member by member in each member's error order, until every
+    member meets its target: a lone integrand, or a member beside ones
+    that meet their targets (0, say), keeps its intervals and bits.  An
+    interval at an end of the range is cut _GK_GRADE of its width from
+    that end, any other at its midpoint; an infinite end is mapped by
+    t / (1 - t).  NonConvergence past _GK_INTERVALS intervals or on a
+    value that is not finite, never a warning.  evaluations counts nodes."""
     if a > b:
         res = integrate_1d(f, b, a, tol)
         return QuadResult(-res.value, res.error_estimate, res.evaluations)
-    count = 0
+    count, shape = 0, None
 
     def g(t):
-        nonlocal count
-        count += t.size
-        return np.asarray(f(t))
+        nonlocal count, shape
+        count, v = count + t.size, np.asarray(f(t))
+        shape = v.shape[:-1]
+        return v
 
     # the integrand on the rule's range (lo, hi): (0, 1) once an end is infinite
     lo, hi, mapped = float(a), float(b), g
@@ -158,7 +162,7 @@ def integrate_1d(f, a, b, tol=1e-10):
         def mapped(t):
             x = t / (1.0 - t)
             v = g(np.concatenate([x, -x]))
-            return (v[: t.size] + v[t.size :]) / (1.0 - t) ** 2
+            return (v[..., : t.size] + v[..., t.size :]) / (1.0 - t) ** 2
     elif math.isinf(b):
         lo, hi = 0.0, 1.0
         mapped = lambda t: g(a + t / (1.0 - t)) / (1.0 - t) ** 2
@@ -169,15 +173,19 @@ def integrate_1d(f, a, b, tol=1e-10):
     left, right = np.array([lo]), np.array([hi])
     val, err, floor = _gk21(mapped, left, right)
     while True:
-        total = val.sum()
-        if not np.isfinite(total):
+        total = val.sum(axis=1)
+        if not np.all(np.isfinite(total)):
             raise NonConvergence(f"quadrature on ({a}, {b}) met a value that is not finite")
-        excess = err.sum() - max(eps, eps * abs(total), 2.0 * floor.sum())
-        if excess <= 0.0:
+        excess = err.sum(axis=1) - np.maximum(np.maximum(eps, eps * np.abs(total)), 2.0 * floor.sum(axis=1))
+        todo = excess > 0.0
+        if not np.any(todo):
             break
-        order = np.argsort(-err, kind="stable")
-        split = order[: np.searchsorted(np.cumsum(err[order]), excess, side="right") + 1]
-        keep = np.ones(err.size, dtype=bool)
+        # each unresolved member's greedy set, in its own error order
+        order = np.argsort(-err[todo], axis=1, kind="stable")
+        ranked = np.cumsum(np.take_along_axis(err[todo], order, axis=1), axis=1)
+        wanted = order[np.arange(err.shape[1]) <= np.sum(ranked <= excess[todo, None], axis=1)[:, None]]
+        split = wanted[np.sort(np.unique(wanted, return_index=True)[1])]
+        keep = np.ones(err.shape[1], dtype=bool)
         keep[split] = False
         # the edges of each split interval, nan where no cut falls: graded
         # off an end of (lo, hi) that it touches, else at its midpoint
@@ -201,9 +209,11 @@ def integrate_1d(f, a, b, tol=1e-10):
             )
         nv, ne, nf = _gk21(mapped, new_l, new_r)
         left, right = np.concatenate([left[keep], new_l]), np.concatenate([right[keep], new_r])
-        val, err, floor = np.concatenate([val[keep], nv]), np.concatenate([err[keep], ne]), np.concatenate([floor[keep], nf])
-    value = complex(total)
-    return QuadResult(value.real if value.imag == 0.0 else value, float(err.sum()), count)
+        val, err, floor = (np.concatenate([x[:, keep], y], axis=1) for x, y in ((val, nv), (err, ne), (floor, nf)))
+    if shape:
+        return QuadResult(total if np.any(total.imag) else total.real, err.sum(axis=1), count)
+    value = complex(total[0])
+    return QuadResult(value.real if value.imag == 0.0 else value, float(err[0].sum()), count)
 
 
 def _head_integrand(g, expo):
@@ -221,8 +231,8 @@ def _head_integrand(g, expo):
 
 def power_integral(g, expo, cut, tol, wavelength=None):
     """integral_0^cut r^expo g(r) dr for Re expo > -1 and smooth g (cut may
-    be +inf).  With Re expo >= 0 and no wavelength it is one adaptive
-    integral.  Otherwise it is a head on (0, min(1, cut)), taken in
+    be +inf), or arrays for a family g (integrate_1d).  With Re expo >= 0
+    and no wavelength it is one adaptive integral.  Otherwise it is a head on (0, min(1, cut)), taken in
     u = r^(1 + Re expo) (_head_integrand) when Re expo < 0, plus a body
     on the rest.
 
@@ -240,9 +250,7 @@ def power_integral(g, expo, cut, tol, wavelength=None):
     if expo.real <= -1.0:
         raise DomainError(f"power integral needs Re expo > -1 (integrability), got {expo}")
 
-    def integrand(r):
-        return r ** expo * g(r)
-
+    integrand = lambda r: r ** expo * g(r)
     if not wavelength and expo.real >= 0.0:
         return integrate_1d(integrand, 0.0, cut, tol=tol)
     if wavelength:
@@ -262,14 +270,13 @@ def power_integral(g, expo, cut, tol, wavelength=None):
         head = head_rule(_head_integrand(g, expo), 0.0, head_end ** (1.0 + expo.real))
     else:
         head = head_rule(integrand, 0.0, head_end)
-    total, err, neval = complex(head.value), head.error_estimate, head.evaluations
+    total, err, neval = head.value, head.error_estimate, head.evaluations
     if cut > head_end:
         body = body_rule(integrand, head_end, cut)
-        total += complex(body.value)
-        err += body.error_estimate
+        total = total + body.value
+        err = err + body.error_estimate
         neval += body.evaluations
-    value = total.real if total.imag == 0.0 else total
-    return QuadResult(value, err, neval)
+    return QuadResult(total.real if np.all(np.imag(total) == 0.0) else total, err, neval)
 
 
 def sum_squares(x):
@@ -308,12 +315,12 @@ PANEL_ORDER = 16
 
 def panel_rule(a, b, npanel):
     """Nodes and weights of composite Gauss-Legendre on npanel equal
-    panels of the finite interval [a, b]."""
+    panels of the finite interval [a, b], one row each for an array b."""
     x, w = gauss_legendre(PANEL_ORDER)
-    edges = np.linspace(a, b, npanel + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
+    edges = np.linspace(a, b, npanel + 1, axis=-1)
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    return (mid[..., None] + half[..., None] * x).reshape(mid.shape[:-1] + (-1,)), (half[..., None] * w).reshape(mid.shape[:-1] + (-1,))
 
 
 def panel_integral(f, a, b, panel_width):
@@ -363,8 +370,9 @@ def _tanh_sinh_level(level):
 
 
 def _radial_levels(rows, expo, cut, tol, levels):
-    """integral_0^cut r^expo v(r) dr for every function v of the list that
-    rows(r) evaluates at the radii r of one level, on the tanh-sinh rule in
+    """integral_0^cut r^expo v(r) dr for every row v of the (rows, radii)
+    block rows(r) at the radii r of one level (each row its own (1, radii)
+    product, with the bits of v @ w), on the tanh-sinh rule in
     u = r^(1 + Re expo): r = u^p with p = 1 / (1 + Re expo) turns r^expo dr
     into p r^(i Im expo) du.  The step halves until, for every v, two levels
     agree within tol of its L1 mass, else AccuracyError after `levels`
@@ -380,9 +388,9 @@ def _radial_levels(rows, expo, cut, tol, levels):
             # r^(i Im expo) from log r: r itself underflows to 0 at the
             # end nodes once p is large, and 0^(i y) is nan
             w = w * np.exp(1j * expo.imag * p * np.log(span * u01))
-        vals = [np.asarray(v) for v in rows((span * u01) ** p)]
-        sums = sums + np.array([v @ w for v in vals])
-        mass = mass + np.array([np.abs(v) @ np.abs(w) for v in vals])
+        vals = np.asarray(rows((span * u01) ** p))[:, None, :]
+        sums = sums + (vals @ w)[:, 0]
+        mass = mass + (np.abs(vals) @ np.abs(w))[:, 0]
         nodes += u01.size
         h = _DE_H0 / 2 ** level
         cur = h * sums

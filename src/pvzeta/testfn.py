@@ -4,9 +4,9 @@ Built-in families are polynomial-times-Gaussian (closed under derivatives
 and Fourier transforms) and compactly supported bumps (Fourier transform
 by quadrature over the support, on the line only).  Every function
 carries a decay descriptor so quadrature routines can truncate tails
-honestly, and a ray() method producing the 1D radial profile
-r -> phi(r * direction) with exact derivatives of every order, which is
-what the Mellin continuation machinery consumes.
+honestly, and rays(directions), one 1D radial profile r -> phi(r d) of
+every row d of a (rays, n) array, with exact derivatives of every order,
+which the Mellin and extension routes consume as arrays (ray(d) for one).
 
 Every pointwise evaluator of the package follows one contract, written
 down in _evaluate: on the line a scalar gives a scalar and an array an
@@ -82,16 +82,16 @@ class Decay:
             return 2.0 * math.asin(self.radius / abs(self.shift))
         return 2.0 * math.pi
 
-    def misses(self, direction):
-        """Whether the ray {t direction : t >= 0} misses the ball
-        |m - center| < radius of a compact support with a known centre, so
-        that phi vanishes on it."""
+    def misses(self, directions):
+        """Whether each ray {t d : t >= 0}, d a row of directions (..., n),
+        misses the ball |m - center| < radius of a compact support with a
+        known centre, so that phi vanishes on it."""
         if self.kind != "compact" or not self.center:
-            return False
+            return np.zeros(directions.shape[:-1], dtype=bool)
         c = np.asarray(self.center)
-        along = float(c @ direction) / float(np.linalg.norm(direction))
+        along = (directions @ c) / np.sqrt(quad.sum_squares(directions))
         # the point of the ray nearest the centre: the origin, or the foot
-        near2 = float(c @ c) - (along * along if along > 0.0 else 0.0)
+        near2 = float(c @ c) - np.where(along > 0.0, along * along, 0.0)
         return near2 >= self.radius * self.radius
 
 
@@ -109,11 +109,13 @@ def _horner(c, x):
 
 
 class PolyGauss1D:
-    """g(r) = (sum_k c_k r^k) e^{-a r^2}, closed under differentiation."""
+    """g(r) = (sum_k c_k r^k) e^{-a r^2}, closed under differentiation; a
+    family of rays holds coefficients (degree, rays, 1) and rates (rays, 1)
+    and gives (rays, nodes) at nodes (nodes,) or (rays, nodes)."""
 
     def __init__(self, coeffs, a):
         self.coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-        self.a = float(a)
+        self.a = np.asarray(a, dtype=float)[()]
         # with zero imaginary parts, float64 steps give the complex steps' real parts exactly
         self._c = self.coeffs if np.any(self.coeffs.imag) else self.coeffs.real
 
@@ -123,31 +125,25 @@ class PolyGauss1D:
         r = np.asarray(r, dtype=float)[()]
         return (_horner(self._c, r) * np.exp(-self.a * r * r)).astype(complex)
 
-    def __eq__(self, other):  # equal exact coefficients and rate: the same values, bit for bit
-        return isinstance(other, PolyGauss1D) and self.a == other.a and self.coeffs.tobytes() == other.coeffs.tobytes()
-
-    def __hash__(self):
-        return hash((self.coeffs.tobytes(), self.a))
-
     def derivative(self, k):
-        c = self.coeffs
-        a = self.a
+        c, a = self.coeffs, self.a
         for _ in range(int(k)):
-            d = np.zeros(len(c) + 1, dtype=complex)
-            if len(c) > 1:
-                d[: len(c) - 1] += np.arange(1, len(c)) * c[1:]
+            d = np.zeros((len(c) + 1,) + c.shape[1:], dtype=complex)
+            d[: len(c) - 1] += np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1)) * c[1:]
             d[1 : len(c) + 1] += -2.0 * a * c
             c = d
         return PolyGauss1D(c, a)
 
     def cutoff(self, tol):
-        amp = float(np.sum(np.abs(self.coeffs))) + 1.0
-        big = max(-math.log(tol), 1.0) + math.log(amp)
-        r = math.sqrt(big / self.a) + 2.0 / math.sqrt(self.a)
-        scale = max(abs(complex(self.coeffs[0])), 1e-12)
-        while abs(complex(self(r))) > tol * scale and r < 1e6:
-            r *= 1.5
-        return r
+        amp = np.sum(np.abs(self.coeffs), axis=0) + 1.0
+        big = max(-math.log(tol), 1.0) + np.log(amp)
+        r = np.sqrt(big / self.a) + 2.0 / np.sqrt(self.a)
+        scale = np.maximum(np.abs(self.coeffs[0]), 1e-12)
+        while True:
+            grow = (np.abs(self(r)) > tol * scale) & (r < 1e6)
+            if not np.any(grow):
+                return r.ravel() if r.ndim else float(r)
+            r = np.where(grow, r * 1.5, r)
 
 
 class NumericProfile:
@@ -177,9 +173,8 @@ class NumericProfile:
         and the three after it certify the tail.  A scan that passes the
         decay's radius without such a streak returns its last sample, and
         the tail beyond it is not certified (cut_certified)."""
-        cut = self.decay.cutoff(tol)
-        if cut > 0.0:
-            return cut
+        if self.decay.kind != "other":
+            return self.decay.cutoff(tol)
         if self._scan is None:
             tol = max(tol, 1e-13)
             r, peak, below, first = 0.5, 1e-300, 0, 0.0
@@ -221,8 +216,8 @@ def _evaluate(fn, n, m):
 class TestFunction:
     """A Schwartz-class function on R^n, evaluated under the contract of
     _evaluate.  ray(direction) returns the profile r -> phi(r * direction)
-    (direction need not be normalized).
-    """
+    (direction need not be normalized), rays(directions) one profile for
+    the rows of a (rays, n) array, the rays on a leading axis (PolyGauss1D)."""
 
     def __init__(self, n, eval_fn, ray_fn, decay, label, fourier_fn=None, deriv_fn=None):
         self.n = int(n)
@@ -237,12 +232,13 @@ class TestFunction:
         return _evaluate(self._eval, self.n, m)
 
     def ray(self, direction):
-        direction = np.atleast_1d(np.asarray(direction, dtype=float))
-        if direction.shape != (self.n,):
-            raise DomainError(f"ray direction must have length {self.n}")
-        if not np.any(direction):
-            raise DomainError("ray direction must be nonzero")
-        return self._ray(direction)
+        return self.rays(np.atleast_1d(np.asarray(direction, dtype=float)))
+
+    def rays(self, directions):
+        directions = np.asarray(directions, dtype=float)
+        if directions.ndim > 2 or directions.shape[-1:] != (self.n,) or not np.all(np.any(directions, axis=-1)):
+            raise DomainError(f"ray directions must be nonzero and of length {self.n}")
+        return self._ray(directions)
 
     def derivative(self, alpha):
         """Exact partial derivative evaluator for the multi-index alpha
@@ -325,14 +321,16 @@ def polygauss(coeffs, a, n, label=None):
             raise DomainError("multi-index length must equal the dimension")
     label = label or f"polygauss:a={label_number(a)},n={n}"
 
-    def ray_fn(direction):
-        a1 = a * float(np.dot(direction, direction))
+    def ray_fn(directions):
+        # the rays on a leading axis (rays, 1), or none for one direction
+        lead = directions.shape[:-1] + (1,) * (directions.ndim - 1)
+        a1 = a * (directions[..., None, :] @ directions[..., :, None]).reshape(lead)
         maxdeg = max((sum(b) for b in coeffs), default=0)
-        c1 = np.zeros(maxdeg + 1, dtype=complex)
+        c1 = np.zeros((maxdeg + 1,) + lead, dtype=complex)
         for beta, c in coeffs.items():
             mono = 1.0
             for j, bj in enumerate(beta):
-                mono *= direction[j] ** bj
+                mono = mono * directions[..., j].reshape(lead) ** bj
             c1[sum(beta)] += c * mono
         return PolyGauss1D(c1, a1)
 
@@ -416,8 +414,8 @@ _BUMP_POLYS = [np.ones(1)]
 
 def _bump_ray_derivative(q, dq, half_d2q, k):
     """d^k/dr^k F(q(r)) for F(q) = e^{-1/(1-q)} on q < 1 (0 elsewhere), from
-    q and q' = dq at the points and the constant q''/2 = half_d2q of a
-    quadratic q, by Faa di Bruno's formula: the sum over k/2 <= j <= k of
+    q and q' = dq at the points and q''/2 = half_d2q (constant along a
+    ray) of a quadratic q, by Faa di Bruno's formula: the sum over k/2 <= j <= k of
     k! / ((2j-k)! (k-j)!) q'^(2j-k) (q''/2)^(k-j) F^(j)(q)."""
     while len(_BUMP_POLYS) <= k:
         p = _BUMP_POLYS[-1]
@@ -425,7 +423,7 @@ def _bump_ray_derivative(q, dq, half_d2q, k):
     out = np.zeros(q.shape)
     # e^{-y} is 0.0 in double precision past y = 745, where y^(2k) may overflow
     live = 1.0 - q > 1.0 / 745.0
-    y, dq = 1.0 / (1.0 - q[live]), dq[live]
+    y, dq, half_d2q = 1.0 / (1.0 - q[live]), dq[live], np.broadcast_to(half_d2q, q.shape)[live]
     acc = 0.0
     for j in range((k + 1) // 2, k + 1):
         coef = math.factorial(k) // (math.factorial(2 * j - k) * math.factorial(k - j))
@@ -454,24 +452,26 @@ def bump(center=0.0, radius=1.0, n=1):
 
     decay = Decay("compact", radius=radius, shift=float(c[0]) if n == 1 else float(np.linalg.norm(c)), center=tuple(c))
 
-    def ray_fn(direction):
+    def ray_fn(directions):
         # q(r) = |r d - c|^2 / radius^2 = x^2 + h2, x = sa r - off, with sa = |d|,
-        # off = c.d / |d| and h2 = |c|^2 - off^2 in units of radius
-        sa = float(np.linalg.norm(direction)) / radius
-        off = float(direction @ c) / (radius * radius * sa)
-        h2 = max(float(c @ c) / radius ** 2 - off * off, 0.0)
+        # off = c.d / |d| and h2 = |c|^2 - off^2 in units of radius, per ray
+        lead = directions.shape[:-1] + (1,) * (directions.ndim - 1)
+        d = directions.reshape(lead + (n,))
+        sa = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0] / radius
+        off = (d[..., None, :] @ c)[..., 0] / (radius * radius * sa)
+        h2 = np.maximum(float(c @ c) / radius ** 2 - off * off, 0.0)
         # the ray ends at the support's far edge x = sqrt(1 - h2), an endpoint
         # of the radial rules; a ray that misses the support keeps cut > 0
-        edge = (off + math.sqrt(1.0 - h2)) / sa if h2 < 1.0 else 0.0
-        cut = edge if edge > 0.0 else 1.0 / sa
+        edge = np.where(h2 < 1.0, (off + np.sqrt(np.maximum(1.0 - h2, 0.0))) / sa, 0.0)
+        cut = np.where(edge > 0.0, edge, 1.0 / sa)
 
         def fn(r, k):
             if k == 0:
-                return ev(r[..., None] * direction)
+                return ev(r[..., None] * d)
             x = sa * r - off
             return _bump_ray_derivative(x * x + h2, 2.0 * sa * x, sa * sa, k)
 
-        return NumericProfile(fn, Decay("compact", radius=cut), 0, None)
+        return NumericProfile(fn, Decay("compact", radius=cut.ravel() if cut.ndim else float(cut)), 0, None)
 
     return TestFunction(n, ev, ray_fn, decay, label)
 
@@ -573,6 +573,7 @@ def _numeric_fourier(phi, conv):
     if phi.decay.kind != "compact":
         raise DomainError("numeric transform needs a compact support")
     scale = _KERNEL_SCALE[conv]
+    label = f"ft[{conv.value}]({phi.label})"
     m_lo, m_hi = phi.decay.shift - phi.decay.radius, phi.decay.shift + phi.decay.radius
     store, stored = {}, 0
 
@@ -618,10 +619,11 @@ def _numeric_fourier(phi, conv):
     reach = 4096.0 * 2.0 * math.pi / (abs(scale) * phi.decay.radius)
 
     def ray_fn(direction):
+        if direction.ndim != 1:  # each ray oscillates at its own wavelength
+            raise DomainError(f"the rays of {label} oscillate: take them one at a time (ray)")
         d = float(direction[0])
         return NumericProfile(lambda r, k: d ** k * transform(r * d, k), Decay("other", radius=reach / abs(d)), 0, wavelength / abs(d))
 
-    label = f"ft[{conv.value}]({phi.label})"
     return TestFunction(1, lambda m: transform(m[..., 0], 0), ray_fn, Decay("other"), label)
 
 

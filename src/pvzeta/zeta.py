@@ -28,15 +28,15 @@ with N minimal such that Re s + N > -1/2, where the hyperbolic
 coordinates of quad.SignatureGeometry give a radial integral of
 r^(2 (s + N) + n - 2) times the angular profile.
 
-zeta_local hands the radial functions of every kind (the rays, or the
-angular profile), which depend on s only through the depth N, and their
-weights r^expo to one driver on the tanh-sinh rule
-quad._radial_levels, and that driver runs under quad.angular_doubling,
-which doubles the order of the sphere rules until two orders agree.
+zeta_local hands the radial functions of every kind (the family of rays
+of TestFunction.rays, or the angular profile), which depend on s only
+through the depth N, as one block with their weights r^expo to the
+tanh-sinh rule quad._radial_levels, under quad.angular_doubling, which
+doubles the order of the sphere rules until two orders agree.
 zeta_local_reference keeps independent routes, on the rotated sphere
-rule of the order zeta_local measured: one adaptive transform per ray,
-and the angular profile per radius under adaptive quadrature, continued
-one step by the finite-difference stencil of quad.radial_power_integral.
+rule of the order zeta_local measured: the rays on one adaptive
+Gauss-Kronrod subdivision (quad.integrate_1d), and the angular profile
+per radius, continued one step by quad.radial_power_integral.
 """
 
 from __future__ import annotations
@@ -118,7 +118,8 @@ def _continuation(s, order=None):
 
 
 def mellin_profile(profile, s, tol=1e-11, order=None):
-    """Radial Mellin transform of a 1D profile (see module docstring).
+    """Radial Mellin transform of a 1D profile, or of each ray of a family
+    on one subdivision up to the largest cut (see module docstring).
 
     order forces a continuation depth N beyond the minimal one (for
     overlap-consistency checks of the continuation itself).  An
@@ -131,10 +132,10 @@ def mellin_profile(profile, s, tol=1e-11, order=None):
     dist, N, den = _continuation(s, order)
     g = profile if N == 0 else profile.derivative(N)
     wavelength = getattr(profile, "oscillation", None)
-    cut = profile.cutoff(1e-16)
+    cut = float(np.max(profile.cutoff(1e-16), initial=0.0))
     res = quad.power_integral(g, s + N, cut, tol, wavelength)
-    value = complex(res.value) / den
-    if value.imag == 0.0:
+    value = res.value / den
+    if np.all(np.imag(value) == 0.0):
         value = value.real
     rule = None
     if wavelength:
@@ -144,7 +145,6 @@ def mellin_profile(profile, s, tol=1e-11, order=None):
 
 def mellin(phi, omega, s, tol=1e-11, order=None):
     """M_s(phi)(omega) for a TestFunction phi and a ray direction omega."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
     return mellin_profile(phi.ray(omega), s, tol=tol, order=order)
 
 
@@ -167,55 +167,45 @@ def _check_target(space, component, phi):
         raise DomainError("test function dimension does not match the space")
 
 
-def _polar(space, component, s, order, rotated):
+def _polar(space, component, s, order, rotated, phi):
     """The polar factorization |p(r omega)|^s dm = r^expo |p(omega)|^s dr
-    d omega of the scalar and definite kinds: (rays omega, their weights,
-    the matrix B with |p(omega)| = omega^T B omega, expo).  The scalar
-    kind has the one ray +-1 of its component and expo = s, a definite
-    space the rule quad.sphere_quadrature(n, order, rotated) and
-    expo = 2 s + n - 1."""
+    d omega of the scalar and definite kinds: (rays omega, weights times
+    |p(omega)|^s, expo): the one ray +-1 of a scalar component and expo = s,
+    or the rays of quad.sphere_quadrature(n, order, rotated) that meet phi's
+    support and expo = 2 s + n - 1."""
     if space.kind == "scalar1d":
-        return np.array([[1.0 if component == "V1" else -1.0]]), np.ones(1), np.eye(1), s
+        return np.array([[1.0 if component == "V1" else -1.0]]), np.ones(1), s
     pts, wts = quad.sphere_quadrature(space.n, order, rotated)
-    return pts, wts, space.Bmat, 2.0 * s + space.n - 1.0
+    hit = ~phi.decay.misses(pts)
+    pts, wts = pts[hit], wts[hit]
+    pom = np.einsum("ij,jk,ik->i", pts, space.Bmat, pts)
+    ps = pom ** s.real if s.imag == 0.0 else pom.astype(complex) ** s
+    return pts, wts * ps, 2.0 * s + space.n - 1.0
 
 
 def _polar_kind(space, component, s, phi):
     """The radial data that zeta_local integrates, for the scalar and
     definite kinds: (pole distance, depth N, radial exponent, dimensions
     of the sphere factors, the angle of phi's support, at), where at(order)
-    gives (rows(r), weights, divisor, cutoff) for the rays of _polar at
-    that order, continued by parts, on [0, largest ray cutoff]; the
-    weights carry 1 / den, so the divisor is 1.  DomainError when a ray
-    profile has no finite cutoff or oscillates: the level gap of the rule
-    does not see an unresolved oscillation, so such a ray (the numeric
-    Fourier transform of a bump) goes to mellin or zeta_local_reference,
-    whose quad.power_integral sizes its panels to the wavelength."""
+    gives (the family of rays of _polar continued by parts, weights / den,
+    divisor 1, largest ray cutoff).  DomainError on a ray without a finite
+    cutoff, or on oscillating rays, whose oscillation the level gap does
+    not see (a numeric Fourier transform: mellin and zeta_local_reference
+    size their panels to it)."""
     sm = s if space.kind == "scalar1d" else 2.0 * s + space.n - 1.0
     dist, N, den = _continuation(sm)
+    if phi.decay.kind == "other":
+        raise DomainError(f"the shared radial rule does not resolve the oscillating rays of {phi.label}; "
+                          "zeta.mellin and zeta_local_reference take them on wavelength panels")
 
     def at(order):
-        pts, wts, B, _ = _polar(space, component, s, order, False)
-        # a ray that misses phi's support adds 0
-        hit = [not phi.decay.misses(om) for om in pts]
-        pts, wts = pts[hit], wts[hit]
-        profiles, cut = [], 0.0
-        for om in pts:
-            prof = phi.ray(om)
-            if getattr(prof, "oscillation", None) is not None:
-                raise DomainError(
-                    f"the shared radial rule does not resolve the oscillating rays of {phi.label}; "
-                    "zeta.mellin and zeta_local_reference take them on wavelength panels"
-                )
-            c = prof.cutoff(1e-16)
-            if not (np.isfinite(c) and c > 0.0):
-                raise DomainError(f"the shared radial rule needs a finite cutoff of every ray profile, got {c}")
-            profiles.append(prof if N == 0 else prof.derivative(N))
-            cut = max(cut, c)
-        pom = np.einsum("ij,jk,ik->i", pts, B, pts)
-        ps = pom ** s.real if s.imag == 0.0 else pom.astype(complex) ** s
+        pts, wts, _ = _polar(space, component, s, order, False, phi)
+        rays = phi.rays(pts)
+        cut = rays.cutoff(1e-16)
+        if not np.all(np.isfinite(cut) & (cut > 0.0)):
+            raise DomainError(f"the shared radial rule needs a finite cutoff of every ray profile, got {cut}")
         # with no ray left any cutoff serves
-        return lambda r: [g(r) for g in profiles], wts * ps / den, 1.0, cut or 1.0
+        return rays if N == 0 else rays.derivative(N), wts / den, 1.0, float(np.max(cut, initial=0.0)) or 1.0
 
     dims = () if space.kind == "scalar1d" else (space.n,)
     return dist, N, sm + N, dims, phi.decay.angle(), at
@@ -247,7 +237,7 @@ def _signature_kind(space, component, s, phi):
 
     def at(order):
         geom = quad.SignatureGeometry(space, component, order, False)
-        return lambda r: [geom.profile(g, r, rate)[0]], np.array([geom.detfac]), den, geom.radial_cutoff(rate)
+        return lambda r: geom.profile(g, r, rate)[0][None], np.array([geom.detfac]), den, geom.radial_cutoff(rate)
 
     k = space.q if component == "plus" else space.n - space.q
     root = np.sqrt(np.abs(np.diag(space.Bmat)))
@@ -319,10 +309,11 @@ def _standardized_rate(space, phi):
 
 def zeta_local_reference(space, component, s, phi, order, tol=1e-10):
     """zeta_local by independent routes, for checks of the shared rules:
-    one adaptive radial Mellin transform per ray of _polar for the scalar
-    and definite kinds, and for an indefinite one the angular profile per
-    radius under adaptive quadrature, continued by at most one
-    finite-difference by-parts step (so Re s > -n/2 only).  Off n = 3 the
+    the adaptive radial Mellin transform of the rays of _polar (one
+    subdivision for the family of a definite space), and for an indefinite
+    kind the angular profile per radius under adaptive quadrature,
+    continued by at most one finite-difference by-parts step (so
+    Re s > -n/2 only).  Off n = 3 the
     angular profile is not smooth at r = 0 and the step is not valid:
     DomainError once Re beta <= -1 or Re s <= -1, beta = 2 s + n - 2.
     order is the angular order that zeta_local measured (its rule's
@@ -343,16 +334,12 @@ def zeta_local_reference(space, component, s, phi, order, tol=1e-10):
         val = geom.detfac * complex(quad.radial_power_integral(H, beta, geom.radial_cutoff(rate), tol=tol))
         # the stencil's by-parts steps: none while Re beta > -1, else one
         return MeroValue(val.real if val.imag == 0.0 else val, dist, int(beta.real <= -1.0))
-    pts, wts, B, sm = _polar(space, component, s, order, True)
-    total = 0.0 + 0.0j
-    dist, depth = None, 0
-    for om, w in zip(pts, wts):
-        pom = float(om @ B @ om)
-        mv = mellin_profile(phi.ray(om), sm, tol=tol)
-        total += w * pom ** s * complex(mv.value)
-        dist, depth = mv.pole_distance, mv.continuation_order
-    value = total.real if total.imag == 0.0 else total
-    return MeroValue(value, dist, depth)
+    pts, wts, sm = _polar(space, component, s, order, True, phi)
+    # the one ray of a scalar kind may oscillate (a numeric transform), and
+    # mellin_profile sizes its panels to the wavelength
+    mv = mellin_profile(phi.ray(pts[0]) if space.kind == "scalar1d" else phi.rays(pts), sm, tol=tol)
+    total = complex(np.sum(wts * mv.value))
+    return MeroValue(total.real if total.imag == 0.0 else total, mv.pole_distance, mv.continuation_order)
 
 
 def check_zeta_eval(space, component, s, phi, tol):

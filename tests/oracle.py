@@ -11,8 +11,9 @@ draws and evaluates each chunk of samples as one array, the reference of
 the library's blocked oracle, and fhat_many_one_block takes the heat
 symbol in blocks of 4e6 exponents, the reference of the library's
 cache-sized blocks.  The per-ray and per-node loops below are the
-references of the library's shared inner rows (homog) and stacked
-Gauss-Hermite rows (heatflow).
+references of the library's ray families (zeta_local_reference,
+direct_pair), shared inner rows (homog) and stacked Gauss-Hermite rows
+(heatflow).
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.integrate import dblquad
 from scipy.integrate import quad as scipy_quad
 
-from pvzeta import heatflow, homog, quad, special
+from pvzeta import heatflow, homog, quad, special, zeta
 
 # at or below this |xi| the complex integrand is integrated directly
 OSC_THRESHOLD = 4.0
@@ -201,3 +202,36 @@ def two_step_per_node(t, s, phi, xs, order):
         y = np.outer(xs * math.exp(-2.0 * math.sqrt(t) * zi), inner)
         total += wi * (np.asarray(phi(y), dtype=complex) @ w)
     return 4.0 * math.sqrt(t * s) * heatflow.prefactor(t) * heatflow.prefactor(s) * total
+
+
+def zeta_local_reference_per_ray(space, component, s, phi, order, tol):
+    """zeta.zeta_local_reference on a definite space with one adaptive
+    radial Mellin transform per ray of the rotated sphere rule, each on
+    (0, the largest cut of the rays) as the family takes them, and summed
+    as the library sums the family's values."""
+    s = complex(s)
+    pts, wts, sm = zeta._polar(space, component, s, order, True, phi)
+    dist, N, den = zeta._continuation(sm)
+    cut = float(np.max(phi.rays(pts).cutoff(1e-16), initial=0.0))
+    vals = []
+    for om in pts:
+        g = phi.ray(om) if N == 0 else phi.ray(om).derivative(N)
+        vals.append(quad.power_integral(g, sm + N, cut, tol).value)
+    vals = np.array(vals) / den
+    total = complex(np.sum(wts * (vals.real if np.all(vals.imag == 0.0) else vals)))
+    return zeta.MeroValue(total.real if total.imag == 0.0 else total, dist, N)
+
+
+def direct_pair_per_ray(k, phi, order):
+    """homog.HomogFunctional.direct_pair with one adaptive integral per ray."""
+    outer = phi.decay.cutoff(1e-16)
+    pts, wts = quad.sphere_quadrature(k.n, order, True)
+    vals = []
+    for om in pts[:, 0] if k.n == 1 else pts:
+        def integrand(t, om=om):
+            m = np.multiply.outer(t, om)
+            return k(m) * np.asarray(phi(m)) * t ** (k.n - 1)
+
+        vals.append(quad.integrate_1d(integrand, 0.0, outer, tol=1e-11).value)
+    total = complex(np.sum(wts * np.array(vals)))
+    return total.real if total.imag == 0.0 else total

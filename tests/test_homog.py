@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracle import extend_kdot_per_ray, pointwise_kdot_per_ray
+from oracle import direct_pair_per_ray, extend_kdot_per_ray, pointwise_kdot_per_ray
 from pvzeta import homog, quad, special, testfn
 from pvzeta.errors import AccuracyError, DomainError, PoleError
 
@@ -216,19 +216,19 @@ _ROUTES = [("extend", homog.extend_kdot, extend_kdot_per_ray), ("pointwise", hom
     [pytest.param(route, per_ray, phi, even, id=f"{name}-{rid}") for name, phi, even in _SHARED_ROW_CASES for rid, route, per_ray in _ROUTES],
 )
 def test_shared_inner_rows_keep_the_per_ray_bits(route, per_ray, phi, even, monkeypatch):
-    # rays with one polynomial-Gaussian profile share one _rs_rows result:
+    # rays with one polynomial-Gaussian profile share one _rs_rows row:
     # the value and rule are those of one row per ray, bit for bit, with
     # half the rows for an even phi on the line (the rays +-1), fewer in
     # the plane (rays whose profiles come out equal: all of them for a
     # radial phi), and one per ray for an odd phi or a bump, which is
-    # never merged
+    # never merged; a row is one entry of the cutoffs that _rs_rows takes
     k = _norm_density(phi.n)
     psi = homog.make_cutoff(0.5, 2.0)
     calls = []
     real = homog._rs_rows
 
     def counted(*args):
-        calls.append(args)
+        calls.extend([args] * np.size(args[2]))
         return real(*args)
 
     monkeypatch.setattr(homog, "_rs_rows", counted)
@@ -265,6 +265,59 @@ def test_fixed_inner_rule_matches_adaptive_rs_transform(phi):
         for t, value in zip(ts, fixed):
             ref = complex(homog.rs_transform(phi, -1.0, t * om, tol=1e-12))
             assert abs(value - ref) < 1e-12, (t * om, value, ref)
+
+
+def test_inner_rows_take_the_gradient_at_the_origin_in_closed_form():
+    # x e^{-x^2} has g'(0) = 1 on the ray +1, where -4 u log(u) g'(u^2)
+    # behaves like u log u; its closed part leaves every panel count at
+    # rounding from R_{-1} phi(1) = sqrt(pi)/2 (the panels alone were
+    # 7.1e-9, 1.8e-9 and 4.4e-10 off)
+    phi = testfn.hermite_gaussian(1, 1.0)
+    g = phi.ray([1.0])
+    assert complex(homog.rs_transform(phi, -1.0, 1.0, tol=1e-13)) == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-15)
+    for npanel in (128, 256, 512):
+        row = homog._rs_rows(g.derivative(1), np.ones(1), g.cutoff(1e-18), npanel)[0]
+        assert abs(row - math.sqrt(math.pi) / 2.0) < 3e-15, (npanel, row)
+    # its spot-check passes, on the line and in the plane, where the
+    # extension of the odd phi against an even density vanishes
+    for n in (1, 2):
+        value, rule = homog.extend_kdot(_norm_density(n), homog.make_cutoff(0.5, 2.0), testfn.hermite_gaussian(1, 1.0, n=n))
+        assert abs(value) < 1e-15 and rule["coarse_fine_gap"] < 1e-15
+    # a Gaussian ray has g'(0) = 0: its row is the panel sum alone, bit for
+    # bit (512 panels take one t per product)
+    g = testfn.gaussian(1.3).ray([1.0])
+    u, w = quad.panel_rule(0.0, math.sqrt(g.cutoff(1e-18)), 512)
+    t, tau, c = np.array([0.7, 1.0, 1.9]), u * u, -4.0 * w * u * np.log(u)
+    panels = [ti * (g.derivative(1)(ti * tau[None]) @ c)[0] for ti in t]
+    assert np.array_equal(homog._rs_rows(g.derivative(1), t, g.cutoff(1e-18), 512), panels)
+
+
+@pytest.mark.parametrize("phi", [testfn.bump(3.0, 1.0), testfn.bump(1.5, 1.0), testfn.bump(-2.5, 0.8)], ids=["c3", "c1.5", "c-2.5"])
+def test_direct_pair_family_keeps_the_per_ray_bits_on_the_line(phi):
+    # the rays +-1 on one subdivision: a ray that misses the support is 0
+    # and leaves the other's intervals alone
+    k = _norm_density(1)
+    assert repr(k.direct_pair(phi, 0)) == repr(direct_pair_per_ray(k, phi, 0))
+
+
+def test_direct_pair_family_matches_the_per_ray_pairing_in_the_plane():
+    k, phi = _norm_density(2), testfn.bump(1.5, 1.2, n=2)
+    order = homog.extend_kdot(k, homog.make_cutoff(0.5, 2.0), phi)[1]["angular_order"]
+    fam, per = k.direct_pair(phi, order), direct_pair_per_ray(k, phi, order)
+    assert abs(fam - per) <= 1e-15 * abs(per), (fam, per)
+
+
+@pytest.mark.parametrize("phi", [testfn.hermite_gaussian(2, 1.3, n=2), testfn.bump([1.5, 0.5], 1.2, n=2)], ids=["hermite", "bump"])
+@pytest.mark.parametrize("s", [-1.0, -2.0])
+def test_tplus_profile_takes_a_family_of_rays_at_a_pole(phi, s):
+    # one value per ray, each within the rule's tolerance of the ray alone
+    pts = quad.sphere_quadrature(2, 8, False)[0]
+    pts = pts[~phi.decay.misses(pts)]
+    values = homog.tplus_profile(s, phi.rays(pts), tol=1e-12)
+    assert np.shape(values) == (len(pts),)
+    for om, value in zip(pts, values):
+        ref = complex(homog.tplus_profile(s, phi.ray(om), tol=1e-12))
+        assert abs(value - ref) < 1e-12 * max(abs(ref), 1.0), (om, value, ref)
 
 
 def test_extension_refuses_a_degree_off_the_critical_one():

@@ -126,6 +126,72 @@ def test_integrate_1d_raises_at_the_interval_cap(capfd):
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("name", list(_ENGINE_CASES))
+def test_a_family_of_one_and_a_zero_member_keep_the_bits(name):
+    # a lone integrand is a family of one; a member that is 0 meets its
+    # target from the start and changes no interval of the other
+    f, a, b, tol = _ENGINE_CASES[name]
+    alone = quad.integrate_1d(f, a, b, tol=tol)
+    one = quad.integrate_1d(lambda t: np.asarray(f(t))[None], a, b, tol=tol)
+    pair = quad.integrate_1d(lambda t: np.stack([np.asarray(f(t)), np.zeros(t.size)]), a, b, tol=tol)
+    assert repr(complex(one.value[0])) == repr(complex(alone.value)) == repr(complex(pair.value[0]))
+    assert one.error_estimate[0] == pair.error_estimate[0] == alone.error_estimate
+    assert one.evaluations == pair.evaluations == alone.evaluations
+    assert np.all(pair.value[1] == 0.0) and pair.error_estimate[1] == 0.0
+
+
+@pytest.mark.parametrize("names", [
+    ["gauss-head-(-0.7+0j)", "gauss-head-(-0.3+0.5j)", "hermite-head-(-0.7+0j)", "hermite-head-(-0.3+0.5j)"],
+    ["cutoff-log-0", "cutoff-log-1"],
+    ["gauss-body-(-0.7+0j)", "gauss-body-(-0.3+0.5j)"],
+], ids=["heads", "log-moments", "bodies"])
+def test_each_member_of_a_family_meets_its_own_target(names):
+    # members of several scales on one subdivision: each lies within its
+    # tolerance of QUADPACK on its own
+    fs = [_ENGINE_CASES[name][0] for name in names]
+    _, a, b, tol = _ENGINE_CASES[names[0]]
+    res = quad.integrate_1d(lambda t: np.stack([np.asarray(f(t), dtype=complex) for f in fs]), a, b, tol=tol)
+    assert res.value.shape == res.error_estimate.shape == (len(fs),)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        refs = [quadpack_1d(f, a, b, tol) for f in fs]
+    for value, err, (ref, ref_err) in zip(res.value, res.error_estimate, refs):
+        assert abs(value - ref) <= max(err + ref_err, 1e-13), (value, ref, err, ref_err)
+
+
+def test_a_family_raises_at_the_cap_and_on_a_value_that_is_not_finite():
+    with pytest.raises(NonConvergence, match="more than 400 intervals"):
+        quad.integrate_1d(lambda x: np.stack([np.exp(-x), 1.0 / x]), 0.0, 1.0)
+    with pytest.raises(NonConvergence, match="not finite"), np.errstate(invalid="ignore"):
+        quad.integrate_1d(lambda x: np.stack([np.exp(-x), np.where(x > 0.5, np.inf, x)]), 0.0, 1.0)
+
+
+def test_family_contractions_keep_each_rows_bits():
+    # a (rows, N) block contracted as one 2-D product can round a row apart
+    # from the same row alone (BLAS blocks the rows); with the family axis
+    # leading, each row gets the bits of its own product
+    pts = quad.sphere_quadrature(3, 8, False)[0]
+    rays = testfn.hermite_gaussian(2, 1.3, n=3).rays(pts)
+    own = [testfn.hermite_gaussian(2, 1.3, n=3).ray(om) for om in pts]
+    # _gk21 on a (family, nodes) integrand
+    lo, hi = np.linspace(0.0, 3.0, 7)[:-1], np.linspace(0.0, 3.0, 7)[1:]
+    block = quad._gk21(rays.derivative(1), lo, hi)
+    for i, g in enumerate(own):
+        for got, ref in zip(block, quad._gk21(g.derivative(1), lo, hi)):
+            assert np.array_equal(got[i], ref[0])
+    # _radial_levels on a (rows, radii) block, at the level the block needs
+    cut = float(np.max(rays.cutoff(1e-16)))
+    cur, prev, mass, nodes = quad._radial_levels(rays.derivative(1), complex(-0.4), cut, 1e-12, 9)
+    for i, g in enumerate(own):
+        row = quad._radial_levels(lambda r: g.derivative(1)(r)[None], complex(-0.4), cut, 1e-12, 9)
+        assert row[3] == nodes and (row[0][0], row[1][0], row[2][0]) == (cur[i], prev[i], mass[i])
+    # homog._rs_rows on a family of rays, each on its own rule
+    t = np.linspace(0.5, 2.0, 5)
+    rows = homog._rs_rows(rays.derivative(1), t, rays.cutoff(1e-18), 128)
+    for i, g in enumerate(own):
+        assert np.array_equal(rows[i], homog._rs_rows(g.derivative(1), t, g.cutoff(1e-18), 128))
+
+
 @pytest.mark.parametrize("expo", [-0.5, -0.999, -0.9 + 0.3j, 0.7 + 0.2j])
 def test_power_integral_gamma(expo):
     # integral_0^inf r^expo e^{-r} dr = Gamma(1 + expo); at Re expo = -0.999
@@ -356,6 +422,21 @@ def test_engines_read_the_space():
     params = lambda fn: list(inspect.signature(fn).parameters)
     assert params(funceq.eq12a_factor) == params(funceq.eq22_matrix) == ["s", "space"]
     assert "B" not in params(funceq.calibrate_convention)
+
+
+def test_no_ray_is_taken_in_a_loop():
+    # the rays of a test function are one family (TestFunction.rays): no
+    # module takes .ray inside a loop or a comprehension, or maps it
+    offenders = []
+    for path in sorted(Path(pvzeta.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        for loop in (node for node in ast.walk(tree) if isinstance(node, loops)):
+            offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(loop) if isinstance(node, ast.Attribute) and node.attr == "ray"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map":
+                offenders += [f"{path.name}:{node.lineno}" for arg in node.args if isinstance(arg, ast.Attribute) and arg.attr == "ray"]
+    assert offenders == []
 
 
 def test_cli_builds_no_rows():
