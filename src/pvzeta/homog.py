@@ -138,9 +138,8 @@ class HomogFunctional:
     def direct_pair(self, phi, order):
         """Direct integral of density * phi over the ball |m| <= the support
         bound of phi (phi must vanish near 0 for this to be the honest
-        pairing at the critical degree), adaptive (tol 1e-11) on one
-        subdivision for the rays of the rotated sphere rule of the given
-        order, the angular order of extend_kdot's rule."""
+        pairing at the critical degree), adaptive (tol 1e-11) on one subdivision
+        for the rays of the rotated sphere rule of extend_kdot's angular order."""
         n = self.n
         outer = phi.decay.cutoff(1e-16)
         if not np.isfinite(outer) or outer <= 0.0:
@@ -252,16 +251,16 @@ def _rs_rows(dprof, t, cut, npanel):
     tau = u * u
     # -log(tau) dtau = -4 u log(u) du
     c = -4.0 * w * u * np.log(u)
-    g0 = np.asarray(dprof(np.zeros(cut.shape + (1,))))[..., 0]
-    closed = g0 * cut * (1.0 - np.log(cut))
+    # the rule's sum on the constant g'(0) goes for the exact integral
+    fix = np.asarray(dprof(np.zeros(cut.shape + (1,))))[..., 0] * (cut * (1.0 - np.log(cut)) - c.sum(axis=-1))
     block = max(1, _BLOCK_POINTS // tau.shape[-1])
     rows = []
     for i in range(0, len(t), block):
         tb = t[i : i + block]
         # d/dtau phi(tau t omega) = t g'(t tau); each ray contracts its own slice
         r = tb[:, None] * tau[..., None, :]
-        v = np.asarray(dprof(r.reshape(r.shape[:-2] + (-1,)))).reshape(r.shape) - g0[..., None, None]
-        rows.append(tb * ((v @ c[..., :, None])[..., 0] + closed[..., None]))
+        v = np.asarray(dprof(r.reshape(r.shape[:-2] + (-1,)))).reshape(r.shape)
+        rows.append(tb * ((v @ c[..., :, None])[..., 0] + fix[..., None]))
     return np.concatenate(rows, axis=-1)
 
 

@@ -110,11 +110,12 @@ _GK_GRADE = 1.0 / 16.0
 
 def _gk21(g, lo, hi):
     """QUADPACK's qk21 on every interval (lo[i], hi[i]) with one g call on
-    all their nodes: (values, error estimates, roundoff floors), each
-    (family, intervals), every product with the family axis leading.  The
-    error is resasc min(1, (200 |K - G| / resasc)^1.5), floored at 50 eps resabs."""
+    all their nodes: (values, error estimates, roundoff floors), (intervals,)
+    or (family, intervals), the family axis leading every product.  The error
+    is resasc min(1, (200 |K - G| / resasc)^1.5), floored at 50 eps resabs."""
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    vals = g((c[:, None] + h[:, None] * _GK21_X).ravel()).reshape(-1, lo.size, _GK21_X.size)
+    vals = g((c[:, None] + h[:, None] * _GK21_X).ravel())
+    vals = vals.reshape(vals.shape[:-1] + (lo.size, _GK21_X.size))
     resk = vals @ _GK21_WK
     h = np.abs(h)
     gap = np.abs(resk - vals[..., 1::2] @ _G10_W) * h
@@ -128,31 +129,28 @@ def _gk21(g, lo, hi):
 def integrate_1d(f, a, b, tol=1e-10):
     """Integrate f on (a, b) (either end may be infinite) by globally
     adaptive Gauss-Kronrod subdivision in rounds (Gander & Gautschi, BIT 40
-    (2000) 84-101) on QUADPACK's G10/K21 pair and error estimate.  f takes
-    a 1-D array of nodes and returns their values, real or complex, or a
-    (family, nodes) block of a family of integrands on one set of
-    intervals (scipy.integrate.quad_vec), whose value and error estimate
-    are then arrays: it is called once per round, on the 21 nodes of every
-    interval that round made.  Each round splits, for each member past its
-    target max(tol 1e-2, tol 1e-2 |I|, twice its roundoff floors), its
-    largest-error intervals whose errors add up past its excess, taking
-    the union member by member in each member's error order, until every
-    member meets its target: a lone integrand, or a member beside ones
-    that meet their targets (0, say), keeps its intervals and bits.  An
-    interval at an end of the range is cut _GK_GRADE of its width from
-    that end, any other at its midpoint; an infinite end is mapped by
-    t / (1 - t).  NonConvergence past _GK_INTERVALS intervals or on a
-    value that is not finite, never a warning.  evaluations counts nodes."""
+    (2000) 84-101) on QUADPACK's G10/K21 pair and error estimate.  f maps a
+    1-D array of nodes to their values, real or complex, or to a (family,
+    nodes) block whose members share one set of intervals (as in
+    scipy.integrate.quad_vec) and get arrays of values and error estimates;
+    it is called once per round, on the 21 nodes of each new interval.  Each
+    round splits, for each member past its target max(tol 1e-2, tol 1e-2 |I|,
+    twice its roundoff floors), the largest-error intervals whose errors add
+    up past its excess, the union taken member by member in each one's error
+    order: a lone integrand, or a member beside resolved ones (0, say), keeps
+    its intervals and bits.  An interval at an end of the range is cut
+    _GK_GRADE of its width from that end, any other at its midpoint; an
+    infinite end maps by t / (1 - t).  NonConvergence past _GK_INTERVALS
+    intervals or on a value that is not finite, never a warning."""
     if a > b:
         res = integrate_1d(f, b, a, tol)
         return QuadResult(-res.value, res.error_estimate, res.evaluations)
-    count, shape = 0, None
+    count = 0
 
     def g(t):
-        nonlocal count, shape
-        count, v = count + t.size, np.asarray(f(t))
-        shape = v.shape[:-1]
-        return v
+        nonlocal count
+        count += t.size
+        return np.asarray(f(t))
 
     # the integrand on the rule's range (lo, hi): (0, 1) once an end is infinite
     lo, hi, mapped = float(a), float(b), g
@@ -173,19 +171,25 @@ def integrate_1d(f, a, b, tol=1e-10):
     left, right = np.array([lo]), np.array([hi])
     val, err, floor = _gk21(mapped, left, right)
     while True:
-        total = val.sum(axis=1)
-        if not np.all(np.isfinite(total)):
+        total = val.sum(axis=-1)
+        if not np.isfinite(total).all():
             raise NonConvergence(f"quadrature on ({a}, {b}) met a value that is not finite")
-        excess = err.sum(axis=1) - np.maximum(np.maximum(eps, eps * np.abs(total)), 2.0 * floor.sum(axis=1))
-        todo = excess > 0.0
-        if not np.any(todo):
+        if val.ndim == 1:  # a lone integrand, on scalars
+            excess = np.array([err.sum() - max(eps, eps * abs(total), 2.0 * floor.sum())])
+        else:
+            excess = err.sum(axis=1) - np.maximum(np.maximum(eps, eps * np.abs(total)), 2.0 * floor.sum(axis=1))
+        errs, todo = err.reshape(excess.size, -1), np.flatnonzero(excess > 0.0)
+        if todo.size == 1:  # one member's greedy set, in its error order
+            order = np.argsort(-errs[todo[0]], kind="stable")
+            split = order[: np.searchsorted(np.cumsum(errs[todo[0], order]), excess[todo[0]], side="right") + 1]
+        elif todo.size:  # the union of the members' sets, member by member
+            order = np.argsort(-errs[todo], axis=1, kind="stable")
+            ranks = np.sum(np.cumsum(errs[todo[:, None], order], axis=1) <= excess[todo, None], axis=1)
+            split = order[np.arange(errs.shape[1]) <= ranks[:, None]]
+            split = split[np.sort(np.unique(split, return_index=True)[1])]
+        else:
             break
-        # each unresolved member's greedy set, in its own error order
-        order = np.argsort(-err[todo], axis=1, kind="stable")
-        ranked = np.cumsum(np.take_along_axis(err[todo], order, axis=1), axis=1)
-        wanted = order[np.arange(err.shape[1]) <= np.sum(ranked <= excess[todo, None], axis=1)[:, None]]
-        split = wanted[np.sort(np.unique(wanted, return_index=True)[1])]
-        keep = np.ones(err.shape[1], dtype=bool)
+        keep = np.ones(err.shape[-1], dtype=bool)
         keep[split] = False
         # the edges of each split interval, nan where no cut falls: graded
         # off an end of (lo, hi) that it touches, else at its midpoint
@@ -209,11 +213,11 @@ def integrate_1d(f, a, b, tol=1e-10):
             )
         nv, ne, nf = _gk21(mapped, new_l, new_r)
         left, right = np.concatenate([left[keep], new_l]), np.concatenate([right[keep], new_r])
-        val, err, floor = (np.concatenate([x[:, keep], y], axis=1) for x, y in ((val, nv), (err, ne), (floor, nf)))
-    if shape:
+        val, err, floor = np.concatenate([val[..., keep], nv], -1), np.concatenate([err[..., keep], ne], -1), np.concatenate([floor[..., keep], nf], -1)
+    if val.ndim == 2:
         return QuadResult(total if np.any(total.imag) else total.real, err.sum(axis=1), count)
-    value = complex(total[0])
-    return QuadResult(value.real if value.imag == 0.0 else value, float(err[0].sum()), count)
+    value = complex(total)
+    return QuadResult(value.real if value.imag == 0.0 else value, float(err.sum()), count)
 
 
 def _head_integrand(g, expo):

@@ -187,11 +187,9 @@ def _polar_kind(space, component, s, phi):
     """The radial data that zeta_local integrates, for the scalar and
     definite kinds: (pole distance, depth N, radial exponent, dimensions
     of the sphere factors, the angle of phi's support, at), where at(order)
-    gives (the family of rays of _polar continued by parts, weights / den,
-    divisor 1, largest ray cutoff).  DomainError on a ray without a finite
-    cutoff, or on oscillating rays, whose oscillation the level gap does
-    not see (a numeric Fourier transform: mellin and zeta_local_reference
-    size their panels to it)."""
+    gives (the rays of _polar continued by parts, weights / den, 1, largest
+    ray cutoff).  DomainError on a ray without a finite cutoff, or on the
+    oscillating rays of a numeric transform, which the level gap misses."""
     sm = s if space.kind == "scalar1d" else 2.0 * s + space.n - 1.0
     dist, N, den = _continuation(sm)
     if phi.decay.kind == "other":

@@ -277,7 +277,7 @@ def test_inner_rows_take_the_gradient_at_the_origin_in_closed_form():
     assert complex(homog.rs_transform(phi, -1.0, 1.0, tol=1e-13)) == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-15)
     for npanel in (128, 256, 512):
         row = homog._rs_rows(g.derivative(1), np.ones(1), g.cutoff(1e-18), npanel)[0]
-        assert abs(row - math.sqrt(math.pi) / 2.0) < 3e-15, (npanel, row)
+        assert abs(row - math.sqrt(math.pi) / 2.0) < 5e-15, (npanel, row)
     # its spot-check passes, on the line and in the plane, where the
     # extension of the odd phi against an even density vanishes
     for n in (1, 2):
