@@ -249,10 +249,10 @@ def _rs_rows(dprof, t, cut, npanel):
         raise DomainError("fixed-rule extension needs a finite cutoff of the ray profile")
     u, w = quad.panel_rule(0.0, np.sqrt(cut), npanel)
     tau = u * u
-    # -log(tau) dtau = -4 u log(u) du
-    c = -4.0 * w * u * np.log(u)
-    # the rule's sum on the constant g'(0) goes for the exact integral
-    fix = np.asarray(dprof(np.zeros(cut.shape + (1,))))[..., 0] * (cut * (1.0 - np.log(cut)) - c.sum(axis=-1))
+    # -log(tau) dtau = -4 u log(u) du, cast once to the type of the values g'
+    g0 = np.asarray(dprof(np.zeros(cut.shape + (1,))))[..., 0]
+    c = (-4.0 * w * u * np.log(u)).astype(g0.dtype)
+    fix = g0 * (cut * (1.0 - np.log(cut)) - c.sum(axis=-1))
     block = max(1, _BLOCK_POINTS // tau.shape[-1])
     rows = []
     for i in range(0, len(t), block):
