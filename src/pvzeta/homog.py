@@ -230,10 +230,11 @@ _INNER_PANELS = (128, 256)
 # Coarse step (the fine rule halves it) and edge |x| <= _DE_EDGE of the
 # outer rule of pointwise_kdot; at the edge eta is below 1e-19 of its peak.
 _DE_STEP, _DE_EDGE = 0.2, 2.6
-# phi' points evaluated and contracted at once.  One block for the whole t x tau
-# grid falls out of cache: 53 x 4096 points took about 3x as long per call.  The
-# partition is part of the bits: BLAS rounds a row of a (1, N) complex product
-# apart from the same row inside a (2, N) block, so a new block size moves rows.
+# phi' points evaluated and contracted at once, for one ray or a group of rays
+# (_inner_rows).  One block for the whole t x tau grid falls out of cache:
+# 53 x 4096 points took about 3x as long per call.  The partition is part of
+# the bits: BLAS rounds a row of a (1, N) complex product apart from the same
+# row inside a (2, N) block, so a new block size moves rows.
 _BLOCK_POINTS = 1 << 13
 
 
@@ -264,13 +265,33 @@ def _rs_rows(dprof, t, cut, npanel):
     return np.concatenate(rows, axis=-1)
 
 
-def _shared_rs_rows(dprof, t, cut, npanel):
-    """_rs_rows of a family once per polynomial-Gaussian ray of distinct coefficient bytes, rate and cut."""
+def _distinct_rays(dprof, cut):
+    """(first, inverse) of np.unique over the rays of a family of
+    derivative profiles with one cut each: polynomial-Gaussian rays of the
+    same exact coefficient bytes, rate and cut (the rays +-1 of an even
+    phi) give the same inner row, bit for bit, and share it; bump rays
+    never share."""
     if not isinstance(dprof, testfn.PolyGauss1D):
-        return _rs_rows(dprof, t, cut, npanel)
+        return np.arange(cut.size), np.arange(cut.size)
     keys = np.hstack([np.ascontiguousarray(dprof.coeffs[..., 0].T).view(float), dprof.a, cut[:, None]])
-    _, first, inverse = np.unique(keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0], return_index=True, return_inverse=True)
-    return _rs_rows(testfn.PolyGauss1D(dprof.coeffs[:, first], dprof.a[first]), t, cut[first], npanel)[inverse]
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _inner_rows(phi, pts, t, cut, npanel):
+    """_rs_rows (rays, t) of the rays of phi through the rows of pts, one
+    per distinct ray (_distinct_rays), the rays taken in groups so that a
+    group's t block of _rs_rows holds at most _BLOCK_POINTS points (one
+    ray at a time once a block of t is that large)."""
+    first, inverse = _distinct_rays(phi.rays(pts).derivative(1), cut)
+    points = min(len(t), max(1, _BLOCK_POINTS // (quad.PANEL_ORDER * npanel))) * quad.PANEL_ORDER * npanel
+    step = max(1, _BLOCK_POINTS // points)
+    rows = []
+    for i in range(0, first.size, step):
+        group = first[i : i + step]
+        rows.append(_rs_rows(phi.rays(pts[group]).derivative(1), t, cut[group], npanel))
+    return np.concatenate(rows)[inverse]
 
 
 def _at(k, pts):
@@ -323,8 +344,7 @@ def extend_kdot(k, psi, phi):
     shift = psi.log_mean() * complex(phi(np.zeros(phi.n) if phi.n > 1 else 0.0))
 
     def terms(pts, wts, p, fine):
-        rays = phi.rays(pts)
-        a = _shared_rs_rows(rays.derivative(1), np.ones(1), rays.cutoff(1e-18), 2 * p if fine else p)[:, 0]
+        a = _inner_rows(phi, pts, np.ones(1), phi.rays(pts).cutoff(1e-18), 2 * p if fine else p)[:, 0]
         return wts * _at(k, pts) * (a - shift), (pts, a)
 
     value, rule, (pts, a) = _extension(k, phi, "fixed-rule extension", terms)
@@ -354,7 +374,7 @@ def pointwise_kdot(k, psi, phi):
         outer = h * half / np.cosh(x) ** 2 * psi.eta(t) * t ** (k.n - 1)
         # the inner range of a ray serves every outer node of it
         cut = np.maximum(phi.rays(psi.a * pts).cutoff(1e-18), phi.rays(psi.b * pts).cutoff(1e-18))
-        rows = _shared_rs_rows(phi.rays(pts).derivative(1), t, cut, npanel)
+        rows = _inner_rows(phi, pts, t, cut, npanel)
         dens = _at(k, (t[:, None] * pts[:, None, :]).reshape(-1, k.n)).reshape(rows.shape)
         return (wts[:, None] * outer * dens * rows).ravel(), len(t)
 

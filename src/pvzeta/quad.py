@@ -106,51 +106,62 @@ _GK_INTERVALS = 400
 # that end: the algebraic end points of the Mellin integrands resolve
 # geometrically, and a smooth integrand loses two thin intervals
 _GK_GRADE = 1.0 / 16.0
+# an interval's roundoff floor is this multiple of its resabs
+_GK_FLOOR = 50.0 * np.finfo(float).eps
 
 
 def _gk21(g, lo, hi):
     """QUADPACK's qk21 on every interval (lo[i], hi[i]) with one g call on
-    all their nodes: (values, error estimates, roundoff floors), (intervals,)
-    or (family, intervals), the family axis leading every product.  The error
-    is resasc min(1, (200 |K - G| / resasc)^1.5), floored at 50 eps resabs."""
-    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    vals = g((c[:, None] + h[:, None] * _GK21_X).ravel())
-    vals = vals.reshape(vals.shape[:-1] + (lo.size, _GK21_X.size))
+    all their nodes, g giving a (family, nodes) block: (values, error
+    estimates, roundoff floors), each (family, intervals), the family axis
+    leading every product.  The error is resasc min(1, (200 |K - G| /
+    resasc)^1.5), floored at 50 eps resabs, the floor returned apart."""
+    c, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    vals = g((c[:, None] + half[:, None] * _GK21_X).ravel()).reshape(-1, lo.size, _GK21_X.size)
     resk = vals @ _GK21_WK
-    h = np.abs(h)
-    gap = np.abs(resk - vals[..., 1::2] @ _G10_W) * h
-    resasc = np.abs(vals - 0.5 * resk[..., None]) @ _GK21_WK * h
-    floor = 50.0 * np.finfo(float).eps * (np.abs(vals) @ _GK21_WK) * h
+    h = np.abs(half)
+    gap = np.abs(resk - vals[:, :, 1::2] @ _G10_W) * h
+    resasc = np.abs(vals - 0.5 * resk[:, :, None]) @ _GK21_WK * h
+    floor = _GK_FLOOR * (np.abs(vals) @ _GK21_WK) * h
     with np.errstate(divide="ignore", invalid="ignore"):
         err = np.where((resasc != 0.0) & (gap != 0.0), resasc * np.minimum(1.0, (200.0 * gap / resasc) ** 1.5), gap)
-    return 0.5 * (hi - lo) * resk, np.maximum(err, floor), floor
+    return half * resk, np.maximum(err, floor), floor
 
 
 def integrate_1d(f, a, b, tol=1e-10):
     """Integrate f on (a, b) (either end may be infinite) by globally
     adaptive Gauss-Kronrod subdivision in rounds (Gander & Gautschi, BIT 40
-    (2000) 84-101) on QUADPACK's G10/K21 pair and error estimate.  f maps a
-    1-D array of nodes to their values, real or complex, or to a (family,
-    nodes) block whose members share one set of intervals (as in
-    scipy.integrate.quad_vec) and get arrays of values and error estimates;
-    it is called once per round, on the 21 nodes of each new interval.  Each
-    round splits, for each member past its target max(tol 1e-2, tol 1e-2 |I|,
-    twice its roundoff floors), the largest-error intervals whose errors add
-    up past its excess, the union taken member by member in each one's error
-    order: a lone integrand, or a member beside resolved ones (0, say), keeps
-    its intervals and bits.  An interval at an end of the range is cut
-    _GK_GRADE of its width from that end, any other at its midpoint; an
-    infinite end maps by t / (1 - t).  NonConvergence past _GK_INTERVALS
-    intervals or on a value that is not finite, never a warning."""
+    (2000) 84-101) on QUADPACK's G10/K21 pair and error estimate.  f takes
+    a 1-D array of nodes and returns their values, real or complex, or a
+    (family, nodes) block of the values of a family of integrands: it is
+    called once per round, on the 21 nodes of every interval that round
+    made, so a complex integrand takes one pass.  The members of a family
+    share one set of intervals (as in scipy.integrate.quad_vec) until each
+    meets its own target.  Each round takes, for each member, the
+    largest-error intervals whose errors add up past the excess over the
+    target max(tol 1e-2, tol 1e-2 |I|), or none; a sum of errors within
+    twice the roundoff floors meets the target too.  It splits the union
+    of these sets in the error order of the first member that has one, so
+    a lone integrand, or a member beside resolved ones (0, say), splits
+    the intervals it would split alone, in the same order; when no member
+    has an excess it stops.  An interval at an end of the range is cut
+    _GK_GRADE of its width from that end, any other at its midpoint.  An
+    infinite end is mapped by t / (1 - t), the real line folded onto the
+    half line.  NonConvergence past _GK_INTERVALS intervals or on a value
+    that is not finite, never a warning.  Returns QuadResult, with arrays
+    of values and error estimates for a family; evaluations counts the
+    nodes handed to f."""
     if a > b:
         res = integrate_1d(f, b, a, tol)
         return QuadResult(-res.value, res.error_estimate, res.evaluations)
-    count = 0
+    count, shape = 0, ()
 
     def g(t):
-        nonlocal count
+        nonlocal count, shape
         count += t.size
-        return np.asarray(f(t))
+        v = np.asarray(f(t))
+        shape = v.shape[:-1]
+        return v.reshape(-1, t.size)
 
     # the integrand on the rule's range (lo, hi): (0, 1) once an end is infinite
     lo, hi, mapped = float(a), float(b), g
@@ -160,7 +171,7 @@ def integrate_1d(f, a, b, tol=1e-10):
         def mapped(t):
             x = t / (1.0 - t)
             v = g(np.concatenate([x, -x]))
-            return (v[..., : t.size] + v[..., t.size :]) / (1.0 - t) ** 2
+            return (v[:, : t.size] + v[:, t.size :]) / (1.0 - t) ** 2
     elif math.isinf(b):
         lo, hi = 0.0, 1.0
         mapped = lambda t: g(a + t / (1.0 - t)) / (1.0 - t) ** 2
@@ -171,26 +182,24 @@ def integrate_1d(f, a, b, tol=1e-10):
     left, right = np.array([lo]), np.array([hi])
     val, err, floor = _gk21(mapped, left, right)
     while True:
-        total = val.sum(axis=-1)
+        total = val.sum(axis=1)
         if not np.isfinite(total).all():
             raise NonConvergence(f"quadrature on ({a}, {b}) met a value that is not finite")
-        if val.ndim == 1:  # a lone integrand, on scalars
-            excess = np.array([err.sum() - max(eps, eps * abs(total), 2.0 * floor.sum())])
-        else:
-            excess = err.sum(axis=1) - np.maximum(np.maximum(eps, eps * np.abs(total)), 2.0 * floor.sum(axis=1))
-        errs, todo = err.reshape(excess.size, -1), np.flatnonzero(excess > 0.0)
-        if todo.size == 1:  # one member's greedy set, in its error order
-            order = np.argsort(-errs[todo[0]], kind="stable")
-            split = order[: np.searchsorted(np.cumsum(errs[todo[0], order]), excess[todo[0]], side="right") + 1]
-        elif todo.size:  # the union of the members' sets, member by member
-            order = np.argsort(-errs[todo], axis=1, kind="stable")
-            ranks = np.sum(np.cumsum(errs[todo[:, None], order], axis=1) <= excess[todo, None], axis=1)
-            split = order[np.arange(errs.shape[1]) <= ranks[:, None]]
-            split = split[np.sort(np.unique(split, return_index=True)[1])]
-        else:
+        # max(eps, eps |I|) is eps max(1, |I|) exactly
+        excess = err.sum(axis=1) - np.maximum(eps * np.maximum(1.0, np.abs(total)), 2.0 * floor.sum(axis=1))
+        todo = np.flatnonzero(excess > 0.0)
+        if not todo.size:
             break
-        keep = np.ones(err.shape[-1], dtype=bool)
-        keep[split] = False
+        # each unresolved member's greedy set: its largest errors, up to the
+        # first at which their running sum passes its excess (the sorted
+        # errors, reversed, are the errors in that order)
+        errs = err[todo]
+        order = np.argsort(-errs, axis=1, kind="stable")
+        ranks = (np.cumsum(np.sort(errs, axis=1)[:, ::-1], axis=1) <= excess[todo, None]).sum(axis=1)
+        keep = np.ones(err.shape[1], dtype=bool)
+        keep[order[np.arange(err.shape[1]) <= ranks[:, None]]] = False
+        # the union of the sets, in the error order of the first member
+        split = order[0][~keep[order[0]]]
         # the edges of each split interval, nan where no cut falls: graded
         # off an end of (lo, hi) that it touches, else at its midpoint
         sl, sr = left[split], right[split]
@@ -213,11 +222,13 @@ def integrate_1d(f, a, b, tol=1e-10):
             )
         nv, ne, nf = _gk21(mapped, new_l, new_r)
         left, right = np.concatenate([left[keep], new_l]), np.concatenate([right[keep], new_r])
-        val, err, floor = np.concatenate([val[..., keep], nv], -1), np.concatenate([err[..., keep], ne], -1), np.concatenate([floor[..., keep], nf], -1)
-    if val.ndim == 2:
-        return QuadResult(total if np.any(total.imag) else total.real, err.sum(axis=1), count)
-    value = complex(total)
-    return QuadResult(value.real if value.imag == 0.0 else value, float(err.sum()), count)
+        val = np.concatenate([val.compress(keep, axis=1), nv], axis=1)
+        err = np.concatenate([err.compress(keep, axis=1), ne], axis=1)
+        floor = np.concatenate([floor.compress(keep, axis=1), nf], axis=1)
+    if not shape:  # a lone integrand: Python numbers
+        value = complex(total[0])
+        return QuadResult(value.real if value.imag == 0.0 else value, float(err.sum()), count)
+    return QuadResult(total if np.any(total.imag) else total.real, err.sum(axis=1), count)
 
 
 def _head_integrand(g, expo):
@@ -236,9 +247,9 @@ def _head_integrand(g, expo):
 def power_integral(g, expo, cut, tol, wavelength=None):
     """integral_0^cut r^expo g(r) dr for Re expo > -1 and smooth g (cut may
     be +inf), or arrays for a family g (integrate_1d).  With Re expo >= 0
-    and no wavelength it is one adaptive integral.  Otherwise it is a head on (0, min(1, cut)), taken in
-    u = r^(1 + Re expo) (_head_integrand) when Re expo < 0, plus a body
-    on the rest.
+    and no wavelength it is one adaptive integral.  Otherwise it is a head
+    on (0, min(1, cut)), taken in u = r^(1 + Re expo) (_head_integrand)
+    when Re expo < 0, plus a body on the rest.
 
     A uniformly oscillatory g (the transform of a compactly supported
     function; wavelength set) goes on fixed Gauss-Legendre panels sized
@@ -254,7 +265,9 @@ def power_integral(g, expo, cut, tol, wavelength=None):
     if expo.real <= -1.0:
         raise DomainError(f"power integral needs Re expo > -1 (integrability), got {expo}")
 
-    integrand = lambda r: r ** expo * g(r)
+    def integrand(r):
+        return r ** expo * g(r)
+
     if not wavelength and expo.real >= 0.0:
         return integrate_1d(integrand, 0.0, cut, tol=tol)
     if wavelength:

@@ -83,8 +83,9 @@ class Decay:
         return 2.0 * math.pi
 
     def misses(self, directions):
-        """Whether each ray {t d : t >= 0}, d a row of (..., n), misses the ball
-        |m - center| < radius of a compact support with a known centre."""
+        """Whether each ray {t d : t >= 0}, d a row of (..., n), misses the
+        ball |m - center| < radius of a compact support with a known
+        centre, so that phi vanishes on it."""
         if self.kind != "compact" or not self.center:
             return np.zeros(directions.shape[:-1], dtype=bool)
         c = np.asarray(self.center)

@@ -187,9 +187,13 @@ def _polar_kind(space, component, s, phi):
     """The radial data that zeta_local integrates, for the scalar and
     definite kinds: (pole distance, depth N, radial exponent, dimensions
     of the sphere factors, the angle of phi's support, at), where at(order)
-    gives (the rays of _polar continued by parts, weights / den, 1, largest
-    ray cutoff).  DomainError on a ray without a finite cutoff, or on the
-    oscillating rays of a numeric transform, which the level gap misses."""
+    gives (the family of rays of _polar continued by parts, their weights,
+    divisor, cutoff) at that order, on [0, largest ray cutoff]; the weights
+    carry 1 / den, so the divisor is 1.  DomainError when a ray profile has
+    no finite cutoff or oscillates: the level gap of the rule does not see
+    an unresolved oscillation, so such a ray (the numeric Fourier transform
+    of a bump) goes to mellin or zeta_local_reference, whose
+    quad.power_integral sizes its panels to the wavelength."""
     sm = s if space.kind == "scalar1d" else 2.0 * s + space.n - 1.0
     dist, N, den = _continuation(sm)
     if phi.decay.kind == "other":

@@ -205,33 +205,31 @@ def two_step_per_node(t, s, phi, xs, order):
 
 
 def zeta_local_reference_per_ray(space, component, s, phi, order, tol):
-    """zeta.zeta_local_reference on a definite space with one adaptive
-    radial Mellin transform per ray of the rotated sphere rule, each on
-    (0, the largest cut of the rays) as the family takes them, and summed
-    as the library sums the family's values."""
+    """zeta.zeta_local_reference on a definite space ray by ray: one
+    adaptive radial Mellin transform per ray omega of the rotated sphere
+    rule, each on its own cut, weighted by its rule weight times
+    |p(omega)|^s = (omega^T B omega)^s and summed in turn."""
     s = complex(s)
-    pts, wts, sm = zeta._polar(space, component, s, order, True, phi)
-    dist, N, den = zeta._continuation(sm)
-    cut = float(np.max(phi.rays(pts).cutoff(1e-16), initial=0.0))
-    vals = []
-    for om in pts:
-        g = phi.ray(om) if N == 0 else phi.ray(om).derivative(N)
-        vals.append(quad.power_integral(g, sm + N, cut, tol).value)
-    vals = np.array(vals) / den
-    total = complex(np.sum(wts * (vals.real if np.all(vals.imag == 0.0) else vals)))
-    return zeta.MeroValue(total.real if total.imag == 0.0 else total, dist, N)
+    pts, wts = quad.sphere_quadrature(space.n, order, True)
+    total, dist, depth = 0.0 + 0.0j, None, 0
+    for om, w in zip(pts, wts):
+        mv = zeta.mellin_profile(phi.ray(om), 2.0 * s + space.n - 1.0, tol=tol)
+        total += w * float(om @ space.Bmat @ om) ** s * complex(mv.value)
+        dist, depth = mv.pole_distance, mv.continuation_order
+    return zeta.MeroValue(total.real if total.imag == 0.0 else total, dist, depth)
 
 
 def direct_pair_per_ray(k, phi, order):
-    """homog.HomogFunctional.direct_pair with one adaptive integral per ray."""
+    """homog.HomogFunctional.direct_pair with one adaptive integral per ray
+    of the rotated sphere rule (the points +-1 on the line), summed in turn."""
+    n = k.n
     outer = phi.decay.cutoff(1e-16)
-    pts, wts = quad.sphere_quadrature(k.n, order, True)
-    vals = []
-    for om in pts[:, 0] if k.n == 1 else pts:
+    pts, wts = quad.sphere_quadrature(n, order, True)
+    total = 0.0 + 0.0j
+    for om, w in zip(pts[:, 0] if n == 1 else pts, wts):
         def integrand(t, om=om):
             m = np.multiply.outer(t, om)
-            return k(m) * np.asarray(phi(m)) * t ** (k.n - 1)
+            return k(m) * np.asarray(phi(m)) * t ** (n - 1)
 
-        vals.append(quad.integrate_1d(integrand, 0.0, outer, tol=1e-11).value)
-    total = complex(np.sum(wts * np.array(vals)))
+        total += w * complex(quad.integrate_1d(integrand, 0.0, outer, tol=1e-11).value)
     return total.real if total.imag == 0.0 else total

@@ -423,39 +423,23 @@ def test_complex_coefficients_keep_the_complex_path():
         assert np.array_equal(np.signbit(prof(r).imag), np.signbit(ref.imag))
 
 
-def test_polygauss_profiles_compare_by_exact_coefficients_and_rate(monkeypatch):
+def test_polygauss_profiles_compare_by_exact_coefficients_and_rate():
     # the key of the shared inner rows is one np.unique over each ray's
     # coefficient bytes, rate and cut: no tolerance, a 1-ulp step in any of
     # them splits two rays, and bump rays never share, not even one ray
     # given twice
-    computed = []
-    real = homog._rs_rows
-
-    def counted(dprof, t, cut, npanel):
-        computed.append(np.size(cut))
-        return real(dprof, t, cut, npanel)
-
-    monkeypatch.setattr(homog, "_rs_rows", counted)
-
-    def rows(coeffs, rates, cuts):
-        del computed[:]
+    def distinct(coeffs, rates, cuts):
         fam = testfn.PolyGauss1D(np.asarray(coeffs, dtype=complex).T[:, :, None], np.asarray(rates)[:, None])
-        out = homog._shared_rs_rows(fam, np.array([0.5, 1.0]), np.asarray(cuts), 128)
-        return computed[0], out
+        return homog._distinct_rays(fam, np.asarray(cuts))
 
     c, up = [1.0, 0.0, 2.0], np.nextafter
-    assert rows([c, c, c], [1.5, 1.5, 1.5], [3.0, 3.0, 3.0])[0] == 1
-    assert rows([c, [1.0, 0.0, up(2.0, 3.0)]], [1.5, 1.5], [3.0, 3.0])[0] == 2
-    assert rows([c, c], [1.5, up(1.5, 2.0)], [3.0, 3.0])[0] == 2
-    assert rows([c, c], [1.5, 1.5], [3.0, up(3.0, 4.0)])[0] == 2
+    assert distinct([c, c, c], [1.5, 1.5, 1.5], [3.0, 3.0, 3.0])[0].size == 1
+    assert distinct([c, [1.0, 0.0, up(2.0, 3.0)]], [1.5, 1.5], [3.0, 3.0])[0].size == 2
+    assert distinct([c, c], [1.5, up(1.5, 2.0)], [3.0, 3.0])[0].size == 2
+    assert distinct([c, c], [1.5, 1.5], [3.0, up(3.0, 4.0)])[0].size == 2
     # -0.0 and 0.0 are other bytes
-    assert rows([c, [1.0, -0.0, 2.0]], [1.5, 1.5], [3.0, 3.0])[0] == 2
-    # a shared row is the row of each ray on its own, bit for bit
-    count, out = rows([c, [0.5, 1.0, 0.0], c], [1.5, 0.7, 1.5], [3.0, 4.0, 3.0])
-    assert count == 2 and np.array_equal(out[0], out[2])
-    for i, (cc, a, cut) in enumerate([(c, 1.5, 3.0), ([0.5, 1.0, 0.0], 0.7, 4.0)]):
-        assert np.array_equal(out[i], real(testfn.PolyGauss1D(cc, a), np.array([0.5, 1.0]), cut, 128))
+    assert distinct([c, [1.0, -0.0, 2.0]], [1.5, 1.5], [3.0, 3.0])[0].size == 2
+    first, inverse = distinct([c, [0.5, 1.0, 0.0], c], [1.5, 0.7, 1.5], [3.0, 4.0, 3.0])
+    assert first.size == 2 and inverse[0] == inverse[2] != inverse[1]
     bump = testfn.bump(0.0, 1.0).rays(np.array([[1.0], [1.0], [-1.0]])).derivative(1)
-    del computed[:]
-    homog._shared_rs_rows(bump, np.ones(1), np.ones(3), 128)
-    assert computed == [3]
+    assert homog._distinct_rays(bump, np.ones(3))[0].size == 3

@@ -171,26 +171,15 @@ def test_definite_engine_matches_reference(space, phi, s, depth):
 
 @pytest.mark.parametrize("space, phi, s, depth", ENGINE_CASES)
 def test_reference_family_matches_the_per_ray_reference(space, phi, s, depth):
-    # every ray of the reference on one subdivision, against one adaptive
-    # transform per ray: equal to rounding (the off-centre bump's rays, whose
-    # supports end at many radii, differ in their subdivisions)
+    # every ray of the reference on one subdivision up to the largest cut,
+    # against one adaptive transform per ray on its own cut, summed in turn:
+    # equal to rounding (at most 2.3e-15 relative on these cases; the two
+    # sum some hundred terms in other orders and raise |p(omega)|^s apart)
     order = zeta.zeta_local(space, "V1", s, phi, tol=1e-12).rule["angular_order"]
     fam = zeta.zeta_local_reference(space, "V1", s, phi, order, tol=1e-12)
     per = zeta_local_reference_per_ray(space, "V1", s, phi, order, tol=1e-12)
     assert (fam.pole_distance, fam.continuation_order) == (per.pole_distance, per.continuation_order)
-    assert abs(complex(fam.value) - complex(per.value)) <= 1e-15 * abs(complex(per.value))
-
-
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("s", [0.8, -1.7 + 0.3j, -2.2])
-def test_reference_family_keeps_the_per_ray_bits_on_one_subdivision(n, s):
-    # the rays of a Gaussian with B = I differ only in the last bits of
-    # their rates, so every member splits the same intervals as it would
-    # alone, and the family has the bits of one transform per ray
-    sp, phi = phspace.definite(n=n), testfn.gaussian(math.pi, n=n)
-    fam = zeta.zeta_local_reference(sp, "V1", s, phi, 8, tol=1e-11)
-    per = zeta_local_reference_per_ray(sp, "V1", s, phi, 8, tol=1e-11)
-    assert repr(fam.value) == repr(per.value)
+    assert abs(complex(fam.value) - complex(per.value)) <= 1e-14 * abs(complex(per.value))
 
 
 @pytest.mark.parametrize("s", [-1.7 + 0.3j, 0.8])
