@@ -139,12 +139,16 @@ class HomogFunctional:
         """Direct integral of density * phi over the ball |m| <= the support
         bound of phi (phi must vanish near 0 for this to be the honest
         pairing at the critical degree), adaptive (tol 1e-11) on one subdivision
-        for the rays of the rotated sphere rule of extend_kdot's angular order."""
+        for the rays of the rotated sphere rule of extend_kdot's angular order
+        that meet the support of phi."""
         n = self.n
         outer = phi.decay.cutoff(1e-16)
         if not np.isfinite(outer) or outer <= 0.0:
             raise DomainError("direct pairing needs a finite support bound")
         pts, wts = quad.sphere_quadrature(n, order, True)
+        # a ray that misses the support of phi adds 0
+        hit = ~phi.decay.misses(pts)
+        pts, wts = pts[hit], wts[hit]
 
         def integrand(t):
             # (rays, nodes) points on the line, (rays, nodes, n) off it

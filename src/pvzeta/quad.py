@@ -187,15 +187,16 @@ def integrate_1d(f, a, b, tol=1e-10):
             raise NonConvergence(f"quadrature on ({a}, {b}) met a value that is not finite")
         # max(eps, eps |I|) is eps max(1, |I|) exactly
         excess = err.sum(axis=1) - np.maximum(eps * np.maximum(1.0, np.abs(total)), 2.0 * floor.sum(axis=1))
-        todo = np.flatnonzero(excess > 0.0)
+        todo = (excess > 0.0).nonzero()[0]
         if not todo.size:
             break
         # each unresolved member's greedy set: its largest errors, up to the
-        # first at which their running sum passes its excess (the sorted
-        # errors, reversed, are the errors in that order)
-        errs = err[todo]
-        order = np.argsort(-errs, axis=1, kind="stable")
-        ranks = (np.cumsum(np.sort(errs, axis=1)[:, ::-1], axis=1) <= excess[todo, None]).sum(axis=1)
+        # first at which their running sum passes its excess (the negated
+        # errors, sorted, are the errors in that order)
+        neg = -err[todo]
+        order = neg.argsort(axis=1, kind="stable")
+        neg.sort(axis=1)
+        ranks = ((-neg).cumsum(axis=1) <= excess[todo, None]).sum(axis=1)
         keep = np.ones(err.shape[1], dtype=bool)
         keep[order[np.arange(err.shape[1]) <= ranks[:, None]]] = False
         # the union of the sets, in the error order of the first member
@@ -204,14 +205,14 @@ def integrate_1d(f, a, b, tol=1e-10):
         # off an end of (lo, hi) that it touches, else at its midpoint
         sl, sr = left[split], right[split]
         at_lo, at_hi = sl == lo, sr == hi
-        edges = np.stack([
+        edges = np.array([
             sl,
             np.where(at_lo, sl + _GK_GRADE * (sr - sl), np.nan),
             np.where(at_lo | at_hi, np.nan, 0.5 * (sl + sr)),
             np.where(at_hi, sr - _GK_GRADE * (sr - sl), np.nan),
             sr,
-        ], axis=1)
-        row, col = np.nonzero(~np.isnan(edges))
+        ]).T
+        row, col = (~np.isnan(edges)).nonzero()
         flat = edges[row, col]
         same = row[1:] == row[:-1]
         new_l, new_r = flat[:-1][same], flat[1:][same]
