@@ -257,15 +257,16 @@ def _rs_rows(dprof, t, cut, npanel):
     # -log(tau) dtau = -4 u log(u) du, cast once to the type of the values g'
     g0 = np.asarray(dprof(np.zeros(cut.shape + (1,))))[..., 0]
     c = (-4.0 * w * u * np.log(u)).astype(g0.dtype)
-    fix = g0 * (cut * (1.0 - np.log(cut)) - c.sum(axis=-1))
+    fix = (g0 * (cut * (1.0 - np.log(cut)) - c.sum(axis=-1)))[..., None]
+    c, tau = c[..., :, None], tau[..., None, :]
     block = max(1, _BLOCK_POINTS // tau.shape[-1])
     rows = []
     for i in range(0, len(t), block):
         tb = t[i : i + block]
         # d/dtau phi(tau t omega) = t g'(t tau); each ray contracts its own slice
-        r = tb[:, None] * tau[..., None, :]
+        r = tb[:, None] * tau
         v = np.asarray(dprof(r.reshape(r.shape[:-2] + (-1,)))).reshape(r.shape)
-        rows.append(tb * ((v @ c[..., :, None])[..., 0] + fix[..., None]))
+        rows.append(tb * ((v @ c)[..., 0] + fix))
     return np.concatenate(rows, axis=-1)
 
 
