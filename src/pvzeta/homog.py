@@ -97,7 +97,8 @@ class ScaledProfile:
 
 
 def tplus_profile(s, profile, tol=1e-11):
-    """<t_+^s, g> for a 1D profile g, and at a pole s = -k for each ray of a family g."""
+    """<t_+^s, g> for a 1D profile g, and at a pole s = -k for each ray
+    of a family g."""
     s = complex(s)
     if s.imag == 0.0 and s.real <= -1.0 + 1e-14 and s.real == round(s.real):
         k = -int(round(s.real))

@@ -338,7 +338,8 @@ def panel_rule(a, b, npanel):
     edges = np.linspace(a, b, npanel + 1, axis=-1)
     mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])
-    return (mid[..., None] + half[..., None] * x).reshape(mid.shape[:-1] + (-1,)), (half[..., None] * w).reshape(mid.shape[:-1] + (-1,))
+    shape = mid.shape[:-1] + (-1,)
+    return (mid[..., None] + half[..., None] * x).reshape(shape), (half[..., None] * w).reshape(shape)
 
 
 def panel_integral(f, a, b, panel_width):

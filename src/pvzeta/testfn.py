@@ -126,7 +126,8 @@ class PolyGauss1D:
         return (_horner(self._c, r) * np.exp(-self.a * r * r)).astype(complex)
 
     def derivative(self, k):
-        c, a = self.coeffs, self.a
+        c = self.coeffs
+        a = self.a
         for _ in range(int(k)):
             d = np.zeros((len(c) + 1,) + c.shape[1:], dtype=complex)
             d[: len(c) - 1] += np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1)) * c[1:]
@@ -236,8 +237,10 @@ class TestFunction:
 
     def rays(self, directions):
         directions = np.asarray(directions, dtype=float)
-        if directions.ndim > 2 or directions.shape[-1:] != (self.n,) or not np.all(np.any(directions, axis=-1)):
-            raise DomainError(f"ray directions must be nonzero and of length {self.n}")
+        if directions.ndim > 2 or directions.shape[-1:] != (self.n,):
+            raise DomainError(f"ray direction must have length {self.n}")
+        if not np.all(np.any(directions, axis=-1)):
+            raise DomainError("ray direction must be nonzero")
         return self._ray(directions)
 
     def derivative(self, alpha):
