@@ -6,14 +6,14 @@ check id and then by the parameter record, so identical configurations
 produce byte-identical report files.
 
 Exit codes: 0 when every check passes, 2 when any check fails, 1 on a
-configuration or execution error.  A configuration error writes no
-report; it is a key that is not a flag of the subcommand, a value outside
-the choices the flag declares (checked once, in RunConfig, for flags,
-config files and suite entries alike), a --component that the space
-lacks, a number that does not parse, or a file that cannot be read or
-written.  A subcommand that raises any other PVZetaError reports one row
-with status "error" instead of its checks; a suite runs its entries (the
-SUITES table of subcommands with their flags) one by one, so there an
+configuration or execution error.  A configuration error writes no report;
+it is a key that is not a flag of the subcommand, a value outside the
+choices the flag declares (checked once, in RunConfig, for flags, config
+files and suite entries alike), a --component that the space lacks, a
+number that does not parse or is not finite, or a file that cannot be read
+or written.  A subcommand that raises any other PVZetaError reports one
+row with status "error" instead of its checks; a suite runs its entries
+(the SUITES table of subcommands with their flags) one by one, so there an
 entry that raises becomes that row and the other entries still run.
 """
 
@@ -166,9 +166,12 @@ def _numbers(text, kind, what):
     if text is None or str(text).strip() == "":
         return []
     try:
-        return [kind(v) for v in str(text).split(",") if v.strip() != ""]
+        values = [kind(v) for v in str(text).split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated {what}, got {text!r}") from exc
+    if not all(isinstance(v, int) or np.isfinite(v) for v in values):
+        raise ConfigError(f"expected finite {what}, got {text!r}")
+    return values
 
 
 def _floats(text):
@@ -194,7 +197,10 @@ def _number(cfg, key, default, parse=_floats):
 
 
 def _testfns(text):
-    return [testfn.parse_testfn(spec.strip()) for spec in str(text).split(";") if spec.strip()]
+    phis = [testfn.parse_testfn(spec.strip()) for spec in str(text).split(";") if spec.strip()]
+    if not phis:
+        raise ConfigError(f"--testfn names no test function: {text!r}")
+    return phis
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +239,6 @@ def run_funceq(cfg):
     eq = cfg.get("eq", "12")
     s_list = _s_values(cfg.get("s", ""))
     phis = _testfns(cfg.get("testfn", "gaussian:a=3.14159,n=1" if eq == "12" else "gaussian:a=3.14159,n=3"))
-    if not phis:
-        raise ConfigError(f"--testfn names no test function: {cfg.get('testfn')!r}")
     variant = cfg.get("variant", "corrected")
     q = _number(cfg, "q", 1, _ints)
     mc = None if cfg.get("mc_samples") is None else _number(cfg, "mc_samples", None, _ints)
@@ -339,7 +343,7 @@ def run_heat(cfg):
         tol = cfg.tol_for("heat-langlands-bounds")
         reports.append(heatflow.langlands_bounds_check(ts, (0.5, 1.0), variant=variant, **tol))
     for t in ts:
-        if which == "semigroup":
+        if which == "semigroup" and xs:  # an empty x grid gives no row
             tol = cfg.tol_for("heat-semigroup")
             for s in ss:
                 reports.append(heatflow.semigroup_check(t, s, phi, xs, variant=variant, **tol))

@@ -221,13 +221,6 @@ def make_cutoff(a, b):
 # R_s and the extension of degree -n densities
 
 
-def rs_transform(phi, s, m, tol=1e-11):
-    """R_s phi(m) = t_+^{s+n-1} applied to t -> phi(t m), m != 0."""
-    if not np.any(m):
-        raise DomainError("R_s is defined away from the origin")
-    return tplus_profile(complex(s) + phi.n - 1.0, phi.ray(m), tol=tol)
-
-
 # Coarse panel counts of the inner rule in u = sqrt(tau); each fine rule
 # doubles them.  128 fine panels left bumps of radius about 1 up to 6e-14
 # off direct_pair and a Gaussian in the plane 1.3e-14 off its closed value.
@@ -235,69 +228,58 @@ _INNER_PANELS = (128, 256)
 # Coarse step (the fine rule halves it) and edge |x| <= _DE_EDGE of the
 # outer rule of pointwise_kdot; at the edge eta is below 1e-19 of its peak.
 _DE_STEP, _DE_EDGE = 0.2, 2.6
-# phi' points evaluated and contracted at once, for one ray or a group of rays
-# (_inner_rows).  One block for the whole t x tau grid falls out of cache:
-# 53 x 4096 points took about 3x as long per call.  The partition is part of
-# the bits: BLAS rounds a row of a (1, N) complex product apart from the same
-# row inside a (2, N) block, so a new block size moves rows.
-_BLOCK_POINTS = 1 << 13
-
-
-def _rs_rows(dprof, t, cut, npanel):
-    """R_{-n} phi(t omega) = -integral_0^cut log(tau) d/dtau phi(tau t omega) dtau
-    for each t of an array, dprof the derivative g' of the ray profile of
-    omega (or of a family of rays, with one cut per ray and rows (rays, t)),
-    on one composite Gauss-Legendre rule in u = sqrt(tau) (the softening
-    map of tplus_profile).  The part t g'(0) of the integrand, which panels
-    resolve only at second order, is integrated exactly: t g'(0) cut (1 - log cut)."""
-    cut = np.asarray(cut, dtype=float)
-    if not np.all(np.isfinite(cut) & (cut > 0.0)):
-        raise DomainError("fixed-rule extension needs a finite cutoff of the ray profile")
-    u, w = quad.panel_rule(0.0, np.sqrt(cut), npanel)
-    tau = u * u
-    # -log(tau) dtau = -4 u log(u) du, cast once to the type of the values g'
-    g0 = np.asarray(dprof(np.zeros(cut.shape + (1,))))[..., 0]
-    c = (-4.0 * w * u * np.log(u)).astype(g0.dtype)
-    fix = (g0 * (cut * (1.0 - np.log(cut)) - c.sum(axis=-1)))[..., None]
-    c, tau = c[..., :, None], tau[..., None, :]
-    block = max(1, _BLOCK_POINTS // tau.shape[-1])
-    rows = []
-    for i in range(0, len(t), block):
-        tb = t[i : i + block]
-        # d/dtau phi(tau t omega) = t g'(t tau); each ray contracts its own slice
-        r = tb[:, None] * tau
-        v = np.asarray(dprof(r.reshape(r.shape[:-2] + (-1,)))).reshape(r.shape)
-        rows.append(tb * ((v @ c)[..., 0] + fix))
-    return np.concatenate(rows, axis=-1)
-
-
-def _distinct_rays(dprof, cut):
-    """(first, inverse) of np.unique over the rays of a family of
-    derivative profiles with one cut each: polynomial-Gaussian rays of the
-    same exact coefficient bytes, rate and cut (the rays +-1 of an even
-    phi) give the same inner row, bit for bit, and share it; bump rays
-    never share."""
-    if not isinstance(dprof, testfn.PolyGauss1D):
-        return np.arange(cut.size), np.arange(cut.size)
-    keys = np.hstack([np.ascontiguousarray(dprof.coeffs[..., 0].T).view(float), dprof.a, cut[:, None]])
-    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse
+# phi' points evaluated and contracted at once by _inner_rows (quad.BLOCK / 8,
+# 8192).  One block for the whole t x tau grid falls out of cache: 53 x 4096
+# points took about 3x as long per call.  The partition is part of the bits:
+# BLAS rounds a row of a (1, N) complex product apart from the same row
+# inside a (2, N) block, so a new block size moves rows.
+_BLOCK_POINTS = quad.BLOCK // 8
 
 
 def _inner_rows(phi, pts, t, cut, npanel):
-    """_rs_rows (rays, t) of the rays of phi through the rows of pts, one
-    per distinct ray (_distinct_rays), the rays taken in groups so that a
-    group's t block of _rs_rows holds at most _BLOCK_POINTS points (one
-    ray at a time once a block of t is that large)."""
-    first, inverse = _distinct_rays(phi.rays(pts).derivative(1), cut)
-    points = min(len(t), max(1, _BLOCK_POINTS // (quad.PANEL_ORDER * npanel))) * quad.PANEL_ORDER * npanel
-    step = max(1, _BLOCK_POINTS // points)
+    """R_{-n} phi(t omega) = -integral_0^cut log(tau) d/dtau phi(tau t omega) dtau,
+    (rays, t), for the rays omega of phi through the rows of pts, one cut
+    each, on one composite Gauss-Legendre rule in u = sqrt(tau) (the
+    softening map of tplus_profile).  The part t g'(0) of the integrand
+    (g the ray profile), which panels resolve only at second order, is
+    integrated exactly: t g'(0) cut (1 - log cut).
+
+    One row is computed per distinct ray: polynomial-Gaussian rays of the
+    same exact coefficient bytes, rate and cut (the rays +-1 of an even
+    phi) give the same row, bit for bit, and share it (one np.unique);
+    bump rays never share.  The rule and g'(0) are taken once for all
+    distinct rays; the rays go in groups so that a group's t block holds
+    at most _BLOCK_POINTS points (one ray at a time once a block of t is
+    that large), and each ray contracts its own slice."""
+    cut = np.asarray(cut, dtype=float)
+    if not np.all(np.isfinite(cut) & (cut > 0.0)):
+        raise DomainError("fixed-rule extension needs a finite cutoff of the ray profile")
+    dprof = phi.rays(pts).derivative(1)
+    first = inverse = np.arange(cut.size)
+    if isinstance(dprof, testfn.PolyGauss1D):
+        keys = np.hstack([np.ascontiguousarray(dprof.coeffs[..., 0].T).view(float), dprof.a, cut[:, None]])
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    cut = cut[first]
+    u, w = quad.panel_rule(0.0, np.sqrt(cut), npanel)
+    # -log(tau) dtau = -4 u log(u) du, cast once to the type of the values g'
+    g0 = np.asarray(dprof(np.zeros((pts.shape[0], 1))))[first, 0]
+    c = (-4.0 * w * u * np.log(u)).astype(g0.dtype)
+    fix = (g0 * (cut * (1.0 - np.log(cut)) - c.sum(axis=-1)))[:, None]
+    c, tau = c[:, :, None], (u * u)[:, None, :]
+    block = max(1, _BLOCK_POINTS // tau.shape[-1])
+    step = max(1, _BLOCK_POINTS // (min(len(t), block) * tau.shape[-1]))
     rows = []
     for i in range(0, first.size, step):
-        group = first[i : i + step]
-        rows.append(_rs_rows(phi.rays(pts[group]).derivative(1), t, cut[group], npanel))
-    return np.concatenate(rows)[inverse]
+        group = phi.rays(pts[first[i : i + step]]).derivative(1)
+        blocks = []
+        for j in range(0, len(t), block):
+            # d/dtau phi(tau t omega) = t g'(t tau); each ray contracts its own slice
+            r = t[j : j + block, None] * tau[i : i + step]
+            v = np.asarray(group(r.reshape(r.shape[0], -1))).reshape(r.shape)
+            blocks.append((v @ c[i : i + step])[..., 0])
+        rows.append(np.concatenate(blocks, axis=-1))
+    return (t * (np.concatenate(rows) + fix))[inverse]
 
 
 def _at(k, pts):
@@ -341,7 +323,7 @@ def _extension(k, phi, what, terms):
 def extend_kdot(k, psi, phi):
     """kdot(phi) = <k, psi * R_{-n} phi>, the extension of a degree -n
     density across the origin, by the closed log-moment with one inner row
-    A(omega) per ray (_rs_rows) and c_1 = psi.log_mean().  Returns (value,
+    A(omega) per ray (_inner_rows) and c_1 = psi.log_mean().  Returns (value,
     rule), rule holding the coarse-fine gap, the fine inner node count and
     the angular order and gap (_extension).  On each ray of the last order
     A(omega) must match the adaptive tplus_profile within tol of the

@@ -129,7 +129,7 @@ def _gk21(g, lo, hi):
 
 
 def integrate_1d(f, a, b, tol=1e-10):
-    """Integrate f on (a, b) (either end may be infinite) by globally
+    """Integrate f on the finite range (a, b), a <= b, by globally
     adaptive Gauss-Kronrod subdivision in rounds (Gander & Gautschi, BIT 40
     (2000) 84-101) on QUADPACK's G10/K21 pair and error estimate.  f takes
     a 1-D array of nodes and returns their values, real or complex, or a
@@ -145,15 +145,15 @@ def integrate_1d(f, a, b, tol=1e-10):
     a lone integrand, or a member beside resolved ones (0, say), splits
     the intervals it would split alone, in the same order; when no member
     has an excess it stops.  An interval at an end of the range is cut
-    _GK_GRADE of its width from that end, any other at its midpoint.  An
-    infinite end is mapped by t / (1 - t), the real line folded onto the
-    half line.  NonConvergence past _GK_INTERVALS intervals or on a value
-    that is not finite, never a warning.  Returns QuadResult, with arrays
-    of values and error estimates for a family; evaluations counts the
-    nodes handed to f."""
-    if a > b:
-        res = integrate_1d(f, b, a, tol)
-        return QuadResult(-res.value, res.error_estimate, res.evaluations)
+    _GK_GRADE of its width from that end, any other at its midpoint.
+    DomainError on a range that is not finite or is reversed;
+    NonConvergence past _GK_INTERVALS intervals or on a value that is not
+    finite, never a warning.  Returns QuadResult, with arrays of values
+    and error estimates for a family; evaluations counts the nodes handed
+    to f."""
+    lo, hi = float(a), float(b)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise DomainError(f"adaptive quadrature needs a finite range a <= b, got ({a}, {b})")
     count, shape = 0, ()
 
     def g(t):
@@ -163,24 +163,9 @@ def integrate_1d(f, a, b, tol=1e-10):
         shape = v.shape[:-1]
         return v.reshape(-1, t.size)
 
-    # the integrand on the rule's range (lo, hi): (0, 1) once an end is infinite
-    lo, hi, mapped = float(a), float(b), g
-    if math.isinf(a) and math.isinf(b):
-        lo, hi = 0.0, 1.0
-
-        def mapped(t):
-            x = t / (1.0 - t)
-            v = g(np.concatenate([x, -x]))
-            return (v[:, : t.size] + v[:, t.size :]) / (1.0 - t) ** 2
-    elif math.isinf(b):
-        lo, hi = 0.0, 1.0
-        mapped = lambda t: g(a + t / (1.0 - t)) / (1.0 - t) ** 2
-    elif math.isinf(a):
-        lo, hi = 0.0, 1.0
-        mapped = lambda t: g(b - t / (1.0 - t)) / (1.0 - t) ** 2
     eps = tol * 1e-2
     left, right = np.array([lo]), np.array([hi])
-    val, err, floor = _gk21(mapped, left, right)
+    val, err, floor = _gk21(g, left, right)
     while True:
         total = val.sum(axis=1)
         if not np.isfinite(total).all():
@@ -221,7 +206,7 @@ def integrate_1d(f, a, b, tol=1e-10):
                 f"quadrature on ({a}, {b}) needs more than {_GK_INTERVALS} intervals: "
                 f"error estimate {err.sum():.2e} against {eps:.2e} absolute and relative"
             )
-        nv, ne, nf = _gk21(mapped, new_l, new_r)
+        nv, ne, nf = _gk21(g, new_l, new_r)
         left, right = np.concatenate([left[keep], new_l]), np.concatenate([right[keep], new_r])
         val = np.concatenate([val.compress(keep, axis=1), nv], axis=1)
         err = np.concatenate([err.compress(keep, axis=1), ne], axis=1)
@@ -246,8 +231,8 @@ def _head_integrand(g, expo):
 
 
 def power_integral(g, expo, cut, tol, wavelength=None):
-    """integral_0^cut r^expo g(r) dr for Re expo > -1 and smooth g (cut may
-    be +inf), or arrays for a family g (integrate_1d).  With Re expo >= 0
+    """integral_0^cut r^expo g(r) dr for Re expo > -1, smooth g and a
+    finite cut, or arrays for a family g (integrate_1d).  With Re expo >= 0
     and no wavelength it is one adaptive integral.  Otherwise it is a head
     on (0, min(1, cut)), taken in u = r^(1 + Re expo) (_head_integrand)
     when Re expo < 0, plus a body on the rest.
@@ -272,8 +257,6 @@ def power_integral(g, expo, cut, tol, wavelength=None):
     if not wavelength and expo.real >= 0.0:
         return integrate_1d(integrand, 0.0, cut, tol=tol)
     if wavelength:
-        if not np.isfinite(cut):
-            raise DomainError("oscillatory power integral needs a finite cutoff")
         # the oscillation only slows down in u, so the wavelength bound stays valid
         head_rule = lambda f, lo, hi: panel_integral(f, lo, hi, panel_width=min(0.25, wavelength / 4.0))
         if expo.imag != 0.0:
@@ -307,24 +290,16 @@ def sum_squares(x):
     return acc
 
 
-_GL_CACHE = {}
-
-
+@functools.cache
 def gauss_legendre(order):
     """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(int(order))
-    return _GL_CACHE[order]
+    return np.polynomial.legendre.leggauss(int(order))
 
 
-_GH_CACHE = {}
-
-
+@functools.cache
 def gauss_hermite(order):
     """Cached Gauss-Hermite nodes and weights for the weight e^{-z^2} on R."""
-    if order not in _GH_CACHE:
-        _GH_CACHE[order] = np.polynomial.hermite.hermgauss(int(order))
-    return _GH_CACHE[order]
+    return np.polynomial.hermite.hermgauss(int(order))
 
 
 # Gauss-Legendre nodes on each panel of panel_rule and panel_integral
@@ -369,23 +344,21 @@ def panel_integral(f, a, b, panel_width):
 # (about 1e-37) of the interval from an end.
 _DE_H0 = 0.5
 _DE_TMAX = 4.0
-_DE_CACHE = {}
 
 
+@functools.cache
 def _tanh_sinh_level(level):
     """Nodes and weights on [0, 1] of the tanh-sinh abscissae first used
     at this level (all of them at level 0, the odd multiples of the step
     after); the weights leave out the step."""
-    if level not in _DE_CACHE:
-        h = _DE_H0 / 2 ** level
-        k = np.arange(-int(_DE_TMAX / h), int(_DE_TMAX / h) + 1)
-        t = k * h if level == 0 else k[k % 2 == 1] * h
-        x = 0.5 * math.pi * np.sinh(t)
-        # u = (1 + tanh x) / 2, written so that nodes near 0 keep their digits
-        u = 1.0 / (1.0 + np.exp(-2.0 * x))
-        w = 0.25 * math.pi * np.cosh(t) / np.cosh(x) ** 2
-        _DE_CACHE[level] = (u, w)
-    return _DE_CACHE[level]
+    h = _DE_H0 / 2 ** level
+    k = np.arange(-int(_DE_TMAX / h), int(_DE_TMAX / h) + 1)
+    t = k * h if level == 0 else k[k % 2 == 1] * h
+    x = 0.5 * math.pi * np.sinh(t)
+    # u = (1 + tanh x) / 2, written so that nodes near 0 keep their digits
+    u = 1.0 / (1.0 + np.exp(-2.0 * x))
+    w = 0.25 * math.pi * np.cosh(t) / np.cosh(x) ** 2
+    return u, w
 
 
 def _radial_levels(rows, expo, cut, tol, levels):
@@ -431,30 +404,28 @@ def _radial_levels(rows, expo, cut, tol, levels):
 # t = (n + 1/2) h.  For large t the nodes fall on the zeros of the oscillation,
 # so no cut in x is needed.  |w| <= _OM_TINY takes the exp-sinh rule instead.
 _OM_TMAX, _ES_TMAX, _OM_TINY, _OM_H0, _OM_LEVELS, _OM_TOL = 3.0, 4.5, 1e-9, 0.1, 4, 1e-10
-_OM_CACHE = {}
 
 
+@functools.cache
 def _ooura_mori(h):
     """Nodes p and weights v at unit frequency, with weights below 1e-18 of
     the largest dropped: integral_0^inf G(x) e^{-ix} dx ~ sum v G(p)."""
-    if h not in _OM_CACHE:
-        k = np.arange(-round(_OM_TMAX / h), round(_OM_TMAX / h) + 1)
-        t = np.concatenate([k * h, (k[:-1] + 0.5) * h])
-        sine = np.arange(t.size) < k.size
-        t1 = np.where(t == 0.0, 1.0, t)  # phi(0) = 1/6 and phi'(0) = 1/2 are set below
-        s = 6.0 * np.sinh(t1)
-        em = np.expm1(s)
-        phi = np.where(t == 0.0, 1.0 / 6.0, t1 / -np.expm1(-s))
-        dphi = np.where(t == 0.0, 0.5, np.exp(s) * (em - 6.0 * t1 * np.cosh(t1)) / (em * em))
-        m = math.pi / h
-        # for t > 0, m t is a multiple of pi / 2: the trig factor comes from
-        # phi - t = t / (e^s - 1), which keeps the digits that m phi loses
-        lead = np.where(np.concatenate([k, k[:-1]]) % 2 == 0, 1.0, -1.0) * np.sin(m * t1 / em)
-        osc = np.where(t > 0.0, np.where(sine, lead, -lead), np.where(sine, np.sin(m * phi), np.cos(m * phi)))
-        v = h * m * dphi * np.where(sine, -1j * osc, osc)
-        keep = np.abs(v) >= 1e-18 * np.max(np.abs(v))
-        _OM_CACHE[h] = (m * phi)[keep], v[keep]
-    return _OM_CACHE[h]
+    k = np.arange(-round(_OM_TMAX / h), round(_OM_TMAX / h) + 1)
+    t = np.concatenate([k * h, (k[:-1] + 0.5) * h])
+    sine = np.arange(t.size) < k.size
+    t1 = np.where(t == 0.0, 1.0, t)  # phi(0) = 1/6 and phi'(0) = 1/2 are set below
+    s = 6.0 * np.sinh(t1)
+    em = np.expm1(s)
+    phi = np.where(t == 0.0, 1.0 / 6.0, t1 / -np.expm1(-s))
+    dphi = np.where(t == 0.0, 0.5, np.exp(s) * (em - 6.0 * t1 * np.cosh(t1)) / (em * em))
+    m = math.pi / h
+    # for t > 0, m t is a multiple of pi / 2: the trig factor comes from
+    # phi - t = t / (e^s - 1), which keeps the digits that m phi loses
+    lead = np.where(np.concatenate([k, k[:-1]]) % 2 == 0, 1.0, -1.0) * np.sin(m * t1 / em)
+    osc = np.where(t > 0.0, np.where(sine, lead, -lead), np.where(sine, np.sin(m * phi), np.cos(m * phi)))
+    v = h * m * dphi * np.where(sine, -1j * osc, osc)
+    keep = np.abs(v) >= 1e-18 * np.max(np.abs(v))
+    return (m * phi)[keep], v[keep]
 
 
 def half_line_fourier(G, omegas, h, max_nodes=None):

@@ -3,7 +3,9 @@
 The tests compare the library's fixed Fourier rules (the numeric
 transform of a bump, the heat symbol, the double-exponential inverse
 transforms) against an independent adaptive route for one-dimensional
-Fourier integrals, the library's adaptive rule quad.integrate_1d against
+Fourier integrals (QUADPACK on an infinite range; below the oscillation
+threshold the library's finite-range quad.integrate_1d on a finite
+one), the library's adaptive rule quad.integrate_1d against
 QUADPACK on the same problem (quadpack_1d), and the zeta integral of a
 Gaussian on an anisotropic definite form against its polar factorization
 with an adaptive sphere integral; the library itself never calls them.  The Monte-Carlo route
@@ -42,7 +44,8 @@ def oscillatory_ft_1d(f, xi, a=-np.inf, b=np.inf, tol=1e-10, force_method=None):
     """Integral of f(y) e^{-i y xi} dy over (a, b).
 
     Below the oscillation threshold a plain adaptive rule on the complex
-    integrand is used; above it, Clenshaw-Curtis panels with exact
+    integrand is used (quad.integrate_1d on a finite range, QUADPACK on
+    an infinite one); above it, Clenshaw-Curtis panels with exact
     cos/sin weights (scipy's QAWO/QAWF) handle the oscillation.
     force_method ('plain' or 'osc') pins the path for cross-checks.
 
@@ -56,7 +59,11 @@ def oscillatory_ft_1d(f, xi, a=-np.inf, b=np.inf, tol=1e-10, force_method=None):
     xi = float(xi)
     use_plain = abs(xi) <= OSC_THRESHOLD if force_method is None else force_method == "plain"
     if use_plain:
-        return complex(quad.integrate_1d(lambda y: f(y) * np.exp(-1j * y * xi), a, b, tol=tol).value)
+        g = lambda y: f(y) * np.exp(-1j * y * xi)
+        # the library's adaptive rule takes finite ranges only
+        if np.isinf(a) or np.isinf(b):
+            return quadpack_1d(g, a, b, tol)[0]
+        return complex(quad.integrate_1d(g, a, b, tol=tol).value)
 
     def piece(lo, hi):
         kw = dict(limit=400, epsabs=tol * 1e-2, epsrel=tol * 1e-2)
@@ -160,13 +167,13 @@ def fhat_many_one_block(t, chis):
 
 
 def extend_kdot_per_ray(k, psi, phi):
-    """(value, rule) of homog.extend_kdot with one _rs_rows call per ray of
-    every order, without the adaptive spot-check (which changes neither)."""
+    """(value, rule) of homog.extend_kdot with one _inner_rows call per ray
+    of every order, without the adaptive spot-check (which changes neither)."""
     shift = psi.log_mean() * complex(phi(np.zeros(phi.n) if phi.n > 1 else 0.0))
 
     def terms(pts, wts, p, fine):
         npanel = 2 * p if fine else p
-        a = np.array([homog._rs_rows(g.derivative(1), np.ones(1), g.cutoff(1e-18), npanel)[0] for g in map(phi.ray, pts)])
+        a = np.array([homog._inner_rows(phi, om[None], np.ones(1), np.atleast_1d(phi.ray(om).cutoff(1e-18)), npanel)[0, 0] for om in pts])
         return wts * homog._at(k, pts) * (a - shift), None
 
     value, rule, _ = homog._extension(k, phi, "fixed-rule extension", terms)
@@ -174,7 +181,7 @@ def extend_kdot_per_ray(k, psi, phi):
 
 
 def pointwise_kdot_per_ray(k, psi, phi):
-    """homog.pointwise_kdot with one _rs_rows call per ray of every order."""
+    """homog.pointwise_kdot with one _inner_rows call per ray of every order."""
     mid, half = 0.5 * (psi.a + psi.b), 0.5 * (psi.b - psi.a)
 
     def terms(pts, wts, p, fine):
@@ -185,7 +192,7 @@ def pointwise_kdot_per_ray(k, psi, phi):
         rows = []
         for om, w in zip(pts, wts):
             cut = max(phi.ray(psi.a * om).cutoff(1e-18), phi.ray(psi.b * om).cutoff(1e-18))
-            rows.append(w * outer * homog._at(k, t[:, None] * om) * homog._rs_rows(phi.ray(om).derivative(1), t, cut, npanel))
+            rows.append(w * outer * homog._at(k, t[:, None] * om) * homog._inner_rows(phi, om[None], t, np.atleast_1d(cut), npanel)[0])
         return np.concatenate(rows), len(t)
 
     value, rule, nodes = homog._extension(k, phi, "pointwise extension", terms)

@@ -98,6 +98,9 @@ def test_empty_check_list_exits_zero(tmp_path):
     status = run(["funceq", "--eq", "12", "--s", "", "--out", str(out)])
     assert status == 0
     assert out.read_text() == ""
+    # an empty x grid has no semigroup row
+    assert run(["heat", "--check", "semigroup", "--x", "", "--out", str(out)]) == 0
+    assert out.read_text() == ""
 
 
 def test_unknown_suite_exits_one():
@@ -328,6 +331,11 @@ def test_funceq_without_a_test_function_is_a_config_error(capsys, eq):
     assert "config error: --testfn names no test function" in capsys.readouterr().err
 
 
+def test_homog_ambiguity_without_a_test_function_is_a_config_error(capsys):
+    assert run(["homog", "--check", "ambiguity", "--testfn", ";"]) == 1
+    assert "config error: --testfn names no test function: ';'" in capsys.readouterr().err
+
+
 def test_zeta_eval_refuses_the_stencil_off_three_dimensions(tmp_path):
     # on n = 2 the stencil reference is wrong past Re s = -1/2 (1e-2 at
     # s = -0.6), so the row is an error, not a failure of the fast side
@@ -402,6 +410,16 @@ def test_lacunary_refuses_below_the_contour_rule(tmp_path):
         # a seed is an integer of at least 0, for a subcommand and a suite
         "probe --what scaling --seed -1",
         "suite quick --seed -1",
+        # a number that is not finite, real or complex
+        "zeta --check value --s=nan",
+        "zeta --check overlap --s=nan",
+        "funceq --eq 12 --s=nan",
+        "homog --check homogeneity --s=nan",
+        "zeta --check value --s=inf",
+        "funceq --eq 12 --s=0.3,-inf",
+        "zeta --check value --s=0.5+nanj",
+        "probe --what kernel --t=nan",
+        "--x=0.5,inf",
     ],
 )
 def test_unparsable_numbers_are_config_errors(tmp_path, capsys, flag):

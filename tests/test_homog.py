@@ -50,15 +50,19 @@ def test_homogeneity_scaling_identity():
 def test_critical_degree_scale_invariance():
     # at the critical degree s = -n the density R_s phi is homogeneous of
     # degree 0; the log anomaly of t_+^{-1} vanishes when phi(0) = 0
+    # (R_s phi(m) = t_+^{s+n-1} on the ray profile of m)
     phi = testfn.hermite_gaussian(2, 1.0)
-    v1 = complex(homog.rs_transform(phi, -1.0, 1.0))
-    v2 = complex(homog.rs_transform(phi, -1.0, 2.0))
+    v1 = complex(homog.tplus_profile(-1.0, phi.ray([1.0])))
+    v2 = complex(homog.tplus_profile(-1.0, phi.ray([2.0])))
     assert abs(v1 - v2) < 1e-10
+    # the fixed inner rule on both points, as one family
+    rows = homog._inner_rows(phi, np.array([[1.0], [2.0]]), np.ones(1), phi.rays(np.array([[1.0], [2.0]])).cutoff(1e-18), 256)
+    assert abs(rows[0, 0] - rows[1, 0]) < 1e-10 and abs(rows[0, 0] - v1) < 1e-12
 
 
 def test_rs_transform_oracle():
     # R_0 phi(1) = int_0^inf e^{-t^2} dt = sqrt(pi)/2 for gaussian rate 1
-    v = complex(homog.rs_transform(testfn.gaussian(1.0), 0.0, 1.0))
+    v = complex(homog.tplus_profile(0.0, testfn.gaussian(1.0).ray([1.0])))
     assert abs(v - math.sqrt(math.pi) / 2.0) < 1e-11
 
 
@@ -216,22 +220,23 @@ _ROUTES = [("extend", homog.extend_kdot, extend_kdot_per_ray), ("pointwise", hom
     [pytest.param(route, per_ray, phi, even, id=f"{name}-{rid}") for name, phi, even in _SHARED_ROW_CASES for rid, route, per_ray in _ROUTES],
 )
 def test_shared_inner_rows_keep_the_per_ray_bits(route, per_ray, phi, even, monkeypatch):
-    # rays with one polynomial-Gaussian profile share one _rs_rows row:
+    # rays with one polynomial-Gaussian profile share one _inner_rows row:
     # the value and rule are those of one row per ray, bit for bit, with
     # half the rows for an even phi on the line (the rays +-1), fewer in
     # the plane (rays whose profiles come out equal: all of them for a
     # radial phi), and one per ray for an odd phi or a bump, which is
-    # never merged; a row is one entry of the cutoffs that _rs_rows takes
+    # never merged; a row is one end of the inner rule that _inner_rows
+    # builds for its distinct rays
     k = _norm_density(phi.n)
     psi = homog.make_cutoff(0.5, 2.0)
     calls = []
-    real = homog._rs_rows
+    real = quad.panel_rule
 
-    def counted(*args):
-        calls.extend([args] * np.size(args[2]))
-        return real(*args)
+    def counted(a, b, npanel):
+        calls.extend([b] * np.size(b))
+        return real(a, b, npanel)
 
-    monkeypatch.setattr(homog, "_rs_rows", counted)
+    monkeypatch.setattr(quad, "panel_rule", counted)
     ref, ref_rule = per_ray(k, psi, phi)
     per_ray_calls = len(calls)
     del calls[:]
@@ -258,36 +263,74 @@ def test_extension_restricts_in_the_plane():
     ids=["gaussian", "hermite", "bump"],
 )
 def test_fixed_inner_rule_matches_adaptive_rs_transform(phi):
+    # R_{-1} phi(t om) on the line is t_+^{-1} on the ray profile of t om
     ts = np.array([0.5, 0.8, 1.3, 2.0])
     for om in (np.array([1.0]), np.array([-1.0])):
-        cut = phi.ray(0.5 * om).cutoff(1e-18)
-        fixed = homog._rs_rows(phi.ray(om).derivative(1), ts, cut, 2 * homog._INNER_PANELS[-1])
+        cut = np.atleast_1d(phi.ray(0.5 * om).cutoff(1e-18))
+        fixed = homog._inner_rows(phi, om[None], ts, cut, 2 * homog._INNER_PANELS[-1])[0]
         for t, value in zip(ts, fixed):
-            ref = complex(homog.rs_transform(phi, -1.0, t * om, tol=1e-12))
+            ref = complex(homog.tplus_profile(-1.0, phi.ray(t * om), tol=1e-12))
             assert abs(value - ref) < 1e-12, (t * om, value, ref)
 
 
 @pytest.mark.parametrize("npanel", [16, 128, 512])
 def test_inner_rows_take_the_rays_in_groups_within_the_block(npanel, monkeypatch):
-    # the distinct rays go to _rs_rows in groups whose t block holds at most
-    # _BLOCK_POINTS points of phi' (one ray once a t block is that large),
-    # and each row has the bits of its ray alone
+    # after the whole family, _inner_rows takes the distinct rays in groups
+    # whose t block holds at most _BLOCK_POINTS points of phi' (one ray
+    # once a t block is that large), and each row has the bits of its ray
+    # alone
     phi = testfn.bump([1.5, 0.5], 1.2, n=2)
     pts = quad.sphere_quadrature(2, 32, False)[0]
     pts = pts[~phi.decay.misses(pts)]
     t, cut = np.linspace(0.6, 1.4, 5), phi.rays(pts).cutoff(1e-18)
-    groups, real = [], homog._rs_rows
+    groups, real = [], phi.rays
 
-    def counted(dprof, t, cut, npanel):
-        groups.append(np.size(cut))
-        return real(dprof, t, cut, npanel)
+    def counted(directions):
+        groups.append(len(directions))
+        return real(directions)
 
-    monkeypatch.setattr(homog, "_rs_rows", counted)
+    monkeypatch.setattr(phi, "rays", counted)
     rows = homog._inner_rows(phi, pts, t, cut, npanel)
     points = min(len(t), max(1, homog._BLOCK_POINTS // (quad.PANEL_ORDER * npanel))) * quad.PANEL_ORDER * npanel
+    assert groups[0] == len(pts)
+    groups = groups[1:]
     assert sum(groups) == len(pts) and max(groups) == max(1, homog._BLOCK_POINTS // points)
-    for row, om, c in zip(rows, pts, cut):
-        assert np.array_equal(row, real(phi.ray(om).derivative(1), t, c, npanel))
+    assert max(groups) * points <= homog._BLOCK_POINTS or max(groups) == 1
+    for i, (row, c) in enumerate(zip(rows, cut)):
+        assert np.array_equal(row, homog._inner_rows(phi, pts[i : i + 1], t, c[None], npanel)[0])
+
+
+def test_inner_rows_build_the_rule_once_per_call(monkeypatch):
+    # one panel rule for every distinct ray and one evaluation of phi' at
+    # the origin for the closed g'(0) part, however many groups the rays
+    # take: the plane bump at 512 panels goes one ray a group
+    phi = testfn.bump([1.5, 0.5], 1.2, n=2)
+    pts = quad.sphere_quadrature(2, 32, False)[0]
+    pts = pts[~phi.decay.misses(pts)]
+    t, cut = np.linspace(0.6, 1.4, 5), phi.rays(pts).cutoff(1e-18)
+    rules, at_origin, groups = [], [], []
+    real_rule, real_rays = quad.panel_rule, phi.rays
+
+    class Counted:
+        def __init__(self, prof):
+            self.prof = prof
+
+        def derivative(self, k):
+            return Counted(self.prof.derivative(k))
+
+        def __call__(self, r):
+            at_origin.append(not np.any(r))
+            return self.prof(r)
+
+    def rays(directions):
+        groups.append(len(directions))
+        return Counted(real_rays(directions))
+
+    monkeypatch.setattr(quad, "panel_rule", lambda a, b, npanel: rules.append(np.shape(b)) or real_rule(a, b, npanel))
+    monkeypatch.setattr(phi, "rays", rays)
+    homog._inner_rows(phi, pts, t, cut, 512)
+    assert len(groups) - 1 == len(pts) > 1
+    assert rules == [(len(pts),)] and sum(at_origin) == 1
 
 
 def test_inner_rows_take_the_gradient_at_the_origin_in_closed_form():
@@ -297,9 +340,9 @@ def test_inner_rows_take_the_gradient_at_the_origin_in_closed_form():
     # 7.1e-9, 1.8e-9 and 4.4e-10 off)
     phi = testfn.hermite_gaussian(1, 1.0)
     g = phi.ray([1.0])
-    assert complex(homog.rs_transform(phi, -1.0, 1.0, tol=1e-13)) == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-15)
+    assert complex(homog.tplus_profile(-1.0, g, tol=1e-13)) == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-15)
     for npanel in (128, 256, 512):
-        row = homog._rs_rows(g.derivative(1), np.ones(1), g.cutoff(1e-18), npanel)[0]
+        row = homog._inner_rows(phi, np.ones((1, 1)), np.ones(1), np.atleast_1d(g.cutoff(1e-18)), npanel)[0, 0]
         assert abs(row - math.sqrt(math.pi) / 2.0) < 5e-15, (npanel, row)
     # its spot-check passes, on the line and in the plane, where the
     # extension of the odd phi against an even density vanishes
@@ -308,11 +351,12 @@ def test_inner_rows_take_the_gradient_at_the_origin_in_closed_form():
         assert abs(value) < 1e-15 and rule["coarse_fine_gap"] < 1e-15
     # a Gaussian ray has g'(0) = 0: its row is the panel sum alone, bit for
     # bit (512 panels take one t per product)
-    g = testfn.gaussian(1.3).ray([1.0])
+    phi = testfn.gaussian(1.3)
+    g = phi.ray([1.0])
     u, w = quad.panel_rule(0.0, math.sqrt(g.cutoff(1e-18)), 512)
     t, tau, c = np.array([0.7, 1.0, 1.9]), u * u, -4.0 * w * u * np.log(u)
     panels = [ti * (g.derivative(1)(ti * tau[None]) @ c)[0] for ti in t]
-    assert np.array_equal(homog._rs_rows(g.derivative(1), t, g.cutoff(1e-18), 512), panels)
+    assert np.array_equal(homog._inner_rows(phi, np.ones((1, 1)), t, np.atleast_1d(g.cutoff(1e-18)), 512)[0], panels)
 
 
 @pytest.mark.parametrize("phi", [testfn.bump(3.0, 1.0), testfn.bump(1.5, 1.0), testfn.bump(-2.5, 0.8)], ids=["c3", "c1.5", "c-2.5"])

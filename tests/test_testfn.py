@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -423,23 +424,33 @@ def test_complex_coefficients_keep_the_complex_path():
         assert np.array_equal(np.signbit(prof(r).imag), np.signbit(ref.imag))
 
 
-def test_polygauss_profiles_compare_by_exact_coefficients_and_rate():
+def test_polygauss_profiles_compare_by_exact_coefficients_and_rate(monkeypatch):
     # the key of the shared inner rows is one np.unique over each ray's
     # coefficient bytes, rate and cut: no tolerance, a 1-ulp step in any of
     # them splits two rays, and bump rays never share, not even one ray
-    # given twice
+    # given twice; homog._inner_rows builds its one rule for the distinct rays
+    built, rule = [], quad.panel_rule
+    monkeypatch.setattr(quad, "panel_rule", lambda a, b, npanel: built.append(np.size(b)) or rule(a, b, npanel))
+
+    def rows(phi, pts, cuts):
+        out = homog._inner_rows(phi, np.asarray(pts, dtype=float), np.ones(1), np.asarray(cuts, dtype=float), 16)
+        return built.pop(), out
+
     def distinct(coeffs, rates, cuts):
-        fam = testfn.PolyGauss1D(np.asarray(coeffs, dtype=complex).T[:, :, None], np.asarray(rates)[:, None])
-        return homog._distinct_rays(fam, np.asarray(cuts))
+        # a family whose ray through the point (i,) has the i-th derivative
+        # profile given (a derivative of a real profile has no -0.0)
+        c, a = np.asarray(coeffs, dtype=complex).T[:, :, None], np.asarray(rates)[:, None]
+        pick = lambda pts: testfn.PolyGauss1D(c[:, pts[:, 0].astype(int)], a[pts[:, 0].astype(int)])
+        fam = types.SimpleNamespace(rays=lambda pts: types.SimpleNamespace(derivative=lambda k: pick(pts)))
+        return rows(fam, np.arange(len(cuts))[:, None], cuts)
 
     c, up = [1.0, 0.0, 2.0], np.nextafter
-    assert distinct([c, c, c], [1.5, 1.5, 1.5], [3.0, 3.0, 3.0])[0].size == 1
-    assert distinct([c, [1.0, 0.0, up(2.0, 3.0)]], [1.5, 1.5], [3.0, 3.0])[0].size == 2
-    assert distinct([c, c], [1.5, up(1.5, 2.0)], [3.0, 3.0])[0].size == 2
-    assert distinct([c, c], [1.5, 1.5], [3.0, up(3.0, 4.0)])[0].size == 2
+    assert distinct([c, c, c], [1.5, 1.5, 1.5], [3.0, 3.0, 3.0])[0] == 1
+    assert distinct([c, [1.0, 0.0, up(2.0, 3.0)]], [1.5, 1.5], [3.0, 3.0])[0] == 2
+    assert distinct([c, c], [1.5, up(1.5, 2.0)], [3.0, 3.0])[0] == 2
+    assert distinct([c, c], [1.5, 1.5], [3.0, up(3.0, 4.0)])[0] == 2
     # -0.0 and 0.0 are other bytes
-    assert distinct([c, [1.0, -0.0, 2.0]], [1.5, 1.5], [3.0, 3.0])[0].size == 2
-    first, inverse = distinct([c, [0.5, 1.0, 0.0], c], [1.5, 0.7, 1.5], [3.0, 4.0, 3.0])
-    assert first.size == 2 and inverse[0] == inverse[2] != inverse[1]
-    bump = testfn.bump(0.0, 1.0).rays(np.array([[1.0], [1.0], [-1.0]])).derivative(1)
-    assert homog._distinct_rays(bump, np.ones(3))[0].size == 3
+    assert distinct([c, [1.0, -0.0, 2.0]], [1.5, 1.5], [3.0, 3.0])[0] == 2
+    count, out = distinct([c, [0.5, 1.0, 0.0], c], [1.5, 0.7, 1.5], [3.0, 4.0, 3.0])
+    assert count == 2 and np.array_equal(out[0], out[2]) and not np.array_equal(out[0], out[1])
+    assert rows(testfn.bump(0.0, 1.0), [[1.0], [1.0], [-1.0]], np.ones(3))[0] == 3
