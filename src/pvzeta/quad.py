@@ -618,7 +618,9 @@ class SignatureGeometry:
         (_U_EDGES) up to where the gaussian decay of g bounds the tail
         by e^{-42}.  Every u-node of every radius goes to g together, in
         calls of BLOCK // (nk nj n) u-nodes, so that the point array holds
-        at most BLOCK entries; points counts the points."""
+        at most BLOCK entries; each call's u-nodes and their arrays are
+        built from the whole panels that hold them.  points counts the
+        points."""
         # 42 / r^2 below overflows under |r| ~ 1e-154: radii are held at
         # 1e-150 (sign kept), where H has reached H(0+) to rounding
         r = np.asarray(r, dtype=float)
@@ -632,25 +634,29 @@ class SignatureGeometry:
         dlo, dhi = _U_EDGES[within], np.minimum(_U_EDGES[within + 1], top)
         half = 0.5 * (dhi - dlo)
         x, wx = gauss_legendre(12)
-        u = (top - 0.5 * (dlo + dhi))[:, None] + half[:, None] * x
-        cu, su = np.cosh(u).ravel(), np.sinh(u).ravel()
-        ang = cu ** (self.k - 1) * su ** (self.j - 1) * (half[:, None] * wx).ravel()
-        rn = np.repeat(r[owner], x.size)
+        mid, rp = top - 0.5 * (dlo + dhi), r[owner]
+        nodes = owner.size * x.size
         nk, nj = len(self.wk), len(self.wj)
         wkj = (self.wk[:, None] * self.wj[None, :]).ravel()
         rows = max(1, BLOCK // (nk * nj * self.n))
-        rcosh, rsinh = rn * cu, rn * su
         parts = []
-        for lo in range(0, cu.size, rows):
-            rc, rs = rcosh[lo : lo + rows], rsinh[lo : lo + rows]
+        for lo in range(0, nodes, rows):
+            # the whole panels that hold the block's u-nodes, cut to them
+            hi = min(lo + rows, nodes)
+            a, b = lo // x.size, -(-hi // x.size)
+            cut = slice(lo - a * x.size, hi - a * x.size)
+            u = mid[a:b, None] + half[a:b, None] * x
+            cu, su = np.cosh(u), np.sinh(u)
+            ang = (cu ** (self.k - 1) * su ** (self.j - 1) * (half[a:b, None] * wx)).ravel()[cut]
+            rc, rs = (rp[a:b, None] * cu).ravel()[cut], (rp[a:b, None] * su).ravel()[cut]
             pts = np.zeros((rc.size, nk, nj, self.n))
             pts[..., self.cosh_idx] = rc[:, None, None, None] * self.omega_k[None, :, None, :]
             pts[..., self.sinh_idx] = rs[:, None, None, None] * self.omega_j[None, None, :, :]
             pts *= self.Dscale
-            parts.append(np.asarray(g(pts)).reshape(rc.size, nk * nj) @ wkj)
-        per_node = np.concatenate(parts) * ang
+            parts.append((np.asarray(g(pts)).reshape(rc.size, nk * nj) @ wkj) * ang)
+        per_node = np.concatenate(parts)
         F = np.add.reduceat(per_node, np.cumsum(npanel * x.size) - npanel * x.size)
-        return r * F, cu.size * nk * nj
+        return r * F, nodes * nk * nj
 
     @staticmethod
     def radial_cutoff(decay_rate):
@@ -693,20 +699,13 @@ def radial_power_integral(H, beta, r_max, tol, depth=0):
     return -inner / (beta + 1.0)
 
 
-# The Monte-Carlo oracle draws and evaluates its samples in blocks of
-# BLOCK // n rows and sums them once per chunk of _MC_CHUNK values.  numpy's
-# pairwise summation order depends only on the length of the array, and
-# successive draws continue one stream, so the estimate is bit-identical
-# to evaluating each chunk whole, in memory that does not grow with
-# the sample count.
-_MC_CHUNK = 1_000_000
-
-
 def monte_carlo_signature(g, space, sheet, w, nsamples, seed):
     """Monte-Carlo oracle for the zeta integrals of the component sheet of
     an indefinite space, using a standard gaussian proposal with density
-    exactly e^{-pi |m|^2}; it reads only the diagonal of B.  Returns
-    (estimate, standard_error)."""
+    exactly e^{-pi |m|^2}; it reads only the diagonal of B.  Samples are
+    drawn and evaluated in blocks of BLOCK // n rows, whose kept values
+    and their squares are summed into running totals, so memory does not
+    grow with nsamples.  Returns (estimate, standard_error)."""
     d = _signature_diagonal(space, sheet)
     n = space.n
     if nsamples < 2:
@@ -714,35 +713,26 @@ def monte_carlo_signature(g, space, sheet, w, nsamples, seed):
     rng = np.random.default_rng(seed)
     sigma = 1.0 / math.sqrt(2.0 * math.pi)
     w = float(np.real(w))
-    vals = np.empty(min(_MC_CHUNK, nsamples))
     rows = max(1, BLOCK // n)
     draws = np.empty((min(rows, nsamples), n))
     total, total2 = 0.0, 0.0
-    done = 0
-    while done < nsamples:
-        k = min(_MC_CHUNK, nsamples - done)
-        for lo in range(0, k, rows):
-            # the standard normal stream scaled in place: loc 0 adds nothing,
-            # so these are the bits of rng.normal(0.0, sigma)
-            x = draws[: min(rows, k - lo)]
-            rng.standard_normal(out=x)
-            x *= sigma
-            p = np.einsum("ij,j,ij->i", x, d, x)
-            idx = np.flatnonzero(p > 0 if sheet == "plus" else p < 0)
-            out = vals[lo : lo + len(x)]
-            out.fill(0.0)
-            if idx.size:
-                xm = np.take(x, idx, axis=0)
-                v = np.abs(p[idx])
-                v **= w
-                v *= np.asarray(g(xm), dtype=float)
-                v *= np.exp(math.pi * sum_squares(xm))
-                out[idx] = v
-        chunk = vals[:k]
-        total += float(np.sum(chunk))
-        chunk *= chunk
-        total2 += float(np.sum(chunk))
-        done += k
+    for lo in range(0, nsamples, rows):
+        # the standard normal stream scaled in place: loc 0 adds nothing,
+        # so these are the bits of rng.normal(0.0, sigma)
+        x = draws[: min(rows, nsamples - lo)]
+        rng.standard_normal(out=x)
+        x *= sigma
+        p = np.einsum("ij,j,ij->i", x, d, x)
+        idx = np.flatnonzero(p > 0 if sheet == "plus" else p < 0)
+        if idx.size:
+            xm = np.take(x, idx, axis=0)
+            v = np.abs(p[idx])
+            v **= w
+            v *= np.asarray(g(xm), dtype=float)
+            v *= np.exp(math.pi * sum_squares(xm))
+            total += float(np.sum(v))
+            v *= v
+            total2 += float(np.sum(v))
     mean = total / nsamples
     var = total2 / nsamples - mean * mean
     return mean, math.sqrt(max(var, 0.0) / nsamples)

@@ -279,14 +279,17 @@ def _pg_eval(coeffs, a, n):
     def ev(m):
         m = np.asarray(m, dtype=float)
         r2 = quad.sum_squares(m)
-        out = np.zeros(r2.shape, dtype=float if real else complex)
+        # the sum starts at its first term and each monomial at its first
+        # factor: 0 + c = c and 1 * x^b = x^b, the bits of zeros and ones
+        out = None
         for beta, c in coeffs.items():
-            mono = np.ones(r2.shape)
+            mono = None
             for j, bj in enumerate(beta):
                 if bj:
-                    mono = mono * m[..., j] ** bj
-            out = out + c * mono
-        out = out * np.exp(-a * r2)
+                    mono = m[..., j] ** bj if mono is None else mono * m[..., j] ** bj
+            term = c if mono is None else c * mono
+            out = term if out is None else out + term
+        out = np.multiply(0.0 if out is None else out, np.exp(-a * r2))
         if not real and np.all(np.abs(out.imag) == 0.0):
             return out.real
         return out

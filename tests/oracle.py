@@ -1,4 +1,4 @@
-"""Adaptive QUADPACK oracles and a whole-chunk Monte-Carlo route for the tests.
+"""Adaptive QUADPACK oracles and a whole-stream Monte-Carlo route for the tests.
 
 The tests compare the library's fixed Fourier rules (the numeric
 transform of a bump, the heat symbol, the double-exponential inverse
@@ -104,33 +104,32 @@ def gaussian_zeta_definite(s, a, diag):
     return complex(special.gamma(s + 1.5)) / (2.0 * a ** (s + 1.5)) * sphere
 
 
-def monte_carlo_signature_whole_chunk(g, B, sheet, w, nsamples, seed):
-    """quad.monte_carlo_signature with each chunk of 10^6 samples drawn
-    and evaluated as one array: the same stream and the same sums."""
+def monte_carlo_signature_whole_stream(g, B, sheet, w, nsamples, seed):
+    """quad.monte_carlo_signature with the call's whole stream drawn and
+    evaluated as one array: the same stream, and the kept values summed
+    per block of quad.BLOCK // n samples, in order."""
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n = B.shape[0]
     d = np.diag(B)
     rng = np.random.default_rng(seed)
     sigma = 1.0 / math.sqrt(2.0 * math.pi)
+    x = rng.normal(0.0, sigma, size=(nsamples, n))
+    p = x[:, 0] * d[0] * x[:, 0]
+    for i in range(1, n):
+        p = p + x[:, i] * d[i] * x[:, i]
+    mask = p > 0 if sheet == "plus" else p < 0
+    vals = np.zeros(nsamples)
+    if np.any(mask):
+        xm = x[mask]
+        gm = np.asarray(g(xm), dtype=float)
+        weight = np.exp(math.pi * quad.sum_squares(xm))
+        vals[mask] = np.abs(p[mask]) ** float(np.real(w)) * gm * weight
     total, total2 = 0.0, 0.0
-    chunk = 1_000_000
-    done = 0
-    while done < nsamples:
-        k = min(chunk, nsamples - done)
-        x = rng.normal(0.0, sigma, size=(k, n))
-        p = x[:, 0] * d[0] * x[:, 0]
-        for i in range(1, n):
-            p = p + x[:, i] * d[i] * x[:, i]
-        mask = p > 0 if sheet == "plus" else p < 0
-        vals = np.zeros(k)
-        if np.any(mask):
-            xm = x[mask]
-            gm = np.asarray(g(xm), dtype=float)
-            weight = np.exp(math.pi * quad.sum_squares(xm))
-            vals[mask] = np.abs(p[mask]) ** float(np.real(w)) * gm * weight
-        total += float(np.sum(vals))
-        total2 += float(np.sum(vals * vals))
-        done += k
+    rows = max(1, quad.BLOCK // n)
+    for lo in range(0, nsamples, rows):
+        kept = vals[lo : lo + rows][mask[lo : lo + rows]]
+        total += float(np.sum(kept))
+        total2 += float(np.sum(kept * kept))
     mean = total / nsamples
     var = total2 / nsamples - mean * mean
     return mean, math.sqrt(max(var, 0.0) / nsamples)

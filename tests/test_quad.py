@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from oracle import monte_carlo_signature_whole_chunk, quadpack_1d
+from oracle import monte_carlo_signature_whole_stream, quadpack_1d
 import pvzeta
 from pvzeta import funceq, heatflow, homog, phspace, quad, testfn, zeta
 from pvzeta.errors import AccuracyError, DomainError, NonConvergence
@@ -331,7 +331,7 @@ def test_monte_carlo_deterministic():
 @pytest.mark.parametrize(
     "diag, sheet, spec, nsamples",
     [
-        # past a chunk boundary, ending inside a block
+        # past 10^6 samples, ending inside a block
         ((1.0, -1.0, -1.0), "plus", "gaussian:a=3.14159,n=3", 1_234_567),
         ((1.0, -1.0, -1.0), "minus", "gaussian:a=3.14159,n=3", 1_000_000),
         ((2.0, -1.0, -0.5), "plus", "gaussian:a=3.14159,n=3", 300_001),
@@ -345,18 +345,19 @@ def test_monte_carlo_deterministic():
         ((0.5, 2.0, -1.5, -0.25), "minus", "gaussian:a=3.14159,n=4", 100_003),
     ],
 )
-def test_monte_carlo_blocks_match_the_whole_chunk_route(diag, sheet, spec, nsamples):
-    # the blocked oracle draws the same stream and sums the same chunks; the
-    # whole-chunk route sums p column by column and gathers by a mask, the
+def test_monte_carlo_blocks_match_the_whole_stream_route(diag, sheet, spec, nsamples):
+    # the blocked oracle draws the same stream and sums the same blocks; the
+    # whole-stream route sums p column by column and gathers by a mask, the
     # reference of the blocked route's one contraction and np.take
     phi, space = testfn.parse_testfn(spec), phspace.indefinite(B=np.diag(diag))
     g = lambda pts: np.real(np.asarray(phi(pts)))
     rest = (sheet, 0.2, nsamples, 2024)
-    assert quad.monte_carlo_signature(g, space, *rest) == monte_carlo_signature_whole_chunk(g, space.Bmat, *rest)
+    assert quad.monte_carlo_signature(g, space, *rest) == monte_carlo_signature_whole_stream(g, space.Bmat, *rest)
 
 
 def test_monte_carlo_memory_does_not_grow_with_the_samples():
-    # the whole-chunk route peaks at 73 MiB here
+    # per-block sums peak at 1.8 MiB here, sums over a zero-filled buffer
+    # of 10^6 values at 9.4 MiB and the whole-stream route at 73 MiB
     g = lambda pts: np.exp(-np.pi * quad.sum_squares(pts))
     tracemalloc.start()
     try:
@@ -364,7 +365,23 @@ def test_monte_carlo_memory_does_not_grow_with_the_samples():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 3 * 2**20
+
+
+def test_signature_profile_builds_its_u_nodes_per_block():
+    # 315 radii down to 1e-13, where a radius takes 14 u panels: u-node
+    # arrays built per block peak at 1.9 MiB here, built for every radius
+    # at once at 4.1 MiB
+    geom = quad.SignatureGeometry(phspace.indefinite(q=1, n=3), "plus", 32, False)
+    r, phi = np.geomspace(1e-13, 6.0, 315), testfn.gaussian(np.pi, n=3)
+    geom.profile(phi, r[:2], np.pi)
+    tracemalloc.start()
+    try:
+        geom.profile(phi, r, np.pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 @pytest.mark.parametrize("nsamples", [1, 0, -5])
@@ -418,6 +435,12 @@ def test_defaulted_parameters_do_not_grow():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
     assert count <= 71, count
+
+
+def test_library_lines_do_not_grow():
+    # the library's line count may fall but not rise
+    count = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in Path(pvzeta.__file__).parent.glob("*.py"))
+    assert count <= 4353, count
 
 
 def test_engines_read_the_space():

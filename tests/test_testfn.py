@@ -370,20 +370,23 @@ def test_polygauss_requires_positive_rate():
 
 
 def test_real_coefficients_evaluate_bitwise_as_complex():
-    # real coefficients take real arithmetic, with the bits of the complex sum
-    coeffs = {(0, 0, 0): 1.5, (2, 0, 0): -0.7, (1, 1, 0): 2.0, (0, 0, 4): 0.3}
-    phi = testfn.polygauss(coeffs, 1.3, 3)
+    # real coefficients take real arithmetic, with the bits of the complex
+    # sum that starts from zeros and each monomial from ones (0 + c = c and
+    # 1 * x^b = x^b, so the evaluator starts at the first term and factor)
+    made = testfn.polygauss({(0, 0, 0): 1.5, (2, 0, 0): -0.7, (1, 1, 0): 2.0, (0, 0, 4): 0.3}, 1.3, 3)
     m = np.random.default_rng(4).normal(size=(200, 3)) * 2.0
-    ref = np.zeros(200, dtype=complex)
-    for beta, c in coeffs.items():
-        mono = np.ones(200)
-        for j, bj in enumerate(beta):
-            if bj:
-                mono = mono * m[:, j] ** bj
-        ref = ref + complex(c) * mono
-    ref = ref * np.exp(-1.3 * np.sum(m * m, axis=-1))
-    vals = phi(m)
-    assert vals.dtype == np.float64 and np.array_equal(vals, ref.real)
+    for phi in (made, testfn.parse_testfn("gaussian:a=3.14159,n=3"), testfn.parse_testfn("hermite:d=2,n=3")):
+        coeffs, a = phi.polygauss
+        ref = np.zeros(200, dtype=complex)
+        for beta, c in coeffs.items():
+            mono = np.ones(200)
+            for j, bj in enumerate(beta):
+                if bj:
+                    mono = mono * m[:, j] ** bj
+            ref = ref + complex(c) * mono
+        ref = ref * np.exp(-a * np.sum(m * m, axis=-1))
+        vals = phi(m)
+        assert vals.dtype == np.float64 and np.array_equal(vals.view(np.int64), ref.real.view(np.int64))
 
 
 _RAY_CASES = [
