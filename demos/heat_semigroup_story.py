@@ -12,14 +12,14 @@ Run:  python3 demos/heat_semigroup_story.py
 
 import numpy as np
 
-from pvzeta import heatflow, phspace, symbolkern
+from pvzeta import funceq, heatflow, phspace, symbolkern
 
 
 def main():
     phi = heatflow.log_gaussian(1.0)
 
     print("== Kernel mass ==")
-    for variant in heatflow.VARIANTS:
+    for variant in funceq.VARIANTS:
         mass = heatflow.heat_group_function(0.5, variant).l1() / heatflow.l1_norm(0.5)
         print(f"  {variant:>9s}: relative mass {mass:.10f}")
 

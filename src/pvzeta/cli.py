@@ -6,15 +6,17 @@ check id and then by the parameter record, so identical configurations
 produce byte-identical report files.
 
 Exit codes: 0 when every check passes, 2 when any check fails, 1 on a
-configuration or execution error.  A configuration error writes no report;
-it is a key that is not a flag of the subcommand, a value outside the
-choices the flag declares (checked once, in RunConfig, for flags, config
-files and suite entries alike), a --component that the space lacks, a
-number that does not parse or is not finite, or a file that cannot be read
-or written.  A subcommand that raises any other PVZetaError reports one
-row with status "error" instead of its checks; a suite runs its entries
-(the SUITES table of subcommands with their flags) one by one, so there an
-entry that raises becomes that row and the other entries still run.
+configuration or execution error.  A configuration error writes no
+report, whether it comes from a flag, a config file or a suite entry: an
+unknown flag or subcommand, a value outside a flag's choices (argparse
+takes the flag names only; RunConfig checks every value, once), a --space
+or --testfn spec with an unknown family or key, a --component that the
+space lacks, a number that does not parse or is not finite, or a file
+that cannot be read or written.  A subcommand that raises any other
+PVZetaError reports one row with status "error" instead of its checks; a
+suite runs its entries (the SUITES table of subcommands with their flags)
+one by one, so there an entry that raises becomes that row and the other
+entries still run.  Eq12a and Eq22 take B from each test function.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ from .report import CheckReport, sort_reports
 
 TOL_DIR_ENV = "PVZETA_TOL_DIR"
 
-# The flags of every subcommand, declared once: they build the parser and
-# are the keys a config file may set, and RunConfig holds every value to
-# the flag's choices.  Each flag defaults to None.
+# The flags of every subcommand, declared once: their names build the
+# parser and are the keys a config file may set, and RunConfig holds every
+# value to the flag's choices.  Each flag defaults to None.
 _COMMON_FLAGS = {
-    "--format": {"choices": ("json-lines", "csv")}, "--out": {}, "--seed": {"type": int}, "--tol": {"type": float},
+    "--format": {"choices": ("json-lines", "csv")}, "--out": {}, "--seed": {}, "--tol": {},
     "--config": {"help": "flat key=value config file"},
 }
 _SUBCOMMANDS = {
@@ -54,7 +56,7 @@ _SUBCOMMANDS = {
         "--s": {},
         "--testfn": {"help": "semicolon-separated test-function specs"},
         "--convention": {"choices": ("auto", *(c.value for c in testfn.FourierConvention))},
-        "--variant": {"choices": ("printed", "corrected")}, "--q": {"type": int}, "--mc-samples": {},
+        "--variant": {"choices": funceq.VARIANTS}, "--q": {}, "--mc-samples": {},
     }),
     "homog": ("homogeneous distribution checks", {
         "--check": {"choices": ("homogeneity", "tplus-int", "extension", "ambiguity")},
@@ -64,23 +66,24 @@ _SUBCOMMANDS = {
     }),
     "probe": ("symbol and kernel probes", {
         "--what": {"choices": ("symbol-decay", "scaling", "kernel", "integrability")},
-        "--t": {}, "--variant": {"choices": heatflow.VARIANTS}, "--m": {},
+        "--t": {}, "--variant": {"choices": funceq.VARIANTS}, "--m": {},
         "--alphas": {"help": "number of random scale factors"},
     }),
     "heat": ("heat semigroup checks", {
         "--check": {"choices": ("semigroup", "generator", "lacunary", "bounds", "funceq", "kernel")},
         "--t": {}, "--s": {"help": "comma-separated semigroup times, or zeta arguments for funceq (complex as 0.45+0.2j)"},
-        "--x": {}, "--variant": {"choices": heatflow.VARIANTS}, "--dump-profile": {},
+        "--x": {}, "--variant": {"choices": funceq.VARIANTS}, "--dump-profile": {},
     }),
     "suite": ("named batch suites", {"name": {"nargs": "?"}}),
 }
 
 
 class RunConfig:
-    """Validated run description: subcommand plus a typed parameter map.
-    A key that is not a flag of the subcommand, or a value outside the
-    flag's declared choices, is rejected with the key named; the seed, the
-    tolerance and the subcommand's tolerance file are parsed here, once."""
+    """Validated run description: subcommand plus a typed parameter map,
+    from flags, a config file or a suite entry alike.  A key that is not a
+    flag of the subcommand, or a value outside the flag's choices, is
+    rejected with the key named; the seed, the tolerance and the
+    subcommand's tolerance file are parsed here, once."""
 
     def __init__(self, subcommand, params):
         if subcommand not in _SUBCOMMANDS:
@@ -246,30 +249,18 @@ def run_funceq(cfg):
         raise ConfigError(f"--mc-samples takes a count of at least 2, got {mc}")
     if mc is not None and eq in ("12", "12a"):
         raise ConfigError(f"--mc-samples adds the Monte-Carlo rows of --eq 22 and has no rows for --eq {eq}")
+    seed = None if mc is None else cfg.require_seed("the Monte-Carlo oracle is randomized")
     if not s_list:
         return []
-    # Eq12a takes B the identity and Eq22 the form of signature (q, n - q),
-    # n the dimension of the first test function
-    space = phspace.indefinite(q=q, n=phis[0].n) if eq == "22" else None
     conv = cfg.get("convention", "auto")
     if conv == "auto":
         conv = funceq.calibrate_convention(eq, s_list[:2], phis[:1], q=q)["selected"][0]
     tol = cfg.tol_for(f"funceq-eq{eq}")
-    reports = []
-    for s in s_list:
-        for phi in phis:
-            if eq == "12":
-                reports.append(funceq.check_eq12(s, phi, conv, **tol))
-            elif eq == "12a":
-                reports.append(funceq.check_eq12a(s, np.eye(phis[0].n), phi, conv, variant=variant, **tol))
-            else:
-                reports.append(funceq.check_eq22(s, space.Bmat, phi, conv, q=q, **tol))
+    reports = [funceq.check(eq, s, phi, conv, variant, q, **tol) for s in s_list for phi in phis]
     if mc is not None:
-        seed = cfg.require_seed("the Monte-Carlo oracle is randomized")
-        for s in s_list:
-            for phi in phis:
-                for comp in space.components:
-                    reports.append(zeta.check_zeta_montecarlo(space, comp, s, phi, mc, seed))
+        for phi in phis:
+            space = phspace.indefinite(q=q, n=phi.n)
+            reports += [zeta.check_zeta_montecarlo(space, c, s, phi, mc, seed) for s in s_list for c in space.components]
     return reports
 
 
@@ -497,34 +488,34 @@ def run(config):
     return 0, reports
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are ConfigErrors, so they exit 1."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache
 def _build_parser():
-    # built once per process: parse_args leaves no state in the parser
-    parser = argparse.ArgumentParser(prog="pvzeta", description=__doc__)
+    # built once per process (parse_args leaves no state in the parser);
+    # argparse shows a flag's choices in --help, and RunConfig checks them
+    parser = _Parser(prog="pvzeta", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kw in (flags | _COMMON_FLAGS).items():
-            p.add_argument(flag, default=None, **kw)
+            shown = "{" + ",".join(kw["choices"]) + "}" if "choices" in kw else None
+            p.add_argument(flag, default=None, help=kw.get("help"), nargs=kw.get("nargs"), metavar=shown)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        params = {k: v for k, v in vars(ns).items() if k != "subcommand"}
-        if params.get("config"):
-            file_values = load_config_file(params["config"])
-            for key, val in file_values.items():
-                if key == "subcommand":
-                    raise ConfigError("the subcommand cannot be set from a config file")
-                if params.get(key) is None:
-                    params[key] = val
-        params = {k: v for k, v in params.items() if v is not None}
-        config = RunConfig(ns.subcommand, params)
-        status, _ = run(config)
-        return status
+        ns = _build_parser().parse_args(argv)
+        flags = {k: v for k, v in vars(ns).items() if k != "subcommand" and v is not None}
+        # a flag wins over the config file, whose keys RunConfig checks like the flags
+        params = (load_config_file(flags["config"]) if flags.get("config") else {}) | flags
+        return run(RunConfig(ns.subcommand, params))[0]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -30,9 +30,10 @@ gamma factors between them.  Eq12 stays on zeta.mellin, whose panels
 resolve the oscillating rays of a numeric transform, with the factor
 special.gamma_factor_1d.
 
-All checks are convention-explicit; calibrate_convention tabulates the
-residuals under each convention (and exponent variant) and reports the
-minimizer.
+All checks are convention-explicit.  check maps an equation id to its
+check, for the command line and for calibrate_convention, which tabulates
+the residuals under each convention (and exponent variant) and reports
+the minimizer.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ import numpy as np
 from . import phspace, special, testfn, zeta
 from .errors import DomainError, PoleError
 from .report import CheckReport, worst
+
+# the two normalizations of Eq12a and of the heat kernel (heatflow)
+VARIANTS = ("printed", "corrected")
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +147,8 @@ def check_eq12(s, phi, convention, tol=1e-6):
 
 def check_eq12a(s, B, phi, convention, variant="corrected", tol=1e-6):
     conv = testfn.FourierConvention.parse(convention)
-    if variant not in ("printed", "corrected"):
-        raise DomainError("variant must be 'printed' or 'corrected'")
+    if variant not in VARIANTS:
+        raise DomainError(f"variant must be one of {VARIANTS}")
     space = phspace.definite(B=B)
     (lhs,), (base,) = _sides(space, s, phi, conv)
     factor = eq12a_factor(s, space)
@@ -190,39 +194,42 @@ def check_eq22(s, B, phi, convention, q=1, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# Convention calibration
+# Equation dispatch and convention calibration
+
+
+def check(eq, s, phi, convention, variant, q, **tol):
+    """The check of Eq12, Eq12a or Eq22 (eq '12', '12a' or '22') at s on
+    phi: Eq12a on B the identity and Eq22 on diag(I_q, -I_{n-q}), n the
+    dimension of phi.  variant applies to Eq12a and q to Eq22 only."""
+    if eq == "12":
+        return check_eq12(s, phi, convention, **tol)
+    if eq == "12a":
+        return check_eq12a(s, np.eye(phi.n), phi, convention, variant=variant, **tol)
+    if eq == "22":
+        return check_eq22(s, phspace.indefinite(q=q, n=phi.n).Bmat, phi, convention, q=q, **tol)
+    raise DomainError(f"unknown equation id {eq!r}")
 
 
 def calibrate_convention(eq, s_samples, phis, q=1):
-    """Evaluate the named check under every Fourier convention (and both
+    """Evaluate check(eq, ...) under every Fourier convention (and both
     exponent variants for Eq12a); return all residuals and the minimizer.
-    Eq12a takes B the identity and Eq22 diag(I_q, -I_{n-q}), n the
-    dimension of the test function.
 
     The underlying identities never state their transform normalization,
     so it is fixed empirically: the (convention, variant) pair with the
     smallest median residual wins.
     """
-    variants = ("printed", "corrected") if str(eq) == "12a" else (None,)
+    eq = str(eq)
     rows = []
     for conv in testfn.FourierConvention:
-        for variant in variants:
+        for variant in VARIANTS if eq == "12a" else (None,):
             residuals = []
             for s in s_samples:
                 for phi in phis:
                     try:
-                        if str(eq) == "12":
-                            rep = check_eq12(s, phi, conv)
-                        elif str(eq) == "12a":
-                            rep = check_eq12a(s, np.eye(phi.n), phi, conv, variant=variant)
-                        elif str(eq) == "22":
-                            rep = check_eq22(s, phspace.indefinite(q=q, n=phi.n).Bmat, phi, conv, q=q)
-                        else:
-                            raise DomainError(f"unknown equation id {eq!r}")
+                        residuals.append(check(eq, s, phi, conv, variant, q).rel_residual)
                     except PoleError:
                         continue
-                    residuals.append(rep.rel_residual)
             med = statistics.median(residuals) if residuals else math.inf
             rows.append({"convention": conv.value, "variant": variant, "median_residual": med, "residuals": residuals})
     best = min(rows, key=lambda r: r["median_residual"])
-    return {"equation": str(eq), "rows": rows, "selected": (best["convention"], best["variant"])}
+    return {"equation": eq, "rows": rows, "selected": (best["convention"], best["variant"])}

@@ -42,14 +42,12 @@ from . import funceq, phspace, quad, symbolkern, testfn
 from .errors import AccuracyError, DomainError
 from .report import CheckReport, label_number, worst
 
-VARIANTS = ("printed", "corrected")
-
 
 def variant_scale(variant):
     """The factor of one application of S_t under the named variant: 1
     corrected, sqrt(2) printed (c_t = (2 pi t)^{-1/2})."""
-    if variant not in VARIANTS:
-        raise DomainError(f"variant must be one of {VARIANTS}")
+    if variant not in funceq.VARIANTS:
+        raise DomainError(f"variant must be one of {funceq.VARIANTS}")
     return math.sqrt(2.0) if variant == "printed" else 1.0
 
 

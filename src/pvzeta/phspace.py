@@ -11,14 +11,13 @@ and alpha^2 for the quadratic ones.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import quad
 from .errors import ConfigError, DomainError
-from .report import CheckReport, label_number, worst
+from .report import CheckReport, label_number, parse_spec, worst
 
 
 @dataclass(frozen=True)
@@ -234,18 +233,16 @@ def _parse_B(kw):
     return B
 
 
+_SPACE_KEYS = {"scalar1d": (), "definite": ("n", "q", "B"), "indefinite": ("n", "q", "B")}
+
+
 def parse_space(spec):
     """Build a PVSpace from a string like 'definite:B=I,n=3',
     'definite:B=1|2|0.5', 'definite:n=2,B=2|0.5|0.5|1', 'indefinite:q=1,n=3'
-    or 'scalar1d'; the text inside a PVSpace repr reads back as its space.
-    With B= given, n and q must agree with it, and a definite q is n
-    (ConfigError otherwise)."""
-    name, _, rest = str(spec).partition(":")
-    kw = {}
-    if rest:
-        for item in rest.split(","):
-            k, _, v = item.partition("=")
-            kw[k.strip()] = v.strip()
+    or 'scalar1d' (report.parse_spec); the text inside a PVSpace repr reads
+    back as its space.  With B= given, n and q must agree with it, and a
+    definite q is n (ConfigError otherwise)."""
+    name, kw = parse_spec(spec, _SPACE_KEYS, "space kind")
     try:
         if name == "scalar1d":
             return scalar1d()
@@ -254,10 +251,8 @@ def parse_space(spec):
             if "q" in kw and int(kw["q"]) != space.n:
                 raise ConfigError(f"a definite space has q = n = {space.n}, not q = {kw['q']}")
             return space
-        if name == "indefinite":
-            if "B" in kw:
-                return indefinite(B=_parse_B(kw), q=int(kw["q"]) if "q" in kw else None)
-            return indefinite(q=int(kw.get("q", 1)), n=int(kw.get("n", 3)))
-    except (KeyError, ValueError, DomainError) as exc:
+        if "B" in kw:
+            return indefinite(B=_parse_B(kw), q=int(kw["q"]) if "q" in kw else None)
+        return indefinite(q=int(kw.get("q", 1)), n=int(kw.get("n", 3)))
+    except (ValueError, DomainError) as exc:
         raise ConfigError(f"invalid space spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown space kind {name!r}")

@@ -60,9 +60,6 @@ class QuadResult:
     error_estimate: float
     evaluations: int
 
-    def __complex__(self):
-        return complex(self.value)
-
 
 # The 21-point Gauss-Kronrod rule of QUADPACK's qk21 on [-1, 1] (the
 # constants of scipy.integrate._quad_vec._quadrature_gk21): Kronrod nodes
@@ -186,21 +183,16 @@ def integrate_1d(f, a, b, tol=1e-10):
         keep[order[np.arange(err.shape[1]) <= ranks[:, None]]] = False
         # the union of the sets, in the error order of the first member
         split = order[0][~keep[order[0]]]
-        # the edges of each split interval, nan where no cut falls: graded
-        # off an end of (lo, hi) that it touches, else at its midpoint
-        sl, sr = left[split], right[split]
-        at_lo, at_hi = sl == lo, sr == hi
-        edges = np.array([
-            sl,
-            np.where(at_lo, sl + _GK_GRADE * (sr - sl), np.nan),
-            np.where(at_lo | at_hi, np.nan, 0.5 * (sl + sr)),
-            np.where(at_hi, sr - _GK_GRADE * (sr - sl), np.nan),
-            sr,
-        ]).T
-        row, col = (~np.isnan(edges)).nonzero()
-        flat = edges[row, col]
-        same = row[1:] == row[:-1]
-        new_l, new_r = flat[:-1][same], flat[1:][same]
+        if left.size == 1:
+            # the first split, the one that meets both ends: (lo, hi) in three
+            new_l = np.array([lo, lo + _GK_GRADE * (hi - lo), hi - _GK_GRADE * (hi - lo)])
+            new_r = np.array([new_l[1], new_l[2], hi])
+        else:
+            # each later interval in two, graded off the end of (lo, hi)
+            # that it touches, else at its midpoint
+            sl, sr = left[split], right[split]
+            cut = np.where(sl == lo, sl + _GK_GRADE * (sr - sl), np.where(sr == hi, sr - _GK_GRADE * (sr - sl), 0.5 * (sl + sr)))
+            new_l, new_r = np.stack([sl, cut], axis=1).ravel(), np.stack([cut, sr], axis=1).ravel()
         if keep.sum() + new_l.size > _GK_INTERVALS:
             raise NonConvergence(
                 f"quadrature on ({a}, {b}) needs more than {_GK_INTERVALS} intervals: "

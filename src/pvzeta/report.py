@@ -12,6 +12,8 @@ import json
 import math
 from operator import attrgetter
 
+from .errors import ConfigError
+
 _FLOOR = 1e-300
 
 
@@ -128,6 +130,24 @@ def label_number(x):
     repr without a trailing '.0'."""
     text = f"{x:g}"
     return text if float(text) == x else repr(float(x)).removesuffix(".0")
+
+
+def parse_spec(spec, families, what):
+    """(family, {key: text}) of a spec 'family:key=value,...', the form of
+    a test-function label and of the text inside a space repr; families
+    maps each family to its keys.  An unknown family, an item without '=',
+    or a key its family lacks or that comes twice is a ConfigError."""
+    name, _, rest = str(spec).partition(":")
+    if name not in families:
+        raise ConfigError(f"unknown {what} {name!r} in {spec!r}")
+    kw = {}
+    for item in rest.split(",") if rest else ():
+        key, sep, value = (part.strip() for part in item.partition("="))
+        if not sep or key not in families[name] or key in kw:
+            takes = f"the keys {', '.join(families[name])} once each, as key=value" if families[name] else "no keys"
+            raise ConfigError(f"bad item {item!r} in {spec!r}: {name} takes {takes}")
+        kw[key] = value
+    return name, kw
 
 
 def worst(reports):

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import quad
 from .errors import ConfigError, DomainError
-from .report import label_number
+from .report import label_number, parse_spec
 
 
 class FourierConvention(Enum):
@@ -637,24 +637,19 @@ def _numeric_fourier(phi, conv):
 # CLI spec parsing
 
 
+_TESTFN_KEYS = {"gaussian": ("a", "n"), "hermite": ("d", "a", "n"), "bump": ("c", "r", "n")}
+
+
 def parse_testfn(spec):
-    """Build a TestFunction from a string like 'gaussian:a=3.14159,n=1'."""
-    name, _, rest = str(spec).partition(":")
-    kw = {}
-    if rest:
-        for item in rest.split(","):
-            k, _, v = item.partition("=")
-            if not _:
-                raise ConfigError(f"bad test-function parameter {item!r} in {spec!r}")
-            kw[k.strip()] = v.strip()
+    """Build a TestFunction from a string like 'gaussian:a=3.14159,n=1'
+    (report.parse_spec), such as the label of a Gaussian, Hermite or bump."""
+    name, kw = parse_spec(spec, _TESTFN_KEYS, "test-function family")
     try:
         if name == "gaussian":
             return gaussian(float(kw.get("a", math.pi)), int(kw.get("n", 1)))
         if name == "hermite":
             return hermite_gaussian(int(kw.get("d", 2)), float(kw.get("a", math.pi)), int(kw.get("n", 1)))
-        if name == "bump":
-            center = [float(v) for v in kw.get("c", "0").split("|")]
-            return bump(center[0] if len(center) == 1 else center, float(kw.get("r", 1.0)), int(kw.get("n", 1)))
+        center = [float(v) for v in kw.get("c", "0").split("|")]
+        return bump(center[0] if len(center) == 1 else center, float(kw.get("r", 1.0)), int(kw.get("n", 1)))
     except (ValueError, DomainError) as exc:
         raise ConfigError(f"invalid test-function spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown test-function family {name!r}")

@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import re
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracle import gaussian_zeta_definite
-from pvzeta import cli, heatflow, phspace, quad, testfn, zeta
+from pvzeta import cli, funceq, heatflow, phspace, quad, testfn, zeta
 from pvzeta.errors import AccuracyError, ConfigError
 
 
@@ -54,9 +56,7 @@ def test_parser_is_built_once():
 
 
 def test_a_parse_error_leaves_the_shared_parser_as_new(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run(["heat", "--check", "bogus", "--t", "0.5"])
-    assert exc.value.code == 2
+    assert run(["heat", "--check", "bogus", "--t", "0.5"]) == 1
     argv = ["heat", "--check", "semigroup", "--t", "0.5", "--s", "0.25"]
     assert run([*argv, "--out", str(tmp_path / "in.jsonl")]) == 0
     proc = _fresh_run([*argv, "--out", str(tmp_path / "fresh.jsonl")])
@@ -140,7 +140,7 @@ def test_config_file_and_unknown_key(tmp_path):
     assert run(["funceq", "--config", str(cfg), "--out", str(out)]) == 0
     cfg.write_text("eq=12\ns=0.5\nbogus_key=1\n")
     assert run(["funceq", "--config", str(cfg)]) == 1
-    # argparse types --q; a config file passes it through as text
+    # --q from a config file is text, checked like the flag's
     cfg.write_text("eq=12\ns=0.5\nq=abc\n")
     assert run(["funceq", "--config", str(cfg)]) == 1
 
@@ -326,7 +326,7 @@ def test_funceq_eq22_takes_n_from_the_test_function(tmp_path):
 
 @pytest.mark.parametrize("eq", ["12", "12a", "22"])
 def test_funceq_without_a_test_function_is_a_config_error(capsys, eq):
-    # Eq12a and Eq22 take n from the first test function
+    # Eq12a and Eq22 take n from each test function
     assert run(["funceq", "--eq", eq, "--s", "0.3", "--testfn", ";"]) == 1
     assert "config error: --testfn names no test function" in capsys.readouterr().err
 
@@ -620,7 +620,7 @@ _CHOICE_FLAGS = [
 
 @pytest.mark.parametrize("sub, key", _CHOICE_FLAGS, ids=[f"{sub}-{key}" for sub, key in _CHOICE_FLAGS])
 def test_a_value_outside_the_choices_is_a_config_error(tmp_path, capsys, sub, key):
-    # argparse holds flags to their choices; RunConfig holds a config file to the same table
+    # RunConfig holds flags and config files to the choices of one table
     (tmp_path / "run.cfg").write_text(f"{key}=bogus\n")
     out = tmp_path / "r.jsonl"
     argv = [sub, *(["quick"] if sub == "suite" else []), "--config", str(tmp_path / "run.cfg"), "--out", str(out)]
@@ -688,3 +688,96 @@ def test_one_shot_adaptive_check_loads_no_scipy_integrate(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     assert json.loads(out.read_text())["check"] == "homog-tplus-int"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["zeta", "--check", "foo"], ["zeta", "--check", "invariance", "--seed", "x"], ["zeta", "--bogus", "1"], []],
+    ids=["bad-choice", "seed-not-an-integer", "unknown-flag", "missing-subcommand"],
+)
+def test_every_usage_error_exits_one_with_no_report(tmp_path, capsys, argv):
+    # argparse takes the flag names only: a bad value is RunConfig's, and
+    # argparse's own errors exit 1 too, in process and in a fresh interpreter
+    out = tmp_path / "r.jsonl"
+    assert run([*argv, "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("config error: ") and not out.exists()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "pvzeta.cli", *argv, "--out", str(out)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == "" and proc.stderr.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_help_exits_zero():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for argv in (["--help"], ["funceq", "--help"]):
+        proc = subprocess.run([sys.executable, "-m", "pvzeta.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: pvzeta"), proc.stderr
+
+
+def test_argparse_takes_no_choices_or_types():
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for sub in subparsers.choices.values():
+        assert all(a.choices is None and a.type is None for a in sub._actions)
+
+
+@pytest.mark.parametrize(
+    "parse, spec, item",
+    [
+        (phspace.parse_space, "definite:m=2", "m=2"),
+        (phspace.parse_space, "definite:n", "n"),
+        (phspace.parse_space, "scalar1d:n=4", "n=4"),
+        (phspace.parse_space, "indefinite:q=1,n=3,x=5", "x=5"),
+        (testfn.parse_testfn, "gaussian:b=2", "b=2"),
+        (testfn.parse_testfn, "bump:c=1,radius=2", "radius=2"),
+        (testfn.parse_testfn, "gaussian:a=1,n=2,a=2", "a=2"),
+    ],
+)
+def test_a_spec_item_its_family_does_not_take_is_a_config_error(parse, spec, item):
+    with pytest.raises(ConfigError, match=re.escape(f"bad item {item!r} in {spec!r}")):
+        parse(spec)
+
+
+@pytest.mark.parametrize("flag", ["--space=definite:m=2", "--testfn=bump:c=1,radius=2"])
+def test_a_spec_key_on_the_command_line_is_a_config_error(tmp_path, capsys, flag):
+    out = tmp_path / "r.jsonl"
+    assert run(["zeta", "--s", "0.5", flag, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: bad item") and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [(["--eq", "12a"], 2), (["--eq", "22", "--mc-samples", "20000", "--seed", "1"], 6)],
+    ids=["eq12a", "eq22-montecarlo"],
+)
+def test_funceq_takes_B_from_each_test_function(tmp_path, argv, rows):
+    # a plane and a space Gaussian in one list: each runs on its own B, and
+    # the Monte-Carlo rows on its own indefinite space
+    out = tmp_path / "r.jsonl"
+    specs = "gaussian:a=3.14159,n=2;gaussian:a=3.14159,n=3"
+    assert run(["funceq", *argv, "--s", "0.3", "--testfn", specs, "--out", str(out)]) == 0
+    got = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(got) == rows and all(r["status"] == "pass" for r in got)
+    assert sorted(r["params"]["testfn"] for r in got if r["check"].startswith("funceq")) == specs.split(";")
+    spaces = {r["params"]["space"] for r in got if r["check"] == "zeta-montecarlo"}
+    assert spaces == ({"PVSpace(indefinite, n=2, q=1)", "PVSpace(indefinite, n=3, q=1)"} if rows == 6 else set())
+
+
+def test_funceq_rows_and_calibration_share_one_dispatch(tmp_path, monkeypatch):
+    seen, check = [], funceq.check
+
+    def spy(eq, *args, **kwargs):
+        seen.append(eq)
+        return check(eq, *args, **kwargs)
+
+    monkeypatch.setattr(funceq, "check", spy)
+    assert run(["funceq", "--eq", "12", "--s", "0.5", "--out", str(tmp_path / "r.jsonl")]) == 0
+    # one calibration row per convention, then the row of the run
+    assert seen == ["12"] * (len(testfn.FourierConvention) + 1)
+
+
+def test_every_variant_flag_takes_the_library_tuple():
+    for sub in ("funceq", "heat", "probe"):
+        assert cli._SUBCOMMANDS[sub][1]["--variant"]["choices"] is funceq.VARIANTS

@@ -264,7 +264,7 @@ def test_kernel_identity_and_support():
     assert symbolkern.kernel_closed(heatflow.heat_group_function(0.1), 1.0, -2.0) == 0.0
 
 
-@pytest.mark.parametrize("variant", heatflow.VARIANTS)
+@pytest.mark.parametrize("variant", funceq.VARIANTS)
 def test_kernel_vs_heat_check(variant):
     # the kernel assembled from the symbol against the closed S_t(x, y),
     # on both sides of the origin

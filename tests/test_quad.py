@@ -440,7 +440,7 @@ def test_defaulted_parameters_do_not_grow():
 def test_library_lines_do_not_grow():
     # the library's line count may fall but not rise
     count = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in Path(pvzeta.__file__).parent.glob("*.py"))
-    assert count <= 4353, count
+    assert count <= 4351, count
 
 
 def test_engines_read_the_space():
