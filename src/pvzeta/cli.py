@@ -133,10 +133,11 @@ def _config_number(where, text, kind):
 
 
 def load_config_file(path, normalize=True):
-    """Flat key=value file; '#' starts a comment; empty lines ignored.
+    """Flat key=value file, each key on one line only (ConfigError naming
+    both lines otherwise); '#' starts a comment; empty lines ignored.
     normalize maps dashes to underscores so keys match CLI flag names;
     tolerance files keep their check ids verbatim."""
-    values = {}
+    entries = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -146,11 +147,13 @@ def load_config_file(path, normalize=True):
                 key, sep, val = line.partition("=")
                 if not sep:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-                key = key.strip()
-                values[key.replace("-", "_") if normalize else key] = val.strip()
+                key = key.strip().replace("-", "_") if normalize else key.strip()
+                if key in entries:
+                    raise ConfigError(f"{path}: key {key!r} is given twice, on lines {entries[key][0]} and {lineno}")
+                entries[key] = (lineno, val.strip())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return values
+    return {key: value for key, (_, value) in entries.items()}
 
 
 def _tol_overrides(subcommand):
@@ -242,13 +245,16 @@ def run_funceq(cfg):
     eq = cfg.get("eq", "12")
     s_list = _s_values(cfg.get("s", ""))
     phis = _testfns(cfg.get("testfn", "gaussian:a=3.14159,n=1" if eq == "12" else "gaussian:a=3.14159,n=3"))
+    for key, reader in (("q", "22"), ("variant", "12a"), ("mc_samples", "22")):
+        if cfg.get(key) is not None and eq != reader:
+            raise ConfigError(f"--{key.replace('_', '-')} applies to --eq {reader} only, not to --eq {eq}")
     variant = cfg.get("variant", "corrected")
     q = _number(cfg, "q", 1, _ints)
+    if eq == "22" and q not in range(1, min(phi.n for phi in phis)):
+        raise ConfigError(f"--q takes 1..n-1 for the dimension n of every test function, got {q}")
     mc = None if cfg.get("mc_samples") is None else _number(cfg, "mc_samples", None, _ints)
     if mc is not None and mc < 2:
         raise ConfigError(f"--mc-samples takes a count of at least 2, got {mc}")
-    if mc is not None and eq in ("12", "12a"):
-        raise ConfigError(f"--mc-samples adds the Monte-Carlo rows of --eq 22 and has no rows for --eq {eq}")
     seed = None if mc is None else cfg.require_seed("the Monte-Carlo oracle is randomized")
     if not s_list:
         return []

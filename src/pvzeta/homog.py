@@ -146,10 +146,7 @@ class HomogFunctional:
         outer = phi.decay.cutoff(1e-16)
         if not np.isfinite(outer) or outer <= 0.0:
             raise DomainError("direct pairing needs a finite support bound")
-        pts, wts = quad.sphere_quadrature(n, order, True)
-        # a ray that misses the support of phi adds 0
-        hit = ~phi.decay.misses(pts)
-        pts, wts = pts[hit], wts[hit]
+        pts, wts = phi.support_rays(order, True)
 
         def integrand(t):
             # (rays, nodes) points on the line, (rays, nodes, n) off it
@@ -301,9 +298,7 @@ def _extension(k, phi, what, terms):
         raise DomainError("test function dimension does not match the density")
 
     def run(order):
-        pts, wts = quad.sphere_quadrature(n, order, False)
-        hit = ~phi.decay.misses(pts)
-        pts, wts = pts[hit], wts[hit]
+        pts, wts = phi.support_rays(order, False)
         for p in _INNER_PANELS:
             coarse = complex(np.sum(terms(pts, wts, p, False)[0]))
             fine, kept = terms(pts, wts, p, True)

@@ -116,6 +116,7 @@ class GroupElement:
 
 
 def rel_invariant(space, m):
+    """p(m) at a point or at each point of an array: the one evaluator of p on point sets."""
     m = np.asarray(m, dtype=float)
     if space.kind == "scalar1d":
         return float(m) if m.ndim == 0 else m
@@ -137,9 +138,10 @@ def apply_group(space, g, m):
 
 
 def check_relative_invariance(space, g, m, tol=1e-10):
+    pm = rel_invariant(space, m)
     lhs = rel_invariant(space, apply_group(space, g, m))
-    rhs = character(space, g) * rel_invariant(space, m)
-    denom = max(1.0, abs(rel_invariant(space, m)))
+    rhs = character(space, g) * pm
+    denom = max(1.0, abs(pm))
     # normalize the residual as specified: |p(gm) - chi p(m)| / max(1, |p(m)|)
     return CheckReport(
         check="relative-invariance",

@@ -641,10 +641,10 @@ class SignatureGeometry:
             cu, su = np.cosh(u), np.sinh(u)
             ang = (cu ** (self.k - 1) * su ** (self.j - 1) * (half[a:b, None] * wx)).ravel()[cut]
             rc, rs = (rp[a:b, None] * cu).ravel()[cut], (rp[a:b, None] * su).ravel()[cut]
-            pts = np.zeros((rc.size, nk, nj, self.n))
-            pts[..., self.cosh_idx] = rc[:, None, None, None] * self.omega_k[None, :, None, :]
-            pts[..., self.sinh_idx] = rs[:, None, None, None] * self.omega_j[None, None, :, :]
-            pts *= self.Dscale
+            # the two sheet factors fill every coordinate, each scaled by D as it is written
+            pts = np.empty((rc.size, nk, nj, self.n))
+            pts[..., self.cosh_idx] = rc[:, None, None, None] * self.omega_k[None, :, None, :] * self.Dscale[self.cosh_idx]
+            pts[..., self.sinh_idx] = rs[:, None, None, None] * self.omega_j[None, None, :, :] * self.Dscale[self.sinh_idx]
             parts.append((np.asarray(g(pts)).reshape(rc.size, nk * nj) @ wkj) * ang)
         per_node = np.concatenate(parts)
         F = np.add.reduceat(per_node, np.cumsum(npanel * x.size) - npanel * x.size)

@@ -29,6 +29,22 @@ def _jsonable(x):
     return x
 
 
+# the CSV projection of a report: each column's name and its text
+_CSV_COLUMNS = (
+    ("check", attrgetter("check")),
+    ("anchor", attrgetter("anchor")),
+    ("params", lambda rep: json.dumps(_jsonable(rep.params), sort_keys=True)),
+    ("lhs_re", lambda rep: repr(rep.lhs.real)),
+    ("lhs_im", lambda rep: repr(rep.lhs.imag)),
+    ("rhs_re", lambda rep: repr(rep.rhs.real)),
+    ("rhs_im", lambda rep: repr(rep.rhs.imag)),
+    ("abs_residual", lambda rep: repr(rep.abs_residual)),
+    ("rel_residual", lambda rep: repr(rep.rel_residual)),
+    ("tolerance", lambda rep: repr(rep.tolerance)),
+    ("status", attrgetter("status")),
+)
+
+
 class CheckReport:
     """Result of one residual check.
 
@@ -84,33 +100,9 @@ class CheckReport:
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=True)
 
     def csv_row(self):
-        return [
-            self.check,
-            self.anchor,
-            json.dumps(_jsonable(self.params), sort_keys=True),
-            repr(self.lhs.real),
-            repr(self.lhs.imag),
-            repr(self.rhs.real),
-            repr(self.rhs.imag),
-            repr(self.abs_residual),
-            repr(self.rel_residual),
-            repr(self.tolerance),
-            self.status,
-        ]
+        return [text(self) for _, text in _CSV_COLUMNS]
 
-    CSV_HEADER = [
-        "check",
-        "anchor",
-        "params",
-        "lhs_re",
-        "lhs_im",
-        "rhs_re",
-        "rhs_im",
-        "abs_residual",
-        "rel_residual",
-        "tolerance",
-        "status",
-    ]
+    CSV_HEADER = [name for name, _ in _CSV_COLUMNS]
 
     def __str__(self):
         return (

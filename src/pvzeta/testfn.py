@@ -82,18 +82,6 @@ class Decay:
             return 2.0 * math.asin(self.radius / abs(self.shift))
         return 2.0 * math.pi
 
-    def misses(self, directions):
-        """Whether each ray {t d : t >= 0}, d a row of (..., n), misses the
-        ball |m - center| < radius of a compact support with a known
-        centre, so that phi vanishes on it."""
-        if self.kind != "compact" or not self.center:
-            return np.zeros(directions.shape[:-1], dtype=bool)
-        c = np.asarray(self.center)
-        along = (directions @ c) / np.sqrt(quad.sum_squares(directions))
-        # the point of the ray nearest the centre: the origin, or the foot
-        near2 = float(c @ c) - np.where(along > 0.0, along * along, 0.0)
-        return near2 >= self.radius * self.radius
-
 
 # ---------------------------------------------------------------------------
 # 1D radial profiles
@@ -242,6 +230,20 @@ class TestFunction:
         if not np.all(np.any(directions, axis=-1)):
             raise DomainError("ray direction must be nonzero")
         return self._ray(directions)
+
+    def support_rays(self, order, rotated):
+        """The nodes d and weights of quad.sphere_quadrature(n, order, rotated)
+        whose rays {t d : t >= 0} meet the support, the one filter of the
+        sphere rules: a compact support with a known centre drops each ray
+        whose point nearest the centre lies outside the ball |m - center| < radius."""
+        pts, wts = quad.sphere_quadrature(self.n, order, rotated)
+        if self.decay.kind != "compact" or not self.decay.center:
+            return pts, wts
+        c = np.asarray(self.decay.center)
+        along = (pts @ c) / np.sqrt(quad.sum_squares(pts))
+        # the point of the ray nearest the centre: the origin, or the foot
+        hit = float(c @ c) - np.where(along > 0.0, along * along, 0.0) < self.decay.radius * self.decay.radius
+        return pts[hit], wts[hit]
 
     def derivative(self, alpha):
         """Exact partial derivative evaluator for the multi-index alpha
@@ -429,11 +431,18 @@ def _bump_ray_derivative(q, dq, half_d2q, k):
     out = np.zeros(q.shape)
     # e^{-y} is 0.0 in double precision past y = 745, where y^(2k) may overflow
     live = 1.0 - q > 1.0 / 745.0
-    y, dq, half_d2q = 1.0 / (1.0 - q[live]), dq[live], np.broadcast_to(half_d2q, q.shape)[live]
+    y, dq = 1.0 / (1.0 - q[live]), dq[live]
+    # coef (q''/2)^(k-j) is taken per ray and repeated over the ray's live points,
+    # which lie together in row-major order; at j = k it is 1.0, and x * 1.0 = x
+    half_d2q = np.asarray(half_d2q)
+    per_ray = np.count_nonzero(live.reshape(half_d2q.size, -1), axis=1) if k > 1 else None
     acc = 0.0
     for j in range((k + 1) // 2, k + 1):
-        coef = math.factorial(k) // (math.factorial(2 * j - k) * math.factorial(k - j))
-        acc = acc + coef * half_d2q ** (k - j) * dq ** (2 * j - k) * _horner(_BUMP_POLYS[j], y)
+        term = dq ** (2 * j - k)
+        if j < k:
+            coef = math.factorial(k) // (math.factorial(2 * j - k) * math.factorial(k - j))
+            term = np.repeat((coef * half_d2q ** (k - j)).ravel(), per_ray) * term
+        acc = acc + term * _horner(_BUMP_POLYS[j], y)
     out[live] = np.exp(-y) * acc
     return out
 

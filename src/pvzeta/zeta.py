@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quad, testfn
+from . import phspace, quad, testfn
 from .errors import DomainError, PoleError
 from .report import CheckReport
 from .special import POLE_GUARD
@@ -68,9 +68,6 @@ class MeroValue:
     pole_distance: float
     continuation_order: int
     rule: dict | None = None
-
-    def __complex__(self):
-        return complex(self.value)
 
 
 def _neg_int_distance(s):
@@ -175,10 +172,8 @@ def _polar(space, component, s, order, rotated, phi):
     support and expo = 2 s + n - 1."""
     if space.kind == "scalar1d":
         return np.array([[1.0 if component == "V1" else -1.0]]), np.ones(1), s
-    pts, wts = quad.sphere_quadrature(space.n, order, rotated)
-    hit = ~phi.decay.misses(pts)
-    pts, wts = pts[hit], wts[hit]
-    pom = np.einsum("ij,jk,ik->i", pts, space.Bmat, pts)
+    pts, wts = phi.support_rays(order, rotated)
+    pom = phspace.rel_invariant(space, pts)
     ps = pom ** s.real if s.imag == 0.0 else pom.astype(complex) ** s
     return pts, wts * ps, 2.0 * s + space.n - 1.0
 

@@ -141,7 +141,7 @@ def test_config_file_and_unknown_key(tmp_path):
     cfg.write_text("eq=12\ns=0.5\nbogus_key=1\n")
     assert run(["funceq", "--config", str(cfg)]) == 1
     # --q from a config file is text, checked like the flag's
-    cfg.write_text("eq=12\ns=0.5\nq=abc\n")
+    cfg.write_text("eq=22\ns=0.5\nq=abc\n")
     assert run(["funceq", "--config", str(cfg)]) == 1
 
 
@@ -781,3 +781,48 @@ def test_funceq_rows_and_calibration_share_one_dispatch(tmp_path, monkeypatch):
 def test_every_variant_flag_takes_the_library_tuple():
     for sub in ("funceq", "heat", "probe"):
         assert cli._SUBCOMMANDS[sub][1]["--variant"]["choices"] is funceq.VARIANTS
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--eq", "12", "--s", "0.5", "--q", "7", "--variant", "printed"], "--q applies to --eq 22 only"),
+        (["--eq", "12a", "--s", "0.5", "--q", "1"], "--q applies to --eq 22 only"),
+        (["--eq", "12", "--s", "0.5", "--variant", "corrected"], "--variant applies to --eq 12a only"),
+        (["--eq", "22", "--s", "0.3", "--variant", "printed"], "--variant applies to --eq 12a only"),
+        (["--eq", "22", "--s", "0.3", "--q", "0"], "--q takes 1..n-1"),
+        (["--eq", "22", "--s", "0.3", "--q", "3"], "--q takes 1..n-1"),
+        (["--eq", "22", "--s", "0.3", "--q", "2", "--testfn", "gaussian:a=3.14159,n=3;gaussian:a=3.14159,n=2"], "--q takes 1..n-1"),
+    ],
+    ids=["q-eq12", "q-eq12a", "variant-eq12", "variant-eq22", "q-zero", "q-past-n", "q-past-one-n"],
+)
+def test_funceq_refuses_a_flag_its_equation_does_not_read(tmp_path, capsys, argv, named):
+    # --q sets the signature of Eq22 only, within 1..n-1 for every test
+    # function, and --variant the exponent of Eq12a only
+    out = tmp_path / "r.jsonl"
+    assert run(["funceq", *argv, "--convention", "twopi", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err and not out.exists()
+
+
+def test_funceq_takes_each_flag_of_its_equation(tmp_path):
+    out = tmp_path / "r.jsonl"
+    assert run(["funceq", "--eq", "22", "--s", "0.3", "--q", "2", "--convention", "twopi", "--out", str(out)]) == 0
+    assert run(["funceq", "--eq", "12a", "--s", "0.3", "--variant", "corrected", "--convention", "twopi", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("text, key, lines", [("eq=12\ns=0.5\ns=0.6\n", "s", (2, 3)), ("mc-samples=10\n# c\nmc_samples=20\n", "mc_samples", (1, 3))])
+def test_a_config_key_given_twice_is_a_config_error(tmp_path, capsys, text, key, lines):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "r.jsonl"
+    cfg.write_text(text)
+    assert run(["funceq", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"key {key!r} is given twice, on lines {lines[0]} and {lines[1]}" in err and not out.exists()
+
+
+def test_a_tolerance_file_key_given_twice_is_a_config_error(tmp_path, capsys, monkeypatch):
+    (tmp_path / "heat.tol").write_text("heat-generator=1e-6\nheat-generator=1e-30\n")
+    monkeypatch.setenv(cli.TOL_DIR_ENV, str(tmp_path))
+    out = tmp_path / "r.jsonl"
+    assert run(["heat", "--check", "generator", "--t", "0.5", "--x", "1.0", "--out", str(out)]) == 1
+    assert "key 'heat-generator' is given twice, on lines 1 and 2" in capsys.readouterr().err and not out.exists()

@@ -280,8 +280,7 @@ def test_inner_rows_take_the_rays_in_groups_within_the_block(npanel, monkeypatch
     # once a t block is that large), and each row has the bits of its ray
     # alone
     phi = testfn.bump([1.5, 0.5], 1.2, n=2)
-    pts = quad.sphere_quadrature(2, 32, False)[0]
-    pts = pts[~phi.decay.misses(pts)]
+    pts = phi.support_rays(32, False)[0]
     t, cut = np.linspace(0.6, 1.4, 5), phi.rays(pts).cutoff(1e-18)
     groups, real = [], phi.rays
 
@@ -305,8 +304,7 @@ def test_inner_rows_build_the_rule_once_per_call(monkeypatch):
     # the origin for the closed g'(0) part, however many groups the rays
     # take: the plane bump at 512 panels goes one ray a group
     phi = testfn.bump([1.5, 0.5], 1.2, n=2)
-    pts = quad.sphere_quadrature(2, 32, False)[0]
-    pts = pts[~phi.decay.misses(pts)]
+    pts = phi.support_rays(32, False)[0]
     t, cut = np.linspace(0.6, 1.4, 5), phi.rays(pts).cutoff(1e-18)
     rules, at_origin, groups = [], [], []
     real_rule, real_rays = quad.panel_rule, phi.rays
@@ -380,8 +378,7 @@ def test_direct_pair_family_matches_the_per_ray_pairing_in_the_plane():
 @pytest.mark.parametrize("s", [-1.0, -2.0])
 def test_tplus_profile_takes_a_family_of_rays_at_a_pole(phi, s):
     # one value per ray, each within the rule's tolerance of the ray alone
-    pts = quad.sphere_quadrature(2, 8, False)[0]
-    pts = pts[~phi.decay.misses(pts)]
+    pts = phi.support_rays(8, False)[0]
     values = homog.tplus_profile(s, phi.rays(pts), tol=1e-12)
     assert np.shape(values) == (len(pts),)
     for om, value in zip(pts, values):

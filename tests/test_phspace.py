@@ -218,3 +218,18 @@ def test_space_builds_its_matrix_and_text_once(spec):
     assert repr(other) != text and phspace.parse_space(_spec_of(other)) == other
     same = dataclasses.replace(space)
     assert same == space and hash(same) == hash(space) and repr(same) == text and np.array_equal(same.Bmat, B)
+
+
+def test_relative_invariance_evaluates_p_of_m_once(monkeypatch):
+    # one p(m) serves chi(g) p(m) and the normalization max(1, |p(m)|)
+    calls, real = [], phspace.rel_invariant
+
+    def counted(space, m):
+        calls.append(m)
+        return real(space, m)
+
+    monkeypatch.setattr(phspace, "rel_invariant", counted)
+    space = phspace.parse_space("indefinite:q=1,n=3")
+    g = phspace.sample_group(space, 1, 5)[0]
+    rep = phspace.check_relative_invariance(space, g, np.array([0.3, -1.2, 0.8]))
+    assert len(calls) == 2 and rep.passed

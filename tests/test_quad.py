@@ -303,7 +303,7 @@ def test_monte_carlo_signature_consistency():
     space, phi = phspace.indefinite(q=1, n=3), testfn.gaussian(math.pi, n=3)
     det = zeta.zeta_local(space, "plus", 0.2, phi)
     est, se = quad.monte_carlo_signature(phi, space, "plus", 0.2, 500_000, seed=3)
-    assert abs(complex(det) - est) < 4.0 * se
+    assert abs(complex(det.value) - est) < 4.0 * se
 
 
 def test_signature_profile_closed_form():
@@ -440,7 +440,7 @@ def test_defaulted_parameters_do_not_grow():
 def test_library_lines_do_not_grow():
     # the library's line count may fall but not rise
     count = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in Path(pvzeta.__file__).parent.glob("*.py"))
-    assert count <= 4351, count
+    assert count <= 4350, count
 
 
 def test_engines_read_the_space():
@@ -615,3 +615,34 @@ def test_one_blas_thread_without_a_bundled_library(tmp_path):
     package = types.ModuleType("plain")
     package.__file__ = str(tmp_path / "plain" / "__init__.py")
     assert quad.one_blas_thread(package) is None
+
+
+@pytest.mark.parametrize("sheet", ["plus", "minus"])
+def test_profile_points_keep_the_bits_of_zero_fill_then_scale(sheet):
+    # the sheet points are written once, each factor scaled by D as it is
+    # written; the former form filled zeros, wrote both factors and then
+    # scaled the whole block by D.  With D = 1 the profile writes the
+    # unscaled factors (times 1.0, exactly), and that form is raw * D
+    space = phspace.indefinite(B=np.diag([2.5, -0.7, 1.3]))
+    geom = quad.SignatureGeometry(space, sheet, 8, False)
+    scale = geom.Dscale.copy()
+    assert not np.all(scale == 1.0)
+    r = np.array([0.05, 0.4, 1.0, 2.2])
+
+    def points(blocks):
+        def g(pts):
+            blocks.append(pts.copy())
+            return np.exp(-quad.sum_squares(pts))
+
+        return g
+
+    written, unscaled = [], []
+    H = geom.profile(points(written), r, 0.5)[0]
+    geom.Dscale = np.ones(3)
+    geom.profile(points(unscaled), r, 0.5)
+    assert len(written) == len(unscaled) > 0
+    for new, raw in zip(written, unscaled):
+        old = raw * scale
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+    geom.Dscale = scale
+    assert np.array_equal(H.view(np.int64), geom.profile(points([]), r, 0.5)[0].view(np.int64))

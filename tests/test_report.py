@@ -96,3 +96,25 @@ def test_only_report_module_sets_residual_or_status():
         if pattern.search(line)
     ]
     assert offenders == []
+
+
+def test_csv_columns_keep_the_former_lists():
+    # CSV_HEADER and csv_row read one table of (column name, text); both
+    # give the lists they gave when they were written out apart
+    header = ["check", "anchor", "params", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
+              "abs_residual", "rel_residual", "tolerance", "status"]
+    assert CheckReport.CSV_HEADER == header
+    for rep in (make(), make(lhs=1.5 - 2j, rhs=0.25j), CheckReport.error("c", {"s": 0.5, "a": [1, 2]}, ValueError("x"))):
+        assert rep.csv_row() == [
+            rep.check,
+            rep.anchor,
+            json.dumps(pvzeta.report._jsonable(rep.params), sort_keys=True),
+            repr(rep.lhs.real),
+            repr(rep.lhs.imag),
+            repr(rep.rhs.real),
+            repr(rep.rhs.imag),
+            repr(rep.abs_residual),
+            repr(rep.rel_residual),
+            repr(rep.tolerance),
+            rep.status,
+        ]

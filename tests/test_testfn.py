@@ -457,3 +457,72 @@ def test_polygauss_profiles_compare_by_exact_coefficients_and_rate(monkeypatch):
     count, out = distinct([c, [0.5, 1.0, 0.0], c], [1.5, 0.7, 1.5], [3.0, 4.0, 3.0])
     assert count == 2 and np.array_equal(out[0], out[2]) and not np.array_equal(out[0], out[1])
     assert rows(testfn.bump(0.0, 1.0), [[1.0], [1.0], [-1.0]], np.ones(3))[0] == 3
+
+
+def _old_support_filter(phi, order, rotated):
+    # the filter zeta._polar, homog._extension and direct_pair each spelled out,
+    # with the Decay.misses test it called
+    pts, wts = quad.sphere_quadrature(phi.n, order, rotated)
+    dec = phi.decay
+    if dec.kind != "compact" or not dec.center:
+        misses = np.zeros(pts.shape[:-1], dtype=bool)
+    else:
+        c = np.asarray(dec.center)
+        along = (pts @ c) / np.sqrt(quad.sum_squares(pts))
+        misses = float(c @ c) - np.where(along > 0.0, along * along, 0.0) >= dec.radius * dec.radius
+    return pts[~misses], wts[~misses]
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+@pytest.mark.parametrize(
+    "phi",
+    [testfn.bump(3.0, 1.0), testfn.bump([1.5, 0.5], 1.2, n=2), testfn.bump([2.0, 0.0, 0.5], 0.7, n=3),
+     testfn.bump([0.1, 0.2], 0.5, n=2), testfn.gaussian(1.0, n=3)],
+    ids=["line", "plane", "space", "plane-origin", "gaussian"],
+)
+def test_support_rays_are_the_old_filter(phi, rotated):
+    for order in (2, 8, 32):
+        (pts, wts), (ref_pts, ref_wts) = phi.support_rays(order, rotated), _old_support_filter(phi, order, rotated)
+        assert np.array_equal(pts.view(np.int64), ref_pts.view(np.int64))
+        assert np.array_equal(wts.view(np.int64), ref_wts.view(np.int64))
+
+
+def _bump_ray_derivative_broadcast(q, dq, half_d2q, k):
+    # the form that broadcast q''/2 to every point and raised the gathered array to each power
+    out = np.zeros(q.shape)
+    live = 1.0 - q > 1.0 / 745.0
+    y, dq, half_d2q = 1.0 / (1.0 - q[live]), dq[live], np.broadcast_to(half_d2q, q.shape)[live]
+    acc = 0.0
+    for j in range((k + 1) // 2, k + 1):
+        coef = math.factorial(k) // (math.factorial(2 * j - k) * math.factorial(k - j))
+        acc = acc + coef * half_d2q ** (k - j) * dq ** (2 * j - k) * testfn._horner(testfn._BUMP_POLYS[j], y)
+    out[live] = np.exp(-y) * acc
+    return out
+
+
+@pytest.mark.parametrize(
+    "phi, directions",
+    [(testfn.bump(0.3, 1.2), [[1.0], [-1.0]]), (testfn.bump([1.5, 0.0], 1.2, n=2), None)],
+    ids=["line", "plane"],
+)
+def test_bump_ray_derivative_keeps_its_bits(phi, directions, monkeypatch):
+    # q''/2 is taken per ray and repeated over the live points: every value
+    # has the bits of the broadcast form, for families, lone rays and nodes
+    # common to the rays or per ray
+    directions = np.asarray(directions) if directions is not None else phi.support_rays(16, False)[0]
+    seen, new = [], testfn._bump_ray_derivative
+
+    def both(q, dq, half_d2q, k):
+        out = new(q, dq, half_d2q, k)
+        seen.append(np.array_equal(out.view(np.int64), _bump_ray_derivative_broadcast(q, dq, half_d2q, k).view(np.int64)))
+        return out
+
+    monkeypatch.setattr(testfn, "_bump_ray_derivative", both)
+    r = np.linspace(0.0, 3.0, 301)
+    for k in (1, 2, 3, 4):
+        family = phi.rays(directions).derivative(k)
+        family(r)
+        family(np.outer(np.linspace(0.5, 1.5, len(directions)), r))
+        phi.ray(directions[0]).derivative(k)(r)
+        phi.ray(directions[-1]).derivative(k)(0.4)
+    assert len(seen) == 16 and all(seen)

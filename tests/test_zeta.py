@@ -222,8 +222,7 @@ def test_an_off_centre_support_sets_the_first_order():
     c = np.array([math.cos(math.pi / 8.0), math.sin(math.pi / 8.0)])
     phi, s = testfn.bump(c, 0.3, n=2), 0.3
     for order in (2, 4):
-        pts = quad.sphere_quadrature(2, order, False)[0]
-        assert all(phi.decay.misses(om) for om in pts)
+        assert phi.support_rays(order, False)[0].size == 0
     fast = zeta.zeta_local(phspace.definite(n=2), "V1", s, phi)
     ref = zeta.zeta_local_reference(phspace.definite(n=2), "V1", s, phi, fast.rule["angular_order"])
     exact = _tensor_plane_zeta(phi, s, c - 0.3, c + 0.3)
@@ -456,3 +455,23 @@ def test_indefinite_reference_near_the_poles():
         fast = complex(mv.value)
         ref = complex(zeta.zeta_local_reference(sp, "plus", s, phi, mv.rule["angular_order"]).value)
         assert abs(fast - ref) < 1e-10 * abs(ref), s
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+@pytest.mark.parametrize(
+    "space",
+    [phspace.definite(n=3), phspace.definite(B=np.diag([1.0, 2.0, 0.5])),
+     phspace.definite(B=[[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]]), phspace.definite(B=[[2.0, 0.5], [0.5, 1.0]])],
+    ids=["identity", "diagonal", "full", "plane-full"],
+)
+def test_polar_p_keeps_the_bits_of_its_einsum(space, rotated):
+    # _polar evaluates p by phspace.rel_invariant, where it had its own einsum
+    phi = testfn.gaussian(1.0, n=space.n)
+    for s in (0.7, complex(-0.3, 0.4)):
+        for order in (4, 16, 64):
+            pts, wts, _ = zeta._polar(space, "V1", complex(s), order, rotated, phi)
+            ref_pts, ref_wts = phi.support_rays(order, rotated)
+            pom = np.einsum("ij,jk,ik->i", ref_pts, space.Bmat, ref_pts)
+            ps = pom ** complex(s).real if complex(s).imag == 0.0 else pom.astype(complex) ** s
+            assert np.array_equal(pts, ref_pts)
+            assert np.array_equal(wts.view(np.int64), (ref_wts * ps).view(np.int64))
